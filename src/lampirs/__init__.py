@@ -67,7 +67,6 @@ from .lamplighter import (
     conjugate_element,
     cylinder_contains,
     delta_site,
-    multiply,
     power,
 )
 from .rng import SplitMix64

@@ -49,6 +49,31 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_list(metavar):
+    """argparse type for a fixed-length comma-separated integer list."""
+    count = len(metavar.split(","))
+
+    def parse(text):
+        try:
+            values = tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {metavar} ({count} comma-separated integers), got {text!r}"
+            )
+        return values
+
+    return parse
+
+
 def _emit(args, payload, csv_rows=None, csv_header=None):
     if getattr(args, "format", "json") == "csv" and csv_rows is not None:
         lines = [",".join(csv_header)] + [",".join(str(c) for c in r) for r in csv_rows]
@@ -133,8 +158,8 @@ def cmd_cb(args):
 def cmd_approach(args):
     with open(args.triple) as fh:
         triple = parse_triple(fh.read())
-    t_target, r_target = (int(tok) for tok in args.target.split(","))
-    radius, shift_bound, horizon = (int(tok) for tok in args.ball.split(","))
+    t_target, r_target = args.target
+    radius, shift_bound, horizon = args.ball
     seq = build_approach_sequence(triple, (t_target, r_target), args.count)
     cert = certify_convergence(
         lambda m: seq[m - 1], triple, radius, shift_bound, min(horizon, args.count)
@@ -231,7 +256,7 @@ def cmd_mix(args):
         mu2 = _load_measure(args.mu2)
     else:
         mu2 = SubgroupMeasure.point(Submodule.zero(args.n, args.p))
-    lo, hi = (int(tok) for tok in args.window.split(","))
+    lo, hi = args.window
     nai_values = [int(tok) for tok in args.nai.split(",")]
     runs = []
     all_within = True
@@ -310,7 +335,7 @@ def cmd_selftest(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lampirs",
         description="Exact computations in the subgroup space of lamplighter groups",
     )
@@ -349,9 +374,9 @@ def build_parser():
 
     sp = sub.add_parser("approach", help="convergent sequence toward a triple")
     sp.add_argument("--triple", required=True)
-    sp.add_argument("--target", required=True, metavar="t,r")
+    sp.add_argument("--target", required=True, metavar="t,r", type=_int_list("t,r"))
     sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--ball", default="4,4,25", metavar="R,S,H")
+    sp.add_argument("--ball", default="4,4,25", metavar="R,S,H", type=_int_list("R,S,H"))
     sp.add_argument("--outdir", default=None)
     add_common(sp)
     sp.set_defaults(fn=cmd_approach)
@@ -367,7 +392,7 @@ def build_parser():
     sp.add_argument("--nai", required=True, metavar="N[,N...]")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--window", default="0,0", metavar="LO,HI")
+    sp.add_argument("--window", default="0,0", metavar="LO,HI", type=_int_list("LO,HI"))
     sp.add_argument("--mu1", default=None)
     sp.add_argument("--mu2", default=None)
     sp.add_argument("--n", type=int, default=1)

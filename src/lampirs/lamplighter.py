@@ -6,8 +6,8 @@ v in R^n together with a mover position s in Z.  Multiplication is
 
 Shift convention (global, fixed once): multiplying a configuration by x
 moves the lamp at site i+1 to site i, so the delta configuration at site k
-is the Laurent monomial x^-k.  ``delta_site`` and ``site_of_exponent`` are
-the only places this sign appears.
+is the Laurent monomial x^-k.  ``SITE_EXPONENT_SIGN`` records this sign and
+``delta_site`` applies it.
 
 A subgroup not inside the lamp group is encoded by a triple (s, U, v):
 s generates the image of the projection to Z, U is the intersection with
@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, check_prime
+from .algebra import LaurentPoly, check_prime, geometric_series
 from .errors import ContextError, DomainError, PreconditionError
-from .submodules import LaurentVector, invariant_report
+from .fplinalg import rref
+from .submodules import LaurentVector, invariant_report, vectorize
 
 SITE_EXPONENT_SIGN = -1  # site k <-> Laurent exponent -k
 
@@ -29,10 +30,6 @@ SITE_EXPONENT_SIGN = -1  # site k <-> Laurent exponent -k
 def delta_site(n, p, site, component=0, value=1):
     """Configuration with a single lamp set at the given site."""
     return LaurentVector.unit(n, p, component, exponent=SITE_EXPONENT_SIGN * site, coeff=value)
-
-
-def site_of_exponent(exponent):
-    return SITE_EXPONENT_SIGN * exponent
 
 
 class GroupElement:
@@ -82,8 +79,10 @@ class GroupElement:
         return f"GroupElement({format_vector(self.lamps)}, {self.shift})"
 
 
-def multiply(g, h):
-    return g * h
+def _geometric_factor(step, k, p):
+    """1 + x^step + ... + x^(step(k-1)) as a Laurent polynomial; step != 0, k >= 1."""
+    series = LaurentPoly.from_poly(geometric_series(k, abs(step), p))
+    return series if step > 0 else series.shifted(step * (k - 1))
 
 
 def power(g, k):
@@ -94,10 +93,7 @@ def power(g, k):
         return power(g.inverse(), -k)
     if g.shift == 0:
         return GroupElement(g.lamps.scaled(k % g.p), 0)
-    factor = LaurentPoly.zero(g.p)
-    for i in range(k):
-        factor = factor + LaurentPoly.monomial(g.p, g.shift * i)
-    return GroupElement(g.lamps.scaled(factor), k * g.shift)
+    return GroupElement(g.lamps.scaled(_geometric_factor(g.shift, k, g.p)), k * g.shift)
 
 
 def conjugate_element(g, h):
@@ -198,10 +194,7 @@ class SubgroupTriple:
             return False
         if not self.lamps.contains_submodule(other.lamps):
             return False
-        t = other.s // self.s
-        factor = LaurentPoly.zero(self.p)
-        for i in range(t):
-            factor = factor + LaurentPoly.monomial(self.p, self.s * i)
+        factor = _geometric_factor(self.s, other.s // self.s, self.p)
         return self.lamps.contains_vector(other.v - self.v.scaled(factor))
 
     def conjugated(self, g):
@@ -258,24 +251,6 @@ def cylinder_contains(triple, inside, avoid):
     )
 
 
-def ball_configurations(n, p, support_radius):
-    """All lamp configurations supported on sites [-support_radius, support_radius]."""
-    width = 2 * support_radius + 1
-    total = p ** (n * width)
-    for code in range(total):
-        v = code
-        vec_coords = []
-        for _ in range(n):
-            poly = LaurentPoly.zero(p)
-            for j in range(width):
-                v, c = divmod(v, p)
-                if c:
-                    exponent = SITE_EXPONENT_SIGN * (j - support_radius)
-                    poly = poly + LaurentPoly.monomial(p, exponent, c)
-            vec_coords.append(poly)
-        yield LaurentVector(p, vec_coords)
-
-
 @dataclass
 class ConvergenceResult:
     """Outcome of a finite-window convergence certification."""
@@ -310,115 +285,124 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     [-support_radius, support_radius] and |t| <= shift_bound.  Returns the
     least index m0 <= horizon from which every witness's membership in the
     m-th subgroup agrees with its membership in ``limit``, or a failure
-    naming a witness that still disagrees at the horizon.
+    naming the first witness that still disagrees at the horizon, in the
+    order of shifts, then of configuration codes with site -support_radius
+    of component 0 as the least significant base-p digit.
+
+    The members of a subgroup at one shift form an affine set of
+    configurations, so each subgroup is compared with the limit through one
+    canonical key per shift (see ``_member_keys``) and no witness is
+    enumerated; ``witnesses_checked`` is the size of the certified ball.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
+    if support_radius < 0 or shift_bound < 0:
+        raise DomainError("support_radius and shift_bound must be >= 0")
     n, p = limit.n, limit.p
-    configs = list(ball_configurations(n, p, support_radius))
-    shifts = list(range(-shift_bound, shift_bound + 1))
-    witnesses = [GroupElement(w, t) for t in shifts for w in configs]
-    triples = [provider(m) for m in range(1, horizon + 1)]
-    shared_marker = (
-        limit.s > 0
-        and p == 2
-        and all(t.s == limit.s and t.v == limit.v for t in triples)
-    )
-    last_disagreement = [0] * len(witnesses)
-    if shared_marker:
-        # All subgroups share the (v, s) marker, so the lamp residue of a
-        # witness (w, t) is w + d_t with d_t fixed per shift, and membership
-        # is F_2-linear in w: evaluate it through bit tables instead of
-        # repeating Laurent reductions per witness.
-        _certify_linear_f2(
-            limit, triples, witnesses, configs, shifts, support_radius,
-            last_disagreement,
-        )
-    else:
-        limit_membership = [limit.contains_element(g) for g in witnesses]
-        for m, triple in enumerate(triples, start=1):
-            for idx, g in enumerate(witnesses):
-                if triple.contains_element(g) != limit_membership[idx]:
-                    last_disagreement[idx] = m
-    worst = max(last_disagreement) if witnesses else 0
-    if worst >= horizon:
-        bad = witnesses[last_disagreement.index(worst)]
-        return ConvergenceResult(False, None, bad, len(witnesses), horizon)
-    return ConvergenceResult(True, max(1, worst + 1), None, len(witnesses), horizon)
-
-
-def _residual_bits(form, cols_list):
-    """Encode Laurent residuals as bitmask ints over a shared position table."""
-    residuals = [form.reduce(cols) for cols in cols_list]
-    positions = {}
-    masks = []
-    for res in residuals:
-        mask = 0
-        for col, entry in enumerate(res):
-            for exp, _ in entry.terms():
-                key = (col, exp)
-                if key not in positions:
-                    positions[key] = len(positions)
-                mask |= 1 << positions[key]
-        masks.append(mask)
-    return masks
-
-
-def _certify_linear_f2(
-    limit, triples, witnesses, configs, shifts, support_radius, last_disagreement
-):
-    from .submodules import vectorize
-
-    n, p, s = limit.n, limit.p, limit.s
-    width = 2 * support_radius + 1
-    dim = n * width
-    # Basis order must match ball_configurations: coordinate-major, site
-    # j - support_radius at bit position i*width + j.
-    levels = sorted({limit.lamps.period} | {t.lamps.period for t in triples})
+    shifts = range(-shift_bound, shift_bound + 1)
     basis = [
-        LaurentVector.unit(
-            n, p, i, exponent=SITE_EXPONENT_SIGN * (j - support_radius)
-        )
+        delta_site(n, p, site, component=i)
         for i in range(n)
-        for j in range(width)
+        for site in range(-support_radius, support_radius + 1)
     ]
-    basis_cols = {lv: [vectorize(b, lv) for b in basis] for lv in levels}
-    all_forms = [(limit.lamps.form(limit.lamps.period), limit.lamps.period)] + [
-        (t.lamps.form(t.lamps.period), t.lamps.period) for t in triples
+    target = _member_keys(limit, basis, shifts)
+    last_disagreement = 0
+    for m in range(1, horizon + 1):
+        triple = provider(m)
+        if triple.n != n or triple.p != p:
+            raise ContextError("subgroups of different lamplighter groups")
+        keys = _member_keys(triple, basis, shifts)
+        if keys != target:
+            last_disagreement = m
+    checked = p ** len(basis) * len(shifts)
+    if last_disagreement < horizon:
+        return ConvergenceResult(True, max(1, last_disagreement + 1), None, checked, horizon)
+    t, key, limit_key = next(
+        (t, a, b) for t, a, b in zip(shifts, keys, target) if a != b
+    )
+    digits = _least_difference(key, limit_key, len(basis), p)
+    lamps = sum(
+        (b.scaled(c) for b, c in zip(basis, digits) if c), LaurentVector.zero(n, p)
+    )
+    return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
+
+
+def _member_keys(triple, basis, shifts):
+    """Per shift t, a canonical key of {c : (sum c_i basis_i, t) in triple}.
+
+    (w, t) is a member exactly when s | t (t = 0 when s = 0) and w + d_t is
+    in U, with d_t the lamps of (0, t)(v, s)^(-t/s).  Reduction modulo U's
+    canonical form is F_p-linear, so with M the residuals of the basis and
+    r_t that of d_t the set is {c : M c = -r_t}, empty (key None) unless r_t
+    lies in the column span of M.  One row reduction of [M | r_t, ...] gives
+    the set's direction, as the RREF of M's row space, and for each
+    consistent t the solution whose free coordinates vanish; equal sets get
+    equal keys.
+    """
+    n, p, s, U = triple.n, triple.p, triple.s, triple.lamps
+    form = U.form(U.period)
+
+    def residual(vec):
+        cols = form.reduce(vectorize(vec, U.period))
+        return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+
+    members = [t for t in shifts if (t % s == 0 if s else t == 0)]
+    zero = LaurentVector.zero(n, p)
+    offsets = [
+        (GroupElement(zero, t) * triple._marker_power(-(t // s))).lamps if s else zero
+        for t in members
     ]
-    n_configs = len(configs)
-    for t_idx, t in enumerate(shifts):
-        if t % s:
-            continue
-        d_t = (GroupElement(LaurentVector.zero(n, p), t) * limit._marker_power(
-            -(t // s)
-        )).lamps
-        d_cols = {lv: vectorize(d_t, lv) for lv in levels}
-        tables = []
-        for form, level in all_forms:
-            masks = _residual_bits(form, basis_cols[level] + [d_cols[level]])
-            tables.append((masks[:dim], masks[dim]))
-        limit_rows, limit_target = tables[0]
-        base_idx = t_idx * n_configs
-        for code in range(n_configs):
-            acc_limit = limit_target
-            bits = code
-            pos = 0
-            while bits:
-                if bits & 1:
-                    acc_limit ^= limit_rows[pos]
-                bits >>= 1
-                pos += 1
-            in_limit = acc_limit == 0
-            for m in range(1, len(triples) + 1):
-                rows, target = tables[m]
-                acc = target
-                bits = code
-                pos = 0
-                while bits:
-                    if bits & 1:
-                        acc ^= rows[pos]
-                    bits >>= 1
-                    pos += 1
-                if (acc == 0) != in_limit:
-                    last_disagreement[base_idx + code] = m
+    columns = [residual(b) for b in basis] + [residual(d) for d in offsets]
+    support = sorted(set().union(*columns))
+    rows, pivots = rref([[col.get(k, 0) for col in columns] for k in support], p)
+    dim = len(basis)
+    solved = [row for row, c in zip(rows, pivots) if c < dim]
+    blocked = [row for row, c in zip(rows, pivots) if c >= dim]
+    direction = tuple(row[:dim] for row in solved)
+    keys = dict.fromkeys(shifts)
+    for j, t in enumerate(members, start=dim):
+        if not any(row[j] for row in blocked):
+            keys[t] = (direction, tuple(row[j] for row in solved))
+    return [keys[t] for t in shifts]
+
+
+def _least_difference(key_a, key_b, dim, p):
+    """Digits of the least code in exactly one of two different keyed sets.
+
+    The digits are fixed from the most significant one down, each to the
+    least value that leaves the symmetric difference nonempty.
+    """
+    a, b = _equations(key_a, dim, p), _equations(key_b, dim, p)
+    fixed = []
+    for d in reversed(range(dim)):
+        for value in range(p):
+            trial = fixed + [[int(i == d) for i in range(dim)] + [value]]
+            if _escapes(a, b, trial, dim, p) or _escapes(b, a, trial, dim, p):
+                fixed = trial
+                break
+    return [row[dim] for row in reversed(fixed)]
+
+
+def _equations(key, dim, p):
+    """Rows [a | b], one equation a.c = b each, whose solutions are the keyed set."""
+    if key is None:
+        return [[0] * dim + [1]]
+    direction, solution = key
+    return [list(row) + [-x % p] for row, x in zip(direction, solution)]
+
+
+def _escapes(inside, outside, fixed, dim, p):
+    """Does the solution set of ``inside + fixed`` leave that of ``outside``?"""
+    rank = _solution_rank(inside + fixed, dim, p)
+    if rank is None:
+        return False
+    both = _solution_rank(inside + outside + fixed, dim, p)
+    return both is None or both > rank
+
+
+def _solution_rank(equations, dim, p):
+    """Rank of a system of rows [a | b], or None when it has no solution."""
+    _, pivots = rref(equations, p)
+    if pivots and pivots[-1] == dim:
+        return None
+    return len(pivots)

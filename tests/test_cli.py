@@ -108,6 +108,33 @@ class TestApproachCommand:
         assert res.returncode == 2
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--target", "1"),
+            ("--target", "a,b"),
+            ("--target", "1,0", "--ball", "1,2"),
+            ("--target", "1,0", "--ball", "1,2,x"),
+            ("--target", "1,0", "--ball=1,-3,5"),
+            ("--target", "1,0", "--ball=-1,2,5"),
+        ],
+    )
+    def test_approach_exit_2_one_line(self, tmp_path, args):
+        path = tmp_path / "V.triple"
+        path.write_text(TRIPLE_TEXT)
+        res = run_cli("approach", "--triple", str(path), "--count", "4", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_mix_window_exit_2_one_line(self):
+        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--window", "1")
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+
+
 class TestIrsCommand:
     def test_bound_report(self, tmp_path):
         mu = tmp_path / "mix.json"

@@ -7,7 +7,6 @@ from lampirs.errors import DomainError
 from lampirs.lamplighter import (
     GroupElement,
     SubgroupTriple,
-    ball_configurations,
     certify_convergence,
     conjugate_element,
     cylinder_contains,
@@ -391,21 +390,13 @@ class TestConvergenceWindow:
         g = res.witness
         assert other.contains_element(g) != V.contains_element(g)
 
-    def test_fast_path_matches_generic(self):
-        from lampirs.cbrank import build_approach_sequence
+    @pytest.mark.parametrize("radius, shift_bound", [(1, -3), (-1, 2), (-1, -1)])
+    def test_negative_ball_rejected(self, radius, shift_bound):
+        V = triple_even_span(2)
+        with pytest.raises(DomainError):
+            certify_convergence(lambda m: V, V, radius, shift_bound, 5)
 
-        U = construct_with_invariants(1, 2, 2, 1)
-        V = SubgroupTriple(2, U, U.reduce_vector(delta_site(1, 2, 1)))
-        seq = build_approach_sequence(V, (1, 0), 8)
-        fast = certify_convergence(lambda m: seq[m - 1], V, 3, 4, 8)
-        # generic reference: raw per-witness membership loop
-        configs = list(ball_configurations(1, 2, 3))
-        witnesses = [GroupElement(w, t) for t in range(-4, 5) for w in configs]
-        last = 0
-        for m in range(1, 9):
-            for g in witnesses:
-                if seq[m - 1].contains_element(g) != V.contains_element(g):
-                    last = max(last, m)
-        assert fast.stabilized == (last < 8)
-        if fast.stabilized:
-            assert fast.index == max(1, last + 1)
+    def test_zero_radius_and_shift_bound(self):
+        V = triple_even_span(2)
+        res = certify_convergence(lambda m: V, V, 0, 0, 3)
+        assert res.stabilized and res.index == 1 and res.witnesses_checked == 2

@@ -4,14 +4,31 @@ The canonical-form machinery decides membership, equality and rank through
 Hermite reduction over the rescaled Laurent ring.  These tests rebuild the
 same answers from nothing but finite F_p linear algebra: spanning all
 generator shifts within a generous exponent margin, row-reducing integer
-coefficient vectors, and measuring dimension growth.  Any disagreement
+coefficient vectors, and measuring dimension growth.  Convergence
+certificates, computed by comparing affine member sets, are rebuilt by
+checking every witness of the ball against every term.  Any disagreement
 fails the test.
 """
 
-from lampirs.algebra import LaurentPoly
+import pytest
+
+from lampirs.algebra import LaurentPoly, Poly
+from lampirs.cbrank import build_approach_sequence
 from lampirs.fplinalg import rref, span_contains, span_intersect_coordinates
+from lampirs.lamplighter import (
+    ConvergenceResult,
+    GroupElement,
+    SubgroupTriple,
+    certify_convergence,
+    delta_site,
+)
 from lampirs.rng import SplitMix64
-from lampirs.submodules import LaurentVector, Submodule, construct_with_invariants
+from lampirs.submodules import (
+    LaurentVector,
+    Submodule,
+    construct_with_invariants,
+    vanish_sequence,
+)
 
 MARGIN = 12
 
@@ -179,3 +196,142 @@ class TestRankViaGrowth:
                 dims.append(len(rows))
             slopes = {b - a for a, b in zip(dims, dims[1:])}
             assert slopes == {rank}, (dims, rank)
+
+
+def ball_configurations(n, p, radius):
+    """Every configuration on sites [-radius, radius], in code order: site
+    -radius of component 0 is the least significant base-p digit."""
+    sites = [(i, site) for i in range(n) for site in range(-radius, radius + 1)]
+    for code in range(p ** len(sites)):
+        w = LaurentVector.zero(n, p)
+        rest = code
+        for i, site in sites:
+            rest, c = divmod(rest, p)
+            if c:
+                w = w + delta_site(n, p, site, component=i, value=c)
+        yield w
+
+
+def enumerated_certificate(provider, limit, radius, shift_bound, horizon):
+    """The certificate from every witness's membership in every term."""
+    witnesses = [
+        GroupElement(w, t)
+        for t in range(-shift_bound, shift_bound + 1)
+        for w in ball_configurations(limit.n, limit.p, radius)
+    ]
+    in_limit = [limit.contains_element(g) for g in witnesses]
+    last = [0] * len(witnesses)
+    for m in range(1, horizon + 1):
+        triple = provider(m)
+        for idx, g in enumerate(witnesses):
+            if triple.contains_element(g) != in_limit[idx]:
+                last[idx] = m
+    worst = max(last)
+    if worst >= horizon:
+        bad = witnesses[last.index(worst)]
+        return ConvergenceResult(False, None, bad, len(witnesses), horizon)
+    return ConvergenceResult(True, max(1, worst + 1), None, len(witnesses), horizon)
+
+
+def approach_case(p, e, rk, t, seed, horizon):
+    """Seeded limit of shape (e, rk, t) at p, and a sequence approaching it."""
+    U = construct_with_invariants(1, p, e, rk)
+    V = SubgroupTriple(t * e, U, U.reduce_vector(rand_vec(SplitMix64(seed), 1, p)))
+    t_v, r_v = V.poset_encoding()
+    return V, build_approach_sequence(V, (1, seed % (t_v * r_v)), horizon)
+
+
+def vanish_case(p, coeffs, horizon):
+    """s = 0 terms f_m U tending to the zero subgroup, and that limit."""
+    gen = LaurentPoly.from_poly(Poly(p, coeffs))
+    U = Submodule(1, p, 1, [LaurentVector(p, [gen])])
+    terms = [SubgroupTriple(0, W) for W in vanish_sequence(U, horizon)]
+    return SubgroupTriple(0, Submodule.zero(1, p)), terms
+
+
+class TestCertificationOracle:
+    @pytest.mark.parametrize(
+        "case, radius, shift_bound, horizon, stabilized",
+        [
+            # every term shares the limit's marker (v, s)
+            pytest.param(
+                lambda h: approach_case(2, 2, 1, 1, 3, h), 3, 4, 8, True, id="p2-s2"
+            ),
+            pytest.param(
+                lambda h: approach_case(2, 2, 1, 2, 5, h), 2, 4, 8, True, id="p2-s4"
+            ),
+            pytest.param(
+                lambda h: approach_case(3, 2, 1, 1, 7, h), 1, 4, 8, True, id="p3-s2"
+            ),
+            pytest.param(
+                lambda h: approach_case(3, 3, 2, 1, 11, h), 2, 3, 6, True, id="p3-s3"
+            ),
+            pytest.param(
+                lambda h: approach_case(5, 2, 1, 1, 13, h), 1, 0, 8, True, id="p5-s2"
+            ),
+            # the horizon term still differs from the limit inside the ball
+            pytest.param(
+                lambda h: approach_case(2, 2, 1, 2, 17, h), 4, 4, 2, False, id="p2-short"
+            ),
+            pytest.param(
+                lambda h: approach_case(3, 2, 1, 1, 19, h), 2, 2, 1, False, id="p3-short"
+            ),
+            pytest.param(
+                lambda h: approach_case(5, 2, 1, 1, 13, h), 1, 2, 6, False, id="p5-short"
+            ),
+            pytest.param(
+                lambda h: vanish_case(2, [1, 1, 1], h), 3, 1, 8, True, id="p2-s0"
+            ),
+            pytest.param(
+                lambda h: vanish_case(2, [1, 1], h), 3, 1, 8, False, id="p2-s0-short"
+            ),
+            pytest.param(
+                lambda h: vanish_case(3, [1, 1], h), 2, 0, 6, False, id="p3-s0-short"
+            ),
+        ],
+    )
+    def test_matches_witness_enumeration(
+        self, case, radius, shift_bound, horizon, stabilized
+    ):
+        limit, terms = case(horizon)
+        got = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+        want = enumerated_certificate(
+            lambda m: terms[m - 1], limit, radius, shift_bound, horizon
+        )
+        assert got.to_json() == want.to_json()
+        assert got.stabilized == stabilized
+
+    def test_unshared_markers_and_mixed_shifts(self):
+        rng = SplitMix64(606)
+        failures = 0
+        for _ in range(12):
+            n, p = (1, 3) if rng.below(2) else (2, 2)
+
+            def triple(s):
+                U = Submodule(n, p, max(s, 1), [rand_vec(rng, n, p)])
+                return SubgroupTriple(s, U, rand_vec(rng, n, p) if s else None)
+
+            limit = triple(rng.below(3))
+            terms = [triple(rng.below(3)) for _ in range(3)]
+            got = certify_convergence(lambda m: terms[m - 1], limit, 1, 2, 3)
+            want = enumerated_certificate(lambda m: terms[m - 1], limit, 1, 2, 3)
+            assert got.to_json() == want.to_json()
+            failures += not got.stabilized
+        assert failures > 0
+
+
+class TestCertificationMonotone:
+    @pytest.mark.parametrize("shape, vsite", [((2, 1, 1), 1), ((3, 1, 1), 2), ((2, 1, 2), 1), ((3, 2, 1), 0)])
+    def test_index_does_not_decrease_with_radius(self, shape, vsite):
+        # A larger ball holds every witness of a smaller one, so it can only
+        # stabilize later; a ball that does not stabilize stays that way.
+        e, rk, t = shape
+        U = construct_with_invariants(1, 2, e, rk)
+        V = SubgroupTriple(t * e, U, U.reduce_vector(delta_site(1, 2, vsite)))
+        seq = build_approach_sequence(V, (1, 0), 25)
+        indices = [
+            certify_convergence(lambda m: seq[m - 1], V, radius, 2 * t * e, 25).index
+            for radius in range(9)
+        ]
+        ordered = [26 if index is None else index for index in indices]
+        assert ordered == sorted(ordered), indices
