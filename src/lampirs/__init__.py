@@ -2,9 +2,10 @@
 
 Layers, bottom up:
 
-- ``algebra``: arithmetic over F_p[x] and the Laurent ring, Hermite forms.
-- ``submodules``: periodic lamp subgroups, rank/period invariants, counting,
-  enumeration, and the prescribed-invariant / convergent constructions.
+- ``algebra``: arithmetic over F_p[x] and the Laurent ring, irreducibles.
+- ``submodules``: periodic lamp subgroups and their one canonical form (the
+  Laurent-Hermite form), rank/period invariants, counting, enumeration, and
+  the prescribed-invariant / convergent constructions.
 - ``lamplighter``: group elements, subgroup triples, membership, conjugation,
   cylinder tests, and finite-window convergence certification.
 - ``cbrank``: derivative levels of the divisor-product order, unboundedness
@@ -17,10 +18,8 @@ Layers, bottom up:
 from .algebra import (
     LaurentPoly,
     Poly,
-    PolyMatrix,
     enumerate_irreducibles,
     geometric_series,
-    hermite_normal_form,
     is_irreducible,
     poly_gcd,
 )

@@ -76,10 +76,6 @@ class Poly:
         return cls(p, (1,), normalize=False)
 
     @classmethod
-    def x(cls, p):
-        return cls(p, (0, 1), normalize=False)
-
-    @classmethod
     def monomial(cls, p, k, c=1):
         if k < 0:
             raise DomainError("Poly exponents are nonnegative; use LaurentPoly")
@@ -101,9 +97,6 @@ class Poly:
 
     def constant(self):
         return self.coeffs[0] if self.coeffs else 0
-
-    def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -355,9 +348,6 @@ class LaurentPoly:
     def max_exp(self):
         return self.offset + self.body.degree if self.body else None
 
-    def coeff(self, k):
-        return self.body.coeff(k - self.offset)
-
     def terms(self):
         """Yield (exponent, coefficient) pairs, ascending, nonzero only."""
         for i, c in enumerate(self.body.coeffs):
@@ -418,101 +408,3 @@ class LaurentPoly:
         from .formats import format_laurent
 
         return f"LaurentPoly({self.p}, {format_laurent(self)!r})"
-
-
-class PolyMatrix:
-    """Rectangular grid of Poly entries over a common modulus."""
-
-    __slots__ = ("p", "rows", "cols", "entries")
-
-    def __init__(self, p, entries):
-        check_prime(p)
-        entries = tuple(tuple(e for e in row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        for row in entries:
-            if len(row) != cols:
-                raise DomainError("ragged matrix")
-            for e in row:
-                if e.p != p:
-                    raise ContextError("matrix entry with mismatched modulus")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def identity(cls, p, n):
-        one, zero = Poly.one(p), Poly.zero(p)
-        return cls(p, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.p == other.p
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(format_poly_plain(e) for e in row) for row in self.entries
-        )
-        return f"PolyMatrix({self.p}, [{body}])"
-
-
-def hermite_normal_form(matrix):
-    """Row-style echelon canonical form over F_p[x].
-
-    Returns (H, rank).  Pivots are monic, entries above each pivot are
-    reduced modulo it, and the row space equals the input's row space.
-    Zero rows are moved to the bottom and kept so H has the input shape.
-    """
-    p = matrix.p
-    rows = [list(r) for r in matrix.entries]
-    ncols = matrix.cols
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(pivot_row, len(rows)) if not rows[i][col].is_zero()]
-            if not live:
-                break
-            best = min(live, key=lambda i: rows[i][col].degree)
-            rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
-            if len(live) == 1 and best != pivot_row:
-                continue
-            done = True
-            for i in range(pivot_row + 1, len(rows)):
-                if rows[i][col].is_zero():
-                    continue
-                q = rows[i][col] // rows[pivot_row][col]
-                if not q.is_zero():
-                    for j in range(col, ncols):
-                        rows[i][j] = rows[i][j] - q * rows[pivot_row][j]
-                if not rows[i][col].is_zero():
-                    done = False
-            if done:
-                break
-        if pivot_row < len(rows) and not rows[pivot_row][col].is_zero():
-            lead = rows[pivot_row][col].leading()
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                rows[pivot_row] = [e.scale(inv) for e in rows[pivot_row]]
-            pivots.append((pivot_row, col))
-            pivot_row += 1
-    # Reduce entries above each pivot modulo the pivot, in pivot order.
-    for r, c in pivots:
-        piv = rows[r][c]
-        for i in range(r):
-            q = rows[i][c] // piv
-            if not q.is_zero():
-                for j in range(c, ncols):
-                    rows[i][j] = rows[i][j] - q * rows[r][j]
-    rank = len(pivots)
-    return PolyMatrix(p, rows), rank

@@ -27,11 +27,10 @@ def poset_less(a, b):
 class FinitePoset:
     """Finite carrier with a strict transitive relation, validated at build."""
 
-    def __init__(self, elements, less, validate=True):
+    def __init__(self, elements, less):
         self.elements = list(elements)
         self.less = less
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         els = self.elements

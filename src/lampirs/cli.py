@@ -57,18 +57,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(metavar):
-    """argparse type for a fixed-length comma-separated integer list."""
-    count = len(metavar.split(","))
+    """argparse type for a comma-separated integer list.
+
+    The metavar fixes the length (``t,r`` takes two integers), except that
+    ``N[,N...]`` takes one or more.
+    """
+    count = None if metavar.endswith("...]") else len(metavar.split(","))
+    want = f"{count} comma-separated integers" if count else "comma-separated integers"
 
     def parse(text):
         try:
             values = tuple(int(tok) for tok in text.split(","))
         except ValueError:
             values = ()
-        if len(values) != count:
-            raise argparse.ArgumentTypeError(
-                f"expected {metavar} ({count} comma-separated integers), got {text!r}"
-            )
+        if not values or (count is not None and len(values) != count):
+            raise argparse.ArgumentTypeError(f"expected {metavar} ({want}), got {text!r}")
         return values
 
     return parse
@@ -190,7 +193,11 @@ def cmd_approach(args):
 
 def _load_measure(path):
     with open(path) as fh:
-        return measure_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    return measure_from_json(data)
 
 
 def _trend_grid(m):
@@ -257,10 +264,9 @@ def cmd_mix(args):
     else:
         mu2 = SubgroupMeasure.point(Submodule.zero(args.n, args.p))
     lo, hi = args.window
-    nai_values = [int(tok) for tok in args.nai.split(",")]
     runs = []
     all_within = True
-    for n_ai in nai_values:
+    for n_ai in args.nai:
         empirical, target, report = splice_measures(
             mu1, mu2, n_ai, lo, hi, args.trials, derive_seed(args.seed, n_ai)
         )
@@ -389,7 +395,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_irs)
 
     sp = sub.add_parser("mix", help="splice two measures along majority sets")
-    sp.add_argument("--nai", required=True, metavar="N[,N...]")
+    sp.add_argument("--nai", required=True, metavar="N[,N...]", type=_int_list("N[,N...]"))
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--window", default="0,0", metavar="LO,HI", type=_int_list("LO,HI"))

@@ -29,7 +29,6 @@ from .submodules import LaurentVector, Submodule
 
 SCHEMA_TRIPLE = "lampirs.triple.v1"
 SCHEMA_DISTRIBUTION = "lampirs.window-distribution.v1"
-SCHEMA_MEASURE = "lampirs.measure.v1"
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(-?\d+))?)?$")
 
@@ -190,20 +189,10 @@ def fraction_str(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_fraction(s):
-    return Fraction(s)
-
-
 def basis_row_str(row, p):
     if p < 10:
         return "".join(str(c) for c in row)
     return ",".join(str(c) for c in row)
-
-
-def parse_basis_row(s, p):
-    if p < 10:
-        return tuple(int(ch) for ch in s)
-    return tuple(int(tok) for tok in s.split(","))
 
 
 def distribution_to_json(dist):
@@ -224,34 +213,45 @@ def distribution_to_json(dist):
     }
 
 
+def _json_field(obj, key, kind, default=None):
+    """obj[key], checked to be a ``kind`` (a type or a tuple of types).
+
+    Raises FormatError when obj is not an object, or the key is missing
+    (without a default) or holds a value of another type.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected a JSON object holding {key!r}, got {obj!r}")
+    if key not in obj:
+        if default is not None:
+            return default
+        raise FormatError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
+        raise FormatError(f"{key!r} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def measure_from_json(data):
-    """Mixture-of-presentations measure description."""
+    """Mixture-of-presentations measure description; FormatError if malformed."""
     from .irs import SubgroupMeasure
 
-    n, p = data["n"], data["p"]
+    n, p = _json_field(data, "n", int), _json_field(data, "p", int)
     atoms = []
-    for entry in data["atoms"]:
-        weight = parse_fraction(entry["weight"])
-        period = entry.get("period", 1)
-        U = Submodule(n, p, period, (parse_vector(g, n, p) for g in entry["gens"]))
+    for entry in _json_field(data, "atoms", list):
+        raw = _json_field(entry, "weight", (str, int))
+        try:
+            weight = Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad weight {raw!r}") from exc
+        period = _json_field(entry, "period", int, default=1)
+        gens = _json_field(entry, "gens", list)
+        if not all(isinstance(g, str) for g in gens):
+            raise FormatError(f"generators must be JSON strings, got {gens!r}")
+        U = Submodule(n, p, period, (parse_vector(g, n, p) for g in gens))
         atoms.append((weight, U))
     return SubgroupMeasure.mixture(atoms)
-
-
-def measure_to_json(atoms, n, p):
-    return {
-        "schema": SCHEMA_MEASURE,
-        "n": n,
-        "p": p,
-        "atoms": [
-            {
-                "weight": fraction_str(w),
-                "period": U.period,
-                "gens": [format_vector(g) for g in U.gens],
-            }
-            for w, U in atoms
-        ],
-    }
 
 
 def canonical_json(obj):

@@ -19,12 +19,11 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd
 
-from .algebra import LaurentPoly, check_prime
+from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
-from .fplinalg import rref, right_nullspace, span_contains, span_intersect_coordinates
-from .lamplighter import SITE_EXPONENT_SIGN
+from .fplinalg import rref, right_nullspace, span_intersect_coordinates
+from .lamplighter import delta_site
 from .rng import SplitMix64
-from .submodules import LaurentVector, vectorize
 
 SUBSPACE_BUDGET = 200_000
 WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
@@ -170,25 +169,6 @@ class WindowSubgroup:
             raise ContextError("window mismatch")
         return WindowSubgroup(self.p, self.n, self.lo, self.hi, self.rows + other.rows)
 
-    def contains(self, vec):
-        reduced, pivots = rref(self.rows, self.p)
-        return span_contains(reduced, pivots, vec, self.p)
-
-    def to_vector_list(self):
-        """Basis rows as lamp configurations (Laurent vectors)."""
-        out = []
-        for row in self.rows:
-            coords = [LaurentPoly.zero(self.p)] * self.n
-            for idx, c in enumerate(row):
-                if c:
-                    site = self.lo + idx // self.n
-                    comp = idx % self.n
-                    coords[comp] = coords[comp] + LaurentPoly.monomial(
-                        self.p, SITE_EXPONENT_SIGN * site, c
-                    )
-            out.append(LaurentVector(self.p, coords))
-        return out
-
 
 def enumerate_subspaces(p, d, budget=SUBSPACE_BUDGET):
     """Every subspace of F_p^d as an echelon row tuple, no duplicates.
@@ -226,7 +206,7 @@ class WindowDistribution:
 
     __slots__ = ("p", "n", "lo", "hi", "atoms", "_cum")
 
-    def __init__(self, p, n, lo, hi, atoms, check=True):
+    def __init__(self, p, n, lo, hi, atoms):
         self.p = p
         self.n = n
         self.lo = lo
@@ -243,7 +223,7 @@ class WindowDistribution:
             merged[ws] = merged.get(ws, Fraction(0)) + prob
         self.atoms = merged
         self._cum = None
-        if check and sum(merged.values(), Fraction(0)) != 1:
+        if sum(merged.values(), Fraction(0)) != 1:
             raise DomainError("probabilities must sum to 1")
 
     @classmethod
@@ -333,41 +313,20 @@ def window_of_submodule(U, lo, hi):
     """Exact intersection of a presented subgroup with a site window.
 
     Membership reduction against the canonical form is F_p-linear, so the
-    intersection is the kernel of the residual map on the window space.
+    intersection is the kernel of the residue map on the window space: one
+    column per window coordinate, one row per residue coordinate.
     """
     n, p = U.n, U.p
-    width = hi - lo + 1
-    dim = n * width
     if U.is_zero():
         return WindowSubgroup.zero(p, n, lo, hi)
-    level = U.period
-    form = U.form(level)
-    residuals = []
-    for site in range(lo, hi + 1):
-        for comp in range(n):
-            vec = LaurentVector.unit(n, p, comp, exponent=SITE_EXPONENT_SIGN * site)
-            residuals.append(form.reduce(vectorize(vec, level)))
-    # Encode residuals over a common exponent window to get an F_p matrix.
-    min_exp, max_exp = 0, 0
-    for res in residuals:
-        for entry in res:
-            if not entry.is_zero():
-                min_exp = min(min_exp, entry.min_exp)
-                max_exp = max(max_exp, entry.max_exp)
-    span = max_exp - min_exp + 1
-    ncols = form.ncols
-    matrix = []
-    for res in residuals:
-        row = [0] * (ncols * span)
-        for col, entry in enumerate(res):
-            for exp, c in entry.terms():
-                row[col * span + (exp - min_exp)] = c
-        matrix.append(row)
-    # Kernel of w -> residual(w): combinations of rows summing to zero.
-    transposed = [
-        [matrix[i][j] for i in range(dim)] for j in range(ncols * span)
+    columns = [
+        U.residue_coordinates(delta_site(n, p, site, component=comp))
+        for site in range(lo, hi + 1)
+        for comp in range(n)
     ]
-    kernel = right_nullspace(transposed, p, dim)
+    support = sorted(set().union(*columns))
+    matrix = [[col.get(k, 0) for col in columns] for k in support]
+    kernel = right_nullspace(matrix, p, len(columns))
     return WindowSubgroup(p, n, lo, hi, kernel, reduce=False)
 
 
@@ -462,6 +421,8 @@ def block_average_marginal(mu, m, lo, hi):
     """Exact window marginal of the shift-averaged block measure mu_m."""
     if m < 1:
         raise DomainError("m must be >= 1")
+    if hi < lo:
+        raise DomainError(f"empty window [{lo}, {hi}]")
     if not mu.invariant:
         raise DomainError("the block construction requires a shift-invariant measure")
     sample = mu.marginal(0, m - 1)
@@ -587,26 +548,24 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     the second sample's lamps elsewhere.  Returns (empirical, target, report)
     where target is the even mixture of the two window marginals.
     """
-    if n_ai % 2 == 0:
-        raise DomainError("n_ai must be odd so the majority set has measure 1/2")
+    if n_ai < 1 or n_ai % 2 == 0:
+        raise DomainError(
+            f"n_ai must be a positive odd integer so the majority set has "
+            f"measure 1/2, got {n_ai}"
+        )
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rng = SplitMix64(seed)
     marg1 = mu1.marginal(lo, hi)
     marg2 = mu2.marginal(lo, hi)
+    if (marg1.n, marg1.p) != (marg2.n, marg2.p):
+        raise ContextError(
+            f"cannot splice measures on different lamp groups: "
+            f"n={marg1.n}, p={marg1.p} and n={marg2.n}, p={marg2.p}"
+        )
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
     coin_len = width - 1 + n_ai
-    den1, table1 = _cumulative_table(marg1.sorted_items())
-    den2, table2 = _cumulative_table(marg2.sorted_items())
-
-    def draw(rng, den, table):
-        ticket = rng.below(den)
-        for acc, ws in table:
-            if ticket < acc:
-                return ws
-        return table[-1][1]
-
     half = n_ai // 2
     counts = {}
     all_first = 0
@@ -614,8 +573,8 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     key_cache = {}
     for trial in range(trials):
         stream = rng.fork(n_ai, trial)
-        ws1 = draw(stream, den1, table1)
-        ws2 = draw(stream, den2, table2)
+        ws1 = marg1.sample(stream)
+        ws2 = marg2.sample(stream)
         coins = stream.bits(coin_len)
         mask = 0
         for cell in range(width):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .algebra import LaurentPoly, check_prime, geometric_series
 from .errors import ContextError, DomainError, PreconditionError
 from .fplinalg import rref
-from .submodules import LaurentVector, invariant_report, vectorize
+from .submodules import LaurentVector, invariant_report
 
 SITE_EXPONENT_SIGN = -1  # site k <-> Laurent exponent -k
 
@@ -49,9 +49,6 @@ class GroupElement:
     @classmethod
     def identity(cls, n, p):
         return cls(LaurentVector.zero(n, p), 0)
-
-    def is_identity(self):
-        return self.shift == 0 and self.lamps.is_zero()
 
     def __eq__(self, other):
         return (
@@ -332,27 +329,21 @@ def _member_keys(triple, basis, shifts):
 
     (w, t) is a member exactly when s | t (t = 0 when s = 0) and w + d_t is
     in U, with d_t the lamps of (0, t)(v, s)^(-t/s).  Reduction modulo U's
-    canonical form is F_p-linear, so with M the residuals of the basis and
-    r_t that of d_t the set is {c : M c = -r_t}, empty (key None) unless r_t
-    lies in the column span of M.  One row reduction of [M | r_t, ...] gives
-    the set's direction, as the RREF of M's row space, and for each
-    consistent t the solution whose free coordinates vanish; equal sets get
-    equal keys.
+    canonical form is F_p-linear, so with M the residues of the basis and
+    r_t that of d_t (``Submodule.residue_coordinates``) the set is
+    {c : M c = -r_t}, empty (key None) unless r_t lies in the column span
+    of M.  One row reduction of [M | r_t, ...] gives the set's direction, as
+    the RREF of M's row space, and for each consistent t the solution whose
+    free coordinates vanish; equal sets get equal keys.
     """
     n, p, s, U = triple.n, triple.p, triple.s, triple.lamps
-    form = U.form(U.period)
-
-    def residual(vec):
-        cols = form.reduce(vectorize(vec, U.period))
-        return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
-
     members = [t for t in shifts if (t % s == 0 if s else t == 0)]
     zero = LaurentVector.zero(n, p)
     offsets = [
         (GroupElement(zero, t) * triple._marker_power(-(t // s))).lamps if s else zero
         for t in members
     ]
-    columns = [residual(b) for b in basis] + [residual(d) for d in offsets]
+    columns = [U.residue_coordinates(w) for w in basis + offsets]
     support = sorted(set().union(*columns))
     rows, pivots = rref([[col.get(k, 0) for col in columns] for k in support], p)
     dim = len(basis)

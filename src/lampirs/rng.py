@@ -56,9 +56,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def bit(self):
-        return self.u64() >> 63
-
     def bits(self, k):
         """k fair bits packed into an int (bit i of the result = i-th draw)."""
         out = 0

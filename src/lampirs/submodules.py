@@ -22,7 +22,6 @@ from math import gcd
 from .algebra import (
     LaurentPoly,
     Poly,
-    PolyMatrix,
     check_prime,
     enumerate_irreducibles,
 )
@@ -382,33 +381,6 @@ class Submodule:
         self._forms[level] = form
         return form
 
-    def generator_matrix(self, level):
-        """Rescaled generator presentation as a PolyMatrix over F_p[y].
-
-        Rows are the period-expanded generators split across exponent classes,
-        normalized row-wise by a power of the unit y to clear denominators.
-        """
-        if level % self.period:
-            raise DomainError(
-                f"level {level} is not a multiple of the stored period {self.period}"
-            )
-        reps = level // self.period
-        rows = []
-        for g in self.gens:
-            for k in range(reps):
-                cols = vectorize(g.shifted(k * self.period), level)
-                vals = [e.offset for e in cols if not e.is_zero()]
-                lift = -min(vals) if vals and min(vals) < 0 else 0
-                row = []
-                for e in cols:
-                    if e.is_zero():
-                        row.append(Poly.zero(self.p))
-                    else:
-                        shifted = e.shifted(lift)
-                        row.append(shifted.body.shift(shifted.offset))
-                rows.append(row)
-        return PolyMatrix(self.p, rows)
-
     # -- membership, containment, equality ----------------------------------
 
     def contains_vector(self, w):
@@ -419,6 +391,16 @@ class Submodule:
         if self.is_zero():
             return False
         return self.form(self.period).contains(vectorize(w, self.period))
+
+    def residue_coordinates(self, w):
+        """F_p coordinates {(column, exponent): c} of w's canonical residue.
+
+        The residue is w reduced modulo the canonical form at the stored
+        period; the map is F_p-linear, and w is a member exactly when the
+        result is empty.
+        """
+        cols = self.form(self.period).reduce(vectorize(w, self.period))
+        return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""

@@ -5,10 +5,8 @@ import pytest
 from lampirs.algebra import (
     LaurentPoly,
     Poly,
-    PolyMatrix,
     enumerate_irreducibles,
     geometric_series,
-    hermite_normal_form,
     is_irreducible,
     monic_polys,
     poly_gcd,
@@ -150,53 +148,47 @@ class TestLaurent:
         assert prod.body == P(3, 1, 2) * P(3, 2, 1)
 
 
-class TestHermiteNormalForm:
-    def test_identity_fixed(self):
-        M = PolyMatrix.identity(2, 3)
-        H, rank = hermite_normal_form(M)
-        assert H == M and rank == 3
+class TestSympyOracle:
+    """gcd and irreducibility against sympy's independent GF(p) arithmetic."""
 
-    def test_zero_matrix(self):
-        z = Poly.zero(2)
-        M = PolyMatrix(2, [[z, z], [z, z]])
-        H, rank = hermite_normal_form(M)
-        assert rank == 0 and H == M
+    @staticmethod
+    def to_sympy(f):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        return sympy.Poly(list(reversed(f.coeffs)) or [0], x, modulus=f.p)
 
-    def test_column_gcd(self):
-        # rows (x), (x+1): the row space is everything, pivot 1.
-        M = PolyMatrix(2, [[P(2, 0, 1)], [P(2, 1, 1)]])
-        H, rank = hermite_normal_form(M)
-        assert rank == 1
-        assert H.entries[0][0] == Poly.one(2)
+    @staticmethod
+    def from_sympy(g, p):
+        return Poly(p, [int(c) for c in reversed(g.all_coeffs())])
 
-    def test_idempotent_and_row_space_preserved(self):
-        rng = SplitMix64(1234)
-        for p in (2, 3):
-            for _ in range(25):
-                entries = [
-                    [Poly(p, [rng.below(p) for _ in range(3)]) for _ in range(3)]
-                    for _ in range(3)
-                ]
-                M = PolyMatrix(p, entries)
-                H, rank = hermite_normal_form(M)
-                H2, rank2 = hermite_normal_form(H)
-                assert H2 == H and rank2 == rank
-                # every original row reduces to zero against H
-                for row in M.entries:
-                    row = list(row)
-                    for i in range(H.rows):
-                        piv_cols = [
-                            c for c in range(H.cols) if not H.entries[i][c].is_zero()
-                        ]
-                        if not piv_cols:
-                            continue
-                        c = piv_cols[0]
-                        if row[c].is_zero():
-                            continue
-                        q = row[c] // H.entries[i][c]
-                        row = [
-                            a - q * b for a, b in zip(row, H.entries[i])
-                        ]
-                    assert all(
-                        e.is_zero() for e in row
-                    ), "row not in the span of its HNF"
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gcd_matches(self, p):
+        rng = SplitMix64(7 + p)
+        for _ in range(60):
+            d = Poly(p, [rng.below(p) for _ in range(1 + rng.below(3))])
+            a = d * Poly(p, [rng.below(p) for _ in range(1 + rng.below(5))])
+            b = d * Poly(p, [rng.below(p) for _ in range(1 + rng.below(5))])
+            want = self.to_sympy(a).gcd(self.to_sympy(b))
+            if not want.is_zero:
+                want = want.monic()
+            assert poly_gcd(a, b) == self.from_sympy(want, p)
+
+    @pytest.mark.parametrize("p, max_degree", [(2, 7), (3, 4), (5, 3)])
+    def test_irreducibility_matches(self, p, max_degree):
+        for degree in range(1, max_degree + 1):
+            for f in monic_polys(p, degree):
+                assert is_irreducible(f) == self.to_sympy(f).is_irreducible, f
+
+    @pytest.mark.parametrize("p, count", [(2, 20), (3, 15), (5, 12)])
+    def test_enumeration_matches(self, p, count):
+        # The same (degree, encoding) order, with irreducibility and the
+        # exclusion of x decided by sympy alone.
+        want = []
+        degree = 1
+        while len(want) < count:
+            for f in monic_polys(p, degree):
+                g = self.to_sympy(f)
+                if g.eval(0) != 0 and g.is_irreducible and len(want) < count:
+                    want.append(f)
+            degree += 1
+        assert enumerate_irreducibles(p, count) == want

@@ -134,6 +134,40 @@ class TestMalformedArguments:
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
 
+    @pytest.mark.parametrize(
+        "mu_text, args",
+        [
+            pytest.param("{not json", ("--j", "1"), id="not-json"),
+            pytest.param('{"n": 1, "p": 2}', ("--j", "1"), id="no-atoms"),
+            pytest.param(MIX_JSON.replace('"1/2"', '"abc"', 1), ("--j", "1"), id="bad-weight"),
+            pytest.param(MIX_JSON.replace('"period": 1', '"period": "x"', 1), ("--j", "1"), id="bad-period"),
+            pytest.param(MIX_JSON, ("--j", "-1"), id="negative-j"),
+        ],
+    )
+    def test_irs_exit_2_one_line(self, tmp_path, mu_text, args):
+        mu = tmp_path / "mu.json"
+        mu.write_text(mu_text)
+        res = run_cli("irs", "--mu", str(mu), "--m", "4", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("nai", ["a", "11,", "-1"])
+    def test_mix_nai_exit_2_one_line(self, nai):
+        res = run_cli("mix", "--nai", nai, "--trials", "10", "--seed", "1")
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_mix_mismatched_measures_name_p(self, tmp_path):
+        mu = tmp_path / "mu.json"
+        mu.write_text(MIX_JSON.replace('"p": 2', '"p": 3'))
+        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu))
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "p=3" in res.stderr and "p=2" in res.stderr
+
 
 class TestIrsCommand:
     def test_bound_report(self, tmp_path):

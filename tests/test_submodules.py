@@ -2,7 +2,7 @@
 
 import pytest
 
-from lampirs.algebra import LaurentPoly, Poly
+from lampirs.algebra import LaurentPoly, Poly, poly_gcd
 from lampirs.errors import DomainError, PreconditionError, ResourceBudgetError
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
@@ -12,7 +12,9 @@ from lampirs.submodules import (
     construct_with_invariants,
     count_submodules,
     invariant_report,
+    laurent_hermite_form,
     submodules_of_codimension,
+    unvectorize,
     vanish_sequence,
     vectorize,
 )
@@ -42,22 +44,61 @@ def random_vector(rng, n, p, lo=-2, hi=2):
 class TestRescale:
     def test_full_module_identity_presentation(self):
         for n in (1, 2, 3):
-            M = Submodule.full(n, 2).generator_matrix(1)
-            assert M.rows == n and M.cols == n
+            F = Submodule.full(n, 2).form(1)
+            assert F.rank == n and F.ncols == n
             assert Submodule.full(n, 2).rank() == n
 
     def test_even_span_splits_by_parity(self):
         U = span_even(2)
-        M = U.generator_matrix(2)
-        assert M.cols == 2
+        F = U.form(2)
+        assert F.ncols == 2 and F.rank == 1
         assert U.rescaled_rank(2) == 1
 
     def test_zero_gives_empty_matrix(self):
-        assert Submodule.zero(2, 2).generator_matrix(4).rows == 0
+        assert Submodule.zero(2, 2).form(4).rank == 0
 
     def test_level_must_be_multiple(self):
         with pytest.raises(DomainError):
-            span_even(2).generator_matrix(3)
+            span_even(2).form(3)
+
+
+class TestLaurentHermiteForm:
+    def test_idempotent_and_row_space_preserved(self):
+        rng = SplitMix64(1234)
+        for p in (2, 3):
+            for _ in range(25):
+                n, e = 1 + rng.below(2), 1 + rng.below(3)
+                U = Submodule(n, p, e, [random_vector(rng, n, p) for _ in range(3)])
+                for level in (e, 2 * e):
+                    form = U.form(level)
+                    assert laurent_hermite_form(p, n, level, form.rows) == form
+                    # Pivots are monic polynomials; entries above a pivot
+                    # are residues of smaller degree.
+                    for idx, col in enumerate(form.pivots):
+                        pivot = form.rows[idx][col]
+                        assert pivot.offset == 0 and pivot.body.leading() == 1
+                        for row in form.rows[:idx]:
+                            entry = row[col]
+                            assert entry.is_zero() or (
+                                entry.offset >= 0 and entry.max_exp < pivot.body.degree
+                            )
+                    for g in U.gens:
+                        for k in range(level // e):
+                            assert form.contains(vectorize(g.shifted(k * e), level))
+                    for row in form.rows:
+                        assert U.contains_vector(unvectorize(row, n, level, p))
+
+    def test_pivot_is_generator_gcd(self):
+        # Rows f*g and f*h with g, h coprime echelonize to the single pivot f,
+        # whatever unit x^k scales each generator.
+        f, g, h = Poly(2, (1, 1, 1)), Poly(2, (1, 1)), Poly(2, (1, 1, 0, 1))
+        assert poly_gcd(g, h) == Poly.one(2)
+        rows = [
+            [LaurentPoly(2, 3, f * g)],
+            [LaurentPoly(2, -2, f * h)],
+        ]
+        form = laurent_hermite_form(2, 1, 1, rows)
+        assert form.rows == ((LaurentPoly.from_poly(f),),) and form.pivots == (0,)
 
 
 class TestMembership:
@@ -150,6 +191,18 @@ class TestCanonicalForms:
 
     def test_distinct_modules_differ(self):
         assert not span_even(2).equals(Submodule.full(1, 2))
+
+    def test_residue_coordinates_linear_and_decide_membership(self):
+        rng = SplitMix64(43)
+        for p in (2, 3):
+            for _ in range(20):
+                U = Submodule(2, p, 2, [random_vector(rng, 2, p)])
+                w1, w2 = random_vector(rng, 2, p), random_vector(rng, 2, p)
+                r1, r2 = U.residue_coordinates(w1), U.residue_coordinates(w2)
+                total = {k: (r1.get(k, 0) + r2.get(k, 0)) % p for k in r1.keys() | r2.keys()}
+                assert U.residue_coordinates(w1 + w2) == {k: c for k, c in total.items() if c}
+                assert (not r1) == U.contains_vector(w1)
+                assert U.residue_coordinates(U.gens[0].shifted(4) + w1) == r1
 
     def test_reduce_vector_is_coset_canonical(self):
         rng = SplitMix64(41)
@@ -299,8 +352,6 @@ class TestApproach:
 class TestVectorize:
     def test_roundtrip(self):
         rng = SplitMix64(13)
-        from lampirs.submodules import unvectorize
-
         for _ in range(30):
             v = random_vector(rng, 2, 3, lo=-4, hi=4)
             for level in (1, 2, 3):
