@@ -92,6 +92,14 @@ def _emit(args, payload, csv_rows=None, csv_header=None):
         sys.stdout.write(out)
 
 
+def _read_text(path):
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not text: {exc}") from exc
+
+
 def cmd_count(args):
     formula = count_submodules(args.p, args.k, args.a)
     payload = {
@@ -114,8 +122,7 @@ def cmd_count(args):
 
 
 def cmd_invariants(args):
-    with open(args.triple) as fh:
-        triple = parse_triple(fh.read())
+    triple = parse_triple(_read_text(args.triple))
     payload = {"schema": "lampirs.invariants.v1", **triple.invariants()}
     _emit(args, payload)
     return EXIT_OK
@@ -159,8 +166,7 @@ def cmd_cb(args):
 
 
 def cmd_approach(args):
-    with open(args.triple) as fh:
-        triple = parse_triple(fh.read())
+    triple = parse_triple(_read_text(args.triple))
     t_target, r_target = args.target
     radius, shift_bound, horizon = args.ball
     seq = build_approach_sequence(triple, (t_target, r_target), args.count)
@@ -192,11 +198,11 @@ def cmd_approach(args):
 
 
 def _load_measure(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     return measure_from_json(data)
 
 
@@ -426,8 +432,8 @@ def main(argv=None):
     except FormatError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"missing file: {exc}\n")
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return EXIT_USAGE
     except ConsistencyError as exc:
         sys.stdout.write(

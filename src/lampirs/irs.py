@@ -16,6 +16,7 @@ samplers, with explicit statistical tolerances.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, gcd
 
@@ -23,22 +24,22 @@ from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .lamplighter import delta_site
-from .rng import SplitMix64
+from .rng import SplitMix64, derive_seed, extend_seed
 
 SUBSPACE_BUDGET = 200_000
 WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
 
 
 def _cumulative_table(items):
-    """Common denominator and integer cumulative thresholds for exact sampling."""
+    """Common denominator, integer cumulative thresholds and the atoms in order."""
     den = 1
     for _, prob in items:
         den = den * prob.denominator // gcd(den, prob.denominator)
-    acc, table = 0, []
-    for ws, prob in items:
+    acc, thresholds = 0, []
+    for _, prob in items:
         acc += int(prob * den)
-        table.append((acc, ws))
-    return den, table
+        thresholds.append(acc)
+    return den, thresholds, tuple(ws for ws, _ in items)
 
 
 def _leq_with_sqrt_tolerance(value, bound, tol_sq):
@@ -284,16 +285,27 @@ class WindowDistribution:
             and self.atoms == other.atoms
         )
 
-    def sample(self, rng):
-        """Exact draw: one uniform integer below the common denominator."""
+    def _table(self):
         if self._cum is None:
             self._cum = _cumulative_table(self.sorted_items())
-        den, table = self._cum
-        ticket = rng.below(den)
-        for acc, ws in table:
-            if ticket < acc:
-                return ws
-        return table[-1][1]
+        return self._cum
+
+    def ordered_atoms(self):
+        """The atoms in ``sorted_items()`` order, as ``sample_index`` numbers them."""
+        return self._table()[2]
+
+    def sample_index(self, rng):
+        """Exact draw of an atom's position in ``ordered_atoms()``.
+
+        Takes one uniform integer below the common denominator of the
+        probabilities, also when there is a single atom.
+        """
+        den, thresholds, _ = self._table()
+        return bisect_right(thresholds, rng.below(den))
+
+    def sample(self, rng):
+        """Exact draw of an atom."""
+        return self.ordered_atoms()[self.sample_index(rng)]
 
 
 def tv_distance(d1, d2):
@@ -358,10 +370,10 @@ class SubgroupMeasure:
     @classmethod
     def mixture(cls, weighted_atoms):
         atoms = tuple((Fraction(w), U) for w, U in weighted_atoms)
-        if sum((w for w, _ in atoms), Fraction(0)) != 1:
-            raise DomainError("mixture weights must sum to 1")
         if not atoms:
             raise DomainError("mixture needs at least one atom")
+        if sum((w for w, _ in atoms), Fraction(0)) != 1:
+            raise DomainError("mixture weights must sum to 1")
         n, p = atoms[0][1].n, atoms[0][1].p
 
         def marginal(lo, hi):
@@ -474,26 +486,60 @@ def convergence_report(mu, m, j):
     }
 
 
-def sample_block_average_window(mu, m, lo, hi, rng, _cache=None):
-    """One draw from the mu_m window marginal: random phase, independent blocks."""
+def _check_trials(trials):
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+
+
+def _block_starts(m, lo, hi, k):
+    """First sites of the phase-k blocks of length m that meet [lo, hi]."""
+    return range(lo - ((lo + k) % m), hi + 1, m)
+
+
+def _draw_block_key(block_law, m, lo, hi, rng):
+    """One draw from the mu_m window marginal, as integers.
+
+    Draws the phase k below m, then the ``sample_index`` of each block
+    meeting [lo, hi], left to right, and returns (k, index, ...).
+    """
     k = rng.below(m)
-    block_law = mu.marginal(0, m - 1)
+    return (k, *[block_law.sample_index(rng) for _ in _block_starts(m, lo, hi, k)])
+
+
+def _block_key_subgroup(block_law, m, lo, hi, key):
+    """The window subgroup that a ``_draw_block_key`` key stands for."""
+    atoms = block_law.ordered_atoms()
     result = None
-    start = lo - ((lo + k) % m)
-    while start <= hi:
+    for start, index in zip(_block_starts(m, lo, hi, key[0]), key[1:]):
         run_lo = max(lo, start)
         run_hi = min(hi, start + m - 1)
-        block = block_law.sample(rng)
-        key = (block, run_lo - start, run_hi - start, run_lo)
-        piece = _cache.get(key) if _cache is not None else None
-        if piece is None:
-            piece = block.project(run_lo - start, run_hi - start).transported(run_lo)
-            piece = piece.embedded(lo, hi)
-            if _cache is not None:
-                _cache[key] = piece
+        piece = atoms[index].project(run_lo - start, run_hi - start)
+        piece = piece.transported(run_lo).embedded(lo, hi)
         result = piece if result is None else result.sum_with(piece)
-        start += m
     return result
+
+
+def _counts_by_subgroup(key_counts, subgroup_of):
+    """Merge the counts of integer keys into counts of the subgroups they build.
+
+    Each key is built once; a subgroup takes the place of its first key.
+    """
+    counts = {}
+    for key, count in key_counts.items():
+        ws = subgroup_of(key)
+        counts[ws] = counts.get(ws, 0) + count
+    return counts
+
+
+def sample_block_average_window(mu, m, lo, hi, rng):
+    """One draw from the mu_m window marginal: random phase, independent blocks."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if hi < lo:
+        raise DomainError(f"empty window [{lo}, {hi}]")
+    block_law = mu.marginal(0, m - 1)
+    key = _draw_block_key(block_law, m, lo, hi, rng)
+    return _block_key_subgroup(block_law, m, lo, hi, key)
 
 
 def empirical_distribution(p, n, lo, hi, counts, trials):
@@ -502,14 +548,25 @@ def empirical_distribution(p, n, lo, hi, counts, trials):
 
 
 def sampler_law_report(mu, m, lo, hi, trials, seed):
-    """Empirical law of the seeded sampler against the exact marginal."""
-    rng = SplitMix64(seed)
+    """Empirical law of the seeded sampler against the exact marginal.
+
+    Every trial reads on from one stream, ``SplitMix64(seed)``: first the
+    phase k below m, then, left to right, the ``sample_index`` in the
+    window-[0, m-1] marginal of each block meeting [lo, hi].  Trials are
+    counted by these integers; each distinct outcome is built into its
+    window subgroup once, after the loop.
+    """
+    _check_trials(trials)
     exact = block_average_marginal(mu, m, lo, hi)
-    counts = {}
-    piece_cache = {}
+    block_law = mu.marginal(0, m - 1)
+    rng = SplitMix64(seed)
+    key_counts = {}
     for _ in range(trials):
-        ws = sample_block_average_window(mu, m, lo, hi, rng, _cache=piece_cache)
-        counts[ws] = counts.get(ws, 0) + 1
+        key = _draw_block_key(block_law, m, lo, hi, rng)
+        key_counts[key] = key_counts.get(key, 0) + 1
+    counts = _counts_by_subgroup(
+        key_counts, lambda key: _block_key_subgroup(block_law, m, lo, hi, key)
+    )
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)
     support = len(exact.atoms)
@@ -531,12 +588,31 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
 # ---------------------------------------------------------------------------
 
 
+def _check_majority_length(n_ai):
+    if n_ai < 1 or n_ai % 2 == 0:
+        raise DomainError(
+            f"n_ai must be a positive odd integer so the majority set has "
+            f"measure 1/2, got {n_ai}"
+        )
+
+
 def majority_symmetric_difference(n_ai):
     """Exact measure of (majority window) XOR (its shift): central binomial mass."""
-    if n_ai < 1 or n_ai % 2 == 0:
-        raise DomainError("the majority window length must be odd")
+    _check_majority_length(n_ai)
     half = (n_ai - 1) // 2
     return Fraction(comb(n_ai - 1, half), 2**n_ai)
+
+
+def _spliced(ws1, ws2, mask):
+    """ws1's lamps on the cells whose mask bit is set, ws2's on the others."""
+    cells = range(ws1.width)
+    first_sites = [ws1.lo + c for c in cells if (mask >> c) & 1]
+    second_sites = [ws1.lo + c for c in cells if not (mask >> c) & 1]
+    if not first_sites:
+        return ws2.intersect_sites(second_sites)
+    if not second_sites:
+        return ws1.intersect_sites(first_sites)
+    return ws1.intersect_sites(first_sites).sum_with(ws2.intersect_sites(second_sites))
 
 
 def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
@@ -547,15 +623,16 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     the spliced subgroup keeps the first sample's lamps on those sites and
     the second sample's lamps elsewhere.  Returns (empirical, target, report)
     where target is the even mixture of the two window marginals.
+
+    Trial t reads its own stream, ``SplitMix64(derive_seed(seed, n_ai, t))``.
+    It draws, in this order, the ``sample_index`` of the first window
+    marginal, that of the second, and the ``bits`` of hi - lo + n_ai coins,
+    bit i being the coin of site lo + i.  Trials are counted by
+    (index, index, majority mask); each distinct outcome is built into its
+    window subgroup once, after the loop.
     """
-    if n_ai < 1 or n_ai % 2 == 0:
-        raise DomainError(
-            f"n_ai must be a positive odd integer so the majority set has "
-            f"measure 1/2, got {n_ai}"
-        )
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    rng = SplitMix64(seed)
+    _check_majority_length(n_ai)
+    _check_trials(trials)
     marg1 = mu1.marginal(lo, hi)
     marg2 = mu2.marginal(lo, hi)
     if (marg1.n, marg1.p) != (marg2.n, marg2.p):
@@ -567,39 +644,28 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     width = hi - lo + 1
     coin_len = width - 1 + n_ai
     half = n_ai // 2
-    counts = {}
-    all_first = 0
-    all_second = 0
-    key_cache = {}
+    word = (1 << n_ai) - 1
+    draw1, draw2 = marg1.sample_index, marg2.sample_index
+    prefix = derive_seed(seed, n_ai)
+    key_counts = {}
     for trial in range(trials):
-        stream = rng.fork(n_ai, trial)
-        ws1 = marg1.sample(stream)
-        ws2 = marg2.sample(stream)
+        stream = SplitMix64(extend_seed(prefix, trial))
+        i1 = draw1(stream)
+        i2 = draw2(stream)
         coins = stream.bits(coin_len)
         mask = 0
         for cell in range(width):
-            window_word = (coins >> cell) & ((1 << n_ai) - 1)
-            if window_word.bit_count() > half:
+            if ((coins >> cell) & word).bit_count() > half:
                 mask |= 1 << cell
-        if mask == (1 << width) - 1:
-            all_first += 1
-        if mask == 0:
-            all_second += 1
-        key = (ws1, ws2, mask)
-        spliced = key_cache.get(key)
-        if spliced is None:
-            first_sites = [lo + c for c in range(width) if (mask >> c) & 1]
-            second_sites = [lo + c for c in range(width) if not (mask >> c) & 1]
-            part1 = ws1.intersect_sites(first_sites) if first_sites else None
-            part2 = ws2.intersect_sites(second_sites) if second_sites else None
-            if part1 is None:
-                spliced = part2
-            elif part2 is None:
-                spliced = part1
-            else:
-                spliced = part1.sum_with(part2)
-            key_cache[key] = spliced
-        counts[spliced] = counts.get(spliced, 0) + 1
+        key = (i1, i2, mask)
+        key_counts[key] = key_counts.get(key, 0) + 1
+    atoms1, atoms2 = marg1.ordered_atoms(), marg2.ordered_atoms()
+    counts = _counts_by_subgroup(
+        key_counts, lambda key: _spliced(atoms1[key[0]], atoms2[key[1]], key[2])
+    )
+    full = (1 << width) - 1
+    all_first = sum(c for (_, _, mask), c in key_counts.items() if mask == full)
+    all_second = sum(c for (_, _, mask), c in key_counts.items() if mask == 0)
     empirical = empirical_distribution(p, n, lo, hi, counts, trials)
     target = marg1.mixed_with(marg2, Fraction(1, 2), Fraction(1, 2))
     tv = tv_distance(empirical, target)
@@ -623,14 +689,19 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
 
 
 def majority_invariance_estimate(n_ai, trials, seed):
-    """Empirical measure of (majority set) XOR (shifted majority set)."""
+    """Empirical measure of (majority set) XOR (shifted majority set).
+
+    Every trial reads on from one stream, ``SplitMix64(seed)``: the ``bits``
+    of n_ai + 1 coins, whose first and last n_ai bits are the two words.
+    """
+    _check_majority_length(n_ai)
+    _check_trials(trials)
     rng = SplitMix64(seed)
     hits = 0
     half = n_ai // 2
+    word = (1 << n_ai) - 1
     for _ in range(trials):
         coins = rng.bits(n_ai + 1)
-        w1 = coins & ((1 << n_ai) - 1)
-        w2 = coins >> 1
-        if (w1.bit_count() > half) != (w2.bit_count() > half):
+        if ((coins & word).bit_count() > half) != ((coins >> 1).bit_count() > half):
             hits += 1
     return Fraction(hits, trials)

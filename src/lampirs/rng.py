@@ -13,7 +13,10 @@ so e.g. trial i of a Monte Carlo run with master seed s draws from the
 stream keyed (s, command-label, i).
 """
 
+from .errors import DomainError
+
 MASK64 = (1 << 64) - 1
+_SPAN = MASK64 + 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -27,10 +30,18 @@ def mix64(z):
 
 def derive_seed(seed, *labels):
     """Fold integer labels into a seed, giving an independent substream key."""
-    acc = mix64(seed ^ _GAMMA)
+    return extend_seed(mix64(seed ^ _GAMMA), *labels)
+
+
+def extend_seed(key, *labels):
+    """Fold further labels into a derived key.
+
+    ``extend_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b)``, so a
+    loop over one label can fold the common prefix once.
+    """
     for label in labels:
-        acc = mix64(acc ^ mix64(label & MASK64) ^ _GAMMA)
-    return acc
+        key = mix64(key ^ mix64(label & MASK64) ^ _GAMMA)
+    return key
 
 
 class SplitMix64:
@@ -46,11 +57,12 @@ class SplitMix64:
         return mix64(self._state)
 
     def below(self, n):
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n), unbiased via rejection, for 1 <= n <= 2^64."""
+        if not 0 < n <= _SPAN:
+            # above 2^64 no 64-bit draw is below the rejection limit
+            raise DomainError(f"bound must be in [1, 2^64], got {n}")
         # Largest multiple of n that fits in 64 bits; reject draws above it.
-        limit = (MASK64 + 1) - ((MASK64 + 1) % n)
+        limit = _SPAN - _SPAN % n
         while True:
             u = self.u64()
             if u < limit:
@@ -59,14 +71,6 @@ class SplitMix64:
     def bits(self, k):
         """k fair bits packed into an int (bit i of the result = i-th draw)."""
         out = 0
-        filled = 0
-        while filled < k:
-            take = min(64, k - filled)
-            word = self.u64() & ((1 << take) - 1)
-            out |= word << filled
-            filled += take
-        return out
-
-    def fork(self, *labels):
-        """Independent substream keyed by integer labels (state unaffected)."""
-        return SplitMix64(derive_seed(self._state, *labels))
+        for filled in range(0, k, 64):
+            out |= self.u64() << filled
+        return out & ((1 << k) - 1)

@@ -160,6 +160,42 @@ class TestMalformedArguments:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_irs_directory_as_measure(self, tmp_path):
+        res = run_cli("irs", "--mu", str(tmp_path), "--m", "4", "--j", "1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("command", ["invariants", "approach"])
+    def test_binary_triple_file(self, tmp_path, command):
+        path = tmp_path / "V.triple"
+        path.write_bytes(b"\xff\xfe\x00\x80binary")
+        extra = ("--target", "1,0", "--count", "4") if command == "approach" else ()
+        res = run_cli(command, "--triple", str(path), *extra)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_irs_empty_atom_list(self, tmp_path):
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({**json.loads(MIX_JSON), "atoms": []}))
+        res = run_cli("irs", "--mu", str(mu), "--m", "4", "--j", "1")
+        assert res.returncode == 2
+        assert "at least one atom" in res.stderr
+
+    def test_mix_denominator_above_two_to_the_64(self, tmp_path):
+        big = 2**64 + 1
+        mu = json.loads(MIX_JSON)
+        mu["atoms"][0]["weight"] = f"1/{big}"
+        mu["atoms"][1]["weight"] = f"{big - 1}/{big}"
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(mu))
+        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(path))
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+
     def test_mix_mismatched_measures_name_p(self, tmp_path):
         mu = tmp_path / "mu.json"
         mu.write_text(MIX_JSON.replace('"p": 2', '"p": 3'))

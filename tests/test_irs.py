@@ -171,6 +171,12 @@ class TestBlockAverage:
         shifted = block_average_marginal(mu, 2, 3, 4).transported(0)
         assert base == shifted
 
+    def test_empty_mixture_rejected_as_empty(self):
+        with pytest.raises(DomainError, match="at least one atom"):
+            SubgroupMeasure.mixture([])
+        with pytest.raises(DomainError, match="sum to 1"):
+            SubgroupMeasure.mixture([(HALF, Submodule.zero(1, P2))])
+
     def test_invariant_tag_matches_marginal_shift(self):
         mu = even_mixture()
         assert mu.invariant
@@ -229,6 +235,19 @@ class TestSampler:
         assert rep["within_tolerance"]
         assert rep["tv"] < Fraction(1, 20)
 
+    @pytest.mark.parametrize(
+        "m, trials, message",
+        [(4, 0, "trials"), (4, -5, "trials"), (0, 100, "m must"), (-1, 100, "m must")],
+    )
+    def test_report_rejects_bad_input(self, m, trials, message):
+        with pytest.raises(DomainError, match=message):
+            sampler_law_report(even_mixture(), m, 0, 1, trials, seed=1)
+
+    @pytest.mark.parametrize("m, lo, hi, message", [(0, 0, 1, "m must"), (2, 1, 0, "empty")])
+    def test_single_draw_rejects_bad_input(self, m, lo, hi, message):
+        with pytest.raises(DomainError, match=message):
+            sample_block_average_window(even_mixture(), m, lo, hi, SplitMix64(1))
+
 
 class TestSplice:
     def test_same_measure_gives_common_marginal(self):
@@ -267,6 +286,25 @@ class TestSplice:
         for n in (3, 5):
             ups = sum(1 for w in range(2**n) if bin(w).count("1") > n // 2)
             assert Fraction(ups, 2**n) == HALF
+
+    @pytest.mark.parametrize(
+        "n_ai, trials, message",
+        [
+            (11, 0, "trials"),
+            (11, -1, "trials"),
+            (10, 100, "positive odd"),
+            (0, 100, "positive odd"),
+            (-3, 100, "positive odd"),
+        ],
+    )
+    def test_invariance_estimate_rejects_bad_input(self, n_ai, trials, message):
+        with pytest.raises(DomainError, match=message):
+            majority_invariance_estimate(n_ai, trials, seed=1)
+
+    def test_splice_rejects_no_trials(self):
+        mu = even_mixture()
+        with pytest.raises(DomainError, match="trials must be"):
+            splice_measures(mu, mu, 11, 0, 0, 0, seed=1)
 
     def test_invariance_estimate_tracks_exact(self):
         est = majority_invariance_estimate(11, 20000, seed=9)
