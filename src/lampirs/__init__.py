@@ -50,7 +50,6 @@ from .irs import (
     block_average_measure,
     block_shift_term_marginal,
     convergence_report,
-    enumerate_subspaces,
     majority_invariance_estimate,
     majority_symmetric_difference,
     sample_block_average_window,

@@ -31,7 +31,6 @@ from .formats import (
 )
 from .irs import (
     SubgroupMeasure,
-    block_average_marginal,
     convergence_report,
     splice_measures,
 )
@@ -218,8 +217,8 @@ def _trend_grid(m):
 
 def cmd_irs(args):
     mu = _load_measure(args.mu)
-    report = convergence_report(mu, args.m, args.j)
     trend = [convergence_report(mu, m, args.j) for m in _trend_grid(args.m)]
+    report = trend[-1]
     payload = {
         "schema": "lampirs.irs.v1",
         "m": report["m"],
@@ -238,7 +237,7 @@ def cmd_irs(args):
             }
             for row in trend
         ],
-        "marginal": distribution_to_json(block_average_marginal(mu, args.m, 0, args.j)),
+        "marginal": distribution_to_json(report["marginal"]),
     }
     csv_rows = [
         (

@@ -10,14 +10,15 @@ The ergodic approximants mu_m are built from the window-[0, m-1] marginal:
 independent blocks of length m laid side by side with a uniformly random
 phase.  Their marginals, stationarity, and distance to the approximated
 measure are all computed exactly; Monte Carlo appears only in the seeded
-samplers, with explicit statistical tolerances.
+samplers, with explicit statistical tolerances.  The exact marginals and the
+sampler read one phase tiling, ``_block_pieces``.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 
 from .algebra import check_prime
@@ -26,7 +27,6 @@ from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .lamplighter import delta_site
 from .rng import SplitMix64, derive_seed, extend_seed
 
-SUBSPACE_BUDGET = 200_000
 WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
 
 
@@ -46,19 +46,6 @@ def _leq_with_sqrt_tolerance(value, bound, tol_sq):
     """value <= bound + sqrt(tol_sq), compared exactly in rationals."""
     excess = value - bound
     return excess <= 0 or excess * excess <= tol_sq
-
-
-def gaussian_binomial(d, k, p):
-    """Number of k-dimensional subspaces of F_p^d (exact integer)."""
-    num = den = 1
-    for i in range(k):
-        num *= p ** (d - i) - 1
-        den *= p ** (k - i) - 1
-    return num // den
-
-
-def count_subspaces(p, d):
-    return sum(gaussian_binomial(d, k, p) for k in range(d + 1))
 
 
 class WindowSubgroup:
@@ -171,37 +158,6 @@ class WindowSubgroup:
         return WindowSubgroup(self.p, self.n, self.lo, self.hi, self.rows + other.rows)
 
 
-def enumerate_subspaces(p, d, budget=SUBSPACE_BUDGET):
-    """Every subspace of F_p^d as an echelon row tuple, no duplicates.
-
-    Documented desk budgets: p = 2 up to d = 6, p = 3 up to d = 4.
-    """
-    check_prime(p)
-    total = count_subspaces(p, d)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"{total} subspaces of F_{p}^{d} exceed budget {budget}", requested=total
-        )
-    out = [()]
-    for k in range(1, d + 1):
-        for pivots in itertools.combinations(range(d), k):
-            free_positions = []
-            for row_idx, pc in enumerate(pivots):
-                for col in range(pc + 1, d):
-                    if col not in pivots:
-                        free_positions.append((row_idx, col))
-            for assignment in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[0] * d for _ in range(k)]
-                for row_idx, pc in enumerate(pivots):
-                    rows[row_idx][pc] = 1
-                for (row_idx, col), value in zip(free_positions, assignment):
-                    rows[row_idx][col] = value
-                out.append(tuple(tuple(r) for r in rows))
-    if len(out) != total:
-        raise ArithmeticError("subspace enumeration does not match the count")
-    return out
-
-
 class WindowDistribution:
     """Exact finitely supported distribution over window subgroups."""
 
@@ -234,9 +190,6 @@ class WindowDistribution:
     def sorted_items(self):
         return sorted(self.atoms.items(), key=lambda kv: kv[0].key())
 
-    def support(self):
-        return list(self.atoms)
-
     def prob(self, ws):
         return self.atoms.get(ws, Fraction(0))
 
@@ -255,17 +208,6 @@ class WindowDistribution:
         return self.map_support(
             lambda ws: ws.transported(new_lo), new_lo, new_lo + self.hi - self.lo
         )
-
-    def convolve_disjoint(self, other, lo, hi):
-        """Distribution of independent direct sums inside the window [lo, hi]."""
-        out = {}
-        for ws1, p1 in self.atoms.items():
-            e1 = ws1.embedded(lo, hi)
-            for ws2, p2 in other.atoms.items():
-                e2 = ws2.embedded(lo, hi)
-                combined = e1.sum_with(e2)
-                out[combined] = out.get(combined, Fraction(0)) + p1 * p2
-        return WindowDistribution(self.p, self.n, lo, hi, out)
 
     def mixed_with(self, other, weight_self, weight_other):
         if (self.p, self.n, self.lo, self.hi) != (other.p, other.n, other.lo, other.hi):
@@ -302,10 +244,6 @@ class WindowDistribution:
         """
         den, thresholds, _ = self._table()
         return bisect_right(thresholds, rng.below(den))
-
-    def sample(self, rng):
-        """Exact draw of an atom."""
-        return self.ordered_atoms()[self.sample_index(rng)]
 
 
 def tv_distance(d1, d2):
@@ -345,9 +283,8 @@ def window_of_submodule(U, lo, hi):
 class SubgroupMeasure:
     """Measure on lamp subgroups accessed through exact window marginals."""
 
-    def __init__(self, marginal_fn, tag, invariant, atoms=None):
+    def __init__(self, marginal_fn, invariant, atoms=None):
         self._marginal_fn = marginal_fn
-        self.tag = tag
         self.invariant = invariant
         self.atoms = atoms
         self._cache = {}
@@ -365,7 +302,7 @@ class SubgroupMeasure:
         def marginal(lo, hi):
             return WindowDistribution.point(window_of_submodule(U, lo, hi))
 
-        return cls(marginal, "point-mass", invariant, atoms=((Fraction(1), U),))
+        return cls(marginal, invariant, atoms=((Fraction(1), U),))
 
     @classmethod
     def mixture(cls, weighted_atoms):
@@ -394,13 +331,37 @@ class SubgroupMeasure:
             k2 = shift_key(U.shifted(1))
             shifted_weights[k2] = shifted_weights.get(k2, Fraction(0)) + w
         invariant = weights == shifted_weights
-        return cls(marginal, "mixture", invariant, atoms=atoms)
+        return cls(marginal, invariant, atoms=atoms)
 
-    def check_consistency(self, lo, hi, sub_lo, sub_hi):
-        """Spot-check: projecting a marginal matches the smaller marginal."""
-        outer = self.marginal(lo, hi).project(sub_lo, sub_hi)
-        inner = self.marginal(sub_lo, sub_hi)
-        return outer == inner
+
+def _block_starts(m, lo, hi, k):
+    """First sites of the phase-k blocks of length m that meet [lo, hi]."""
+    return range(lo - ((lo + k) % m), hi + 1, m)
+
+
+def _block_pieces(block_law, m, lo, hi, k):
+    """The phase-k block tiling of [lo, hi], one column per block.
+
+    Blocks of length m start at sites congruent to -k mod m.  For each block
+    meeting [lo, hi], left to right, the column holds what every atom of
+    ``block_law`` (a window-[0, m-1] law), in ``ordered_atoms()`` order,
+    puts on the window: its intersection with the block's part of [lo, hi],
+    moved onto those sites and embedded in [lo, hi].
+    """
+    atoms = block_law.ordered_atoms()
+    columns = []
+    for start in _block_starts(m, lo, hi, k):
+        run_lo = max(lo, start)
+        run_hi = min(hi, start + m - 1)
+        columns.append(
+            tuple(
+                ws.project(run_lo - start, run_hi - start)
+                .transported(run_lo)
+                .embedded(lo, hi)
+                for ws in atoms
+            )
+        )
+    return columns
 
 
 def block_shift_term_marginal(mu, m, k, lo, hi):
@@ -412,21 +373,22 @@ def block_shift_term_marginal(mu, m, k, lo, hi):
     if not 0 <= k < m:
         raise DomainError("shift class k must satisfy 0 <= k < m")
     block_law = mu.marginal(0, m - 1)
-    pieces = []
-    start = lo - ((lo + k) % m)
-    while start <= hi:
-        run_lo = max(lo, start)
-        run_hi = min(hi, start + m - 1)
-        local = block_law.project(run_lo - start, run_hi - start)
-        pieces.append(local.transported(run_lo))
-        start += m
-    result = None
-    for piece in pieces:
-        if result is None:
-            result = piece.map_support(lambda ws: ws.embedded(lo, hi), lo, hi)
-        else:
-            result = result.convolve_disjoint(piece, lo, hi)
-    return result
+    probs = [block_law.atoms[ws] for ws in block_law.ordered_atoms()]
+    law = None
+    for column in _block_pieces(block_law, m, lo, hi, k):
+        piece_law = {}
+        for piece, prob in zip(column, probs):
+            piece_law[piece] = piece_law.get(piece, 0) + prob
+        if law is None:
+            law = piece_law
+            continue
+        sums = {}
+        for ws1, p1 in law.items():
+            for ws2, p2 in piece_law.items():
+                combined = ws1.sum_with(ws2)
+                sums[combined] = sums.get(combined, 0) + p1 * p2
+        law = sums
+    return WindowDistribution(block_law.p, block_law.n, lo, hi, law)
 
 
 def block_average_marginal(mu, m, lo, hi):
@@ -461,14 +423,15 @@ def block_average_measure(mu, m):
     def marginal(lo, hi):
         return block_average_marginal(mu, m, lo, hi)
 
-    return SubgroupMeasure(marginal, f"block-average(m={m})", True)
+    return SubgroupMeasure(marginal, True)
 
 
 def convergence_report(mu, m, j):
     """Exact distance of the mu_m window-[0, j] marginal from mu's.
 
     PASS requires the conservative bound 2(j+1)/m; whether the literal
-    bound 2j/m also held is reported separately.
+    bound 2j/m also held is reported separately.  The mu_m marginal itself
+    is returned under "marginal".
     """
     approx = block_average_marginal(mu, m, 0, j)
     target = mu.marginal(0, j)
@@ -483,17 +446,13 @@ def convergence_report(mu, m, j):
         "conservative_bound": conservative,
         "pass": tv <= conservative,
         "literal_bound_held": tv <= literal,
+        "marginal": approx,
     }
 
 
 def _check_trials(trials):
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-
-
-def _block_starts(m, lo, hi, k):
-    """First sites of the phase-k blocks of length m that meet [lo, hi]."""
-    return range(lo - ((lo + k) % m), hi + 1, m)
 
 
 def _draw_block_key(block_law, m, lo, hi, rng):
@@ -506,17 +465,11 @@ def _draw_block_key(block_law, m, lo, hi, rng):
     return (k, *[block_law.sample_index(rng) for _ in _block_starts(m, lo, hi, k)])
 
 
-def _block_key_subgroup(block_law, m, lo, hi, key):
-    """The window subgroup that a ``_draw_block_key`` key stands for."""
-    atoms = block_law.ordered_atoms()
-    result = None
-    for start, index in zip(_block_starts(m, lo, hi, key[0]), key[1:]):
-        run_lo = max(lo, start)
-        run_hi = min(hi, start + m - 1)
-        piece = atoms[index].project(run_lo - start, run_hi - start)
-        piece = piece.transported(run_lo).embedded(lo, hi)
-        result = piece if result is None else result.sum_with(piece)
-    return result
+def _block_key_subgroup(columns, indices):
+    """The window subgroup of one atom index per column of a ``_block_pieces`` tiling."""
+    return reduce(
+        WindowSubgroup.sum_with, (column[i] for column, i in zip(columns, indices))
+    )
 
 
 def _counts_by_subgroup(key_counts, subgroup_of):
@@ -539,7 +492,7 @@ def sample_block_average_window(mu, m, lo, hi, rng):
         raise DomainError(f"empty window [{lo}, {hi}]")
     block_law = mu.marginal(0, m - 1)
     key = _draw_block_key(block_law, m, lo, hi, rng)
-    return _block_key_subgroup(block_law, m, lo, hi, key)
+    return _block_key_subgroup(_block_pieces(block_law, m, lo, hi, key[0]), key[1:])
 
 
 def empirical_distribution(p, n, lo, hi, counts, trials):
@@ -553,8 +506,8 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     Every trial reads on from one stream, ``SplitMix64(seed)``: first the
     phase k below m, then, left to right, the ``sample_index`` in the
     window-[0, m-1] marginal of each block meeting [lo, hi].  Trials are
-    counted by these integers; each distinct outcome is built into its
-    window subgroup once, after the loop.
+    counted by these integers.  After the loop, the m phase tilings are
+    built once and each distinct outcome is summed from their pieces.
     """
     _check_trials(trials)
     exact = block_average_marginal(mu, m, lo, hi)
@@ -564,8 +517,9 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     for _ in range(trials):
         key = _draw_block_key(block_law, m, lo, hi, rng)
         key_counts[key] = key_counts.get(key, 0) + 1
+    tables = [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
     counts = _counts_by_subgroup(
-        key_counts, lambda key: _block_key_subgroup(block_law, m, lo, hi, key)
+        key_counts, lambda key: _block_key_subgroup(tables[key[0]], key[1:])
     )
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)

@@ -136,18 +136,6 @@ class SubgroupTriple:
             self._powers[k] = cached
         return cached
 
-    # -- projections ---------------------------------------------------------
-
-    @property
-    def shift_projection(self):
-        """Generator of the image of the projection to Z."""
-        return self.s
-
-    @property
-    def lamp_intersection(self):
-        """Intersection with the lamp subgroup."""
-        return self.lamps
-
     # -- membership and equality ----------------------------------------------
 
     def contains_element(self, g):

@@ -27,11 +27,11 @@ from .irs import (
     _leq_with_sqrt_tolerance,
     block_average_marginal,
     block_shift_term_marginal,
+    convergence_report,
     majority_invariance_estimate,
     majority_symmetric_difference,
     sampler_law_report,
     splice_measures,
-    tv_distance,
 )
 from .lamplighter import (
     GroupElement,
@@ -346,23 +346,18 @@ def criterion_tv_bound(seed):
         for j in range(0, 3):
             tvs = {}
             for m in (2, 4, 8):
-                approx = block_average_marginal(mu, m, 0, j)
-                target = mu.marginal(0, j)
-                tv = tv_distance(approx, target)
-                conservative = Fraction(2 * (j + 1), m)
-                literal = Fraction(2 * j, m)
-                good = tv <= conservative
-                ok = ok and good
-                tvs[m] = tv
+                report = convergence_report(mu, m, j)
+                ok = ok and report["pass"]
+                tvs[m] = report["tv"]
                 rows.append(
                     {
                         "measure": name,
                         "j": j,
                         "m": m,
-                        "tv": fraction_str(tv),
-                        "conservative_bound": fraction_str(conservative),
-                        "bound_ok": good,
-                        "literal_bound_held": tv <= literal,
+                        "tv": fraction_str(report["tv"]),
+                        "conservative_bound": fraction_str(report["conservative_bound"]),
+                        "bound_ok": report["pass"],
+                        "literal_bound_held": report["literal_bound_held"],
                     }
                 )
             if not (tvs[2] >= tvs[4] >= tvs[8]):

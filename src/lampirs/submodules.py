@@ -192,6 +192,23 @@ def laurent_exact_div(f, g):
     return LaurentPoly(f.p, f.offset, q)
 
 
+def _eliminate(v, row, c, ncols):
+    """Reduce v[c] to its canonical residue modulo the pivot row[c], in place.
+
+    Subtracts the Laurent multiple of ``row`` that takes v[c] to its residue
+    of degree below the (monic, offset-zero) pivot; returns that residue.
+    """
+    pivot = row[c].body
+    r = laurent_mod(v[c], pivot)
+    diff = v[c] - LaurentPoly.from_poly(r)
+    if not diff.is_zero():
+        q = laurent_exact_div(diff, pivot)
+        for j in range(c, ncols):
+            if not row[j].is_zero():
+                v[j] = v[j] - q * row[j]
+    return r
+
+
 class CanonicalForm:
     """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
 
@@ -227,17 +244,8 @@ class CanonicalForm:
         """Canonical residual of a column vector modulo the row span."""
         v = list(cols)
         for row, c in zip(self.rows, self.pivots):
-            if v[c].is_zero():
-                continue
-            pivot = row[c].body  # pivot entries are normalized polynomials
-            r = laurent_mod(v[c], pivot)
-            diff = v[c] - LaurentPoly.from_poly(r)
-            if diff.is_zero():
-                continue
-            q = laurent_exact_div(diff, pivot)
-            for j in range(c, self.ncols):
-                if not row[j].is_zero():
-                    v[j] = v[j] - q * row[j]
+            if not v[c].is_zero():
+                _eliminate(v, row, c, self.ncols)
         return v
 
     def contains(self, cols):
@@ -245,16 +253,8 @@ class CanonicalForm:
         # residue there decides the answer immediately.
         v = list(cols)
         for row, c in zip(self.rows, self.pivots):
-            if v[c].is_zero():
-                continue
-            pivot = row[c].body
-            r = laurent_mod(v[c], pivot)
-            if not r.is_zero():
+            if not v[c].is_zero() and not _eliminate(v, row, c, self.ncols).is_zero():
                 return False
-            q = laurent_exact_div(v[c], pivot)
-            for j in range(c, self.ncols):
-                if not row[j].is_zero():
-                    v[j] = v[j] - q * row[j]
         return all(e.is_zero() for e in v)
 
 
@@ -304,19 +304,9 @@ def laurent_hermite_form(p, n, level, generator_cols):
     rows = rows[:next_row]
     # Reduce entries above each pivot to the canonical residue.
     for idx, col in enumerate(pivots):
-        pivot = rows[idx][col].body
         for i in range(idx):
-            entry = rows[i][col]
-            if entry.is_zero():
-                continue
-            r = laurent_mod(entry, pivot)
-            diff = entry - LaurentPoly.from_poly(r)
-            if diff.is_zero():
-                continue
-            q = laurent_exact_div(diff, pivot)
-            for j in range(col, ncols):
-                if not rows[idx][j].is_zero():
-                    rows[i][j] = rows[i][j] - q * rows[idx][j]
+            if not rows[i][col].is_zero():
+                _eliminate(rows[i], rows[idx], col, ncols)
     rows = tuple(tuple(row) for row in rows)
     return CanonicalForm(p, n, level, rows, tuple(pivots))
 

@@ -160,15 +160,24 @@ def test_criterion_11_splice_mixing(suite):
 
 def test_criterion_12_selftest_determinism(tmp_path):
     cmd = [sys.executable, "-m", "lampirs.cli", "selftest", "--seed", str(DEFAULT_SEED)]
-    first = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    identical = first.stdout == second.stdout and len(first.stdout) > 0
+    # Both runs start at once and are then awaited; neither reads the other.
+    first, second = (
+        subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    )
+    try:
+        first_out, first_err = first.communicate(timeout=600)
+        second_out, second_err = second.communicate(timeout=600)
+    finally:
+        first.kill()
+        second.kill()
+    identical = first_out == second_out and len(first_out) > 0
     announce(12, "selftest reports byte-identical across reruns", identical)
-    assert first.returncode == 0, first.stderr
-    assert second.returncode == 0, second.stderr
+    assert first.returncode == 0, first_err
+    assert second.returncode == 0, second_err
     assert identical
-    parsed = json.loads(first.stdout)
-    assert canonical_json(parsed) == first.stdout
+    parsed = json.loads(first_out)
+    assert canonical_json(parsed) == first_out
 
 
 def test_summary(suite):

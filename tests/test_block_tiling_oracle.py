@@ -1,0 +1,111 @@
+"""Cross-checks of the block tiling of mu_m against a distribution-level build.
+
+``block_shift_term_marginal`` and ``block_average_marginal`` fold the
+columns of one phase tiling, ``_block_pieces``, atom by atom.  The
+reference below builds the same laws with nothing but whole-distribution
+operations: project the window-[0, m-1] law onto each block's part of the
+window, move it there, and take the law of independent direct sums block
+after block.  Both must give the same bytes for every phase and for the
+phase average.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from lampirs.formats import canonical_json, distribution_to_json
+from lampirs.irs import (
+    SubgroupMeasure,
+    WindowDistribution,
+    block_average_marginal,
+    block_shift_term_marginal,
+)
+from lampirs.rng import SplitMix64
+from lampirs.selftest import _measure_grid, random_vector
+from lampirs.submodules import Submodule
+
+
+def convolve_disjoint(d1, d2, lo, hi):
+    """Law of the direct sum of independent draws, both embedded in [lo, hi]."""
+    out = {}
+    for ws1, p1 in d1.atoms.items():
+        e1 = ws1.embedded(lo, hi)
+        for ws2, p2 in d2.atoms.items():
+            combined = e1.sum_with(ws2.embedded(lo, hi))
+            out[combined] = out.get(combined, Fraction(0)) + p1 * p2
+    return WindowDistribution(d1.p, d1.n, lo, hi, out)
+
+
+def ref_term(mu, m, k, lo, hi):
+    block_law = mu.marginal(0, m - 1)
+    pieces = []
+    start = lo - ((lo + k) % m)
+    while start <= hi:
+        run_lo, run_hi = max(lo, start), min(hi, start + m - 1)
+        local = block_law.project(run_lo - start, run_hi - start)
+        pieces.append(local.transported(run_lo))
+        start += m
+    result = pieces[0].map_support(lambda ws: ws.embedded(lo, hi), lo, hi)
+    for piece in pieces[1:]:
+        result = convolve_disjoint(result, piece, lo, hi)
+    return result
+
+
+def ref_average(mu, m, lo, hi):
+    out = {}
+    for k in range(m):
+        for ws, prob in ref_term(mu, m, k, lo, hi).atoms.items():
+            out[ws] = out.get(ws, Fraction(0)) + prob / m
+    first = mu.marginal(0, 0)
+    return WindowDistribution(first.p, first.n, lo, hi, out)
+
+
+def seeded_mixture(seed, p, n):
+    """Shift-invariant mixture of atoms paired with their shifts.
+
+    Generators span two sites, so the atoms meet small windows in many ways.
+    """
+    rng = SplitMix64(seed)
+    atoms = []
+    for _ in range(2):
+        gens = [random_vector(rng, n, p, 0, 1) for _ in range(1 + rng.below(n))]
+        U = Submodule(n, p, 1 + rng.below(2), gens)
+        weight = 1 + rng.below(3)
+        atoms += [(weight, U), (weight, U.shifted(1))]
+    total = sum(w for w, _ in atoms)
+    return SubgroupMeasure.mixture([(Fraction(w, total), U) for w, U in atoms])
+
+
+def measures():
+    out = [(f"grid-{name}", mu) for name, mu in _measure_grid(7)]
+    for p in (2, 3):
+        for n in (1, 2):
+            out.append((f"mix-p{p}-n{n}", seeded_mixture(100 * p + n, p, n)))
+    return out
+
+
+MEASURES = measures()
+# negative lo, windows wider than every m below, and one far from the origin
+WINDOWS = [(0, 0), (-1, 1), (-2, 3), (3, 7)]
+
+
+def json_bytes(dist):
+    return canonical_json(distribution_to_json(dist))
+
+
+def test_grid_measures_are_invariant_and_varied():
+    assert all(mu.invariant for _, mu in MEASURES)
+    for name, mu in MEASURES:
+        if name.startswith("mix-"):
+            assert len(mu.marginal(0, 3).atoms) > 1, name
+
+
+@pytest.mark.parametrize("lo, hi", WINDOWS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("name, mu", MEASURES, ids=[name for name, _ in MEASURES])
+def test_tiling_matches_distribution_level_build(name, mu, m, lo, hi):
+    for k in range(m):
+        got = block_shift_term_marginal(mu, m, k, lo, hi)
+        assert json_bytes(got) == json_bytes(ref_term(mu, m, k, lo, hi)), k
+    got = block_average_marginal(mu, m, lo, hi)
+    assert json_bytes(got) == json_bytes(ref_average(mu, m, lo, hi))

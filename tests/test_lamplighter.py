@@ -343,11 +343,12 @@ class TestConjugation:
 class TestProjections:
     def test_shift_projection_and_lamp_intersection(self):
         U = Submodule(1, 2, 2, [LaurentVector.unit(1, 2, 0)])
+        # The shift projection is generated by s; the lamp intersection is U.
         V = SubgroupTriple(2, U)
-        assert V.shift_projection == 2
-        assert V.lamp_intersection.equals(U)
+        assert V.s == 2
+        assert V.lamps.equals(U)
         inside_lamps = SubgroupTriple(0, U)
-        assert inside_lamps.shift_projection == 0
+        assert inside_lamps.s == 0
 
     def test_shift_projection_conjugation_invariant(self):
         rng = SplitMix64(606)
@@ -355,7 +356,7 @@ class TestProjections:
         V = SubgroupTriple(4, U)
         for _ in range(30):
             g = rand_element(rng, 1, 2)
-            assert V.conjugated(g).shift_projection == 4
+            assert V.conjugated(g).s == 4
 
 
 class TestCylinders:
