@@ -14,8 +14,12 @@ iteration rather than assumed.
 
 from __future__ import annotations
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, ResourceBudgetError
 from .submodules import approach_sequence
+
+# Largest truncation, in elements: validating the order is cubic in the size,
+# about 20 s at 1,000 elements on a 2-core host.
+TRUNCATION_BUDGET = 1000
 
 
 def poset_less(a, b):
@@ -57,6 +61,16 @@ def truncation(t_max, product_max):
     """
     if t_max < 1 or product_max < 0:
         raise DomainError("bad truncation bounds")
+    size = 0
+    for t in range(1, t_max + 1):
+        # every t adds at least (t, 0), so this loop ends past the budget
+        size += product_max // t + 1
+        if size > TRUNCATION_BUDGET:
+            raise ResourceBudgetError(
+                f"truncation ({t_max}, {product_max}) has more than "
+                f"{TRUNCATION_BUDGET} elements, the budget",
+                requested=size,
+            )
     elements = [
         (t, r)
         for t in range(1, t_max + 1)

@@ -25,9 +25,20 @@ from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .lamplighter import delta_site
-from .rng import SplitMix64, derive_seed, extend_seed
+from .rng import (
+    SplitMix64,
+    below_limit,
+    derive_seed,
+    extend_seeds,
+    stream_words,
+    words_to_int,
+)
 
 WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
+# Largest majority length n_ai: the denominator 2^n_ai of the exact majority
+# measure must print in Python's default 4,300-digit int-to-str limit.
+MAJORITY_LENGTH_BUDGET = 14283
+BATCH_WORDS = 4096  # stream words read per batch of Monte Carlo trials
 
 
 def _cumulative_table(items):
@@ -339,43 +350,37 @@ def _block_starts(m, lo, hi, k):
     return range(lo - ((lo + k) % m), hi + 1, m)
 
 
+def _block_piece(ws, start, m, lo, hi):
+    """What the block-law atom ws, on the block of length m at start, puts on [lo, hi].
+
+    That is its intersection with the block's part of [lo, hi], moved onto
+    those sites and embedded in [lo, hi].
+    """
+    run_lo = max(lo, start)
+    run_hi = min(hi, start + m - 1)
+    return ws.project(run_lo - start, run_hi - start).transported(run_lo).embedded(lo, hi)
+
+
 def _block_pieces(block_law, m, lo, hi, k):
     """The phase-k block tiling of [lo, hi], one column per block.
 
     Blocks of length m start at sites congruent to -k mod m.  For each block
-    meeting [lo, hi], left to right, the column holds what every atom of
-    ``block_law`` (a window-[0, m-1] law), in ``ordered_atoms()`` order,
-    puts on the window: its intersection with the block's part of [lo, hi],
-    moved onto those sites and embedded in [lo, hi].
+    meeting [lo, hi], left to right, the column holds the ``_block_piece``
+    of every atom of ``block_law`` (a window-[0, m-1] law), in
+    ``ordered_atoms()`` order.
     """
     atoms = block_law.ordered_atoms()
-    columns = []
-    for start in _block_starts(m, lo, hi, k):
-        run_lo = max(lo, start)
-        run_hi = min(hi, start + m - 1)
-        columns.append(
-            tuple(
-                ws.project(run_lo - start, run_hi - start)
-                .transported(run_lo)
-                .embedded(lo, hi)
-                for ws in atoms
-            )
-        )
-    return columns
+    return [
+        tuple(_block_piece(ws, start, m, lo, hi) for ws in atoms)
+        for start in _block_starts(m, lo, hi, k)
+    ]
 
 
-def block_shift_term_marginal(mu, m, k, lo, hi):
-    """Window marginal of the k-th shifted block-tiling term of mu_m.
-
-    Blocks of length m start at sites congruent to -k mod m and carry
-    independent copies of the window-[0, m-1] marginal of mu.
-    """
-    if not 0 <= k < m:
-        raise DomainError("shift class k must satisfy 0 <= k < m")
-    block_law = mu.marginal(0, m - 1)
+def _tiling_law(block_law, columns):
+    """Law of the sum of independent pieces, one per column, as a dict."""
     probs = [block_law.atoms[ws] for ws in block_law.ordered_atoms()]
     law = None
-    for column in _block_pieces(block_law, m, lo, hi, k):
+    for column in columns:
         piece_law = {}
         for piece, prob in zip(column, probs):
             piece_law[piece] = piece_law.get(piece, 0) + prob
@@ -388,33 +393,57 @@ def block_shift_term_marginal(mu, m, k, lo, hi):
                 combined = ws1.sum_with(ws2)
                 sums[combined] = sums.get(combined, 0) + p1 * p2
         law = sums
+    return law
+
+
+def block_shift_term_marginal(mu, m, k, lo, hi):
+    """Window marginal of the k-th shifted block-tiling term of mu_m.
+
+    Blocks of length m start at sites congruent to -k mod m and carry
+    independent copies of the window-[0, m-1] marginal of mu.
+    """
+    if not 0 <= k < m:
+        raise DomainError("shift class k must satisfy 0 <= k < m")
+    block_law = mu.marginal(0, m - 1)
+    law = _tiling_law(block_law, _block_pieces(block_law, m, lo, hi, k))
     return WindowDistribution(block_law.p, block_law.n, lo, hi, law)
 
 
-def block_average_marginal(mu, m, lo, hi):
-    """Exact window marginal of the shift-averaged block measure mu_m."""
+def _block_tilings(mu, m, lo, hi):
+    """The window-[0, m-1] law of mu and the m phase tilings of [lo, hi].
+
+    Checks that mu_m is defined and that its window is within budget.
+    """
     if m < 1:
         raise DomainError("m must be >= 1")
     if hi < lo:
         raise DomainError(f"empty window [{lo}, {hi}]")
     if not mu.invariant:
         raise DomainError("the block construction requires a shift-invariant measure")
-    sample = mu.marginal(0, m - 1)
-    dim = sample.n * max(m, hi - lo + 1)
+    block_law = mu.marginal(0, m - 1)
+    dim = block_law.n * max(m, hi - lo + 1)
     if dim > WINDOW_DIM_BUDGET:
         raise ResourceBudgetError(
             f"window dimension {dim} exceeds the desk budget {WINDOW_DIM_BUDGET}",
             requested=dim,
         )
+    return block_law, [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
+
+
+def _tilings_average(block_law, tilings, lo, hi):
+    """The mu_m window marginal: the even average of the phase tilings' laws."""
     out = {}
-    p = n = None
-    share = Fraction(1, m)
-    for k in range(m):
-        term = block_shift_term_marginal(mu, m, k, lo, hi)
-        p, n = term.p, term.n
-        for ws, prob in term.atoms.items():
+    share = Fraction(1, len(tilings))
+    for columns in tilings:
+        for ws, prob in _tiling_law(block_law, columns).items():
             out[ws] = out.get(ws, Fraction(0)) + prob * share
-    return WindowDistribution(p, n, lo, hi, out)
+    return WindowDistribution(block_law.p, block_law.n, lo, hi, out)
+
+
+def block_average_marginal(mu, m, lo, hi):
+    """Exact window marginal of the shift-averaged block measure mu_m."""
+    block_law, tilings = _block_tilings(mu, m, lo, hi)
+    return _tilings_average(block_law, tilings, lo, hi)
 
 
 def block_average_measure(mu, m):
@@ -455,14 +484,33 @@ def _check_trials(trials):
         raise DomainError(f"trials must be >= 1, got {trials}")
 
 
-def _draw_block_key(block_law, m, lo, hi, rng):
-    """One draw from the mu_m window marginal, as integers.
+def _block_key_drawer(block_law, m, lo, hi):
+    """A function that draws one outcome of the mu_m window marginal, as integers.
 
-    Draws the phase k below m, then the ``sample_index`` of each block
-    meeting [lo, hi], left to right, and returns (k, index, ...).
+    Given an iterator of stream words, it draws the phase k below m, then
+    the ``sample_index`` of each block meeting [lo, hi], left to right, and
+    returns (k, index, ...).  Each draw takes words until one is below the
+    rejection limit of its bound, as ``SplitMix64.below`` does; the limits
+    and the block starts are computed once, here.
     """
-    k = rng.below(m)
-    return (k, *[block_law.sample_index(rng) for _ in _block_starts(m, lo, hi, k)])
+    den, thresholds, _ = block_law._table()
+    phase_limit, index_limit = below_limit(m), below_limit(den)
+    starts = [_block_starts(m, lo, hi, k) for k in range(m)]
+
+    def draw(words):
+        u = next(words)
+        while u >= phase_limit:
+            u = next(words)
+        k = u % m
+        key = [k]
+        for _ in starts[k]:
+            u = next(words)
+            while u >= index_limit:
+                u = next(words)
+            key.append(bisect_right(thresholds, u % den))
+        return tuple(key)
+
+    return draw
 
 
 def _block_key_subgroup(columns, indices):
@@ -485,14 +533,24 @@ def _counts_by_subgroup(key_counts, subgroup_of):
 
 
 def sample_block_average_window(mu, m, lo, hi, rng):
-    """One draw from the mu_m window marginal: random phase, independent blocks."""
+    """One draw from the mu_m window marginal: random phase, independent blocks.
+
+    Reads ``rng.u64`` word by word and builds only the drawn pieces.
+    """
     if m < 1:
         raise DomainError("m must be >= 1")
     if hi < lo:
         raise DomainError(f"empty window [{lo}, {hi}]")
     block_law = mu.marginal(0, m - 1)
-    key = _draw_block_key(block_law, m, lo, hi, rng)
-    return _block_key_subgroup(_block_pieces(block_law, m, lo, hi, key[0]), key[1:])
+    k, *indices = _block_key_drawer(block_law, m, lo, hi)(iter(rng.u64, None))
+    atoms = block_law.ordered_atoms()
+    return reduce(
+        WindowSubgroup.sum_with,
+        (
+            _block_piece(atoms[i], start, m, lo, hi)
+            for start, i in zip(_block_starts(m, lo, hi, k), indices)
+        ),
+    )
 
 
 def empirical_distribution(p, n, lo, hi, counts, trials):
@@ -506,20 +564,21 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     Every trial reads on from one stream, ``SplitMix64(seed)``: first the
     phase k below m, then, left to right, the ``sample_index`` in the
     window-[0, m-1] marginal of each block meeting [lo, hi].  Trials are
-    counted by these integers.  After the loop, the m phase tilings are
-    built once and each distinct outcome is summed from their pieces.
+    counted by these integers.  The m phase tilings are built once: the
+    exact law is folded from them, and after the loop each distinct
+    outcome is summed from their pieces.
     """
     _check_trials(trials)
-    exact = block_average_marginal(mu, m, lo, hi)
-    block_law = mu.marginal(0, m - 1)
-    rng = SplitMix64(seed)
+    block_law, tilings = _block_tilings(mu, m, lo, hi)
+    exact = _tilings_average(block_law, tilings, lo, hi)
+    draw = _block_key_drawer(block_law, m, lo, hi)
+    words = SplitMix64(seed).words()
     key_counts = {}
     for _ in range(trials):
-        key = _draw_block_key(block_law, m, lo, hi, rng)
+        key = draw(words)
         key_counts[key] = key_counts.get(key, 0) + 1
-    tables = [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
     counts = _counts_by_subgroup(
-        key_counts, lambda key: _block_key_subgroup(tables[key[0]], key[1:])
+        key_counts, lambda key: _block_key_subgroup(tilings[key[0]], key[1:])
     )
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)
@@ -547,6 +606,11 @@ def _check_majority_length(n_ai):
         raise DomainError(
             f"n_ai must be a positive odd integer so the majority set has "
             f"measure 1/2, got {n_ai}"
+        )
+    if n_ai > MAJORITY_LENGTH_BUDGET:
+        raise ResourceBudgetError(
+            f"n_ai {n_ai} exceeds the majority length budget {MAJORITY_LENGTH_BUDGET}",
+            requested=n_ai,
         )
 
 
@@ -584,6 +648,11 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     bit i being the coin of site lo + i.  Trials are counted by
     (index, index, majority mask); each distinct outcome is built into its
     window subgroup once, after the loop.
+
+    The trials run in batches of about ``BATCH_WORDS`` stream words:
+    the batch's keys and the words each trial reads when neither index draw
+    is rejected are computed at once.  A trial whose first or second word is
+    rejected is replayed on its own stream.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
@@ -597,22 +666,35 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
     coin_len = width - 1 + n_ai
+    coin_mask = (1 << coin_len) - 1
     half = n_ai // 2
     word = (1 << n_ai) - 1
-    draw1, draw2 = marg1.sample_index, marg2.sample_index
+    (den1, thresholds1, _), (den2, thresholds2, _) = marg1._table(), marg2._table()
+    limit1, limit2 = below_limit(den1), below_limit(den2)
+    row = 2 + -(-coin_len // 64)  # words per trial: two indices, then the coins
+    batch = max(1, BATCH_WORDS // row)
     prefix = derive_seed(seed, n_ai)
     key_counts = {}
-    for trial in range(trials):
-        stream = SplitMix64(extend_seed(prefix, trial))
-        i1 = draw1(stream)
-        i2 = draw2(stream)
-        coins = stream.bits(coin_len)
-        mask = 0
-        for cell in range(width):
-            if ((coins >> cell) & word).bit_count() > half:
-                mask |= 1 << cell
-        key = (i1, i2, mask)
-        key_counts[key] = key_counts.get(key, 0) + 1
+    for first in range(0, trials, batch):
+        keys = extend_seeds(prefix, range(first, min(first + batch, trials)))
+        words = stream_words(keys, row)
+        for base, stream_key in zip(range(0, len(words), row), keys):
+            u1, u2 = words[base], words[base + 1]
+            if u1 < limit1 and u2 < limit2:
+                i1 = bisect_right(thresholds1, u1 % den1)
+                i2 = bisect_right(thresholds2, u2 % den2)
+                coins = words_to_int(words[base + 2 : base + row]) & coin_mask
+            else:
+                stream = SplitMix64(stream_key)
+                i1 = marg1.sample_index(stream)
+                i2 = marg2.sample_index(stream)
+                coins = stream.bits(coin_len)
+            mask = 0
+            for cell in range(width):
+                if ((coins >> cell) & word).bit_count() > half:
+                    mask |= 1 << cell
+            key = (i1, i2, mask)
+            key_counts[key] = key_counts.get(key, 0) + 1
     atoms1, atoms2 = marg1.ordered_atoms(), marg2.ordered_atoms()
     counts = _counts_by_subgroup(
         key_counts, lambda key: _spliced(atoms1[key[0]], atoms2[key[1]], key[2])
@@ -650,12 +732,17 @@ def majority_invariance_estimate(n_ai, trials, seed):
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
-    rng = SplitMix64(seed)
+    stream = SplitMix64(seed)
+    coin_mask = (1 << (n_ai + 1)) - 1
+    row = -(-(n_ai + 1) // 64)  # words per trial
+    batch = max(1, BATCH_WORDS // row)
     hits = 0
     half = n_ai // 2
     word = (1 << n_ai) - 1
-    for _ in range(trials):
-        coins = rng.bits(n_ai + 1)
-        if ((coins & word).bit_count() > half) != ((coins >> 1).bit_count() > half):
-            hits += 1
+    for first in range(0, trials, batch):
+        words = stream.take(min(batch, trials - first) * row)
+        for base in range(0, len(words), row):
+            coins = words_to_int(words[base : base + row]) & coin_mask
+            if ((coins & word).bit_count() > half) != ((coins >> 1).bit_count() > half):
+                hits += 1
     return Fraction(hits, trials)

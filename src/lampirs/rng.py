@@ -11,13 +11,37 @@ where ``mix`` is the standard xor-shift/multiply finalizer.  Independent
 substreams are derived by folding integer labels through the same mixer,
 so e.g. trial i of a Monte Carlo run with master seed s draws from the
 stream keyed (s, command-label, i).
+
+Word j of the stream seeded s is mix((s + (j + 1) * gamma) mod 2^64), so
+words can be computed many at a time.  The mixer runs on lanes: one Python
+int holds k words, word i in the low half of the 128-bit lane at bit 128*i,
+and ``mix`` becomes a fixed number of big-int shifts, xors, masks and
+multiplies over all k lanes at once.  A lane's 64x64-bit product fits in
+its 128 bits; the bits a right shift pulls in from the lane above land at
+or above bit 64 of the lane, and the lane mask clears them.  Words travel
+in and out of lanes through ``array('Q')`` and ``int.from_bytes`` /
+``int.to_bytes`` in little-endian order; a big-endian host byte-swaps the
+array, so the lanes are the same on every platform.
+
+``SplitMix64`` computes its next words into a buffer whose size doubles on
+each refill, from 1 word up to ``BUFFER_CAP``, so a stream that reads k
+words computes fewer than 2k.  ``extend_seeds`` and ``stream_words`` give
+the keys and the first words of many substreams in one batch.  The stream
+is unchanged: every word, and every draw made from the words, is the one
+that mixing one word at a time gives.
 """
+
+import sys
+from array import array
 
 from .errors import DomainError
 
 MASK64 = (1 << 64) - 1
 _SPAN = MASK64 + 1
 _GAMMA = 0x9E3779B97F4A7C15
+BUFFER_CAP = 1024  # words computed per SplitMix64 refill, at most
+_LANE_MASK = b"\xff" * 8 + b"\x00" * 8  # one lane, little-endian: the low 64 bits
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def mix64(z):
@@ -26,6 +50,56 @@ def mix64(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
+
+
+def _to_lanes(words):
+    """An ``array('Q')`` of words as one int, word i at bit 128*i."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = words
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _from_lanes(z, count):
+    """The low 64 bits of the first count lanes of z, as an ``array('Q')``."""
+    lanes = array("Q", z.to_bytes(16 * count, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes[::2]
+
+
+def _lane_mask(count):
+    return int.from_bytes(_LANE_MASK * count, "little")
+
+
+def _mix_lanes(z, mask):
+    """``mix64`` on every lane of z at once; every lane must be below 2^64."""
+    z = (z ^ (z >> 30)) & mask
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z = (z ^ (z >> 27)) & mask
+    z = (z * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def words_to_int(words):
+    """The int whose 64-bit digit i is ``words[i]`` (an ``array('Q')``)."""
+    if _BIG_ENDIAN:
+        words = array("Q", words)
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def below_limit(n):
+    """Rejection limit for a uniform draw below n, for 1 <= n <= 2^64.
+
+    The largest multiple of n that fits in 64 bits: a word u below it
+    gives the draw u % n, and a word at or above it is rejected.
+    """
+    if not 0 < n <= _SPAN:
+        # above 2^64 no 64-bit draw is below the rejection limit
+        raise DomainError(f"bound must be in [1, 2^64], got {n}")
+    return _SPAN - _SPAN % n
 
 
 def derive_seed(seed, *labels):
@@ -44,25 +118,93 @@ def extend_seed(key, *labels):
     return key
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream."""
+def extend_seeds(key, labels):
+    """``extend_seed(key, label)`` for each label in [0, 2^64), in one batch.
 
-    __slots__ = ("_state",)
+    Returns an ``array('Q')``; the two mixes of the fold each run once over
+    all labels, in lanes.
+    """
+    labels = array("Q", labels)
+    count = len(labels)
+    mask = _lane_mask(count)
+    folded = _mix_lanes(_to_lanes(labels), mask) ^ _to_lanes(
+        array("Q", [(key ^ _GAMMA) & MASK64]) * count
+    )
+    return _from_lanes(_mix_lanes(folded, mask), count)
+
+
+def stream_words(keys, count):
+    """The first count words of ``SplitMix64(key)`` for each key, in one batch.
+
+    keys is an ``array('Q')``.  Returns an ``array('Q')`` that holds the
+    words of the first key, then those of the second, and so on.
+    """
+    total = len(keys) * count
+    starts = array("Q", bytes(8 * total))
+    # spread the keys along the shorter side: one slice per word or per key
+    if count <= len(keys):
+        for j in range(count):
+            starts[j::count] = keys
+    else:
+        for i, key in enumerate(keys):
+            starts[i * count : (i + 1) * count] = array("Q", [key]) * count
+    steps = array("Q", range(1, count + 1)) * len(keys)
+    mask = _lane_mask(total)
+    states = (_to_lanes(starts) + _GAMMA * _to_lanes(steps)) & mask
+    return _from_lanes(_mix_lanes(states, mask), total)
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream, computed ahead into a buffer."""
+
+    __slots__ = ("_state", "_buf", "_pos")
 
     def __init__(self, seed):
+        # the state of the last word in the buffer; _buf[_pos] is read next
         self._state = seed & MASK64
+        self._buf = array("Q")
+        self._pos = 0
+
+    def _refill(self):
+        size = min(2 * len(self._buf) or 1, BUFFER_CAP)
+        self._buf = stream_words(array("Q", [self._state]), size)
+        self._state = (self._state + size * _GAMMA) & MASK64
+        self._pos = 0
 
     def u64(self):
-        self._state = (self._state + _GAMMA) & MASK64
-        return mix64(self._state)
+        if self._pos == len(self._buf):
+            self._refill()
+        self._pos += 1
+        return self._buf[self._pos - 1]
+
+    def take(self, count):
+        """The next count words of the stream, as an ``array('Q')``."""
+        out = self._buf[self._pos : self._pos + count]
+        self._pos += len(out)
+        while len(out) < count:
+            self._refill()
+            more = self._buf[: count - len(out)]
+            self._pos = len(more)
+            out += more
+        return out
+
+    def words(self):
+        """Iterate over the words of the stream from here on.
+
+        The iterator reads the rest of the buffer, and each later buffer,
+        as a whole: once it has started, ``u64``, ``below``, ``bits`` and
+        ``take`` read on after the last buffer it reached.
+        """
+        while True:
+            if self._pos == len(self._buf):
+                self._refill()
+            rest = self._buf[self._pos :]
+            self._pos = len(self._buf)
+            yield from rest
 
     def below(self, n):
         """Uniform integer in [0, n), unbiased via rejection, for 1 <= n <= 2^64."""
-        if not 0 < n <= _SPAN:
-            # above 2^64 no 64-bit draw is below the rejection limit
-            raise DomainError(f"bound must be in [1, 2^64], got {n}")
-        # Largest multiple of n that fits in 64 bits; reject draws above it.
-        limit = _SPAN - _SPAN % n
+        limit = below_limit(n)
         while True:
             u = self.u64()
             if u < limit:
@@ -70,7 +212,4 @@ class SplitMix64:
 
     def bits(self, k):
         """k fair bits packed into an int (bit i of the result = i-th draw)."""
-        out = 0
-        for filled in range(0, k, 64):
-            out |= self.u64() << filled
-        return out & ((1 << k) - 1)
+        return words_to_int(self.take(-(-k // 64))) & ((1 << k) - 1)

@@ -5,6 +5,7 @@ command-line selftest twice and compares bytes.  Each test prints its own
 PASS/FAIL line (visible with ``pytest -s``).
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,13 @@ from lampirs.formats import canonical_json
 from lampirs.selftest import DEFAULT_SEED, run_criteria
 
 pytestmark = pytest.mark.acceptance
+
+# sha256 of the stdout of `lampirs selftest --seed 7` and of `lampirs mix
+# --nai 11,51,201 --trials 20000 --seed 7 --window 0,2`.  Both print seeded
+# Monte Carlo results, so a change to any SplitMix64 word they read, or to
+# the order the words are read in, changes them.
+GOLDEN_SELFTEST_SHA256 = "6c3b637ca32aba5fe7d874a6639924e7f575a5b1c321dd35280a4ebcd0f995d4"
+GOLDEN_MIX_SHA256 = "c232a43058dc61504b9125f129f0d80e43e165cb35e7af345081e792386ccc0f"
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +186,20 @@ def test_criterion_12_selftest_determinism(tmp_path):
     assert identical
     parsed = json.loads(first_out)
     assert canonical_json(parsed) == first_out
+
+
+def test_golden_stdout_hashes(suite):
+    assert DEFAULT_SEED == 7
+    # `lampirs selftest` writes canonical_json(report) to stdout, byte for byte
+    selftest_out = canonical_json(suite["report"]).encode()
+    assert hashlib.sha256(selftest_out).hexdigest() == GOLDEN_SELFTEST_SHA256
+    mix = subprocess.run(
+        [sys.executable, "-m", "lampirs.cli", "mix", "--nai", "11,51,201",
+         "--trials", "20000", "--seed", "7", "--window", "0,2"],
+        capture_output=True, timeout=300,
+    )
+    assert mix.returncode == 0, mix.stderr
+    assert hashlib.sha256(mix.stdout).hexdigest() == GOLDEN_MIX_SHA256
 
 
 def test_summary(suite):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from lampirs import cbrank
 from lampirs.cbrank import (
+    TRUNCATION_BUDGET,
     FinitePoset,
     build_approach_sequence,
     cb_levels,
@@ -12,7 +14,7 @@ from lampirs.cbrank import (
     truncation,
     unbounded_rank_certificate,
 )
-from lampirs.errors import ConsistencyError, DomainError
+from lampirs.errors import ConsistencyError, DomainError, ResourceBudgetError
 from lampirs.lamplighter import SubgroupTriple, delta_site
 from lampirs.submodules import LaurentVector, Submodule, construct_with_invariants
 
@@ -69,6 +71,16 @@ class TestLevels:
         large = cb_levels(truncation(8, 12))
         for point, lvl in small.items():
             assert large[point] == lvl
+
+    def test_truncation_budget(self, monkeypatch):
+        for bounds in [(2, TRUNCATION_BUDGET - 1), (1, TRUNCATION_BUDGET), (10**9, 0), (10**5, 10**8)]:
+            with pytest.raises(ResourceBudgetError):
+                truncation(*bounds)
+        # the budget counts elements: (8, 12) has 39 of them
+        monkeypatch.setattr(cbrank, "TRUNCATION_BUDGET", 39)
+        assert len(truncation(8, 12).elements) == 39
+        with pytest.raises(ResourceBudgetError):
+            truncation(9, 12)
 
     def test_downward_closure(self):
         poset = truncation(8, 12)

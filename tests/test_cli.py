@@ -9,9 +9,9 @@ import pytest
 CMD = [sys.executable, "-m", "lampirs.cli"]
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300
+        CMD + list(args), capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -160,6 +160,22 @@ class TestMalformedArguments:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_mix_nai_over_budget(self):
+        # the exact majority measure at 14301 has a 4,303-digit denominator,
+        # past Python's 4,300-digit int-to-str limit
+        res = run_cli("mix", "--nai", "14301", "--trials", "5", "--seed", "3", "--window", "0,0")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+    def test_cb_truncation_over_budget(self):
+        res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr
+
     def test_irs_directory_as_measure(self, tmp_path):
         res = run_cli("irs", "--mu", str(tmp_path), "--m", "4", "--j", "1")
         assert res.returncode == 2
@@ -226,6 +242,11 @@ class TestIrsCommand:
 
 
 class TestMixCommand:
+    def test_largest_majority_length_prints(self):
+        res = run_cli("mix", "--nai", "14283", "--trials", "5", "--seed", "3", "--window", "0,0")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["runs"][0]["n_ai"] == 14283
+
     def test_small_run(self):
         res = run_cli(
             "mix", "--nai", "11", "--trials", "2000", "--seed", "7",

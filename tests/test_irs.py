@@ -7,6 +7,7 @@ import pytest
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
 from lampirs.irs import (
+    MAJORITY_LENGTH_BUDGET,
     SubgroupMeasure,
     WindowDistribution,
     WindowSubgroup,
@@ -275,6 +276,17 @@ class TestSplice:
     def test_invariance_estimate_rejects_bad_input(self, n_ai, trials, message):
         with pytest.raises(DomainError, match=message):
             majority_invariance_estimate(n_ai, trials, seed=1)
+
+    def test_majority_length_budget(self):
+        mu = even_mixture()
+        n_ai = MAJORITY_LENGTH_BUDGET + 2
+        assert str(majority_symmetric_difference(MAJORITY_LENGTH_BUDGET))
+        with pytest.raises(ResourceBudgetError):
+            majority_symmetric_difference(n_ai)
+        with pytest.raises(ResourceBudgetError):
+            majority_invariance_estimate(n_ai, 10, seed=1)
+        with pytest.raises(ResourceBudgetError):
+            splice_measures(mu, mu, n_ai, 0, 0, 10, seed=1)
 
     def test_splice_rejects_no_trials(self):
         mu = even_mixture()

@@ -1,0 +1,192 @@
+"""Cross-checks of the lane-batched SplitMix64 paths against one word at a time.
+
+``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
+``SplitMix64`` computes its words ahead into a doubling buffer.
+``splice_measures`` derives a batch of trial keys and their words at once,
+and replays a trial on its own stream when an index draw is rejected.  The
+references are the test-local ``RefStream`` and per-trial loops of
+``test_montecarlo_crosscheck``, which mix one word at a time.  The trial
+counts cross batch and buffer edges, and a measure with probability
+denominator 2^63 + 1 rejects about half of all index draws.
+"""
+
+from array import array
+from fractions import Fraction
+
+import pytest
+
+from lampirs.irs import (
+    BATCH_WORDS,
+    SubgroupMeasure,
+    majority_invariance_estimate,
+    sample_block_average_window,
+    sampler_law_report,
+    splice_measures,
+)
+from lampirs.rng import (
+    BUFFER_CAP,
+    SplitMix64,
+    _from_lanes,
+    _lane_mask,
+    _mix_lanes,
+    _to_lanes,
+    derive_seed,
+    extend_seeds,
+    stream_words,
+)
+from lampirs.submodules import Submodule
+from test_montecarlo_crosscheck import (
+    GAMMA,
+    MASK,
+    MEASURES,
+    RefStream,
+    assert_same_distribution,
+    ref_block_draw,
+    ref_majority,
+    ref_mix,
+    ref_sampler_report,
+    ref_splice,
+)
+
+EDGE_WORDS = [0, 1, 2**63, MASK, GAMMA]
+
+
+def lane_mix(words):
+    words = array("Q", words)
+    return list(_from_lanes(_mix_lanes(_to_lanes(words), _lane_mask(len(words))), len(words)))
+
+
+class TestLaneMix:
+    def test_edge_words_side_by_side(self):
+        # each word's right shifts pull in the bits of the lane above it
+        for words in (EDGE_WORDS, EDGE_WORDS[::-1], [MASK] * 3 + [0] + [MASK]):
+            assert lane_mix(words) == [ref_mix(w) for w in words]
+
+    @pytest.mark.parametrize("word", EDGE_WORDS)
+    def test_edge_word_alone(self, word):
+        assert lane_mix([word]) == [ref_mix(word)]
+
+    def test_seed_folds_match_scalar_fold(self):
+        for seed in (0, 7, MASK, 2**64 + 9, -7):
+            prefix = derive_seed(seed, 201)
+            keys = extend_seeds(prefix, range(3000))
+            ref = RefStream(seed)
+            assert list(keys) == [ref.fork(201, t).state for t in range(3000)]
+
+    @pytest.mark.parametrize("count, nkeys", [(1, 1), (3, 7), (7, 3), (70, 2), (1, 300)])
+    def test_stream_words_are_each_streams_start(self, count, nkeys):
+        keys = array("Q", [(GAMMA * (i + 3) ** 5) & MASK for i in range(nkeys - 1)] + [MASK])
+        words = stream_words(keys, count)
+        expected = []
+        for key in keys:
+            ref = RefStream(key)
+            expected.extend(ref.u64() for _ in range(count))
+        assert list(words) == expected
+
+
+class TestBufferedStream:
+    def test_mixed_reads_across_refills(self):
+        rng, ref = SplitMix64(2024), RefStream(2024)
+        read = 0
+        step = 0
+        while read < 3 * BUFFER_CAP + 100:
+            step += 1
+            kind = step % 4
+            if kind == 0:
+                assert rng.u64() == ref.u64()
+                read += 1
+            elif kind == 1:
+                n = (step * 7919) % 1000 + 1
+                assert rng.below(n) == ref.below(n)
+                read += 1
+            elif kind == 2:
+                k = (step * 37) % 300
+                assert rng.bits(k) == ref.bits(k)
+                read += -(-k // 64)
+            else:
+                count = step % 90
+                assert list(rng.take(count)) == [ref.u64() for _ in range(count)]
+                read += count
+        assert rng.u64() == ref.u64()
+
+    def test_word_iterator_reads_the_stream(self):
+        rng, ref = SplitMix64(5), RefStream(5)
+        assert rng.u64() == ref.u64()
+        words = rng.words()
+        assert [next(words) for _ in range(3 * BUFFER_CAP)] == [
+            ref.u64() for _ in range(3 * BUFFER_CAP)
+        ]
+
+    def test_rejection_heavy_bound(self):
+        rng, ref = SplitMix64(11), RefStream(11)
+        for _ in range(500):
+            assert rng.below(2**63 + 1) == ref.below(2**63 + 1)
+        assert rng.u64() == ref.u64()
+
+
+def rare_full_mixture():
+    """Full lamps with probability 1/(2^63 + 1): every draw below 2^63 + 1."""
+    den = 2**63 + 1
+    return SubgroupMeasure.mixture(
+        [(Fraction(1, den), Submodule.full(1, 2)), (Fraction(den - 1, den), Submodule.zero(1, 2))]
+    )
+
+
+def splice_agrees(mu1, mu2, n_ai, lo, hi, trials, seed):
+    got = splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed)
+    ref = ref_splice(mu1, mu2, n_ai, lo, hi, trials, seed)
+    assert_same_distribution(got[0], ref[0])
+    assert_same_distribution(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+def sampler_agrees(mu, m, lo, hi, trials, seed):
+    got = sampler_law_report(mu, m, lo, hi, trials, seed)
+    ref = ref_sampler_report(mu, m, lo, hi, trials, seed)
+    assert_same_distribution(got.pop("empirical"), ref.pop("empirical"))
+    assert_same_distribution(got.pop("exact"), ref.pop("exact"))
+    assert got == ref
+
+
+class TestBatchEdges:
+    def test_splice_across_batches(self):
+        # six words a trial: 682 trials a batch, so 2,500 trials make 4 batches
+        assert BATCH_WORDS // 6 < 2500
+        splice_agrees(MEASURES["mix3"], MEASURES["period2"], 201, 0, 2, 2500, 99)
+
+    def test_splice_long_majority_word(self):
+        # 67 words a trial leave 61 trials a batch
+        splice_agrees(MEASURES["line"], MEASURES["mix3"], 4097, 0, 0, 150, 4097)
+
+    def test_sampler_across_refills(self):
+        sampler_agrees(MEASURES["mix3"], 4, -1, 2, 2500, 8)
+
+    @pytest.mark.parametrize("n_ai", [11, 201, 4097])
+    def test_majority_across_batches(self, n_ai):
+        trials = 2500 if n_ai < 4097 else 150
+        assert majority_invariance_estimate(n_ai, trials, n_ai) == ref_majority(n_ai, trials, n_ai)
+
+
+class TestRejectionHeavy:
+    def test_splice_replays_rejected_trials(self):
+        mu = rare_full_mixture()
+        seed = 31
+        limit = 2**64 - 2**64 % (2**63 + 1)
+        ref = RefStream(seed)
+        first_words = [ref.fork(11, t).u64() for t in range(400)]
+        # the replay path runs: about half of the trials reject a first draw
+        assert 100 < sum(u >= limit for u in first_words) < 300
+        splice_agrees(mu, MEASURES["mix3"], 11, 0, 1, 400, seed)
+        splice_agrees(MEASURES["line"], mu, 11, -1, 1, 400, seed + 1)
+
+    def test_sampler_rejection_loop(self):
+        sampler_agrees(rare_full_mixture(), 2, 0, 2, 600, 17)
+
+    def test_single_draws_rejection_loop(self):
+        mu = rare_full_mixture()
+        rng, ref_rng = SplitMix64(3), RefStream(3)
+        for _ in range(60):
+            assert sample_block_average_window(mu, 3, 0, 3, rng) == ref_block_draw(
+                mu, 3, 0, 3, ref_rng
+            )
+        assert rng.u64() == ref_rng.u64()
