@@ -24,7 +24,6 @@ from .algebra import (
     poly_gcd,
 )
 from .cbrank import (
-    FinitePoset,
     build_approach_sequence,
     cb_levels,
     classify_limit,
@@ -52,7 +51,6 @@ from .irs import (
     convergence_report,
     majority_invariance_estimate,
     majority_symmetric_difference,
-    sample_block_average_window,
     sampler_law_report,
     splice_measures,
     tv_distance,

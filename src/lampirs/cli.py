@@ -76,19 +76,22 @@ def _int_list(metavar):
     return parse
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
-        lines = [",".join(csv_header)] + [",".join(str(c) for c in r) for r in csv_rows]
-        out = "\n".join(lines) + "\n"
-    elif getattr(args, "format", "json") == "text":
-        out = "\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n"
-    else:
-        out = canonical_json(payload)
-    if getattr(args, "output", None):
+def _write(args, text):
+    """Write a command's output to the ``-o`` file, or else to stdout."""
+    if args.output:
         with open(args.output, "w") as fh:
-            fh.write(out)
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
+
+
+def _emit(args, payload, csv_rows=None, csv_header=None):
+    """Write the payload as canonical JSON, or its table under ``--format csv``."""
+    if csv_rows is not None and args.format == "csv":
+        lines = [",".join(csv_header)] + [",".join(str(c) for c in r) for r in csv_rows]
+        _write(args, "\n".join(lines) + "\n")
+    else:
+        _write(args, canonical_json(payload))
 
 
 def _read_text(path):
@@ -129,18 +132,12 @@ def cmd_invariants(args):
 
 def cmd_construct(args):
     U = construct_with_invariants(args.n, args.p, args.b, args.r)
-    text = format_submodule(U)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, format_submodule(U))
     return EXIT_OK
 
 
 def cmd_cb(args):
-    poset = truncation(args.tmax, args.prodmax)
-    levels = cb_levels(poset)
+    levels = cb_levels(truncation(args.tmax, args.prodmax))
     rows = [
         (t, r, levels[(t, r)], level_closed_form((t, r)))
         for (t, r) in sorted(levels)
@@ -331,12 +328,7 @@ def cmd_selftest(args):
         sys.stderr.write(
             "".join(f"{name}: {secs:.2f}s\n" for name, secs in timings.items())
         )
-    out = canonical_json(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args, canonical_json(report))
     for entry in report["criteria"]:
         sys.stderr.write(
             f"criterion {entry['criterion']:2d} {entry['name']}: "
@@ -352,8 +344,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def add_output(sp, csv=False):
+        # only commands with a table offer CSV
+        if csv:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("count", help="closed-form submodule count, optionally checked")
@@ -361,12 +355,12 @@ def build_parser():
     sp.add_argument("k", type=int)
     sp.add_argument("a", type=int)
     sp.add_argument("--enumerate", action="store_true")
-    add_common(sp)
+    add_output(sp)
     sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("invariants", help="invariants of a subgroup triple file")
     sp.add_argument("--triple", required=True)
-    add_common(sp)
+    add_output(sp)
     sp.set_defaults(fn=cmd_invariants)
 
     sp = sub.add_parser("construct", help="subgroup with prescribed period and rank")
@@ -374,13 +368,13 @@ def build_parser():
     sp.add_argument("b", type=int)
     sp.add_argument("r", type=int)
     sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("-o", "--output", default=None)
+    add_output(sp)
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("cb", help="derivative levels of the encoding order")
     sp.add_argument("--tmax", type=int, required=True)
     sp.add_argument("--prodmax", type=int, required=True)
-    add_common(sp)
+    add_output(sp, csv=True)
     sp.set_defaults(fn=cmd_cb)
 
     sp = sub.add_parser("approach", help="convergent sequence toward a triple")
@@ -389,14 +383,14 @@ def build_parser():
     sp.add_argument("--count", type=int, default=25)
     sp.add_argument("--ball", default="4,4,25", metavar="R,S,H", type=_int_list("R,S,H"))
     sp.add_argument("--outdir", default=None)
-    add_common(sp)
+    add_output(sp)
     sp.set_defaults(fn=cmd_approach)
 
     sp = sub.add_parser("irs", help="block-average approximant distance report")
     sp.add_argument("--mu", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
-    add_common(sp)
+    add_output(sp, csv=True)
     sp.set_defaults(fn=cmd_irs)
 
     sp = sub.add_parser("mix", help="splice two measures along majority sets")
@@ -408,13 +402,13 @@ def build_parser():
     sp.add_argument("--mu2", default=None)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--p", type=int, default=2)
-    add_common(sp)
+    add_output(sp, csv=True)
     sp.set_defaults(fn=cmd_mix)
 
     sp = sub.add_parser("selftest", help="run the full acceptance suite")
     sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
     sp.add_argument("--timings", action="store_true")
-    sp.add_argument("-o", "--output", default=None)
+    add_output(sp)
     sp.set_defaults(fn=cmd_selftest)
 
     return parser

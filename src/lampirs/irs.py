@@ -350,30 +350,29 @@ def _block_starts(m, lo, hi, k):
     return range(lo - ((lo + k) % m), hi + 1, m)
 
 
-def _block_piece(ws, start, m, lo, hi):
-    """What the block-law atom ws, on the block of length m at start, puts on [lo, hi].
-
-    That is its intersection with the block's part of [lo, hi], moved onto
-    those sites and embedded in [lo, hi].
-    """
-    run_lo = max(lo, start)
-    run_hi = min(hi, start + m - 1)
-    return ws.project(run_lo - start, run_hi - start).transported(run_lo).embedded(lo, hi)
-
-
 def _block_pieces(block_law, m, lo, hi, k):
     """The phase-k block tiling of [lo, hi], one column per block.
 
     Blocks of length m start at sites congruent to -k mod m.  For each block
-    meeting [lo, hi], left to right, the column holds the ``_block_piece``
-    of every atom of ``block_law`` (a window-[0, m-1] law), in
-    ``ordered_atoms()`` order.
+    meeting [lo, hi], left to right, the column holds what every atom of
+    ``block_law`` (a window-[0, m-1] law), in ``ordered_atoms()`` order,
+    puts on the window: its intersection with the block's part of [lo, hi],
+    moved onto those sites and embedded in [lo, hi].
     """
     atoms = block_law.ordered_atoms()
-    return [
-        tuple(_block_piece(ws, start, m, lo, hi) for ws in atoms)
-        for start in _block_starts(m, lo, hi, k)
-    ]
+    columns = []
+    for start in _block_starts(m, lo, hi, k):
+        run_lo = max(lo, start)
+        run_hi = min(hi, start + m - 1)
+        columns.append(
+            tuple(
+                ws.project(run_lo - start, run_hi - start)
+                .transported(run_lo)
+                .embedded(lo, hi)
+                for ws in atoms
+            )
+        )
+    return columns
 
 
 def _tiling_law(block_law, columns):
@@ -530,27 +529,6 @@ def _counts_by_subgroup(key_counts, subgroup_of):
         ws = subgroup_of(key)
         counts[ws] = counts.get(ws, 0) + count
     return counts
-
-
-def sample_block_average_window(mu, m, lo, hi, rng):
-    """One draw from the mu_m window marginal: random phase, independent blocks.
-
-    Reads ``rng.u64`` word by word and builds only the drawn pieces.
-    """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if hi < lo:
-        raise DomainError(f"empty window [{lo}, {hi}]")
-    block_law = mu.marginal(0, m - 1)
-    k, *indices = _block_key_drawer(block_law, m, lo, hi)(iter(rng.u64, None))
-    atoms = block_law.ordered_atoms()
-    return reduce(
-        WindowSubgroup.sum_with,
-        (
-            _block_piece(atoms[i], start, m, lo, hi)
-            for start, i in zip(_block_starts(m, lo, hi, k), indices)
-        ),
-    )
 
 
 def empirical_distribution(p, n, lo, hi, counts, trials):

@@ -665,6 +665,10 @@ def construct_with_invariants(n, p, b, r):
     pieces, using rank additivity.
     """
     check_prime(p)
+    if n < 1:
+        raise DomainError(f"lamp rank n must be >= 1, got {n}")
+    if b < 1:
+        raise DomainError(f"minimal period b must be >= 1, got {b}")
     if not 0 < r <= n * b:
         raise DomainError(f"rescaled rank {r} outside (0, {n * b}]")
     if b == 1:

@@ -24,6 +24,11 @@ pytestmark = pytest.mark.acceptance
 # the order the words are read in, changes them.
 GOLDEN_SELFTEST_SHA256 = "6c3b637ca32aba5fe7d874a6639924e7f575a5b1c321dd35280a4ebcd0f995d4"
 GOLDEN_MIX_SHA256 = "c232a43058dc61504b9125f129f0d80e43e165cb35e7af345081e792386ccc0f"
+# stdout of `lampirs cb --tmax 12 --prodmax 20`, as JSON and with --format csv
+GOLDEN_CB_SHA256 = {
+    "json": "33ae6002f55c31fb8cee54c76cfdd1bd091dee57aa0ef4d6f16a342528ecd29b",
+    "csv": "42e180a393a48ce44535149459c9637706ea6072f47c27019ec9bdd4ca6d6dae",
+}
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +205,14 @@ def test_golden_stdout_hashes(suite):
     )
     assert mix.returncode == 0, mix.stderr
     assert hashlib.sha256(mix.stdout).hexdigest() == GOLDEN_MIX_SHA256
+    for fmt, golden in GOLDEN_CB_SHA256.items():
+        cb = subprocess.run(
+            [sys.executable, "-m", "lampirs.cli", "cb", "--tmax", "12",
+             "--prodmax", "20", "--format", fmt],
+            capture_output=True, timeout=60,
+        )
+        assert cb.returncode == 0, cb.stderr
+        assert hashlib.sha256(cb.stdout).hexdigest() == golden, fmt
 
 
 def test_summary(suite):

@@ -5,7 +5,6 @@ import pytest
 from lampirs import cbrank
 from lampirs.cbrank import (
     TRUNCATION_BUDGET,
-    FinitePoset,
     build_approach_sequence,
     cb_levels,
     classify_limit,
@@ -30,27 +29,37 @@ class TestOrder:
         assert not poset_less((2, 1), (3, 1))
         assert not poset_less((2, 1), (2, 1))
 
-    def test_validation_catches_bad_relations(self):
-        with pytest.raises(DomainError):
-            FinitePoset([1, 2], lambda a, b: True)  # reflexive
-        with pytest.raises(DomainError):
-            FinitePoset([1, 2, 3], lambda a, b: (a, b) in {(1, 2), (2, 3)})
+    def test_strict_order_on_truncation(self):
+        # irreflexive and transitive on every pair and triple of truncation(12, 20)
+        elements = truncation(12, 20)
+        assert len(elements) == 70
+        assert not any(poset_less(a, a) for a in elements)
+        below = {b: [a for a in elements if poset_less(a, b)] for b in elements}
+        for c in elements:
+            for b in below[c]:
+                for a in below[b]:
+                    assert poset_less(a, c), (a, b, c)
 
 
 class TestLevels:
     def test_chain(self):
-        poset = FinitePoset("abc", lambda x, y: x < y)
-        assert cb_levels(poset) == {"a": 0, "b": 1, "c": 2}
+        # (1, r) for r = 0..4 is a chain; levels count the pairs below
+        assert cb_levels(truncation(1, 4)) == {(1, r): r for r in range(5)}
 
     def test_antichain(self):
-        poset = FinitePoset([1, 2, 3], lambda x, y: False)
-        assert set(cb_levels(poset).values()) == {0}
+        # pairs with r = 0 are pairwise incomparable
+        assert set(cb_levels([(t, 0) for t in range(1, 6)]).values()) == {0}
+
+    def test_elements_in_order(self):
+        assert truncation(3, 3) == (
+            (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1),
+        )
 
     def test_recursion_identity(self):
-        poset = truncation(6, 6)
-        levels = cb_levels(poset)
-        for x in poset.elements:
-            below = [levels[y] for y in poset.elements if poset_less(y, x)]
+        elements = truncation(6, 6)
+        levels = cb_levels(elements)
+        for x in elements:
+            below = [levels[y] for y in elements if poset_less(y, x)]
             assert levels[x] == (1 + max(below) if below else 0)
 
     def test_closed_form_on_truncations(self):
@@ -59,6 +68,14 @@ class TestLevels:
             levels = cb_levels(poset)
             for point, lvl in levels.items():
                 assert lvl == level_closed_form(point)
+
+    def test_closed_form_at_the_budget_edge(self):
+        elements = truncation(100, 180)
+        assert len(elements) == 991
+        levels = cb_levels(elements)
+        assert len(levels) == 991
+        for point, lvl in levels.items():
+            assert lvl == level_closed_form(point), point
 
     def test_closed_form_point_values(self):
         assert level_closed_form((5, 0)) == 0
@@ -78,13 +95,12 @@ class TestLevels:
                 truncation(*bounds)
         # the budget counts elements: (8, 12) has 39 of them
         monkeypatch.setattr(cbrank, "TRUNCATION_BUDGET", 39)
-        assert len(truncation(8, 12).elements) == 39
+        assert len(truncation(8, 12)) == 39
         with pytest.raises(ResourceBudgetError):
             truncation(9, 12)
 
     def test_downward_closure(self):
-        poset = truncation(8, 12)
-        elems = set(poset.elements)
+        elems = set(truncation(8, 12))
         for x in elems:
             for y in elems:
                 if poset_less(y, x):

@@ -85,6 +85,13 @@ class TestCb:
             t, r, level = (int(tok) for tok in line.split(","))
             assert level == (0 if r == 0 else t * r)
 
+    def test_truncation_at_the_budget_edge(self):
+        # the 999-element chain t = 1, r <= 998 is the largest the budget takes
+        res = run_cli("cb", "--tmax", "1", "--prodmax", "998", "--format", "csv", timeout=20)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 1000 and lines[-1] == "1,998,998"
+
 
 class TestApproachCommand:
     def test_sequence_and_certificate(self, tmp_path):
@@ -175,6 +182,32 @@ class TestMalformedArguments:
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("count", "2", "1", "1", "--format", "csv"),
+            ("cb", "--tmax", "4", "--prodmax", "4", "--format", "text"),
+        ],
+    )
+    def test_format_without_table_exit_2_one_line(self, args):
+        # only cb, irs and mix have a CSV table, and no command prints text
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "--format" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("0", "1", "1"), "lamp rank n"), (("1", "0", "1"), "minimal period b")],
+    )
+    def test_construct_names_the_bad_argument(self, args, message):
+        res = run_cli("construct", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert message in res.stderr
 
     def test_irs_directory_as_measure(self, tmp_path):
         res = run_cli("irs", "--mu", str(tmp_path), "--m", "4", "--j", "1")

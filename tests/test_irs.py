@@ -16,7 +16,6 @@ from lampirs.irs import (
     convergence_report,
     majority_invariance_estimate,
     majority_symmetric_difference,
-    sample_block_average_window,
     sampler_law_report,
     splice_measures,
     tv_distance,
@@ -186,14 +185,6 @@ class TestDistanceReports:
 
 
 class TestSampler:
-    def test_reproducible(self):
-        mu = even_mixture()
-        rng1 = SplitMix64(42)
-        rng2 = SplitMix64(42)
-        a = [sample_block_average_window(mu, 3, 0, 1, rng1) for _ in range(50)]
-        b = [sample_block_average_window(mu, 3, 0, 1, rng2) for _ in range(50)]
-        assert a == b
-
     def test_measure_object_exposes_block_average_marginals(self):
         mu = even_mixture()
         nu = block_average_measure(mu, 3)
@@ -202,9 +193,8 @@ class TestSampler:
 
     def test_point_mass_constant(self):
         mu = SubgroupMeasure.point(Submodule.zero(1, P2))
-        rng = SplitMix64(1)
-        draws = {sample_block_average_window(mu, 2, 0, 1, rng) for _ in range(20)}
-        assert len(draws) == 1
+        rep = sampler_law_report(mu, 2, 0, 1, 20, seed=1)
+        assert len(rep["empirical"].atoms) == 1
 
     def test_law_matches_exact_marginal(self):
         rep = sampler_law_report(even_mixture(), 4, 0, 1, 20000, seed=11)
@@ -218,11 +208,6 @@ class TestSampler:
     def test_report_rejects_bad_input(self, m, trials, message):
         with pytest.raises(DomainError, match=message):
             sampler_law_report(even_mixture(), m, 0, 1, trials, seed=1)
-
-    @pytest.mark.parametrize("m, lo, hi, message", [(0, 0, 1, "m must"), (2, 1, 0, "empty")])
-    def test_single_draw_rejects_bad_input(self, m, lo, hi, message):
-        with pytest.raises(DomainError, match=message):
-            sample_block_average_window(even_mixture(), m, lo, hi, SplitMix64(1))
 
 
 class TestSplice:

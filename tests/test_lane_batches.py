@@ -19,7 +19,6 @@ from lampirs.irs import (
     BATCH_WORDS,
     SubgroupMeasure,
     majority_invariance_estimate,
-    sample_block_average_window,
     sampler_law_report,
     splice_measures,
 )
@@ -41,7 +40,6 @@ from test_montecarlo_crosscheck import (
     MEASURES,
     RefStream,
     assert_same_distribution,
-    ref_block_draw,
     ref_majority,
     ref_mix,
     ref_sampler_report,
@@ -181,12 +179,3 @@ class TestRejectionHeavy:
 
     def test_sampler_rejection_loop(self):
         sampler_agrees(rare_full_mixture(), 2, 0, 2, 600, 17)
-
-    def test_single_draws_rejection_loop(self):
-        mu = rare_full_mixture()
-        rng, ref_rng = SplitMix64(3), RefStream(3)
-        for _ in range(60):
-            assert sample_block_average_window(mu, 3, 0, 3, rng) == ref_block_draw(
-                mu, 3, 0, 3, ref_rng
-            )
-        assert rng.u64() == ref_rng.u64()

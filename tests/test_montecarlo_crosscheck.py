@@ -22,7 +22,6 @@ from lampirs.irs import (
     block_average_marginal,
     majority_invariance_estimate,
     majority_symmetric_difference,
-    sample_block_average_window,
     sampler_law_report,
     splice_measures,
     tv_distance,
@@ -315,16 +314,6 @@ class TestSamplerOracle:
         assert_same_distribution(got.pop("empirical"), ref.pop("empirical"))
         assert_same_distribution(got.pop("exact"), ref.pop("exact"))
         assert got == ref
-
-    @pytest.mark.parametrize("name, m, lo, hi", SAMPLER_CASES)
-    def test_single_draws_follow_one_stream(self, name, m, lo, hi):
-        mu = MEASURES[name]
-        rng, ref_rng = SplitMix64(m * 7 + lo), RefStream(m * 7 + lo)
-        for _ in range(40):
-            assert sample_block_average_window(mu, m, lo, hi, rng) == ref_block_draw(
-                mu, m, lo, hi, ref_rng
-            )
-        assert rng.u64() == ref_rng.u64()
 
 
 class TestMajorityOracle:

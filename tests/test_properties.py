@@ -1,4 +1,5 @@
-"""Property tests: text formats round-trip, canonical keys ignore presentation.
+"""Property tests: text formats round-trip, canonical keys ignore presentation,
+and the encoding order is strict.
 
 Hypothesis runs derandomized and without an example database, so each run
 draws the same examples and writes no files.
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lampirs.algebra import LaurentPoly
+from lampirs.cbrank import poset_less
 from lampirs.formats import (
     format_laurent,
     format_triple,
@@ -140,3 +142,26 @@ class TestCanonicalKeyIgnoresPresentation:
             Submodule(n, p, period, [*gens, redundant]).canonical_key()
             == Submodule(n, p, period, gens).canonical_key()
         )
+
+
+ENCODING_PAIRS = st.tuples(st.integers(1, 64), st.integers(0, 64))
+
+
+@st.composite
+def divisor_chains(draw):
+    """Three encoding pairs whose t's divide each other in turn, t <= 64."""
+    t1 = draw(st.integers(1, 64))
+    t2 = t1 * draw(st.integers(1, 64 // t1))
+    t3 = t2 * draw(st.integers(1, 64 // t2))
+    return tuple((t, draw(st.integers(0, 64))) for t in (t1, t2, t3))
+
+
+class TestEncodingOrder:
+    # Uniform triples are rarely chains, so divisor chains are drawn as well.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.tuples(ENCODING_PAIRS, ENCODING_PAIRS, ENCODING_PAIRS), divisor_chains()))
+    def test_strict_order(self, triple):
+        a, b, c = triple
+        assert not poset_less(a, a)
+        if poset_less(a, b) and poset_less(b, c):
+            assert poset_less(a, c)

@@ -273,6 +273,12 @@ class TestConstructions:
             construct_with_invariants(1, 2, 2, 3)
         with pytest.raises(DomainError):
             construct_with_invariants(1, 2, 2, 0)
+        with pytest.raises(DomainError, match="lamp rank n"):
+            construct_with_invariants(0, 2, 1, 1)
+        with pytest.raises(DomainError, match="minimal period b"):
+            construct_with_invariants(1, 2, 0, 1)
+        with pytest.raises(DomainError, match="lamp rank n"):
+            construct_with_invariants(-1, 2, -1, 1)
 
 
 class TestVanish:
