@@ -50,6 +50,19 @@ class TestLevels:
         # pairs with r = 0 are pairwise incomparable
         assert set(cb_levels([(t, 0) for t in range(1, 6)]).values()) == {0}
 
+    def test_empty(self):
+        assert cb_levels(()) == {}
+
+    def test_levels_ignore_element_order(self):
+        elements = truncation(6, 6)
+        assert cb_levels(elements[::-1]) == cb_levels(elements)
+
+    def test_guard_catches_a_cycle(self, monkeypatch):
+        # a relation with no minimal element must be refused, not loop forever
+        monkeypatch.setattr(cbrank, "poset_less", lambda a, b: a != b)
+        with pytest.raises(ConsistencyError):
+            cb_levels([(1, 0), (2, 0)])
+
     def test_elements_in_order(self):
         assert truncation(3, 3) == (
             (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1),

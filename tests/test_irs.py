@@ -185,6 +185,11 @@ class TestDistanceReports:
 
 
 class TestSampler:
+    def test_reproducible(self):
+        a = sampler_law_report(even_mixture(), 3, 0, 1, 50, seed=42)
+        b = sampler_law_report(even_mixture(), 3, 0, 1, 50, seed=42)
+        assert a == b
+
     def test_measure_object_exposes_block_average_marginals(self):
         mu = even_mixture()
         nu = block_average_measure(mu, 3)
@@ -208,6 +213,10 @@ class TestSampler:
     def test_report_rejects_bad_input(self, m, trials, message):
         with pytest.raises(DomainError, match=message):
             sampler_law_report(even_mixture(), m, 0, 1, trials, seed=1)
+
+    def test_report_rejects_empty_window(self):
+        with pytest.raises(DomainError, match="empty window"):
+            sampler_law_report(even_mixture(), 2, 1, 0, 100, seed=1)
 
 
 class TestSplice:
