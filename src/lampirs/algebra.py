@@ -236,19 +236,19 @@ def geometric_series(t, step, p):
     return Poly(p, coeffs)
 
 
+def base_p_digits(value, p, length):
+    """The ``length`` lowest base-p digits of a nonnegative value, lowest first."""
+    digits = []
+    for _ in range(length):
+        value, digit = divmod(value, p)
+        digits.append(digit)
+    return digits
+
+
 def monic_polys(p, degree):
     """All monic polynomials of exact degree, ascending in base-p encoding."""
-    if degree == 0:
-        yield Poly.one(p)
-        return
     for idx in range(p**degree):
-        coeffs = []
-        v = idx
-        for _ in range(degree):
-            v, c = divmod(v, p)
-            coeffs.append(c)
-        coeffs.append(1)
-        yield Poly(p, coeffs, normalize=False)
+        yield Poly(p, base_p_digits(idx, p, degree) + [1], normalize=False)
 
 
 def is_irreducible(f):

@@ -8,8 +8,8 @@ minimal.  Applied to the order on pairs (t, r) given by
 
 finite downward-closed truncations certify that the levels are unbounded
 along the chain (2, 1), (4, 1), (8, 1), ...; each element's level matches
-the closed form t*r (0 when r = 0), which is verified against the direct
-iteration rather than assumed.
+the closed form t*r (0 when r = 0), which is verified against levels
+computed from the order rather than assumed.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 from .errors import ConsistencyError, DomainError, ResourceBudgetError
 from .submodules import approach_sequence
 
-# Largest truncation, in elements: cb_levels takes about 2 s on the
-# 999-element chain truncation(1, 998) on a 2-core host.
+# Largest truncation, in elements: cb_levels compares each pair with the
+# pairs visited before it, about 0.1 s on the 999-element chain
+# truncation(1, 998) on a 2-core host.
 TRUNCATION_BUDGET = 1000
 
 
@@ -60,20 +61,17 @@ def truncation(t_max, product_max):
 
 
 def cb_levels(elements):
-    """Level of each pair under iterated removal of minimal elements of ``poset_less``."""
-    remaining = set(elements)
+    """Level of each pair under iterated removal of minimal elements of ``poset_less``.
+
+    In a finite strict order the step that removes x is 1 + the largest
+    level of a pair below x, or 0 if there is none.  Every pair below x has
+    a smaller product t*r, so in one sweep in order of t*r each level is
+    read from levels already known.
+    """
     levels = {}
-    level = 0
-    while remaining:
-        minimal = [
-            x for x in remaining if not any(poset_less(y, x) for y in remaining)
-        ]
-        if not minimal:
-            raise ConsistencyError("no minimal element in a finite strict order")
-        for x in minimal:
-            levels[x] = level
-        remaining.difference_update(minimal)
-        level += 1
+    for x in sorted(elements, key=lambda pair: pair[0] * pair[1]):
+        below = [level for y, level in levels.items() if poset_less(y, x)]
+        levels[x] = 1 + max(below) if below else 0
     return levels
 
 

@@ -33,11 +33,12 @@ from .rng import (
     stream_words,
     words_to_int,
 )
+from .submodules import PRINTABLE_BITS
 
 WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
 # Largest majority length n_ai: the denominator 2^n_ai of the exact majority
 # measure must print in Python's default 4,300-digit int-to-str limit.
-MAJORITY_LENGTH_BUDGET = 14283
+MAJORITY_LENGTH_BUDGET = PRINTABLE_BITS
 BATCH_WORDS = 4096  # stream words read per batch of Monte Carlo trials
 
 
@@ -308,12 +309,7 @@ class SubgroupMeasure:
 
     @classmethod
     def point(cls, U):
-        invariant = U.has_period(1)
-
-        def marginal(lo, hi):
-            return WindowDistribution.point(window_of_submodule(U, lo, hi))
-
-        return cls(marginal, invariant, atoms=((Fraction(1), U),))
+        return cls.mixture([(1, U)])
 
     @classmethod
     def mixture(cls, weighted_atoms):
@@ -403,13 +399,13 @@ def block_shift_term_marginal(mu, m, k, lo, hi):
     """
     if not 0 <= k < m:
         raise DomainError("shift class k must satisfy 0 <= k < m")
-    block_law = mu.marginal(0, m - 1)
+    block_law = _block_law(mu, m, lo, hi)
     law = _tiling_law(block_law, _block_pieces(block_law, m, lo, hi, k))
     return WindowDistribution(block_law.p, block_law.n, lo, hi, law)
 
 
-def _block_tilings(mu, m, lo, hi):
-    """The window-[0, m-1] law of mu and the m phase tilings of [lo, hi].
+def _block_law(mu, m, lo, hi):
+    """The window-[0, m-1] law of mu.
 
     Checks that mu_m is defined and that its window is within budget.
     """
@@ -426,6 +422,12 @@ def _block_tilings(mu, m, lo, hi):
             f"window dimension {dim} exceeds the desk budget {WINDOW_DIM_BUDGET}",
             requested=dim,
         )
+    return block_law
+
+
+def _block_tilings(mu, m, lo, hi):
+    """The window-[0, m-1] law of mu and the m phase tilings of [lo, hi]."""
+    block_law = _block_law(mu, m, lo, hi)
     return block_law, [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
 
 

@@ -22,8 +22,10 @@ from math import gcd
 from .algebra import (
     LaurentPoly,
     Poly,
+    base_p_digits,
     check_prime,
     enumerate_irreducibles,
+    geometric_series,
 )
 from .errors import (
     ContextError,
@@ -33,6 +35,9 @@ from .errors import (
 )
 
 ENUMERATION_BUDGET = 10**6
+# Largest bit length of a number that must print: one of at most 14,283
+# bits prints within Python's default 4,300-digit int-to-str limit.
+PRINTABLE_BITS = 14283
 
 
 class LaurentVector:
@@ -538,6 +543,14 @@ def count_submodules(p, k, codim):
         raise DomainError("codimension must be >= 0")
     if codim == 0:
         return 1
+    # p <= 2^((p-1).bit_length()), so the count is below 2^bits.
+    bits = codim * k * (p - 1).bit_length()
+    if bits > PRINTABLE_BITS:
+        raise ResourceBudgetError(
+            f"the count of codimension-{codim} submodules of R^{k} over F_{p} "
+            f"may need {bits} bits, past the budget of {PRINTABLE_BITS}",
+            requested=bits,
+        )
     return p ** (codim * k) - p ** ((codim - 1) * k)
 
 
@@ -548,14 +561,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _int_to_poly(p, value, length):
-    coeffs = []
-    for _ in range(length):
-        value, c = divmod(value, p)
-        coeffs.append(c)
-    return Poly(p, coeffs)
 
 
 def submodules_of_codimension(p, k, codim, budget=ENUMERATION_BUDGET):
@@ -573,43 +578,34 @@ def submodules_of_codimension(p, k, codim, budget=ENUMERATION_BUDGET):
             requested=total,
         )
     out = []
+    zero = LaurentPoly.zero(p)
     for degs in _compositions(codim, k):
         diag_choices = []
         for d in degs:
             if d == 0:
-                diag_choices.append([Poly.one(p)])
+                diag_choices.append([LaurentPoly.one(p)])
             else:
-                polys = []
-                for c0 in range(1, p):
-                    for mid in range(p ** (d - 1)):
-                        coeffs = [c0]
-                        v = mid
-                        for _ in range(d - 1):
-                            v, c = divmod(v, p)
-                            coeffs.append(c)
-                        coeffs.append(1)
-                        polys.append(Poly(p, coeffs, normalize=False))
-                diag_choices.append(polys)
+                diag_choices.append(
+                    [
+                        LaurentPoly.from_poly(Poly(p, [c0] + base_p_digits(mid, p, d - 1) + [1]))
+                        for c0 in range(1, p)
+                        for mid in range(p ** (d - 1))
+                    ]
+                )
         above_counts = [p ** (degs[i] * i) for i in range(k)]
         for diag in itertools.product(*diag_choices):
             for above_idx in itertools.product(*(range(c) for c in above_counts)):
-                rows = [[Poly.zero(p)] * k for _ in range(k)]
-                for i in range(k):
-                    rows[i][i] = diag[i]
-                for col in range(k):
-                    d = degs[col]
-                    if d == 0 or col == 0:
-                        continue
-                    v = above_idx[col]
+                # Row i is the i-th generator; column col holds its
+                # coordinate col, and the above-diagonal entries of column
+                # col are the base-p digits of above_idx[col], d per row.
+                rows = [[zero] * k for _ in range(k)]
+                for col, d in enumerate(degs):
+                    rows[col][col] = diag[col]
+                    digits = base_p_digits(above_idx[col], p, col * d)
                     for row in range(col):
-                        v, entry = divmod(v, p**d)
-                        rows[row][col] = _int_to_poly(p, entry, d)
-                gens = tuple(
-                    unvectorize(
-                        [LaurentPoly.from_poly(e) for e in row], k, 1, p
-                    )
-                    for row in rows
-                )
+                        entry = Poly(p, digits[row * d : (row + 1) * d])
+                        rows[row][col] = LaurentPoly.from_poly(entry)
+                gens = tuple(LaurentVector(p, row) for row in rows)
                 out.append(Submodule(k, p, 1, gens))
     return out
 
@@ -619,50 +615,39 @@ def submodules_of_codimension(p, k, codim, budget=ENUMERATION_BUDGET):
 # ---------------------------------------------------------------------------
 
 
-def _codim_one_candidates(p, ncols):
-    """Canonical codimension-1 forms of the rank-``ncols`` module, lex order."""
-    for pos in range(ncols):
-        for c0 in range(1, p):
-            for above in range(p**pos):
-                rows = []
-                v = above
-                above_entries = []
-                for _ in range(pos):
-                    v, e = divmod(v, p)
-                    above_entries.append(e)
-                for j in range(ncols):
-                    row = [LaurentPoly.zero(p)] * ncols
-                    if j == pos:
-                        row[j] = LaurentPoly.from_poly(Poly(p, (c0, 1)))
-                    else:
-                        row[j] = LaurentPoly.one(p)
-                        if j < pos and above_entries[j]:
-                            row[pos] = LaurentPoly.monomial(p, 0, above_entries[j])
-                    rows.append(row)
-                yield rows
+def _exact_period_gens(n, p, b, coords):
+    """Generators of U_b on the coordinates ``coords``, a subgroup of R^n.
 
+    With c = coords[0], U_b is spanned under x^(+-b) by (1 + x^b) e_c and
+    x^j e_i for 0 <= j < b and i in coords, (j, i) != (0, c), listed with j
+    outermost.  Its minimal period is exactly b, and its rescaled rank at
+    level b is len(coords)*b.
 
-def _full_rank_piece(n, p, b):
-    """Subgroup of R^n with x^b-period exactly b and finite codimension.
-
-    Searches codimension-1 canonical forms in lexicographic order and returns
-    the first whose minimal period is exactly b.
+    Proof, for coords = 0..n-1.  U_b is the kernel of the linear form
+    w -> sum_k (-1)^k [x^(kb)] w_0.  Every x^m e_i outside the exponents
+    kb of coordinate 0 is a generator shifted by x^(kb); on the rest, a
+    Laurent polynomial g(x^b) is a multiple of 1 + x^b exactly when
+    g(-1) = 0.  So U_b has codimension 1 at level b and rescaled rank n*b.
+    For 0 < d < b, x^d U_b is the kernel of the same form read on the
+    exponents congruent to d mod b: it holds e_0, and U_b does not, so
+    x^d U_b != U_b and b is the minimal period.  On fewer coordinates the
+    same argument runs inside them.
     """
-    ncols = n * b
-    for rows in _codim_one_candidates(p, ncols):
-        gens = tuple(unvectorize(row, n, b, p) for row in rows)
-        candidate = Submodule(n, p, b, gens)
-        if candidate.minimal_period(b) == b:
-            return candidate
-    raise ArithmeticError("no codimension-1 subgroup of exact period found")
+    first = LaurentVector.unit(n, p, coords[0]).scaled(geometric_series(2, b, p))
+    return [
+        first if (j, i) == (0, coords[0]) else LaurentVector.unit(n, p, i, exponent=j)
+        for j in range(b)
+        for i in coords
+    ]
 
 
 def construct_with_invariants(n, p, b, r):
     """Additive subgroup U of R^n with minimal period b and rescaled rank r.
 
-    ``0 < r <= n*b``.  For r = n*b (and b > 1) this is the codimension-1
-    search; for smaller r it is a coordinatewise sum of one-coordinate
-    pieces, using rank additivity.
+    ``0 < r <= n*b``.  For b = 1 it is spanned by r coordinate vectors.  For
+    r = n*b it is U_b of :func:`_exact_period_gens`; for smaller r, with
+    r = full*b + rem, it sums U_b on each coordinate below ``full`` and the
+    monomials x^j e_full for j < rem, and rank is additive over coordinates.
     """
     check_prime(p)
     if n < 1:
@@ -676,17 +661,9 @@ def construct_with_invariants(n, p, b, r):
         return Submodule(n, p, 1, gens)
     full, rem = divmod(r, b)
     if full == n:
-        return _full_rank_piece(n, p, b)
-    gens = []
-    for coord in range(full):
-        piece = _full_rank_piece(1, p, b)
-        for g in piece.gens:
-            coords = [LaurentPoly.zero(p)] * n
-            coords[coord] = g.coords[0]
-            gens.append(LaurentVector(p, coords))
-    if rem:
-        for i in range(rem):
-            gens.append(LaurentVector.unit(n, p, full, exponent=i))
+        return Submodule(n, p, b, _exact_period_gens(n, p, b, range(n)))
+    gens = [g for coord in range(full) for g in _exact_period_gens(n, p, b, [coord])]
+    gens += [LaurentVector.unit(n, p, full, exponent=j) for j in range(rem)]
     return Submodule(n, p, b, gens)
 
 

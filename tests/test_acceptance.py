@@ -7,14 +7,21 @@ PASS/FAIL line (visible with ``pytest -s``).
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lampirs.formats import canonical_json
+from lampirs.formats import canonical_json, format_submodule
 from lampirs.selftest import DEFAULT_SEED, run_criteria
+from lampirs.submodules import (
+    construct_with_invariants,
+    count_submodules,
+    submodules_of_codimension,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -29,6 +36,18 @@ GOLDEN_CB_SHA256 = {
     "json": "33ae6002f55c31fb8cee54c76cfdd1bd091dee57aa0ef4d6f16a342528ecd29b",
     "csv": "42e180a393a48ce44535149459c9637706ea6072f47c27019ec9bdd4ca6d6dae",
 }
+# sha256 of format_submodule over every enumerated submodule, p in {2, 3, 5},
+# k <= 3, a <= 3 with at most 1,000 submodules, in enumeration order
+GOLDEN_ENUMERATION_SHA256 = "f979a57960954fa0d2148b12371f5b004748683b8f9d29e52e585d553830883f"
+# sha256 of format_submodule(construct_with_invariants(n, p, b, r)) over
+# p in {2, 3, 5, 7}, n <= 3, b <= 6 and every r in 1..n*b
+GOLDEN_CONSTRUCT_SHA256 = "27fb40320ef85dd2967605f5f8dc94276c63f6131d09b489b9cbeef1afb783a4"
+# stdout of the two demos whose output is all exact
+GOLDEN_DEMO_SHA256 = {
+    "01_counting_submodules.py": "6de065737d3989f93a3dd9c5effa353c1a1994fd5eb0408b9e9458ace9b2a935",
+    "03_poset_levels.py": "d65988d9fdc8080fe115027f56cdfa7f64d418e211cd61efdbad93c651f22bf7",
+}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +232,36 @@ def test_golden_stdout_hashes(suite):
         )
         assert cb.returncode == 0, cb.stderr
         assert hashlib.sha256(cb.stdout).hexdigest() == golden, fmt
+
+
+def test_golden_enumeration_construction_and_demo_hashes(tmp_path):
+    enumerated = hashlib.sha256()
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            for a in range(4):
+                if count_submodules(p, k, a) <= 1000:
+                    for U in submodules_of_codimension(p, k, a):
+                        enumerated.update(format_submodule(U).encode())
+    assert enumerated.hexdigest() == GOLDEN_ENUMERATION_SHA256
+    constructed = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for b in range(1, 7):
+                for r in range(1, n * b + 1):
+                    U = construct_with_invariants(n, p, b, r)
+                    constructed.update(format_submodule(U).encode())
+    assert constructed.hexdigest() == GOLDEN_CONSTRUCT_SHA256
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    for demo, golden in GOLDEN_DEMO_SHA256.items():
+        res = subprocess.run(
+            [sys.executable, str(ROOT / "demos" / demo)],
+            capture_output=True, timeout=120, cwd=tmp_path, env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout).hexdigest() == golden, demo
 
 
 def test_summary(suite):

@@ -176,6 +176,15 @@ class TestMalformedArguments:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("k, a", [("1", "100000"), ("100000", "100000")])
+    def test_count_over_budget(self, k, a):
+        # the count would need a*k bits: past what prints, or 2^(10^10)
+        res = run_cli("count", "2", k, a, timeout=20)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr and "Traceback" not in res.stderr
+
     def test_cb_truncation_over_budget(self):
         res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
         assert res.returncode == 2

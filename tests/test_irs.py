@@ -13,6 +13,7 @@ from lampirs.irs import (
     WindowSubgroup,
     block_average_marginal,
     block_average_measure,
+    block_shift_term_marginal,
     convergence_report,
     majority_invariance_estimate,
     majority_symmetric_difference,
@@ -137,6 +138,24 @@ class TestBlockAverage:
         assert not mu.invariant
         with pytest.raises(DomainError):
             block_average_marginal(mu, 2, 0, 1)
+
+    @pytest.mark.parametrize(
+        "mu, m, lo, hi, error, message",
+        [
+            pytest.param(even_mixture(), 2, 3, 1, DomainError, "empty window", id="empty-window"),
+            pytest.param(
+                SubgroupMeasure.point(Submodule(1, P2, 2, [LaurentVector.unit(1, P2, 0)])),
+                2, 0, 1, DomainError, "shift-invariant", id="not-invariant",
+            ),
+            pytest.param(even_mixture(), 2, 0, 31, ResourceBudgetError, "budget", id="window-budget"),
+            pytest.param(even_mixture(), 0, 0, 1, DomainError, "shift class", id="no-phase"),
+        ],
+    )
+    def test_shift_term_refuses_what_the_average_refuses(self, mu, m, lo, hi, error, message):
+        with pytest.raises(error, match=message):
+            block_shift_term_marginal(mu, m, 0, lo, hi)
+        with pytest.raises(error):
+            block_average_marginal(mu, m, lo, hi)
 
     def test_shift_orbit_mixture_is_invariant(self):
         U = Submodule(1, P2, 2, [LaurentVector.unit(1, P2, 0)])

@@ -247,6 +247,14 @@ class TestCounting:
         with pytest.raises(ResourceBudgetError):
             submodules_of_codimension(3, 3, 5, budget=10)
 
+    def test_count_bits_budget_edge(self):
+        # for p = 2 the count is refused from a*k = 14,284 bits on
+        for k, a in [(1, 14283), (14283, 1), (3, 4761)]:
+            assert len(str(count_submodules(2, k, a))) == 4300
+        for k, a in [(1, 14284), (14284, 1), (2, 7142)]:
+            with pytest.raises(ResourceBudgetError, match="budget"):
+                count_submodules(2, k, a)
+
 
 class TestConstructions:
     def test_b1_returns_free_modules(self):
@@ -260,10 +268,10 @@ class TestConstructions:
         U = construct_with_invariants(1, 2, 2, 1)
         assert U.equals(span_even(2))
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_roundtrip_grid(self, p):
-        for n in (1, 2):
-            for b in (1, 2, 3):
+        for n in (1, 2, 3):
+            for b in range(1, 7):
                 for r in range(1, n * b + 1):
                     rep = invariant_report(construct_with_invariants(n, p, b, r), b)
                     assert (rep.e, rep.rank) == (b, r)
