@@ -13,6 +13,7 @@ The degree of the zero polynomial is the sentinel ``None``, never a number.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .errors import ContextError, DomainError
@@ -265,27 +266,25 @@ def is_irreducible(f):
     return True
 
 
-def enumerate_irreducibles(p, count):
-    """First ``count`` monic irreducibles in (degree, encoding) order.
+def irreducibles(p):
+    """The monic irreducibles other than x, lazily, in (degree, encoding) order.
 
     The polynomial x is excluded: it is a unit in the Laurent ring, so
     multiplying a subgroup by it changes nothing.
     """
     check_prime(p)
+    for degree in itertools.count(1):
+        for f in monic_polys(p, degree):
+            if f.constant() != 0 and is_irreducible(f):
+                yield f
+
+
+def enumerate_irreducibles(p, count):
+    """First ``count`` monic irreducibles of :func:`irreducibles`."""
+    check_prime(p)
     if count < 1:
         raise DomainError("count must be >= 1")
-    found = []
-    degree = 1
-    while len(found) < count:
-        for f in monic_polys(p, degree):
-            if f.constant() == 0:
-                continue  # divisible by the unit x; for degree 1 this is x itself
-            if is_irreducible(f):
-                found.append(f)
-                if len(found) == count:
-                    break
-        degree += 1
-    return found
+    return list(itertools.islice(irreducibles(p), count))
 
 
 class LaurentPoly:

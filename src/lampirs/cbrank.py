@@ -148,9 +148,7 @@ def build_approach_sequence(triple, target, count):
     lamp_parts = approach_sequence(
         triple.lamps, b, r_target, count, s=triple.s
     )
-    return [
-        SubgroupTriple(triple.s, U_m, triple.v, check=False) for U_m in lamp_parts
-    ]
+    return [SubgroupTriple(triple.s, U_m, triple.v) for U_m in lamp_parts]
 
 
 def classify_limit(sequence, limit):

@@ -407,7 +407,8 @@ def block_shift_term_marginal(mu, m, k, lo, hi):
 def _block_law(mu, m, lo, hi):
     """The window-[0, m-1] law of mu.
 
-    Checks that mu_m is defined and that its window is within budget.
+    Checks that mu_m is defined and that its window is within budget; as
+    n*max(m, hi-lo+1) >= m, an m past the budget is refused on one site.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -415,7 +416,7 @@ def _block_law(mu, m, lo, hi):
         raise DomainError(f"empty window [{lo}, {hi}]")
     if not mu.invariant:
         raise DomainError("the block construction requires a shift-invariant measure")
-    block_law = mu.marginal(0, m - 1)
+    block_law = mu.marginal(0, 0 if m > WINDOW_DIM_BUDGET else m - 1)
     dim = block_law.n * max(m, hi - lo + 1)
     if dim > WINDOW_DIM_BUDGET:
         raise ResourceBudgetError(

@@ -103,7 +103,7 @@ class SubgroupTriple:
 
     __slots__ = ("n", "p", "s", "lamps", "v", "_powers")
 
-    def __init__(self, s, lamps, v=None, check=True):
+    def __init__(self, s, lamps, v=None):
         s = int(s)
         if s < 0:
             raise DomainError("s must be >= 0")
@@ -113,12 +113,10 @@ class SubgroupTriple:
             v = LaurentVector.zero(n, p)
         if v.p != p or v.n != n:
             raise ContextError("v from a different ambient module")
-        if check:
-            if s == 0:
-                if not v.is_zero():
-                    raise DomainError("triples with s = 0 must have v = 0")
-            elif not lamps.has_period(s):
-                raise PreconditionError(f"x^{s} U != U: invalid triple")
+        if s == 0 and not v.is_zero():
+            raise DomainError("triples with s = 0 must have v = 0")
+        if s and not lamps.has_period(s):
+            raise PreconditionError(f"x^{s} U != U: invalid triple")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
@@ -154,7 +152,7 @@ class SubgroupTriple:
         """Canonical form: U at its minimal period, v reduced modulo U."""
         U = self.lamps.canonical()
         v = U.reduce_vector(self.v) if self.s else LaurentVector.zero(self.n, self.p)
-        return SubgroupTriple(self.s, U, v, check=False)
+        return SubgroupTriple(self.s, U, v)
 
     def same_subgroup(self, other):
         if (self.n, self.p, self.s) != (other.n, other.p, other.s):
@@ -192,11 +190,11 @@ class SubgroupTriple:
             raise ContextError("element of a different lamplighter group")
         new_lamps = self.lamps.shifted(g.shift)
         if self.s == 0:
-            return SubgroupTriple(0, new_lamps.canonical(), None, check=False)
+            return SubgroupTriple(0, new_lamps.canonical(), None)
         one = LaurentPoly.one(self.p)
         factor = one - LaurentPoly.monomial(self.p, self.s)
         new_v = self.v.shifted(g.shift) + g.lamps.scaled(factor)
-        return SubgroupTriple(self.s, new_lamps, new_v, check=False).canonical()
+        return SubgroupTriple(self.s, new_lamps, new_v).canonical()
 
     def poset_encoding(self):
         """Pair (t, r): shift generator over lamp period, and lamp deficiency."""

@@ -15,6 +15,7 @@ subgroup exactly when their canonical forms at a common level coincide.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -26,6 +27,8 @@ from .algebra import (
     check_prime,
     enumerate_irreducibles,
     geometric_series,
+    irreducibles,
+    poly_gcd,
 )
 from .errors import (
     ContextError,
@@ -253,15 +256,6 @@ class CanonicalForm:
                 _eliminate(v, row, c, self.ncols)
         return v
 
-    def contains(self, cols):
-        # Later rows never touch an earlier pivot column, so a nonzero
-        # residue there decides the answer immediately.
-        v = list(cols)
-        for row, c in zip(self.rows, self.pivots):
-            if not v[c].is_zero() and not _eliminate(v, row, c, self.ncols).is_zero():
-                return False
-        return all(e.is_zero() for e in v)
-
 
 def _width(entry):
     return entry.body.degree
@@ -317,8 +311,7 @@ def laurent_hermite_form(p, n, level, generator_cols):
 
 
 def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 class Submodule:
@@ -378,14 +371,17 @@ class Submodule:
 
     # -- membership, containment, equality ----------------------------------
 
+    def _residue(self, w, level):
+        """Columns of w reduced modulo the canonical form at ``level``."""
+        return self.form(level).reduce(vectorize(w, level))
+
+    def _is_member(self, w, level):
+        return all(e.is_zero() for e in self._residue(w, level))
+
     def contains_vector(self, w):
         if w.p != self.p or w.n != self.n:
             raise ContextError("vector from a different ambient module")
-        if w.is_zero():
-            return True
-        if self.is_zero():
-            return False
-        return self.form(self.period).contains(vectorize(w, self.period))
+        return self._is_member(w, self.period)
 
     def residue_coordinates(self, w):
         """F_p coordinates {(column, exponent): c} of w's canonical residue.
@@ -394,15 +390,12 @@ class Submodule:
         period; the map is F_p-linear, and w is a member exactly when the
         result is empty.
         """
-        cols = self.form(self.period).reduce(vectorize(w, self.period))
+        cols = self._residue(w, self.period)
         return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
-        if self.is_zero():
-            return w
-        cols = self.form(self.period).reduce(vectorize(w, self.period))
-        return unvectorize(cols, self.n, self.period, self.p)
+        return unvectorize(self._residue(w, self.period), self.n, self.period, self.p)
 
     def _common_level(self, other):
         g = gcd(self.period, other.period)
@@ -411,18 +404,12 @@ class Submodule:
     def contains_submodule(self, other):
         if other.p != self.p or other.n != self.n:
             raise ContextError("subgroups of different ambient modules")
-        if other.is_zero():
-            return True
-        if self.is_zero():
-            return False
         level = self._common_level(other)
-        form = self.form(level)
-        reps = level // other.period
-        for g in other.gens:
-            for k in range(reps):
-                if not form.contains(vectorize(g.shifted(k * other.period), level)):
-                    return False
-        return True
+        return all(
+            self._is_member(g.shifted(k * other.period), level)
+            for g in other.gens
+            for k in range(level // other.period)
+        )
 
     def equals(self, other):
         if other.p != self.p or other.n != self.n:
@@ -432,7 +419,7 @@ class Submodule:
 
     def canonical_key(self):
         e = self.minimal_period()
-        return self.with_period(e).form(e).key()
+        return self._at_period(e).form(e).key()
 
     # -- period manipulation -------------------------------------------------
 
@@ -445,48 +432,44 @@ class Submodule:
         return Submodule(self.n, self.p, self.period, (g.scaled(f) for g in self.gens))
 
     def has_period(self, s):
-        """Exact check of x^s U = U."""
+        """Exact check of x^s U = U, by the containment x^s U ⊆ U.
+
+        If U has a period P and x^s U ⊆ U, then U = x^(sP) U ⊆ x^((P-1)s) U
+        ⊆ ... ⊆ x^s U ⊆ U, so x^s U = U.  The periods of U are therefore the
+        multiples of e(U), and the gcd of two periods is again a period.
+        """
         if s < 1:
             raise DomainError("periods are positive")
         if s % self.period == 0:
             return True
-        return self.shifted(s).equals(self)
+        return self.contains_submodule(self.shifted(s))
 
     def with_period(self, new_period):
         """Re-present at another verified period.
 
-        A finer period keeps the generator set (the coarser span is the same
-        group once closure under the finer shift holds); a coarser period
-        expands generators across the shift classes; anything else routes
-        through the gcd, under which the group is also closed.
+        With g = gcd(new_period, period), a period of U, the generators
+        shifted by k*g for 0 <= k < new_period/g span U under x^(+-new_period).
         """
-        if new_period == self.period:
-            return self
         if not self.has_period(new_period):
             raise PreconditionError(f"x^{new_period} U != U")
-        if self.period % new_period == 0:
-            return Submodule(self.n, self.p, new_period, self.gens)
-        if new_period % self.period == 0:
-            reps = new_period // self.period
-            gens = [
-                g.shifted(k * self.period) for g in self.gens for k in range(reps)
-            ]
-            return Submodule(self.n, self.p, new_period, gens)
-        g = gcd(new_period, self.period)
-        return Submodule(self.n, self.p, g, self.gens).with_period(new_period)
+        return self._at_period(new_period)
+
+    def _at_period(self, period):
+        """:meth:`with_period` for a period of U already known, unchecked."""
+        if period == self.period:
+            return self
+        g = gcd(period, self.period)
+        gens = [v.shifted(k * g) for v in self.gens for k in range(period // g)]
+        return Submodule(self.n, self.p, period, gens)
 
     def minimal_period(self, s=None):
-        """Least e with x^e U = U; it divides any known period s."""
+        """Least e with x^e U = U: a divisor of gcd(s, period), itself a period."""
         if s is None:
             s = self.period
         elif not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
-        if self.is_zero():
-            return 1
-        for d in _divisors(s):
-            if d == s or self.shifted(d).equals(self):
-                return d
-        return s
+        g = gcd(s, self.period)
+        return next((d for d in _divisors(g)[:-1] if self.has_period(d)), g)
 
     # -- rank invariants ------------------------------------------------------
 
@@ -498,15 +481,12 @@ class Submodule:
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""
         if not self.has_period(m):
             raise PreconditionError(f"x^{m} U != U: cannot rescale by {m}")
-        if m % self.period == 0:
-            return self.form(m).rank
-        return self.with_period(gcd(m, self.period)).form(m).rank
+        return self._at_period(gcd(m, self.period)).form(m).rank
 
     def canonical(self):
         """Equivalent presentation at the minimal period, canonical generators."""
         e = self.minimal_period()
-        base = self.with_period(e)
-        form = base.form(e)
+        form = self._at_period(e).form(e)
         gens = tuple(unvectorize(row, self.n, e, self.p) for row in form.rows)
         canon = Submodule(self.n, self.p, e, gens)
         canon._forms[e] = form
@@ -525,7 +505,7 @@ class InvariantReport:
 def invariant_report(U, s=None):
     """Compute (e, rk_e, n*e - rk_e) from any known period s."""
     e = U.minimal_period(s)
-    rk = U.rescaled_rank(e)
+    rk = U._at_period(e).form(e).rank
     return InvariantReport(e=e, rank=rk, deficiency=U.n * e - rk)
 
 
@@ -675,10 +655,20 @@ def vanish_sequence(U, count):
 def approach_sequence(U, b, r_target, count, s=None):
     """Strictly larger subgroups converging to U with prescribed invariants.
 
-    Returns U_m with U ⊂ U_m, minimal period e(U)*b, deficiency
+    Returns U_m with U ⊂ U_m, minimal period E = e(U)*b, deficiency
     n*e(U_m) - rk(U_m) equal to ``r_target``, and membership of any fixed
     vector outside U eventually failing.  Requires the deficiency of U to be
     positive and ``r_target < deficiency(U) * b``.
+
+    The terms are M + f*Q for successive irreducibles f: M is U at level
+    e = e(U), over y = x^e, and Q, in the free (non-pivot) columns R_y^F, has
+    minimal period b and rescaled rank r_u*b - r_target.  A term with a
+    period d < E is skipped; otherwise ranks add and its deficiency is
+    r_target.  As M meets R_y^F only in 0, e | d would give y^(d/e)*Q = Q,
+    against b.  Otherwise x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo
+    U lie in the free columns, and f divides the gcd h of their entries,
+    nonzero as x^d U ⊄ U.  So finitely many f are skipped, and
+    ``has_period`` runs only for f dividing h.
     """
     n, p = U.n, U.p
     report = invariant_report(U, s)
@@ -694,26 +684,35 @@ def approach_sequence(U, b, r_target, count, s=None):
             f"target deficiency must satisfy r_target < deficiency*b: "
             f"{r_target} >= {r_u}*{b} = {r_u * b}"
         )
-    base = U.with_period(e)
+    base = U._at_period(e)
     form = base.form(e)
     ncols = n * e
-    pivot_set = set(form.pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    free_cols = [c for c in range(ncols) if c not in form.pivots]
     n_free = len(free_cols)  # equals the deficiency r_u
     # Build the prescribed-invariant subgroup in the free quotient coordinates.
     quotient_piece = construct_with_invariants(n_free, p, b, n_free * b - r_target)
-    base_gens = []
-    for row in form.rows:
-        g = unvectorize(row, n, e, p)
-        for j in range(b):
-            base_gens.append(g.shifted(j * e))
+    rows = [unvectorize(row, n, e, p) for row in form.rows]
+    base_gens = [g.shifted(j * e) for g in rows for j in range(b)]
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    # (d, h): a term has the period d only if f divides h; see above.
+    suspects = []
+    for d in [k for k in _divisors(e * b) if k % e]:
+        residues = [base._residue(g.shifted(d), e) for g in rows]
+        if all(r[c].is_zero() for r in residues for c in form.pivots):
+            entries = [x.body for r in residues for x in r if not x.is_zero()]
+            suspects.append((d, functools.reduce(poly_gcd, entries)))
     out = []
-    for f in enumerate_irreducibles(p, count):
+    for f in irreducibles(p):
         gens = list(base_gens)
         for t in quotient_piece.scaled(f).gens:
             cols = [LaurentPoly.zero(p)] * ncols
             for a, entry in enumerate(t.coords):
                 cols[free_cols[a]] = entry
             gens.append(unvectorize(cols, n, e, p))
-        out.append(Submodule(n, p, e * b, gens))
-    return out
+        term = Submodule(n, p, e * b, gens)
+        if any(f.divides(h) and term.has_period(d) for d, h in suspects):
+            continue
+        out.append(term)
+        if len(out) == count:
+            return out

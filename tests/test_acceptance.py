@@ -15,9 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from lampirs.formats import canonical_json, format_submodule
+from lampirs.algebra import LaurentPoly
+from lampirs.errors import PreconditionError
+from lampirs.formats import canonical_json, format_submodule, format_triple
+from lampirs.lamplighter import SubgroupTriple
+from lampirs.rng import SplitMix64
 from lampirs.selftest import DEFAULT_SEED, run_criteria
 from lampirs.submodules import (
+    LaurentVector,
+    Submodule,
     construct_with_invariants,
     count_submodules,
     submodules_of_codimension,
@@ -47,6 +53,15 @@ GOLDEN_DEMO_SHA256 = {
     "01_counting_submodules.py": "6de065737d3989f93a3dd9c5effa353c1a1994fd5eb0408b9e9458ace9b2a935",
     "03_poset_levels.py": "d65988d9fdc8080fe115027f56cdfa7f64d418e211cd61efdbad93c651f22bf7",
 }
+# stdout of `lampirs approach` on the triple s=2, U = F_2[x^{+-2}], v =
+# x^-1 (1+x) with --target 1,0 --count 8 --ball 3,4,8
+GOLDEN_APPROACH_SHA256 = "4058563650dee63c61945b69255d7215ea127c21bcb05e799f58e23ad253354d"
+# invariants() and format_triple(canonical()) of triples whose lamps are
+# stored at 2 to 6 times their minimal period (see period_pin_submodules)
+GOLDEN_STORED_MULTIPLE_SHA256 = "85ddd59f956f9ccd362d46c9d5753a0396b0a5a19b4628a2f88f6a192547ff87"
+# format_submodule(U.with_period(new)) over period_pin_submodules and every
+# new <= 12, with a marker where new is not a period
+GOLDEN_WITH_PERIOD_SHA256 = "6987005f49e5313242142753479aac23f63d09c821dc5dffe1ac2d628c701f7c"
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -262,6 +277,74 @@ def test_golden_enumeration_construction_and_demo_hashes(tmp_path):
         )
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout).hexdigest() == golden, demo
+
+
+def seeded_vector(rng, n, p):
+    coords = []
+    for _ in range(n):
+        f = LaurentPoly.zero(p)
+        for exp in range(-2, 3):
+            c = rng.below(p)
+            if c:
+                f = f + LaurentPoly.monomial(p, exp, c)
+        coords.append(f)
+    return LaurentVector(p, coords)
+
+
+def period_pin_submodules():
+    """Seeded U with n <= 2, p in {2, 3, 5} and stored period P <= 6.
+
+    Each is spanned by g, x^d g, ..., x^(P-d) g for a divisor d of P, so
+    its minimal period divides d and is often below P; four constructed
+    subgroups of known minimal period close the list.
+    """
+    rng = SplitMix64(2026)
+    out = []
+    for _ in range(40):
+        n = 1 + rng.below(2)
+        p = (2, 3, 5)[rng.below(3)]
+        period = 1 + rng.below(6)
+        divisors = [d for d in range(1, period + 1) if period % d == 0]
+        d = divisors[rng.below(len(divisors))]
+        g = seeded_vector(rng, n, p)
+        out.append(Submodule(n, p, period, [g.shifted(j * d) for j in range(period // d)]))
+    for n, p, b, r in [(1, 2, 3, 2), (2, 3, 2, 3), (1, 5, 4, 4), (2, 2, 1, 1)]:
+        out.append(construct_with_invariants(n, p, b, r))
+    return out
+
+
+def test_golden_approach_and_period_hashes(tmp_path):
+    path = tmp_path / "V.triple"
+    path.write_text("s=2\nn=1 e=2 p=2\n1\nv=x^-1*(1+x)\n")
+    approach = subprocess.run(
+        [sys.executable, "-m", "lampirs.cli", "approach", "--triple", str(path),
+         "--target", "1,0", "--count", "8", "--ball", "3,4,8"],
+        capture_output=True, timeout=120,
+    )
+    assert approach.returncode == 0, approach.stderr
+    assert hashlib.sha256(approach.stdout).hexdigest() == GOLDEN_APPROACH_SHA256
+    rng = SplitMix64(2027)
+    stored = hashlib.sha256()
+    for U in period_pin_submodules():
+        C = U.canonical()
+        e = C.period
+        for k in range(2, 7):
+            gens = [g.shifted(j * e) for g in C.gens for j in range(k)]
+            lamps = Submodule(C.n, C.p, k * e, gens)
+            s = e * (1 + rng.below(6))
+            triple = SubgroupTriple(s, lamps, seeded_vector(rng, C.n, C.p))
+            stored.update(canonical_json(triple.invariants()).encode())
+            stored.update(format_triple(triple.canonical()).encode())
+    assert stored.hexdigest() == GOLDEN_STORED_MULTIPLE_SHA256
+    rewritten = hashlib.sha256()
+    for U in period_pin_submodules():
+        for new in range(1, 13):
+            try:
+                text = format_submodule(U.with_period(new))
+            except PreconditionError:
+                text = "not a period\n"
+            rewritten.update(f"{new}\n{text}".encode())
+    assert rewritten.hexdigest() == GOLDEN_WITH_PERIOD_SHA256
 
 
 def test_summary(suite):

@@ -3,6 +3,7 @@
 import pytest
 
 from lampirs import cbrank
+from lampirs.algebra import LaurentPoly
 from lampirs.cbrank import (
     TRUNCATION_BUDGET,
     build_approach_sequence,
@@ -15,6 +16,7 @@ from lampirs.cbrank import (
 )
 from lampirs.errors import ConsistencyError, DomainError, ResourceBudgetError
 from lampirs.lamplighter import SubgroupTriple, delta_site
+from lampirs.rng import SplitMix64
 from lampirs.submodules import LaurentVector, Submodule, construct_with_invariants
 
 
@@ -167,6 +169,27 @@ class TestApproach:
             seq = build_approach_sequence(V, target, 6)
             assert all(W.poset_encoding() == target for W in seq)
             assert all(W.contains_subgroup(V) for W in seq)
+
+    def test_target_encoding_exact_on_a_seeded_grid(self):
+        rng = SplitMix64(5)
+        with_target = 0
+        for _ in range(150):
+            p = (2, 3)[rng.below(2)]
+            e = 1 + rng.below(4)
+            t = 1 + rng.below(2)
+            f = LaurentPoly.zero(p)
+            for exp in range(4):
+                c = rng.below(p)
+                if c:
+                    f = f + LaurentPoly.monomial(p, exp, c)
+            U = Submodule(1, p, e, [LaurentVector(p, [f])])
+            V = make_triple(t * U.minimal_period(), U)
+            if not poset_less((1, 0), V.poset_encoding()):
+                continue
+            with_target += 1
+            seq = build_approach_sequence(V, (1, 0), 12)
+            assert [W.poset_encoding() for W in seq] == [(1, 0)] * 12, (p, e, t)
+        assert with_target == 114
 
 
 class TestClassify:

@@ -108,6 +108,20 @@ class TestApproachCommand:
         assert data["convergence"]["stabilized"]
         assert len(list(outdir.glob("term_*.triple"))) == 8
 
+    def test_terms_keep_the_target_encoding(self, tmp_path):
+        # U = (1+x^2) F_2[x^(+-2)]: the first irreducible, 1+x, would give a
+        # term of period 1; it is skipped instead of reported as a violation.
+        path = tmp_path / "V.triple"
+        path.write_text("s=2\nn=1 e=2 p=2\n[1+x^2]\nv=[0]\n")
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1,0",
+            "--count", "25", "--ball", "1,1,5",
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        data = json.loads(res.stdout)
+        assert data["encodings_exact"]
+        assert len(data["terms"]) == 25
+
     def test_invalid_target_usage_error(self, tmp_path):
         path = tmp_path / "V.triple"
         path.write_text(TRIPLE_TEXT)

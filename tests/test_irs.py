@@ -131,6 +131,30 @@ class TestBlockAverage:
         with pytest.raises(ResourceBudgetError):
             block_average_marginal(even_mixture(), 30, 0, 1)
 
+    def test_window_budget_checked_before_the_block_marginal(self):
+        # The even mixture of zero and the p = 3, n = 2 line <(1+x+x^2, 1+2x)>:
+        # at m = 400 its window-[0, 399] marginal alone takes seconds.
+        g = LaurentVector(
+            3, (LaurentPoly.from_poly(Poly(3, (1, 1, 1))), LaurentPoly.from_poly(Poly(3, (1, 2))))
+        )
+        inner = SubgroupMeasure.mixture(
+            [(HALF, Submodule(2, 3, 1, [g])), (HALF, Submodule.zero(2, 3))]
+        )
+        asked = []
+
+        def marginal(lo, hi):
+            asked.append((lo, hi))
+            return inner.marginal(lo, hi)
+
+        mu = SubgroupMeasure(marginal, inner.invariant)
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            block_average_marginal(mu, 400, 0, 1)
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            block_shift_term_marginal(mu, 400, 0, 0, 1)
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            sampler_law_report(mu, 400, 0, 1, 10, 1)
+        assert (0, 399) not in asked
+
     def test_non_invariant_measure_rejected(self):
         mu = SubgroupMeasure.point(
             Submodule(1, P2, 2, [LaurentVector.unit(1, P2, 0)])

@@ -14,6 +14,7 @@ import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.cbrank import build_approach_sequence
+from lampirs.errors import PreconditionError
 from lampirs.fplinalg import rref, span_contains, span_intersect_coordinates
 from lampirs.lamplighter import (
     ConvergenceResult,
@@ -174,6 +175,68 @@ class TestWindowIntersectionOracle:
                         ]
                 converted.append(out)
             assert rref(converted, p)[0] == ws.rows
+
+
+def periodic_cases(seed, count):
+    """Seeded U with n <= 2, p in {2, 3, 5} and stored period P <= 6.
+
+    Each is spanned by g, x^d g, ..., x^(P-d) g (and sometimes a second
+    vector the same way) for a divisor d of P, so x^d U = U and the
+    minimal period is often a proper divisor of P.
+    """
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        n = 1 + rng.below(2)
+        p = (2, 3, 5)[rng.below(3)]
+        period = 1 + rng.below(6)
+        divisors = [d for d in range(1, period + 1) if period % d == 0]
+        d = divisors[rng.below(len(divisors))]
+        gens = []
+        for _ in range(1 + rng.below(2)):
+            g = rand_vec(rng, n, p)
+            gens += [g.shifted(j * d) for j in range(period // d)]
+        out.append(Submodule(n, p, period, gens))
+    return out
+
+
+class TestPeriodOracle:
+    """Periods decided by containment against equality of Hermite forms."""
+
+    CASES = periodic_cases(6060, 40)
+
+    @staticmethod
+    def is_period(U, d):
+        return U.shifted(d).equals(U)
+
+    def test_has_period_matches_form_equality(self):
+        for U in self.CASES:
+            for d in range(1, 2 * U.period + 1):
+                assert U.has_period(d) == self.is_period(U, d), (U, d)
+
+    def test_minimal_period_is_the_first_period_divisor(self):
+        proper = 0
+        for U in self.CASES:
+            for s in range(1, 2 * U.period + 1):
+                if not self.is_period(U, s):
+                    with pytest.raises(PreconditionError):
+                        U.minimal_period(s)
+                    continue
+                first = next(d for d in range(1, s + 1) if s % d == 0 and self.is_period(U, d))
+                assert U.minimal_period(s) == first, (U, s)
+                proper += first < U.period
+        assert proper > 0
+
+    def test_with_period_is_the_same_group(self):
+        # Equality at lcm(new, P) is the costly oracle, so half the cases.
+        for U in self.CASES[:20]:
+            for new in range(1, 2 * U.period + 1):
+                if self.is_period(U, new):
+                    W = U.with_period(new)
+                    assert W.period == new and W.equals(U), (U, new)
+                else:
+                    with pytest.raises(PreconditionError):
+                        U.with_period(new)
 
 
 class TestRankViaGrowth:

@@ -84,7 +84,8 @@ class TestLaurentHermiteForm:
                             )
                     for g in U.gens:
                         for k in range(level // e):
-                            assert form.contains(vectorize(g.shifted(k * e), level))
+                            residue = form.reduce(vectorize(g.shifted(k * e), level))
+                            assert all(entry.is_zero() for entry in residue)
                     for row in form.rows:
                         assert U.contains_vector(unvectorize(row, n, level, p))
 
@@ -135,17 +136,34 @@ class TestPeriodsAndRanks:
 
     def test_minimal_period_divides_and_is_minimal(self):
         rng = SplitMix64(17)
+        cases = []
         for _ in range(30):
             n = 1 + rng.below(2)
             p = (2, 3)[rng.below(2)]
             e = 1 + rng.below(4)
-            U = Submodule(n, p, e, [random_vector(rng, n, p)])
+            cases.append(Submodule(n, p, e, [random_vector(rng, n, p)]))
+        # Also p = 5, and U spanned by g, x^d g, ..., x^(e-d) g for a divisor
+        # d of e, so that the minimal period is often below the stored one.
+        for _ in range(30):
+            n = 1 + rng.below(2)
+            p = (2, 3, 5)[rng.below(3)]
+            e = 1 + rng.below(6)
+            divisors = [d for d in range(1, e + 1) if e % d == 0]
+            d = divisors[rng.below(len(divisors))]
+            g = random_vector(rng, n, p)
+            cases.append(Submodule(n, p, e, [g.shifted(j * d) for j in range(e // d)]))
+        below = 0
+        for U in cases:
+            e = U.period
             got = U.minimal_period(e)
+            assert U.minimal_period(2 * e) == got
             assert e % got == 0
             assert U.shifted(got).equals(U)
             for d in range(1, got):
                 if got % d == 0:
                     assert not U.shifted(d).equals(U)
+            below += got < e
+        assert below > 0
 
     def test_precondition_violation(self):
         U = span_even(2)
