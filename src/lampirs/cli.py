@@ -214,8 +214,14 @@ def _trend_grid(m):
 
 def cmd_irs(args):
     mu = _load_measure(args.mu)
-    trend = [convergence_report(mu, m, args.j) for m in _trend_grid(args.m)]
-    report = trend[-1]
+    # the requested m first, so that an m past the budget is refused at once
+    report = convergence_report(mu, args.m, args.j)
+    trend = []
+    for m in _trend_grid(args.m)[:-1]:
+        row = convergence_report(mu, m, args.j)
+        del row["marginal"]  # only the requested m's marginal is printed
+        trend.append(row)
+    trend.append(report)
     payload = {
         "schema": "lampirs.irs.v1",
         "m": report["m"],
@@ -236,7 +242,7 @@ def cmd_irs(args):
         ],
         "marginal": distribution_to_json(report["marginal"]),
     }
-    csv_rows = [
+    csv_rows = (
         (
             row["m"],
             args.j,
@@ -246,7 +252,7 @@ def cmd_irs(args):
             row["pass"],
         )
         for row in trend
-    ]
+    )
     _emit(
         args,
         payload,

@@ -176,14 +176,6 @@ def triple_to_json(triple):
     }
 
 
-def triple_from_json(data):
-    from .lamplighter import SubgroupTriple
-
-    n, p, e = data["n"], data["p"], data["e"]
-    U = Submodule(n, p, e, (parse_vector(g, n, p) for g in data["gens"]))
-    return SubgroupTriple(data["s"], U, parse_vector(data["v"], n, p))
-
-
 def fraction_str(q):
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"

@@ -55,16 +55,6 @@ def right_nullspace(rows, p, ncols):
     return rref(basis, p)[0] if basis else ()
 
 
-def span_contains(rref_rows, pivots, vec, p):
-    """Membership of vec in the row space given in RREF form."""
-    v = [c % p for c in vec]
-    for row, pc in zip(rref_rows, pivots):
-        if v[pc]:
-            f = v[pc]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return not any(v)
-
-
 def span_intersect_coordinates(rref_rows, keep_cols, p, ncols):
     """Vectors of the span supported on ``keep_cols`` (RREF, full width).
 

@@ -6,12 +6,12 @@ each subgroup has one representative.  A measure on subgroups of the lamp
 group is handled purely through its window marginals, which are exact
 finitely supported rational distributions.
 
-The ergodic approximants mu_m are built from the window-[0, m-1] marginal:
-independent blocks of length m laid side by side with a uniformly random
-phase.  Their marginals, stationarity, and distance to the approximated
-measure are all computed exactly; Monte Carlo appears only in the seeded
-samplers, with explicit statistical tolerances.  The exact marginals and the
-sampler read one phase tiling, ``_block_pieces``.
+The ergodic approximants mu_m lay independent blocks of length m side by
+side with a uniformly random phase.  A phase cuts a window into runs that
+carry mu's marginals, so mu_m's marginals, stationarity and distance to mu
+are computed exactly from marginals no wider than the window, whatever m
+is.  Monte Carlo appears only in the seeded samplers, with explicit
+statistical tolerances; the mu_m sampler draws whole blocks of length m.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
@@ -371,20 +371,42 @@ def _block_pieces(block_law, m, lo, hi, k):
     return columns
 
 
-def _tiling_law(block_law, columns):
-    """Law of the sum of independent pieces, one per column, as a dict."""
-    probs = [block_law.atoms[ws] for ws in block_law.ordered_atoms()]
-    law = None
-    for column in columns:
-        piece_law = {}
-        for piece, prob in zip(column, probs):
-            piece_law[piece] = piece_law.get(piece, 0) + prob
-        if law is None:
-            law = piece_law
-            continue
+def _check_block_window(mu, m, lo, hi, sites):
+    """(p, n) of mu, once mu_m is defined and ``sites`` sites fit the budget."""
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if hi < lo:
+        raise DomainError(f"empty window [{lo}, {hi}]")
+    if not mu.invariant:
+        raise DomainError("the block construction requires a shift-invariant measure")
+    site_law = mu.marginal(0, 0)
+    dim = site_law.n * sites
+    if dim > WINDOW_DIM_BUDGET:
+        raise ResourceBudgetError(
+            f"window dimension {dim} exceeds the desk budget {WINDOW_DIM_BUDGET}",
+            requested=dim,
+        )
+    return site_law.p, site_law.n
+
+
+def _phase_law(mu, m, k, lo, hi):
+    """Law on [lo, hi], as a dict, of the phase-k block tiling of mu_m.
+
+    Its blocks cut [lo, hi] into runs and are independent: the law is the
+    independent sum of mu's run marginals, each moved onto its run.
+    """
+    bounds = [max(lo, start) for start in _block_starts(m, lo, hi, k)] + [hi + 1]
+    law, *runs = (
+        {
+            ws.transported(a).embedded(lo, hi): q
+            for ws, q in mu.marginal(0, b - a - 1).atoms.items()
+        }
+        for a, b in zip(bounds, bounds[1:])
+    )
+    for run in runs:
         sums = {}
         for ws1, p1 in law.items():
-            for ws2, p2 in piece_law.items():
+            for ws2, p2 in run.items():
                 combined = ws1.sum_with(ws2)
                 sums[combined] = sums.get(combined, 0) + p1 * p2
         law = sums
@@ -392,69 +414,47 @@ def _tiling_law(block_law, columns):
 
 
 def block_shift_term_marginal(mu, m, k, lo, hi):
-    """Window marginal of the k-th shifted block-tiling term of mu_m.
-
-    Blocks of length m start at sites congruent to -k mod m and carry
-    independent copies of the window-[0, m-1] marginal of mu.
-    """
+    """Window marginal of the phase-k term of mu_m, blocks starting at sites -k mod m."""
     if not 0 <= k < m:
         raise DomainError("shift class k must satisfy 0 <= k < m")
-    block_law = _block_law(mu, m, lo, hi)
-    law = _tiling_law(block_law, _block_pieces(block_law, m, lo, hi, k))
-    return WindowDistribution(block_law.p, block_law.n, lo, hi, law)
-
-
-def _block_law(mu, m, lo, hi):
-    """The window-[0, m-1] law of mu.
-
-    Checks that mu_m is defined and that its window is within budget; as
-    n*max(m, hi-lo+1) >= m, an m past the budget is refused on one site.
-    """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if hi < lo:
-        raise DomainError(f"empty window [{lo}, {hi}]")
-    if not mu.invariant:
-        raise DomainError("the block construction requires a shift-invariant measure")
-    block_law = mu.marginal(0, 0 if m > WINDOW_DIM_BUDGET else m - 1)
-    dim = block_law.n * max(m, hi - lo + 1)
-    if dim > WINDOW_DIM_BUDGET:
-        raise ResourceBudgetError(
-            f"window dimension {dim} exceeds the desk budget {WINDOW_DIM_BUDGET}",
-            requested=dim,
-        )
-    return block_law
-
-
-def _block_tilings(mu, m, lo, hi):
-    """The window-[0, m-1] law of mu and the m phase tilings of [lo, hi]."""
-    block_law = _block_law(mu, m, lo, hi)
-    return block_law, [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
-
-
-def _tilings_average(block_law, tilings, lo, hi):
-    """The mu_m window marginal: the even average of the phase tilings' laws."""
-    out = {}
-    share = Fraction(1, len(tilings))
-    for columns in tilings:
-        for ws, prob in _tiling_law(block_law, columns).items():
-            out[ws] = out.get(ws, Fraction(0)) + prob * share
-    return WindowDistribution(block_law.p, block_law.n, lo, hi, out)
+    p, n = _check_block_window(mu, m, lo, hi, hi - lo + 1)
+    return WindowDistribution(p, n, lo, hi, _phase_law(mu, m, k, lo, hi))
 
 
 def block_average_marginal(mu, m, lo, hi):
-    """Exact window marginal of the shift-averaged block measure mu_m."""
-    block_law, tilings = _block_tilings(mu, m, lo, hi)
-    return _tilings_average(block_law, tilings, lo, hi)
+    """Exact window marginal of the shift-averaged block measure mu_m.
+
+    Phase k starts blocks at the sites c = -k mod m, so only the phases
+    (-c) mod m for c in lo+1..hi cut W = [lo, hi], at most w - 1 of them:
+
+        mu_m|_W = ((m - #cut)/m) mu_W + (1/m) sum over cut phases k of law_k,
+
+    law_k being ``_phase_law``.  This takes O(w) phases whatever m is and
+    reads no marginal wider than W.  An m for which m times the common
+    denominator of these laws passes ``PRINTABLE_BITS`` bits is refused.
+    """
+    p, n = _check_block_window(mu, m, lo, hi, hi - lo + 1)
+    cut = {-c % m for c in range(lo + 1, hi + 1)}
+    terms = [(Fraction(1, m), _phase_law(mu, m, k, lo, hi)) for k in cut]
+    if len(cut) < m:  # so m >= w: the phase with a block starting at lo leaves W whole
+        terms.append((Fraction(m - len(cut), m), _phase_law(mu, m, -lo % m, lo, hi)))
+    bits = (m * lcm(*(q.denominator for _, law in terms for q in law.values()))).bit_length()
+    if bits > PRINTABLE_BITS:
+        raise ResourceBudgetError(
+            f"an m of {m.bit_length()} bits gives mu_m on [{lo}, {hi}] denominators of "
+            f"up to {bits} bits, past the budget of {PRINTABLE_BITS}",
+            requested=bits,
+        )
+    out = {}
+    for weight, law in terms:
+        for ws, prob in law.items():
+            out[ws] = out.get(ws, Fraction(0)) + weight * prob
+    return WindowDistribution(p, n, lo, hi, out)
 
 
 def block_average_measure(mu, m):
     """mu_m as a measure object (marginals computed exactly on demand)."""
-
-    def marginal(lo, hi):
-        return block_average_marginal(mu, m, lo, hi)
-
-    return SubgroupMeasure(marginal, True)
+    return SubgroupMeasure(lambda lo, hi: block_average_marginal(mu, m, lo, hi), True)
 
 
 def convergence_report(mu, m, j):
@@ -515,13 +515,6 @@ def _block_key_drawer(block_law, m, lo, hi):
     return draw
 
 
-def _block_key_subgroup(columns, indices):
-    """The window subgroup of one atom index per column of a ``_block_pieces`` tiling."""
-    return reduce(
-        WindowSubgroup.sum_with, (column[i] for column, i in zip(columns, indices))
-    )
-
-
 def _counts_by_subgroup(key_counts, subgroup_of):
     """Merge the counts of integer keys into counts of the subgroups they build.
 
@@ -545,13 +538,16 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     Every trial reads on from one stream, ``SplitMix64(seed)``: first the
     phase k below m, then, left to right, the ``sample_index`` in the
     window-[0, m-1] marginal of each block meeting [lo, hi].  Trials are
-    counted by these integers.  The m phase tilings are built once: the
-    exact law is folded from them, and after the loop each distinct
-    outcome is summed from their pieces.
+    counted by these integers.  After the loop each distinct outcome is
+    summed from the pieces of its phase tiling, ``_block_pieces``.  The
+    draws keep the window dimension n*max(m, hi-lo+1) within budget, so an
+    m past it is refused before the block marginal is built.
     """
     _check_trials(trials)
-    block_law, tilings = _block_tilings(mu, m, lo, hi)
-    exact = _tilings_average(block_law, tilings, lo, hi)
+    _check_block_window(mu, m, lo, hi, max(m, hi - lo + 1))
+    block_law = mu.marginal(0, m - 1)
+    exact = block_average_marginal(mu, m, lo, hi)
+    tilings = [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
     draw = _block_key_drawer(block_law, m, lo, hi)
     words = SplitMix64(seed).words()
     key_counts = {}
@@ -559,7 +555,10 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
         key = draw(words)
         key_counts[key] = key_counts.get(key, 0) + 1
     counts = _counts_by_subgroup(
-        key_counts, lambda key: _block_key_subgroup(tilings[key[0]], key[1:])
+        key_counts,
+        lambda key: reduce(
+            WindowSubgroup.sum_with, (col[i] for col, i in zip(tilings[key[0]], key[1:]))
+        ),
     )
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)

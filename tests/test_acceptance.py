@@ -17,7 +17,7 @@ import pytest
 
 from lampirs.algebra import LaurentPoly
 from lampirs.errors import PreconditionError
-from lampirs.formats import canonical_json, format_submodule, format_triple
+from lampirs.formats import canonical_json, format_submodule, format_triple, format_vector
 from lampirs.lamplighter import SubgroupTriple
 from lampirs.rng import SplitMix64
 from lampirs.selftest import DEFAULT_SEED, run_criteria
@@ -62,6 +62,15 @@ GOLDEN_STORED_MULTIPLE_SHA256 = "85ddd59f956f9ccd362d46c9d5753a0396b0a5a19b4628a
 # format_submodule(U.with_period(new)) over period_pin_submodules and every
 # new <= 12, with a marker where new is not a period
 GOLDEN_WITH_PERIOD_SHA256 = "6987005f49e5313242142753479aac23f63d09c821dc5dffe1ac2d628c701f7c"
+# stdout of `lampirs irs` on the seeded_measure_json files for (seed, p, n) in
+# IRS_PIN_MEASURES at each (m, j) of IRS_PIN_RUNS, concatenated, as JSON and
+# with --format csv; (2, 3) puts the printed marginal at m below the width
+GOLDEN_IRS_SHA256 = {
+    "json": "e3462a900bcb9d8b37363f7d58ef38df0be5481a8d97eea859d19ef8471d0762",
+    "csv": "e30f24e2e8590cac026f4269d70f50bb11a4f3341a49eb4ad78d586598eca6f3",
+}
+IRS_PIN_MEASURES = [(5, 2, 1), (7, 3, 2)]
+IRS_PIN_RUNS = [(8, 1), (5, 2), (2, 3)]
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -279,11 +288,11 @@ def test_golden_enumeration_construction_and_demo_hashes(tmp_path):
         assert hashlib.sha256(res.stdout).hexdigest() == golden, demo
 
 
-def seeded_vector(rng, n, p):
+def seeded_vector(rng, n, p, exponents=range(-2, 3)):
     coords = []
     for _ in range(n):
         f = LaurentPoly.zero(p)
-        for exp in range(-2, 3):
+        for exp in exponents:
             c = rng.below(p)
             if c:
                 f = f + LaurentPoly.monomial(p, exp, c)
@@ -345,6 +354,46 @@ def test_golden_approach_and_period_hashes(tmp_path):
                 text = "not a period\n"
             rewritten.update(f"{new}\n{text}".encode())
     assert rewritten.hexdigest() == GOLDEN_WITH_PERIOD_SHA256
+
+
+def seeded_measure_json(seed, p, n):
+    """A shift-invariant measure file: two seeded atoms, each paired with its shift."""
+    rng = SplitMix64(seed)
+    drawn = []
+    for _ in range(2):
+        gens = [seeded_vector(rng, n, p, (0, 1)) for _ in range(1 + rng.below(n))]
+        drawn.append((1 + rng.below(3), 1 + rng.below(2), gens))
+    total = 2 * sum(w for w, _, _ in drawn)
+    atoms = [
+        {
+            "weight": str(Fraction(w, total)),
+            "period": period,
+            "gens": [format_vector(g.shifted(shift)) for g in gens],
+        }
+        for w, period, gens in drawn
+        for shift in (0, 1)
+    ]
+    return json.dumps({"schema": "lampirs.measure.v1", "n": n, "p": p, "atoms": atoms})
+
+
+def test_golden_irs_hashes(tmp_path):
+    paths = []
+    for seed, p, n in IRS_PIN_MEASURES:
+        path = tmp_path / f"mu-{seed}.json"
+        path.write_text(seeded_measure_json(seed, p, n))
+        paths.append(path)
+    for fmt, golden in GOLDEN_IRS_SHA256.items():
+        digest = hashlib.sha256()
+        for path in paths:
+            for m, j in IRS_PIN_RUNS:
+                res = subprocess.run(
+                    [sys.executable, "-m", "lampirs.cli", "irs", "--mu", str(path),
+                     "--m", str(m), "--j", str(j), "--format", fmt],
+                    capture_output=True, timeout=60,
+                )
+                assert res.returncode == 0, res.stderr
+                digest.update(res.stdout)
+        assert digest.hexdigest() == golden, fmt
 
 
 def test_summary(suite):

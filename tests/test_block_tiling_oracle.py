@@ -1,12 +1,12 @@
-"""Cross-checks of the block tiling of mu_m against a distribution-level build.
+"""Cross-checks of the exact mu_m marginals against the block tiling.
 
-``block_shift_term_marginal`` and ``block_average_marginal`` fold the
-columns of one phase tiling, ``_block_pieces``, atom by atom.  The
-reference below builds the same laws with nothing but whole-distribution
-operations: project the window-[0, m-1] law onto each block's part of the
-window, move it there, and take the law of independent direct sums block
-after block.  Both must give the same bytes for every phase and for the
-phase average.
+``block_shift_term_marginal`` and ``block_average_marginal`` sum mu's
+marginals on the runs each phase cuts the window into, and average only the
+phases that cut it.  The reference below is the tiling law itself, built
+with nothing but whole-distribution operations: project the window-[0, m-1]
+law onto each block's part of the window, move it there, take the law of
+independent direct sums block after block, and average all m phases.  Both
+must give the same bytes for every phase and for the phase average.
 """
 
 from fractions import Fraction
@@ -18,7 +18,9 @@ from lampirs.irs import (
     SubgroupMeasure,
     WindowDistribution,
     block_average_marginal,
+    block_average_measure,
     block_shift_term_marginal,
+    convergence_report,
 )
 from lampirs.rng import SplitMix64
 from lampirs.selftest import _measure_grid, random_vector
@@ -85,7 +87,8 @@ def measures():
 
 
 MEASURES = measures()
-# negative lo, windows wider than every m below, and one far from the origin
+# one site, a negative lo, and one far from the origin; the m grid below
+# runs from under to past the width of each wider window
 WINDOWS = [(0, 0), (-1, 1), (-2, 3), (3, 7)]
 
 
@@ -101,7 +104,7 @@ def test_grid_measures_are_invariant_and_varied():
 
 
 @pytest.mark.parametrize("lo, hi", WINDOWS)
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 9))
 @pytest.mark.parametrize("name, mu", MEASURES, ids=[name for name, _ in MEASURES])
 def test_tiling_matches_distribution_level_build(name, mu, m, lo, hi):
     for k in range(m):
@@ -109,3 +112,40 @@ def test_tiling_matches_distribution_level_build(name, mu, m, lo, hi):
         assert json_bytes(got) == json_bytes(ref_term(mu, m, k, lo, hi)), k
     got = block_average_marginal(mu, m, lo, hi)
     assert json_bytes(got) == json_bytes(ref_average(mu, m, lo, hi))
+
+
+@pytest.mark.parametrize("name, mu", MEASURES, ids=[name for name, _ in MEASURES])
+def test_distance_times_m_is_constant_past_the_width(name, mu):
+    # For m >= w every cut point is cut by its own phase, so
+    # m * TV(mu_m|_W, mu_W) = |sum over cuts of (law_c - mu_W)|_1 <= 2j.
+    for j in range(4):
+        w = j + 1
+        scaled = set()
+        for m in [*range(w, w + 6), 10**12]:
+            report = convergence_report(mu, m, j)
+            scaled.add(m * report["tv"])
+            assert report["literal_bound_held"], (j, m)
+        assert len(scaled) == 1, (j, scaled)
+
+
+def recording(mu):
+    asked = []
+
+    def marginal(lo, hi):
+        asked.append((lo, hi))
+        return mu.marginal(lo, hi)
+
+    return SubgroupMeasure(marginal, mu.invariant), asked
+
+
+@pytest.mark.parametrize("name, mu", MEASURES, ids=[name for name, _ in MEASURES])
+def test_exact_calls_read_no_marginal_wider_than_the_window(name, mu):
+    for lo, hi in WINDOWS:
+        for m in [*range(1, 9), 10**12]:
+            watched, asked = recording(mu)
+            block_average_marginal(watched, m, lo, hi)
+            block_average_measure(watched, m).marginal(lo, hi)
+            convergence_report(watched, m, hi - lo)
+            for k in {0, 1 % m, m - 1}:
+                block_shift_term_marginal(watched, m, k, lo, hi)
+            assert asked and max(b - a for a, b in asked) <= hi - lo, (m, asked)

@@ -288,6 +288,45 @@ class TestIrsCommand:
         trend = {row["m"]: row["tv"] for row in data["trend"]}
         assert trend[2] == "1/2" and trend[4] == "1/4" and trend[8] == "1/8"
 
+    def test_m_far_past_the_width(self, tmp_path):
+        mu = tmp_path / "mix.json"
+        mu.write_text(MIX_JSON)
+        res = run_cli("irs", "--mu", str(mu), "--m", str(10**12), "--j", "1", timeout=20)
+        assert res.returncode == 0, res.stderr
+        data = json.loads(res.stdout)
+        assert data["tv"] == "1/1000000000000" and data["literal_bound_held"]
+        assert len(data["trend"]) == 41  # m = 1, 2, 4, ..., 2^39, 10^12
+
+    def test_m_past_the_bit_budget(self, tmp_path):
+        # the 4,300-digit m leaves the marginal's probabilities, over 4m,
+        # past what prints
+        mu = tmp_path / "mix.json"
+        mu.write_text(MIX_JSON)
+        res = run_cli("irs", "--mu", str(mu), "--m", "9" * 4300, "--j", "1", timeout=20)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+    def test_largest_accepted_m_prints(self, tmp_path):
+        # weights over 2^7000: the cut phase's law has probabilities over
+        # 2^14000, so m may take 283 of the 14,283 bits that print
+        big = 2**7000
+        mu = json.loads(MIX_JSON)
+        mu["atoms"][0]["weight"] = f"1/{big}"
+        mu["atoms"][1]["weight"] = f"{big - 1}/{big}"
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(mu))
+        m = 2**283 - 1
+        res = run_cli("irs", "--mu", str(path), "--m", str(m), "--j", "1", timeout=60)
+        assert res.returncode == 0, res.stderr
+        data = json.loads(res.stdout)
+        assert data["m"] == m and data["pass"]
+        res = run_cli("irs", "--mu", str(path), "--m", str(m + 1), "--j", "1", timeout=60)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr
+
     def test_trend_csv(self, tmp_path):
         mu = tmp_path / "mix.json"
         mu.write_text(MIX_JSON)

@@ -13,12 +13,18 @@ from lampirs.formats import (
     parse_submodule_lines,
     parse_triple,
     parse_vector,
-    triple_from_json,
     triple_to_json,
 )
 from lampirs.lamplighter import SubgroupTriple
 from lampirs.rng import SplitMix64
 from lampirs.submodules import LaurentVector, Submodule
+
+
+def triple_from_json(data):
+    """The triple a ``triple_to_json`` object describes."""
+    n, p, e = data["n"], data["p"], data["e"]
+    U = Submodule(n, p, e, (parse_vector(g, n, p) for g in data["gens"]))
+    return SubgroupTriple(data["s"], U, parse_vector(data["v"], n, p))
 
 
 def rand_poly(rng, p):

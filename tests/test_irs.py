@@ -6,6 +6,7 @@ import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
+from lampirs.formats import canonical_json, distribution_to_json
 from lampirs.irs import (
     MAJORITY_LENGTH_BUDGET,
     SubgroupMeasure,
@@ -127,13 +128,32 @@ class TestBlockAverage:
         assert by_rows[((1, 0), (0, 1))] == Fraction(3, 8)
         assert tv_distance(got, mu.marginal(0, 1)) == HALF
 
-    def test_window_budget_guard(self):
-        with pytest.raises(ResourceBudgetError):
-            block_average_marginal(even_mixture(), 30, 0, 1)
+    def test_m_past_the_width_is_the_closed_form(self):
+        # For m >= w = 2 only the phase starting a block at site 1 cuts [0, 1]:
+        # mu_m = ((m-1)/m) mu_[0,1] + (1/m) mu_[0,0] (+) mu_[1,1].
+        got = block_average_marginal(even_mixture(), 30, 0, 1)
+        by_rows = {ws.rows: p for ws, p in got.atoms.items()}
+        assert by_rows == {
+            (): Fraction(59, 120),
+            ((1, 0),): Fraction(1, 120),
+            ((0, 1),): Fraction(1, 120),
+            ((1, 0), (0, 1)): Fraction(59, 120),
+        }
+
+    def test_bit_budget_on_m(self):
+        # the probabilities of the even mixture's mu_m on [0, 1] are over 4m
+        largest = 2**14281 - 1
+        report = convergence_report(even_mixture(), largest, 1)
+        assert report["tv"] == Fraction(1, largest)
+        canonical_json(distribution_to_json(report["marginal"]))
+        with pytest.raises(ResourceBudgetError, match="budget"):
+            convergence_report(even_mixture(), largest + 1, 1)
 
     def test_window_budget_checked_before_the_block_marginal(self):
         # The even mixture of zero and the p = 3, n = 2 line <(1+x+x^2, 1+2x)>:
-        # at m = 400 its window-[0, 399] marginal alone takes seconds.
+        # at m = 400 its window-[0, 399] marginal alone takes seconds.  The
+        # exact calls read run marginals on [0, 1]; the sampler, which draws
+        # whole blocks, refuses m before building the block marginal.
         g = LaurentVector(
             3, (LaurentPoly.from_poly(Poly(3, (1, 1, 1))), LaurentPoly.from_poly(Poly(3, (1, 2))))
         )
@@ -147,10 +167,11 @@ class TestBlockAverage:
             return inner.marginal(lo, hi)
 
         mu = SubgroupMeasure(marginal, inner.invariant)
-        with pytest.raises(ResourceBudgetError, match="budget"):
-            block_average_marginal(mu, 400, 0, 1)
-        with pytest.raises(ResourceBudgetError, match="budget"):
-            block_shift_term_marginal(mu, 400, 0, 0, 1)
+        split = block_shift_term_marginal(mu, 400, 399, 0, 1)
+        assert block_shift_term_marginal(mu, 400, 0, 0, 1) == inner.marginal(0, 1)
+        assert block_average_marginal(mu, 400, 0, 1) == inner.marginal(0, 1).mixed_with(
+            split, Fraction(399, 400), Fraction(1, 400)
+        )
         with pytest.raises(ResourceBudgetError, match="budget"):
             sampler_law_report(mu, 400, 0, 1, 10, 1)
         assert (0, 399) not in asked

@@ -15,7 +15,7 @@ import pytest
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.cbrank import build_approach_sequence
 from lampirs.errors import PreconditionError
-from lampirs.fplinalg import rref, span_contains, span_intersect_coordinates
+from lampirs.fplinalg import rref, span_intersect_coordinates
 from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
@@ -71,6 +71,16 @@ def bounded_span(U, lo, hi):
                 rows.append(coefficient_row(g.shifted(k * U.period), lo, hi))
             k += 1
     return rref(rows, U.p)
+
+
+def span_contains(rref_rows, pivots, vec, p):
+    """Membership of vec in the row space given in RREF form."""
+    v = [c % p for c in vec]
+    for row, pc in zip(rref_rows, pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    return not any(v)
 
 
 def rand_vec(rng, n, p, lo=-2, hi=2):
