@@ -137,17 +137,16 @@ def build_approach_sequence(triple, target, count):
     """
     from .lamplighter import SubgroupTriple
 
+    t_target, r_target = target
+    if t_target < 1:
+        raise DomainError(f"target t must be >= 1, got {t_target}")
     source = triple.poset_encoding()
     if not poset_less(target, source):
         raise DomainError(
             f"target {target} is not strictly below the encoding {source}"
         )
-    t, _ = source
-    t_target, r_target = target
-    b = t // t_target
-    lamp_parts = approach_sequence(
-        triple.lamps, b, r_target, count, s=triple.s
-    )
+    b = source[0] // t_target
+    lamp_parts = approach_sequence(triple.lamps, b, r_target, count)
     return [SubgroupTriple(triple.s, U_m, triple.v) for U_m in lamp_parts]
 
 

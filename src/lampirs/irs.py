@@ -328,15 +328,13 @@ class SubgroupMeasure:
             return WindowDistribution(p, n, lo, hi, out)
 
         # Invariant when the weighted multiset of atoms is shift-stable.
-        def shift_key(U):
-            return U.canonical_key()
-
         weights = {}
         shifted_weights = {}
         for w, U in atoms:
-            weights[shift_key(U)] = weights.get(shift_key(U), Fraction(0)) + w
-            k2 = shift_key(U.shifted(1))
-            shifted_weights[k2] = shifted_weights.get(k2, Fraction(0)) + w
+            key = U.canonical_key()
+            weights[key] = weights.get(key, Fraction(0)) + w
+            key = U.shifted(1).canonical_key()
+            shifted_weights[key] = shifted_weights.get(key, Fraction(0)) + w
         invariant = weights == shifted_weights
         return cls(marginal, invariant, atoms=atoms)
 
@@ -606,10 +604,6 @@ def _spliced(ws1, ws2, mask):
     cells = range(ws1.width)
     first_sites = [ws1.lo + c for c in cells if (mask >> c) & 1]
     second_sites = [ws1.lo + c for c in cells if not (mask >> c) & 1]
-    if not first_sites:
-        return ws2.intersect_sites(second_sites)
-    if not second_sites:
-        return ws1.intersect_sites(first_sites)
     return ws1.intersect_sites(first_sites).sum_with(ws2.intersect_sites(second_sites))
 
 

@@ -202,12 +202,12 @@ class SubgroupTriple:
             raise DomainError(
                 "s = 0 subgroups live in the perfect kernel and are not encoded"
             )
-        report = invariant_report(self.lamps, self.s)
+        report = invariant_report(self.lamps)
         return (self.s // report.e, report.deficiency)
 
     def invariants(self):
         """(s, e, rk, deficiency, t, r) for reporting."""
-        report = invariant_report(self.lamps, self.s if self.s else None)
+        report = invariant_report(self.lamps)
         t = self.s // report.e if self.s else 0
         return {
             "s": self.s,

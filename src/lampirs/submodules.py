@@ -15,7 +15,6 @@ subgroup exactly when their canonical forms at a common level coincide.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -28,7 +27,6 @@ from .algebra import (
     enumerate_irreducibles,
     geometric_series,
     irreducibles,
-    poly_gcd,
 )
 from .errors import (
     ContextError,
@@ -317,7 +315,7 @@ def _divisors(m):
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
-    __slots__ = ("p", "n", "period", "gens", "_forms")
+    __slots__ = ("p", "n", "period", "gens", "_forms", "_e")
 
     def __init__(self, n, p, period, gens=()):
         check_prime(p)
@@ -334,6 +332,7 @@ class Submodule:
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "_forms", {})
+        object.__setattr__(self, "_e", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Submodule is immutable")
@@ -463,13 +462,20 @@ class Submodule:
         return Submodule(self.n, self.p, period, gens)
 
     def minimal_period(self, s=None):
-        """Least e with x^e U = U: a divisor of gcd(s, period), itself a period."""
-        if s is None:
-            s = self.period
-        elif not self.has_period(s):
+        """Least e with x^e U = U, found once per object and kept.
+
+        The periods of U are the multiples of e (see :meth:`has_period`), so
+        e is the first proper divisor of the stored period that is a period,
+        or the stored period itself.  A given ``s`` is only checked to be a
+        period; the answer does not depend on it.
+        """
+        if s is not None and not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
-        g = gcd(s, self.period)
-        return next((d for d in _divisors(g)[:-1] if self.has_period(d)), g)
+        if self._e is None:
+            proper = _divisors(self.period)[:-1]
+            e = next((d for d in proper if self.has_period(d)), self.period)
+            object.__setattr__(self, "_e", e)
+        return self._e
 
     # -- rank invariants ------------------------------------------------------
 
@@ -484,12 +490,16 @@ class Submodule:
         return self._at_period(gcd(m, self.period)).form(m).rank
 
     def canonical(self):
-        """Equivalent presentation at the minimal period, canonical generators."""
+        """Equivalent presentation at the minimal period, canonical generators.
+
+        It is the same subgroup, so it keeps this one's form and minimal period.
+        """
         e = self.minimal_period()
         form = self._at_period(e).form(e)
         gens = tuple(unvectorize(row, self.n, e, self.p) for row in form.rows)
         canon = Submodule(self.n, self.p, e, gens)
         canon._forms[e] = form
+        object.__setattr__(canon, "_e", e)
         return canon
 
 
@@ -503,7 +513,7 @@ class InvariantReport:
 
 
 def invariant_report(U, s=None):
-    """Compute (e, rk_e, n*e - rk_e) from any known period s."""
+    """Compute (e, rk_e, n*e - rk_e); a given s is checked to be a period."""
     e = U.minimal_period(s)
     rk = U._at_period(e).form(e).rank
     return InvariantReport(e=e, rank=rk, deficiency=U.n * e - rk)
@@ -652,7 +662,7 @@ def vanish_sequence(U, count):
     return [U.scaled(f) for f in enumerate_irreducibles(U.p, count)]
 
 
-def approach_sequence(U, b, r_target, count, s=None):
+def approach_sequence(U, b, r_target, count):
     """Strictly larger subgroups converging to U with prescribed invariants.
 
     Returns U_m with U ⊂ U_m, minimal period E = e(U)*b, deficiency
@@ -662,16 +672,17 @@ def approach_sequence(U, b, r_target, count, s=None):
 
     The terms are M + f*Q for successive irreducibles f: M is U at level
     e = e(U), over y = x^e, and Q, in the free (non-pivot) columns R_y^F, has
-    minimal period b and rescaled rank r_u*b - r_target.  A term with a
-    period d < E is skipped; otherwise ranks add and its deficiency is
-    r_target.  As M meets R_y^F only in 0, e | d would give y^(d/e)*Q = Q,
-    against b.  Otherwise x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo
-    U lie in the free columns, and f divides the gcd h of their entries,
-    nonzero as x^d U ⊄ U.  So finitely many f are skipped, and
-    ``has_period`` runs only for f dividing h.
+    minimal period b and rescaled rank r_u*b - r_target.  Each term's
+    minimal period is computed, and a term whose minimal period is not E is
+    skipped; otherwise ranks add and its deficiency is r_target.  Finitely
+    many f are skipped: for a period d < E of the term, e | d would give
+    y^(d/e)*Q = Q, against b, as M meets R_y^F only in 0.  Otherwise
+    x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo U lie in the free
+    columns, and f divides the gcd of their entries, nonzero as x^d U ⊄ U.
     """
     n, p = U.n, U.p
-    report = invariant_report(U, s)
+    canon = U.canonical()
+    report = invariant_report(canon)
     e, r_u = report.e, report.deficiency
     if r_u <= 0:
         raise DomainError(
@@ -684,24 +695,15 @@ def approach_sequence(U, b, r_target, count, s=None):
             f"target deficiency must satisfy r_target < deficiency*b: "
             f"{r_target} >= {r_u}*{b} = {r_u * b}"
         )
-    base = U._at_period(e)
-    form = base.form(e)
+    form = canon.form(e)
     ncols = n * e
     free_cols = [c for c in range(ncols) if c not in form.pivots]
     n_free = len(free_cols)  # equals the deficiency r_u
     # Build the prescribed-invariant subgroup in the free quotient coordinates.
     quotient_piece = construct_with_invariants(n_free, p, b, n_free * b - r_target)
-    rows = [unvectorize(row, n, e, p) for row in form.rows]
-    base_gens = [g.shifted(j * e) for g in rows for j in range(b)]
+    base_gens = [g.shifted(j * e) for g in canon.gens for j in range(b)]
     if count < 1:
         raise DomainError("count must be >= 1")
-    # (d, h): a term has the period d only if f divides h; see above.
-    suspects = []
-    for d in [k for k in _divisors(e * b) if k % e]:
-        residues = [base._residue(g.shifted(d), e) for g in rows]
-        if all(r[c].is_zero() for r in residues for c in form.pivots):
-            entries = [x.body for r in residues for x in r if not x.is_zero()]
-            suspects.append((d, functools.reduce(poly_gcd, entries)))
     out = []
     for f in irreducibles(p):
         gens = list(base_gens)
@@ -711,7 +713,7 @@ def approach_sequence(U, b, r_target, count, s=None):
                 cols[free_cols[a]] = entry
             gens.append(unvectorize(cols, n, e, p))
         term = Submodule(n, p, e * b, gens)
-        if any(f.divides(h) and term.has_period(d) for d, h in suspects):
+        if term.minimal_period() != e * b:
             continue
         out.append(term)
         if len(out) == count:

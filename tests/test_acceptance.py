@@ -56,6 +56,22 @@ GOLDEN_DEMO_SHA256 = {
 # stdout of `lampirs approach` on the triple s=2, U = F_2[x^{+-2}], v =
 # x^-1 (1+x) with --target 1,0 --count 8 --ball 3,4,8
 GOLDEN_APPROACH_SHA256 = "4058563650dee63c61945b69255d7215ea127c21bcb05e799f58e23ad253354d"
+# stdout of `lampirs approach` on s=2, U = (1+x^2) F_2[x^{+-2}], v = 0 with
+# --target 1,0 --count 25 --ball 1,1,5: the first irreducible, 1+x, gives a
+# term of period 1, which is skipped
+GOLDEN_APPROACH_SKIP_SHA256 = "215f274d34e1ef53d17bc8b178645bd850acb218cd846d33247c1c1a93c9d341"
+# stdout of `lampirs invariants` on each of OFF_MULTIPLE_TRIPLES, concatenated
+GOLDEN_OFF_MULTIPLE_INVARIANTS_SHA256 = "98f6b4f8d3c2822105e275f99b1f133ba644deb76a201729c40f9622b4d9f210"
+# Triples whose s is not a multiple of the stored period of their lamps;
+# the minimal periods are 2, 3, 1 and 2.
+OFF_MULTIPLE_TRIPLES = [
+    "s=6\nn=1 e=4 p=2\n[1+x]\n[x^2*(1+x)]\nv=[x]\n",
+    "s=9\nn=1 e=6 p=3\n[1+2x]\n[x^3*(1+2x)]\nv=[1+2x^2]\n",
+    "s=4\nn=2 e=6 p=3\n"
+    + "".join(f"[x^{j}, x^{j + 1}]\n" for j in range(6))
+    + "v=[2, 1+x]\n",
+    "s=2\nn=2 e=4 p=5\n[1+3x^2, 4]\n[x^2*(1+3x^2), x^2*(4)]\nv=[0, x^2]\n",
+]
 # invariants() and format_triple(canonical()) of triples whose lamps are
 # stored at 2 to 6 times their minimal period (see period_pin_submodules)
 GOLDEN_STORED_MULTIPLE_SHA256 = "85ddd59f956f9ccd362d46c9d5753a0396b0a5a19b4628a2f88f6a192547ff87"
@@ -354,6 +370,29 @@ def test_golden_approach_and_period_hashes(tmp_path):
                 text = "not a period\n"
             rewritten.update(f"{new}\n{text}".encode())
     assert rewritten.hexdigest() == GOLDEN_WITH_PERIOD_SHA256
+
+
+def test_golden_skip_approach_and_off_multiple_invariants_hashes(tmp_path):
+    path = tmp_path / "V.triple"
+    path.write_text("s=2\nn=1 e=2 p=2\n[1+x^2]\nv=[0]\n")
+    approach = subprocess.run(
+        [sys.executable, "-m", "lampirs.cli", "approach", "--triple", str(path),
+         "--target", "1,0", "--count", "25", "--ball", "1,1,5"],
+        capture_output=True, timeout=120,
+    )
+    assert approach.returncode == 0, approach.stderr
+    assert hashlib.sha256(approach.stdout).hexdigest() == GOLDEN_APPROACH_SKIP_SHA256
+    digest = hashlib.sha256()
+    for idx, text in enumerate(OFF_MULTIPLE_TRIPLES):
+        path = tmp_path / f"off-{idx}.triple"
+        path.write_text(text)
+        res = subprocess.run(
+            [sys.executable, "-m", "lampirs.cli", "invariants", "--triple", str(path)],
+            capture_output=True, timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        digest.update(res.stdout)
+    assert digest.hexdigest() == GOLDEN_OFF_MULTIPLE_INVARIANTS_SHA256
 
 
 def seeded_measure_json(seed, p, n):

@@ -3,7 +3,7 @@
 import pytest
 
 from lampirs import cbrank
-from lampirs.algebra import LaurentPoly
+from lampirs.algebra import LaurentPoly, Poly
 from lampirs.cbrank import (
     TRUNCATION_BUDGET,
     build_approach_sequence,
@@ -153,6 +153,30 @@ def make_triple(s, U, v=None):
     return SubgroupTriple(s, U, U.reduce_vector(v))
 
 
+def seeded_encoding_grid():
+    """150 seeded triples (t*e(U), U, 0), U spanned by one polynomial of
+    degree < 4 at a stored period e <= 4 over F_2 or F_3, and t <= 2."""
+    rng = SplitMix64(5)
+    for _ in range(150):
+        p = (2, 3)[rng.below(2)]
+        e = 1 + rng.below(4)
+        t = 1 + rng.below(2)
+        f = LaurentPoly.zero(p)
+        for exp in range(4):
+            c = rng.below(p)
+            if c:
+                f = f + LaurentPoly.monomial(p, exp, c)
+        U = Submodule(1, p, e, [LaurentVector(p, [f])])
+        yield make_triple(t * U.minimal_period(), U)
+
+
+def skip_case():
+    """(1+x^2) F_2[x^(+-2)] with s = 2: toward (1, 0), the term for the first
+    irreducible, 1+x, has period 1 and is skipped."""
+    f = LaurentPoly.from_poly(Poly(2, [1, 0, 1]))
+    return make_triple(2, Submodule(1, 2, 2, [LaurentVector(2, [f])]))
+
+
 class TestApproach:
     def test_invalid_target_rejected(self):
         V = make_triple(2, Submodule.zero(1, 2))
@@ -160,6 +184,12 @@ class TestApproach:
             build_approach_sequence(V, (3, 0), 3)  # 3 does not divide 2
         with pytest.raises(DomainError):
             build_approach_sequence(V, (2, 1), 3)  # not strictly below (2, 1)
+
+    @pytest.mark.parametrize("target", [(0, 0), (0, 5), (-1, 0), (-2, 1)])
+    def test_target_t_below_one_rejected(self, target):
+        V = make_triple(2, Submodule.zero(1, 2))
+        with pytest.raises(DomainError, match="target t must be >= 1"):
+            build_approach_sequence(V, target, 3)
 
     def test_target_encoding_exact(self):
         U = construct_with_invariants(1, 2, 2, 1)
@@ -171,25 +201,41 @@ class TestApproach:
             assert all(W.contains_subgroup(V) for W in seq)
 
     def test_target_encoding_exact_on_a_seeded_grid(self):
-        rng = SplitMix64(5)
         with_target = 0
-        for _ in range(150):
-            p = (2, 3)[rng.below(2)]
-            e = 1 + rng.below(4)
-            t = 1 + rng.below(2)
-            f = LaurentPoly.zero(p)
-            for exp in range(4):
-                c = rng.below(p)
-                if c:
-                    f = f + LaurentPoly.monomial(p, exp, c)
-            U = Submodule(1, p, e, [LaurentVector(p, [f])])
-            V = make_triple(t * U.minimal_period(), U)
+        for V in seeded_encoding_grid():
             if not poset_less((1, 0), V.poset_encoding()):
                 continue
             with_target += 1
             seq = build_approach_sequence(V, (1, 0), 12)
-            assert [W.poset_encoding() for W in seq] == [(1, 0)] * 12, (p, e, t)
+            assert [W.poset_encoding() for W in seq] == [(1, 0)] * 12, V
         assert with_target == 114
+
+    @pytest.mark.parametrize(
+        "V, target",
+        [
+            (skip_case(), (1, 0)),
+            (make_triple(4, construct_with_invariants(1, 2, 2, 1), delta_site(1, 2, 0)), (1, 1)),
+            (make_triple(6, construct_with_invariants(2, 3, 3, 4)), (2, 1)),
+        ],
+    )
+    def test_encodings_are_read_from_the_terms(self, monkeypatch, V, target):
+        # approach_sequence computes each term's minimal period, so
+        # classify_limit and the `approach` command's encodings_exact check
+        # read it back without testing a period of any term again.
+        seq = build_approach_sequence(V, target, 8)
+        terms = {id(W.lamps) for W in seq}
+        calls = []
+        has_period = Submodule.has_period
+
+        def counting(U, d):
+            if id(U) in terms:
+                calls.append(d)
+            return has_period(U, d)
+
+        monkeypatch.setattr(Submodule, "has_period", counting)
+        classify_limit(seq, V)
+        assert all(W.poset_encoding() == target for W in seq)
+        assert calls == []
 
 
 class TestClassify:

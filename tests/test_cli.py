@@ -128,6 +128,15 @@ class TestApproachCommand:
         res = run_cli("approach", "--triple", str(path), "--target", "3,1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("target", ["0,0", "0,3", "-1,0"])
+    def test_target_t_below_one_usage_error(self, tmp_path, target):
+        path = tmp_path / "V.triple"
+        path.write_text(TRIPLE_TEXT)
+        res = run_cli("approach", "--triple", str(path), f"--target={target}")
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "target t must be >= 1" in res.stderr
+
 
 class TestMalformedArguments:
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ fails the test.
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
-from lampirs.cbrank import build_approach_sequence
+from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
 from lampirs.lamplighter import (
@@ -30,6 +30,8 @@ from lampirs.submodules import (
     construct_with_invariants,
     vanish_sequence,
 )
+
+from test_cbrank import seeded_encoding_grid, skip_case
 
 MARGIN = 12
 
@@ -236,6 +238,33 @@ class TestPeriodOracle:
                 assert U.minimal_period(s) == first, (U, s)
                 proper += first < U.period
         assert proper > 0
+
+    def first_period(self, U):
+        """The least period of U, found among the divisors of its stored period."""
+        return next(
+            d for d in range(1, U.period + 1) if U.period % d == 0 and self.is_period(U, d)
+        )
+
+    def test_canonical_keeps_the_minimal_period(self):
+        for U in self.CASES:
+            e = self.first_period(U)
+            C = U.canonical()
+            assert (C.period, C.minimal_period()) == (e, e), U
+            assert all(C.has_period(d) == (d % e == 0) for d in range(1, 2 * e + 1)), U
+
+    def test_approach_terms_have_the_oracle_period(self):
+        # Every emitted term's minimal period is E = e(U)*b by the oracle, on
+        # the seeded encoding grid and on a case where a term is skipped.
+        cases = [(V, 12) for V in seeded_encoding_grid()] + [(skip_case(), 25)]
+        checked = 0
+        for V, count in cases:
+            if not poset_less((1, 0), V.poset_encoding()):
+                continue
+            E = V.s
+            for W in build_approach_sequence(V, (1, 0), count):
+                assert W.lamps.minimal_period() == self.first_period(W.lamps) == E, W
+                checked += 1
+        assert checked == 114 * 12 + 25
 
     def test_with_period_is_the_same_group(self):
         # Equality at lcm(new, P) is the costly oracle, so half the cases.

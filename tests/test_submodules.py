@@ -172,6 +172,14 @@ class TestPeriodsAndRanks:
         with pytest.raises(PreconditionError):
             U.rescaled_rank(3)
 
+    def test_given_period_checked_once_the_minimal_period_is_known(self):
+        U = span_even(2)
+        assert U.minimal_period() == 2
+        for s in (1, 3, 5):
+            with pytest.raises(PreconditionError):
+                U.minimal_period(s)
+        assert U.minimal_period(4) == 2
+
     def test_single_generator_rank_one(self):
         g = LaurentVector(
             2, (LaurentPoly.monomial(2, 1), LaurentPoly.from_poly(Poly(2, (1, 1))))
