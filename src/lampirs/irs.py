@@ -24,7 +24,6 @@ from math import comb, gcd, lcm
 from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
-from .lamplighter import delta_site
 from .rng import (
     SplitMix64,
     below_limit,
@@ -276,16 +275,15 @@ def window_of_submodule(U, lo, hi):
 
     Membership reduction against the canonical form is F_p-linear, so the
     intersection is the kernel of the residue map on the window space: one
-    column per window coordinate, one row per residue coordinate.
+    column per window coordinate, one row per residue coordinate.  The
+    columns come from ``Submodule.window_residues``: one start per column
+    class, y-steps for the rest.
     """
     n, p = U.n, U.p
     if U.is_zero():
         return WindowSubgroup.zero(p, n, lo, hi)
-    columns = [
-        U.residue_coordinates(delta_site(n, p, site, component=comp))
-        for site in range(lo, hi + 1)
-        for comp in range(n)
-    ]
+    residues = U.window_residues(lo, hi)
+    columns = [residues[site, comp] for site in range(lo, hi + 1) for comp in range(n)]
     support = sorted(set().union(*columns))
     matrix = [[col.get(k, 0) for col in columns] for k in support]
     kernel = right_nullspace(matrix, p, len(columns))

@@ -18,13 +18,19 @@ For subgroups of the lamp group, s = 0 and v = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import LaurentPoly, check_prime, geometric_series
-from .errors import ContextError, DomainError, PreconditionError
+from .errors import ContextError, DomainError, PreconditionError, ResourceBudgetError
 from .fplinalg import rref
-from .submodules import LaurentVector, invariant_report
-
-SITE_EXPONENT_SIGN = -1  # site k <-> Laurent exponent -k
+from .submodules import (
+    ENUMERATION_BUDGET,
+    PRINTABLE_BITS,
+    SITE_EXPONENT_SIGN,
+    LaurentVector,
+    invariant_report,
+    vectorize,
+)
 
 
 def delta_site(n, p, site, component=0, value=1):
@@ -276,63 +282,92 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     configurations, so each subgroup is compared with the limit through one
     canonical key per shift (see ``_member_keys``) and no witness is
     enumerated; ``witnesses_checked`` is the size of the certified ball.
+    The residues behind the keys come from the y-action on residues
+    (``Submodule.window_residues`` and ``_offset_residues``), with no
+    Laurent division per monomial.
+
+    A ball whose ``witnesses_checked`` would pass ``PRINTABLE_BITS`` bits,
+    or with more than ``ENUMERATION_BUDGET`` shifts, is refused with
+    ``ResourceBudgetError`` before anything is built.
     """
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     if support_radius < 0 or shift_bound < 0:
         raise DomainError("support_radius and shift_bound must be >= 0")
     n, p = limit.n, limit.p
+    dim = n * (2 * support_radius + 1)
+    checked = _ball_size(p, dim, 2 * shift_bound + 1)
     shifts = range(-shift_bound, shift_bound + 1)
-    basis = [
-        delta_site(n, p, site, component=i)
-        for i in range(n)
-        for site in range(-support_radius, support_radius + 1)
-    ]
-    target = _member_keys(limit, basis, shifts)
+    target = _member_keys(limit, support_radius, shifts)
     last_disagreement = 0
     for m in range(1, horizon + 1):
         triple = provider(m)
         if triple.n != n or triple.p != p:
             raise ContextError("subgroups of different lamplighter groups")
-        keys = _member_keys(triple, basis, shifts)
+        keys = _member_keys(triple, support_radius, shifts)
         if keys != target:
             last_disagreement = m
-    checked = p ** len(basis) * len(shifts)
     if last_disagreement < horizon:
         return ConvergenceResult(True, max(1, last_disagreement + 1), None, checked, horizon)
     t, key, limit_key = next(
         (t, a, b) for t, a, b in zip(shifts, keys, target) if a != b
     )
-    digits = _least_difference(key, limit_key, len(basis), p)
+    digits = _least_difference(key, limit_key, dim, p)
+    basis = (
+        delta_site(n, p, site, component=i)
+        for i in range(n)
+        for site in range(-support_radius, support_radius + 1)
+    )
     lamps = sum(
         (b.scaled(c) for b, c in zip(basis, digits) if c), LaurentVector.zero(n, p)
     )
     return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
 
 
-def _member_keys(triple, basis, shifts):
-    """Per shift t, a canonical key of {c : (sum c_i basis_i, t) in triple}.
+def _ball_size(p, dim, n_shifts):
+    """p^dim * n_shifts, the witnesses of a ball, refused past the budgets."""
+    if n_shifts > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"a ball of {n_shifts} shifts exceeds the budget {ENUMERATION_BUDGET}",
+            requested=n_shifts,
+        )
+    # p^dim >= 2^(dim * floor(log2 p)), so past that bound it need not be built.
+    bits = dim * (p.bit_length() - 1) + 1
+    if bits <= PRINTABLE_BITS:
+        bits = (p**dim * n_shifts).bit_length()
+    if bits > PRINTABLE_BITS:
+        raise ResourceBudgetError(
+            f"the ball's witness count {p}^{dim} * {n_shifts} passes the budget "
+            f"of {PRINTABLE_BITS} bits",
+            requested=bits,
+        )
+    return p**dim * n_shifts
 
-    (w, t) is a member exactly when s | t (t = 0 when s = 0) and w + d_t is
-    in U, with d_t the lamps of (0, t)(v, s)^(-t/s).  Reduction modulo U's
-    canonical form is F_p-linear, so with M the residues of the basis and
-    r_t that of d_t (``Submodule.residue_coordinates``) the set is
+
+def _member_keys(triple, radius, shifts):
+    """Per shift t, a canonical key of {w on sites [-radius, radius] : (w, t) in triple}.
+
+    A configuration w is given by its digits c, component by component,
+    site -radius first.  (w, t) is a member exactly when s | t (t = 0 when
+    s = 0) and w + d_t is in U, with d_t the lamps of (0, t)(v, s)^(-t/s).
+    Reduction modulo U's canonical form is F_p-linear, so with M the
+    residues of the site monomials and r_t that of d_t the set is
     {c : M c = -r_t}, empty (key None) unless r_t lies in the column span
     of M.  One row reduction of [M | r_t, ...] gives the set's direction, as
     the RREF of M's row space, and for each consistent t the solution whose
-    free coordinates vanish; equal sets get equal keys.
+    free coordinates vanish; equal sets get equal keys, whatever level the
+    residues are taken at.  That level is gcd(period, s), a period of U at
+    which x^s is a power of y (see ``_offset_residues``).
     """
     n, p, s, U = triple.n, triple.p, triple.s, triple.lamps
     members = [t for t in shifts if (t % s == 0 if s else t == 0)]
-    zero = LaurentVector.zero(n, p)
-    offsets = [
-        (GroupElement(zero, t) * triple._marker_power(-(t // s))).lamps if s else zero
-        for t in members
-    ]
-    columns = [U.residue_coordinates(w) for w in basis + offsets]
+    level = gcd(U.period, s)
+    window = U.window_residues(-radius, radius, level)
+    columns = [window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
+    dim = len(columns)
+    columns += _offset_residues(triple, level, [t // s if s else 0 for t in members])
     support = sorted(set().union(*columns))
     rows, pivots = rref([[col.get(k, 0) for col in columns] for k in support], p)
-    dim = len(basis)
     solved = [row for row, c in zip(rows, pivots) if c < dim]
     blocked = [row for row, c in zip(rows, pivots) if c >= dim]
     direction = tuple(row[:dim] for row in solved)
@@ -341,6 +376,40 @@ def _member_keys(triple, basis, shifts):
         if not any(row[j] for row in blocked):
             keys[t] = (direction, tuple(row[j] for row in solved))
     return [keys[t] for t in shifts]
+
+
+def _offset_residues(triple, level, ks):
+    """Residue coordinates at ``level`` of d_k, the lamps of (0, k*s)(v, s)^(-k).
+
+    d_0 = 0, d_(k+1) = x^s d_k - v and d_(k-1) = x^(-s) (d_k + v).  The level
+    divides s, so x^(+-s) is y^(+-s/level) and each step is s/level y-steps
+    on residues plus one residue of v.
+    """
+    form = triple.lamps.form(level)
+    p, steps = triple.p, triple.s // level
+    v = form.residue_coordinates(vectorize(triple.v, level))
+    out = {0: {}}
+    residue = {}
+    for k in range(1, max(ks) + 1):
+        residue = _axpy(form.y_power(residue, steps), v, -1, p)
+        out[k] = residue
+    residue = {}
+    for k in range(-1, min(ks) - 1, -1):
+        residue = form.y_power(_axpy(residue, v, 1, p), -steps)
+        out[k] = residue
+    return [out[k] for k in ks]
+
+
+def _axpy(a, b, c, p):
+    """Coordinates of a + c*b, for coordinate dicts a and b."""
+    out = dict(a)
+    for key, value in b.items():
+        total = (out.get(key, 0) + c * value) % p
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
 
 
 def _least_difference(key_a, key_b, dim, p):

@@ -39,6 +39,9 @@ ENUMERATION_BUDGET = 10**6
 # Largest bit length of a number that must print: one of at most 14,283
 # bits prints within Python's default 4,300-digit int-to-str limit.
 PRINTABLE_BITS = 14283
+# Shift convention (global, fixed once): multiplying a configuration by x
+# moves the lamp at site i+1 to site i, so site k is the exponent -k.
+SITE_EXPONENT_SIGN = -1
 
 
 class LaurentVector:
@@ -215,10 +218,15 @@ def _eliminate(v, row, c, ncols):
     return r
 
 
+def _coordinates(cols):
+    """F_p coordinates {(column, exponent): c} of a column vector."""
+    return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+
+
 class CanonicalForm:
     """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
 
-    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots")
+    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_steps")
 
     def __init__(self, p, n, level, rows, pivots):
         self.p = p
@@ -227,6 +235,7 @@ class CanonicalForm:
         self.ncols = n * level
         self.rows = rows
         self.pivots = pivots
+        self._steps = None
 
     @property
     def rank(self):
@@ -253,6 +262,78 @@ class CanonicalForm:
             if not v[c].is_zero():
                 _eliminate(v, row, c, self.ncols)
         return v
+
+    def residue_coordinates(self, cols):
+        """F_p coordinates {(column, exponent): c} of the canonical residual.
+
+        The map is F_p-linear, and cols is in the row span exactly when the
+        result is empty.
+        """
+        return _coordinates(self.reduce(cols))
+
+    def unit_residue(self, col):
+        """Coordinates of the residual of the unit vector in column ``col``.
+
+        The unit is its own residual unless ``col`` holds a pivot of degree
+        0, a constant 1; then it is the unit minus that pivot's row, whose
+        entries in later pivot columns are residues already.
+        """
+        for row, c in zip(self.rows, self.pivots):
+            if c == col and not row[c].body.degree:
+                out = _coordinates(row)
+                del out[col, 0]
+                return {key: -value % self.p for key, value in out.items()}
+        return {(col, 0): 1}
+
+    def y_power(self, residue, k):
+        """Coordinates of the residual of y^k * r, from those of a residual r.
+
+        A residual has degree below d in each pivot column of degree d, so
+        y^(+-1) * r leaves that range in at most one coefficient per pivot:
+        y^d going up, y^-1 going down (a pivot of degree 0 has a zero entry).
+        Taken in pivot order, one scalar multiple of the pivot row clears it,
+        as the row's later pivot entries are residues too.  Going down the
+        row is also multiplied by y^-1 and the scalar is divided by the
+        pivot's constant term.  Each unit step is one pass of such
+        subtractions; no division and no powering are done.
+        """
+        if self._steps is None:
+            self._steps = self._step_rows()
+        sign = 1 if k > 0 else -1
+        for _ in range(abs(k)):
+            residue = self._y_step(residue, sign)
+        return residue
+
+    def _step_rows(self):
+        """Per pivot of degree d > 0: its column, d, the row's coordinates,
+        and the inverse of the pivot's constant term."""
+        steps = []
+        for row, c in zip(self.rows, self.pivots):
+            pivot = row[c].body
+            if pivot.degree:
+                inv = pow(pivot.constant(), self.p - 2, self.p)
+                steps.append((c, pivot.degree, tuple(_coordinates(row).items()), inv))
+        return steps
+
+    def _y_step(self, residue, sign):
+        p = self.p
+        shift = min(sign, 0)  # going down, the pivot row is taken times y^-1
+        out = {(j, exp + sign): c for (j, exp), c in residue.items()}
+        for c, d, row, inv in self._steps:
+            if sign > 0:
+                a = out.get((c, d))
+            else:
+                a = out.get((c, -1), 0) * inv % p
+            if not a:
+                continue
+            for (j, exp), b in row:
+                key = (j, exp + shift)
+                value = (out.get(key, 0) - a * b) % p
+                if value:
+                    out[key] = value
+                else:
+                    del out[key]
+        return out
 
 
 def _width(entry):
@@ -351,19 +432,27 @@ class Submodule:
     # -- canonical forms ----------------------------------------------------
 
     def form(self, level):
-        """Canonical form at a level that the stored period divides."""
-        if level % self.period:
-            raise DomainError(
-                f"level {level} is not a multiple of the stored period {self.period}"
-            )
+        """Canonical form at a level that is a period of U, built once.
+
+        A multiple of the stored period is one; any other level must be a
+        multiple of the minimal period.  With g = gcd(level, period), itself
+        a period, the generators shifted by k*g for 0 <= k < level/g span U
+        under x^(+-level).
+        """
         cached = self._forms.get(level)
         if cached is not None:
             return cached
-        reps = level // self.period
-        rows = []
-        for g in self.gens:
-            for k in range(reps):
-                rows.append(vectorize(g.shifted(k * self.period), level))
+        if level % self.period and level % self.minimal_period():
+            raise DomainError(
+                f"level {level} is not a multiple of the stored period "
+                f"{self.period} nor of the minimal period {self.minimal_period()}"
+            )
+        step = gcd(level, self.period)
+        rows = [
+            vectorize(g.shifted(k * step), level)
+            for g in self.gens
+            for k in range(level // step)
+        ]
         form = laurent_hermite_form(self.p, self.n, level, rows)
         self._forms[level] = form
         return form
@@ -382,15 +471,44 @@ class Submodule:
             raise ContextError("vector from a different ambient module")
         return self._is_member(w, self.period)
 
-    def residue_coordinates(self, w):
-        """F_p coordinates {(column, exponent): c} of w's canonical residue.
+    def window_residues(self, lo, hi, level=None):
+        """Residue coordinates of every site monomial on [lo, hi].
 
-        The residue is w reduced modulo the canonical form at the stored
-        period; the map is F_p-linear, and w is a member exactly when the
-        result is empty.
+        Returns {(site, i): coordinates} for the monomials x^(-site) e_i,
+        the coordinates being :meth:`CanonicalForm.residue_coordinates` of
+        the form at ``level`` (default: the stored period).  At level L,
+        x^(q*L + j) e_i is y^q in column j*n + i, so the monomials of one
+        column class differ by powers of y.  Each class starts at the q
+        nearest 0, from :meth:`CanonicalForm.unit_residue` at q = 0 and
+        from one full reduction otherwise, and the others are reached by
+        :meth:`CanonicalForm.y_power` steps.
         """
-        cols = self._residue(w, self.period)
-        return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+        level = self.period if level is None else level
+        form = self.form(level)
+        n, p = self.n, self.p
+        zero = LaurentPoly.zero(p)
+        low, high = sorted((SITE_EXPONENT_SIGN * lo, SITE_EXPONENT_SIGN * hi))
+        out = {}
+        for j in range(level):
+            q_lo, q_hi = -((j - low) // level), (high - j) // level
+            if q_lo > q_hi:
+                continue
+            q0 = min(max(0, q_lo), q_hi)
+            for i in range(n):
+                if q0:
+                    cols = [zero] * form.ncols
+                    cols[j * n + i] = LaurentPoly.monomial(p, q0)
+                    start = form.residue_coordinates(cols)
+                else:
+                    start = form.unit_residue(j * n + i)
+                out[SITE_EXPONENT_SIGN * (q0 * level + j), i] = start
+                for sign, stop in ((1, q_hi), (-1, q_lo)):
+                    residue, q = start, q0
+                    while q != stop:
+                        q += sign
+                        residue = form.y_power(residue, sign)
+                        out[SITE_EXPONENT_SIGN * (q * level + j), i] = residue
+        return out
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
@@ -417,8 +535,7 @@ class Submodule:
         return self.form(level) == other.form(level)
 
     def canonical_key(self):
-        e = self.minimal_period()
-        return self._at_period(e).form(e).key()
+        return self.form(self.minimal_period()).key()
 
     # -- period manipulation -------------------------------------------------
 
@@ -487,7 +604,7 @@ class Submodule:
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""
         if not self.has_period(m):
             raise PreconditionError(f"x^{m} U != U: cannot rescale by {m}")
-        return self._at_period(gcd(m, self.period)).form(m).rank
+        return self.form(m).rank
 
     def canonical(self):
         """Equivalent presentation at the minimal period, canonical generators.
@@ -495,7 +612,7 @@ class Submodule:
         It is the same subgroup, so it keeps this one's form and minimal period.
         """
         e = self.minimal_period()
-        form = self._at_period(e).form(e)
+        form = self.form(e)
         gens = tuple(unvectorize(row, self.n, e, self.p) for row in form.rows)
         canon = Submodule(self.n, self.p, e, gens)
         canon._forms[e] = form
@@ -515,7 +632,7 @@ class InvariantReport:
 def invariant_report(U, s=None):
     """Compute (e, rk_e, n*e - rk_e); a given s is checked to be a period."""
     e = U.minimal_period(s)
-    rk = U._at_period(e).form(e).rank
+    rk = U.form(e).rank
     return InvariantReport(e=e, rank=rk, deficiency=U.n * e - rk)
 
 

@@ -60,6 +60,24 @@ GOLDEN_APPROACH_SHA256 = "4058563650dee63c61945b69255d7215ea127c21bcb05e799f58e2
 # --target 1,0 --count 25 --ball 1,1,5: the first irreducible, 1+x, gives a
 # term of period 1, which is skipped
 GOLDEN_APPROACH_SKIP_SHA256 = "215f274d34e1ef53d17bc8b178645bd850acb218cd846d33247c1c1a93c9d341"
+# stdout of `lampirs approach` on triples beyond p = 2: (name, triple file,
+# arguments, exit code, sha256).  p3n2 has a nonzero marker and stabilizes;
+# p5 stabilizes; p3n2-witness does not stabilize and names a witness at a
+# negative shift; p3-off-multiple stores its lamps at period 6 with s = 9.
+GOLDEN_APPROACH_WIDE = [
+    ("p3n2", "s=4\nn=2 e=2 p=3\n[1+2x, x]\n[x, 1]\nv=[x^-1, 1+x]\n",
+     ("--target", "1,1", "--count", "6", "--ball", "1,4,6"), 0,
+     "e5d23ad1025aaca1deb4e1dca7783691ca8f658e195b268fafbff3c79ca00372"),
+    ("p5", "s=2\nn=1 e=2 p=5\n[1+3x^2]\nv=[2+x]\n",
+     ("--target", "1,0", "--count", "12", "--ball", "1,2,12"), 0,
+     "90848fa67c5d870dadfb34d888811e398355e229cb6f15db6508df565cae0388"),
+    ("p3n2-witness", "s=2\nn=2 e=1 p=3\n[1, 0]\nv=[1+x, 2]\n",
+     ("--target", "1,0", "--count", "6", "--ball", "2,4,6"), 1,
+     "4971eadf56071c9325a1ac7575aef97780a8823fb004f22b037d90313768b509"),
+    ("p3-off-multiple", "s=9\nn=1 e=6 p=3\n[1+2x]\n[x^3*(1+2x)]\nv=[1+2x^2]\n",
+     ("--target", "1,2", "--count", "6", "--ball", "2,18,6"), 0,
+     "a0e724c605ac29762c2c0f03e994f42c06e13288af9229f8f2f4df5417db072d"),
+]
 # stdout of `lampirs invariants` on each of OFF_MULTIPLE_TRIPLES, concatenated
 GOLDEN_OFF_MULTIPLE_INVARIANTS_SHA256 = "98f6b4f8d3c2822105e275f99b1f133ba644deb76a201729c40f9622b4d9f210"
 # Triples whose s is not a multiple of the stored period of their lamps;
@@ -393,6 +411,20 @@ def test_golden_skip_approach_and_off_multiple_invariants_hashes(tmp_path):
         assert res.returncode == 0, res.stderr
         digest.update(res.stdout)
     assert digest.hexdigest() == GOLDEN_OFF_MULTIPLE_INVARIANTS_SHA256
+
+
+@pytest.mark.parametrize(
+    "name,text,args,code,golden", GOLDEN_APPROACH_WIDE, ids=[c[0] for c in GOLDEN_APPROACH_WIDE]
+)
+def test_golden_approach_beyond_p2_hashes(tmp_path, name, text, args, code, golden):
+    path = tmp_path / f"{name}.triple"
+    path.write_text(text)
+    res = subprocess.run(
+        [sys.executable, "-m", "lampirs.cli", "approach", "--triple", str(path), *args],
+        capture_output=True, timeout=120,
+    )
+    assert res.returncode == code, res.stderr
+    assert hashlib.sha256(res.stdout).hexdigest() == golden
 
 
 def seeded_measure_json(seed, p, n):

@@ -208,6 +208,23 @@ class TestMalformedArguments:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "ball", ["7140,2,3", "100000000,1,3", "3,500000,3", "3,1000000000000,3"]
+    )
+    def test_approach_ball_over_budget(self, tmp_path, ball):
+        # just past the witness-count bits (2^14281 * 5) and the shift count
+        # (1,000,001), and two balls far past them
+        path = tmp_path / "V.triple"
+        path.write_text("s=4\nn=1 e=2 p=2\n1\nv=0\n")
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1,0", "--count", "3",
+            "--ball", ball, timeout=20,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr and "Traceback" not in res.stderr
+
     def test_cb_truncation_over_budget(self):
         res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
         assert res.returncode == 2

@@ -3,10 +3,11 @@
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
-from lampirs.errors import DomainError
+from lampirs.errors import DomainError, ResourceBudgetError
 from lampirs.lamplighter import (
     GroupElement,
     SubgroupTriple,
+    _ball_size,
     certify_convergence,
     conjugate_element,
     cylinder_contains,
@@ -15,6 +16,8 @@ from lampirs.lamplighter import (
 )
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
+    ENUMERATION_BUDGET,
+    PRINTABLE_BITS,
     LaurentVector,
     Submodule,
     construct_with_invariants,
@@ -401,3 +404,37 @@ class TestConvergenceWindow:
         V = triple_even_span(2)
         res = certify_convergence(lambda m: V, V, 0, 0, 3)
         assert res.stabilized and res.index == 1 and res.witnesses_checked == 2
+
+    def unused_provider(self, m):
+        raise AssertionError("a refused ball must not reach the sequence")
+
+    @pytest.mark.parametrize(
+        "radius, shift_bound",
+        [
+            (7140, 2),  # 2^14281 * 5 has 14,284 bits
+            (7141, 0),  # 2^14283 has 14,284 bits
+            (100000000, 1),
+            (3, 500000),  # 1,000,001 shifts
+            (3, 10**12),
+        ],
+    )
+    def test_ball_past_a_budget_refused(self, radius, shift_bound):
+        # s = 4, U = F_2[x^(+-2)]: the refusal comes before the basis or a key
+        V = SubgroupTriple(4, Submodule(1, 2, 2, [LaurentVector.unit(1, 2, 0)]))
+        with pytest.raises(ResourceBudgetError):
+            certify_convergence(self.unused_provider, V, radius, shift_bound, 3)
+
+    def test_ball_size_at_the_budget_edges(self):
+        assert _ball_size(2, 14281, 3).bit_length() == PRINTABLE_BITS
+        with pytest.raises(ResourceBudgetError):
+            _ball_size(2, 14281, 5)
+        assert _ball_size(3, 1, ENUMERATION_BUDGET) == 3 * ENUMERATION_BUDGET
+        with pytest.raises(ResourceBudgetError):
+            _ball_size(3, 1, ENUMERATION_BUDGET + 1)
+        # p^dim is bounded below before it is built: 65521^10^9 is never formed
+        with pytest.raises(ResourceBudgetError):
+            _ball_size(65521, 10**9, 1)
+        # 65521^893 passes the budget only by its exact size
+        with pytest.raises(ResourceBudgetError):
+            _ball_size(65521, 893, 1)
+        assert _ball_size(65521, 892, 1) == 65521**892

@@ -10,6 +10,8 @@ checking every witness of the ball against every term.  Any disagreement
 fails the test.
 """
 
+from math import gcd
+
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
@@ -20,6 +22,7 @@ from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
     SubgroupTriple,
+    _offset_residues,
     certify_convergence,
     delta_site,
 )
@@ -29,6 +32,7 @@ from lampirs.submodules import (
     Submodule,
     construct_with_invariants,
     vanish_sequence,
+    vectorize,
 )
 
 from test_cbrank import seeded_encoding_grid, skip_case
@@ -187,6 +191,123 @@ class TestWindowIntersectionOracle:
                         ]
                 converted.append(out)
             assert rref(converted, p)[0] == ws.rows
+
+
+def residue_coordinates(U, w, level):
+    """F_p coordinates {(column, exponent): c} of w reduced from scratch.
+
+    The reduction is the full one of ``CanonicalForm.reduce`` against U's
+    form at ``level``: a Laurent division per pivot, no y-steps.
+    """
+    cols = U.form(level).reduce(vectorize(w, level))
+    return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+
+
+def step_cases(seed, count):
+    """Seeded U with p in {2, 3, 5}, n <= 3 and stored period P <= 6.
+
+    Most are spanned by the shifts x^(j*d) g, j < P/d, of one or two vectors
+    for a divisor d of P, so the minimal period is often below P; some also
+    hold a coordinate monomial, whose pivot has degree 0.  The zero and the
+    full subgroup at each P close the list.
+    """
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        n = 1 + rng.below(3)
+        p = (2, 3, 5)[rng.below(3)]
+        period = 1 + rng.below(6)
+        divisors = [d for d in range(1, period + 1) if period % d == 0]
+        d = divisors[rng.below(len(divisors))]
+        gens = []
+        for _ in range(1 + rng.below(2)):
+            g = rand_vec(rng, n, p)
+            gens += [g.shifted(j * d) for j in range(period // d)]
+        if rng.below(3) == 0:
+            unit = LaurentVector.unit(n, p, rng.below(n), exponent=rng.below(5) - 2)
+            gens += [unit.shifted(j * d) for j in range(period // d)]
+        out.append(Submodule(n, p, period, gens))
+    for period in range(1, 7):
+        n, p = 1 + period % 3, (2, 3, 5)[period % 3]
+        out.append(Submodule(n, p, period, ()))
+        units = [LaurentVector.unit(n, p, i, exponent=j) for i in range(n) for j in range(period)]
+        out.append(Submodule(n, p, period, units))
+    return out
+
+
+class TestResidueStepOracle:
+    """Residues reached by y-steps against per-vector full reductions."""
+
+    CASES = step_cases(5151, 60)
+
+    @staticmethod
+    def windows(rng):
+        # one seeded window, one left of site 0 and one right of it
+        lo = rng.below(15) - 9
+        return [(lo, lo + rng.below(8)), (-9, -3), (2, 8)]
+
+    def levels(self, U):
+        e = U.minimal_period()
+        return sorted({U.period, 2 * U.period, e, 3 * e})
+
+    def test_window_residues_match_per_monomial_reduction(self):
+        rng = SplitMix64(5152)
+        seen = {"below_stored": 0, "degree_0_pivot": 0, "zero": 0, "full": 0, "off_stored": 0}
+        for U in self.CASES:
+            for level in self.levels(U):
+                form = U.form(level)
+                seen["below_stored"] += level < U.period
+                seen["off_stored"] += level % U.period != 0
+                seen["zero"] += form.rank == 0
+                seen["full"] += form.rank == form.ncols
+                seen["degree_0_pivot"] += any(
+                    row[c].body.degree == 0 for row, c in zip(form.rows, form.pivots)
+                ) and form.rank < form.ncols
+                for lo, hi in self.windows(rng):
+                    got = U.window_residues(lo, hi, level)
+                    want = {
+                        (site, i): residue_coordinates(U, delta_site(U.n, U.p, site, i), level)
+                        for site in range(lo, hi + 1)
+                        for i in range(U.n)
+                    }
+                    assert got == want, (U, level, lo, hi)
+            assert U.window_residues(-2, 2) == U.window_residues(-2, 2, U.period)
+        assert all(seen.values()), seen
+        assert {U.p for U in self.CASES} == {2, 3, 5} and {U.n for U in self.CASES} == {1, 2, 3}
+
+    def test_y_power_matches_reduction_of_the_shifted_vector(self):
+        rng = SplitMix64(5153)
+        for U in self.CASES:
+            level = U.period
+            form = U.form(level)
+            for _ in range(3):
+                w = rand_vec(rng, U.n, U.p)
+                start = residue_coordinates(U, w, level)
+                for k in range(-3, 4):
+                    want = residue_coordinates(U, w.shifted(k * level), level)
+                    assert form.y_power(start, k) == want, (U, w, k)
+
+    def test_offset_recurrence_matches_marker_powers(self):
+        # d_k, the lamps of (0, k*s)(v, s)^(-k), reduced from scratch, for s
+        # every multiple of e(U) up to 2P, so P need not divide s.
+        rng = SplitMix64(5154)
+        off_stored = 0
+        for U in self.CASES[:40]:
+            e = U.minimal_period()
+            zero_lamps = LaurentVector.zero(U.n, U.p)
+            for s in range(e, 2 * U.period + 1, e):
+                triple = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p))
+                level = gcd(U.period, s)
+                off_stored += s % U.period != 0
+                ks = list(range(-4, 5))
+                want = [
+                    residue_coordinates(
+                        U, (GroupElement(zero_lamps, k * s) * triple._marker_power(-k)).lamps, level
+                    )
+                    for k in ks
+                ]
+                assert _offset_residues(triple, level, ks) == want, (U, s)
+        assert off_stored > 0
 
 
 def periodic_cases(seed, count):
@@ -420,6 +541,30 @@ class TestCertificationOracle:
             assert got.to_json() == want.to_json()
             failures += not got.stabilized
         assert failures > 0
+
+
+    def test_stored_period_off_the_shift(self):
+        # Lamps spanned by g and x g, so of minimal period 1, stored at
+        # period 2 or 3, with s = 1..3 not always a multiple of it.
+        rng = SplitMix64(707)
+        off_stored = 0
+        for _ in range(8):
+            n, p = ((1, 3), (1, 5), (2, 2))[rng.below(3)]
+
+            def triple(s):
+                g = rand_vec(rng, n, p)
+                period = 2 + rng.below(2)
+                U = Submodule(n, p, period, [g.shifted(j) for j in range(period)])
+                return SubgroupTriple(s, U, rand_vec(rng, n, p))
+
+            s = 1 + rng.below(3)
+            limit = triple(s)
+            terms = [triple(s) for _ in range(3)]
+            off_stored += sum(V.s % V.lamps.period != 0 for V in [limit] + terms)
+            got = certify_convergence(lambda m: terms[m - 1], limit, 1, 3, 3)
+            want = enumerated_certificate(lambda m: terms[m - 1], limit, 1, 3, 3)
+            assert got.to_json() == want.to_json()
+        assert off_stored > 0
 
 
 class TestCertificationMonotone:

@@ -180,6 +180,34 @@ class TestPeriodsAndRanks:
                 U.minimal_period(s)
         assert U.minimal_period(4) == 2
 
+    def test_forms_at_the_minimal_period_are_built_once(self, monkeypatch):
+        # Stored at period 4, minimal period 2: the form at 2 is kept on the
+        # subgroup, so only the first round builds forms.
+        from lampirs import submodules
+        from lampirs.lamplighter import SubgroupTriple
+
+        built = []
+        real = submodules.laurent_hermite_form
+
+        def counting(p, n, level, rows):
+            built.append(level)
+            return real(p, n, level, rows)
+
+        monkeypatch.setattr(submodules, "laurent_hermite_form", counting)
+        V = SubgroupTriple(4, construct_with_invariants(1, 2, 2, 1).with_period(4))
+        rounds = []
+        for _ in range(3):
+            before = len(built)
+            V.poset_encoding()
+            V.lamps.canonical_key()
+            V.invariants()
+            V.lamps.canonical()
+            rounds.append(len(built) - before)
+        assert rounds == [2, 0, 0], built
+        assert V.lamps.form(6) is V.lamps.form(6)
+        with pytest.raises(DomainError):
+            V.lamps.form(3)
+
     def test_single_generator_rank_one(self):
         g = LaurentVector(
             2, (LaurentPoly.monomial(2, 1), LaurentPoly.from_poly(Poly(2, (1, 1))))
@@ -223,12 +251,17 @@ class TestCanonicalForms:
         for p in (2, 3):
             for _ in range(20):
                 U = Submodule(2, p, 2, [random_vector(rng, 2, p)])
+                form = U.form(2)
+
+                def residue_coordinates(w):
+                    return form.residue_coordinates(vectorize(w, 2))
+
                 w1, w2 = random_vector(rng, 2, p), random_vector(rng, 2, p)
-                r1, r2 = U.residue_coordinates(w1), U.residue_coordinates(w2)
+                r1, r2 = residue_coordinates(w1), residue_coordinates(w2)
                 total = {k: (r1.get(k, 0) + r2.get(k, 0)) % p for k in r1.keys() | r2.keys()}
-                assert U.residue_coordinates(w1 + w2) == {k: c for k, c in total.items() if c}
+                assert residue_coordinates(w1 + w2) == {k: c for k, c in total.items() if c}
                 assert (not r1) == U.contains_vector(w1)
-                assert U.residue_coordinates(U.gens[0].shifted(4) + w1) == r1
+                assert residue_coordinates(U.gens[0].shifted(4) + w1) == r1
 
     def test_reduce_vector_is_coset_canonical(self):
         rng = SplitMix64(41)
