@@ -223,6 +223,21 @@ def _coordinates(cols):
     return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
 
 
+def _add_scaled(out, items, c, p):
+    """Add c times the coordinates ``items`` to the coordinate dict ``out``.
+
+    ``items`` are (key, value) pairs; ``out`` is updated in place, dropping
+    entries that become zero mod p, and returned.
+    """
+    for key, b in items:
+        value = (out.get(key, 0) + c * b) % p
+        if value:
+            out[key] = value
+        else:
+            del out[key]
+    return out
+
+
 class CanonicalForm:
     """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
 
@@ -305,34 +320,29 @@ class CanonicalForm:
         return residue
 
     def _step_rows(self):
-        """Per pivot of degree d > 0: its column, d, the row's coordinates,
-        and the inverse of the pivot's constant term."""
+        """Per pivot of degree d > 0: its column, d, the row's coordinates
+        as taken going up and going down (times y^-1), and the inverse of
+        the pivot's constant term."""
         steps = []
         for row, c in zip(self.rows, self.pivots):
             pivot = row[c].body
             if pivot.degree:
+                up = tuple(_coordinates(row).items())
+                down = tuple(((j, exp - 1), b) for (j, exp), b in up)
                 inv = pow(pivot.constant(), self.p - 2, self.p)
-                steps.append((c, pivot.degree, tuple(_coordinates(row).items()), inv))
+                steps.append((c, pivot.degree, up, down, inv))
         return steps
 
     def _y_step(self, residue, sign):
         p = self.p
-        shift = min(sign, 0)  # going down, the pivot row is taken times y^-1
         out = {(j, exp + sign): c for (j, exp), c in residue.items()}
-        for c, d, row, inv in self._steps:
+        for c, d, up, down, inv in self._steps:
             if sign > 0:
-                a = out.get((c, d))
+                a, row = out.get((c, d)), up
             else:
-                a = out.get((c, -1), 0) * inv % p
-            if not a:
-                continue
-            for (j, exp), b in row:
-                key = (j, exp + shift)
-                value = (out.get(key, 0) - a * b) % p
-                if value:
-                    out[key] = value
-                else:
-                    del out[key]
+                a, row = out.get((c, -1), 0) * inv % p, down
+            if a:
+                _add_scaled(out, row, -a, p)
         return out
 
 
@@ -435,9 +445,8 @@ class Submodule:
         """Canonical form at a level that is a period of U, built once.
 
         A multiple of the stored period is one; any other level must be a
-        multiple of the minimal period.  With g = gcd(level, period), itself
-        a period, the generators shifted by k*g for 0 <= k < level/g span U
-        under x^(+-level).
+        multiple of the minimal period.  The rows are the generators of U
+        presented at that level by :meth:`_at_period`.
         """
         cached = self._forms.get(level)
         if cached is not None:
@@ -447,12 +456,7 @@ class Submodule:
                 f"level {level} is not a multiple of the stored period "
                 f"{self.period} nor of the minimal period {self.minimal_period()}"
             )
-        step = gcd(level, self.period)
-        rows = [
-            vectorize(g.shifted(k * step), level)
-            for g in self.gens
-            for k in range(level // step)
-        ]
+        rows = [vectorize(g, level) for g in self._at_period(level).gens]
         form = laurent_hermite_form(self.p, self.n, level, rows)
         self._forms[level] = form
         return form
@@ -478,36 +482,27 @@ class Submodule:
         the coordinates being :meth:`CanonicalForm.residue_coordinates` of
         the form at ``level`` (default: the stored period).  At level L,
         x^(q*L + j) e_i is y^q in column j*n + i, so the monomials of one
-        column class differ by powers of y.  Each class starts at the q
-        nearest 0, from :meth:`CanonicalForm.unit_residue` at q = 0 and
-        from one full reduction otherwise, and the others are reached by
-        :meth:`CanonicalForm.y_power` steps.
+        column class differ by powers of y.  Each class starts from the
+        residue of its monomial at y^0, read off the form by
+        :meth:`CanonicalForm.unit_residue`, and reaches its least q in the
+        window and every later one by :meth:`CanonicalForm.y_power` steps;
+        no monomial is reduced from scratch.
         """
         level = self.period if level is None else level
         form = self.form(level)
-        n, p = self.n, self.p
-        zero = LaurentPoly.zero(p)
+        n = self.n
         low, high = sorted((SITE_EXPONENT_SIGN * lo, SITE_EXPONENT_SIGN * hi))
         out = {}
         for j in range(level):
             q_lo, q_hi = -((j - low) // level), (high - j) // level
             if q_lo > q_hi:
                 continue
-            q0 = min(max(0, q_lo), q_hi)
             for i in range(n):
-                if q0:
-                    cols = [zero] * form.ncols
-                    cols[j * n + i] = LaurentPoly.monomial(p, q0)
-                    start = form.residue_coordinates(cols)
-                else:
-                    start = form.unit_residue(j * n + i)
-                out[SITE_EXPONENT_SIGN * (q0 * level + j), i] = start
-                for sign, stop in ((1, q_hi), (-1, q_lo)):
-                    residue, q = start, q0
-                    while q != stop:
-                        q += sign
-                        residue = form.y_power(residue, sign)
-                        out[SITE_EXPONENT_SIGN * (q * level + j), i] = residue
+                residue = form.y_power(form.unit_residue(j * n + i), q_lo)
+                for q in range(q_lo, q_hi + 1):
+                    if q > q_lo:
+                        residue = form.y_power(residue, 1)
+                    out[SITE_EXPONENT_SIGN * (q * level + j), i] = residue
         return out
 
     def reduce_vector(self, w):

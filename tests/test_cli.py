@@ -209,11 +209,11 @@ class TestMalformedArguments:
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
-        "ball", ["7140,2,3", "100000000,1,3", "3,500000,3", "3,1000000000000,3"]
+        "ball", ["64,1,3", "100000000,1,3", "3,500000,3", "3,1000000000000,3"]
     )
     def test_approach_ball_over_budget(self, tmp_path, ball):
-        # just past the witness-count bits (2^14281 * 5) and the shift count
-        # (1,000,001), and two balls far past them
+        # just past the ball dimension (129) and the shift count (1,000,001),
+        # and two balls far past them
         path = tmp_path / "V.triple"
         path.write_text("s=4\nn=1 e=2 p=2\n1\nv=0\n")
         res = run_cli(
@@ -224,6 +224,17 @@ class TestMalformedArguments:
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+    def test_approach_ball_at_the_dimension_budget(self, tmp_path):
+        path = tmp_path / "V.triple"
+        path.write_text("s=4\nn=1 e=2 p=2\n1\nv=0\n")
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1,0", "--count", "3",
+            "--ball", "63,1,3", timeout=20,
+        )
+        # the sequence does not stabilize on this ball: exit 1, with a report
+        assert res.returncode == 1, res.stderr
+        assert f'"witnesses_checked":{3 * 2**127}' in res.stdout
 
     def test_cb_truncation_over_budget(self):
         res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)

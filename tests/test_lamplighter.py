@@ -2,9 +2,10 @@
 
 import pytest
 
-from lampirs.algebra import LaurentPoly, Poly
+from lampirs.algebra import PRIME_BOUND, LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
 from lampirs.lamplighter import (
+    BALL_DIM_BUDGET,
     GroupElement,
     SubgroupTriple,
     _ball_size,
@@ -411,8 +412,7 @@ class TestConvergenceWindow:
     @pytest.mark.parametrize(
         "radius, shift_bound",
         [
-            (7140, 2),  # 2^14281 * 5 has 14,284 bits
-            (7141, 0),  # 2^14283 has 14,284 bits
+            (64, 0),  # dimension 129
             (100000000, 1),
             (3, 500000),  # 1,000,001 shifts
             (3, 10**12),
@@ -424,17 +424,26 @@ class TestConvergenceWindow:
         with pytest.raises(ResourceBudgetError):
             certify_convergence(self.unused_provider, V, radius, shift_bound, 3)
 
+    def test_ball_at_the_dimension_budget(self):
+        V = SubgroupTriple(4, Submodule(1, 2, 2, [LaurentVector.unit(1, 2, 0)]))
+        res = certify_convergence(lambda m: V, V, 63, 1, 3)
+        assert res.stabilized and res.witnesses_checked == 3 * 2**127
+
     def test_ball_size_at_the_budget_edges(self):
-        assert _ball_size(2, 14281, 3).bit_length() == PRINTABLE_BITS
+        assert _ball_size(2, BALL_DIM_BUDGET, 3) == 3 * 2**BALL_DIM_BUDGET
         with pytest.raises(ResourceBudgetError):
-            _ball_size(2, 14281, 5)
+            _ball_size(2, BALL_DIM_BUDGET + 1, 1)
         assert _ball_size(3, 1, ENUMERATION_BUDGET) == 3 * ENUMERATION_BUDGET
         with pytest.raises(ResourceBudgetError):
             _ball_size(3, 1, ENUMERATION_BUDGET + 1)
-        # p^dim is bounded below before it is built: 65521^10^9 is never formed
-        with pytest.raises(ResourceBudgetError):
-            _ball_size(65521, 10**9, 1)
-        # 65521^893 passes the budget only by its exact size
-        with pytest.raises(ResourceBudgetError):
-            _ball_size(65521, 893, 1)
-        assert _ball_size(65521, 892, 1) == 65521**892
+        # the largest ball within both budgets has a witness count that prints
+        largest = _ball_size(PRIME_BOUND - 15, BALL_DIM_BUDGET, ENUMERATION_BUDGET)
+        assert largest.bit_length() <= PRINTABLE_BITS
+        assert len(str(largest)) < 4300
+
+    def test_offsets_out_of_the_window_are_not_built(self):
+        # U = 0, s = 1, v = 1: d_k = -(1 + x + ... + x^(k-1)) leaves a radius-3
+        # window at k = 5, and no later d_k is reduced or row-reduced
+        V = SubgroupTriple(1, Submodule.zero(1, 2), LaurentVector.unit(1, 2, 0))
+        res = certify_convergence(lambda m: V, V, 3, 100000, 2)
+        assert res.stabilized and res.witnesses_checked == 2**7 * 200001

@@ -235,6 +235,12 @@ def step_cases(seed, count):
     return out
 
 
+def offset_oracle(triple, k, level):
+    """Residue coordinates of d_k, the lamps of (0, k*s)(v, s)^(-k), from scratch."""
+    shift = GroupElement(LaurentVector.zero(triple.n, triple.p), k * triple.s)
+    return residue_coordinates(triple.lamps, (shift * triple._marker_power(-k)).lamps, level)
+
+
 class TestResidueStepOracle:
     """Residues reached by y-steps against per-vector full reductions."""
 
@@ -291,23 +297,39 @@ class TestResidueStepOracle:
         # d_k, the lamps of (0, k*s)(v, s)^(-k), reduced from scratch, for s
         # every multiple of e(U) up to 2P, so P need not divide s.
         rng = SplitMix64(5154)
-        off_stored = 0
+        off_stored = cut = 0
         for U in self.CASES[:40]:
             e = U.minimal_period()
-            zero_lamps = LaurentVector.zero(U.n, U.p)
             for s in range(e, 2 * U.period + 1, e):
                 triple = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p))
                 level = gcd(U.period, s)
                 off_stored += s % U.period != 0
                 ks = list(range(-4, 5))
-                want = [
-                    residue_coordinates(
-                        U, (GroupElement(zero_lamps, k * s) * triple._marker_power(-k)).lamps, level
-                    )
-                    for k in ks
-                ]
-                assert _offset_residues(triple, level, ks) == want, (U, s)
-        assert off_stored > 0
+                want = [offset_oracle(triple, k, level) for k in ks]
+                # with every wanted coordinate in the support none is cut off
+                support = set().union(*want)
+                assert _offset_residues(triple, level, ks, support) == want, (U, s)
+                # d_k outside a small window's support is None, and only then
+                support = set().union(*U.window_residues(-1, 1, level).values())
+                got = _offset_residues(triple, level, ks, support)
+                assert got == [w if w.keys() <= support else None for w in want], (U, s)
+                cut += got.count(None)
+        assert off_stored > 0 and cut > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_offsets_leave_the_window_and_come_back(self, p):
+        # U = (1 + x^3), s = 1, v = 1: d_k = -(1 + x + ... + x^(k-1)) mod U
+        # leaves the radius-0 window at k = 2 within the pivot's degrees and
+        # is 0 again at k = 6, so it must not be cut off on the way
+        g = LaurentVector(p, [LaurentPoly.from_poly(Poly(p, [1, 0, 0, 1]))])
+        U = Submodule(1, p, 1, [g])
+        triple = SubgroupTriple(1, U, LaurentVector.unit(1, p, 0))
+        ks = list(range(-8, 9))
+        want = [offset_oracle(triple, k, 1) for k in ks]
+        support = set().union(*U.window_residues(0, 0).values())
+        got = _offset_residues(triple, 1, ks, support)
+        assert got == [w if w.keys() <= support else None for w in want]
+        assert got[ks.index(2)] is None and got[ks.index(6)] == {}
 
 
 def periodic_cases(seed, count):
