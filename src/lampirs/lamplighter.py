@@ -404,7 +404,7 @@ def _offset_residues(triple, level, ks, support):
     """
     form = triple.lamps.form(level)
     p, steps = triple.p, triple.s // level
-    v = form.residue_coordinates(vectorize(triple.v, level))
+    v = form.residue(vectorize(triple.v, level))
     exponents = [exp for row in form.rows for _, exp in _coordinates(row)]
     exponents += [exp for _, exp in [*v, *support]]
     hi, lo = max(exponents, default=0), min(exponents, default=0)

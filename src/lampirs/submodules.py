@@ -158,69 +158,25 @@ def unvectorize(cols, n, level, p):
 # ---------------------------------------------------------------------------
 
 
-def _y_inverse_mod(g):
-    """Inverse of y modulo g, for g with nonzero constant term."""
-    p = g.p
-    c0_inv = pow(g.constant(), p - 2, p)
-    tail = Poly(p, g.coeffs[1:])  # (g - g(0)) / y
-    return tail.scale((-c0_inv) % p)
-
-
-def laurent_mod(f, g):
-    """Unique residue of a LaurentPoly modulo g*R_y, of degree < deg g.
-
-    Requires g monic with nonzero constant term (so y is invertible mod g).
-    """
-    if g.degree == 0:
-        return Poly.zero(g.p)
-    if f.is_zero():
-        return Poly.zero(g.p)
-    a = f.offset
-    if a >= 0:
-        return f.body.shift(a) % g
-    r = f.body % g
-    y_inv = _y_inverse_mod(g)
-    step = -a
-    # Square-and-multiply for y^{-step} mod g.
-    power = y_inv
-    while step:
-        if step & 1:
-            r = (r * power) % g
-        power = (power * power) % g
-        step >>= 1
-    return r
-
-
-def laurent_exact_div(f, g):
-    """Quotient f / g in the Laurent ring; f must be divisible by g."""
-    if f.is_zero():
-        return LaurentPoly.zero(f.p)
-    q, rem = divmod(f.body, g)
-    if not rem.is_zero():
-        raise ArithmeticError("inexact Laurent division")
-    return LaurentPoly(f.p, f.offset, q)
-
-
-def _eliminate(v, row, c, ncols):
-    """Reduce v[c] to its canonical residue modulo the pivot row[c], in place.
-
-    Subtracts the Laurent multiple of ``row`` that takes v[c] to its residue
-    of degree below the (monic, offset-zero) pivot; returns that residue.
-    """
-    pivot = row[c].body
-    r = laurent_mod(v[c], pivot)
-    diff = v[c] - LaurentPoly.from_poly(r)
-    if not diff.is_zero():
-        q = laurent_exact_div(diff, pivot)
-        for j in range(c, ncols):
-            if not row[j].is_zero():
-                v[j] = v[j] - q * row[j]
-    return r
-
-
 def _coordinates(cols):
     """F_p coordinates {(column, exponent): c} of a column vector."""
     return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+
+
+def _columns(coords, ncols, p):
+    """The column vector with F_p coordinates ``coords``; inverse of ``_coordinates``."""
+    terms = [{} for _ in range(ncols)]
+    for (j, exp), c in coords.items():
+        terms[j][exp] = c
+    out = []
+    for t in terms:
+        if t:
+            lo, hi = min(t), max(t)
+            body = Poly(p, [t.get(exp, 0) for exp in range(lo, hi + 1)], normalize=False)
+            out.append(LaurentPoly(p, lo, body, normalize=False))
+        else:
+            out.append(LaurentPoly.zero(p))
+    return out
 
 
 def _add_scaled(out, items, c, p):
@@ -239,9 +195,14 @@ def _add_scaled(out, items, c, p):
 
 
 class CanonicalForm:
-    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
+    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level.
 
-    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_steps")
+    Residues are computed from the rows alone through the action of y on
+    residuals (:meth:`y_power`), with no Laurent division.  The per-pivot
+    data this needs is indexed when a residue is first asked for.
+    """
+
+    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
 
     def __init__(self, p, n, level, rows, pivots):
         self.p = p
@@ -250,7 +211,7 @@ class CanonicalForm:
         self.ncols = n * level
         self.rows = rows
         self.pivots = pivots
-        self._steps = None
+        self._units = self._steps = None
 
     @property
     def rank(self):
@@ -270,35 +231,46 @@ class CanonicalForm:
     def __hash__(self):
         return hash(self.key())
 
-    def reduce(self, cols):
-        """Canonical residual of a column vector modulo the row span."""
-        v = list(cols)
-        for row, c in zip(self.rows, self.pivots):
-            if not v[c].is_zero():
-                _eliminate(v, row, c, self.ncols)
-        return v
-
-    def residue_coordinates(self, cols):
-        """F_p coordinates {(column, exponent): c} of the canonical residual.
+    def residue(self, cols):
+        """F_p coordinates {(column, exponent): c} of the canonical residual
+        of a column vector modulo the row span.
 
         The map is F_p-linear, and cols is in the row span exactly when the
-        result is empty.
+        result is empty.  It is read by Horner in y: the coefficients at
+        y^q >= 0 from the top down, one up-step between them, and those at
+        y^q < 0 from the bottom up, one down-step after each; every
+        coefficient c at y^q in column j enters as c times
+        :meth:`unit_residue` of j.
         """
-        return _coordinates(self.reduce(cols))
+        by_q = {}
+        for j, entry in enumerate(cols):
+            for q, c in entry.terms():
+                by_q.setdefault(q, []).append((j, c))
+        if not by_q:
+            return {}
+        self._index()
+        p, units = self.p, self._units
+        up, down = {}, {}
+        for q in range(max(by_q), -1, -1):
+            if up:
+                up = self._y_step(up, 1)
+            for j, c in by_q.get(q, ()):
+                _add_scaled(up, units.get(j, (((j, 0), 1),)), c, p)
+        for q in range(min(by_q), 0):
+            for j, c in by_q.get(q, ()):
+                _add_scaled(down, units.get(j, (((j, 0), 1),)), c, p)
+            down = self._y_step(down, -1)
+        return _add_scaled(up, down.items(), 1, p)
 
     def unit_residue(self, col):
-        """Coordinates of the residual of the unit vector in column ``col``.
+        """Coordinates of the residual of the unit vector y^0 in column ``col``.
 
         The unit is its own residual unless ``col`` holds a pivot of degree
         0, a constant 1; then it is the unit minus that pivot's row, whose
         entries in later pivot columns are residues already.
         """
-        for row, c in zip(self.rows, self.pivots):
-            if c == col and not row[c].body.degree:
-                out = _coordinates(row)
-                del out[col, 0]
-                return {key: -value % self.p for key, value in out.items()}
-        return {(col, 0): 1}
+        self._index()
+        return dict(self._units.get(col, (((col, 0), 1),)))
 
     def y_power(self, residue, k):
         """Coordinates of the residual of y^k * r, from those of a residual r.
@@ -308,30 +280,48 @@ class CanonicalForm:
         y^d going up, y^-1 going down (a pivot of degree 0 has a zero entry).
         Taken in pivot order, one scalar multiple of the pivot row clears it,
         as the row's later pivot entries are residues too.  Going down the
-        row is also multiplied by y^-1 and the scalar is divided by the
+        row is also multiplied by y^-1 and the scalar is divided by g(0), the
         pivot's constant term.  Each unit step is one pass of such
         subtractions; no division and no powering are done.
         """
-        if self._steps is None:
-            self._steps = self._step_rows()
+        self._index()
         sign = 1 if k > 0 else -1
         for _ in range(abs(k)):
             residue = self._y_step(residue, sign)
         return residue
 
-    def _step_rows(self):
-        """Per pivot of degree d > 0: its column, d, the row's coordinates
-        as taken going up and going down (times y^-1), and the inverse of
-        the pivot's constant term."""
-        steps = []
-        for row, c in zip(self.rows, self.pivots):
-            pivot = row[c].body
-            if pivot.degree:
-                up = tuple(_coordinates(row).items())
-                down = tuple(((j, exp - 1), b) for (j, exp), b in up)
-                inv = pow(pivot.constant(), self.p - 2, self.p)
-                steps.append((c, pivot.degree, up, down, inv))
-        return steps
+    def _index(self):
+        """Index every row by :meth:`_index_row`, once, last row first."""
+        if self._steps is None:
+            self._units, self._steps = {}, []
+            for row, c in zip(reversed(self.rows), reversed(self.pivots)):
+                self._index_row(row, c)
+
+    def _index_row(self, row, c):
+        """Index a row whose pivot column c precedes every indexed one.
+
+        A pivot of degree 0 gives the unit residue of its column: minus the
+        row's entries past the pivot.  One of degree d > 0 gives a y-step
+        entry: c, d, the row's coordinates as taken going up and going down
+        (times y^-1), and the inverse of g(0).
+        """
+        coords = _coordinates(row)
+        pivot = row[c].body
+        if pivot.degree:
+            up = tuple(coords.items())
+            down = tuple(((j, exp - 1), b) for (j, exp), b in up)
+            inv = pow(pivot.constant(), self.p - 2, self.p)
+            self._steps.insert(0, (c, pivot.degree, up, down, inv))
+        else:
+            del coords[c, 0]
+            self._units[c] = tuple((key, -b % self.p) for key, b in coords.items())
+
+    def _push(self, row, c):
+        """Put a canonical row in front, its pivot c before every other."""
+        self.rows = (row,) + self.rows
+        self.pivots = (c,) + self.pivots
+        if self._steps is not None:
+            self._index_row(row, c)
 
     def _y_step(self, residue, sign):
         p = self.p
@@ -351,7 +341,13 @@ def _width(entry):
 
 
 def laurent_hermite_form(p, n, level, generator_cols):
-    """Echelonize Laurent rows into the canonical form described above."""
+    """Echelonize Laurent rows into the canonical form described above.
+
+    After Euclid on each column and a unit normalizing each pivot, the rows
+    are made canonical from the bottom up: a row's entries past its pivot
+    become their residue modulo the rows below it, which are canonical
+    already, and the row is then put in front of them.
+    """
     ncols = n * level
     rows = [list(r) for r in generator_cols if any(not e.is_zero() for e in r)]
     pivots = []
@@ -389,14 +385,15 @@ def laurent_hermite_form(p, n, level, generator_cols):
             ]
             pivots.append(col)
             next_row += 1
-    rows = rows[:next_row]
-    # Reduce entries above each pivot to the canonical residue.
-    for idx, col in enumerate(pivots):
-        for i in range(idx):
-            if not rows[i][col].is_zero():
-                _eliminate(rows[i], rows[idx], col, ncols)
-    rows = tuple(tuple(row) for row in rows)
-    return CanonicalForm(p, n, level, rows, tuple(pivots))
+    form = CanonicalForm(p, n, level, (), ())
+    zero = LaurentPoly.zero(p)
+    for row, col in zip(reversed(rows[:next_row]), reversed(pivots)):
+        tail = row[col + 1 :]
+        if form.rank and any(not e.is_zero() for e in tail):
+            residue = form.residue([zero] * (col + 1) + tail)
+            row[col + 1 :] = _columns(residue, ncols, p)[col + 1 :]
+        form._push(tuple(row), col)
+    return form
 
 
 def _divisors(m):
@@ -464,11 +461,11 @@ class Submodule:
     # -- membership, containment, equality ----------------------------------
 
     def _residue(self, w, level):
-        """Columns of w reduced modulo the canonical form at ``level``."""
-        return self.form(level).reduce(vectorize(w, level))
+        """Residue coordinates of w modulo the canonical form at ``level``."""
+        return self.form(level).residue(vectorize(w, level))
 
     def _is_member(self, w, level):
-        return all(e.is_zero() for e in self._residue(w, level))
+        return not self._residue(w, level)
 
     def contains_vector(self, w):
         if w.p != self.p or w.n != self.n:
@@ -479,14 +476,12 @@ class Submodule:
         """Residue coordinates of every site monomial on [lo, hi].
 
         Returns {(site, i): coordinates} for the monomials x^(-site) e_i,
-        the coordinates being :meth:`CanonicalForm.residue_coordinates` of
-        the form at ``level`` (default: the stored period).  At level L,
-        x^(q*L + j) e_i is y^q in column j*n + i, so the monomials of one
-        column class differ by powers of y.  Each class starts from the
-        residue of its monomial at y^0, read off the form by
+        the coordinates being :meth:`CanonicalForm.residue` of the form at
+        ``level`` (default: the stored period).  At level L, x^(q*L + j) e_i
+        is y^q in column j*n + i, so the monomials of one column class
+        differ by powers of y.  Each class starts from its monomial at y^0,
         :meth:`CanonicalForm.unit_residue`, and reaches its least q in the
-        window and every later one by :meth:`CanonicalForm.y_power` steps;
-        no monomial is reduced from scratch.
+        window and every later one by :meth:`CanonicalForm.y_power` steps.
         """
         level = self.period if level is None else level
         form = self.form(level)
@@ -507,7 +502,8 @@ class Submodule:
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
-        return unvectorize(self._residue(w, self.period), self.n, self.period, self.p)
+        cols = _columns(self._residue(w, self.period), self.n * self.period, self.p)
+        return unvectorize(cols, self.n, self.period, self.p)
 
     def _common_level(self, other):
         g = gcd(self.period, other.period)

@@ -10,6 +10,7 @@ checking every witness of the ball against every term.  Any disagreement
 fails the test.
 """
 
+import functools
 from math import gcd
 
 import pytest
@@ -31,6 +32,7 @@ from lampirs.submodules import (
     LaurentVector,
     Submodule,
     construct_with_invariants,
+    laurent_hermite_form,
     vanish_sequence,
     vectorize,
 )
@@ -193,14 +195,107 @@ class TestWindowIntersectionOracle:
             assert rref(converted, p)[0] == ws.rows
 
 
-def residue_coordinates(U, w, level):
-    """F_p coordinates {(column, exponent): c} of w reduced from scratch.
+# ---------------------------------------------------------------------------
+# Reference reduction: a Laurent division per pivot, independent of the
+# y-action on residues that the package computes with.
+# ---------------------------------------------------------------------------
 
-    The reduction is the full one of ``CanonicalForm.reduce`` against U's
-    form at ``level``: a Laurent division per pivot, no y-steps.
+
+def laurent_mod(f, g):
+    """Residue of a LaurentPoly f modulo g*F_p[y^(+-1)], of degree below g's.
+
+    g is monic with g(0) != 0, so y is a unit mod g, with inverse
+    -(g - g(0))/y / g(0); negative exponents are brought in by powering it.
     """
-    cols = U.form(level).reduce(vectorize(w, level))
-    return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+    p = g.p
+    if g.degree == 0 or f.is_zero():
+        return Poly.zero(p)
+    if f.offset >= 0:
+        return f.body.shift(f.offset) % g
+    r = f.body % g
+    power = Poly(p, g.coeffs[1:]).scale(-pow(g.constant(), p - 2, p) % p)
+    step = -f.offset
+    while step:
+        if step & 1:
+            r = r * power % g
+        power = power * power % g
+        step >>= 1
+    return r
+
+
+def laurent_exact_div(f, g):
+    """The Laurent quotient f / g; f must be divisible by g."""
+    q, rem = divmod(f.body, g)
+    assert rem.is_zero(), "inexact Laurent division"
+    return LaurentPoly(f.p, f.offset, q)
+
+
+def eliminate(v, row, c):
+    """Take v[c] to its residue modulo the pivot row[c], in place, by
+    subtracting a Laurent multiple of the whole row."""
+    pivot = row[c].body
+    diff = v[c] - LaurentPoly.from_poly(laurent_mod(v[c], pivot))
+    if not diff.is_zero():
+        q = laurent_exact_div(diff, pivot)
+        for j in range(c, len(v)):
+            if not row[j].is_zero():
+                v[j] = v[j] - q * row[j]
+
+
+def reference_hermite_form(p, n, level, generator_cols):
+    """(rows, pivots) of the canonical form: Euclid on each column, pivots
+    made monic with offset 0, then the entries above each pivot reduced
+    top down, one pivot at a time, by :func:`eliminate`."""
+    rows = [list(r) for r in generator_cols if any(not e.is_zero() for e in r)]
+    pivots = []
+    for col in range(n * level):
+        top = len(pivots)
+        while True:
+            live = [i for i in range(top, len(rows)) if not rows[i][col].is_zero()]
+            if not live:
+                break
+            best = min(live, key=lambda i: rows[i][col].body.degree)
+            rows[top], rows[best] = rows[best], rows[top]
+            if len(live) == 1:
+                break
+            pivot = rows[top][col]
+            for i in range(top + 1, len(rows)):
+                entry = rows[i][col]
+                if not entry.is_zero():
+                    q, _ = divmod(entry.body, pivot.body)
+                    q = LaurentPoly(p, entry.offset - pivot.offset, q)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[top])]
+        if top < len(rows) and not rows[top][col].is_zero():
+            entry = rows[top][col]
+            inv = pow(entry.body.leading(), p - 2, p)
+            rows[top] = [e.scale(inv).shifted(-entry.offset) for e in rows[top]]
+            pivots.append(col)
+    rows = rows[: len(pivots)]
+    for idx, col in enumerate(pivots):
+        for i in range(idx):
+            if not rows[i][col].is_zero():
+                eliminate(rows[i], rows[idx], col)
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_form(U, level):
+    """:func:`reference_hermite_form` of U at a level that is a period of U,
+    from the generators shifted by multiples of gcd(level, stored period)."""
+    g = gcd(level, U.period)
+    gens = [v.shifted(k * g) for v in U.gens for k in range(level // g)]
+    return reference_hermite_form(U.p, U.n, level, [vectorize(v, level) for v in gens])
+
+
+def residue_coordinates(U, w, level):
+    """F_p coordinates {(column, exponent): c} of w reduced from scratch:
+    a Laurent division per pivot of U's reference form at ``level``."""
+    rows, pivots = reference_form(U, level)
+    v = vectorize(w, level)
+    for row, c in zip(rows, pivots):
+        if not v[c].is_zero():
+            eliminate(v, row, c)
+    return {(j, exp): c for j, entry in enumerate(v) for exp, c in entry.terms()}
 
 
 def step_cases(seed, count):
@@ -232,6 +327,31 @@ def step_cases(seed, count):
         out.append(Submodule(n, p, period, ()))
         units = [LaurentVector.unit(n, p, i, exponent=j) for i in range(n) for j in range(period)]
         out.append(Submodule(n, p, period, units))
+    return out
+
+
+def pinned_grid(seed, count):
+    """Seeded U with p in {2, 3, 5, 7}, n <= 3 and stored period P <= 6.
+
+    Each is spanned by the shifts x^(j*d) g, j < P/d, of one or two vectors
+    with negative exponents, for a divisor d of P, so the minimal period is
+    often below P; about a third also hold a coordinate monomial, whose
+    pivot has degree 0.
+    """
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        n, p, period = 1 + rng.below(3), (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(6)
+        divisors = [d for d in range(1, period + 1) if period % d == 0]
+        d = divisors[rng.below(len(divisors))]
+        gens = []
+        for _ in range(1 + rng.below(2)):
+            g = rand_vec(rng, n, p, lo=-4, hi=2)
+            gens += [g.shifted(j * d) for j in range(period // d)]
+        if rng.below(3) == 0:
+            g = LaurentVector.unit(n, p, rng.below(n), exponent=rng.below(7) - 4)
+            gens += [g.shifted(j * d) for j in range(period // d)]
+        out.append(Submodule(n, p, period, gens))
     return out
 
 
@@ -330,6 +450,58 @@ class TestResidueStepOracle:
         got = _offset_residues(triple, 1, ks, support)
         assert got == [w if w.keys() <= support else None for w in want]
         assert got[ks.index(2)] is None and got[ks.index(6)] == {}
+
+
+class TestReferenceReduction:
+    """Forms and residues against the Laurent division per pivot."""
+
+    CASES = pinned_grid(2727, 150)
+
+    @staticmethod
+    def levels(U):
+        e = U.minimal_period()
+        return sorted({U.period, 2 * U.period, e, 3 * e})
+
+    def test_hermite_form_matches_reference(self):
+        seen = {"proper_divisor": 0, "degree_0_pivot": 0, "tail": 0}
+        for U in self.CASES:
+            for level in self.levels(U):
+                form = U.form(level)
+                assert (form.rows, form.pivots) == reference_form(U, level), (U, level)
+                seen["proper_divisor"] += level < U.period
+                seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(form.rows, form.pivots))
+                seen["tail"] += any(
+                    not e.is_zero() for row, c in zip(form.rows, form.pivots) for e in row[c + 1 :]
+                )
+        assert all(seen.values()), seen
+        assert {U.p for U in self.CASES} == {2, 3, 5, 7}
+
+    def test_hermite_form_of_raw_rows_matches_reference(self):
+        # rows of Laurent entries with negative offsets, fed in directly
+        rng = SplitMix64(2728)
+        for _ in range(150):
+            p, n, level = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(2), 1 + rng.below(3)
+            rows = [
+                vectorize(rand_vec(rng, n, p, lo=-3 * level, hi=2 * level), level)
+                for _ in range(1 + rng.below(n * level + 1))
+            ]
+            form = laurent_hermite_form(p, n, level, rows)
+            assert (form.rows, form.pivots) == reference_hermite_form(p, n, level, rows)
+
+    def test_residue_matches_reference(self):
+        rng = SplitMix64(2729)
+        members = 0
+        for U in self.CASES:
+            for level in self.levels(U):
+                form = U.form(level)
+                for k in range(3):
+                    w = rand_vec(rng, U.n, U.p, lo=-11, hi=11)
+                    if k == 2 and U.gens:
+                        w = U.gens[rng.below(len(U.gens))].shifted(U.period * (rng.below(7) - 3))
+                    got = form.residue(vectorize(w, level))
+                    assert got == residue_coordinates(U, w, level), (U, level, w)
+                    members += not got
+        assert members > 0
 
 
 def periodic_cases(seed, count):

@@ -19,6 +19,8 @@ from lampirs.submodules import (
     vectorize,
 )
 
+from test_oracle_crosscheck import pinned_grid, residue_coordinates
+
 
 def unit(n, p, i=0, exp=0):
     return LaurentVector.unit(n, p, i, exponent=exp)
@@ -84,8 +86,7 @@ class TestLaurentHermiteForm:
                             )
                     for g in U.gens:
                         for k in range(level // e):
-                            residue = form.reduce(vectorize(g.shifted(k * e), level))
-                            assert all(entry.is_zero() for entry in residue)
+                            assert not form.residue(vectorize(g.shifted(k * e), level))
                     for row in form.rows:
                         assert U.contains_vector(unvectorize(row, n, level, p))
 
@@ -246,22 +247,24 @@ class TestCanonicalForms:
     def test_distinct_modules_differ(self):
         assert not span_even(2).equals(Submodule.full(1, 2))
 
-    def test_residue_coordinates_linear_and_decide_membership(self):
+    def test_residue_linear_and_decides_membership(self):
         rng = SplitMix64(43)
         for p in (2, 3):
             for _ in range(20):
                 U = Submodule(2, p, 2, [random_vector(rng, 2, p)])
                 form = U.form(2)
 
-                def residue_coordinates(w):
-                    return form.residue_coordinates(vectorize(w, 2))
+                def residue(w):
+                    got = form.residue(vectorize(w, 2))
+                    assert got == residue_coordinates(U, w, 2), (U, w)
+                    return got
 
                 w1, w2 = random_vector(rng, 2, p), random_vector(rng, 2, p)
-                r1, r2 = residue_coordinates(w1), residue_coordinates(w2)
+                r1, r2 = residue(w1), residue(w2)
                 total = {k: (r1.get(k, 0) + r2.get(k, 0)) % p for k in r1.keys() | r2.keys()}
-                assert residue_coordinates(w1 + w2) == {k: c for k, c in total.items() if c}
+                assert residue(w1 + w2) == {k: c for k, c in total.items() if c}
                 assert (not r1) == U.contains_vector(w1)
-                assert residue_coordinates(U.gens[0].shifted(4) + w1) == r1
+                assert residue(U.gens[0].shifted(4) + w1) == r1
 
     def test_reduce_vector_is_coset_canonical(self):
         rng = SplitMix64(41)
@@ -429,3 +432,37 @@ class TestVectorize:
             v = random_vector(rng, 2, 3, lo=-4, hi=4)
             for level in (1, 2, 3):
                 assert unvectorize(vectorize(v, level), 2, level, 3) == v
+
+
+# sha256 of the form keys at P and 2P, the minimal period, and membership
+# and the canonical representative of seeded probes (members among them),
+# over pinned_grid(1414, 300); recorded before residues were computed by
+# the y-action alone, which must leave every one of them unchanged.
+GRID_PIN_SHA256 = "02179193a821feba4e5a9ec518fc37f2f256a922d73d631ce4e749711a5e4578"
+
+
+class TestResidueGridPin:
+    def test_grid_digest_is_pinned(self):
+        import hashlib
+
+        from lampirs.formats import format_vector
+
+        rng = SplitMix64(1415)
+        digest = hashlib.sha256()
+        seen = {"proper_divisor": 0, "degree_0_pivot": 0, "member": 0}
+        for U in pinned_grid(1414, 300):
+            e = U.minimal_period()
+            form = U.form(U.period)
+            seen["proper_divisor"] += e < U.period
+            seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(form.rows, form.pivots))
+            lines = [repr(form.key()), repr(U.form(2 * U.period).key()), str(e)]
+            for k in range(4):
+                w = random_vector(rng, U.n, U.p, lo=-5, hi=3)
+                if k % 2 and U.gens:
+                    w = U.gens[rng.below(len(U.gens))].shifted(U.period * (rng.below(5) - 2))
+                member = U.contains_vector(w)
+                seen["member"] += member
+                lines += [str(member), format_vector(U.reduce_vector(w))]
+            digest.update(("\n".join(lines) + "\n").encode())
+        assert all(seen.values()), seen
+        assert digest.hexdigest() == GRID_PIN_SHA256
