@@ -34,7 +34,7 @@ from .irs import (
     convergence_report,
     splice_measures,
 )
-from .lamplighter import certify_convergence
+from .lamplighter import ball_size, certify_convergence
 from .rng import derive_seed
 from .submodules import (
     Submodule,
@@ -165,10 +165,11 @@ def cmd_approach(args):
     triple = parse_triple(_read_text(args.triple))
     t_target, r_target = args.target
     radius, shift_bound, horizon = args.ball
+    horizon = min(horizon, args.count)
+    # refuse an oversized ball before building the sequence (which refuses count < 1)
+    ball_size(triple.n, triple.p, radius, shift_bound, max(horizon, 1))
     seq = build_approach_sequence(triple, (t_target, r_target), args.count)
-    cert = certify_convergence(
-        lambda m: seq[m - 1], triple, radius, shift_bound, min(horizon, args.count)
-    )
+    cert = certify_convergence(lambda m: seq[m - 1], triple, radius, shift_bound, horizon)
     encodings_ok = all(W.poset_encoding() == (t_target, r_target) for W in seq)
     classification = classify_limit(seq, triple)
     payload = {

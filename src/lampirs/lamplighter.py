@@ -293,17 +293,12 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     (``Submodule.window_residues`` and ``_offset_residues``), with no
     Laurent division per monomial.
 
-    A ball of dimension n(2R+1) above ``BALL_DIM_BUDGET``, or with more
-    than ``ENUMERATION_BUDGET`` shifts, is refused with
+    A ball past the budgets of :func:`ball_size` is refused with
     ``ResourceBudgetError`` before anything is built.
     """
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
-    if support_radius < 0 or shift_bound < 0:
-        raise DomainError("support_radius and shift_bound must be >= 0")
     n, p = limit.n, limit.p
+    checked = ball_size(n, p, support_radius, shift_bound, horizon)
     dim = n * (2 * support_radius + 1)
-    checked = _ball_size(p, dim, 2 * shift_bound + 1)
     shifts = range(-shift_bound, shift_bound + 1)
     target = _member_keys(limit, support_radius, shifts)
     last_disagreement = 0
@@ -331,23 +326,31 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
 
 
-def _ball_size(p, dim, n_shifts):
-    """p^dim * n_shifts, the witnesses of a ball, refused past the budgets.
+def ball_size(n, p, radius, shift_bound, horizon):
+    """p^(n(2R+1)) * (2S+1), the witnesses of a ball, refused past the budgets.
 
-    The dimension n(2R+1) is the number of columns of the window's residues
-    in ``_member_keys``; within ``BALL_DIM_BUDGET`` and with p below 2^16,
-    the witness count has at most 16 * 128 + 20 bits and so prints within
-    ``PRINTABLE_BITS``.
+    The dimension n(2R+1), the columns of the window's residues in
+    ``_member_keys``, may not pass ``BALL_DIM_BUDGET``, nor the keys of
+    every shift for the limit and the H subgroups, (2S+1)(H+1), pass
+    ``ENUMERATION_BUDGET``.  With p below 2^16 the witness count then has
+    at most 16 * 128 + 19 bits and prints within ``PRINTABLE_BITS``.
     """
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+    if radius < 0 or shift_bound < 0:
+        raise DomainError("support_radius and shift_bound must be >= 0")
+    dim = n * (2 * radius + 1)
     if dim > BALL_DIM_BUDGET:
         raise ResourceBudgetError(
             f"a ball of dimension {dim} exceeds the budget {BALL_DIM_BUDGET}",
             requested=dim,
         )
-    if n_shifts > ENUMERATION_BUDGET:
+    n_shifts = 2 * shift_bound + 1
+    if n_shifts * (horizon + 1) > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"a ball of {n_shifts} shifts exceeds the budget {ENUMERATION_BUDGET}",
-            requested=n_shifts,
+            f"{n_shifts} shifts keyed for {horizon} subgroups and the limit exceed "
+            f"the budget of {ENUMERATION_BUDGET} keys",
+            requested=n_shifts * (horizon + 1),
         )
     return p**dim * n_shifts
 
@@ -429,13 +432,21 @@ def _least_difference(key_a, key_b, dim, p):
     """Digits of the least code in exactly one of two different keyed sets.
 
     The digits are fixed from the most significant one down, each to the
-    least value that leaves the symmetric difference nonempty.
+    least value that leaves the symmetric difference nonempty.  With the
+    digits above fixed, a keyed set A forces a value on the digit or takes
+    every value on it; then its part inside the other set, all of A or a
+    proper affine subset, holds A's slice at every value or at one at most.
+    So A leaves the other set first at 0, 1 or the value A forces, and
+    only those are tried.
     """
     a, b = _equations(key_a, dim, p), _equations(key_b, dim, p)
     fixed = []
     for d in reversed(range(dim)):
-        for value in range(p):
-            trial = fixed + [[int(i == d) for i in range(dim)] + [value]]
+        unit = tuple(int(i == d) for i in range(dim))
+        systems = [rref(inside + fixed, p)[0] for inside in (a, b)]
+        forced = {row[dim] for rows in systems for row in rows if row[:dim] == unit}
+        for value in sorted({0, 1} | forced):
+            trial = fixed + [[*unit, value]]
             if _escapes(a, b, trial, dim, p) or _escapes(b, a, trial, dim, p):
                 fixed = trial
                 break

@@ -36,6 +36,9 @@ from .errors import (
 )
 
 ENUMERATION_BUDGET = 10**6
+# Largest number of terms of an approach sequence: 1,000 terms toward s=1,
+# U=0 (p=2) take about 1 s on a 2-core Xeon, later terms costing more.
+SEQUENCE_BUDGET = 1000
 # Largest bit length of a number that must print: one of at most 14,283
 # bits prints within Python's default 4,300-digit int-to-str limit.
 PRINTABLE_BITS = 14283
@@ -130,27 +133,35 @@ class LaurentVector:
 # ---------------------------------------------------------------------------
 
 
+def _laurent_list(terms, p):
+    """LaurentPolys with the coefficients {exponent: c} (each c nonzero) of ``terms``."""
+    zero = LaurentPoly.zero(p)
+    return [
+        LaurentPoly(p, min(t), Poly(p, [t.get(e, 0) for e in range(min(t), max(t) + 1)]))
+        if t
+        else zero
+        for t in terms
+    ]
+
+
 def vectorize(vec, level):
     """Split a LaurentVector across exponent classes mod ``level``."""
-    p = vec.p
-    cols = [LaurentPoly.zero(p)] * (vec.n * level)
+    cols = [{} for _ in range(vec.n * level)]
     for i, poly in enumerate(vec.coords):
         for exp, c in poly.terms():
             q, j = divmod(exp, level)
-            cols[j * vec.n + i] = cols[j * vec.n + i] + LaurentPoly.monomial(p, q, c)
-    return cols
+            cols[j * vec.n + i][q] = c
+    return _laurent_list(cols, vec.p)
 
 
 def unvectorize(cols, n, level, p):
     """Inverse of :func:`vectorize`."""
-    acc = [LaurentPoly.zero(p)] * n
+    acc = [{} for _ in range(n)]
     for idx, entry in enumerate(cols):
-        if entry.is_zero():
-            continue
         j, i = divmod(idx, n)
         for q, c in entry.terms():
-            acc[i] = acc[i] + LaurentPoly.monomial(p, q * level + j, c)
-    return LaurentVector(p, acc)
+            acc[i][q * level + j] = c
+    return LaurentVector(p, _laurent_list(acc, p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +179,7 @@ def _columns(coords, ncols, p):
     terms = [{} for _ in range(ncols)]
     for (j, exp), c in coords.items():
         terms[j][exp] = c
-    out = []
-    for t in terms:
-        if t:
-            lo, hi = min(t), max(t)
-            body = Poly(p, [t.get(exp, 0) for exp in range(lo, hi + 1)], normalize=False)
-            out.append(LaurentPoly(p, lo, body, normalize=False))
-        else:
-            out.append(LaurentPoly.zero(p))
-    return out
+    return _laurent_list(terms, p)
 
 
 def _add_scaled(out, items, c, p):
@@ -197,9 +200,7 @@ def _add_scaled(out, items, c, p):
 class CanonicalForm:
     """Canonical Laurent-Hermite presentation of a subgroup at a fixed level.
 
-    Residues are computed from the rows alone through the action of y on
-    residuals (:meth:`y_power`), with no Laurent division.  The per-pivot
-    data this needs is indexed when a residue is first asked for.
+    The per-pivot data behind residues is indexed when one is first asked for.
     """
 
     __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
@@ -243,20 +244,17 @@ class CanonicalForm:
         :meth:`unit_residue` of j.
         """
         by_q = {}
-        for j, entry in enumerate(cols):
-            for q, c in entry.terms():
-                by_q.setdefault(q, []).append((j, c))
-        if not by_q:
-            return {}
+        for (j, q), c in _coordinates(cols).items():
+            by_q.setdefault(q, []).append((j, c))
         self._index()
         p, units = self.p, self._units
         up, down = {}, {}
-        for q in range(max(by_q), -1, -1):
+        for q in range(max(by_q, default=-1), -1, -1):
             if up:
                 up = self._y_step(up, 1)
             for j, c in by_q.get(q, ()):
                 _add_scaled(up, units.get(j, (((j, 0), 1),)), c, p)
-        for q in range(min(by_q), 0):
+        for q in range(min(by_q, default=0), 0):
             for j, c in by_q.get(q, ()):
                 _add_scaled(down, units.get(j, (((j, 0), 1),)), c, p)
             down = self._y_step(down, -1)
@@ -298,13 +296,10 @@ class CanonicalForm:
                 self._index_row(row, c)
 
     def _index_row(self, row, c):
-        """Index a row whose pivot column c precedes every indexed one.
-
-        A pivot of degree 0 gives the unit residue of its column: minus the
-        row's entries past the pivot.  One of degree d > 0 gives a y-step
-        entry: c, d, the row's coordinates as taken going up and going down
-        (times y^-1), and the inverse of g(0).
-        """
+        """Index a row whose pivot column c precedes every indexed one: a
+        pivot of degree 0 by its column's unit residue, one of degree d > 0
+        by c, d, the row's coordinates going up and going down (times y^-1),
+        and 1/g(0)."""
         coords = _coordinates(row)
         pivot = row[c].body
         if pivot.degree:
@@ -336,10 +331,6 @@ class CanonicalForm:
         return out
 
 
-def _width(entry):
-    return entry.body.degree
-
-
 def laurent_hermite_form(p, n, level, generator_cols):
     """Echelonize Laurent rows into the canonical form described above.
 
@@ -357,7 +348,7 @@ def laurent_hermite_form(p, n, level, generator_cols):
             live = [i for i in range(next_row, len(rows)) if not rows[i][col].is_zero()]
             if not live:
                 break
-            best = min(live, key=lambda i: _width(rows[i][col]))
+            best = min(live, key=lambda i: rows[i][col].body.degree)
             rows[next_row], rows[best] = rows[best], rows[next_row]
             if len(live) == 1:
                 break
@@ -369,8 +360,6 @@ def laurent_hermite_form(p, n, level, generator_cols):
                 # One width-reduction step: entry - q*pivot has smaller width.
                 q0, _ = divmod(entry.body, pivot_entry.body)
                 q = LaurentPoly(p, entry.offset - pivot_entry.offset, q0)
-                if q.is_zero():
-                    continue
                 for j in range(col, ncols):
                     if not rows[next_row][j].is_zero():
                         rows[i][j] = rows[i][j] - q * rows[next_row][j]
@@ -460,12 +449,8 @@ class Submodule:
 
     # -- membership, containment, equality ----------------------------------
 
-    def _residue(self, w, level):
-        """Residue coordinates of w modulo the canonical form at ``level``."""
-        return self.form(level).residue(vectorize(w, level))
-
     def _is_member(self, w, level):
-        return not self._residue(w, level)
+        return not self.form(level).residue(vectorize(w, level))
 
     def contains_vector(self, w):
         if w.p != self.p or w.n != self.n:
@@ -502,8 +487,9 @@ class Submodule:
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
-        cols = _columns(self._residue(w, self.period), self.n * self.period, self.p)
-        return unvectorize(cols, self.n, self.period, self.p)
+        n, p, level = self.n, self.p, self.period
+        residue = self.form(level).residue(vectorize(w, level))
+        return unvectorize(_columns(residue, n * level, p), n, level, p)
 
     def _common_level(self, other):
         g = gcd(self.period, other.period)
@@ -787,7 +773,14 @@ def approach_sequence(U, b, r_target, count):
     y^(d/e)*Q = Q, against b, as M meets R_y^F only in 0.  Otherwise
     x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo U lie in the free
     columns, and f divides the gcd of their entries, nonzero as x^d U ⊄ U.
+    A count past ``SEQUENCE_BUDGET`` is refused before anything is built.
     """
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    if count > SEQUENCE_BUDGET:
+        raise ResourceBudgetError(
+            f"{count} terms exceed the budget of {SEQUENCE_BUDGET}", requested=count
+        )
     n, p = U.n, U.p
     canon = U.canonical()
     report = invariant_report(canon)
@@ -810,8 +803,6 @@ def approach_sequence(U, b, r_target, count):
     # Build the prescribed-invariant subgroup in the free quotient coordinates.
     quotient_piece = construct_with_invariants(n_free, p, b, n_free * b - r_target)
     base_gens = [g.shifted(j * e) for g in canon.gens for j in range(b)]
-    if count < 1:
-        raise DomainError("count must be >= 1")
     out = []
     for f in irreducibles(p):
         gens = list(base_gens)

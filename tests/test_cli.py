@@ -236,6 +236,46 @@ class TestMalformedArguments:
         assert res.returncode == 1, res.stderr
         assert f'"witnesses_checked":{3 * 2**127}' in res.stdout
 
+    @pytest.mark.parametrize("count", ["1001", "1000000"])
+    def test_approach_count_over_budget(self, tmp_path, count):
+        path = tmp_path / "V.triple"
+        path.write_text("s=1\nn=1 e=1 p=2\n0\nv=0\n")
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1,0", "--count", count,
+            "--ball", "0,0,1", timeout=20,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+    def test_approach_count_at_the_budget(self, tmp_path):
+        path = tmp_path / "V.triple"
+        path.write_text("s=1\nn=1 e=1 p=2\n0\nv=0\n")
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1,0", "--count", "1000",
+            "--ball", "0,0,1", timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert len(json.loads(res.stdout)["terms"]) == 1000
+
+    @pytest.mark.parametrize(
+        "ball, code", [("0,7812,63", 0), ("0,7812,1000", 0), ("0,7813,63", 2), ("0,7812,64", 2)]
+    )
+    def test_approach_ball_at_the_key_budget(self, tmp_path, ball, code):
+        # (2S+1)(H+1) keys with H = min(H, count) = 63 or 64: 10^6 is the
+        # most allowed; s = 1000 keeps the members few
+        path = tmp_path / "V.triple"
+        path.write_text("s=1000\nn=1 e=1 p=2\n0\nv=0\n")
+        count = "64" if ball.endswith(",64") else "63"
+        res = run_cli(
+            "approach", "--triple", str(path), "--target", "1000,0", "--count", count,
+            "--ball", ball, timeout=60,
+        )
+        assert res.returncode == code, res.stderr
+        if code:
+            assert "budget" in res.stderr and "Traceback" not in res.stderr
+
     def test_cb_truncation_over_budget(self):
         res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
         assert res.returncode == 2

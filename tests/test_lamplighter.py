@@ -4,17 +4,20 @@ import pytest
 
 from lampirs.algebra import PRIME_BOUND, LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
+from lampirs import lamplighter
 from lampirs.lamplighter import (
     BALL_DIM_BUDGET,
     GroupElement,
     SubgroupTriple,
-    _ball_size,
+    _least_difference,
+    ball_size,
     certify_convergence,
     conjugate_element,
     cylinder_contains,
     delta_site,
     power,
 )
+from lampirs.fplinalg import rref
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     ENUMERATION_BUDGET,
@@ -415,6 +418,7 @@ class TestConvergenceWindow:
             (64, 0),  # dimension 129
             (100000000, 1),
             (3, 500000),  # 1,000,001 shifts
+            (3, 125000),  # 250,001 shifts, keyed 4 times
             (3, 10**12),
         ],
     )
@@ -424,20 +428,33 @@ class TestConvergenceWindow:
         with pytest.raises(ResourceBudgetError):
             certify_convergence(self.unused_provider, V, radius, shift_bound, 3)
 
+    def test_ball_at_the_key_budget(self):
+        # (2S+1)(H+1) = 15,625 * 64 = 10^6 keys is the most a ball may need;
+        # s = 1000 and U = 0 keep the members, and so the work, few
+        V = SubgroupTriple(1000, Submodule.zero(1, 2))
+        res = certify_convergence(lambda m: V, V, 0, 7812, 63)
+        assert res.stabilized and res.witnesses_checked == 2 * 15625
+        for shift_bound, horizon in ((7813, 63), (7812, 64)):
+            with pytest.raises(ResourceBudgetError, match="budget"):
+                certify_convergence(self.unused_provider, V, 0, shift_bound, horizon)
+
     def test_ball_at_the_dimension_budget(self):
         V = SubgroupTriple(4, Submodule(1, 2, 2, [LaurentVector.unit(1, 2, 0)]))
         res = certify_convergence(lambda m: V, V, 63, 1, 3)
         assert res.stabilized and res.witnesses_checked == 3 * 2**127
 
     def test_ball_size_at_the_budget_edges(self):
-        assert _ball_size(2, BALL_DIM_BUDGET, 3) == 3 * 2**BALL_DIM_BUDGET
+        assert ball_size(1, 2, 63, 1, 3) == 3 * 2**127
+        assert ball_size(128, 2, 0, 1, 3) == 3 * 2**BALL_DIM_BUDGET
         with pytest.raises(ResourceBudgetError):
-            _ball_size(2, BALL_DIM_BUDGET + 1, 1)
-        assert _ball_size(3, 1, ENUMERATION_BUDGET) == 3 * ENUMERATION_BUDGET
-        with pytest.raises(ResourceBudgetError):
-            _ball_size(3, 1, ENUMERATION_BUDGET + 1)
+            ball_size(1, 2, 64, 0, 1)
+        assert ball_size(1, 3, 0, 7812, 63) == 3 * 15625
+        assert ball_size(1, 3, 0, 249999, 1) == 3 * (ENUMERATION_BUDGET // 2 - 1)
+        for shift_bound, horizon in ((7813, 63), (7812, 64), (250000, 1)):
+            with pytest.raises(ResourceBudgetError):
+                ball_size(1, 3, 0, shift_bound, horizon)
         # the largest ball within both budgets has a witness count that prints
-        largest = _ball_size(PRIME_BOUND - 15, BALL_DIM_BUDGET, ENUMERATION_BUDGET)
+        largest = ball_size(128, PRIME_BOUND - 15, 0, 249999, 1)
         assert largest.bit_length() <= PRINTABLE_BITS
         assert len(str(largest)) < 4300
 
@@ -447,3 +464,57 @@ class TestConvergenceWindow:
         V = SubgroupTriple(1, Submodule.zero(1, 2), LaurentVector.unit(1, 2, 0))
         res = certify_convergence(lambda m: V, V, 3, 100000, 2)
         assert res.stabilized and res.witnesses_checked == 2**7 * 200001
+
+
+def random_key(rng, dim, p):
+    """A key as ``_member_keys`` makes them: None for the empty set, else
+    RREF rows a of the direction and values x, the set {c : a.c = -x}."""
+    if rng.below(5) == 0:
+        return None
+    rows = [[rng.below(p) for _ in range(dim)] for _ in range(rng.below(dim + 1))]
+    direction, _ = rref(rows, p)
+    return direction, tuple(rng.below(p) for _ in direction)
+
+
+def keyed_set(key, dim, p):
+    """Codes of the keyed set; digit i of a code is coordinate i."""
+    codes = set()
+    for code in range(p**dim):
+        c = [code // p**i % p for i in range(dim)]
+        if key is not None and all(
+            (sum(a * b for a, b in zip(row, c)) + x) % p == 0 for row, x in zip(*key)
+        ):
+            codes.add(code)
+    return codes
+
+
+class TestLeastDifference:
+    def test_matches_brute_force_on_random_keys(self):
+        rng = SplitMix64(4890)
+        compared = 0
+        while compared < 4890:
+            p, dim = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(3)
+            key_a, key_b = random_key(rng, dim, p), random_key(rng, dim, p)
+            difference = keyed_set(key_a, dim, p) ^ keyed_set(key_b, dim, p)
+            if not difference:
+                continue
+            digits = _least_difference(key_a, key_b, dim, p)
+            assert sum(c * p**i for i, c in enumerate(digits)) == min(difference), (key_a, key_b)
+            compared += 1
+
+    def test_tries_few_values_per_digit(self, monkeypatch):
+        # U = F_p[x^(+-1)](1 - x - x^2), s = 0, against the zero subgroup at
+        # radius 3: the witness is named with at most 0, 1 and the values
+        # the two sets force tried per digit, each in both directions
+        calls = []
+        escapes = lamplighter._escapes
+        monkeypatch.setattr(
+            lamplighter, "_escapes", lambda *args: calls.append(args) or escapes(*args)
+        )
+        p = 65521
+        gen = LaurentVector(p, [LaurentPoly.from_poly(Poly(p, [1, -1, -1]))])
+        term = SubgroupTriple(0, Submodule(1, p, 1, [gen]))
+        res = certify_convergence(lambda m: term, SubgroupTriple(0, Submodule.zero(1, p)), 3, 0, 1)
+        assert not res.stabilized and term.contains_element(res.witness)
+        assert not res.witness.lamps.is_zero()
+        assert len(calls) <= 2 * 4 * 7

@@ -6,6 +6,7 @@ from lampirs.algebra import LaurentPoly, Poly, poly_gcd
 from lampirs.errors import DomainError, PreconditionError, ResourceBudgetError
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
+    SEQUENCE_BUDGET,
     LaurentVector,
     Submodule,
     approach_sequence,
@@ -423,6 +424,20 @@ class TestApproach:
             approach_sequence(full, 2, 0, 2)
         with pytest.raises(DomainError, match="r_target"):
             approach_sequence(Submodule.zero(1, 2), 2, 2, 2)
+
+    def test_count_at_the_budget(self, monkeypatch):
+        seq = approach_sequence(Submodule.zero(1, 2), 1, 0, SEQUENCE_BUDGET)
+        assert len(seq) == SEQUENCE_BUDGET
+
+        def unbuilt(self):
+            raise AssertionError("a refused count must not build the sequence")
+
+        monkeypatch.setattr(Submodule, "canonical", unbuilt)
+        for count in (SEQUENCE_BUDGET + 1, 10**6):
+            with pytest.raises(ResourceBudgetError, match="budget"):
+                approach_sequence(Submodule.zero(1, 2), 1, 0, count)
+        with pytest.raises(DomainError, match="count"):
+            approach_sequence(Submodule.zero(1, 2), 1, 0, 0)
 
 
 class TestVectorize:
