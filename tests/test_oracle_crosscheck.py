@@ -6,8 +6,9 @@ same answers from nothing but finite F_p linear algebra: spanning all
 generator shifts within a generous exponent margin, row-reducing integer
 coefficient vectors, and measuring dimension growth.  Convergence
 certificates, computed by comparing affine member sets, are rebuilt by
-checking every witness of the ball against every term.  Any disagreement
-fails the test.
+checking every witness of the ball against every term.  Residues and
+Hermite forms, computed through the action of y on residues, are rebuilt
+by a Laurent division per pivot.  Any disagreement fails the test.
 """
 
 import functools
