@@ -382,6 +382,8 @@ def laurent_hermite_form(p, n, level, generator_cols):
             residue = form.residue([zero] * (col + 1) + tail)
             row[col + 1 :] = _columns(residue, ncols, p)[col + 1 :]
         form._push(tuple(row), col)
+    # most forms are only compared by key, so a built form keeps no index
+    form._units = form._steps = None
     return form
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
+from lampirs import lamplighter
 from lampirs.algebra import PRIME_BOUND, LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
-from lampirs import lamplighter
+from lampirs.fplinalg import rref
 from lampirs.lamplighter import (
     BALL_DIM_BUDGET,
     GroupElement,
@@ -17,7 +18,6 @@ from lampirs.lamplighter import (
     delta_site,
     power,
 )
-from lampirs.fplinalg import rref
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     ENUMERATION_BUDGET,

@@ -279,7 +279,7 @@ def reference_hermite_form(p, n, level, generator_cols):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def reference_form(U, level):
     """:func:`reference_hermite_form` of U at a level that is a period of U,
     from the generators shifted by multiples of gcd(level, stored period)."""

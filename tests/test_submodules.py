@@ -1,9 +1,12 @@
 """Periodic subgroup invariants, counting oracle, and the constructions."""
 
+import hashlib
+
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly, poly_gcd
 from lampirs.errors import DomainError, PreconditionError, ResourceBudgetError
+from lampirs.formats import format_vector
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     SEQUENCE_BUDGET,
@@ -451,17 +454,13 @@ class TestVectorize:
 
 # sha256 of the form keys at P and 2P, the minimal period, and membership
 # and the canonical representative of seeded probes (members among them),
-# over pinned_grid(1414, 300); recorded before residues were computed by
-# the y-action alone, which must leave every one of them unchanged.
+# over pinned_grid(1414, 300); recorded while residues still came from a
+# Laurent division per pivot, and unchanged since they come from the y-action.
 GRID_PIN_SHA256 = "02179193a821feba4e5a9ec518fc37f2f256a922d73d631ce4e749711a5e4578"
 
 
 class TestResidueGridPin:
     def test_grid_digest_is_pinned(self):
-        import hashlib
-
-        from lampirs.formats import format_vector
-
         rng = SplitMix64(1415)
         digest = hashlib.sha256()
         seen = {"proper_divisor": 0, "degree_0_pivot": 0, "member": 0}
