@@ -198,10 +198,7 @@ def _add_scaled(out, items, c, p):
 
 
 class CanonicalForm:
-    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level.
-
-    The per-pivot data behind residues is indexed when one is first asked for.
-    """
+    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
 
     __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
 
@@ -289,7 +286,8 @@ class CanonicalForm:
         return residue
 
     def _index(self):
-        """Index every row by :meth:`_index_row`, once, last row first."""
+        """Index every row by :meth:`_index_row`, last row first, when a
+        residue is first asked for."""
         if self._steps is None:
             self._units, self._steps = {}, []
             for row, c in zip(reversed(self.rows), reversed(self.pivots)):
