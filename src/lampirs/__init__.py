@@ -20,7 +20,6 @@ from .algebra import (
     Poly,
     enumerate_irreducibles,
     geometric_series,
-    is_irreducible,
     poly_gcd,
 )
 from .cbrank import (
@@ -46,7 +45,6 @@ from .irs import (
     WindowDistribution,
     WindowSubgroup,
     block_average_marginal,
-    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
     majority_invariance_estimate,

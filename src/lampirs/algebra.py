@@ -16,9 +16,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import ContextError, DomainError
+from .errors import ContextError, DomainError, ResourceBudgetError
 
 PRIME_BOUND = 1 << 16
+ENUMERATION_BUDGET = 10**6
+# Largest number of terms of an approach sequence or list of irreducibles;
+# 1,000 terms toward s=1, U=0 (p=2) take 0.07 s on a 2-core Xeon.
+SEQUENCE_BUDGET = 1000
 
 
 @lru_cache(maxsize=None)
@@ -75,15 +79,6 @@ class Poly:
     @classmethod
     def one(cls, p):
         return cls(p, (1,), normalize=False)
-
-    @classmethod
-    def monomial(cls, p, k, c=1):
-        if k < 0:
-            raise DomainError("Poly exponents are nonnegative; use LaurentPoly")
-        c %= p
-        if c == 0:
-            return cls.zero(p)
-        return cls(p, (0,) * k + (c,), normalize=False)
 
     @property
     def degree(self):
@@ -179,17 +174,8 @@ class Poly:
                     rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
         return Poly._raw(p, q), Poly._raw(p, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other):
-        """True iff self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     def monic(self):
         if self.is_zero():
@@ -246,44 +232,81 @@ def base_p_digits(value, p, length):
     return digits
 
 
-def monic_polys(p, degree):
-    """All monic polynomials of exact degree, ascending in base-p encoding."""
-    for idx in range(p**degree):
-        yield Poly(p, base_p_digits(idx, p, degree) + [1], normalize=False)
-
-
-def is_irreducible(f):
-    """Trial-division irreducibility test (exhaustive, exact)."""
-    d = f.degree
-    if d is None or d == 0:
-        return False
-    if d == 1:
-        return True
-    for e in range(1, d // 2 + 1):
-        for g in monic_polys(f.p, e):
-            if g.divides(f):
-                return False
-    return True
+def _mark_products(marked, g, d, c, powers):
+    """Mark in block c of degree d every g*h, h monic of degree m = d - deg g
+    with h(0) != 0 and x^(m-1) coefficient c minus that of g.  The free
+    coefficients h_0 != 0, h_1 .. h_(m-2) step as an odometer: raising h_j
+    by one adds g*x^j, moving only the digits j .. j + deg g < d - 1."""
+    p, gc, k = g.p, g.coeffs, g.degree
+    h = [1] * (d - k > 1) + [0] * (d - k - 2) + [(c - gc[k - 1]) % p, 1]
+    if not h[0]:
+        return
+    low = list((g * Poly(p, h, normalize=False)).coeffs[: d - 1])
+    idx, digits = sum(a * w for a, w in zip(low, powers)), h[: d - k - 1]
+    while True:
+        marked[idx] = 1
+        for j, digit in enumerate(digits):
+            step = 2 if j == 0 and digit == p - 1 else 1  # h_0 wraps to 1
+            digits[j] = (digit + step) % p
+            for i, a in enumerate(gc, j):
+                old = low[i]
+                low[i] = new = (old + step * a) % p
+                idx += (new - old) * powers[i]
+            if digit < p - 1:
+                break
+        else:
+            return
 
 
 def irreducibles(p):
     """The monic irreducibles other than x, lazily, in (degree, encoding) order.
 
     The polynomial x is excluded: it is a unit in the Laurent ring, so
-    multiplying a subgroup by it changes nothing.
+    multiplying a subgroup by it changes nothing.  Degree 1 is x + c, c != 0.
+    Degree d >= 2 is sieved one block at a time, block c holding in encoding
+    order the f with x^(d-1) coefficient c: every reducible f with f(0) != 0
+    is marked by :func:`_mark_products` as g*h for an irreducible g found
+    already with 2 deg g <= d.  A block of p^(d-1) > ``ENUMERATION_BUDGET``
+    entries is refused before it is allocated.
     """
     check_prime(p)
-    for degree in itertools.count(1):
-        for f in monic_polys(p, degree):
-            if f.constant() != 0 and is_irreducible(f):
-                yield f
+    found = []
+    for c in range(1, p):
+        found.append(Poly(p, (c, 1), normalize=False))
+        yield found[-1]
+    for d in itertools.count(2):
+        size = p ** (d - 1)
+        if size > ENUMERATION_BUDGET:
+            raise ResourceBudgetError(
+                f"a degree-{d} sieve block of {size} entries exceeds budget {ENUMERATION_BUDGET}",
+                requested=size,
+            )
+        small = [g for g in found if 2 * g.degree <= d]
+        powers = [p**i for i in range(d - 1)]
+        for c in range(p):
+            marked = bytearray(size)
+            marked[::p] = b"\x01" * (size // p)  # f(0) = 0
+            for g in small:
+                _mark_products(marked, g, d, c, powers)
+            i = marked.find(0)
+            while i >= 0:
+                found.append(Poly(p, base_p_digits(i, p, d - 1) + [c, 1], normalize=False))
+                yield found[-1]
+                i = marked.find(0, i + 1)
 
 
 def enumerate_irreducibles(p, count):
-    """First ``count`` monic irreducibles of :func:`irreducibles`."""
+    """First ``count`` monic irreducibles of :func:`irreducibles`.
+
+    A count past ``SEQUENCE_BUDGET`` is refused before any is built.
+    """
     check_prime(p)
     if count < 1:
         raise DomainError("count must be >= 1")
+    if count > SEQUENCE_BUDGET:
+        raise ResourceBudgetError(
+            f"{count} irreducibles exceed the budget of {SEQUENCE_BUDGET}", requested=count
+        )
     return list(itertools.islice(irreducibles(p), count))
 
 
@@ -337,15 +360,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.body)
-
-    @property
-    def min_exp(self):
-        """Lowest exponent with nonzero coefficient, or None if zero."""
-        return self.offset if self.body else None
-
-    @property
-    def max_exp(self):
-        return self.offset + self.body.degree if self.body else None
 
     def terms(self):
         """Yield (exponent, coefficient) pairs, ascending, nonzero only."""

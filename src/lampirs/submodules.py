@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .algebra import (
+    ENUMERATION_BUDGET,
+    SEQUENCE_BUDGET,
     LaurentPoly,
     Poly,
     base_p_digits,
@@ -35,10 +37,6 @@ from .errors import (
     ResourceBudgetError,
 )
 
-ENUMERATION_BUDGET = 10**6
-# Largest number of terms of an approach sequence: 1,000 terms toward s=1,
-# U=0 (p=2) take about 1 s on a 2-core Xeon, later terms costing more.
-SEQUENCE_BUDGET = 1000
 # Largest bit length of a number that must print: one of at most 14,283
 # bits prints within Python's default 4,300-digit int-to-str limit.
 PRINTABLE_BITS = 14283
@@ -108,14 +106,6 @@ class LaurentVector:
 
     def shifted(self, k):
         return LaurentVector(self.p, (c.shifted(k) for c in self.coords))
-
-    def support(self):
-        """(min_exp, max_exp) over all coordinates, or None if zero."""
-        lows = [c.min_exp for c in self.coords if not c.is_zero()]
-        highs = [c.max_exp for c in self.coords if not c.is_zero()]
-        if not lows:
-            return None
-        return min(lows), max(highs)
 
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
@@ -385,10 +375,6 @@ def laurent_hermite_form(p, n, level, generator_cols):
     return form
 
 
-def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
@@ -530,12 +516,20 @@ class Submodule:
         If U has a period P and x^s U ⊆ U, then U = x^(sP) U ⊆ x^((P-1)s) U
         ⊆ ... ⊆ x^s U ⊆ U, so x^s U = U.  The periods of U are therefore the
         multiples of e(U), and the gcd of two periods is again a period.
+        The form's rows at the stored period L span U over y = x^L; x^s
+        rotates a row, column j*n + i going to ((j + s) mod L)*n + i times
+        y^((j + s) div L), and each moved row's residue is tested.
         """
         if s < 1:
             raise DomainError("periods are positive")
-        if s % self.period == 0:
+        a, b = divmod(s, self.period)
+        if b == 0:
             return True
-        return self.contains_submodule(self.shifted(s))
+        form, cut = self.form(self.period), (self.period - b) * self.n
+        return not any(
+            form.residue([e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]])
+            for row in form.rows
+        )
 
     def with_period(self, new_period):
         """Re-present at another verified period.
@@ -558,24 +552,26 @@ class Submodule:
     def minimal_period(self, s=None):
         """Least e with x^e U = U, found once per object and kept.
 
-        The periods of U are the multiples of e (see :meth:`has_period`), so
-        e is the first proper divisor of the stored period that is a period,
-        or the stored period itself.  A given ``s`` is only checked to be a
-        period; the answer does not depend on it.
+        The periods of U are the multiples of e (see :meth:`has_period`), a
+        divisor of the stored period L.  Prime descent finds it: for each
+        prime q dividing L in turn, e is divided by q while e/q is a period,
+        at most Omega(L) + omega(L) tests.  A given ``s`` is only checked to
+        be a period; the answer does not depend on it.
         """
         if s is not None and not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
         if self._e is None:
-            proper = _divisors(self.period)[:-1]
-            e = next((d for d in proper if self.has_period(d)), self.period)
+            e = rest = self.period
+            for q in range(2, self.period + 1):
+                if rest % q == 0:  # q is prime: the smaller primes are out of rest
+                    while rest % q == 0:
+                        rest //= q
+                    while e % q == 0 and self.has_period(e // q):
+                        e //= q
             object.__setattr__(self, "_e", e)
         return self._e
 
     # -- rank invariants ------------------------------------------------------
-
-    def rank(self):
-        """Module rank of U under the stored-period action."""
-        return self.form(self.period).rank
 
     def rescaled_rank(self, m):
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""
@@ -752,7 +748,10 @@ def construct_with_invariants(n, p, b, r):
 
 
 def vanish_sequence(U, count):
-    """U_m = f_m * U along the non-unit irreducibles; tends to the zero subgroup."""
+    """U_m = f_m * U along the non-unit irreducibles; tends to the zero subgroup.
+
+    A count past ``SEQUENCE_BUDGET`` is refused before any term is built.
+    """
     return [U.scaled(f) for f in enumerate_irreducibles(U.p, count)]
 
 

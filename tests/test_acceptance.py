@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lampirs.algebra import LaurentPoly
+from lampirs.algebra import LaurentPoly, enumerate_irreducibles, format_poly_plain
 from lampirs.errors import PreconditionError
 from lampirs.formats import canonical_json, format_submodule, format_triple, format_vector
 from lampirs.lamplighter import SubgroupTriple
@@ -52,6 +52,17 @@ GOLDEN_CONSTRUCT_SHA256 = "27fb40320ef85dd2967605f5f8dc94276c63f6131d09b489b9cbe
 GOLDEN_DEMO_SHA256 = {
     "01_counting_submodules.py": "6de065737d3989f93a3dd9c5effa353c1a1994fd5eb0408b9e9458ace9b2a935",
     "03_poset_levels.py": "d65988d9fdc8080fe115027f56cdfa7f64d418e211cd61efdbad93c651f22bf7",
+}
+# sha256 of enumerate_irreducibles(p, count), each polynomial as
+# format_poly_plain and a newline, recorded from the trial-division
+# enumeration: the sieve must give the same sequence
+GOLDEN_IRREDUCIBLES_SHA256 = {
+    (2, 1000): "30bab47b32cec1314202ca9a912f53f0b58d0ce47e7f8e4c961bafaf92091924",
+    (3, 500): "7f3f25b9a73dc1c802f059b7b3e44eea71aa925b2571f2a07ffb23306bb01d41",
+    (7, 300): "359dbaca5362d0cc02f20101c56a6699932819705f62af791b8ac4ecd29e92d3",
+    (43, 1000): "6f26dfc4de3f55e00a1f95b7adc64ce636d9d4758914e23f860e4b511816c4d3",
+    (997, 1000): "8a76bf6ce180a1a1398cf52365b3c921ec8f8db689c2adb902441b1f897fa7ab",
+    (65521, 5): "4a6020187a0be69c7e5bdda1f67f66238aba5ca6b38c1d605fcd3a576c176f10",
 }
 # stdout of `lampirs approach` on the triple s=2, U = F_2[x^{+-2}], v =
 # x^-1 (1+x) with --target 1,0 --count 8 --ball 3,4,8
@@ -320,6 +331,12 @@ def test_golden_enumeration_construction_and_demo_hashes(tmp_path):
         )
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(res.stdout).hexdigest() == golden, demo
+
+
+def test_golden_irreducibles_hashes():
+    for (p, count), golden in GOLDEN_IRREDUCIBLES_SHA256.items():
+        text = "".join(format_poly_plain(f) + "\n" for f in enumerate_irreducibles(p, count))
+        assert hashlib.sha256(text.encode()).hexdigest() == golden, (p, count)
 
 
 def seeded_vector(rng, n, p, exponents=range(-2, 3)):

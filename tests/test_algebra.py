@@ -2,21 +2,55 @@
 
 import pytest
 
+import itertools
+
+from lampirs import algebra
 from lampirs.algebra import (
     LaurentPoly,
     Poly,
+    base_p_digits,
     enumerate_irreducibles,
     geometric_series,
-    is_irreducible,
-    monic_polys,
+    irreducibles,
     poly_gcd,
 )
-from lampirs.errors import ContextError, DomainError
+from lampirs.errors import ContextError, DomainError, ResourceBudgetError
 from lampirs.rng import SplitMix64
 
 
 def P(p, *coeffs):
     return Poly(p, coeffs)
+
+
+def monic_polys(p, degree):
+    """All monic polynomials of exact degree, ascending in base-p encoding."""
+    for idx in range(p**degree):
+        yield Poly(p, base_p_digits(idx, p, degree) + [1], normalize=False)
+
+
+def is_irreducible(f):
+    """Trial-division irreducibility test (exhaustive, exact): the oracle."""
+    d = f.degree
+    if d is None or d == 0:
+        return False
+    if d == 1:
+        return True
+    for e in range(1, d // 2 + 1):
+        for g in monic_polys(f.p, e):
+            if not f % g:
+                return False
+    return True
+
+
+def trial_division_irreducibles(p, count):
+    """The first ``count`` of the irreducibles order, by trial division alone."""
+    out = []
+    for degree in itertools.count(1):
+        for f in monic_polys(p, degree):
+            if f.constant() and is_irreducible(f):
+                out.append(f)
+                if len(out) == count:
+                    return out
 
 
 class TestPoly:
@@ -73,9 +107,9 @@ class TestGcd:
             if g.is_zero():
                 assert a.is_zero() and b.is_zero()
                 continue
-            assert g.divides(a) and g.divides(b)
+            assert not a % g and not b % g
             if not d.is_zero():
-                assert d.divides(g)
+                assert not g % d
 
 
 class TestGeometricSeries:
@@ -99,8 +133,8 @@ class TestGeometricSeries:
         # (x^s - 1) * (1 + x^s + ... + x^(s(t-1))) = x^(st) - 1, all t, s <= 16.
         for t in range(1, 17):
             for s in range(1, 17):
-                lhs = (Poly.monomial(p, s) - Poly.one(p)) * geometric_series(t, s, p)
-                assert lhs == Poly.monomial(p, s * t) - Poly.one(p)
+                lhs = (Poly.one(p).shift(s) - Poly.one(p)) * geometric_series(t, s, p)
+                assert lhs == Poly.one(p).shift(s * t) - Poly.one(p)
 
 
 class TestIrreducibles:
@@ -123,7 +157,41 @@ class TestIrreducibles:
                 d = f.degree
                 for e in range(1, d):
                     for g in monic_polys(p, e):
-                        assert not g.divides(f) or g == Poly.one(p)
+                        assert f % g or g == Poly.one(p)
+
+    def test_count_budget_edges(self):
+        assert len(enumerate_irreducibles(2, algebra.SEQUENCE_BUDGET)) == 1000
+        assert len(enumerate_irreducibles(997, 1000)) == 1000
+        for p in (2, 997):
+            with pytest.raises(ResourceBudgetError) as err:
+                enumerate_irreducibles(p, algebra.SEQUENCE_BUDGET + 1)
+            assert err.value.requested == 1001
+
+    def test_sieve_block_budget_edges(self, monkeypatch):
+        # Over F_2 degree d is sieved in blocks of 2^(d-1) entries; a budget
+        # of 8 admits degree 4 (7 irreducibles other than x up to it) and
+        # refuses degree 5 before its first block is allocated.
+        allocated = []
+
+        def recording_bytearray(*args):
+            out = bytearray(*args)
+            allocated.append(len(out))
+            return out
+
+        monkeypatch.setattr(algebra, "bytearray", recording_bytearray, raising=False)
+        monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", 8)
+        gen = irreducibles(2)
+        assert list(itertools.islice(gen, 7)) == trial_division_irreducibles(2, 7)
+        with pytest.raises(ResourceBudgetError) as err:
+            next(gen)
+        assert err.value.requested == 16
+        assert max(allocated) == 8
+        monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", 7)
+        gen = irreducibles(2)
+        assert [f.degree for f in itertools.islice(gen, 4)] == [1, 2, 3, 3]
+        with pytest.raises(ResourceBudgetError) as err:
+            next(gen)
+        assert err.value.requested == 8
 
 
 class TestLaurent:

@@ -8,15 +8,19 @@ coefficient vectors, and measuring dimension growth.  Convergence
 certificates, computed by comparing affine member sets, are rebuilt by
 checking every witness of the ball against every term.  Residues and
 Hermite forms, computed through the action of y on residues, are rebuilt
-by a Laurent division per pivot.  Any disagreement fails the test.
+by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
+division, and periods found by prime descent on moved form rows by an
+ascending scan of form equalities and by generator containment.  Any
+disagreement fails the test.
 """
 
 import functools
+import itertools
 from math import gcd
 
 import pytest
 
-from lampirs.algebra import LaurentPoly, Poly
+from lampirs.algebra import LaurentPoly, Poly, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
@@ -38,6 +42,7 @@ from lampirs.submodules import (
     vectorize,
 )
 
+from test_algebra import trial_division_irreducibles
 from test_cbrank import seeded_encoding_grid, skip_case
 
 MARGIN = 12
@@ -70,10 +75,8 @@ def bounded_span(U, lo, hi):
     """RREF of all generator shifts supported inside [lo, hi]."""
     rows = []
     for g in U.gens:
-        support = g.support()
-        if support is None:
-            continue
-        g_lo, g_hi = support
+        exponents = [exp for c in g.coords for exp, _ in c.terms()]
+        g_lo, g_hi = min(exponents), max(exponents)
         k = (lo - g_hi) // U.period - 1  # safely below the first valid shift
         while g_hi + k * U.period <= hi:
             if g_lo + k * U.period >= lo:
@@ -592,6 +595,82 @@ class TestPeriodOracle:
                 else:
                     with pytest.raises(PreconditionError):
                         U.with_period(new)
+
+
+def long_period_cases(seed):
+    """Seeded U stored at period L in {4, 8, 9, 12, 16, 36}, one per divisor
+    d of L, spanned by g, x^d g, ..., x^(L-d) g (n <= 2, p in {2, 3, 5}), so
+    the minimal period divides d and L/e often has a repeated prime."""
+    rng = SplitMix64(seed)
+    out = []
+    for period in (4, 8, 9, 12, 16, 36):
+        for d in (d for d in range(1, period + 1) if period % d == 0):
+            n = 1 + rng.below(2)
+            p = (2, 3, 5)[rng.below(3)]
+            g = rand_vec(rng, n, p)
+            out.append(Submodule(n, p, period, [g.shifted(j * d) for j in range(period // d)]))
+    return out
+
+
+class TestPeriodDescentOracle:
+    """Prime descent and moved form rows against the scans they replace."""
+
+    CASES = long_period_cases(7070)
+
+    def test_minimal_period_matches_the_ascending_scan(self):
+        repeated = 0
+        for U in self.CASES:
+            L = U.period
+            first = next(
+                d for d in range(1, L + 1)
+                if L % d == 0 and (d == L or U.shifted(d).equals(U))
+            )
+            assert U.minimal_period() == first, U
+            quotient = L // first
+            repeated += any(quotient % (q * q) == 0 for q in (2, 3))
+        assert repeated >= 10
+
+    def test_has_period_matches_generator_containment(self):
+        coprime = 0
+        for U in self.CASES:
+            L = U.period
+            for s in [s for s in range(1, 3 * L + 1) if gcd(s, L) == 1 or s > L][:24]:
+                want = all(U.contains_vector(g.shifted(s)) for g in U.gens)
+                assert U.has_period(s) == want, (U, s)
+                coprime += gcd(s, L) == 1 and want
+        assert coprime > 0
+
+
+def gauss_count(p, d):
+    """Number of monic irreducibles of degree d over F_p, by Moebius inversion."""
+    def mobius(m):
+        out, q = 1, 2
+        while q * q <= m:
+            if m % q == 0:
+                m //= q
+                if m % q == 0:
+                    return 0
+                out = -out
+            q += 1
+        return -out if m > 1 else out
+
+    return sum(mobius(d // k) * p**k for k in range(1, d + 1) if d % k == 0) // d
+
+
+class TestIrreducibleSieveOracle:
+    """The block sieve against trial division, each count past a degree."""
+
+    @pytest.mark.parametrize(
+        "p, count",
+        [(2, 75), (3, 85), (5, 60), (7, 145), (43, 950), (997, 1000), (65521, 65522)],
+    )
+    def test_sieve_matches_trial_division(self, p, count):
+        got = list(itertools.islice(irreducibles(p), count))
+        assert got == trial_division_irreducibles(p, count)
+        degrees = [f.degree for f in got]
+        assert degrees[-1] > 1
+        for d in range(1, degrees[-1]):
+            assert degrees.count(d) == gauss_count(p, d) - (d == 1), (p, d)
 
 
 class TestRankViaGrowth:
