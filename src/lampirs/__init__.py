@@ -45,6 +45,7 @@ from .irs import (
     WindowDistribution,
     WindowSubgroup,
     block_average_marginal,
+    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
     majority_invariance_estimate,

@@ -100,6 +100,14 @@ class WindowSubgroup:
     def zero(cls, p, n, lo, hi):
         return cls(p, n, lo, hi, (), reduce=False)
 
+    @classmethod
+    def full(cls, p, n, lo, hi):
+        d = n * (hi - lo + 1)
+        rows = tuple(
+            tuple(1 if i == j else 0 for j in range(d)) for i in range(d)
+        )
+        return cls(p, n, lo, hi, rows, reduce=False)
+
     def key(self):
         return (self.dim, self.rows)
 
@@ -438,6 +446,11 @@ def block_average_marginal(mu, m, lo, hi):
         for ws, prob in law.items():
             out[ws] = out.get(ws, Fraction(0)) + weight * prob
     return WindowDistribution(p, n, lo, hi, out)
+
+
+def block_average_measure(mu, m):
+    """mu_m as a measure object (marginals computed exactly on demand)."""
+    return SubgroupMeasure(lambda lo, hi: block_average_marginal(mu, m, lo, hi), True)
 
 
 def convergence_report(mu, m, j):

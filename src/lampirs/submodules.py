@@ -107,6 +107,14 @@ class LaurentVector:
     def shifted(self, k):
         return LaurentVector(self.p, (c.shifted(k) for c in self.coords))
 
+    def support(self):
+        """(min_exp, max_exp) over all coordinates, or None if zero."""
+        lows = [c.min_exp for c in self.coords if not c.is_zero()]
+        highs = [c.max_exp for c in self.coords if not c.is_zero()]
+        if not lows:
+            return None
+        return min(lows), max(highs)
+
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
             raise ContextError("vectors from different ambient modules")
@@ -375,6 +383,10 @@ def laurent_hermite_form(p, n, level, generator_cols):
     return form
 
 
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
@@ -552,26 +564,24 @@ class Submodule:
     def minimal_period(self, s=None):
         """Least e with x^e U = U, found once per object and kept.
 
-        The periods of U are the multiples of e (see :meth:`has_period`), a
-        divisor of the stored period L.  Prime descent finds it: for each
-        prime q dividing L in turn, e is divided by q while e/q is a period,
-        at most Omega(L) + omega(L) tests.  A given ``s`` is only checked to
-        be a period; the answer does not depend on it.
+        The periods of U are the multiples of e (see :meth:`has_period`), so
+        e is the first proper divisor of the stored period that is a period,
+        or the stored period itself.  A given ``s`` is only checked to be a
+        period; the answer does not depend on it.
         """
         if s is not None and not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
         if self._e is None:
-            e = rest = self.period
-            for q in range(2, self.period + 1):
-                if rest % q == 0:  # q is prime: the smaller primes are out of rest
-                    while rest % q == 0:
-                        rest //= q
-                    while e % q == 0 and self.has_period(e // q):
-                        e //= q
+            proper = _divisors(self.period)[:-1]
+            e = next((d for d in proper if self.has_period(d)), self.period)
             object.__setattr__(self, "_e", e)
         return self._e
 
     # -- rank invariants ------------------------------------------------------
+
+    def rank(self):
+        """Module rank of U under the stored-period action."""
+        return self.form(self.period).rank
 
     def rescaled_rank(self, m):
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""

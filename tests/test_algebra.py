@@ -37,7 +37,7 @@ def is_irreducible(f):
         return True
     for e in range(1, d // 2 + 1):
         for g in monic_polys(f.p, e):
-            if not f % g:
+            if g.divides(f):
                 return False
     return True
 
@@ -107,9 +107,9 @@ class TestGcd:
             if g.is_zero():
                 assert a.is_zero() and b.is_zero()
                 continue
-            assert not a % g and not b % g
+            assert g.divides(a) and g.divides(b)
             if not d.is_zero():
-                assert not g % d
+                assert d.divides(g)
 
 
 class TestGeometricSeries:
@@ -133,8 +133,8 @@ class TestGeometricSeries:
         # (x^s - 1) * (1 + x^s + ... + x^(s(t-1))) = x^(st) - 1, all t, s <= 16.
         for t in range(1, 17):
             for s in range(1, 17):
-                lhs = (Poly.one(p).shift(s) - Poly.one(p)) * geometric_series(t, s, p)
-                assert lhs == Poly.one(p).shift(s * t) - Poly.one(p)
+                lhs = (Poly.monomial(p, s) - Poly.one(p)) * geometric_series(t, s, p)
+                assert lhs == Poly.monomial(p, s * t) - Poly.one(p)
 
 
 class TestIrreducibles:
@@ -157,7 +157,7 @@ class TestIrreducibles:
                 d = f.degree
                 for e in range(1, d):
                     for g in monic_polys(p, e):
-                        assert f % g or g == Poly.one(p)
+                        assert not g.divides(f) or g == Poly.one(p)
 
     def test_count_budget_edges(self):
         assert len(enumerate_irreducibles(2, algebra.SEQUENCE_BUDGET)) == 1000

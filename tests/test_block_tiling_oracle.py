@@ -18,14 +18,13 @@ from lampirs.irs import (
     SubgroupMeasure,
     WindowDistribution,
     block_average_marginal,
+    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
 )
 from lampirs.rng import SplitMix64
 from lampirs.selftest import _measure_grid, random_vector
 from lampirs.submodules import Submodule
-
-from test_irs import block_average_measure
 
 
 def convolve_disjoint(d1, d2, lo, hi):

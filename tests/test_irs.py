@@ -13,6 +13,7 @@ from lampirs.irs import (
     WindowDistribution,
     WindowSubgroup,
     block_average_marginal,
+    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
     majority_invariance_estimate,
@@ -27,18 +28,6 @@ from lampirs.submodules import LaurentVector, Submodule
 
 P2 = 2
 HALF = Fraction(1, 2)
-
-
-def full_window(p, n, lo, hi):
-    """The window subgroup of every configuration on [lo, hi]."""
-    d = n * (hi - lo + 1)
-    rows = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    return WindowSubgroup(p, n, lo, hi, rows, reduce=False)
-
-
-def block_average_measure(mu, m):
-    """mu_m as a measure object, its marginals computed exactly on demand."""
-    return SubgroupMeasure(lambda lo, hi: block_average_marginal(mu, m, lo, hi), True)
 
 
 def even_mixture():
@@ -101,7 +90,7 @@ class TestProjection:
         assert dist.project(0, 2) == dist
 
     def test_point_mass_projects_to_point_mass(self):
-        full = full_window(P2, 1, 0, 2)
+        full = WindowSubgroup.full(P2, 1, 0, 2)
         d = WindowDistribution.point(full)
         proj = d.project(1, 2)
         ((ws, prob),) = proj.sorted_items()
@@ -240,7 +229,7 @@ class TestBlockAverage:
 
 class TestDistanceReports:
     def test_tv_point_masses(self):
-        a = WindowDistribution.point(full_window(P2, 1, 0, 0))
+        a = WindowDistribution.point(WindowSubgroup.full(P2, 1, 0, 0))
         b = WindowDistribution.point(WindowSubgroup.zero(P2, 1, 0, 0))
         assert tv_distance(a, a) == 0
         assert tv_distance(a, b) == 2
@@ -305,7 +294,7 @@ class TestSplice:
         mu1 = SubgroupMeasure.point(Submodule.full(1, P2))
         mu2 = SubgroupMeasure.point(Submodule.zero(1, P2))
         empirical, target, rep = splice_measures(mu1, mu2, 51, 0, 0, 20000, seed=5)
-        assert target.prob(full_window(P2, 1, 0, 0)) == HALF
+        assert target.prob(WindowSubgroup.full(P2, 1, 0, 0)) == HALF
         # single-cell window: every trial is all-first or all-second
         assert rep["lambda_all_first"] + rep["lambda_all_second"] == 1
         assert rep["boundary_defect_bound"] == 0

@@ -9,9 +9,8 @@ certificates, computed by comparing affine member sets, are rebuilt by
 checking every witness of the ball against every term.  Residues and
 Hermite forms, computed through the action of y on residues, are rebuilt
 by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
-division, and periods found by prime descent on moved form rows by an
-ascending scan of form equalities and by generator containment.  Any
-disagreement fails the test.
+division, and periods found on moved form rows by form equalities and by
+generator containment.  Any disagreement fails the test.
 """
 
 import functools
@@ -75,8 +74,10 @@ def bounded_span(U, lo, hi):
     """RREF of all generator shifts supported inside [lo, hi]."""
     rows = []
     for g in U.gens:
-        exponents = [exp for c in g.coords for exp, _ in c.terms()]
-        g_lo, g_hi = min(exponents), max(exponents)
+        support = g.support()
+        if support is None:
+            continue
+        g_lo, g_hi = support
         k = (lo - g_hi) // U.period - 1  # safely below the first valid shift
         while g_hi + k * U.period <= hi:
             if g_lo + k * U.period >= lo:
@@ -612,8 +613,8 @@ def long_period_cases(seed):
     return out
 
 
-class TestPeriodDescentOracle:
-    """Prime descent and moved form rows against the scans they replace."""
+class TestMovedRowPeriodOracle:
+    """Periods tested on moved form rows against shifted copies of U."""
 
     CASES = long_period_cases(7070)
 
