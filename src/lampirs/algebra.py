@@ -21,7 +21,8 @@ from .errors import ContextError, DomainError, ResourceBudgetError
 PRIME_BOUND = 1 << 16
 ENUMERATION_BUDGET = 10**6
 # Largest number of terms of an approach sequence or list of irreducibles;
-# 1,000 terms toward s=1, U=0 (p=2) take about 0.1 s on a 2-core Xeon.
+# 1,000 terms toward s=1, U=0 (p=2), each with its canonical form, take
+# about 0.1 s on a 2-core Xeon.
 SEQUENCE_BUDGET = 1000
 
 

@@ -29,6 +29,7 @@ from .algebra import (
     enumerate_irreducibles,
     geometric_series,
     irreducibles,
+    poly_gcd,
 )
 from .errors import (
     ContextError,
@@ -387,6 +388,14 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _moved_rows(form, s):
+    """The rows of ``form`` moved by x^s, as :meth:`Submodule.has_period` moves them."""
+    a, b = divmod(s, form.level)
+    cut = (form.level - b) * form.n
+    for row in form.rows:
+        yield [e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]]
+
+
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
@@ -534,14 +543,10 @@ class Submodule:
         """
         if s < 1:
             raise DomainError("periods are positive")
-        a, b = divmod(s, self.period)
-        if b == 0:
+        if s % self.period == 0:
             return True
-        form, cut = self.form(self.period), (self.period - b) * self.n
-        return not any(
-            form.residue([e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]])
-            for row in form.rows
-        )
+        form = self.form(self.period)
+        return not any(form.residue(row) for row in _moved_rows(form, s))
 
     def with_period(self, new_period):
         """Re-present at another verified period.
@@ -775,13 +780,17 @@ def approach_sequence(U, b, r_target, count):
 
     The terms are M + f*Q for successive irreducibles f: M is U at level
     e = e(U), over y = x^e, and Q, in the free (non-pivot) columns R_y^F, has
-    minimal period b and rescaled rank r_u*b - r_target.  Each term's
-    minimal period is computed, and a term whose minimal period is not E is
-    skipped; otherwise ranks add and its deficiency is r_target.  Finitely
-    many f are skipped: for a period d < E of the term, e | d would give
-    y^(d/e)*Q = Q, against b, as M meets R_y^F only in 0.  Otherwise
-    x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo U lie in the free
-    columns, and f divides the gcd of their entries, nonzero as x^d U ⊄ U.
+    minimal period b and rescaled rank r_u*b - r_target.  A term whose
+    minimal period is not E is skipped; otherwise ranks add and its
+    deficiency is r_target.  Finitely many f are skipped: for a period d < E
+    of the term, e | d would give y^(d/e)*Q = Q, against b, as M meets R_y^F
+    only in 0.  Otherwise x^d U ⊆ M + f*R_y^F: the residues of x^d U modulo
+    U lie in the free columns, and f divides the gcd g_d of their entries,
+    nonzero as x^d U ⊄ U.  Periods below E would include some E/q, q a
+    prime, and q | b gives e | E/q; so g_d is found once, for d = E/q with
+    q | e and q ∤ b, and a term is tested for the period d only when f
+    divides g_d.  Every term's form at E is built from the rows of U's form
+    there and those of f*Q, and kept with its minimal period.
     A count past ``SEQUENCE_BUDGET`` is refused before anything is built.
     """
     if count < 1:
@@ -806,23 +815,39 @@ def approach_sequence(U, b, r_target, count):
             f"{r_target} >= {r_u}*{b} = {r_u * b}"
         )
     form = canon.form(e)
-    ncols = n * e
+    ncols, E = n * e, e * b
     free_cols = [c for c in range(ncols) if c not in form.pivots]
     n_free = len(free_cols)  # equals the deficiency r_u
     # Build the prescribed-invariant subgroup in the free quotient coordinates.
     quotient_piece = construct_with_invariants(n_free, p, b, n_free * b - r_target)
-    base_gens = [g.shifted(j * e) for g in canon.gens for j in range(b)]
+    gates = []  # (d, g_d) for each period d = E/q a term may have below E
+    for d in [E // q for q in _divisors(e)[1:] if b % q and _divisors(q) == [1, q]]:
+        g_d = Poly.zero(p)
+        for row in _moved_rows(form, d):
+            residue = form.residue(row)
+            if any(c in form.pivots for c, _ in residue):
+                break  # x^d U is not in M + R_y^F, so d is no term's period
+            for entry in _columns(residue, ncols, p):
+                g_d = poly_gcd(g_d, entry.body)
+        else:
+            gates.append((d, g_d))
+    base = canon._at_period(E)
+    base_rows = base.form(E).rows
     out = []
     for f in irreducibles(p):
-        gens = list(base_gens)
-        for t in quotient_piece.scaled(f).gens:
+        gens = []
+        for t in quotient_piece.gens:
             cols = [LaurentPoly.zero(p)] * ncols
             for a, entry in enumerate(t.coords):
-                cols[free_cols[a]] = entry
+                cols[free_cols[a]] = entry * f
             gens.append(unvectorize(cols, n, e, p))
-        term = Submodule(n, p, e * b, gens)
-        if term.minimal_period() != e * b:
+        term = Submodule(n, p, E, base.gens + tuple(gens))
+        term._forms[E] = laurent_hermite_form(
+            p, n, E, base_rows + tuple(vectorize(g, E) for g in gens)
+        )
+        if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
+        object.__setattr__(term, "_e", E)
         out.append(term)
         if len(out) == count:
             return out

@@ -29,12 +29,17 @@ def monic_polys(p, degree):
 
 
 def is_irreducible(f):
-    """Trial-division irreducibility test (exhaustive, exact): the oracle."""
+    """Irreducibility test (exhaustive, exact): the oracle.  Degree 2 over an
+    odd p is Euler's criterion, x^2 + bx + c being irreducible exactly when
+    b^2 - 4c is a non-residue; every other case is trial division."""
     d = f.degree
     if d is None or d == 0:
         return False
     if d == 1:
         return True
+    if d == 2 and f.p > 2:
+        c, b, _ = f.monic().coeffs
+        return pow(b * b - 4 * c, (f.p - 1) // 2, f.p) == f.p - 1
     for e in range(1, d // 2 + 1):
         for g in monic_polys(f.p, e):
             if g.divides(f):

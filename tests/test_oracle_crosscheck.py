@@ -10,7 +10,9 @@ checking every witness of the ball against every term.  Residues and
 Hermite forms, computed through the action of y on residues, are rebuilt
 by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
 division, and periods found on moved form rows by form equalities and by
-generator containment.  Any disagreement fails the test.
+generator containment.  Approach terms, whose periods are gated and whose
+forms are built by insertion, are rebuilt by the divisor scan on each
+candidate term.  Any disagreement fails the test.
 """
 
 import functools
@@ -35,8 +37,11 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
+    approach_sequence,
     construct_with_invariants,
+    invariant_report,
     laurent_hermite_form,
+    unvectorize,
     vanish_sequence,
     vectorize,
 )
@@ -640,6 +645,86 @@ class TestMovedRowPeriodOracle:
                 assert U.has_period(s) == want, (U, s)
                 coprime += gcd(s, L) == 1 and want
         assert coprime > 0
+
+
+def scanned_approach(U, b, r_target, count):
+    """The terms M + f*Q of ``approach_sequence``, each candidate built from
+    its generators and kept when the divisor scan of a fresh Submodule finds
+    the period E = e(U)*b; and the number of candidates skipped."""
+    n, p = U.n, U.p
+    canon = U.canonical()
+    e = canon.period
+    free = [c for c in range(n * e) if c not in canon.form(e).pivots]
+    Q = construct_with_invariants(len(free), p, b, len(free) * b - r_target)
+    base = [g.shifted(j * e) for g in canon.gens for j in range(b)]
+    kept, skipped = [], 0
+    for f in irreducibles(p):
+        gens = list(base)
+        for t in Q.gens:
+            cols = [LaurentPoly.zero(p)] * (n * e)
+            for a, entry in enumerate(t.coords):
+                cols[free[a]] = entry * f
+            gens.append(unvectorize(cols, n, e, p))
+        term = Submodule(n, p, e * b, gens)
+        if term.minimal_period() != e * b:
+            skipped += 1
+            continue
+        kept.append(term)
+        if len(kept) == count:
+            return kept, skipped
+
+
+def approach_cases(seed, count):
+    """Seeded (U, b, r_target, count): U from :func:`periodic_cases` with a
+    positive deficiency, b in {1, 2, 3, 4, 6}."""
+    rng = SplitMix64(seed)
+    out = []
+    for U in periodic_cases(seed, count):
+        r_u = invariant_report(U).deficiency
+        if r_u:
+            b = (1, 2, 3, 4, 6)[rng.below(5)]
+            out.append((U, b, rng.below(r_u * b), 2 + rng.below(4)))
+    return out
+
+
+def free_copy_case():
+    """U = F_2-span of (1+x, 1) in R^2: e = 1 with free column 1, and at
+    level 2 its pivots are (0, 1), one in a copy of that free column."""
+    U = Submodule(2, 2, 1, [LaurentVector(2, [LaurentPoly.from_poly(Poly(2, [1, 1])),
+                                              LaurentPoly.one(2)])])
+    return U, 2, 1, 6
+
+
+class TestApproachTermOracle:
+    """Approach terms against the divisor scan and forms built from scratch."""
+
+    CASES = approach_cases(8080, 120) + [
+        (skip_case().lamps, 1, 0, 8),
+        free_copy_case(),
+        # x moves the row (1+y^2, 1+y) to a residue with an entry in the
+        # pivot column, and 1+y divides every entry
+        (Submodule(1, 2, 2, [LaurentVector(2, [LaurentPoly.from_poly(Poly(2, [1, 1, 0, 1, 1]))])]),
+         1, 0, 8),
+    ]
+
+    def test_free_copy_case_has_a_pivot_in_a_free_copy(self):
+        U, b, _, _ = free_copy_case()
+        assert U.canonical().form(1).pivots == (0,)
+        assert U.canonical().form(2).pivots == (0, 1)
+
+    def test_terms_match_the_divisor_scan(self):
+        skipped = 0
+        for U, b, r_target, count in self.CASES:
+            want, k = scanned_approach(U, b, r_target, count)
+            got = approach_sequence(U, b, r_target, count)
+            skipped += k
+            assert [W.gens for W in got] == [W.gens for W in want], (U, b, r_target)
+            E = U.minimal_period() * b
+            for W in got:
+                fresh = Submodule(W.n, W.p, W.period, W.gens)
+                assert W.minimal_period() == fresh.minimal_period() == E, W
+                assert W.form(E).key() == fresh.form(E).key(), W
+        assert skipped > 0
 
 
 def gauss_count(p, d):

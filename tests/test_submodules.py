@@ -434,6 +434,72 @@ class TestApproach:
             tail = [V.contains_vector(w) for V in seq[6:]]
             assert tail == [U.contains_vector(w)] * len(tail)
 
+    @staticmethod
+    def counted(monkeypatch):
+        """Count has_period calls and Hermite form builds."""
+        from lampirs import submodules
+
+        counts = {"period": 0, "form": 0}
+        has_period, form = Submodule.has_period, submodules.laurent_hermite_form
+
+        def counting_period(self, s):
+            counts["period"] += 1
+            return has_period(self, s)
+
+        def counting_form(*args):
+            counts["form"] += 1
+            return form(*args)
+
+        monkeypatch.setattr(Submodule, "has_period", counting_period)
+        monkeypatch.setattr(submodules, "laurent_hermite_form", counting_form)
+        return counts
+
+    @pytest.mark.parametrize(
+        "e, rk, t", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
+    )
+    def test_terms_take_no_period_test_and_one_form_each(self, monkeypatch, e, rk, t):
+        # The p = 2 shapes of the certify-f2 benchmark: no term is tested for
+        # a period, and the sequence builds one form per term, the one a
+        # Submodule builds from the term's generators, and U's form at E
+        # unless E = e, where U has it already.
+        U = construct_with_invariants(1, 2, e, rk)
+        U.canonical()
+        counts = self.counted(monkeypatch)
+        for r_target in range(t * (e - rk)):
+            counts.update(period=0, form=0)
+            seq = approach_sequence(U, t, r_target, 12)
+            assert counts == {"period": 0, "form": 12 + (t > 1)}, r_target
+            for V in seq:
+                assert V.minimal_period() == e * t
+                fresh = Submodule(V.n, V.p, e * t, V.gens).form(e * t)
+                assert V._forms[e * t] == fresh
+
+    def test_a_skipped_term_takes_one_period_test(self, monkeypatch):
+        # (1+x^2) F_2[x^(+-2)] with b = 1: the term for 1+x, which divides
+        # g_1 = 1+y, is built and tested and has period 1; no later f
+        # divides g_1.  E = 2 = e, so U's form at E is not built again.
+        U = Submodule(1, 2, 2, [LaurentVector(2, [LaurentPoly.from_poly(Poly(2, [1, 0, 1]))])])
+        U.canonical()
+        counts = self.counted(monkeypatch)
+        seq = approach_sequence(U, 1, 0, 8)
+        assert counts == {"period": 1, "form": 8 + 1}
+        # the first kept term is the one for 1+y+y^2, with y = x^2
+        first = LaurentPoly.from_poly(Poly(2, [0, 1, 0, 1, 0, 1]))
+        assert seq[0].contains_vector(LaurentVector(2, [first]))
+
+    def test_a_moved_row_off_the_free_columns_takes_no_period_test(self, monkeypatch):
+        # (1+x+x^3+x^4) F_2[x^(+-2)] with b = 1 has the row (1+y^2, 1+y), y =
+        # x^2.  Moved by x its residue is (1+y, y+y^2): the entry in the pivot
+        # column rules the period 1 out for every term, though 1+y, the first
+        # f, divides both entries.
+        h = Poly(2, [1, 1, 0, 1, 1])
+        U = Submodule(1, 2, 2, [LaurentVector(2, [LaurentPoly.from_poly(h)])])
+        U.canonical()
+        counts = self.counted(monkeypatch)
+        seq = approach_sequence(U, 1, 0, 8)
+        assert counts == {"period": 0, "form": 8}
+        assert all(V.minimal_period() == 2 for V in seq)
+
     def test_hypothesis_violations_named(self):
         full = Submodule.full(1, 2)
         with pytest.raises(DomainError, match="deficiency"):
