@@ -81,15 +81,6 @@ class Poly:
     def one(cls, p):
         return cls(p, (1,), normalize=False)
 
-    @classmethod
-    def monomial(cls, p, k, c=1):
-        if k < 0:
-            raise DomainError("Poly exponents are nonnegative; use LaurentPoly")
-        c %= p
-        if c == 0:
-            return cls.zero(p)
-        return cls(p, (0,) * k + (c,), normalize=False)
-
     @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
@@ -184,17 +175,8 @@ class Poly:
                     rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
         return Poly._raw(p, q), Poly._raw(p, rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other):
-        """True iff self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     def monic(self):
         if self.is_zero():
@@ -379,15 +361,6 @@ class LaurentPoly:
 
     def __bool__(self):
         return bool(self.body)
-
-    @property
-    def min_exp(self):
-        """Lowest exponent with nonzero coefficient, or None if zero."""
-        return self.offset if self.body else None
-
-    @property
-    def max_exp(self):
-        return self.offset + self.body.degree if self.body else None
 
     def terms(self):
         """Yield (exponent, coefficient) pairs, ascending, nonzero only."""

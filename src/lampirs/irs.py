@@ -100,14 +100,6 @@ class WindowSubgroup:
     def zero(cls, p, n, lo, hi):
         return cls(p, n, lo, hi, (), reduce=False)
 
-    @classmethod
-    def full(cls, p, n, lo, hi):
-        d = n * (hi - lo + 1)
-        rows = tuple(
-            tuple(1 if i == j else 0 for j in range(d)) for i in range(d)
-        )
-        return cls(p, n, lo, hi, rows, reduce=False)
-
     def key(self):
         return (self.dim, self.rows)
 
@@ -375,6 +367,12 @@ def _check_block_window(mu, m, lo, hi, sites):
         raise DomainError(f"empty window [{lo}, {hi}]")
     if not mu.invariant:
         raise DomainError("the block construction requires a shift-invariant measure")
+    return _check_window_dim(mu, sites)
+
+
+def _check_window_dim(mu, sites):
+    """(p, n) of mu, read from its one-site marginal, once ``sites`` sites fit
+    ``WINDOW_DIM_BUDGET``."""
     site_law = mu.marginal(0, 0)
     dim = site_law.n * sites
     if dim > WINDOW_DIM_BUDGET:
@@ -446,11 +444,6 @@ def block_average_marginal(mu, m, lo, hi):
         for ws, prob in law.items():
             out[ws] = out.get(ws, Fraction(0)) + weight * prob
     return WindowDistribution(p, n, lo, hi, out)
-
-
-def block_average_measure(mu, m):
-    """mu_m as a measure object (marginals computed exactly on demand)."""
-    return SubgroupMeasure(lambda lo, hi: block_average_marginal(mu, m, lo, hi), True)
 
 
 def convergence_report(mu, m, j):
@@ -624,10 +617,13 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     The trials run in batches of about ``BATCH_WORDS`` stream words:
     the batch's keys and the words each trial reads when neither index draw
     is rejected are computed at once.  A trial whose first or second word is
-    rejected is replayed on its own stream.
+    rejected is replayed on its own stream.  A window of either measure past
+    ``WINDOW_DIM_BUDGET`` is refused before its marginal is read.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
+    for mu in (mu1, mu2):
+        _check_window_dim(mu, hi - lo + 1)
     marg1 = mu1.marginal(lo, hi)
     marg2 = mu2.marginal(lo, hi)
     if (marg1.n, marg1.p) != (marg2.n, marg2.p):

@@ -44,6 +44,10 @@ PRINTABLE_BITS = 14283
 # Shift convention (global, fixed once): multiplying a configuration by x
 # moves the lamp at site i+1 to site i, so site k is the exponent -k.
 SITE_EXPONENT_SIGN = -1
+# Largest column count n*L of a canonical form at level L.  Finding a minimal
+# period tests every proper divisor of the stored period, so the budget is
+# set by the most divisor-rich level below it: 15120, with 80 divisors.
+FORM_COLUMN_BUDGET = 2**14
 
 
 class LaurentVector:
@@ -107,14 +111,6 @@ class LaurentVector:
 
     def shifted(self, k):
         return LaurentVector(self.p, (c.shifted(k) for c in self.coords))
-
-    def support(self):
-        """(min_exp, max_exp) over all coordinates, or None if zero."""
-        lows = [c.min_exp for c in self.coords if not c.is_zero()]
-        highs = [c.max_exp for c in self.coords if not c.is_zero()]
-        if not lows:
-            return None
-        return min(lows), max(highs)
 
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
@@ -388,6 +384,16 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
+def _check_form_columns(n, level):
+    """Refuse a form of n*level columns past ``FORM_COLUMN_BUDGET``."""
+    if n * level > FORM_COLUMN_BUDGET:
+        raise ResourceBudgetError(
+            f"a form of {n * level} columns (n={n} at level {level}) exceeds "
+            f"the budget {FORM_COLUMN_BUDGET}",
+            requested=n * level,
+        )
+
+
 def _moved_rows(form, s):
     """The rows of ``form`` moved by x^s, as :meth:`Submodule.has_period` moves them."""
     a, b = divmod(s, form.level)
@@ -439,11 +445,13 @@ class Submodule:
 
         A multiple of the stored period is one; any other level must be a
         multiple of the minimal period.  The rows are the generators of U
-        presented at that level by :meth:`_at_period`.
+        presented at that level by :meth:`_at_period`.  A form of more than
+        ``FORM_COLUMN_BUDGET`` columns, n*level, is refused before any work.
         """
         cached = self._forms.get(level)
         if cached is not None:
             return cached
+        _check_form_columns(self.n, level)
         if level % self.period and level % self.minimal_period():
             raise DomainError(
                 f"level {level} is not a multiple of the stored period "
@@ -571,22 +579,21 @@ class Submodule:
 
         The periods of U are the multiples of e (see :meth:`has_period`), so
         e is the first proper divisor of the stored period that is a period,
-        or the stored period itself.  A given ``s`` is only checked to be a
-        period; the answer does not depend on it.
+        or the stored period itself.  The tests read the form at the stored
+        period, so its budget is checked before the divisors are listed.  A
+        given ``s`` is only checked to be a period; the answer does not
+        depend on it.
         """
         if s is not None and not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
         if self._e is None:
+            _check_form_columns(self.n, self.period)
             proper = _divisors(self.period)[:-1]
             e = next((d for d in proper if self.has_period(d)), self.period)
             object.__setattr__(self, "_e", e)
         return self._e
 
     # -- rank invariants ------------------------------------------------------
-
-    def rank(self):
-        """Module rank of U under the stored-period action."""
-        return self.form(self.period).rank
 
     def rescaled_rank(self, m):
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""
@@ -791,7 +798,8 @@ def approach_sequence(U, b, r_target, count):
     q | e and q ∤ b, and a term is tested for the period d only when f
     divides g_d.  Every term's form at E is built from the rows of U's form
     there and those of f*Q, and kept with its minimal period.
-    A count past ``SEQUENCE_BUDGET`` is refused before anything is built.
+    A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
+    and an n*E past ``FORM_COLUMN_BUDGET`` before any term is.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -816,6 +824,7 @@ def approach_sequence(U, b, r_target, count):
         )
     form = canon.form(e)
     ncols, E = n * e, e * b
+    _check_form_columns(n, E)
     free_cols = [c for c in range(ncols) if c not in form.pivots]
     n_free = len(free_cols)  # equals the deficiency r_u
     # Build the prescribed-invariant subgroup in the free quotient coordinates.

@@ -18,7 +18,6 @@ from lampirs.irs import (
     SubgroupMeasure,
     WindowDistribution,
     block_average_marginal,
-    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
 )
@@ -144,7 +143,6 @@ def test_exact_calls_read_no_marginal_wider_than_the_window(name, mu):
         for m in [*range(1, 9), 10**12]:
             watched, asked = recording(mu)
             block_average_marginal(watched, m, lo, hi)
-            block_average_measure(watched, m).marginal(lo, hi)
             convergence_report(watched, m, hi - lo)
             for k in {0, 1 % m, m - 1}:
                 block_shift_term_marginal(watched, m, k, lo, hi)

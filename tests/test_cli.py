@@ -354,6 +354,74 @@ class TestMalformedArguments:
         assert "p=3" in res.stderr and "p=2" in res.stderr
 
 
+def assert_refused_by_budget(res):
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1, res.stderr
+    assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+
+def measure_with_period(tmp_path, period):
+    path = tmp_path / "mu.json"
+    atom = {"weight": "1", "period": period, "gens": ["1+x"]}
+    path.write_text(json.dumps({"n": 1, "p": 2, "atoms": [atom]}))
+    return str(path)
+
+
+class TestFormColumnBudget:
+    # A form at level L has n*L columns; 16384 is the budget.
+
+    @pytest.mark.parametrize("n, period", [(1, 16385), (1, 2000000), (2, 8193)])
+    def test_invariants_over_budget(self, tmp_path, n, period):
+        zeros = ",0" * (n - 1)
+        path = tmp_path / "V.triple"
+        path.write_text(f"s=0\nn={n} e={period} p=2\n[1+x{zeros}]\nv=[0{zeros}]\n")
+        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+
+    def test_invariants_at_the_budget(self, tmp_path):
+        path = tmp_path / "V.triple"
+        path.write_text("s=0\nn=1 e=16384 p=2\n1+x\nv=0\n")
+        res = run_cli("invariants", "--triple", str(path), timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["e"] == 16384
+
+    @pytest.mark.parametrize("period", [16385, 3000000])
+    @pytest.mark.parametrize("command", ["irs", "mix"])
+    def test_measure_atom_over_budget(self, tmp_path, command, period):
+        mu = measure_with_period(tmp_path, period)
+        if command == "irs":
+            args = ("irs", "--mu", mu, "--m", "3", "--j", "1")
+        else:
+            args = ("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", mu)
+        assert_refused_by_budget(run_cli(*args, timeout=20))
+
+    def test_measure_atom_at_the_budget(self, tmp_path):
+        mu = measure_with_period(tmp_path, 16384)
+        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", mu, timeout=60)
+        assert res.returncode == 0, res.stderr
+
+    def test_stored_period_without_a_form(self):
+        res = run_cli("construct", "1", "100000000", "1", timeout=20)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("n=1 e=100000000 p=2\n")
+
+
+class TestSpliceWindowBudget:
+    # n*(hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24.
+
+    @pytest.mark.parametrize(
+        "args", [("--window", "0,24"), ("--window", "0,20000"), ("--n", "2", "--window", "0,12")]
+    )
+    def test_mix_window_over_budget(self, args):
+        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", *args, timeout=20)
+        assert_refused_by_budget(res)
+
+    @pytest.mark.parametrize("args", [("--window", "0,23"), ("--n", "2", "--window", "5,16")])
+    def test_mix_window_at_the_budget(self, args):
+        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", *args)
+        assert res.returncode == 0, res.stderr
+
+
 class TestIrsCommand:
     def test_bound_report(self, tmp_path):
         mu = tmp_path / "mix.json"

@@ -13,7 +13,6 @@ from lampirs.irs import (
     WindowDistribution,
     WindowSubgroup,
     block_average_marginal,
-    block_average_measure,
     block_shift_term_marginal,
     convergence_report,
     majority_invariance_estimate,
@@ -90,7 +89,7 @@ class TestProjection:
         assert dist.project(0, 2) == dist
 
     def test_point_mass_projects_to_point_mass(self):
-        full = WindowSubgroup.full(P2, 1, 0, 2)
+        full = window_of_submodule(Submodule.full(1, P2), 0, 2)
         d = WindowDistribution.point(full)
         proj = d.project(1, 2)
         ((ws, prob),) = proj.sorted_items()
@@ -229,7 +228,7 @@ class TestBlockAverage:
 
 class TestDistanceReports:
     def test_tv_point_masses(self):
-        a = WindowDistribution.point(WindowSubgroup.full(P2, 1, 0, 0))
+        a = WindowDistribution.point(window_of_submodule(Submodule.full(1, P2), 0, 0))
         b = WindowDistribution.point(WindowSubgroup.zero(P2, 1, 0, 0))
         assert tv_distance(a, a) == 0
         assert tv_distance(a, b) == 2
@@ -253,12 +252,6 @@ class TestSampler:
         a = sampler_law_report(even_mixture(), 3, 0, 1, 50, seed=42)
         b = sampler_law_report(even_mixture(), 3, 0, 1, 50, seed=42)
         assert a == b
-
-    def test_measure_object_exposes_block_average_marginals(self):
-        mu = even_mixture()
-        nu = block_average_measure(mu, 3)
-        assert nu.invariant
-        assert nu.marginal(0, 1) == block_average_marginal(mu, 3, 0, 1)
 
     def test_point_mass_constant(self):
         mu = SubgroupMeasure.point(Submodule.zero(1, P2))
@@ -294,11 +287,31 @@ class TestSplice:
         mu1 = SubgroupMeasure.point(Submodule.full(1, P2))
         mu2 = SubgroupMeasure.point(Submodule.zero(1, P2))
         empirical, target, rep = splice_measures(mu1, mu2, 51, 0, 0, 20000, seed=5)
-        assert target.prob(WindowSubgroup.full(P2, 1, 0, 0)) == HALF
+        assert target.prob(window_of_submodule(Submodule.full(1, P2), 0, 0)) == HALF
         # single-cell window: every trial is all-first or all-second
         assert rep["lambda_all_first"] + rep["lambda_all_second"] == 1
         assert rep["boundary_defect_bound"] == 0
         assert rep["within_bound"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_window_budget_edges(self, n):
+        # n * (hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24; one site more
+        # is refused on the one-site marginal, before a window marginal.
+        widest = 24 // n
+        mu1 = SubgroupMeasure.point(Submodule.full(n, P2))
+        mu2 = SubgroupMeasure.point(Submodule.zero(n, P2))
+        empirical, _, _ = splice_measures(mu1, mu2, 3, 0, widest - 1, 10, seed=1)
+        assert empirical.n * (empirical.hi + 1) == 24
+        asked = []
+
+        def marginal(lo, hi):
+            asked.append((lo, hi))
+            return mu1.marginal(lo, hi)
+
+        with pytest.raises(ResourceBudgetError, match="budget") as err:
+            splice_measures(SubgroupMeasure(marginal, True), mu2, 3, 0, widest, 10, seed=1)
+        assert err.value.requested == n * (widest + 1)
+        assert asked == [(0, 0)]
 
     def test_even_window_length_rejected(self):
         mu = even_mixture()

@@ -79,10 +79,9 @@ def bounded_span(U, lo, hi):
     """RREF of all generator shifts supported inside [lo, hi]."""
     rows = []
     for g in U.gens:
-        support = g.support()
-        if support is None:
-            continue
-        g_lo, g_hi = support
+        live = [c for c in g.coords if not c.is_zero()]
+        g_lo = min(c.offset for c in live)
+        g_hi = max(c.offset + c.body.degree for c in live)
         k = (lo - g_hi) // U.period - 1  # safely below the first valid shift
         while g_hi + k * U.period <= hi:
             if g_lo + k * U.period >= lo:

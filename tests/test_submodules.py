@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from lampirs import submodules
 from lampirs.algebra import LaurentPoly, Poly, poly_gcd
 from lampirs.errors import DomainError, PreconditionError, ResourceBudgetError
 from lampirs.formats import format_vector
@@ -52,7 +53,6 @@ class TestRescale:
         for n in (1, 2, 3):
             F = Submodule.full(n, 2).form(1)
             assert F.rank == n and F.ncols == n
-            assert Submodule.full(n, 2).rank() == n
 
     def test_even_span_splits_by_parity(self):
         U = span_even(2)
@@ -86,7 +86,7 @@ class TestLaurentHermiteForm:
                         for row in form.rows[:idx]:
                             entry = row[col]
                             assert entry.is_zero() or (
-                                entry.offset >= 0 and entry.max_exp < pivot.body.degree
+                                entry.offset >= 0 and entry.offset + entry.body.degree < pivot.body.degree
                             )
                     for g in U.gens:
                         for k in range(level // e):
@@ -218,7 +218,7 @@ class TestPeriodsAndRanks:
             2, (LaurentPoly.monomial(2, 1), LaurentPoly.from_poly(Poly(2, (1, 1))))
         )
         U = Submodule(2, 2, 1, [g])
-        assert U.rank() == 1
+        assert U.form(U.period).rank == 1
 
     def test_rank_multiplicativity_sample(self):
         rng = SplitMix64(23)
@@ -229,6 +229,42 @@ class TestPeriodsAndRanks:
             b = 1 + rng.below(3)
             U = Submodule(n, p, e, [random_vector(rng, n, p)])
             assert U.rescaled_rank(b * e) == b * U.rescaled_rank(e)
+
+
+class TestFormColumnBudget:
+    def test_form_column_budget_edges(self, monkeypatch):
+        # With a budget of 12 columns, <1 + x> stored at period 12 has
+        # minimal period 12 and an approach sequence may reach E = 12.  One
+        # column more is refused before the divisors of the period are
+        # listed or a generator is re-presented or split into columns.
+        monkeypatch.setattr(submodules, "FORM_COLUMN_BUDGET", 12)
+        line = [LaurentVector(2, (LaurentPoly.from_poly(Poly(2, (1, 1))),))]
+        assert invariant_report(Submodule(1, 2, 12, line)).e == 12
+        zero = Submodule.zero(1, 2)
+        assert len(approach_sequence(zero, 12, 0, 1)) == 1
+        full = Submodule.full(1, 2)
+        assert full.form(12).rank == 12
+
+        def unstarted(*args):
+            raise AssertionError("a refused form must not be started")
+
+        for name in ("_divisors", "vectorize"):
+            monkeypatch.setattr(submodules, name, unstarted)
+        monkeypatch.setattr(Submodule, "_at_period", unstarted)
+        refusals = [
+            (13, Submodule(1, 2, 13, line).minimal_period),
+            (14, Submodule(2, 2, 7, [unit(2, 2)]).minimal_period),
+            (13, lambda: full.form(13)),
+            # zero's form and minimal period are cached by the call above
+            (13, lambda: approach_sequence(zero, 13, 0, 1)),
+        ]
+        for requested, call in refusals:
+            with pytest.raises(ResourceBudgetError, match="budget") as err:
+                call()
+            assert err.value.requested == requested
+        # a stored period on which no form is built stays accepted
+        U = construct_with_invariants(1, 2, 10**8, 1)
+        assert U.period == 10**8 and U.has_period(2 * 10**8)
 
 
 class TestCanonicalForms:
