@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, repeat
 from math import comb, gcd, lcm
 
 from .algebra import check_prime
@@ -113,9 +114,6 @@ class WindowSubgroup:
     def __hash__(self):
         return hash((self.p, self.n, self.lo, self.hi, self.rows))
 
-    def coord_index(self, site, component=0):
-        return (site - self.lo) * self.n + component
-
     def transported(self, new_lo):
         """Same subgroup pattern relabelled to start at ``new_lo``."""
         return WindowSubgroup(
@@ -126,22 +124,13 @@ class WindowSubgroup:
         """Intersection with the coordinate subspace of the subwindow [lo, hi]."""
         if lo < self.lo or hi > self.hi or hi < lo:
             raise DomainError("subwindow not nested in window")
-        keep = [
-            self.coord_index(site, c)
-            for site in range(lo, hi + 1)
-            for c in range(self.n)
-        ]
-        inside = span_intersect_coordinates(self.rows, keep, self.p, self.space_dim)
-        width = (hi - lo + 1) * self.n
-        offset = (lo - self.lo) * self.n
-        rows = tuple(r[offset : offset + width] for r in inside)
+        start, stop = (lo - self.lo) * self.n, (hi + 1 - self.lo) * self.n
+        rows = (r[start:stop] for r in self.intersect_sites(range(lo, hi + 1)).rows)
         return WindowSubgroup(self.p, self.n, lo, hi, rows, reduce=False)
 
     def intersect_sites(self, sites):
         """Intersection with the span of an arbitrary subset of sites (full width)."""
-        keep = [
-            self.coord_index(site, c) for site in sorted(sites) for c in range(self.n)
-        ]
+        keep = [(site - self.lo) * self.n + c for site in sorted(sites) for c in range(self.n)]
         rows = span_intersect_coordinates(self.rows, keep, self.p, self.space_dim)
         return WindowSubgroup(self.p, self.n, self.lo, self.hi, rows, reduce=False)
 
@@ -172,7 +161,7 @@ class WindowDistribution:
         self.lo = lo
         self.hi = hi
         merged = {}
-        for ws, prob in atoms.items() if isinstance(atoms, dict) else atoms:
+        for ws, prob in atoms.items():
             prob = Fraction(prob)
             if prob < 0:
                 raise DomainError("negative probability")
@@ -475,35 +464,6 @@ def _check_trials(trials):
         raise DomainError(f"trials must be >= 1, got {trials}")
 
 
-def _block_key_drawer(block_law, m, lo, hi):
-    """A function that draws one outcome of the mu_m window marginal, as integers.
-
-    Given an iterator of stream words, it draws the phase k below m, then
-    the ``sample_index`` of each block meeting [lo, hi], left to right, and
-    returns (k, index, ...).  Each draw takes words until one is below the
-    rejection limit of its bound, as ``SplitMix64.below`` does; the limits
-    and the block starts are computed once, here.
-    """
-    den, thresholds, _ = block_law._table()
-    phase_limit, index_limit = below_limit(m), below_limit(den)
-    starts = [_block_starts(m, lo, hi, k) for k in range(m)]
-
-    def draw(words):
-        u = next(words)
-        while u >= phase_limit:
-            u = next(words)
-        k = u % m
-        key = [k]
-        for _ in starts[k]:
-            u = next(words)
-            while u >= index_limit:
-                u = next(words)
-            key.append(bisect_right(thresholds, u % den))
-        return tuple(key)
-
-    return draw
-
-
 def _counts_by_subgroup(key_counts, subgroup_of):
     """Merge the counts of integer keys into counts of the subgroups they build.
 
@@ -526,22 +486,35 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
 
     Every trial reads on from one stream, ``SplitMix64(seed)``: first the
     phase k below m, then, left to right, the ``sample_index`` in the
-    window-[0, m-1] marginal of each block meeting [lo, hi].  Trials are
-    counted by these integers.  After the loop each distinct outcome is
-    summed from the pieces of its phase tiling, ``_block_pieces``.  The
-    draws keep the window dimension n*max(m, hi-lo+1) within budget, so an
-    m past it is refused before the block marginal is built.
+    window-[0, m-1] marginal of each block meeting [lo, hi].  Each draw
+    reads words until one is below its bound's rejection limit, as
+    ``SplitMix64.below`` does.  Trials are counted by these integers.  After
+    the loop each distinct outcome is summed from the pieces of its phase
+    tiling, ``_block_pieces``.  The draws keep the window dimension
+    n*max(m, hi-lo+1) within budget, so an m past it is refused before the
+    block marginal is built.
     """
     _check_trials(trials)
     _check_block_window(mu, m, lo, hi, max(m, hi - lo + 1))
     block_law = mu.marginal(0, m - 1)
     exact = block_average_marginal(mu, m, lo, hi)
     tilings = [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
-    draw = _block_key_drawer(block_law, m, lo, hi)
-    words = SplitMix64(seed).words()
+    den, thresholds, _ = block_law._table()
+    phase_limit, index_limit = below_limit(m), below_limit(den)
+    words = chain.from_iterable(map(SplitMix64(seed).take, repeat(BATCH_WORDS)))
     key_counts = {}
     for _ in range(trials):
-        key = draw(words)
+        u = next(words)
+        while u >= phase_limit:
+            u = next(words)
+        k = u % m
+        key = [k]
+        for _ in tilings[k]:
+            u = next(words)
+            while u >= index_limit:
+                u = next(words)
+            key.append(bisect_right(thresholds, u % den))
+        key = tuple(key)
         key_counts[key] = key_counts.get(key, 0) + 1
     counts = _counts_by_subgroup(
         key_counts,

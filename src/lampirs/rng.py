@@ -188,20 +188,6 @@ class SplitMix64:
             out += more
         return out
 
-    def words(self):
-        """Iterate over the words of the stream from here on.
-
-        The iterator reads the rest of the buffer, and each later buffer,
-        as a whole: once it has started, ``u64``, ``below``, ``bits`` and
-        ``take`` read on after the last buffer it reached.
-        """
-        while True:
-            if self._pos == len(self._buf):
-                self._refill()
-            rest = self._buf[self._pos :]
-            self._pos = len(self._buf)
-            yield from rest
-
     def below(self, n):
         """Uniform integer in [0, n), unbiased via rejection, for 1 <= n <= 2^64."""
         limit = below_limit(n)

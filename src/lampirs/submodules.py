@@ -48,6 +48,11 @@ SITE_EXPONENT_SIGN = -1
 # period tests every proper divisor of the stored period, so the budget is
 # set by the most divisor-rich level below it: 15120, with 80 divisors.
 FORM_COLUMN_BUDGET = 2**14
+# Largest entry count, rows times n*L columns, of a canonical form at level L.
+# The minimal-period scan moves every row once per divisor: at the most
+# divisor-rich level under it, ``invariants`` on the 240 generators of
+# ``construct 1 240 240`` takes 0.6 to 1.0 s on a 2-core Xeon.
+FORM_ENTRY_BUDGET = 2**16
 
 
 class LaurentVector:
@@ -384,13 +389,21 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _check_form_columns(n, level):
-    """Refuse a form of n*level columns past ``FORM_COLUMN_BUDGET``."""
-    if n * level > FORM_COLUMN_BUDGET:
+def _check_form_size(n, level, rows):
+    """Refuse a form of n*level columns past ``FORM_COLUMN_BUDGET``, or of
+    rows*n*level entries past ``FORM_ENTRY_BUDGET``."""
+    cols = n * level
+    if cols > FORM_COLUMN_BUDGET:
         raise ResourceBudgetError(
-            f"a form of {n * level} columns (n={n} at level {level}) exceeds "
+            f"a form of {cols} columns (n={n} at level {level}) exceeds "
             f"the budget {FORM_COLUMN_BUDGET}",
-            requested=n * level,
+            requested=cols,
+        )
+    if rows * cols > FORM_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            f"a form of {rows} rows and {cols} columns (n={n} at level {level}) "
+            f"exceeds the budget of {FORM_ENTRY_BUDGET} entries",
+            requested=rows * cols,
         )
 
 
@@ -445,13 +458,16 @@ class Submodule:
 
         A multiple of the stored period is one; any other level must be a
         multiple of the minimal period.  The rows are the generators of U
-        presented at that level by :meth:`_at_period`.  A form of more than
-        ``FORM_COLUMN_BUDGET`` columns, n*level, is refused before any work.
+        presented at that level by :meth:`_at_period`, len(gens)*level/g of
+        them for g = gcd(level, period).  A form of more than
+        ``FORM_COLUMN_BUDGET`` columns, n*level, or ``FORM_ENTRY_BUDGET``
+        entries is refused before any work.
         """
         cached = self._forms.get(level)
         if cached is not None:
             return cached
-        _check_form_columns(self.n, level)
+        rows = len(self.gens) * (level // gcd(level, self.period))
+        _check_form_size(self.n, level, rows)
         if level % self.period and level % self.minimal_period():
             raise DomainError(
                 f"level {level} is not a multiple of the stored period "
@@ -580,14 +596,14 @@ class Submodule:
         The periods of U are the multiples of e (see :meth:`has_period`), so
         e is the first proper divisor of the stored period that is a period,
         or the stored period itself.  The tests read the form at the stored
-        period, so its budget is checked before the divisors are listed.  A
+        period, so its budgets are checked before the divisors are listed.  A
         given ``s`` is only checked to be a period; the answer does not
         depend on it.
         """
         if s is not None and not self.has_period(s):
             raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
         if self._e is None:
-            _check_form_columns(self.n, self.period)
+            _check_form_size(self.n, self.period, len(self.gens))
             proper = _divisors(self.period)[:-1]
             e = next((d for d in proper if self.has_period(d)), self.period)
             object.__setattr__(self, "_e", e)
@@ -665,18 +681,19 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def submodules_of_codimension(p, k, codim, budget=ENUMERATION_BUDGET):
+def submodules_of_codimension(p, k, codim):
     """All submodules of R^k of F_p-codimension ``codim``, canonical order.
 
     Enumerates canonical upper-triangular Laurent-Hermite matrices directly:
     monic diagonal entries with nonzero constant term whose degrees sum to
     ``codim``, entries above a pivot free of degree below the pivot's.
+    More than ``ENUMERATION_BUDGET`` submodules are refused before any is.
     """
     check_prime(p)
     total = count_submodules(p, k, codim)
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"enumeration of {total} submodules exceeds budget {budget}",
+            f"enumeration of {total} submodules exceeds budget {ENUMERATION_BUDGET}",
             requested=total,
         )
     out = []
@@ -799,7 +816,9 @@ def approach_sequence(U, b, r_target, count):
     divides g_d.  Every term's form at E is built from the rows of U's form
     there and those of f*Q, and kept with its minimal period.
     A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
-    and an n*E past ``FORM_COLUMN_BUDGET`` before any term is.
+    and a term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET``
+    before Q or any term is: it has n*E columns and n*E - r_target rows,
+    rk*b from U and n_free*b - r_target from f*Q.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -824,7 +843,7 @@ def approach_sequence(U, b, r_target, count):
         )
     form = canon.form(e)
     ncols, E = n * e, e * b
-    _check_form_columns(n, E)
+    _check_form_size(n, E, n * E - r_target)
     free_cols = [c for c in range(ncols) if c not in form.pivots]
     n_free = len(free_cols)  # equals the deficiency r_u
     # Build the prescribed-invariant subgroup in the free quotient coordinates.

@@ -406,6 +406,36 @@ class TestFormColumnBudget:
         assert res.stdout.startswith("n=1 e=100000000 p=2\n")
 
 
+def invariants_of_construct(tmp_path, level):
+    """``invariants`` on the generators ``construct 1 level level`` prints."""
+    gens = run_cli("construct", "1", str(level), str(level)).stdout
+    path = tmp_path / "V.triple"
+    path.write_text("s=0\n" + gens + "v=0\n")
+    return run_cli("invariants", "--triple", str(path), timeout=20)
+
+
+class TestFormEntryBudget:
+    # A form at level L has n*L columns and may have as many rows; 65536
+    # entries is the budget.
+
+    def test_invariants_over_budget(self, tmp_path):
+        # 480 generators at period 480: 230,400 entries
+        assert_refused_by_budget(invariants_of_construct(tmp_path, 480))
+
+    def test_invariants_at_the_budget(self, tmp_path):
+        res = invariants_of_construct(tmp_path, 256)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["e"] == 256
+
+    def test_approach_over_budget(self, tmp_path):
+        # from U = 0 at s = 1600 toward t = 1, each term has 1,600 rows and columns
+        path = tmp_path / "Z.triple"
+        path.write_text("s=1600\nn=1 e=1 p=2\nv=0\n")
+        args = ("--target", "1,0", "--count", "1", "--ball", "1,1,1")
+        res = run_cli("approach", "--triple", str(path), *args, timeout=20)
+        assert_refused_by_budget(res)
+
+
 class TestSpliceWindowBudget:
     # n*(hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24.
 

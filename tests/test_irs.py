@@ -6,7 +6,7 @@ import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.errors import DomainError, ResourceBudgetError
-from lampirs.formats import canonical_json, distribution_to_json
+from lampirs.formats import canonical_json, distribution_to_json, parse_vector
 from lampirs.irs import (
     MAJORITY_LENGTH_BUDGET,
     SubgroupMeasure,
@@ -106,6 +106,17 @@ class TestProjection:
         outer = mu.marginal(-1, 2)
         assert outer.project(0, 2).project(0, 1) == outer.project(0, 1)
         assert outer.project(0, 1) == mu.marginal(0, 1)
+        # n = 2, p = 3: every subwindow of [-1, 3]
+        mu = SubgroupMeasure.mixture(
+            [
+                (Fraction(1, 3), Submodule(2, 3, 2, [parse_vector("[1+2x, x]", 2, 3)])),
+                (Fraction(2, 3), Submodule(2, 3, 1, [parse_vector("[0, 1+x^2]", 2, 3)])),
+            ]
+        )
+        outer = mu.marginal(-1, 3)
+        for a in range(-1, 4):
+            for b in range(a, 4):
+                assert outer.project(a, b) == mu.marginal(a, b)
 
 
 class TestBlockAverage:

@@ -267,6 +267,40 @@ class TestFormColumnBudget:
         assert U.period == 10**8 and U.has_period(2 * 10**8)
 
 
+class TestFormEntryBudget:
+    def test_form_entry_budget_edges(self, monkeypatch):
+        # With a budget of 36 entries, the 6 generators of U_6 at period 6,
+        # the full module at level 6 and approach terms of 6 x 6 and 5 x 7
+        # fit.  49 entries are refused before the divisors of the period are
+        # listed, a generator is re-presented or split into columns, or the
+        # quotient piece of an approach sequence is built.
+        monkeypatch.setattr(submodules, "FORM_ENTRY_BUDGET", 36)
+        assert invariant_report(construct_with_invariants(1, 2, 6, 6)).e == 6
+        zero = Submodule.zero(1, 2)
+        assert len(approach_sequence(zero, 6, 0, 1)) == 1
+        assert len(approach_sequence(zero, 7, 2, 1)) == 1
+        full = Submodule.full(1, 2)
+        assert full.form(6).rank == 6
+        seven = construct_with_invariants(1, 2, 7, 7)
+
+        def unstarted(*args):
+            raise AssertionError("a refused form must not be started")
+
+        for name in ("_divisors", "vectorize", "construct_with_invariants"):
+            monkeypatch.setattr(submodules, name, unstarted)
+        monkeypatch.setattr(Submodule, "_at_period", unstarted)
+        refusals = [
+            (49, seven.minimal_period),
+            (49, lambda: full.form(7)),
+            (49, lambda: approach_sequence(zero, 7, 0, 1)),
+            (42, lambda: approach_sequence(zero, 7, 1, 1)),
+        ]
+        for requested, call in refusals:
+            with pytest.raises(ResourceBudgetError, match="36 entries") as err:
+                call()
+            assert err.value.requested == requested
+
+
 class TestCanonicalForms:
     def test_presentation_independence(self):
         rng = SplitMix64(31)
@@ -347,7 +381,7 @@ class TestCounting:
 
     def test_budget_error(self):
         with pytest.raises(ResourceBudgetError):
-            submodules_of_codimension(3, 3, 5, budget=10)
+            submodules_of_codimension(3, 3, 5)
 
     def test_count_bits_budget_edge(self):
         # for p = 2 the count is refused from a*k = 14,284 bits on
