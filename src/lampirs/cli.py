@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+
 from . import selftest
 from .cbrank import (
     build_approach_sequence,
@@ -215,12 +217,25 @@ def _trend_grid(m):
 
 def cmd_irs(args):
     mu = _load_measure(args.mu)
+    j = args.j
     # the requested m first, so that an m past the budget is refused at once
-    report = convergence_report(mu, args.m, args.j)
+    report = convergence_report(mu, args.m, j)
+    # past the window width j + 1 the distance is C_W/m for one rational C_W,
+    # so those trend rows need no marginal of their own
+    c_w = report["tv"] * args.m
     trend = []
     for m in _trend_grid(args.m)[:-1]:
-        row = convergence_report(mu, m, args.j)
-        del row["marginal"]  # only the requested m's marginal is printed
+        if m <= j:
+            row = convergence_report(mu, m, j)
+        else:
+            row = {
+                "m": m,
+                "tv": c_w / m,
+                "literal_bound": Fraction(2 * j, m),
+                "conservative_bound": Fraction(2 * (j + 1), m),
+            }
+            row["pass"] = row["tv"] <= row["conservative_bound"]
+            row["literal_bound_held"] = row["tv"] <= row["literal_bound"]
         trend.append(row)
     trend.append(report)
     payload = {

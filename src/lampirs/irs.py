@@ -27,11 +27,11 @@ from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .rng import (
     SplitMix64,
+    _unpack_rows,
     below_limit,
     derive_seed,
     extend_seeds,
     stream_words,
-    words_to_int,
 )
 from .submodules import PRINTABLE_BITS
 
@@ -488,8 +488,9 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     phase k below m, then, left to right, the ``sample_index`` in the
     window-[0, m-1] marginal of each block meeting [lo, hi].  Each draw
     reads words until one is below its bound's rejection limit, as
-    ``SplitMix64.below`` does.  Trials are counted by these integers.  After
-    the loop each distinct outcome is summed from the pieces of its phase
+    ``SplitMix64.below`` does.  A trial is counted under the integer
+    k + m * sum_j idx_j * a^j, a being the number of block atoms.  After
+    the loop each distinct key is summed from the pieces of its phase
     tiling, ``_block_pieces``.  The draws keep the window dimension
     n*max(m, hi-lo+1) within budget, so an m past it is refused before the
     block marginal is built.
@@ -499,29 +500,38 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     block_law = mu.marginal(0, m - 1)
     exact = block_average_marginal(mu, m, lo, hi)
     tilings = [_block_pieces(block_law, m, lo, hi, k) for k in range(m)]
-    den, thresholds, _ = block_law._table()
+    blocks = [len(tiling) for tiling in tilings]
+    den, thresholds, atoms = block_law._table()
+    size = len(atoms)
     phase_limit, index_limit = below_limit(m), below_limit(den)
-    words = chain.from_iterable(map(SplitMix64(seed).take, repeat(BATCH_WORDS)))
     key_counts = {}
-    for _ in range(trials):
-        u = next(words)
-        while u >= phase_limit:
-            u = next(words)
-        k = u % m
-        key = [k]
-        for _ in tilings[k]:
-            u = next(words)
-            while u >= index_limit:
-                u = next(words)
-            key.append(bisect_right(thresholds, u % den))
-        key = tuple(key)
-        key_counts[key] = key_counts.get(key, 0) + 1
-    counts = _counts_by_subgroup(
-        key_counts,
-        lambda key: reduce(
-            WindowSubgroup.sum_with, (col[i] for col, i in zip(tilings[key[0]], key[1:]))
-        ),
-    )
+    left = trials
+    need = 0  # index words the trial still reads; 0 while it reads its phase
+    for u in chain.from_iterable(map(SplitMix64(seed).take, repeat(BATCH_WORDS))):
+        if need:
+            if u < index_limit:
+                key += scale * bisect_right(thresholds, u % den)
+                scale *= size
+                need -= 1
+                if not need:
+                    key_counts[key] = key_counts.get(key, 0) + 1
+                    left -= 1
+                    if not left:
+                        break
+        elif u < phase_limit:
+            key = u % m
+            scale = m
+            need = blocks[key]
+
+    def subgroup(key):
+        key, k = divmod(key, m)
+        pieces = []
+        for column in tilings[k]:
+            key, i = divmod(key, size)
+            pieces.append(column[i])
+        return reduce(WindowSubgroup.sum_with, pieces)
+
+    counts = _counts_by_subgroup(key_counts, subgroup)
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)
     support = len(exact.atoms)
@@ -583,15 +593,16 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     Trial t reads its own stream, ``SplitMix64(derive_seed(seed, n_ai, t))``.
     It draws, in this order, the ``sample_index`` of the first window
     marginal, that of the second, and the ``bits`` of hi - lo + n_ai coins,
-    bit i being the coin of site lo + i.  Trials are counted by
-    (index, index, majority mask); each distinct outcome is built into its
-    window subgroup once, after the loop.
+    bit i being the coin of site lo + i.  Trials are counted under the
+    integer (i1 * a2 + i2) * 2^w + majority mask, a2 being the number of
+    atoms of the second marginal and w the window width; each distinct key
+    is built into its window subgroup once, after the loop.
 
     The trials run in batches of about ``BATCH_WORDS`` stream words:
     the batch's keys and the words each trial reads when neither index draw
-    is rejected are computed at once.  A trial whose first or second word is
-    rejected is replayed on its own stream.  A window of either measure past
-    ``WINDOW_DIM_BUDGET`` is refused before its marginal is read.
+    is rejected are computed and unpacked at once.  A trial whose first or
+    second word is rejected is replayed on its own stream.  A window of either
+    measure past ``WINDOW_DIM_BUDGET`` is refused before its marginal is read.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
@@ -607,10 +618,10 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
     coin_len = width - 1 + n_ai
-    coin_mask = (1 << coin_len) - 1
     half = n_ai // 2
-    word = (1 << n_ai) - 1
-    (den1, thresholds1, _), (den2, thresholds2, _) = marg1._table(), marg2._table()
+    cells = [(((1 << n_ai) - 1) << cell, 1 << cell) for cell in range(width)]
+    (den1, thresholds1, atoms1), (den2, thresholds2, atoms2) = marg1._table(), marg2._table()
+    size2 = len(atoms2)
     limit1, limit2 = below_limit(den1), below_limit(den2)
     row = 2 + -(-coin_len // 64)  # words per trial: two indices, then the coins
     batch = max(1, BATCH_WORDS // row)
@@ -618,31 +629,31 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     key_counts = {}
     for first in range(0, trials, batch):
         keys = extend_seeds(prefix, range(first, min(first + batch, trials)))
-        words = stream_words(keys, row)
-        for base, stream_key in zip(range(0, len(words), row), keys):
-            u1, u2 = words[base], words[base + 1]
+        rows = _unpack_rows(stream_words(keys, row), 2, row)
+        for (u1, u2, tail), stream_key in zip(rows, keys):
             if u1 < limit1 and u2 < limit2:
                 i1 = bisect_right(thresholds1, u1 % den1)
-                i2 = bisect_right(thresholds2, u2 % den2)
-                coins = words_to_int(words[base + 2 : base + row]) & coin_mask
+                key = i1 * size2 + bisect_right(thresholds2, u2 % den2)
+                coins = int.from_bytes(tail, "little")
             else:
                 stream = SplitMix64(stream_key)
                 i1 = marg1.sample_index(stream)
-                i2 = marg2.sample_index(stream)
+                key = i1 * size2 + marg2.sample_index(stream)
                 coins = stream.bits(coin_len)
-            mask = 0
-            for cell in range(width):
-                if ((coins >> cell) & word).bit_count() > half:
-                    mask |= 1 << cell
-            key = (i1, i2, mask)
+            key <<= width
+            for window, bit in cells:
+                if (coins & window).bit_count() > half:
+                    key |= bit
             key_counts[key] = key_counts.get(key, 0) + 1
-    atoms1, atoms2 = marg1.ordered_atoms(), marg2.ordered_atoms()
-    counts = _counts_by_subgroup(
-        key_counts, lambda key: _spliced(atoms1[key[0]], atoms2[key[1]], key[2])
-    )
     full = (1 << width) - 1
-    all_first = sum(c for (_, _, mask), c in key_counts.items() if mask == full)
-    all_second = sum(c for (_, _, mask), c in key_counts.items() if mask == 0)
+
+    def spliced(key):
+        i1, i2 = divmod(key >> width, size2)
+        return _spliced(atoms1[i1], atoms2[i2], key & full)
+
+    counts = _counts_by_subgroup(key_counts, spliced)
+    all_first = sum(c for key, c in key_counts.items() if key & full == full)
+    all_second = sum(c for key, c in key_counts.items() if not key & full)
     empirical = empirical_distribution(p, n, lo, hi, counts, trials)
     target = marg1.mixed_with(marg2, Fraction(1, 2), Fraction(1, 2))
     tv = tv_distance(empirical, target)
@@ -669,21 +680,23 @@ def majority_invariance_estimate(n_ai, trials, seed):
     """Empirical measure of (majority set) XOR (shifted majority set).
 
     Every trial reads on from one stream, ``SplitMix64(seed)``: the ``bits``
-    of n_ai + 1 coins, whose first and last n_ai bits are the two words.
+    of n_ai + 1 coins c_0..c_n_ai, whose first and last n_ai bits are the
+    two words.  Their majorities differ exactly when c_0 != c_n_ai and the
+    shared coins c_1..c_(n_ai-1) hold (n_ai - 1)/2 ones.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
     stream = SplitMix64(seed)
-    coin_mask = (1 << (n_ai + 1)) - 1
     row = -(-(n_ai + 1) // 64)  # words per trial
     batch = max(1, BATCH_WORDS // row)
     hits = 0
     half = n_ai // 2
-    word = (1 << n_ai) - 1
+    shared = (1 << n_ai) - 2
     for first in range(0, trials, batch):
-        words = stream.take(min(batch, trials - first) * row)
-        for base in range(0, len(words), row):
-            coins = words_to_int(words[base : base + row]) & coin_mask
-            if ((coins & word).bit_count() > half) != ((coins >> 1).bit_count() > half):
+        rows = stream.take(min(batch, trials - first) * row)
+        if row > 1:
+            rows = [int.from_bytes(coins, "little") for (coins,) in _unpack_rows(rows, 0, row)]
+        for coins in rows:
+            if (coins ^ coins >> n_ai) & 1 and (coins & shared).bit_count() == half:
                 hits += 1
     return Fraction(hits, trials)

@@ -31,6 +31,7 @@ is unchanged: every word, and every draw made from the words, is the one
 that mixing one word at a time gives.
 """
 
+import struct
 import sys
 from array import array
 
@@ -52,21 +53,24 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+def _little_endian(words):
+    """``words`` as little-endian bytes (and back): byteswapped on a big-endian host."""
+    if _BIG_ENDIAN:
+        words = array("Q", words)
+        words.byteswap()
+    return words
+
+
 def _to_lanes(words):
     """An ``array('Q')`` of words as one int, word i at bit 128*i."""
     lanes = array("Q", bytes(16 * len(words)))
     lanes[::2] = words
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return int.from_bytes(lanes, "little")
+    return int.from_bytes(_little_endian(lanes), "little")
 
 
 def _from_lanes(z, count):
     """The low 64 bits of the first count lanes of z, as an ``array('Q')``."""
-    lanes = array("Q", z.to_bytes(16 * count, "little"))
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes[::2]
+    return _little_endian(array("Q", z.to_bytes(16 * count, "little")))[::2]
 
 
 def _lane_mask(count):
@@ -84,10 +88,13 @@ def _mix_lanes(z, mask):
 
 def words_to_int(words):
     """The int whose 64-bit digit i is ``words[i]`` (an ``array('Q')``)."""
-    if _BIG_ENDIAN:
-        words = array("Q", words)
-        words.byteswap()
-    return int.from_bytes(words, "little")
+    return int.from_bytes(_little_endian(words), "little")
+
+
+def _unpack_rows(words, head, row):
+    """Each ``row`` words in turn: the first ``head`` as ints, then the rest
+    as bytes whose ``int.from_bytes(..., "little")`` is their ``words_to_int``."""
+    return struct.iter_unpack("<%dQ%ds" % (head, 8 * (row - head)), _little_endian(words))
 
 
 def below_limit(n):

@@ -1,12 +1,20 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from lampirs.cli import main
+from lampirs.formats import format_vector
+from lampirs.selftest import _measure_grid
+
 CMD = [sys.executable, "-m", "lampirs.cli"]
+# sha256 of the `irs` stdout, JSON then CSV, over the `_measure_grid(7)`
+# measures and the (m, j) grid of `test_trend_grid_hash`, in loop order
+GOLDEN_IRS_GRID_SHA256 = "098361f2b1c59d34109f02211476cc48dd25804aa4383b1b247d2c6418895247"
 
 
 def run_cli(*args, timeout=300):
@@ -28,6 +36,16 @@ MIX_JSON = json.dumps(
         ],
     }
 )
+
+
+def measure_json(mu):
+    """The measure file of a ``SubgroupMeasure.mixture``."""
+    U = mu.atoms[0][1]
+    atoms = [
+        {"weight": str(w), "period": V.period, "gens": [format_vector(g) for g in V.gens]}
+        for w, V in mu.atoms
+    ]
+    return json.dumps({"schema": "lampirs.measure.v1", "n": U.n, "p": U.p, "atoms": atoms})
 
 
 class TestCount:
@@ -509,6 +527,21 @@ class TestIrsCommand:
         lines = res.stdout.strip().splitlines()
         assert lines[0].startswith("m,j,tv")
         assert len(lines) == 4  # m = 1, 2, 4 plus header
+
+    def test_trend_grid_hash(self, tmp_path, capsys):
+        # the digest of the trend computed row by row with convergence_report:
+        # m below, at and far past the width j + 1, for j = 0..3
+        digest = hashlib.sha256()
+        for name, mu in _measure_grid(7):
+            path = tmp_path / f"{name}.json"
+            path.write_text(measure_json(mu))
+            for m in (1, 2, 3, 4, 5, 8, 100, 2**200 - 1):
+                for j in range(4):
+                    for fmt in ("json", "csv"):
+                        args = ["irs", "--mu", str(path), "--m", str(m), "--j", str(j)]
+                        assert main(args + ["--format", fmt]) == 0
+                        digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == GOLDEN_IRS_GRID_SHA256
 
 
 class TestMixCommand:

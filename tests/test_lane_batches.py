@@ -3,11 +3,14 @@
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
 ``SplitMix64`` computes its words ahead into a doubling buffer.
 ``splice_measures`` derives a batch of trial keys and their words at once,
-and replays a trial on its own stream when an index draw is rejected.  The
-references are the test-local ``RefStream`` and per-trial loops of
-``test_montecarlo_crosscheck``, which mix one word at a time.  The trial
-counts cross batch and buffer edges, and a measure with probability
-denominator 2^63 + 1 rejects about half of all index draws.
+unpacks the batch into rows in one pass, and replays a trial on its own
+stream when an index draw is rejected.  The references are the test-local
+``RefStream`` and per-trial loops of ``test_montecarlo_crosscheck``, which
+mix one word at a time.  The trial counts cross batch and buffer edges, a
+measure with probability denominator 2^63 + 1 rejects about half of all
+index draws, and the sampler's integer trial keys are checked on phases
+with different block counts.  The big-endian branch of the row and lane
+conversions runs on byteswapped words.
 """
 
 from array import array
@@ -15,9 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+import lampirs.rng
 from lampirs.irs import (
     BATCH_WORDS,
     SubgroupMeasure,
+    _block_pieces,
     majority_invariance_estimate,
     sampler_law_report,
     splice_measures,
@@ -29,9 +34,11 @@ from lampirs.rng import (
     _lane_mask,
     _mix_lanes,
     _to_lanes,
+    _unpack_rows,
     derive_seed,
     extend_seeds,
     stream_words,
+    words_to_int,
 )
 from lampirs.submodules import Submodule
 from test_montecarlo_crosscheck import (
@@ -80,6 +87,29 @@ class TestLaneMix:
             ref = RefStream(key)
             expected.extend(ref.u64() for _ in range(count))
         assert list(words) == expected
+
+
+class TestRowUnpacking:
+    @pytest.mark.parametrize("head, row", [(0, 1), (0, 4), (2, 3), (2, 6), (3, 3)])
+    def test_big_endian_branch(self, monkeypatch, head, row):
+        words = stream_words(array("Q", [5, MASK, GAMMA]), 4 * row)
+        native = list(_unpack_rows(words, head, row))
+        native_lanes = _to_lanes(words)
+        assert len(native) == 12
+        for r, fields in enumerate(native):
+            chunk = words[r * row : (r + 1) * row]
+            assert list(fields[:head]) == list(chunk[:head])
+            assert int.from_bytes(fields[head], "little") == words_to_int(chunk[head:])
+        # a big-endian host holds each word's bytes the other way round
+        swapped = array("Q", words)
+        swapped.byteswap()
+        monkeypatch.setattr(lampirs.rng, "_BIG_ENDIAN", True)
+        assert list(_unpack_rows(swapped, head, row)) == native
+        for r, fields in enumerate(native):
+            chunk = swapped[r * row + head : (r + 1) * row]
+            assert words_to_int(chunk) == int.from_bytes(fields[head], "little")
+        assert _to_lanes(swapped) == native_lanes
+        assert _from_lanes(native_lanes, len(words)) == swapped
 
 
 class TestBufferedStream:
@@ -150,6 +180,16 @@ class TestBatchEdges:
 
     def test_sampler_across_refills(self):
         sampler_agrees(MEASURES["mix3"], 4, -1, 2, 2500, 8)
+
+    def test_sampler_keys_with_unequal_block_counts(self):
+        # phases tile [-1, 3] with 2 and 3 blocks of three atoms each, so the
+        # trial keys have every digit
+        mu, m, lo, hi = MEASURES["mix3"], 3, -1, 3
+        block_law = mu.marginal(0, m - 1)
+        assert len(block_law.ordered_atoms()) >= 3
+        blocks = {len(_block_pieces(block_law, m, lo, hi, k)) for k in range(m)}
+        assert blocks == {2, 3}
+        sampler_agrees(mu, m, lo, hi, 3000, 23)
 
     @pytest.mark.parametrize("n_ai", [11, 201, 4097])
     def test_majority_across_batches(self, n_ai):

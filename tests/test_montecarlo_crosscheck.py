@@ -1,19 +1,23 @@
 """Cross-checks of the seeded Monte Carlo paths against per-trial references.
 
-``splice_measures``, ``sampler_law_report`` and
-``majority_invariance_estimate`` count trials by integer outcomes and build
-each distinct window subgroup once.  The references below are the direct
-per-trial loops: their own SplitMix64 stream, forked per trial, a linear
-walk of the cumulative table, and every trial's subgroup built and counted
-on the spot.  Both must give the same bytes, the same atom order and the
-same report values.
+``splice_measures`` and ``sampler_law_report`` count trials under one
+integer key each and build each distinct window subgroup once;
+``majority_invariance_estimate`` tests the two end coins and the shared
+coins in between.  The references below are the direct per-trial loops:
+their own SplitMix64 stream, forked per trial, a linear walk of the
+cumulative table, every trial's subgroup built and counted on the spot, and
+both majorities counted.  Both must give the same bytes, the same atom
+order and the same report values.  The majority test is also checked
+against both majorities on every coin word up to n_ai = 11.
 """
 
+from array import array
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import lampirs.irs
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.formats import canonical_json, distribution_to_json
 from lampirs.irs import (
@@ -321,3 +325,22 @@ class TestMajorityOracle:
     def test_matches_per_trial_loop(self, n_ai):
         got = majority_invariance_estimate(n_ai, 700, n_ai)
         assert got == ref_majority(n_ai, 700, n_ai)
+
+    @pytest.mark.parametrize("n_ai", [1, 3, 5, 7, 9, 11])
+    def test_every_coin_word(self, monkeypatch, n_ai):
+        # one trial per (n_ai + 1)-bit coin word c, with seeded bits above it
+        class OneWord:
+            def __init__(self, seed):
+                self.seed = seed
+
+            def take(self, count):
+                assert count == 1
+                return array("Q", [self.seed])
+
+        monkeypatch.setattr(lampirs.irs, "SplitMix64", OneWord)
+        half = n_ai // 2
+        junk = RefStream(n_ai)
+        for c in range(1 << (n_ai + 1)):
+            word = c | (junk.u64() << (n_ai + 1)) & MASK
+            differ = ((c & ((1 << n_ai) - 1)).bit_count() > half) != ((c >> 1).bit_count() > half)
+            assert majority_invariance_estimate(n_ai, 1, word) == differ, (n_ai, c)
