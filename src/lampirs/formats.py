@@ -23,12 +23,15 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import LaurentPoly, format_poly_plain
-from .errors import FormatError
+from .algebra import LaurentPoly, Poly, format_poly_plain
+from .errors import FormatError, ResourceBudgetError
 from .submodules import LaurentVector, Submodule
 
 SCHEMA_TRIPLE = "lampirs.triple.v1"
 SCHEMA_DISTRIBUTION = "lampirs.window-distribution.v1"
+# Largest exponent span, highest minus lowest exponent of the nonzero terms,
+# of a parsed polynomial, whose body is stored densely.
+POLY_SPAN_BUDGET = 2**16
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(-?\d+))?)?$")
 
@@ -74,10 +77,17 @@ def parse_poly(text, p, line=None):
         if exp in terms:
             raise FormatError(f"duplicate exponent {exp} in {text!r}", line)
         terms[exp] = coeff % p
-    out = LaurentPoly.zero(p)
-    for exp, c in terms.items():
-        out = out + LaurentPoly.monomial(p, exp, c)
-    return out.shifted(offset)
+    live = [exp for exp, c in terms.items() if c]
+    if not live:
+        return LaurentPoly.zero(p)
+    lo, hi = min(live), max(live)
+    if hi - lo > POLY_SPAN_BUDGET:
+        raise ResourceBudgetError(
+            f"a polynomial of exponent span {hi - lo} exceeds the budget {POLY_SPAN_BUDGET}",
+            requested=hi - lo,
+        )
+    body = Poly(p, [terms.get(exp, 0) for exp in range(lo, hi + 1)], normalize=False)
+    return LaurentPoly(p, lo + offset, body, normalize=False)
 
 
 def parse_vector(text, n, p, line=None):

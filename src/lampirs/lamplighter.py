@@ -29,8 +29,8 @@ from .submodules import (
     LaurentVector,
     _add_scaled,
     _coordinates,
+    _vector_coordinates,
     invariant_report,
-    vectorize,
 )
 
 
@@ -150,16 +150,25 @@ class SubgroupTriple:
     # -- membership and equality ----------------------------------------------
 
     def contains_element(self, g):
-        """Exact membership test for a group element."""
+        """Exact membership test for a group element.
+
+        For s | t, (w, t) is a member exactly when the lamps of
+        (w, t)(v, s)^(-t/s), w plus x^t times those of the marker power,
+        are in U.  They are summed as F_p coordinates at U's stored period,
+        the marker power's moved by x^t as they are read; no product is formed.
+        """
         if g.n != self.n or g.p != self.p:
             raise ContextError("element of a different lamplighter group")
+        U = self.lamps
         if self.s == 0:
-            return g.shift == 0 and self.lamps.contains_vector(g.lamps)
+            return g.shift == 0 and U.contains_vector(g.lamps)
         if g.shift % self.s:
             return False
-        k = g.shift // self.s
-        residue = g * self._marker_power(-k)
-        return self.lamps.contains_vector(residue.lamps)
+        level = U.period
+        marker = self._marker_power(-(g.shift // self.s)).lamps
+        coords = _vector_coordinates(g.lamps, level)
+        _add_scaled(coords, _vector_coordinates(marker, level, g.shift).items(), 1, self.p)
+        return not U.form(level).residue(coords)
 
     def canonical(self):
         """Canonical form: U at its minimal period, v reduced modulo U."""
@@ -407,7 +416,7 @@ def _offset_residues(triple, level, ks, support):
     """
     form = triple.lamps.form(level)
     p, steps = triple.p, triple.s // level
-    v = form.residue(vectorize(triple.v, level))
+    v = form.residue(_vector_coordinates(triple.v, level))
     exponents = [exp for row in form.rows for _, exp in _coordinates(row)]
     exponents += [exp for _, exp in [*v, *support]]
     hi, lo = max(exponents, default=0), min(exponents, default=0)

@@ -145,7 +145,8 @@ def _laurent_list(terms, p):
 
 
 def vectorize(vec, level):
-    """Split a LaurentVector across exponent classes mod ``level``."""
+    """Split a LaurentVector across exponent classes mod ``level``: the
+    columns a Hermite form is built from."""
     cols = [{} for _ in range(vec.n * level)]
     for i, poly in enumerate(vec.coords):
         for exp, c in poly.terms():
@@ -156,12 +157,40 @@ def vectorize(vec, level):
 
 def unvectorize(cols, n, level, p):
     """Inverse of :func:`vectorize`."""
-    acc = [{} for _ in range(n)]
-    for idx, entry in enumerate(cols):
-        j, i = divmod(idx, n)
-        for q, c in entry.terms():
-            acc[i][q * level + j] = c
-    return LaurentVector(p, _laurent_list(acc, p))
+    return _vector_at(_coordinates(cols), n, level, p)
+
+
+def _vector_coordinates(vec, level, k=0):
+    """F_p coordinates {(column, y-exponent): c} of x^k * vec at ``level``.
+
+    The term c x^exp of coordinate i lands in column j*n + i at y^q, for
+    q, j = divmod(exp + k, level); no column polynomial is built.
+    """
+    n, out = vec.n, {}
+    for i, poly in enumerate(vec.coords):
+        exp = poly.offset + k
+        for c in poly.body.coeffs:
+            if c:
+                q, j = divmod(exp, level)
+                out[j * n + i, q] = c
+            exp += 1
+    return out
+
+
+def _releveled(coords, n, level, new_level):
+    """The coordinates at ``new_level`` of those ``coords`` at ``level``:
+    column j*n + i at y^q is the exponent q*level + j of coordinate i."""
+    out = {}
+    for (col, q), c in coords.items():
+        j, i = divmod(col, n)
+        q, j = divmod(q * level + j, new_level)
+        out[j * n + i, q] = c
+    return out
+
+
+def _vector_at(coords, n, level, p):
+    """The LaurentVector with the coordinates ``coords`` at ``level``."""
+    return LaurentVector(p, _columns(_releveled(coords, n, level, 1), n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +198,17 @@ def unvectorize(cols, n, level, p):
 # ---------------------------------------------------------------------------
 
 
-def _coordinates(cols):
-    """F_p coordinates {(column, exponent): c} of a column vector."""
-    return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+def _coordinates(cols, start=0):
+    """F_p coordinates {(column, exponent): c} of a column vector, or of its
+    columns from ``start`` on."""
+    out = {}
+    for j in range(start, len(cols)):
+        exp = cols[j].offset
+        for c in cols[j].body.coeffs:
+            if c:
+                out[j, exp] = c
+            exp += 1
+    return out
 
 
 def _columns(coords, ncols, p):
@@ -229,19 +266,21 @@ class CanonicalForm:
     def __hash__(self):
         return hash(self.key())
 
-    def residue(self, cols):
+    def residue(self, coords):
         """F_p coordinates {(column, exponent): c} of the canonical residual
-        of a column vector modulo the row span.
+        modulo the row span of the vector with the coordinates ``coords``.
 
-        The map is F_p-linear, and cols is in the row span exactly when the
-        result is empty.  It is read by Horner in y: the coefficients at
-        y^q >= 0 from the top down, one up-step between them, and those at
-        y^q < 0 from the bottom up, one down-step after each; every
-        coefficient c at y^q in column j enters as c times
-        :meth:`unit_residue` of j.
+        Vectors of R^n come in through :func:`_vector_coordinates`, moved by
+        any power of x, and no column polynomial is built; ``vectorize``
+        only feeds the rows of a Hermite form.  The map is F_p-linear, and
+        the vector is in the row span exactly when the result is empty.  It
+        is read by Horner in y: the coefficients at y^q >= 0 from the top
+        down, one up-step between them, and those at y^q < 0 from the bottom
+        up, one down-step after each; every coefficient c at y^q in column j
+        enters as c times :meth:`unit_residue` of j.
         """
         by_q = {}
-        for (j, q), c in _coordinates(cols).items():
+        for (j, q), c in coords.items():
             by_q.setdefault(q, []).append((j, c))
         self._index()
         p, units = self.p, self._units
@@ -373,12 +412,10 @@ def laurent_hermite_form(p, n, level, generator_cols):
             pivots.append(col)
             next_row += 1
     form = CanonicalForm(p, n, level, (), ())
-    zero = LaurentPoly.zero(p)
     for row, col in zip(reversed(rows[:next_row]), reversed(pivots)):
-        tail = row[col + 1 :]
-        if form.rank and any(not e.is_zero() for e in tail):
-            residue = form.residue([zero] * (col + 1) + tail)
-            row[col + 1 :] = _columns(residue, ncols, p)[col + 1 :]
+        tail = form.rank and _coordinates(row, col + 1)
+        if tail:
+            row[col + 1 :] = _columns(form.residue(tail), ncols, p)[col + 1 :]
         form._push(tuple(row), col)
     # most forms are only compared by key, so a built form keeps no index
     form._units = form._steps = None
@@ -407,12 +444,25 @@ def _check_form_size(n, level, rows):
         )
 
 
-def _moved_rows(form, s):
-    """The rows of ``form`` moved by x^s, as :meth:`Submodule.has_period` moves them."""
+def _rotated_rows(form, s):
+    """Coordinates of the rows of ``form`` moved by x^s.
+
+    With a, b = divmod(s, L), x^s takes column j*n + i at y^q to column
+    (j + b)*n + i at y^(q + a), and the columns with j + b >= L wrap to
+    column (j + b - L)*n + i at y^(q + a + 1).
+    """
     a, b = divmod(s, form.level)
-    cut = (form.level - b) * form.n
+    move, ncols = b * form.n, form.ncols
     for row in form.rows:
-        yield [e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]]
+        moved = {}
+        for col, entry in enumerate(row, move):
+            col, q = (col, a) if col < ncols else (col - ncols, a + 1)
+            q += entry.offset
+            for c in entry.body.coeffs:
+                if c:
+                    moved[col, q] = c
+                q += 1
+        yield moved
 
 
 class Submodule:
@@ -480,8 +530,9 @@ class Submodule:
 
     # -- membership, containment, equality ----------------------------------
 
-    def _is_member(self, w, level):
-        return not self.form(level).residue(vectorize(w, level))
+    def _is_member(self, w, level, k=0):
+        """Is x^k * w in U?  Read on w's coordinates at ``level``."""
+        return not self.form(level).residue(_vector_coordinates(w, level, k))
 
     def contains_vector(self, w):
         if w.p != self.p or w.n != self.n:
@@ -518,9 +569,9 @@ class Submodule:
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
-        n, p, level = self.n, self.p, self.period
-        residue = self.form(level).residue(vectorize(w, level))
-        return unvectorize(_columns(residue, n * level, p), n, level, p)
+        level = self.period
+        residue = self.form(level).residue(_vector_coordinates(w, level))
+        return _vector_at(residue, self.n, level, self.p)
 
     def _common_level(self, other):
         g = gcd(self.period, other.period)
@@ -531,7 +582,7 @@ class Submodule:
             raise ContextError("subgroups of different ambient modules")
         level = self._common_level(other)
         return all(
-            self._is_member(g.shifted(k * other.period), level)
+            self._is_member(g, level, k * other.period)
             for g in other.gens
             for k in range(level // other.period)
         )
@@ -562,15 +613,16 @@ class Submodule:
         ⊆ ... ⊆ x^s U ⊆ U, so x^s U = U.  The periods of U are therefore the
         multiples of e(U), and the gcd of two periods is again a period.
         The form's rows at the stored period L span U over y = x^L; x^s
-        rotates a row, column j*n + i going to ((j + s) mod L)*n + i times
-        y^((j + s) div L), and each moved row's residue is tested.
+        rotates a row's coordinates, column j*n + i going to
+        ((j + s) mod L)*n + i times y^((j + s) div L) (see ``_rotated_rows``),
+        and each moved row's residue is tested.
         """
         if s < 1:
             raise DomainError("periods are positive")
         if s % self.period == 0:
             return True
         form = self.form(self.period)
-        return not any(form.residue(row) for row in _moved_rows(form, s))
+        return not any(form.residue(row) for row in _rotated_rows(form, s))
 
     def with_period(self, new_period):
         """Re-present at another verified period.
@@ -851,7 +903,7 @@ def approach_sequence(U, b, r_target, count):
     gates = []  # (d, g_d) for each period d = E/q a term may have below E
     for d in [E // q for q in _divisors(e)[1:] if b % q and _divisors(q) == [1, q]]:
         g_d = Poly.zero(p)
-        for row in _moved_rows(form, d):
+        for row in _rotated_rows(form, d):
             residue = form.residue(row)
             if any(c in form.pivots for c, _ in residue):
                 break  # x^d U is not in M + R_y^F, so d is no term's period
@@ -863,16 +915,17 @@ def approach_sequence(U, b, r_target, count):
     base_rows = base.form(E).rows
     out = []
     for f in irreducibles(p):
-        gens = []
+        gens, rows = [], []
         for t in quotient_piece.gens:
-            cols = [LaurentPoly.zero(p)] * ncols
-            for a, entry in enumerate(t.coords):
-                cols[free_cols[a]] = entry * f
-            gens.append(unvectorize(cols, n, e, p))
+            coords = {
+                (free_cols[a], q): c
+                for a, entry in enumerate(t.coords)
+                for q, c in (entry * f).terms()
+            }
+            gens.append(_vector_at(coords, n, e, p))
+            rows.append(_columns(_releveled(coords, n, e, E), n * E, p))
         term = Submodule(n, p, E, base.gens + tuple(gens))
-        term._forms[E] = laurent_hermite_form(
-            p, n, E, base_rows + tuple(vectorize(g, E) for g in gens)
-        )
+        term._forms[E] = laurent_hermite_form(p, n, E, base_rows + tuple(rows))
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
         object.__setattr__(term, "_e", E)

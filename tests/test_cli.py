@@ -454,6 +454,47 @@ class TestFormEntryBudget:
         assert_refused_by_budget(res)
 
 
+class TestPolySpanBudget:
+    # A parsed polynomial's body is stored densely: an exponent span, highest
+    # minus lowest exponent of its nonzero terms, above 65536 is refused.
+
+    @pytest.mark.parametrize(
+        "gen", ["1+x^-65537", "1+x^-3000000", "1+x^-99999999", "x^-5*(1+x^70000)"]
+    )
+    def test_invariants_over_budget(self, tmp_path, gen):
+        path = tmp_path / "V.triple"
+        path.write_text(f"s=0\nn=1 e=1 p=2\n[{gen}]\nv=[0]\n")
+        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+
+    def test_marker_over_budget(self, tmp_path):
+        path = tmp_path / "V.triple"
+        path.write_text("s=1\nn=1 e=1 p=2\n1+x\nv=x^-40000+x^40000\n")
+        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+
+    def test_measure_generator_over_budget(self, tmp_path):
+        path = tmp_path / "mu.json"
+        atom = {"weight": "1", "gens": ["1+x^65537"]}
+        path.write_text(json.dumps({"n": 1, "p": 2, "atoms": [atom]}))
+        args = ("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", str(path))
+        assert_refused_by_budget(run_cli(*args, timeout=20))
+
+    @pytest.mark.parametrize("gen", ["1+x^-65536", "x^-32768*(1+x^65536)", "1+3x^99999+x^65536"])
+    def test_invariants_at_the_budget(self, tmp_path, gen):
+        # at p = 3 the coefficient 3 is zero, so x^99999 is no term
+        path = tmp_path / "V.triple"
+        path.write_text(f"s=0\nn=1 e=1 p=3\n[{gen}]\nv=[0]\n")
+        res = run_cli("invariants", "--triple", str(path), timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["rk"] == 1
+
+    def test_lone_monomial_with_a_huge_exponent(self, tmp_path):
+        path = tmp_path / "V.triple"
+        path.write_text("s=1\nn=1 e=1 p=2\n1+x\nv=x^99999999999\n")
+        res = run_cli("invariants", "--triple", str(path), timeout=20)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["s"] == 1
+
+
 class TestSpliceWindowBudget:
     # n*(hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24.
 

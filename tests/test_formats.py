@@ -3,8 +3,9 @@
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
-from lampirs.errors import FormatError
+from lampirs.errors import FormatError, ResourceBudgetError
 from lampirs.formats import (
+    POLY_SPAN_BUDGET,
     format_laurent,
     format_submodule,
     format_triple,
@@ -55,6 +56,28 @@ class TestPolyText:
         f = parse_poly("2+x^2+2x^3", 3)
         assert format_laurent(f) == "2+x^2+2x^3"
         assert parse_poly("2*x", 5) == LaurentPoly.monomial(5, 1, 2)
+
+    def test_parse_matches_the_sum_of_monomials(self):
+        # the body is built once from the terms; it is the sum of their monomials
+        rng = SplitMix64(4646)
+        for _ in range(200):
+            p = (2, 3, 5, 7)[rng.below(4)]
+            exps = sorted({rng.below(41) - 20 for _ in range(1 + rng.below(8))})
+            coeffs = [rng.below(2 * p) for _ in exps]
+            offset = rng.below(9) - 4
+            text = "+".join(f"{c}x^{e}" for c, e in zip(coeffs, exps))
+            want = LaurentPoly.zero(p)
+            for c, e in zip(coeffs, exps):
+                want = want + LaurentPoly.monomial(p, e + offset, c)
+            assert parse_poly(f"x^{offset}*({text})", p) == want, text
+
+    def test_span_past_the_budget_refused(self):
+        assert parse_poly(f"1+x^{POLY_SPAN_BUDGET}", 2).body.degree == POLY_SPAN_BUDGET
+        with pytest.raises(ResourceBudgetError):
+            parse_poly(f"x^-1+x^{POLY_SPAN_BUDGET}", 2)
+        # a lone monomial spans nothing, nor do terms whose coefficient is 0 mod p
+        assert parse_poly("x^99999999999", 2) == LaurentPoly.monomial(2, 99999999999)
+        assert parse_poly("1+5x^-99999999", 5) == LaurentPoly.one(5)
 
     def test_duplicate_terms_rejected(self):
         with pytest.raises(FormatError):

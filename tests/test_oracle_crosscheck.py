@@ -12,10 +12,13 @@ by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
 division, and periods found on moved form rows by form equalities and by
 generator containment.  Approach terms, whose periods are gated and whose
 forms are built by insertion, are rebuilt by the divisor scan on each
-candidate term.  Any disagreement fails the test.
+candidate term.  Membership and periods read on F_p coordinates are
+rebuilt through group products and shifted Laurent rows.  Any
+disagreement fails the test.
 """
 
 import functools
+import hashlib
 import itertools
 from math import gcd
 
@@ -25,6 +28,7 @@ from lampirs.algebra import LaurentPoly, Poly, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
+from lampirs.formats import format_vector
 from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
@@ -37,6 +41,7 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
+    _coordinates,
     approach_sequence,
     construct_with_invariants,
     invariant_report,
@@ -507,7 +512,7 @@ class TestReferenceReduction:
                     w = rand_vec(rng, U.n, U.p, lo=-11, hi=11)
                     if k == 2 and U.gens:
                         w = U.gens[rng.below(len(U.gens))].shifted(U.period * (rng.below(7) - 3))
-                    got = form.residue(vectorize(w, level))
+                    got = form.residue(_coordinates(vectorize(w, level)))
                     assert got == residue_coordinates(U, w, level), (U, level, w)
                     members += not got
         assert members > 0
@@ -941,3 +946,192 @@ class TestCertificationMonotone:
         ]
         ordered = [26 if index is None else index for index in indices]
         assert ordered == sorted(ordered), indices
+
+
+# ---------------------------------------------------------------------------
+# Membership on F_p coordinates: contains_element, contains_vector,
+# contains_submodule, reduce_vector and has_period read the vectors they
+# test straight into the residue's coordinates.  Each is checked against
+# the Laurent-polynomial path it replaced: group products, shifted vectors
+# and shifted form rows, split into columns by ``vectorize``.
+# ---------------------------------------------------------------------------
+
+# sha256 of the lines of `membership_digest_lines(4242, 30)`: has_period
+# answers, minimal periods, reduce_vector outputs and contains_element
+# answers on word balls, as the Laurent-polynomial path computed them
+GOLDEN_MEMBERSHIP_SHA256 = "d91a6ee688153facf11553e6498e126950796deb4e221b81e24f8a1126dc9fd0"
+
+
+def word_ball(triple, radius):
+    """The ball of the given word length in the generators (0, 1), (e_i, 0)
+    and, when s > 0, the marker (v, s), with their inverses; sorted by repr."""
+    n, p = triple.n, triple.p
+    gens = [GroupElement(LaurentVector.zero(n, p), 1)]
+    gens += [GroupElement(LaurentVector.unit(n, p, i), 0) for i in range(n)]
+    if triple.s:
+        gens.append(GroupElement(triple.v, triple.s))
+    gens += [g.inverse() for g in gens]
+    ball = frontier = {GroupElement.identity(n, p)}
+    for _ in range(radius):
+        frontier = {g * h for g in frontier for h in gens} - ball
+        ball = ball | frontier
+    return sorted(ball, key=repr)
+
+
+def membership_digest_lines(seed, count):
+    """Text lines of the golden membership digest, over ``pinned_grid``: per
+    U its periods up to 2P, e(U), four reduced vectors, and per s in
+    {0, e(U), P} the contains_element answers on a radius-3 word ball."""
+    rng = SplitMix64(seed)
+    for U in pinned_grid(seed, count):
+        yield "periods " + "".join("01"[U.has_period(d)] for d in range(1, 2 * U.period + 1))
+        e = U.minimal_period()
+        yield f"e {e}"
+        for _ in range(4):
+            w = rand_vec(rng, U.n, U.p, lo=-7, hi=7)
+            yield f"reduce {format_vector(w)} {format_vector(U.reduce_vector(w))}"
+        for s in sorted({0, e, U.period}):
+            v = rand_vec(rng, U.n, U.p, lo=-3, hi=3) if s else None
+            T = SubgroupTriple(s, U, v)
+            yield f"{T!r} " + "".join("01"[T.contains_element(g)] for g in word_ball(T, 3))
+
+
+def test_membership_digest_is_pinned():
+    digest = hashlib.sha256()
+    for line in membership_digest_lines(4242, 30):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_MEMBERSHIP_SHA256
+
+
+def product_membership(triple, g):
+    """contains_element through the group product g * (v, s)^(-k), k = t/s."""
+    if triple.s == 0:
+        return g.shift == 0 and triple.lamps.contains_vector(g.lamps)
+    if g.shift % triple.s:
+        return False
+    return triple.lamps.contains_vector((g * triple._marker_power(-(g.shift // triple.s))).lamps)
+
+
+def shifted_row_period(U, s):
+    """has_period through the form's rows moved by x^s as Laurent entries:
+    with a, b = divmod(s, L), the last b column classes wrap with y^(a+1)."""
+    if s % U.period == 0:
+        return True
+    form = U.form(U.period)
+    a, b = divmod(s, form.level)
+    cut = (form.level - b) * form.n
+    for row in form.rows:
+        moved = [e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]]
+        coords = {(j, exp): c for j, entry in enumerate(moved) for exp, c in entry.terms()}
+        if form.residue(coords):
+            return False
+    return True
+
+
+def coordinate_grid(seed, count):
+    """The :func:`pinned_grid` subgroups of rank n <= 2."""
+    return [U for U in pinned_grid(seed, count) if U.n <= 2]
+
+
+class TestCoordinateMembershipOracle:
+    """Membership and periods read on F_p coordinates against the group
+    product, the shifted Laurent rows and the reference reduction."""
+
+    CASES = coordinate_grid(3131, 60)
+
+    def test_grid_covers_every_prime(self):
+        assert {U.p for U in self.CASES} == {2, 3, 5, 7}
+        assert {U.n for U in self.CASES} == {1, 2}
+
+    def test_contains_element_matches_the_group_product(self):
+        rng = SplitMix64(3132)
+        members = off_stored = 0
+        for U in self.CASES[:30]:
+            e = U.minimal_period()
+            for s in sorted({0, e, U.period, 2 * U.period}):
+                v = rand_vec(rng, U.n, U.p, lo=-3, hi=3) if s else None
+                T = SubgroupTriple(s, U, v)
+                off_stored += s % U.period != 0
+                for g in word_ball(T, 2):
+                    got = T.contains_element(g)
+                    assert got == product_membership(T, g), (T, g)
+                    members += got
+        assert members > 0 and off_stored > 0
+
+    def test_has_period_matches_shifted_rows(self):
+        wrapped = 0
+        for U in self.CASES:
+            L = U.period
+            for s in range(1, 3 * L + 2):
+                assert U.has_period(s) == shifted_row_period(U, s), (U, s)
+                wrapped += s % L != 0 and U.has_period(s)
+        assert wrapped > 0
+
+    def test_contains_submodule_matches_reference(self):
+        rng = SplitMix64(3133)
+        contained = 0
+        for U in self.CASES:
+            others = [U.canonical(), U.shifted(1 + rng.below(3))]
+            W = rand_vec(rng, U.n, U.p)
+            others.append(Submodule(U.n, U.p, 1 + rng.below(4), [W]))
+            for V in others:
+                level = U._common_level(V)
+                want = all(
+                    not residue_coordinates(U, g.shifted(k * V.period), level)
+                    for g in V.gens
+                    for k in range(level // V.period)
+                )
+                assert U.contains_submodule(V) == want, (U, V)
+                contained += want
+        assert contained > 0
+
+    def test_reduce_vector_matches_reference(self):
+        rng = SplitMix64(3134)
+        for U in self.CASES:
+            L = U.period
+            for _ in range(4):
+                w = rand_vec(rng, U.n, U.p, lo=-9, hi=9)
+                got = U.reduce_vector(w)
+                cols = vectorize(got, L)
+                coords = {(j, exp): c for j, col in enumerate(cols) for exp, c in col.terms()}
+                assert coords == residue_coordinates(U, w, L), (U, w)
+                assert U.contains_vector(w - got)
+
+    def test_membership_builds_no_columns_and_no_products(self, monkeypatch):
+        import lampirs.lamplighter
+        import lampirs.submodules
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        triples = []
+        rng = SplitMix64(3135)
+        for U in self.CASES[:12]:
+            e = U.minimal_period()
+            for s in (0, e):
+                T = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p) if s else None)
+                probes = word_ball(T, 2)
+                U.form(U.period)  # forms are built from columns, once
+                for k in range(-3, 4):
+                    T._marker_power(k)
+                triples.append((T, probes))
+        vectorize_fn = lampirs.submodules.vectorize
+        monkeypatch.setattr(lampirs.submodules, "vectorize", counted("vectorize", vectorize_fn))
+        monkeypatch.setattr(
+            lampirs.lamplighter, "vectorize", counted("vectorize", vectorize_fn), raising=False
+        )
+        monkeypatch.setattr(GroupElement, "__mul__", counted("__mul__", GroupElement.__mul__))
+        tested = 0
+        for T, probes in triples:
+            for g in probes:
+                if abs(g.shift) <= 3 * max(T.s, 1):
+                    T.contains_element(g)
+                    T.lamps.contains_vector(g.lamps)
+                    tested += 1
+        assert tested > 0 and calls == []

@@ -13,6 +13,7 @@ from lampirs.submodules import (
     SEQUENCE_BUDGET,
     LaurentVector,
     Submodule,
+    _coordinates,
     approach_sequence,
     construct_with_invariants,
     count_submodules,
@@ -90,7 +91,8 @@ class TestLaurentHermiteForm:
                             )
                     for g in U.gens:
                         for k in range(level // e):
-                            assert not form.residue(vectorize(g.shifted(k * e), level))
+                            coords = _coordinates(vectorize(g.shifted(k * e), level))
+                            assert not form.residue(coords)
                     for row in form.rows:
                         assert U.contains_vector(unvectorize(row, n, level, p))
 
@@ -329,7 +331,7 @@ class TestCanonicalForms:
                 form = U.form(2)
 
                 def residue(w):
-                    got = form.residue(vectorize(w, 2))
+                    got = form.residue(_coordinates(vectorize(w, 2)))
                     assert got == residue_coordinates(U, w, 2), (U, w)
                     return got
 
