@@ -28,7 +28,6 @@ from .submodules import (
     SITE_EXPONENT_SIGN,
     LaurentVector,
     _add_scaled,
-    _coordinates,
     _vector_coordinates,
     invariant_report,
 )
@@ -417,7 +416,7 @@ def _offset_residues(triple, level, ks, support):
     form = triple.lamps.form(level)
     p, steps = triple.p, triple.s // level
     v = form.residue(_vector_coordinates(triple.v, level))
-    exponents = [exp for row in form.rows for _, exp in _coordinates(row)]
+    exponents = [exp for row in form.rows for (_, exp), _ in row]
     exponents += [exp for _, exp in [*v, *support]]
     hi, lo = max(exponents, default=0), min(exponents, default=0)
     out = dict.fromkeys(ks)

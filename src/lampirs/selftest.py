@@ -95,7 +95,9 @@ def criterion_counting(seed):
         codims_ok = True
         for U in subs:
             form = U.form(1)
-            degsum = sum(form.rows[i][c].body.degree for i, c in enumerate(form.pivots))
+            degsum = sum(
+                max(q for (j, q), _ in row if j == c) for row, c in zip(form.rows, form.pivots)
+            )
             if form.rank != k or degsum != a:
                 codims_ok = False
         match = len(subs) == formula and len(keys) == formula and codims_ok

@@ -51,7 +51,8 @@ FORM_COLUMN_BUDGET = 2**14
 # Largest entry count, rows times n*L columns, of a canonical form at level L.
 # The minimal-period scan moves every row once per divisor: at the most
 # divisor-rich level under it, ``invariants`` on the 240 generators of
-# ``construct 1 240 240`` takes 0.6 to 1.0 s on a 2-core Xeon.
+# ``construct 1 240 240`` takes 0.22 to 0.25 s on a 2-core Xeon, 0.05 s of it
+# in ``invariant_report``.
 FORM_ENTRY_BUDGET = 2**16
 
 
@@ -133,33 +134,6 @@ class LaurentVector:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_list(terms, p):
-    """LaurentPolys with the coefficients {exponent: c} (each c nonzero) of ``terms``."""
-    zero = LaurentPoly.zero(p)
-    return [
-        LaurentPoly(p, min(t), Poly(p, [t.get(e, 0) for e in range(min(t), max(t) + 1)]))
-        if t
-        else zero
-        for t in terms
-    ]
-
-
-def vectorize(vec, level):
-    """Split a LaurentVector across exponent classes mod ``level``: the
-    columns a Hermite form is built from."""
-    cols = [{} for _ in range(vec.n * level)]
-    for i, poly in enumerate(vec.coords):
-        for exp, c in poly.terms():
-            q, j = divmod(exp, level)
-            cols[j * vec.n + i][q] = c
-    return _laurent_list(cols, vec.p)
-
-
-def unvectorize(cols, n, level, p):
-    """Inverse of :func:`vectorize`."""
-    return _vector_at(_coordinates(cols), n, level, p)
-
-
 def _vector_coordinates(vec, level, k=0):
     """F_p coordinates {(column, y-exponent): c} of x^k * vec at ``level``.
 
@@ -212,11 +186,17 @@ def _coordinates(cols, start=0):
 
 
 def _columns(coords, ncols, p):
-    """The column vector with F_p coordinates ``coords``; inverse of ``_coordinates``."""
-    terms = [{} for _ in range(ncols)]
+    """The column vector with F_p coordinates ``coords``, each c in 1..p-1;
+    inverse of ``_coordinates``."""
+    terms = {}
     for (j, exp), c in coords.items():
-        terms[j][exp] = c
-    return _laurent_list(terms, p)
+        terms.setdefault(j, {})[exp] = c
+    cols = [LaurentPoly.zero(p)] * ncols
+    for j, t in terms.items():
+        lo = min(t)
+        body = Poly(p, [t.get(e, 0) for e in range(lo, max(t) + 1)], normalize=False)
+        cols[j] = LaurentPoly(p, lo, body, normalize=False)
+    return cols
 
 
 def _add_scaled(out, items, c, p):
@@ -235,30 +215,30 @@ def _add_scaled(out, items, c, p):
 
 
 class CanonicalForm:
-    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level."""
+    """Canonical Laurent-Hermite presentation of a subgroup at a fixed level.
+
+    A row is the sorted tuple of its F_p coordinates ((column, y-exponent), c).
+    Its pivot's entries come first, from ((pivot, 0), g(0)), the pivot's
+    nonzero constant term, up to ((pivot, d), 1) for a pivot of degree d.
+    """
 
     __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
 
-    def __init__(self, p, n, level, rows, pivots):
+    def __init__(self, p, n, level):
+        """The form of no rows; :func:`laurent_hermite_form` pushes them."""
         self.p = p
         self.n = n
         self.level = level
         self.ncols = n * level
-        self.rows = rows
-        self.pivots = pivots
-        self._units = self._steps = None
+        self.rows = self.pivots = ()
+        self._units, self._steps = {}, []
 
     @property
     def rank(self):
         return len(self.rows)
 
     def key(self):
-        return (
-            self.p,
-            self.level,
-            self.pivots,
-            tuple(tuple((e.offset, e.body.coeffs) for e in row) for row in self.rows),
-        )
+        return (self.p, self.level, self.pivots, self.rows)
 
     def __eq__(self, other):
         return isinstance(other, CanonicalForm) and self.key() == other.key()
@@ -271,10 +251,10 @@ class CanonicalForm:
         modulo the row span of the vector with the coordinates ``coords``.
 
         Vectors of R^n come in through :func:`_vector_coordinates`, moved by
-        any power of x, and no column polynomial is built; ``vectorize``
-        only feeds the rows of a Hermite form.  The map is F_p-linear, and
-        the vector is in the row span exactly when the result is empty.  It
-        is read by Horner in y: the coefficients at y^q >= 0 from the top
+        any power of x, and are reduced by the form's rows, kept in the same
+        coordinates; no column polynomial is built.  The map is F_p-linear,
+        and the vector is in the row span exactly when the result is empty.
+        It is read by Horner in y: the coefficients at y^q >= 0 from the top
         down, one up-step between them, and those at y^q < 0 from the bottom
         up, one down-step after each; every coefficient c at y^q in column j
         enters as c times :meth:`unit_residue` of j.
@@ -282,7 +262,6 @@ class CanonicalForm:
         by_q = {}
         for (j, q), c in coords.items():
             by_q.setdefault(q, []).append((j, c))
-        self._index()
         p, units = self.p, self._units
         up, down = {}, {}
         for q in range(max(by_q, default=-1), -1, -1):
@@ -303,7 +282,6 @@ class CanonicalForm:
         0, a constant 1; then it is the unit minus that pivot's row, whose
         entries in later pivot columns are residues already.
         """
-        self._index()
         return dict(self._units.get(col, (((col, 0), 1),)))
 
     def y_power(self, residue, k):
@@ -318,42 +296,29 @@ class CanonicalForm:
         pivot's constant term.  Each unit step is one pass of such
         subtractions; no division and no powering are done.
         """
-        self._index()
         sign = 1 if k > 0 else -1
         for _ in range(abs(k)):
             residue = self._y_step(residue, sign)
         return residue
 
-    def _index(self):
-        """Index every row by :meth:`_index_row`, last row first, when a
-        residue is first asked for."""
-        if self._steps is None:
-            self._units, self._steps = {}, []
-            for row, c in zip(reversed(self.rows), reversed(self.pivots)):
-                self._index_row(row, c)
+    def _push(self, row, c):
+        """Put a canonical row in front, its pivot c before every other, and
+        index it."""
+        self.rows = (row,) + self.rows
+        self.pivots = (c,) + self.pivots
+        self._index_row(row, c)
 
     def _index_row(self, row, c):
         """Index a row whose pivot column c precedes every indexed one: a
         pivot of degree 0 by its column's unit residue, one of degree d > 0
-        by c, d, the row's coordinates going up and going down (times y^-1),
-        and 1/g(0)."""
-        coords = _coordinates(row)
-        pivot = row[c].body
-        if pivot.degree:
-            up = tuple(coords.items())
-            down = tuple(((j, exp - 1), b) for (j, exp), b in up)
-            inv = pow(pivot.constant(), self.p - 2, self.p)
-            self._steps.insert(0, (c, pivot.degree, up, down, inv))
+        by c, d, the row going up and going down (times y^-1), and 1/g(0)."""
+        p = self.p
+        degree = max(q for (j, q), _ in row if j == c)
+        if degree:
+            down = tuple(((j, exp - 1), b) for (j, exp), b in row)
+            self._steps.insert(0, (c, degree, row, down, pow(row[0][1], p - 2, p)))
         else:
-            del coords[c, 0]
-            self._units[c] = tuple((key, -b % self.p) for key, b in coords.items())
-
-    def _push(self, row, c):
-        """Put a canonical row in front, its pivot c before every other."""
-        self.rows = (row,) + self.rows
-        self.pivots = (c,) + self.pivots
-        if self._steps is not None:
-            self._index_row(row, c)
+            self._units[c] = tuple((key, -b % p) for key, b in row[1:])
 
     def _y_step(self, residue, sign):
         p = self.p
@@ -368,16 +333,18 @@ class CanonicalForm:
         return out
 
 
-def laurent_hermite_form(p, n, level, generator_cols):
-    """Echelonize Laurent rows into the canonical form described above.
+def laurent_hermite_form(p, n, level, generator_rows):
+    """Echelonize rows of F_p coordinates {(column, y-exponent): c}, or the
+    pair tuples of a form's rows, into the canonical form described above.
 
-    After Euclid on each column and a unit normalizing each pivot, the rows
-    are made canonical from the bottom up: a row's entries past its pivot
-    become their residue modulo the rows below it, which are canonical
+    The rows are read into Laurent columns for Euclid on each column, and a
+    unit normalizes each pivot.  They are then made canonical from the
+    bottom up, in coordinates: a row's entries past its pivot become their
+    residue modulo the rows below it, which are canonical and indexed
     already, and the row is then put in front of them.
     """
     ncols = n * level
-    rows = [list(r) for r in generator_cols if any(not e.is_zero() for e in r)]
+    rows = [_columns(dict(r), ncols, p) for r in generator_rows if r]
     pivots = []
     next_row = 0
     for col in range(ncols):
@@ -411,14 +378,13 @@ def laurent_hermite_form(p, n, level, generator_cols):
             ]
             pivots.append(col)
             next_row += 1
-    form = CanonicalForm(p, n, level, (), ())
+    form = CanonicalForm(p, n, level)
     for row, col in zip(reversed(rows[:next_row]), reversed(pivots)):
-        tail = form.rank and _coordinates(row, col + 1)
+        tail = _coordinates(row, col + 1)
         if tail:
-            row[col + 1 :] = _columns(form.residue(tail), ncols, p)[col + 1 :]
-        form._push(tuple(row), col)
-    # most forms are only compared by key, so a built form keeps no index
-    form._units = form._steps = None
+            tail = form.residue(tail)
+        pivot = tuple(((col, q), c) for q, c in enumerate(row[col].body.coeffs) if c)
+        form._push(pivot + tuple(sorted(tail.items())), col)
     return form
 
 
@@ -455,13 +421,12 @@ def _rotated_rows(form, s):
     move, ncols = b * form.n, form.ncols
     for row in form.rows:
         moved = {}
-        for col, entry in enumerate(row, move):
-            col, q = (col, a) if col < ncols else (col - ncols, a + 1)
-            q += entry.offset
-            for c in entry.body.coeffs:
-                if c:
-                    moved[col, q] = c
-                q += 1
+        for (col, q), c in row:
+            col += move
+            if col < ncols:
+                moved[col, q + a] = c
+            else:
+                moved[col - ncols, q + a + 1] = c
         yield moved
 
 
@@ -523,7 +488,7 @@ class Submodule:
                 f"level {level} is not a multiple of the stored period "
                 f"{self.period} nor of the minimal period {self.minimal_period()}"
             )
-        rows = [vectorize(g, level) for g in self._at_period(level).gens]
+        rows = [_vector_coordinates(g, level) for g in self._at_period(level).gens]
         form = laurent_hermite_form(self.p, self.n, level, rows)
         self._forms[level] = form
         return form
@@ -676,7 +641,7 @@ class Submodule:
         """
         e = self.minimal_period()
         form = self.form(e)
-        gens = tuple(unvectorize(row, self.n, e, self.p) for row in form.rows)
+        gens = tuple(_vector_at(dict(row), self.n, e, self.p) for row in form.rows)
         canon = Submodule(self.n, self.p, e, gens)
         canon._forms[e] = form
         object.__setattr__(canon, "_e", e)
@@ -923,7 +888,7 @@ def approach_sequence(U, b, r_target, count):
                 for q, c in (entry * f).terms()
             }
             gens.append(_vector_at(coords, n, e, p))
-            rows.append(_columns(_releveled(coords, n, e, E), n * E, p))
+            rows.append(_releveled(coords, n, e, E))
         term = Submodule(n, p, E, base.gens + tuple(gens))
         term._forms[E] = laurent_hermite_form(p, n, E, base_rows + tuple(rows))
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):

@@ -46,9 +46,8 @@ from lampirs.submodules import (
     construct_with_invariants,
     invariant_report,
     laurent_hermite_form,
-    unvectorize,
+    submodules_of_codimension,
     vanish_sequence,
-    vectorize,
 )
 
 from test_algebra import trial_division_irreducibles
@@ -211,8 +210,52 @@ class TestWindowIntersectionOracle:
 
 # ---------------------------------------------------------------------------
 # Reference reduction: a Laurent division per pivot, independent of the
-# y-action on residues that the package computes with.
+# y-action on residues that the package computes with.  Its inputs are
+# Laurent columns, split from vectors here, not by the package's readers.
 # ---------------------------------------------------------------------------
+
+
+def laurent_columns(terms, p):
+    """LaurentPolys with the coefficients {exponent: c} of each of ``terms``."""
+    return [
+        LaurentPoly(p, min(t), Poly(p, [t.get(e, 0) for e in range(min(t), max(t) + 1)]))
+        if t
+        else LaurentPoly.zero(p)
+        for t in terms
+    ]
+
+
+def vectorize(vec, level):
+    """Split a LaurentVector across exponent classes mod ``level``: column
+    j*n + i holds the x^j-residue class of coordinate i, y acting as x^level."""
+    cols = [{} for _ in range(vec.n * level)]
+    for i, poly in enumerate(vec.coords):
+        for exp, c in poly.terms():
+            q, j = divmod(exp, level)
+            cols[j * vec.n + i][q] = c
+    return laurent_columns(cols, vec.p)
+
+
+def unvectorize(cols, n, level, p):
+    """Inverse of :func:`vectorize`."""
+    coords = [{} for _ in range(n)]
+    for col, entry in enumerate(cols):
+        j, i = divmod(col, n)
+        for q, c in entry.terms():
+            coords[i][q * level + j] = c
+    return LaurentVector(p, laurent_columns(coords, p))
+
+
+def laurent_rows(form):
+    """The coordinate rows of a canonical form as rows of Laurent columns,
+    the layout of :func:`reference_hermite_form`."""
+    out = []
+    for row in form.rows:
+        terms = [{} for _ in range(form.ncols)]
+        for (j, q), c in row:
+            terms[j][q] = c
+        out.append(tuple(laurent_columns(terms, form.p)))
+    return tuple(out)
 
 
 def laurent_mod(f, g):
@@ -292,7 +335,7 @@ def reference_hermite_form(p, n, level, generator_cols):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=2048)
 def reference_form(U, level):
     """:func:`reference_hermite_form` of U at a level that is a period of U,
     from the generators shifted by multiples of gcd(level, stored period)."""
@@ -401,7 +444,7 @@ class TestResidueStepOracle:
                 seen["zero"] += form.rank == 0
                 seen["full"] += form.rank == form.ncols
                 seen["degree_0_pivot"] += any(
-                    row[c].body.degree == 0 for row, c in zip(form.rows, form.pivots)
+                    row[c].body.degree == 0 for row, c in zip(laurent_rows(form), form.pivots)
                 ) and form.rank < form.ncols
                 for lo, hi in self.windows(rng):
                     got = U.window_residues(lo, hi, level)
@@ -470,6 +513,10 @@ class TestReferenceReduction:
     """Forms and residues against the Laurent division per pivot."""
 
     CASES = pinned_grid(2727, 150)
+    # every subgroup of R^k of F_p-codimension a, for (p, k, a) below
+    ENUMERATED = [
+        U for p, k, a in ((2, 2, 3), (3, 2, 2), (2, 3, 2)) for U in submodules_of_codimension(p, k, a)
+    ]
 
     @staticmethod
     def levels(U):
@@ -478,14 +525,15 @@ class TestReferenceReduction:
 
     def test_hermite_form_matches_reference(self):
         seen = {"proper_divisor": 0, "degree_0_pivot": 0, "tail": 0}
-        for U in self.CASES:
+        for U in self.CASES + self.ENUMERATED:
             for level in self.levels(U):
                 form = U.form(level)
-                assert (form.rows, form.pivots) == reference_form(U, level), (U, level)
+                rows = laurent_rows(form)
+                assert (rows, form.pivots) == reference_form(U, level), (U, level)
                 seen["proper_divisor"] += level < U.period
-                seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(form.rows, form.pivots))
+                seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(rows, form.pivots))
                 seen["tail"] += any(
-                    not e.is_zero() for row, c in zip(form.rows, form.pivots) for e in row[c + 1 :]
+                    not e.is_zero() for row, c in zip(rows, form.pivots) for e in row[c + 1 :]
                 )
         assert all(seen.values()), seen
         assert {U.p for U in self.CASES} == {2, 3, 5, 7}
@@ -499,8 +547,8 @@ class TestReferenceReduction:
                 vectorize(rand_vec(rng, n, p, lo=-3 * level, hi=2 * level), level)
                 for _ in range(1 + rng.below(n * level + 1))
             ]
-            form = laurent_hermite_form(p, n, level, rows)
-            assert (form.rows, form.pivots) == reference_hermite_form(p, n, level, rows)
+            form = laurent_hermite_form(p, n, level, [_coordinates(r) for r in rows])
+            assert (laurent_rows(form), form.pivots) == reference_hermite_form(p, n, level, rows)
 
     def test_residue_matches_reference(self):
         rng = SplitMix64(2729)
@@ -1020,7 +1068,7 @@ def shifted_row_period(U, s):
     form = U.form(U.period)
     a, b = divmod(s, form.level)
     cut = (form.level - b) * form.n
-    for row in form.rows:
+    for row in laurent_rows(form):
         moved = [e.shifted(a + 1) for e in row[cut:]] + [e.shifted(a) for e in row[:cut]]
         coords = {(j, exp): c for j, entry in enumerate(moved) for exp, c in entry.terms()}
         if form.residue(coords):
@@ -1117,14 +1165,14 @@ class TestCoordinateMembershipOracle:
             for s in (0, e):
                 T = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p) if s else None)
                 probes = word_ball(T, 2)
-                U.form(U.period)  # forms are built from columns, once
+                U.form(U.period)  # forms are built through columns, once
                 for k in range(-3, 4):
                     T._marker_power(k)
                 triples.append((T, probes))
-        vectorize_fn = lampirs.submodules.vectorize
-        monkeypatch.setattr(lampirs.submodules, "vectorize", counted("vectorize", vectorize_fn))
+        columns_fn = lampirs.submodules._columns
+        monkeypatch.setattr(lampirs.submodules, "_columns", counted("_columns", columns_fn))
         monkeypatch.setattr(
-            lampirs.lamplighter, "vectorize", counted("vectorize", vectorize_fn), raising=False
+            lampirs.lamplighter, "_columns", counted("_columns", columns_fn), raising=False
         )
         monkeypatch.setattr(GroupElement, "__mul__", counted("__mul__", GroupElement.__mul__))
         tested = 0

@@ -11,21 +11,28 @@ from lampirs.formats import format_vector
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     SEQUENCE_BUDGET,
+    CanonicalForm,
     LaurentVector,
     Submodule,
     _coordinates,
+    _vector_at,
+    _vector_coordinates,
     approach_sequence,
     construct_with_invariants,
     count_submodules,
     invariant_report,
     laurent_hermite_form,
     submodules_of_codimension,
-    unvectorize,
     vanish_sequence,
-    vectorize,
 )
 
-from test_oracle_crosscheck import pinned_grid, residue_coordinates
+from test_oracle_crosscheck import (
+    laurent_rows,
+    pinned_grid,
+    residue_coordinates,
+    unvectorize,
+    vectorize,
+)
 
 
 def unit(n, p, i=0, exp=0):
@@ -81,10 +88,11 @@ class TestLaurentHermiteForm:
                     assert laurent_hermite_form(p, n, level, form.rows) == form
                     # Pivots are monic polynomials; entries above a pivot
                     # are residues of smaller degree.
+                    rows = laurent_rows(form)
                     for idx, col in enumerate(form.pivots):
-                        pivot = form.rows[idx][col]
+                        pivot = rows[idx][col]
                         assert pivot.offset == 0 and pivot.body.leading() == 1
-                        for row in form.rows[:idx]:
+                        for row in rows[:idx]:
                             entry = row[col]
                             assert entry.is_zero() or (
                                 entry.offset >= 0 and entry.offset + entry.body.degree < pivot.body.degree
@@ -93,7 +101,7 @@ class TestLaurentHermiteForm:
                         for k in range(level // e):
                             coords = _coordinates(vectorize(g.shifted(k * e), level))
                             assert not form.residue(coords)
-                    for row in form.rows:
+                    for row in rows:
                         assert U.contains_vector(unvectorize(row, n, level, p))
 
     def test_pivot_is_generator_gcd(self):
@@ -105,8 +113,35 @@ class TestLaurentHermiteForm:
             [LaurentPoly(2, 3, f * g)],
             [LaurentPoly(2, -2, f * h)],
         ]
-        form = laurent_hermite_form(2, 1, 1, rows)
-        assert form.rows == ((LaurentPoly.from_poly(f),),) and form.pivots == (0,)
+        form = laurent_hermite_form(2, 1, 1, [_coordinates(r) for r in rows])
+        assert laurent_rows(form) == ((LaurentPoly.from_poly(f),),) and form.pivots == (0,)
+        assert form.rows == ((((0, 0), 1), ((0, 1), 1), ((0, 2), 1)),)
+
+    def test_each_row_is_indexed_once(self, monkeypatch):
+        # The rows of every form built for an approach sequence and its
+        # certificate are indexed as they are pushed, and never again.
+        from lampirs.cbrank import build_approach_sequence
+        from lampirs.lamplighter import SubgroupTriple, certify_convergence
+
+        built, indexed = [], []
+        real_form, real_index = submodules.laurent_hermite_form, CanonicalForm._index_row
+
+        def building(*args):
+            built.append(real_form(*args))
+            return built[-1]
+
+        def indexing(self, row, c):
+            indexed.append(row)
+            return real_index(self, row, c)
+
+        monkeypatch.setattr(submodules, "laurent_hermite_form", building)
+        monkeypatch.setattr(CanonicalForm, "_index_row", indexing)
+        U = construct_with_invariants(1, 2, 3, 2)
+        V = SubgroupTriple(6, U, U.reduce_vector(unit(1, 2, exp=-1)))
+        seq = build_approach_sequence(V, (1, 0), 6)
+        result = certify_convergence(lambda m: seq[m - 1], V, 3, 12, 6)
+        assert result.index is not None and len(built) > len(seq)
+        assert len(indexed) == sum(form.rank for form in built)
 
 
 class TestMembership:
@@ -238,7 +273,7 @@ class TestFormColumnBudget:
         # With a budget of 12 columns, <1 + x> stored at period 12 has
         # minimal period 12 and an approach sequence may reach E = 12.  One
         # column more is refused before the divisors of the period are
-        # listed or a generator is re-presented or split into columns.
+        # listed or a generator is re-presented or read into coordinates.
         monkeypatch.setattr(submodules, "FORM_COLUMN_BUDGET", 12)
         line = [LaurentVector(2, (LaurentPoly.from_poly(Poly(2, (1, 1))),))]
         assert invariant_report(Submodule(1, 2, 12, line)).e == 12
@@ -250,7 +285,7 @@ class TestFormColumnBudget:
         def unstarted(*args):
             raise AssertionError("a refused form must not be started")
 
-        for name in ("_divisors", "vectorize"):
+        for name in ("_divisors", "_vector_coordinates"):
             monkeypatch.setattr(submodules, name, unstarted)
         monkeypatch.setattr(Submodule, "_at_period", unstarted)
         refusals = [
@@ -274,7 +309,7 @@ class TestFormEntryBudget:
         # With a budget of 36 entries, the 6 generators of U_6 at period 6,
         # the full module at level 6 and approach terms of 6 x 6 and 5 x 7
         # fit.  49 entries are refused before the divisors of the period are
-        # listed, a generator is re-presented or split into columns, or the
+        # listed, a generator is re-presented or read into coordinates, or the
         # quotient piece of an approach sequence is built.
         monkeypatch.setattr(submodules, "FORM_ENTRY_BUDGET", 36)
         assert invariant_report(construct_with_invariants(1, 2, 6, 6)).e == 6
@@ -288,7 +323,7 @@ class TestFormEntryBudget:
         def unstarted(*args):
             raise AssertionError("a refused form must not be started")
 
-        for name in ("_divisors", "vectorize", "construct_with_invariants"):
+        for name in ("_divisors", "_vector_coordinates", "construct_with_invariants"):
             monkeypatch.setattr(submodules, name, unstarted)
         monkeypatch.setattr(Submodule, "_at_period", unstarted)
         refusals = [
@@ -600,6 +635,9 @@ class TestVectorize:
         for _ in range(30):
             v = random_vector(rng, 2, 3, lo=-4, hi=4)
             for level in (1, 2, 3):
+                coords = _vector_coordinates(v, level)
+                assert _vector_at(coords, 2, level, 3) == v
+                assert coords == _coordinates(vectorize(v, level))
                 assert unvectorize(vectorize(v, level), 2, level, 3) == v
 
 
@@ -608,6 +646,13 @@ class TestVectorize:
 # over pinned_grid(1414, 300); recorded while residues still came from a
 # Laurent division per pivot, and unchanged since they come from the y-action.
 GRID_PIN_SHA256 = "02179193a821feba4e5a9ec518fc37f2f256a922d73d631ce4e749711a5e4578"
+
+
+def laurent_key(form):
+    """``form.key()`` in the layout the pin was recorded in: each row as its
+    Laurent entries, each entry as (offset, coefficients)."""
+    rows = tuple(tuple((e.offset, e.body.coeffs) for e in row) for row in laurent_rows(form))
+    return (form.p, form.level, form.pivots, rows)
 
 
 class TestResidueGridPin:
@@ -619,8 +664,9 @@ class TestResidueGridPin:
             e = U.minimal_period()
             form = U.form(U.period)
             seen["proper_divisor"] += e < U.period
-            seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(form.rows, form.pivots))
-            lines = [repr(form.key()), repr(U.form(2 * U.period).key()), str(e)]
+            rows = laurent_rows(form)
+            seen["degree_0_pivot"] += any(not row[c].body.degree for row, c in zip(rows, form.pivots))
+            lines = [repr(laurent_key(form)), repr(laurent_key(U.form(2 * U.period))), str(e)]
             for k in range(4):
                 w = random_vector(rng, U.n, U.p, lo=-5, hi=3)
                 if k % 2 and U.gens:
