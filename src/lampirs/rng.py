@@ -46,11 +46,8 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def mix64(z):
-    """SplitMix64 finalizer on a 64-bit word."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+    """SplitMix64 finalizer on a 64-bit word: :func:`_mix_lanes` on one lane."""
+    return _mix_lanes(z & MASK64, MASK64)
 
 
 def _little_endian(words):
@@ -78,7 +75,8 @@ def _lane_mask(count):
 
 
 def _mix_lanes(z, mask):
-    """``mix64`` on every lane of z at once; every lane must be below 2^64."""
+    """The SplitMix64 finalizer on every lane of z at once; every lane must
+    be below 2^64."""
     z = (z ^ (z >> 30)) & mask
     z = (z * 0xBF58476D1CE4E5B9) & mask
     z = (z ^ (z >> 27)) & mask

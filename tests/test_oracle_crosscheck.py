@@ -41,7 +41,6 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
-    _coordinates,
     approach_sequence,
     construct_with_invariants,
     invariant_report,
@@ -225,6 +224,12 @@ def laurent_columns(terms, p):
     ]
 
 
+def _coordinates(cols):
+    """F_p coordinates {(column, exponent): c} of a vector of Laurent columns,
+    the input format of :func:`laurent_hermite_form` and of residues."""
+    return {(j, exp): c for j, entry in enumerate(cols) for exp, c in entry.terms()}
+
+
 def vectorize(vec, level):
     """Split a LaurentVector across exponent classes mod ``level``: column
     j*n + i holds the x^j-residue class of coordinate i, y acting as x^level."""
@@ -352,7 +357,7 @@ def residue_coordinates(U, w, level):
     for row, c in zip(rows, pivots):
         if not v[c].is_zero():
             eliminate(v, row, c)
-    return {(j, exp): c for j, entry in enumerate(v) for exp, c in entry.terms()}
+    return _coordinates(v)
 
 
 def step_cases(seed, count):
@@ -539,14 +544,31 @@ class TestReferenceReduction:
         assert {U.p for U in self.CASES} == {2, 3, 5, 7}
 
     def test_hermite_form_of_raw_rows_matches_reference(self):
-        # rows of Laurent entries with negative offsets, fed in directly
+        # rows of Laurent entries with negative offsets, fed in directly;
+        # then more rows than columns, with entries 30 to 60 exponents wide
+        # for long quotients, spanning a proper submodule so that a wrong
+        # step shows; and one column of 10 rows 100 wide
         rng = SplitMix64(2728)
+        cases = []
         for _ in range(150):
             p, n, level = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(2), 1 + rng.below(3)
             rows = [
                 vectorize(rand_vec(rng, n, p, lo=-3 * level, hi=2 * level), level)
                 for _ in range(1 + rng.below(n * level + 1))
             ]
+            cases.append((p, n, level, rows))
+        for p in (2, 3, 5):
+            n = 2 + rng.below(2)
+            base = [rand_vec(rng, n, p, lo=-15, hi=15) for _ in range(n - 1)]
+            wide = []
+            for _ in range(2 * n + 1):
+                v = LaurentVector.zero(n, p)
+                for b in base:
+                    v = v + b.scaled(rand_vec(rng, 1, p, lo=0, hi=rng.below(31)).coords[0])
+                wide.append(vectorize(v, 1))
+            cases.append((p, n, 1, wide))
+        cases.append((3, 1, 1, [vectorize(rand_vec(rng, 1, 3, lo=-50, hi=50), 1) for _ in range(10)]))
+        for p, n, level, rows in cases:
             form = laurent_hermite_form(p, n, level, [_coordinates(r) for r in rows])
             assert (laurent_rows(form), form.pivots) == reference_hermite_form(p, n, level, rows)
 
@@ -1146,9 +1168,6 @@ class TestCoordinateMembershipOracle:
                 assert U.contains_vector(w - got)
 
     def test_membership_builds_no_columns_and_no_products(self, monkeypatch):
-        import lampirs.lamplighter
-        import lampirs.submodules
-
         calls = []
 
         def counted(name, fn):
@@ -1165,15 +1184,11 @@ class TestCoordinateMembershipOracle:
             for s in (0, e):
                 T = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p) if s else None)
                 probes = word_ball(T, 2)
-                U.form(U.period)  # forms are built through columns, once
+                U.form(U.period)  # forms and marker powers are built once, before counting
                 for k in range(-3, 4):
                     T._marker_power(k)
                 triples.append((T, probes))
-        columns_fn = lampirs.submodules._columns
-        monkeypatch.setattr(lampirs.submodules, "_columns", counted("_columns", columns_fn))
-        monkeypatch.setattr(
-            lampirs.lamplighter, "_columns", counted("_columns", columns_fn), raising=False
-        )
+        monkeypatch.setattr(LaurentPoly, "__init__", counted("LaurentPoly", LaurentPoly.__init__))
         monkeypatch.setattr(GroupElement, "__mul__", counted("__mul__", GroupElement.__mul__))
         tested = 0
         for T, probes in triples:

@@ -14,7 +14,6 @@ from lampirs.submodules import (
     CanonicalForm,
     LaurentVector,
     Submodule,
-    _coordinates,
     _vector_at,
     _vector_coordinates,
     approach_sequence,
@@ -27,6 +26,7 @@ from lampirs.submodules import (
 )
 
 from test_oracle_crosscheck import (
+    _coordinates,
     laurent_rows,
     pinned_grid,
     residue_coordinates,
@@ -116,6 +116,34 @@ class TestLaurentHermiteForm:
         form = laurent_hermite_form(2, 1, 1, [_coordinates(r) for r in rows])
         assert laurent_rows(form) == ((LaurentPoly.from_poly(f),),) and form.pivots == (0,)
         assert form.rows == ((((0, 0), 1), ((0, 1), 1), ((0, 2), 1)),)
+
+    def test_builds_no_laurent_polynomial(self, monkeypatch):
+        # Rows go from F_p coordinates to canonical rows in that one format:
+        # no LaurentPoly is built inside the engine, for the forms of
+        # enumerated subgroups nor for those of an approach sequence.
+        inside, built = [], []
+        real_form, real_init = submodules.laurent_hermite_form, LaurentPoly.__init__
+
+        def building(*args):
+            inside.append(args)
+            try:
+                return real_form(*args)
+            finally:
+                built.append(inside.pop())
+
+        def constructing(self, *args, **kwargs):
+            assert not inside, "laurent_hermite_form built a LaurentPoly"
+            real_init(self, *args, **kwargs)
+
+        enumerated = submodules_of_codimension(3, 2, 2)
+        rows = [[_vector_coordinates(g, 2) for g in U._at_period(2).gens] for U in enumerated]
+        U = construct_with_invariants(1, 2, 3, 2)
+        monkeypatch.setattr(submodules, "laurent_hermite_form", building)
+        monkeypatch.setattr(LaurentPoly, "__init__", constructing)
+        forms = [submodules.laurent_hermite_form(3, 2, 2, r) for r in rows]
+        seq = approach_sequence(U, 2, 1, 6)
+        assert len(seq) == 6 and len(built) > len(forms) + len(seq)
+        assert sum(form.rank for form in forms) > len(forms)
 
     def test_each_row_is_indexed_once(self, monkeypatch):
         # The rows of every form built for an approach sequence and its
