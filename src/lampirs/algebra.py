@@ -259,6 +259,12 @@ def _mark_products(marked, g, d, c, powers):
             return
 
 
+# Per prime, the irreducibles read so far by any ``irreducibles(p)`` and the
+# index in that list at which degree 1 and each sieved block end.  Extended
+# only by a reader past its end, a block at a time.
+_SIEVED = {}
+
+
 def irreducibles(p):
     """The monic irreducibles other than x, lazily, in (degree, encoding) order.
 
@@ -268,13 +274,17 @@ def irreducibles(p):
     order the f with x^(d-1) coefficient c: every reducible f with f(0) != 0
     is marked by :func:`_mark_products` as g*h for an irreducible g found
     already with 2 deg g <= d.  A block of p^(d-1) > ``ENUMERATION_BUDGET``
-    entries is refused before it is allocated.
+    entries is refused before it is allocated or read.  Every generator
+    reads one list per prime and sieves only the blocks no earlier reader
+    has reached.
     """
     check_prime(p)
-    found = []
-    for c in range(1, p):
-        found.append(Poly(p, (c, 1), normalize=False))
-        yield found[-1]
+    found, ends = _SIEVED.setdefault(p, ([], [p - 1]))
+    for i in range(p - 1):
+        if i == len(found):
+            found.append(Poly(p, (i + 1, 1), normalize=False))
+        yield found[i]
+    block = 0
     for d in itertools.count(2):
         size = p ** (d - 1)
         if size > ENUMERATION_BUDGET:
@@ -282,18 +292,30 @@ def irreducibles(p):
                 f"a degree-{d} sieve block of {size} entries exceeds budget {ENUMERATION_BUDGET}",
                 requested=size,
             )
-        small = [g for g in found if 2 * g.degree <= d]
-        powers = [p**i for i in range(d - 1)]
         for c in range(p):
-            marked = bytearray(size)
-            marked[::p] = b"\x01" * (size // p)  # f(0) = 0
-            for g in small:
-                _mark_products(marked, g, d, c, powers)
-            i = marked.find(0)
-            while i >= 0:
-                found.append(Poly(p, base_p_digits(i, p, d - 1) + [c, 1], normalize=False))
-                yield found[-1]
-                i = marked.find(0, i + 1)
+            block += 1
+            if block == len(ends):
+                found.extend(_sieve_block(found, p, d, c))
+                ends.append(len(found))
+            yield from found[ends[block - 1] : ends[block]]
+
+
+def _sieve_block(found, p, d, c):
+    """The irreducibles of block c of degree d, the smaller ones all in ``found``."""
+    size = p ** (d - 1)
+    powers = [p**i for i in range(d - 1)]
+    marked = bytearray(size)
+    marked[::p] = b"\x01" * (size // p)  # f(0) = 0
+    for g in found:
+        if 2 * g.degree > d:
+            break
+        _mark_products(marked, g, d, c, powers)
+    out = []
+    i = marked.find(0)
+    while i >= 0:
+        out.append(Poly(p, base_p_digits(i, p, d - 1) + [c, 1], normalize=False))
+        i = marked.find(0, i + 1)
+    return out
 
 
 def enumerate_irreducibles(p, count):

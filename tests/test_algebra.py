@@ -175,7 +175,9 @@ class TestIrreducibles:
     def test_sieve_block_budget_edges(self, monkeypatch):
         # Over F_2 degree d is sieved in blocks of 2^(d-1) entries; a budget
         # of 8 admits degree 4 (7 irreducibles other than x up to it) and
-        # refuses degree 5 before its first block is allocated.
+        # refuses degree 5 before its first block is allocated.  The memo
+        # starts empty, so every block read is sieved here.
+        monkeypatch.setattr(algebra, "_SIEVED", {})
         allocated = []
 
         def recording_bytearray(*args):
@@ -197,6 +199,48 @@ class TestIrreducibles:
         with pytest.raises(ResourceBudgetError) as err:
             next(gen)
         assert err.value.requested == 8
+
+    def test_sieve_memo_reads_no_further_than_asked(self, monkeypatch):
+        # Over F_2, x + 1 is the one irreducible of degree 1, and the blocks
+        # of degrees 2-4 (x^(d-1) coefficient 0, then 1) hold 0, 1; 1, 1;
+        # 1, 2 more.
+        monkeypatch.setattr(algebra, "_SIEVED", {})
+        assert enumerate_irreducibles(2, 5) == trial_division_irreducibles(2, 5)
+        found, ends = algebra._SIEVED[2]
+        assert len(found) == 5 and ends == [1, 1, 2, 3, 4, 5]
+        assert enumerate_irreducibles(2, 6) == trial_division_irreducibles(2, 6)
+        assert len(found) == 7 and ends == [1, 1, 2, 3, 4, 5, 7]
+        got = enumerate_irreducibles(2, 7)
+        assert got == trial_division_irreducibles(2, 7) and got is not found
+
+    def test_sieve_budget_on_a_warm_memo(self, monkeypatch):
+        # Degrees already in the memo are served from it, with no block
+        # allocated, but each is still refused past the budget, at the same
+        # degree and size as on an empty memo; a refusal leaves the memo
+        # whole for the readers after it.
+        monkeypatch.setattr(algebra, "_SIEVED", {})
+        want = trial_division_irreducibles(2, 30)
+        assert enumerate_irreducibles(2, 22) == want[:22]  # degrees 1-6
+        allocated = []
+
+        def recording_bytearray(*args):
+            out = bytearray(*args)
+            allocated.append(len(out))
+            return out
+
+        monkeypatch.setattr(algebra, "bytearray", recording_bytearray, raising=False)
+        budget = algebra.ENUMERATION_BUDGET
+        for limit, count, requested in ((8, 7, 16), (7, 4, 8)):
+            monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", limit)
+            gen = irreducibles(2)
+            assert list(itertools.islice(gen, count)) == want[:count]
+            with pytest.raises(ResourceBudgetError) as err:
+                next(gen)
+            assert err.value.requested == requested
+        assert allocated == []
+        monkeypatch.setattr(algebra, "ENUMERATION_BUDGET", budget)
+        assert list(itertools.islice(irreducibles(2), 30)) == want
+        assert allocated == [64]  # block 0 of degree 7 alone
 
 
 class TestLaurent:

@@ -6,9 +6,11 @@ same answers from nothing but finite F_p linear algebra: spanning all
 generator shifts within a generous exponent margin, row-reducing integer
 coefficient vectors, and measuring dimension growth.  Convergence
 certificates, computed by comparing affine member sets, are rebuilt by
-checking every witness of the ball against every term.  Residues and
-Hermite forms, computed through the action of y on residues, are rebuilt
-by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
+checking every witness of the ball against every term.  Keyed from the
+horizon down, they are rebuilt by keying every term from the first, and
+their witnesses, named by substitution into reduced systems, by a row
+reduction per trial value.  Residues and Hermite forms, computed through
+the action of y on residues, are rebuilt by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
 division, and periods found on moved form rows by form equalities and by
 generator containment.  Approach terms, whose periods are gated and whose
 forms are built by insertion, are rebuilt by the divisor scan on each
@@ -24,16 +26,19 @@ from math import gcd
 
 import pytest
 
+from lampirs import lamplighter
 from lampirs.algebra import LaurentPoly, Poly, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
-from lampirs.errors import PreconditionError
+from lampirs.errors import ContextError, PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
 from lampirs.formats import format_vector
 from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
     SubgroupTriple,
+    _least_difference,
     _offset_residues,
+    ball_size,
     certify_convergence,
     delta_site,
 )
@@ -1016,6 +1021,237 @@ class TestCertificationMonotone:
         ]
         ordered = [26 if index is None else index for index in indices]
         assert ordered == sorted(ordered), indices
+
+
+# ---------------------------------------------------------------------------
+# Certificates keyed from the horizon down, and witnesses named by
+# substitution into reduced systems, against the bottom-up scan and the
+# row reduction per trial value that they replaced.
+# ---------------------------------------------------------------------------
+
+
+def rref_per_trial_least_difference(key_a, key_b, dim, p, trials=None):
+    """The least code in exactly one keyed set, each trial value of each digit
+    decided by row-reducing the equations with the digits fixed so far.
+    Each side tested for escaping is appended to ``trials``."""
+
+    def equations(key):
+        if key is None:
+            return [[0] * dim + [1]]
+        return [list(row) + [-x % p] for row, x in zip(*key)]
+
+    def rank(rows):
+        _, pivots = rref(rows, p)
+        return None if pivots and pivots[-1] == dim else len(pivots)
+
+    def escapes(inside, outside, fixed):
+        if trials is not None:
+            trials.append(fixed[-1])
+        alone = rank(inside + fixed)
+        if alone is None:
+            return False
+        both = rank(inside + outside + fixed)
+        return both is None or both > alone
+
+    a, b = equations(key_a), equations(key_b)
+    fixed = []
+    for d in reversed(range(dim)):
+        unit = [int(i == d) for i in range(dim)]
+        forced = {
+            row[dim]
+            for inside in (a, b)
+            for row in rref(inside + fixed, p)[0]
+            if list(row[:dim]) == unit
+        }
+        for value in sorted({0, 1} | forced):
+            trial = fixed + [unit + [value]]
+            if escapes(a, b, trial) or escapes(b, a, trial):
+                fixed = trial
+                break
+    return [row[dim] for row in reversed(fixed)]
+
+
+def bottom_up_certificate(provider, limit, radius, shift_bound, horizon):
+    """The certificate with every term keyed, from term 1 up to the horizon."""
+    n, p = limit.n, limit.p
+    shifts = range(-shift_bound, shift_bound + 1)
+    target = lamplighter._member_keys(limit, radius, shifts)
+    last = 0
+    for m in range(1, horizon + 1):
+        triple = provider(m)
+        if triple.n != n or triple.p != p:
+            raise ContextError("subgroups of different lamplighter groups")
+        keys = lamplighter._member_keys(triple, radius, shifts)
+        if keys != target:
+            last = m
+    checked = ball_size(n, p, radius, shift_bound, horizon)
+    if last < horizon:
+        return ConvergenceResult(True, max(1, last + 1), None, checked, horizon)
+    t, key, limit_key = next((t, a, b) for t, a, b in zip(shifts, keys, target) if a != b)
+    digits = rref_per_trial_least_difference(key, limit_key, n * (2 * radius + 1), p)
+    sites = [(i, site) for i in range(n) for site in range(-radius, radius + 1)]
+    lamps = LaurentVector.zero(n, p)
+    for (i, site), c in zip(sites, digits):
+        if c:
+            lamps = lamps + delta_site(n, p, site, component=i, value=c)
+    return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
+
+
+def pattern_case(pattern, p):
+    """Terms toward the zero subgroup, one per letter.  'd' is generated by
+    1 + x, a member on sites [-1, 0]; 'a' by 1 + x^8, every nonzero member
+    of which spans 8 sites or more, so none lies in a ball of radius 3."""
+
+    def generated(coeffs):
+        gen = LaurentVector(p, [LaurentPoly.from_poly(Poly(p, coeffs))])
+        return SubgroupTriple(0, Submodule(1, p, 1, [gen]))
+
+    near, far = generated([1, 1]), generated([1] + [0] * 7 + [1])
+    return SubgroupTriple(0, Submodule.zero(1, p)), [near if c == "d" else far for c in pattern]
+
+
+# Terms as pattern_case builds them; most disagree again after agreeing.
+PATTERNS = ["a", "d", "dada", "adad", "dadaa", "aadda", "ddaaa", "adadadaa", "aaaa"]
+
+
+def last_disagreement(pattern):
+    return pattern.rfind("d") + 1
+
+
+class TestScanOrderOracle:
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_non_monotone_patterns_match_the_bottom_up_scan(self, pattern, p):
+        limit, terms = pattern_case(pattern, p)
+        horizon, m = len(terms), last_disagreement(pattern)
+        for radius, shift_bound in ((1, 0), (3, 2)):
+            got = certify_convergence(lambda k: terms[k - 1], limit, radius, shift_bound, horizon)
+            want = bottom_up_certificate(lambda k: terms[k - 1], limit, radius, shift_bound, horizon)
+            assert got.to_json() == want.to_json()
+            assert got.index == (None if m == horizon else max(1, m + 1))
+
+    def test_seeded_grid_matches_the_bottom_up_scan(self):
+        rng = SplitMix64(2323)
+        indices = set()
+        for _ in range(60):
+            n, p = ((1, 2), (1, 3), (2, 2), (1, 5))[rng.below(4)]
+
+            def triple(s):
+                U = Submodule(n, p, max(s, 1), [rand_vec(rng, n, p)])
+                return SubgroupTriple(s, U, rand_vec(rng, n, p) if s else None)
+
+            limit = triple(rng.below(3))
+            pool = [limit, limit.canonical(), triple(limit.s), triple(rng.below(3))]
+            horizon = 1 + rng.below(6)
+            terms = [pool[rng.below(4)] for _ in range(horizon)]
+            radius, shift_bound = rng.below(3), rng.below(4)
+            got = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+            want = bottom_up_certificate(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+            assert got.to_json() == want.to_json()
+            indices.add(got.index)
+        assert None in indices and len(indices) > 3, indices
+
+    @pytest.mark.parametrize(
+        "case, radius, shift_bound, horizon",
+        [
+            (lambda h: approach_case(2, 2, 1, 1, 3, h), 8, 4, 12),
+            (lambda h: approach_case(3, 2, 1, 1, 7, h), 4, 4, 10),
+            (lambda h: approach_case(2, 2, 1, 2, 17, h), 6, 4, 3),
+            (lambda h: vanish_case(2, [1, 1, 1], h), 6, 1, 10),
+            (lambda h: vanish_case(3, [1, 1], h), 5, 0, 8),
+        ],
+    )
+    def test_approach_sequences_match_the_bottom_up_scan(self, case, radius, shift_bound, horizon):
+        limit, terms = case(horizon)
+        got = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+        want = bottom_up_certificate(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_keys_only_the_terms_down_to_the_last_disagreement(self, pattern, monkeypatch):
+        # The limit, then terms H, H - 1, ... down to the last disagreement
+        # m: 1 + (H - m + 1) key sets, 2 on a failure, H + 1 with none.
+        calls = []
+        member_keys = lamplighter._member_keys
+        monkeypatch.setattr(
+            lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+        )
+        limit, terms = pattern_case(pattern, 2)
+        horizon, m = len(terms), last_disagreement(pattern)
+        certify_convergence(lambda k: terms[k - 1], limit, 2, 1, horizon)
+        assert len(calls) == 1 + horizon - max(m, 1) + 1
+        assert calls == [limit] + terms[max(m, 1) - 1 :][::-1]
+
+    def test_a_foreign_term_below_the_last_disagreement_still_raises(self, monkeypatch):
+        calls = []
+        member_keys = lamplighter._member_keys
+        monkeypatch.setattr(
+            lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+        )
+        limit, terms = pattern_case("adaa", 2)
+        foreign = pattern_case("d", 3)[1][0]
+        terms[0] = foreign
+        with pytest.raises(ContextError):
+            certify_convergence(lambda k: terms[k - 1], limit, 2, 1, len(terms))
+        assert calls == []
+
+
+def equations_key(rows, dim, p):
+    """The key of the solutions of rows [a | b], one equation a.c = b each,
+    as ``_member_keys`` makes them: None when there are none."""
+    reduced, pivots = rref(rows, p)
+    if pivots and pivots[-1] == dim:
+        return None
+    return tuple(row[:dim] for row in reduced), tuple(-row[dim] % p for row in reduced)
+
+
+def in_keyed_set(digits, key, p):
+    return key is not None and all(
+        (sum(a * c for a, c in zip(row, digits)) + x) % p == 0 for row, x in zip(*key)
+    )
+
+
+class TestWitnessSearchOracle:
+    def test_substitution_matches_a_row_reduction_per_trial(self, monkeypatch):
+        # Pairs of random systems, the second often the first with one
+        # equation more, one fewer or one constant moved, so the sets
+        # nest or cross and differ only in low digits.  Both searches try
+        # the same values: a value tried in vain below the least that
+        # escapes leaves the digits as they are, so it is counted.
+        calls = []
+        escapes = lamplighter._escapes
+        monkeypatch.setattr(
+            lamplighter, "_escapes", lambda *args: calls.append(args) or escapes(*args)
+        )
+        rng = SplitMix64(2424)
+        compared = 0
+        while compared < 400:
+            p, dim = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(12)
+
+            def row():
+                return [rng.below(p) for _ in range(dim + 1)]
+
+            rows_a = [row() for _ in range(rng.below(dim + 2))]
+            rows_b = [list(r) for r in rows_a]
+            change = rng.below(4)
+            if change == 0 or not rows_b:
+                rows_b.append(row())
+            elif change == 1:
+                rows_b.pop(rng.below(len(rows_b)))
+            elif change == 2:
+                rows_b[rng.below(len(rows_b))][dim] = rng.below(p)
+            else:
+                rows_b = [row() for _ in range(rng.below(dim + 2))]
+            key_a, key_b = equations_key(rows_a, dim, p), equations_key(rows_b, dim, p)
+            if key_a == key_b:
+                continue
+            calls.clear()
+            trials = []
+            digits = _least_difference(key_a, key_b, dim, p)
+            assert digits == rref_per_trial_least_difference(key_a, key_b, dim, p, trials)
+            assert len(calls) == len(trials), (key_a, key_b)
+            assert in_keyed_set(digits, key_a, p) != in_keyed_set(digits, key_b, p)
+            compared += 1
 
 
 # ---------------------------------------------------------------------------
