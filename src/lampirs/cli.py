@@ -8,6 +8,7 @@ produce byte-identical output.  Exit codes: 0 success / all properties hold,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -40,9 +41,9 @@ from .lamplighter import ball_size, certify_convergence
 from .rng import derive_seed
 from .submodules import (
     Submodule,
+    _enumerate_submodules,
     construct_with_invariants,
     count_submodules,
-    submodules_of_codimension,
 )
 
 EXIT_OK = 0
@@ -78,20 +79,28 @@ def _int_list(metavar):
     return parse
 
 
+def _output(args):
+    """A command's output: the ``-o`` file, opened for writing, or else stdout."""
+    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+
+
 def _write(args, text):
     """Write a command's output to the ``-o`` file, or else to stdout."""
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None):
-    """Write the payload as canonical JSON, or its table under ``--format csv``."""
+    """Write the payload as canonical JSON, or its table under ``--format csv``.
+
+    The table is written a line at a time, the header first, as ``csv_rows``
+    yields its rows.
+    """
     if csv_rows is not None and args.format == "csv":
-        lines = [",".join(csv_header)] + [",".join(str(c) for c in r) for r in csv_rows]
-        _write(args, "\n".join(lines) + "\n")
+        with _output(args) as fh:
+            fh.write(",".join(csv_header) + "\n")
+            for r in csv_rows:
+                fh.write(",".join(str(c) for c in r) + "\n")
     else:
         _write(args, canonical_json(payload))
 
@@ -115,9 +124,10 @@ def cmd_count(args):
     }
     exit_code = EXIT_OK
     if args.enumerate:
-        subs = submodules_of_codimension(args.p, args.k, args.a)
-        payload["enumerated"] = len(subs)
-        payload["match"] = len(subs) == formula
+        # the subgroups are counted as they are made, never held together
+        enumerated = sum(1 for _ in _enumerate_submodules(args.p, args.k, args.a))
+        payload["enumerated"] = enumerated
+        payload["match"] = enumerated == formula
         if not payload["match"]:
             payload["violation"] = "enumeration disagrees with the closed form"
             exit_code = EXIT_VIOLATION
@@ -205,14 +215,28 @@ def _load_measure(path):
     return measure_from_json(data)
 
 
-def _trend_grid(m):
-    grid = []
+def _trend(mu, m, j, report):
+    """The ``irs`` trend rows, made one at a time: m' = 1, 2, 4, ... below m,
+    then ``report``, the row of m itself."""
+    # past the window width j + 1 the distance is C_W/m' for one rational C_W,
+    # so those trend rows need no marginal of their own
+    c_w = report["tv"] * m
     step = 1
     while step < m:
-        grid.append(step)
+        if step <= j:
+            yield convergence_report(mu, step, j)
+        else:
+            row = {
+                "m": step,
+                "tv": c_w / step,
+                "literal_bound": Fraction(2 * j, step),
+                "conservative_bound": Fraction(2 * (j + 1), step),
+            }
+            row["pass"] = row["tv"] <= row["conservative_bound"]
+            row["literal_bound_held"] = row["tv"] <= row["literal_bound"]
+            yield row
         step *= 2
-    grid.append(m)
-    return grid
+    yield report
 
 
 def cmd_irs(args):
@@ -220,61 +244,43 @@ def cmd_irs(args):
     j = args.j
     # the requested m first, so that an m past the budget is refused at once
     report = convergence_report(mu, args.m, j)
-    # past the window width j + 1 the distance is C_W/m for one rational C_W,
-    # so those trend rows need no marginal of their own
-    c_w = report["tv"] * args.m
-    trend = []
-    for m in _trend_grid(args.m)[:-1]:
-        if m <= j:
-            row = convergence_report(mu, m, j)
-        else:
-            row = {
-                "m": m,
-                "tv": c_w / m,
-                "literal_bound": Fraction(2 * j, m),
-                "conservative_bound": Fraction(2 * (j + 1), m),
-            }
-            row["pass"] = row["tv"] <= row["conservative_bound"]
-            row["literal_bound_held"] = row["tv"] <= row["literal_bound"]
-        trend.append(row)
-    trend.append(report)
-    payload = {
-        "schema": "lampirs.irs.v1",
-        "m": report["m"],
-        "j": report["j"],
-        "tv": fraction_str(report["tv"]),
-        "literal_bound": fraction_str(report["literal_bound"]),
-        "conservative_bound": fraction_str(report["conservative_bound"]),
-        "pass": report["pass"],
-        "literal_bound_held": report["literal_bound_held"],
-        "trend": [
-            {
-                "m": row["m"],
-                "tv": fraction_str(row["tv"]),
-                "pass": row["pass"],
-                "literal_bound_held": row["literal_bound_held"],
-            }
+    trend = _trend(mu, args.m, j, report)
+    if args.format == "csv":
+        csv_rows = (
+            (
+                row["m"],
+                j,
+                fraction_str(row["tv"]),
+                fraction_str(row["literal_bound"]),
+                fraction_str(row["conservative_bound"]),
+                row["pass"],
+            )
             for row in trend
-        ],
-        "marginal": distribution_to_json(report["marginal"]),
-    }
-    csv_rows = (
-        (
-            row["m"],
-            args.j,
-            fraction_str(row["tv"]),
-            fraction_str(row["literal_bound"]),
-            fraction_str(row["conservative_bound"]),
-            row["pass"],
         )
-        for row in trend
-    )
-    _emit(
-        args,
-        payload,
-        csv_rows=csv_rows,
-        csv_header=("m", "j", "tv", "literal_bound", "conservative_bound", "pass"),
-    )
+        header = ("m", "j", "tv", "literal_bound", "conservative_bound", "pass")
+        _emit(args, None, csv_rows=csv_rows, csv_header=header)
+    else:
+        payload = {
+            "schema": "lampirs.irs.v1",
+            "m": report["m"],
+            "j": report["j"],
+            "tv": fraction_str(report["tv"]),
+            "literal_bound": fraction_str(report["literal_bound"]),
+            "conservative_bound": fraction_str(report["conservative_bound"]),
+            "pass": report["pass"],
+            "literal_bound_held": report["literal_bound_held"],
+            "trend": [
+                {
+                    "m": row["m"],
+                    "tv": fraction_str(row["tv"]),
+                    "pass": row["pass"],
+                    "literal_bound_held": row["literal_bound_held"],
+                }
+                for row in trend
+            ],
+            "marginal": distribution_to_json(report["marginal"]),
+        }
+        _emit(args, payload)
     return EXIT_OK if report["pass"] else EXIT_VIOLATION
 
 

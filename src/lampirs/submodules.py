@@ -24,7 +24,6 @@ from .algebra import (
     SEQUENCE_BUDGET,
     LaurentPoly,
     Poly,
-    base_p_digits,
     check_prime,
     enumerate_irreducibles,
     geometric_series,
@@ -699,13 +698,26 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def submodules_of_codimension(p, k, codim):
-    """All submodules of R^k of F_p-codimension ``codim``, canonical order.
+def _monic_entries(p, d):
+    """The monic diagonal entries of degree d with nonzero constant term, as
+    ``submodules_of_codimension`` orders them: constant term outermost, then
+    the middle coefficients as a base-p number, lowest digit first."""
+    if d == 0:
+        yield LaurentPoly.one(p)
+        return
+    for c0 in range(1, p):
+        for high in itertools.product(range(p), repeat=d - 1):
+            body = Poly(p, (c0, *high[::-1], 1), normalize=False)
+            yield LaurentPoly(p, 0, body, normalize=False)
 
-    Enumerates canonical upper-triangular Laurent-Hermite matrices directly:
-    monic diagonal entries with nonzero constant term whose degrees sum to
-    ``codim``, entries above a pivot free of degree below the pivot's.
-    More than ``ENUMERATION_BUDGET`` submodules are refused before any is.
+
+def _enumerate_submodules(p, k, codim):
+    """Yield the subgroups of :func:`submodules_of_codimension`, in its order.
+
+    The budget is checked before the first subgroup is built.  Per degree
+    shape the entries are built once, into tables, and every subgroup is
+    assembled from shared entries; the outermost diagonal entry is iterated,
+    never listed, so for k = 1 no table is built.
     """
     check_prime(p)
     total = count_submodules(p, k, codim)
@@ -714,37 +726,49 @@ def submodules_of_codimension(p, k, codim):
             f"enumeration of {total} submodules exceeds budget {ENUMERATION_BUDGET}",
             requested=total,
         )
-    out = []
     zero = LaurentPoly.zero(p)
+    blanks = [(zero,) * i for i in range(k)]
     for degs in _compositions(codim, k):
-        diag_choices = []
-        for d in degs:
-            if d == 0:
-                diag_choices.append([LaurentPoly.one(p)])
-            else:
-                diag_choices.append(
-                    [
-                        LaurentPoly.from_poly(Poly(p, [c0] + base_p_digits(mid, p, d - 1) + [1]))
-                        for c0 in range(1, p)
-                        for mid in range(p ** (d - 1))
-                    ]
-                )
-        above_counts = [p ** (degs[i] * i) for i in range(k)]
-        for diag in itertools.product(*diag_choices):
-            for above_idx in itertools.product(*(range(c) for c in above_counts)):
-                # Row i is the i-th generator; column col holds its
-                # coordinate col, and the above-diagonal entries of column
-                # col are the base-p digits of above_idx[col], d per row.
-                rows = [[zero] * k for _ in range(k)]
-                for col, d in enumerate(degs):
-                    rows[col][col] = diag[col]
-                    digits = base_p_digits(above_idx[col], p, col * d)
-                    for row in range(col):
-                        entry = Poly(p, digits[row * d : (row + 1) * d])
-                        rows[row][col] = LaurentPoly.from_poly(entry)
-                gens = tuple(LaurentVector(p, row) for row in rows)
-                out.append(Submodule(k, p, 1, gens))
-    return out
+        diags = [list(_monic_entries(p, d)) for d in degs[1:]]
+        columns = []
+        for col, d in enumerate(degs[1:], 1):
+            # the p^d entries of degree < d, the i-th of them with the base-p
+            # digits of i, lowest first, as coefficients
+            digits = itertools.product(range(p), repeat=d)
+            low = [LaurentPoly.from_poly(Poly(p, t[::-1])) for t in digits]
+            # the i-th tuple holds the entries of rows 0..col-1 whose digits,
+            # d per row and row 0 lowest, make up i
+            columns.append([t[::-1] for t in itertools.product(low, repeat=col)])
+        for first in _monic_entries(p, degs[0]):
+            for choice in itertools.product(*diags, *columns):
+                # above[c - 1] holds the entries of column c above its pivot
+                diag, above = (first, *choice[: k - 1]), choice[k - 1 :]
+                gens = [
+                    LaurentVector(p, blanks[i] + (diag[i], *(entries[i] for entries in above[i:])))
+                    for i in range(k)
+                ]
+                yield Submodule(k, p, 1, gens)
+
+
+def submodules_of_codimension(p, k, codim):
+    """All submodules of R^k of F_p-codimension ``codim``, canonical order.
+
+    Enumerates canonical upper-triangular Laurent-Hermite matrices directly:
+    row i is the i-th generator and column c its coordinate c.  The diagonal
+    entries are monic with nonzero constant term and their degrees, a
+    composition ``degs`` of ``codim`` into k parts, sum to ``codim``; the
+    entries above the pivot of degree d are free of degree below d.  For
+    each composition, in order, three tables are built once: the monic
+    diagonal entries of each degree (constant term outermost, then the
+    middle coefficients as a base-p number, lowest digit first); the p^d
+    entries of degree < d, the i-th with the base-p digits of i as
+    coefficients; and for each column the tuples of its above-diagonal
+    entries, the i-th with the digits of i, d per row, row 0 lowest.  The
+    matrices are their product, the diagonal entries outermost in column
+    order, then the columns' tuples, column k-1 fastest.
+    More than ``ENUMERATION_BUDGET`` submodules are refused before any is.
+    """
+    return list(_enumerate_submodules(p, k, codim))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ GOLDEN_CB_SHA256 = {
 # sha256 of format_submodule over every enumerated submodule, p in {2, 3, 5},
 # k <= 3, a <= 3 with at most 1,000 submodules, in enumeration order
 GOLDEN_ENUMERATION_SHA256 = "f979a57960954fa0d2148b12371f5b004748683b8f9d29e52e585d553830883f"
+# the same over p in {2, 3, 5, 7}, k <= 4, a <= 6 with at most 1,000
+# submodules: the shapes above again, and those with a = 4..6 (among them
+# (2, 2, 5)), p = 7 or k = 4 that the digest above misses
+GOLDEN_ENUMERATION_WIDE_SHA256 = "2652625760212a8e5e898675f19d582c229d9e8c905263c81e0c672db1b27a33"
 # sha256 of format_submodule(construct_with_invariants(n, p, b, r)) over
 # p in {2, 3, 5, 7}, n <= 3, b <= 6 and every r in 1..n*b
 GOLDEN_CONSTRUCT_SHA256 = "27fb40320ef85dd2967605f5f8dc94276c63f6131d09b489b9cbeef1afb783a4"
@@ -312,6 +316,14 @@ def test_golden_enumeration_construction_and_demo_hashes(tmp_path):
                     for U in submodules_of_codimension(p, k, a):
                         enumerated.update(format_submodule(U).encode())
     assert enumerated.hexdigest() == GOLDEN_ENUMERATION_SHA256
+    wide = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3, 4):
+            for a in range(7):
+                if count_submodules(p, k, a) <= 1000:
+                    for U in submodules_of_codimension(p, k, a):
+                        wide.update(format_submodule(U).encode())
+    assert wide.hexdigest() == GOLDEN_ENUMERATION_WIDE_SHA256
     constructed = hashlib.sha256()
     for p in (2, 3, 5, 7):
         for n in (1, 2, 3):

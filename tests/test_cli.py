@@ -65,6 +65,29 @@ class TestCount:
         data = json.loads(res.stdout)
         assert data["formula"] == "6" and data["match"]
 
+    def test_enumerate_memory_bounded(self):
+        # 131,072 subgroups of F_2[x^±]: the count must not hold them all.
+        # A wrapper interpreter runs the command as its only child and reads
+        # that child's peak RSS, so no other process of the suite counts.
+        # Holding the list took 97 MB; counting as they are made, 17 MB.
+        pytest.importorskip("resource")
+        wrapper = (
+            "import json, resource, subprocess, sys\n"
+            "res = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "mb = peak / (2**20 if sys.platform == 'darwin' else 2**10)\n"
+            "print(json.dumps([res.returncode, res.stdout, mb]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", wrapper, *CMD, "count", "2", "1", "18", "--enumerate"],
+            capture_output=True, text=True, timeout=60,
+        )
+        returncode, stdout, peak_mb = json.loads(out.stdout)
+        assert returncode == 0
+        data = json.loads(stdout)
+        assert data["enumerated"] == 131072 and data["match"]
+        assert peak_mb < 40, peak_mb
+
 
 class TestInvariants:
     def test_example_triple(self, tmp_path):

@@ -425,6 +425,16 @@ class TestCounting:
         keys = {U.canonical_key() for U in subs}
         assert len(keys) == len(subs)
 
+    @pytest.mark.parametrize("p, k, a", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 3), (2, 2, 5)])
+    def test_enumerated_matrices_are_canonical(self, p, k, a):
+        # each enumerated matrix is a canonical form at level 1 already, so
+        # the engine, fed its rows, gives them back unchanged
+        for U in submodules_of_codimension(p, k, a):
+            rows = [_vector_coordinates(g, 1) for g in U.gens]
+            form = laurent_hermite_form(p, k, 1, rows)
+            assert form.rows == tuple(tuple(sorted(row.items())) for row in rows), U
+            assert form.pivots == tuple(range(k))
+
     def test_exact_small_sets(self):
         # codim 1 of the rank-1 module over F_2: only (x+1)R.
         (only,) = submodules_of_codimension(2, 1, 1)
