@@ -23,6 +23,17 @@ in and out of lanes through ``array('Q')`` and ``int.from_bytes`` /
 ``int.to_bytes`` in little-endian order; a big-endian host byte-swaps the
 array, so the lanes are the same on every platform.
 
+A run of count words needs lane constants that depend on count alone: a 1
+in every lane, the steps gamma*(j+1) in lane j (as an int and as
+little-endian bytes) and the lane mask.  ``_run_lanes`` builds them once
+per run length and keeps the last 32 lengths; it holds only ints and
+bytes, never host-order arrays.  A refill from one key has the states
+(key*ones + steps) & mask; a batch of many keys spreads the keys along the
+shorter side and adds the step bytes repeated once per key.  Refills and
+batch rows repeat a few lengths.  ``extend_seeds`` folds a batch of trial
+labels whose count follows the trial count, so it builds its own ones and
+mask and keeps nothing.
+
 ``SplitMix64`` computes its next words into a buffer whose size doubles on
 each refill, from 1 word up to ``BUFFER_CAP``, so a stream that reads k
 words computes fewer than 2k.  ``extend_seeds`` and ``stream_words`` give
@@ -34,6 +45,7 @@ that mixing one word at a time gives.
 import struct
 import sys
 from array import array
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -42,6 +54,7 @@ _SPAN = MASK64 + 1
 _GAMMA = 0x9E3779B97F4A7C15
 BUFFER_CAP = 1024  # words computed per SplitMix64 refill, at most
 _LANE_MASK = b"\xff" * 8 + b"\x00" * 8  # one lane, little-endian: the low 64 bits
+_ONE_LANE = b"\x01" + b"\x00" * 15  # one lane, little-endian: 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -72,6 +85,19 @@ def _from_lanes(z, count):
 
 def _lane_mask(count):
     return int.from_bytes(_LANE_MASK * count, "little")
+
+
+@lru_cache(maxsize=32)
+def _run_lanes(count):
+    """The lane constants of a run of count words: (ones, steps, step bytes, mask).
+
+    Lane j of steps is gamma*(j+1), below 2^96, so a 64-bit key added to
+    every lane stays in its lane; step bytes are steps in little-endian
+    order, 16 bytes a lane.
+    """
+    steps = _GAMMA * _to_lanes(array("Q", range(1, count + 1)))
+    ones = int.from_bytes(_ONE_LANE * count, "little")
+    return ones, steps, steps.to_bytes(16 * count, "little"), _lane_mask(count)
 
 
 def _mix_lanes(z, mask):
@@ -131,10 +157,9 @@ def extend_seeds(key, labels):
     """
     labels = array("Q", labels)
     count = len(labels)
+    ones = int.from_bytes(_ONE_LANE * count, "little")
     mask = _lane_mask(count)
-    folded = _mix_lanes(_to_lanes(labels), mask) ^ _to_lanes(
-        array("Q", [(key ^ _GAMMA) & MASK64]) * count
-    )
+    folded = _mix_lanes(_to_lanes(labels), mask) ^ ((key ^ _GAMMA) & MASK64) * ones
     return _from_lanes(_mix_lanes(folded, mask), count)
 
 
@@ -153,9 +178,9 @@ def stream_words(keys, count):
     else:
         for i, key in enumerate(keys):
             starts[i * count : (i + 1) * count] = array("Q", [key]) * count
-    steps = array("Q", range(1, count + 1)) * len(keys)
+    steps = int.from_bytes(_run_lanes(count)[2] * len(keys), "little")
     mask = _lane_mask(total)
-    states = (_to_lanes(starts) + _GAMMA * _to_lanes(steps)) & mask
+    states = (_to_lanes(starts) + steps) & mask
     return _from_lanes(_mix_lanes(states, mask), total)
 
 
@@ -172,7 +197,9 @@ class SplitMix64:
 
     def _refill(self):
         size = min(2 * len(self._buf) or 1, BUFFER_CAP)
-        self._buf = stream_words(array("Q", [self._state]), size)
+        ones, steps, _, mask = _run_lanes(size)
+        states = (self._state * ones + steps) & mask
+        self._buf = _from_lanes(_mix_lanes(states, mask), size)
         self._state = (self._state + size * _GAMMA) & MASK64
         self._pos = 0
 

@@ -623,6 +623,18 @@ class TestMixCommand:
         data = json.loads(res.stdout)
         assert data["runs"][0]["within_bound"]
 
+    def test_negative_window_needs_equals(self):
+        # argparse reads a separate "-5,-4" as an option, not as the value
+        args = ("mix", "--nai", "11", "--trials", "50", "--seed", "1")
+        res = run_cli(*args, "--window=-5,-4")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["runs"][0]["empirical"]["window"] == [-5, -4]
+        res = run_cli(*args, "--window", "-5,-4")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "expected one argument" in res.stderr
+
     def test_trend_over_majority_lengths(self):
         res = run_cli(
             "mix", "--nai", "11,51", "--trials", "2000", "--seed", "7",

@@ -1,7 +1,12 @@
 """Cross-checks of the lane-batched SplitMix64 paths against one word at a time.
 
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
-``SplitMix64`` computes its words ahead into a doubling buffer.
+``SplitMix64`` computes its words ahead into a doubling buffer.  The lane
+constants of a run of count words (ones, the gamma*(j+1) steps and the lane
+mask) are built once per run length and kept in a bounded cache; a golden
+digest, recorded before that cache existed, pins the words of every batched
+path, and the streams are checked again after the cache has evicted and
+refilled, and on byteswapped words against a warm cache.
 ``splice_measures`` derives a batch of trial keys and their words at once,
 unpacks the batch into rows in one pass, and replays a trial on its own
 stream when an index draw is rejected.  The references are the test-local
@@ -13,6 +18,8 @@ with different block counts.  The big-endian branch of the row and lane
 conversions runs on byteswapped words.
 """
 
+import hashlib
+import struct
 from array import array
 from fractions import Fraction
 
@@ -33,6 +40,7 @@ from lampirs.rng import (
     _from_lanes,
     _lane_mask,
     _mix_lanes,
+    _run_lanes,
     _to_lanes,
     _unpack_rows,
     derive_seed,
@@ -54,6 +62,45 @@ from test_montecarlo_crosscheck import (
 )
 
 EDGE_WORDS = [0, 1, 2**63, MASK, GAMMA]
+GOLDEN_SEEDS = (0, 2**64 - 1, 2**64 + 9, -7)
+GOLDEN_LENGTHS = (1, 2, 3, 1023, 1024, 1025)
+# (words, keys): both sides of count <= len(keys)
+GOLDEN_SHAPES = [(1, 1), (1, 5), (3, 7), (7, 7), (7, 3), (70, 2), (2, 70), (1023, 2), (3, 1025)]
+# sha256 of the little-endian words of golden_words(), recorded while every
+# batch built its lane tables on each call
+GOLDEN_WORDS_SHA256 = "396b7ce8f4d826ba9d0c90dbcc8064f05eee0c4bec88c9aa31615006e974489b"
+REFILL_LENGTHS = [min(2**i, BUFFER_CAP) for i in range(13)]  # 1, 2, ..., BUFFER_CAP twice
+
+
+def golden_words():
+    """The word arrays of every batched path on the golden seeds and shapes."""
+    for seed in GOLDEN_SEEDS:
+        for n in GOLDEN_LENGTHS:
+            yield stream_words(array("Q", [seed & MASK]), n)
+            yield extend_seeds(seed, range(n))
+            yield SplitMix64(seed).take(n)
+            rng = SplitMix64(seed)
+            yield [rng.u64() for _ in range(n)]
+            bits = SplitMix64(seed).bits(64 * n - 1)
+            yield struct.unpack("<%dQ" % n, bits.to_bytes(8 * n, "little"))
+        for count, nkeys in GOLDEN_SHAPES:
+            yield stream_words(extend_seeds(seed, range(nkeys)), count)
+
+
+def golden_digest():
+    digest = hashlib.sha256()
+    for words in golden_words():
+        digest.update(struct.pack("<%dQ" % len(words), *words))
+    return digest.hexdigest()
+
+
+def assert_refills_match_reference(seed):
+    """A stream read one refill at a time, through every refill length, and
+    past it, gives RefStream's words."""
+    rng, ref = SplitMix64(seed), RefStream(seed)
+    for size in REFILL_LENGTHS:
+        assert list(rng.take(size)) == [ref.u64() for _ in range(size)]
+    assert rng.u64() == ref.u64()
 
 
 def lane_mix(words):
@@ -87,6 +134,74 @@ class TestLaneMix:
             ref = RefStream(key)
             expected.extend(ref.u64() for _ in range(count))
         assert list(words) == expected
+
+
+class TestGoldenWords:
+    def test_words_match_golden_digest(self):
+        assert golden_digest() == GOLDEN_WORDS_SHA256
+
+    def test_refills_match_reference_after_eviction(self):
+        for seed in GOLDEN_SEEDS:
+            assert_refills_match_reference(seed)
+        # maxsize odd lengths from 3 on, which no refill uses, evict every
+        # refill length
+        maxsize = _run_lanes.cache_info().maxsize
+        for count in range(3, 3 + 2 * maxsize, 2):
+            stream_words(array("Q", [7, 9]), count)
+        misses = _run_lanes.cache_info().misses
+        for seed in GOLDEN_SEEDS:
+            assert_refills_match_reference(seed)
+        # built again once each, then reused
+        assert _run_lanes.cache_info().misses == misses + len(set(REFILL_LENGTHS))
+        assert golden_digest() == GOLDEN_WORDS_SHA256
+
+
+class TestRunLaneCache:
+    def test_bounded_and_keyed_by_run_length(self):
+        _run_lanes.cache_clear()
+        maxsize = _run_lanes.cache_info().maxsize
+        # a refill and a batch of many keys of the same length share one
+        # entry; a fold keeps nothing
+        SplitMix64(5).u64()
+        stream_words(array("Q", [1, 2, 3]), 1)
+        stream_words(array("Q", [4]), 1)
+        extend_seeds(5, range(40))
+        info = _run_lanes.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        for count in range(2, 2 * maxsize + 2):
+            stream_words(array("Q", [count]), count)
+        assert _run_lanes.cache_info().currsize <= maxsize
+        for count in (1, 5, 40, BUFFER_CAP):
+            ones, steps, step_bytes, mask = _run_lanes(count)
+            assert all(type(v) is int for v in (ones, steps, mask))
+            assert type(step_bytes) is bytes
+            assert int.from_bytes(step_bytes, "little") == steps
+            for j in range(count):
+                lane = slice(16 * j, 16 * (j + 1))
+                assert int.from_bytes(step_bytes[lane], "little") == GAMMA * (j + 1)
+            assert ones * MASK == mask
+
+    def test_big_endian_words_on_warm_cache(self, monkeypatch):
+        keys = array("Q", [5, MASK, GAMMA])
+        lengths = [1, 3, 70, BUFFER_CAP]
+        native = [stream_words(keys, n) for n in lengths]
+        folds = [extend_seeds(9, range(n)) for n in lengths]
+        taken = SplitMix64(9).take(3 * BUFFER_CAP)
+        misses = _run_lanes.cache_info().misses
+
+        def swapped(words):
+            words = array("Q", words)
+            words.byteswap()
+            return words
+
+        # a big-endian host holds each word's bytes the other way round
+        monkeypatch.setattr(lampirs.rng, "_BIG_ENDIAN", True)
+        for n, words, folded in zip(lengths, native, folds):
+            assert stream_words(swapped(keys), n) == swapped(words)
+            assert extend_seeds(9, swapped(range(n))) == swapped(folded)
+        assert SplitMix64(9).take(3 * BUFFER_CAP) == swapped(taken)
+        # every run length was served from the cache
+        assert _run_lanes.cache_info().misses == misses
 
 
 class TestRowUnpacking:

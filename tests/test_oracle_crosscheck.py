@@ -573,9 +573,35 @@ class TestReferenceReduction:
                 wide.append(vectorize(v, 1))
             cases.append((p, n, 1, wide))
         cases.append((3, 1, 1, [vectorize(rand_vec(rng, 1, 3, lo=-50, hi=50), 1) for _ in range(10)]))
-        for p, n, level, rows in cases:
+        # more rows than columns, drawn as F_p[y^±]-combinations of at most
+        # as many base rows as columns: random rows mostly span everything
+        # and echelonize to the identity, which checks little past column 0
+        combined = []
+        for _ in range(40):
+            p, n, level = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(2), 1 + rng.below(3)
+            base = [
+                rand_vec(rng, n, p, lo=-3 * level, hi=3 * level)
+                for _ in range(1 + rng.below(n * level))
+            ]
+            rows = []
+            for _ in range(n * level + 1 + rng.below(3)):
+                v = LaurentVector.zero(n, p)
+                for b in base:
+                    y_poly = rand_vec(rng, 1, p, lo=-3, hi=3).coords[0].terms()
+                    v = v + b.scaled(sum(
+                        (LaurentPoly.monomial(p, level * e, c) for e, c in y_poly),
+                        LaurentPoly.zero(p),
+                    ))
+                rows.append(vectorize(v, level))
+            combined.append((p, n, level, rows))
+        identity = []
+        for p, n, level, rows in cases + combined:
             form = laurent_hermite_form(p, n, level, [_coordinates(r) for r in rows])
             assert (laurent_rows(form), form.pivots) == reference_hermite_form(p, n, level, rows)
+            identity.append(form.rank == form.ncols and all(
+                list(row) == [((c, 0), 1)] for row, c in zip(form.rows, form.pivots)
+            ))
+        assert sum(identity[len(cases):]) < len(combined) // 4
 
     def test_residue_matches_reference(self):
         rng = SplitMix64(2729)
