@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 
 from . import selftest
 from .cbrank import (
@@ -35,6 +34,7 @@ from .formats import (
 from .irs import (
     SubgroupMeasure,
     convergence_report,
+    convergence_trend,
     splice_measures,
 )
 from .lamplighter import ball_size, certify_convergence
@@ -90,17 +90,18 @@ def _write(args, text):
         fh.write(text)
 
 
-def _emit(args, payload, csv_rows=None, csv_header=None):
+def _emit(args, payload, rows=None, header=None):
     """Write the payload as canonical JSON, or its table under ``--format csv``.
 
-    The table is written a line at a time, the header first, as ``csv_rows``
-    yields its rows.
+    The table's rows are dicts, as the payload holds them, and ``header``
+    names its columns.  It is written a line at a time, the header first, as
+    ``rows`` yields them.
     """
-    if csv_rows is not None and args.format == "csv":
+    if rows is not None and args.format == "csv":
         with _output(args) as fh:
-            fh.write(",".join(csv_header) + "\n")
-            for r in csv_rows:
-                fh.write(",".join(str(c) for c in r) + "\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(str(row[c]) for c in header) + "\n")
     else:
         _write(args, canonical_json(payload))
 
@@ -151,25 +152,23 @@ def cmd_construct(args):
 def cmd_cb(args):
     levels = cb_levels(truncation(args.tmax, args.prodmax))
     rows = [
-        (t, r, levels[(t, r)], level_closed_form((t, r)))
-        for (t, r) in sorted(levels)
+        {"t": t, "r": r, "level": levels[t, r], "closed_form": level_closed_form((t, r))}
+        for t, r in sorted(levels)
     ]
-    mismatch = [row for row in rows if row[2] != row[3]]
+    mismatch = [row for row in rows if row["level"] != row["closed_form"]]
     payload = {
         "schema": "lampirs.cb.v1",
         "tmax": args.tmax,
         "prodmax": args.prodmax,
-        "levels": [
-            {"t": t, "r": r, "level": lvl, "closed_form": cf} for t, r, lvl, cf in rows
-        ],
+        "levels": rows,
         "closed_form_matches": not mismatch,
     }
     if mismatch:
         payload["violation"] = {
             "kind": "level-closed-form-mismatch",
-            "witness": {"t": mismatch[0][0], "r": mismatch[0][1]},
+            "witness": {"t": mismatch[0]["t"], "r": mismatch[0]["r"]},
         }
-    _emit(args, payload, csv_rows=[r[:3] for r in rows], csv_header=("t", "r", "level"))
+    _emit(args, payload, rows, ("t", "r", "level"))
     return EXIT_OK if not mismatch else EXIT_VIOLATION
 
 
@@ -215,68 +214,26 @@ def _load_measure(path):
     return measure_from_json(data)
 
 
-def _trend(mu, m, j, report):
-    """The ``irs`` trend rows, made one at a time: m' = 1, 2, 4, ... below m,
-    then ``report``, the row of m itself."""
-    # past the window width j + 1 the distance is C_W/m' for one rational C_W,
-    # so those trend rows need no marginal of their own
-    c_w = report["tv"] * m
-    step = 1
-    while step < m:
-        if step <= j:
-            yield convergence_report(mu, step, j)
-        else:
-            row = {
-                "m": step,
-                "tv": c_w / step,
-                "literal_bound": Fraction(2 * j, step),
-                "conservative_bound": Fraction(2 * (j + 1), step),
-            }
-            row["pass"] = row["tv"] <= row["conservative_bound"]
-            row["literal_bound_held"] = row["tv"] <= row["literal_bound"]
-            yield row
-        step *= 2
-    yield report
+def _printed(row):
+    """An ``irs`` row with its distance and bounds as fractions."""
+    fractions = ("tv", "literal_bound", "conservative_bound")
+    return {**row, **{k: fraction_str(row[k]) for k in fractions}}
 
 
 def cmd_irs(args):
     mu = _load_measure(args.mu)
-    j = args.j
     # the requested m first, so that an m past the budget is refused at once
-    report = convergence_report(mu, args.m, j)
-    trend = _trend(mu, args.m, j, report)
+    report = convergence_report(mu, args.m, args.j)
+    rows = (_printed(row) for row in convergence_trend(mu, report))
     if args.format == "csv":
-        csv_rows = (
-            (
-                row["m"],
-                j,
-                fraction_str(row["tv"]),
-                fraction_str(row["literal_bound"]),
-                fraction_str(row["conservative_bound"]),
-                row["pass"],
-            )
-            for row in trend
-        )
         header = ("m", "j", "tv", "literal_bound", "conservative_bound", "pass")
-        _emit(args, None, csv_rows=csv_rows, csv_header=header)
+        _emit(args, None, rows, header)
     else:
         payload = {
             "schema": "lampirs.irs.v1",
-            "m": report["m"],
-            "j": report["j"],
-            "tv": fraction_str(report["tv"]),
-            "literal_bound": fraction_str(report["literal_bound"]),
-            "conservative_bound": fraction_str(report["conservative_bound"]),
-            "pass": report["pass"],
-            "literal_bound_held": report["literal_bound_held"],
+            **_printed(report),
             "trend": [
-                {
-                    "m": row["m"],
-                    "tv": fraction_str(row["tv"]),
-                    "pass": row["pass"],
-                    "literal_bound_held": row["literal_bound_held"],
-                }
-                for row in trend
+                {k: row[k] for k in ("m", "tv", "pass", "literal_bound_held")} for row in rows
             ],
             "marginal": distribution_to_json(report["marginal"]),
         }
@@ -323,30 +280,15 @@ def cmd_mix(args):
         "window": [lo, hi],
         "runs": runs,
     }
-    csv_rows = [
-        (
-            run["n_ai"],
-            run["tv"],
-            run["lambda_all_first"],
-            run["boundary_defect_bound"],
-            run["within_bound"],
-            run["majority_sym_diff_exact"],
-        )
-        for run in runs
-    ]
-    _emit(
-        args,
-        payload,
-        csv_rows=csv_rows,
-        csv_header=(
-            "n_ai",
-            "tv",
-            "lambda_all_first",
-            "boundary_defect_bound",
-            "within_bound",
-            "majority_sym_diff_exact",
-        ),
+    header = (
+        "n_ai",
+        "tv",
+        "lambda_all_first",
+        "boundary_defect_bound",
+        "within_bound",
+        "majority_sym_diff_exact",
     )
+    _emit(args, payload, runs, header)
     return EXIT_OK if all_within else EXIT_VIOLATION
 
 

@@ -10,8 +10,11 @@ The ergodic approximants mu_m lay independent blocks of length m side by
 side with a uniformly random phase.  A phase cuts a window into runs that
 carry mu's marginals, so mu_m's marginals, stationarity and distance to mu
 are computed exactly from marginals no wider than the window, whatever m
-is.  Monte Carlo appears only in the seeded samplers, with explicit
-statistical tolerances; the mu_m sampler draws whole blocks of length m.
+is.  The distance report, with its bounds 2j/m and 2(j+1)/m on a window
+of j + 1 sites, and its trend in m, which is C_W/m from the window width
+on, are stated here and nowhere else.  Monte Carlo appears only in the
+seeded samplers, with explicit statistical tolerances; the mu_m sampler
+draws whole blocks of length m.
 """
 
 from __future__ import annotations
@@ -435,18 +438,10 @@ def block_average_marginal(mu, m, lo, hi):
     return WindowDistribution(p, n, lo, hi, out)
 
 
-def convergence_report(mu, m, j):
-    """Exact distance of the mu_m window-[0, j] marginal from mu's.
-
-    PASS requires the conservative bound 2(j+1)/m; whether the literal
-    bound 2j/m also held is reported separately.  The mu_m marginal itself
-    is returned under "marginal".
-    """
-    approx = block_average_marginal(mu, m, 0, j)
-    target = mu.marginal(0, j)
-    tv = tv_distance(approx, target)
-    literal = Fraction(2 * j, m)
-    conservative = Fraction(2 * (j + 1), m)
+def _bound_row(m, j, tv):
+    """The row of a distance ``tv`` of mu_m from mu on the window [0, j]: both
+    bounds, PASS on the conservative one, and whether the literal one held."""
+    literal, conservative = Fraction(2 * j, m), Fraction(2 * (j + 1), m)
     return {
         "m": m,
         "j": j,
@@ -455,8 +450,42 @@ def convergence_report(mu, m, j):
         "conservative_bound": conservative,
         "pass": tv <= conservative,
         "literal_bound_held": tv <= literal,
-        "marginal": approx,
     }
+
+
+def convergence_report(mu, m, j):
+    """Exact distance of the mu_m window-[0, j] marginal from mu's.
+
+    PASS requires the conservative bound 2(j+1)/m; whether the literal
+    bound 2j/m also held is reported separately.  The literal bound always
+    holds: in ``block_average_marginal`` only the cut phases, at most j of
+    them for the j + 1 sites, differ from mu's marginal, each with weight
+    1/m and a distance of at most 2, so TV <= 2j/m.  The mu_m marginal
+    itself is returned under "marginal".
+    """
+    approx = block_average_marginal(mu, m, 0, j)
+    tv = tv_distance(approx, mu.marginal(0, j))
+    return {**_bound_row(m, j, tv), "marginal": approx}
+
+
+def convergence_trend(mu, report):
+    """The rows of the distance's trend in m, made one at a time: one per
+    m' = 1, 2, 4, ... below the m of ``report`` (a :func:`convergence_report`),
+    then ``report`` itself.
+
+    From the width j + 1 on, each of the j cut phases splits [0, j] at its
+    own site, the same for every m', and the other phases leave it whole
+    (see ``block_average_marginal``).  So the distance is C_W/m' for one
+    rational C_W, and those rows are read off ``report``, with no marginal
+    of their own; the rows at m' <= j are full reports.
+    """
+    m, j = report["m"], report["j"]
+    c_w = report["tv"] * m
+    step = 1
+    while step < m:
+        yield convergence_report(mu, step, j) if step <= j else _bound_row(step, j, c_w / step)
+        step *= 2
+    yield report
 
 
 def _check_trials(trials):

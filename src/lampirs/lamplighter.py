@@ -186,21 +186,17 @@ class SubgroupTriple:
     def contains_subgroup(self, other):
         """Does this subgroup contain ``other``?  Exact, by the triple criteria.
 
-        Writing self = (s', U', v') and other = (s, U, v): requires s' | s,
-        U ⊆ U', and v ≡ (1 + x^{s'} + ... + x^{s - s'}) v' modulo U'.
+        Writing self = (s', U', v') and other = (s, U, v): other is generated
+        by U and its marker (v, s), so it lies in self exactly when U ⊆ U'
+        and, for s != 0, (v, s) is a member of self.  By
+        :meth:`contains_element` that is s' | s and
+        v ≡ (1 + x^{s'} + ... + x^{s - s'}) v' modulo U'.
         """
         if other.n != self.n or other.p != self.p:
             raise ContextError("subgroups of different lamplighter groups")
-        if other.s == 0:
-            return self.lamps.contains_submodule(other.lamps)
-        if self.s == 0:
-            return False
-        if other.s % self.s:
-            return False
-        if not self.lamps.contains_submodule(other.lamps):
-            return False
-        factor = _geometric_factor(self.s, other.s // self.s, self.p)
-        return self.lamps.contains_vector(other.v - self.v.scaled(factor))
+        return self.lamps.contains_submodule(other.lamps) and (
+            other.s == 0 or self.contains_element(GroupElement(other.v, other.s))
+        )
 
     def conjugated(self, g):
         """The conjugate subgroup g V g^{-1}, canonical.

@@ -211,6 +211,8 @@ class CanonicalForm:
     A row is the sorted tuple of its F_p coordinates ((column, y-exponent), c).
     Its pivot's entries come first, from ((pivot, 0), g(0)), the pivot's
     nonzero constant term, up to ((pivot, d), 1) for a pivot of degree d.
+    Each row is kept once: the y-steps on residues read the row objects of
+    ``rows`` themselves, up and down alike, and keep no shifted copy.
     """
 
     __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
@@ -283,9 +285,9 @@ class CanonicalForm:
         y^d going up, y^-1 going down (a pivot of degree 0 has a zero entry).
         Taken in pivot order, one scalar multiple of the pivot row clears it,
         as the row's later pivot entries are residues too.  Going down the
-        row is also multiplied by y^-1 and the scalar is divided by g(0), the
-        pivot's constant term.  Each unit step is one pass of such
-        subtractions; no division and no powering are done.
+        entry is cleared at y^0, before the move, and the scalar is divided
+        by g(0), the pivot's constant term.  Each unit step is one pass of
+        such subtractions; no division and no powering are done.
         """
         sign = 1 if k > 0 else -1
         for _ in range(abs(k)):
@@ -302,26 +304,34 @@ class CanonicalForm:
     def _index_row(self, row, c):
         """Index a row whose pivot column c precedes every indexed one: a
         pivot of degree 0 by its column's unit residue, one of degree d > 0
-        by c, d, the row going up and going down (times y^-1), and 1/g(0)."""
+        by c, d, the row itself, as ``rows`` holds it, and 1/g(0)."""
         p = self.p
         degree = max(q for (j, q), _ in row if j == c)
         if degree:
-            down = tuple(((j, exp - 1), b) for (j, exp), b in row)
-            self._steps.insert(0, (c, degree, row, down, pow(row[0][1], p - 2, p)))
+            self._steps.insert(0, (c, degree, row, pow(row[0][1], p - 2, p)))
         else:
             self._units[c] = tuple((key, -b % p) for key, b in row[1:])
 
     def _y_step(self, residue, sign):
+        """The residue of y^sign * r: going up, every coordinate moves up one
+        exponent and each pivot's entry at y^d is cleared; going down, each
+        pivot's entry at y^0 is cleared and then every coordinate moves down.
+        Both clear with the row as stored, and a row subtraction commutes
+        with the move."""
         p = self.p
-        out = {(j, exp + sign): c for (j, exp), c in residue.items()}
-        for c, d, up, down, inv in self._steps:
-            if sign > 0:
-                a, row = out.get((c, d)), up
-            else:
-                a, row = out.get((c, -1), 0) * inv % p, down
+        if sign > 0:
+            out = {(j, exp + 1): c for (j, exp), c in residue.items()}
+            for c, d, row, _ in self._steps:
+                a = out.get((c, d))
+                if a:
+                    _add_scaled(out, row, -a, p)
+            return out
+        out = dict(residue)
+        for c, _, row, inv in self._steps:
+            a = out.get((c, 0), 0) * inv % p
             if a:
                 _add_scaled(out, row, -a, p)
-        return out
+        return {(j, exp - 1): c for (j, exp), c in out.items()}
 
 
 def laurent_hermite_form(p, n, level, generator_rows):
@@ -472,23 +482,25 @@ class Submodule:
         """Canonical form at a level that is a period of U, built once.
 
         A multiple of the stored period is one; any other level must be a
-        multiple of the minimal period.  The rows are the generators of U
-        presented at that level by :meth:`_at_period`, len(gens)*level/g of
-        them for g = gcd(level, period).  A form of more than
-        ``FORM_COLUMN_BUDGET`` columns, n*level, or ``FORM_ENTRY_BUDGET``
-        entries is refused before any work.
+        multiple of the minimal period.  With g = gcd(level, period), a
+        period of U, the generators moved by x^(k*g) for 0 <= k < level/g
+        span U under x^(+-level).  The rows are their coordinates at that
+        level, each read by :func:`_vector_coordinates` with its shift k*g;
+        no shifted generator and no other Submodule is built.  A form of
+        more than ``FORM_COLUMN_BUDGET`` columns, n*level, or
+        ``FORM_ENTRY_BUDGET`` entries is refused before any work.
         """
         cached = self._forms.get(level)
         if cached is not None:
             return cached
-        rows = len(self.gens) * (level // gcd(level, self.period))
-        _check_form_size(self.n, level, rows)
+        g = gcd(level, self.period)
+        _check_form_size(self.n, level, len(self.gens) * (level // g))
         if level % self.period and level % self.minimal_period():
             raise DomainError(
                 f"level {level} is not a multiple of the stored period "
                 f"{self.period} nor of the minimal period {self.minimal_period()}"
             )
-        rows = [_vector_coordinates(g, level) for g in self._at_period(level).gens]
+        rows = [_vector_coordinates(v, level, k * g) for v in self.gens for k in range(level // g)]
         form = laurent_hermite_form(self.p, self.n, level, rows)
         self._forms[level] = form
         return form
@@ -901,8 +913,7 @@ def approach_sequence(U, b, r_target, count):
                 g_d = poly_gcd(g_d, _body(terms, p)[1])
         else:
             gates.append((d, g_d))
-    base = canon._at_period(E)
-    base_rows = base.form(E).rows
+    base_gens, base_rows = canon._at_period(E).gens, canon.form(E).rows
     out = []
     for f in irreducibles(p):
         gens, rows = [], []
@@ -914,7 +925,7 @@ def approach_sequence(U, b, r_target, count):
             }
             gens.append(_vector_at(coords, n, e, p))
             rows.append(_releveled(coords, n, e, E))
-        term = Submodule(n, p, E, base.gens + tuple(gens))
+        term = Submodule(n, p, E, base_gens + tuple(gens))
         term._forms[E] = laurent_hermite_form(p, n, E, base_rows + tuple(rows))
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue

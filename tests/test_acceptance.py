@@ -37,6 +37,13 @@ pytestmark = pytest.mark.acceptance
 # the order the words are read in, changes them.
 GOLDEN_SELFTEST_SHA256 = "6c3b637ca32aba5fe7d874a6639924e7f575a5b1c321dd35280a4ebcd0f995d4"
 GOLDEN_MIX_SHA256 = "c232a43058dc61504b9125f129f0d80e43e165cb35e7af345081e792386ccc0f"
+# stdout of `lampirs mix ... --format csv` on each argument list
+GOLDEN_MIX_CSV_SHA256 = [
+    (("--nai", "11,51,201", "--trials", "2000", "--seed", "7", "--window", "0,2"),
+     "4f4d453d322549a68feb8a16d631b8bc6538d9b61f0fc4f54389bc9ec6876093"),
+    (("--nai", "11,51", "--trials", "2000", "--seed", "3", "--window=-1,0", "--n", "2", "--p", "3"),
+     "7434b34a5d637acba710d13d3ce7028573f387e8f32dd77dd56dafd7c38073f1"),
+]
 # stdout of `lampirs cb --tmax 12 --prodmax 20`, as JSON and with --format csv
 GOLDEN_CB_SHA256 = {
     "json": "33ae6002f55c31fb8cee54c76cfdd1bd091dee57aa0ef4d6f16a342528ecd29b",
@@ -305,6 +312,16 @@ def test_golden_stdout_hashes(suite):
         )
         assert cb.returncode == 0, cb.stderr
         assert hashlib.sha256(cb.stdout).hexdigest() == golden, fmt
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN_MIX_CSV_SHA256)
+def test_golden_mix_csv_hashes(args, golden):
+    mix = subprocess.run(
+        [sys.executable, "-m", "lampirs.cli", "mix", *args, "--format", "csv"],
+        capture_output=True, timeout=120,
+    )
+    assert mix.returncode == 0, mix.stderr
+    assert hashlib.sha256(mix.stdout).hexdigest() == golden
 
 
 def test_golden_enumeration_construction_and_demo_hashes(tmp_path):

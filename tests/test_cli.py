@@ -1,9 +1,18 @@
-"""Command-line interface: outputs, exit codes, determinism."""
+"""Command-line interface: outputs, exit codes, determinism.
+
+The commands run in this process through ``main``, which returns the exit
+code.  Tests whose contract is about the process run ``python -m
+lampirs.cli`` as a child and carry the ``process`` marker: an input refused
+with exit code 2, one stderr line and no traceback, byte-identical reruns
+across interpreters, and the child's peak RSS.
+"""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -17,7 +26,16 @@ CMD = [sys.executable, "-m", "lampirs.cli"]
 GOLDEN_IRS_GRID_SHA256 = "098361f2b1c59d34109f02211476cc48dd25804aa4383b1b247d2c6418895247"
 
 
-def run_cli(*args, timeout=300):
+def run_cli(*args):
+    """``main(args)`` in this process, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, timeout=300):
+    """``python -m lampirs.cli`` with ``args`` in a child interpreter."""
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, timeout=timeout
     )
@@ -65,6 +83,7 @@ class TestCount:
         data = json.loads(res.stdout)
         assert data["formula"] == "6" and data["match"]
 
+    @pytest.mark.process
     def test_enumerate_memory_bounded(self):
         # 131,072 subgroups of F_2[x^±]: the count must not hold them all.
         # A wrapper interpreter runs the command as its only child and reads
@@ -128,7 +147,7 @@ class TestCb:
 
     def test_truncation_at_the_budget_edge(self):
         # the 999-element chain t = 1, r <= 998 is the largest the budget takes
-        res = run_cli("cb", "--tmax", "1", "--prodmax", "998", "--format", "csv", timeout=20)
+        res = run_cli("cb", "--tmax", "1", "--prodmax", "998", "--format", "csv")
         assert res.returncode == 0, res.stderr
         lines = res.stdout.splitlines()
         assert len(lines) == 1000 and lines[-1] == "1,998,998"
@@ -169,17 +188,19 @@ class TestApproachCommand:
         res = run_cli("approach", "--triple", str(path), "--target", "3,1")
         assert res.returncode == 2
 
+    @pytest.mark.process
     @pytest.mark.parametrize("target", ["0,0", "0,3", "-1,0"])
     def test_target_t_below_one_usage_error(self, tmp_path, target):
         path = tmp_path / "V.triple"
         path.write_text(TRIPLE_TEXT)
-        res = run_cli("approach", "--triple", str(path), f"--target={target}")
+        res = run_process("approach", "--triple", str(path), f"--target={target}")
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "target t must be >= 1" in res.stderr
 
 
 class TestMalformedArguments:
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "args",
         [
@@ -194,17 +215,19 @@ class TestMalformedArguments:
     def test_approach_exit_2_one_line(self, tmp_path, args):
         path = tmp_path / "V.triple"
         path.write_text(TRIPLE_TEXT)
-        res = run_cli("approach", "--triple", str(path), "--count", "4", *args)
+        res = run_process("approach", "--triple", str(path), "--count", "4", *args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.process
     def test_mix_window_exit_2_one_line(self):
-        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--window", "1")
+        res = run_process("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--window", "1")
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "mu_text, args",
         [
@@ -218,37 +241,42 @@ class TestMalformedArguments:
     def test_irs_exit_2_one_line(self, tmp_path, mu_text, args):
         mu = tmp_path / "mu.json"
         mu.write_text(mu_text)
-        res = run_cli("irs", "--mu", str(mu), "--m", "4", *args)
+        res = run_process("irs", "--mu", str(mu), "--m", "4", *args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize("nai", ["a", "11,", "-1"])
     def test_mix_nai_exit_2_one_line(self, nai):
-        res = run_cli("mix", "--nai", nai, "--trials", "10", "--seed", "1")
+        res = run_process("mix", "--nai", nai, "--trials", "10", "--seed", "1")
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.process
     def test_mix_nai_over_budget(self):
         # the exact majority measure at 14301 has a 4,303-digit denominator,
         # past Python's 4,300-digit int-to-str limit
-        res = run_cli("mix", "--nai", "14301", "--trials", "5", "--seed", "3", "--window", "0,0")
+        args = ("--nai", "14301", "--trials", "5", "--seed", "3", "--window", "0,0")
+        res = run_process("mix", *args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize("k, a", [("1", "100000"), ("100000", "100000")])
     def test_count_over_budget(self, k, a):
         # the count would need a*k bits: past what prints, or 2^(10^10)
-        res = run_cli("count", "2", k, a, timeout=20)
+        res = run_process("count", "2", k, a, timeout=20)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "ball", ["64,1,3", "100000000,1,3", "3,500000,3", "3,1000000000000,3"]
     )
@@ -257,7 +285,7 @@ class TestMalformedArguments:
         # and two balls far past them
         path = tmp_path / "V.triple"
         path.write_text("s=4\nn=1 e=2 p=2\n1\nv=0\n")
-        res = run_cli(
+        res = run_process(
             "approach", "--triple", str(path), "--target", "1,0", "--count", "3",
             "--ball", ball, timeout=20,
         )
@@ -271,17 +299,18 @@ class TestMalformedArguments:
         path.write_text("s=4\nn=1 e=2 p=2\n1\nv=0\n")
         res = run_cli(
             "approach", "--triple", str(path), "--target", "1,0", "--count", "3",
-            "--ball", "63,1,3", timeout=20,
+            "--ball", "63,1,3",
         )
         # the sequence does not stabilize on this ball: exit 1, with a report
         assert res.returncode == 1, res.stderr
         assert f'"witnesses_checked":{3 * 2**127}' in res.stdout
 
+    @pytest.mark.process
     @pytest.mark.parametrize("count", ["1001", "1000000"])
     def test_approach_count_over_budget(self, tmp_path, count):
         path = tmp_path / "V.triple"
         path.write_text("s=1\nn=1 e=1 p=2\n0\nv=0\n")
-        res = run_cli(
+        res = run_process(
             "approach", "--triple", str(path), "--target", "1,0", "--count", count,
             "--ball", "0,0,1", timeout=20,
         )
@@ -295,11 +324,12 @@ class TestMalformedArguments:
         path.write_text("s=1\nn=1 e=1 p=2\n0\nv=0\n")
         res = run_cli(
             "approach", "--triple", str(path), "--target", "1,0", "--count", "1000",
-            "--ball", "0,0,1", timeout=60,
+            "--ball", "0,0,1",
         )
         assert res.returncode == 0, res.stderr
         assert len(json.loads(res.stdout)["terms"]) == 1000
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "ball, code", [("0,7812,63", 0), ("0,7812,1000", 0), ("0,7813,63", 2), ("0,7812,64", 2)]
     )
@@ -309,7 +339,7 @@ class TestMalformedArguments:
         path = tmp_path / "V.triple"
         path.write_text("s=1000\nn=1 e=1 p=2\n0\nv=0\n")
         count = "64" if ball.endswith(",64") else "63"
-        res = run_cli(
+        res = run_process(
             "approach", "--triple", str(path), "--target", "1000,0", "--count", count,
             "--ball", ball, timeout=60,
         )
@@ -317,13 +347,15 @@ class TestMalformedArguments:
         if code:
             assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.process
     def test_cb_truncation_over_budget(self):
-        res = run_cli("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
+        res = run_process("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "args",
         [
@@ -333,36 +365,39 @@ class TestMalformedArguments:
     )
     def test_format_without_table_exit_2_one_line(self, args):
         # only cb, irs and mix have a CSV table, and no command prints text
-        res = run_cli(*args)
+        res = run_process(*args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "--format" in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "args, message",
         [(("0", "1", "1"), "lamp rank n"), (("1", "0", "1"), "minimal period b")],
     )
     def test_construct_names_the_bad_argument(self, args, message):
-        res = run_cli("construct", *args)
+        res = run_process("construct", *args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert message in res.stderr
 
+    @pytest.mark.process
     def test_irs_directory_as_measure(self, tmp_path):
-        res = run_cli("irs", "--mu", str(tmp_path), "--m", "4", "--j", "1")
+        res = run_process("irs", "--mu", str(tmp_path), "--m", "4", "--j", "1")
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.process
     @pytest.mark.parametrize("command", ["invariants", "approach"])
     def test_binary_triple_file(self, tmp_path, command):
         path = tmp_path / "V.triple"
         path.write_bytes(b"\xff\xfe\x00\x80binary")
         extra = ("--target", "1,0", "--count", "4") if command == "approach" else ()
-        res = run_cli(command, "--triple", str(path), *extra)
+        res = run_process(command, "--triple", str(path), *extra)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -375,6 +410,7 @@ class TestMalformedArguments:
         assert res.returncode == 2
         assert "at least one atom" in res.stderr
 
+    @pytest.mark.process
     def test_mix_denominator_above_two_to_the_64(self, tmp_path):
         big = 2**64 + 1
         mu = json.loads(MIX_JSON)
@@ -382,14 +418,15 @@ class TestMalformedArguments:
         mu["atoms"][1]["weight"] = f"{big - 1}/{big}"
         path = tmp_path / "mu.json"
         path.write_text(json.dumps(mu))
-        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(path))
+        res = run_process("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(path))
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
 
+    @pytest.mark.process
     def test_mix_mismatched_measures_name_p(self, tmp_path):
         mu = tmp_path / "mu.json"
         mu.write_text(MIX_JSON.replace('"p": 2', '"p": 3'))
-        res = run_cli("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu))
+        res = run_process("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu))
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "p=3" in res.stderr and "p=2" in res.stderr
@@ -412,20 +449,22 @@ def measure_with_period(tmp_path, period):
 class TestFormColumnBudget:
     # A form at level L has n*L columns; 16384 is the budget.
 
+    @pytest.mark.process
     @pytest.mark.parametrize("n, period", [(1, 16385), (1, 2000000), (2, 8193)])
     def test_invariants_over_budget(self, tmp_path, n, period):
         zeros = ",0" * (n - 1)
         path = tmp_path / "V.triple"
         path.write_text(f"s=0\nn={n} e={period} p=2\n[1+x{zeros}]\nv=[0{zeros}]\n")
-        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+        assert_refused_by_budget(run_process("invariants", "--triple", str(path), timeout=20))
 
     def test_invariants_at_the_budget(self, tmp_path):
         path = tmp_path / "V.triple"
         path.write_text("s=0\nn=1 e=16384 p=2\n1+x\nv=0\n")
-        res = run_cli("invariants", "--triple", str(path), timeout=60)
+        res = run_cli("invariants", "--triple", str(path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["e"] == 16384
 
+    @pytest.mark.process
     @pytest.mark.parametrize("period", [16385, 3000000])
     @pytest.mark.parametrize("command", ["irs", "mix"])
     def test_measure_atom_over_budget(self, tmp_path, command, period):
@@ -434,46 +473,49 @@ class TestFormColumnBudget:
             args = ("irs", "--mu", mu, "--m", "3", "--j", "1")
         else:
             args = ("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", mu)
-        assert_refused_by_budget(run_cli(*args, timeout=20))
+        assert_refused_by_budget(run_process(*args, timeout=20))
 
     def test_measure_atom_at_the_budget(self, tmp_path):
         mu = measure_with_period(tmp_path, 16384)
-        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", mu, timeout=60)
+        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", mu)
         assert res.returncode == 0, res.stderr
 
     def test_stored_period_without_a_form(self):
-        res = run_cli("construct", "1", "100000000", "1", timeout=20)
+        res = run_cli("construct", "1", "100000000", "1")
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("n=1 e=100000000 p=2\n")
 
 
-def invariants_of_construct(tmp_path, level):
-    """``invariants`` on the generators ``construct 1 level level`` prints."""
+def construct_triple(tmp_path, level):
+    """A triple file of s = 0 on the generators ``construct 1 level level`` prints."""
     gens = run_cli("construct", "1", str(level), str(level)).stdout
     path = tmp_path / "V.triple"
     path.write_text("s=0\n" + gens + "v=0\n")
-    return run_cli("invariants", "--triple", str(path), timeout=20)
+    return str(path)
 
 
 class TestFormEntryBudget:
     # A form at level L has n*L columns and may have as many rows; 65536
     # entries is the budget.
 
+    @pytest.mark.process
     def test_invariants_over_budget(self, tmp_path):
         # 480 generators at period 480: 230,400 entries
-        assert_refused_by_budget(invariants_of_construct(tmp_path, 480))
+        path = construct_triple(tmp_path, 480)
+        assert_refused_by_budget(run_process("invariants", "--triple", path, timeout=20))
 
     def test_invariants_at_the_budget(self, tmp_path):
-        res = invariants_of_construct(tmp_path, 256)
+        res = run_cli("invariants", "--triple", construct_triple(tmp_path, 256))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["e"] == 256
 
+    @pytest.mark.process
     def test_approach_over_budget(self, tmp_path):
         # from U = 0 at s = 1600 toward t = 1, each term has 1,600 rows and columns
         path = tmp_path / "Z.triple"
         path.write_text("s=1600\nn=1 e=1 p=2\nv=0\n")
         args = ("--target", "1,0", "--count", "1", "--ball", "1,1,1")
-        res = run_cli("approach", "--triple", str(path), *args, timeout=20)
+        res = run_process("approach", "--triple", str(path), *args, timeout=20)
         assert_refused_by_budget(res)
 
 
@@ -481,39 +523,42 @@ class TestPolySpanBudget:
     # A parsed polynomial's body is stored densely: an exponent span, highest
     # minus lowest exponent of its nonzero terms, above 65536 is refused.
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "gen", ["1+x^-65537", "1+x^-3000000", "1+x^-99999999", "x^-5*(1+x^70000)"]
     )
     def test_invariants_over_budget(self, tmp_path, gen):
         path = tmp_path / "V.triple"
         path.write_text(f"s=0\nn=1 e=1 p=2\n[{gen}]\nv=[0]\n")
-        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+        assert_refused_by_budget(run_process("invariants", "--triple", str(path), timeout=20))
 
+    @pytest.mark.process
     def test_marker_over_budget(self, tmp_path):
         path = tmp_path / "V.triple"
         path.write_text("s=1\nn=1 e=1 p=2\n1+x\nv=x^-40000+x^40000\n")
-        assert_refused_by_budget(run_cli("invariants", "--triple", str(path), timeout=20))
+        assert_refused_by_budget(run_process("invariants", "--triple", str(path), timeout=20))
 
+    @pytest.mark.process
     def test_measure_generator_over_budget(self, tmp_path):
         path = tmp_path / "mu.json"
         atom = {"weight": "1", "gens": ["1+x^65537"]}
         path.write_text(json.dumps({"n": 1, "p": 2, "atoms": [atom]}))
         args = ("mix", "--nai", "3", "--trials", "1", "--seed", "1", "--mu1", str(path))
-        assert_refused_by_budget(run_cli(*args, timeout=20))
+        assert_refused_by_budget(run_process(*args, timeout=20))
 
     @pytest.mark.parametrize("gen", ["1+x^-65536", "x^-32768*(1+x^65536)", "1+3x^99999+x^65536"])
     def test_invariants_at_the_budget(self, tmp_path, gen):
         # at p = 3 the coefficient 3 is zero, so x^99999 is no term
         path = tmp_path / "V.triple"
         path.write_text(f"s=0\nn=1 e=1 p=3\n[{gen}]\nv=[0]\n")
-        res = run_cli("invariants", "--triple", str(path), timeout=60)
+        res = run_cli("invariants", "--triple", str(path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["rk"] == 1
 
     def test_lone_monomial_with_a_huge_exponent(self, tmp_path):
         path = tmp_path / "V.triple"
         path.write_text("s=1\nn=1 e=1 p=2\n1+x\nv=x^99999999999\n")
-        res = run_cli("invariants", "--triple", str(path), timeout=20)
+        res = run_cli("invariants", "--triple", str(path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["s"] == 1
 
@@ -521,11 +566,12 @@ class TestPolySpanBudget:
 class TestSpliceWindowBudget:
     # n*(hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24.
 
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "args", [("--window", "0,24"), ("--window", "0,20000"), ("--n", "2", "--window", "0,12")]
     )
     def test_mix_window_over_budget(self, args):
-        res = run_cli("mix", "--nai", "3", "--trials", "1", "--seed", "1", *args, timeout=20)
+        res = run_process("mix", "--nai", "3", "--trials", "1", "--seed", "1", *args, timeout=20)
         assert_refused_by_budget(res)
 
     @pytest.mark.parametrize("args", [("--window", "0,23"), ("--n", "2", "--window", "5,16")])
@@ -548,23 +594,25 @@ class TestIrsCommand:
     def test_m_far_past_the_width(self, tmp_path):
         mu = tmp_path / "mix.json"
         mu.write_text(MIX_JSON)
-        res = run_cli("irs", "--mu", str(mu), "--m", str(10**12), "--j", "1", timeout=20)
+        res = run_cli("irs", "--mu", str(mu), "--m", str(10**12), "--j", "1")
         assert res.returncode == 0, res.stderr
         data = json.loads(res.stdout)
         assert data["tv"] == "1/1000000000000" and data["literal_bound_held"]
         assert len(data["trend"]) == 41  # m = 1, 2, 4, ..., 2^39, 10^12
 
+    @pytest.mark.process
     def test_m_past_the_bit_budget(self, tmp_path):
         # the 4,300-digit m leaves the marginal's probabilities, over 4m,
         # past what prints
         mu = tmp_path / "mix.json"
         mu.write_text(MIX_JSON)
-        res = run_cli("irs", "--mu", str(mu), "--m", "9" * 4300, "--j", "1", timeout=20)
+        res = run_process("irs", "--mu", str(mu), "--m", "9" * 4300, "--j", "1", timeout=20)
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.process
     def test_largest_accepted_m_prints(self, tmp_path):
         # weights over 2^7000: the cut phase's law has probabilities over
         # 2^14000, so m may take 283 of the 14,283 bits that print
@@ -575,11 +623,11 @@ class TestIrsCommand:
         path = tmp_path / "mu.json"
         path.write_text(json.dumps(mu))
         m = 2**283 - 1
-        res = run_cli("irs", "--mu", str(path), "--m", str(m), "--j", "1", timeout=60)
+        res = run_cli("irs", "--mu", str(path), "--m", str(m), "--j", "1")
         assert res.returncode == 0, res.stderr
         data = json.loads(res.stdout)
         assert data["m"] == m and data["pass"]
-        res = run_cli("irs", "--mu", str(path), "--m", str(m + 1), "--j", "1", timeout=60)
+        res = run_process("irs", "--mu", str(path), "--m", str(m + 1), "--j", "1", timeout=60)
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr
@@ -623,13 +671,14 @@ class TestMixCommand:
         data = json.loads(res.stdout)
         assert data["runs"][0]["within_bound"]
 
+    @pytest.mark.process
     def test_negative_window_needs_equals(self):
         # argparse reads a separate "-5,-4" as an option, not as the value
         args = ("mix", "--nai", "11", "--trials", "50", "--seed", "1")
         res = run_cli(*args, "--window=-5,-4")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["runs"][0]["empirical"]["window"] == [-5, -4]
-        res = run_cli(*args, "--window", "-5,-4")
+        res = run_process(*args, "--window", "-5,-4")
         assert res.returncode == 2
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -647,6 +696,7 @@ class TestMixCommand:
 
 
 class TestDeterminism:
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "args",
         [
@@ -656,7 +706,7 @@ class TestDeterminism:
         ],
     )
     def test_byte_identical_reruns(self, args):
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_process(*args)
+        second = run_process(*args)
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout

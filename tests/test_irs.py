@@ -15,6 +15,7 @@ from lampirs.irs import (
     block_average_marginal,
     block_shift_term_marginal,
     convergence_report,
+    convergence_trend,
     majority_invariance_estimate,
     majority_symmetric_difference,
     sampler_law_report,
@@ -23,6 +24,7 @@ from lampirs.irs import (
     window_of_submodule,
 )
 from lampirs.rng import SplitMix64
+from lampirs.selftest import _measure_grid, criterion_tv_bound
 from lampirs.submodules import LaurentVector, Submodule
 
 P2 = 2
@@ -256,6 +258,41 @@ class TestDistanceReports:
         mu = SubgroupMeasure.point(Submodule.full(1, P2))
         for m in (2, 4):
             assert convergence_report(mu, m, 2)["tv"] == 0
+
+
+def trend_grid():
+    """(name, j, rows) of ``convergence_trend`` over the ``_measure_grid(7)``
+    measures, with m below, at and far past the width j + 1, for j = 0..3:
+    the grid of the ``irs`` trend digest."""
+    for name, mu in _measure_grid(7):
+        for m in (1, 2, 3, 4, 5, 8, 100, 2**200 - 1):
+            for j in range(4):
+                yield name, j, list(convergence_trend(mu, convergence_report(mu, m, j)))
+
+
+class TestTrend:
+    def test_rows_are_the_reports(self):
+        # C_W/m' read off the last row, for m' > j, against a marginal built
+        # at each m'; for m' < j the law fails on this grid, so a row there
+        # read off C_W would differ from its report
+        grid = dict(_measure_grid(7))
+        past_the_width = 0
+        for name, j, rows in trend_grid():
+            assert [row["m"] for row in rows[:-1]] == [2**i for i in range(len(rows) - 1)]
+            for row in rows:
+                want = convergence_report(grid[name], row["m"], j)
+                want.pop("marginal")
+                assert {k: v for k, v in row.items() if k != "marginal"} == want
+                past_the_width += row["m"] > j
+        assert past_the_width > 3000
+
+    def test_literal_bound_holds(self):
+        # at most j phases cut a (j + 1)-site window, each at a distance of
+        # at most 2 and with weight 1/m, so TV <= 2j/m on every row
+        _, details = criterion_tv_bound(7)
+        assert details["rows"] and all(row["literal_bound_held"] for row in details["rows"])
+        for name, j, rows in trend_grid():
+            assert all(row["literal_bound_held"] for row in rows), (name, j)
 
 
 class TestSampler:

@@ -15,8 +15,9 @@ division, and periods found on moved form rows by form equalities and by
 generator containment.  Approach terms, whose periods are gated and whose
 forms are built by insertion, are rebuilt by the divisor scan on each
 candidate term.  Membership and periods read on F_p coordinates are
-rebuilt through group products and shifted Laurent rows.  Any
-disagreement fails the test.
+rebuilt through group products and shifted Laurent rows, and triple
+containment, read as membership of the contained triple's marker, by the
+geometric-factor criterion.  Any disagreement fails the test.
 """
 
 import functools
@@ -27,7 +28,7 @@ from math import gcd
 import pytest
 
 from lampirs import lamplighter
-from lampirs.algebra import LaurentPoly, Poly, irreducibles
+from lampirs.algebra import LaurentPoly, Poly, geometric_series, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import ContextError, PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
@@ -41,6 +42,7 @@ from lampirs.lamplighter import (
     ball_size,
     certify_convergence,
     delta_site,
+    power,
 )
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
@@ -479,6 +481,22 @@ class TestResidueStepOracle:
                 for k in range(-3, 4):
                     want = residue_coordinates(U, w.shifted(k * level), level)
                     assert form.y_power(start, k) == want, (U, w, k)
+
+    def test_steps_hold_the_form_rows_themselves(self):
+        # each pivot of positive degree is indexed by its row as ``rows``
+        # holds it, the same object, beside plain integers: no second tuple
+        indexed = 0
+        for U in self.CASES:
+            for level in self.levels(U):
+                form = U.form(level)
+                rows = dict(zip(form.pivots, form.rows))
+                positive = [c for c, row in rows.items() if any(j == c and q for (j, q), _ in row)]
+                assert [entry[0] for entry in form._steps] == positive
+                for entry in form._steps:
+                    held = [x for x in entry if type(x) is not int]
+                    assert len(held) == 1 and held[0] is rows[entry[0]], entry
+                    indexed += 1
+        assert indexed > 0
 
     def test_offset_recurrence_matches_marker_powers(self):
         # d_k, the lamps of (0, k*s)(v, s)^(-k), reduced from scratch, for s
@@ -1460,3 +1478,63 @@ class TestCoordinateMembershipOracle:
                     T.lamps.contains_vector(g.lamps)
                     tested += 1
         assert tested > 0 and calls == []
+
+
+def geometric_containment(outer, inner):
+    """``contains_subgroup`` by the geometric factor: with outer = (s', U', v')
+    and inner = (s, U, v), s' | s, U ⊆ U' and
+    v ≡ (1 + x^s' + ... + x^(s - s')) v' modulo U'."""
+    if inner.s == 0:
+        return outer.lamps.contains_submodule(inner.lamps)
+    if outer.s == 0 or inner.s % outer.s or not outer.lamps.contains_submodule(inner.lamps):
+        return False
+    factor = LaurentPoly.from_poly(geometric_series(inner.s // outer.s, outer.s, outer.p))
+    return outer.lamps.contains_vector(inner.v - outer.v.scaled(factor))
+
+
+def containment_pairs(seed, count):
+    """(outer, inner) triples over ``coordinate_grid``.
+
+    Per U the outer shifts are 0, e, 2e and the stored period P, which need
+    not divide the inner ones: 0, the outer shift and twice it, and 3e,
+    which 2e does not divide.  The inner lamps are U, (1 + x^e) U, 0 and a
+    seeded line; the inner marker is the outer marker's power when the
+    shifts allow one, else a seeded vector, moved by 0, a generator of U or
+    a seeded vector.
+    """
+    rng = SplitMix64(seed)
+    for U in coordinate_grid(seed, count):
+        n, p, e = U.n, U.p, U.minimal_period()
+        zero = LaurentVector.zero(n, p)
+        inside = [U, U.scaled(LaurentPoly.one(p) + LaurentPoly.monomial(p, e)), Submodule.zero(n, p)]
+        for s_out in sorted({0, e, 2 * e, U.period}):
+            outer = SubgroupTriple(s_out, U, rand_vec(rng, n, p) if s_out else None)
+            for s_in in sorted({0, s_out, 2 * s_out, 3 * e}):
+                line = Submodule(n, p, max(s_in, 1), [rand_vec(rng, n, p)])
+                for V in inside + [line]:
+                    if not s_in:
+                        yield outer, SubgroupTriple(0, V)
+                        continue
+                    if s_out and s_in % s_out == 0:
+                        marker = power(GroupElement(outer.v, s_out), s_in // s_out).lamps
+                    else:
+                        marker = rand_vec(rng, n, p)
+                    for moved in (zero, U.gens[0] if U.gens else zero, rand_vec(rng, n, p)):
+                        yield outer, SubgroupTriple(s_in, V, marker + moved)
+
+
+class TestContainmentOracle:
+    def test_contains_subgroup_matches_the_geometric_factor(self):
+        seen = dict.fromkeys(
+            ["in", "out", "not_dividing", "inner_s_0", "outer_s_0", "off_stored", "lamps_out"], 0
+        )
+        for outer, inner in containment_pairs(6161, 24):
+            got = outer.contains_subgroup(inner)
+            assert got == geometric_containment(outer, inner), (outer, inner)
+            seen["in" if got else "out"] += 1
+            seen["not_dividing"] += bool(outer.s and inner.s % outer.s)
+            seen["inner_s_0"] += bool(outer.s and not inner.s)
+            seen["outer_s_0"] += bool(inner.s and not outer.s)
+            seen["off_stored"] += bool(inner.s % outer.lamps.period)
+            seen["lamps_out"] += not outer.lamps.contains_submodule(inner.lamps)
+        assert all(seen.values()), seen
