@@ -294,15 +294,12 @@ def cmd_mix(args):
 
 def cmd_selftest(args):
     report, timings = selftest.run_criteria(args.seed)
-    if args.timings:
-        sys.stderr.write(
-            "".join(f"{name}: {secs:.2f}s\n" for name, secs in timings.items())
-        )
     _write(args, canonical_json(report))
     for entry in report["criteria"]:
         sys.stderr.write(
             f"criterion {entry['criterion']:2d} {entry['name']}: "
-            f"{'PASS' if entry['passed'] else 'FAIL'}\n"
+            f"{'PASS' if entry['passed'] else 'FAIL'} "
+            f"{timings[entry['name']]:.2f}s\n"
         )
     return EXIT_OK if report["all_passed"] else EXIT_VIOLATION
 
@@ -377,7 +374,6 @@ def build_parser():
 
     sp = sub.add_parser("selftest", help="run the full acceptance suite")
     sp.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
-    sp.add_argument("--timings", action="store_true")
     add_output(sp)
     sp.set_defaults(fn=cmd_selftest)
 

@@ -298,6 +298,9 @@ class SubgroupMeasure:
         atoms = tuple((Fraction(w), U) for w, U in weighted_atoms)
         if not atoms:
             raise DomainError("mixture needs at least one atom")
+        negative = next((w for w, _ in atoms if w < 0), None)
+        if negative is not None:
+            raise DomainError(f"mixture weight {negative} is negative")
         if sum((w for w, _ in atoms), Fraction(0)) != 1:
             raise DomainError("mixture weights must sum to 1")
         n, p = atoms[0][1].n, atoms[0][1].p

@@ -28,6 +28,7 @@ from .submodules import (
     SITE_EXPONENT_SIGN,
     LaurentVector,
     _add_scaled,
+    _vector_at,
     _vector_coordinates,
     invariant_report,
 )
@@ -202,17 +203,14 @@ class SubgroupTriple:
         """The conjugate subgroup g V g^{-1}, canonical.
 
         Closed form: for g = (w, u) the triple becomes
-        (s, x^u U, x^u v + (1 - x^s) w).
+        (s, x^u U, x^u v + (1 - x^s) w), also for s = 0, where v = 0 and
+        1 - x^0 = 0.
         """
         if g.n != self.n or g.p != self.p:
             raise ContextError("element of a different lamplighter group")
-        new_lamps = self.lamps.shifted(g.shift)
-        if self.s == 0:
-            return SubgroupTriple(0, new_lamps.canonical(), None)
-        one = LaurentPoly.one(self.p)
-        factor = one - LaurentPoly.monomial(self.p, self.s)
+        factor = LaurentPoly.one(self.p) - LaurentPoly.monomial(self.p, self.s)
         new_v = self.v.shifted(g.shift) + g.lamps.scaled(factor)
-        return SubgroupTriple(self.s, new_lamps, new_v).canonical()
+        return SubgroupTriple(self.s, self.lamps.shifted(g.shift), new_v).canonical()
 
     def poset_encoding(self):
         """Pair (t, r): shift generator over lamp period, and lamp deficiency."""
@@ -302,7 +300,9 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     The answer depends only on the last term m that disagrees with the
     limit, so the terms are then keyed from the horizon down to m, with no
     bisection (disagreement is not monotone in m): H - m + 2 key sets with
-    the limit's, 2 for a failure, named from the keys of term H.
+    the limit's, 2 for a failure, named from the keys of term H.  The
+    witness's digits are written by ``_vector_at`` at level 1, the digit c
+    of component i at a site k as the term c x^(-k) of that component.
 
     A ball past the budgets of :func:`ball_size` is refused with
     ``ResourceBudgetError`` before anything is built.
@@ -327,14 +327,9 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
         (t, a, b) for t, a, b in zip(shifts, keys, target) if a != b
     )
     digits = _least_difference(key, limit_key, dim, p)
-    basis = (
-        delta_site(n, p, site, component=i)
-        for i in range(n)
-        for site in range(-support_radius, support_radius + 1)
-    )
-    lamps = sum(
-        (b.scaled(c) for b, c in zip(basis, digits) if c), LaurentVector.zero(n, p)
-    )
+    sites = [(i, site) for i in range(n) for site in range(-support_radius, support_radius + 1)]
+    coords = {(i, SITE_EXPONENT_SIGN * site): c for (i, site), c in zip(sites, digits) if c}
+    lamps = _vector_at(coords, n, 1, p)
     return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
 
 

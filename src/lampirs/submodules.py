@@ -48,7 +48,7 @@ SITE_EXPONENT_SIGN = -1
 # set by the most divisor-rich level below it: 15120, with 80 divisors.
 FORM_COLUMN_BUDGET = 2**14
 # Largest entry count, rows times n*L columns, of a canonical form at level L.
-# The minimal-period scan moves every row once per divisor: at the most
+# The minimal-period scan moves every generator once per divisor: at the most
 # divisor-rich level under it, ``invariants`` on the 240 generators of
 # ``construct 1 240 240`` takes 0.13 to 0.19 s on a 2-core Xeon, 0.023 s of it
 # in ``invariant_report``.
@@ -150,17 +150,6 @@ def _vector_coordinates(vec, level, k=0):
     return out
 
 
-def _releveled(coords, n, level, new_level):
-    """The coordinates at ``new_level`` of those ``coords`` at ``level``:
-    column j*n + i at y^q is the exponent q*level + j of coordinate i."""
-    out = {}
-    for (col, q), c in coords.items():
-        j, i = divmod(col, n)
-        q, j = divmod(q * level + j, new_level)
-        out[j * n + i, q] = c
-    return out
-
-
 def _by_column(pairs):
     """The F_p coordinates ``pairs``, ((column, y-exponent), c) each, read in
     one pass into {column: {y-exponent: c}}."""
@@ -178,9 +167,12 @@ def _body(terms, p):
 
 
 def _vector_at(coords, n, level, p):
-    """The LaurentVector with the coordinates ``coords`` at ``level``."""
+    """The LaurentVector with the coordinates ``coords`` at ``level``: the
+    entry c in column j*n + i at y^q is the term c x^(q*level + j) of
+    coordinate i."""
     cols = [LaurentPoly.zero(p)] * n
-    for i, terms in _by_column(_releveled(coords, n, level, 1).items()).items():
+    pairs = (((col % n, q * level + col // n), c) for (col, q), c in coords.items())
+    for i, terms in _by_column(pairs).items():
         cols[i] = LaurentPoly(p, *_body(terms, p), normalize=False)
     return LaurentVector(p, cols)
 
@@ -420,26 +412,6 @@ def _check_form_size(n, level, rows):
         )
 
 
-def _rotated_rows(form, s):
-    """Coordinates of the rows of ``form`` moved by x^s.
-
-    With a, b = divmod(s, L), x^s takes column j*n + i at y^q to column
-    (j + b)*n + i at y^(q + a), and the columns with j + b >= L wrap to
-    column (j + b - L)*n + i at y^(q + a + 1).
-    """
-    a, b = divmod(s, form.level)
-    move, ncols = b * form.n, form.ncols
-    for row in form.rows:
-        moved = {}
-        for (col, q), c in row:
-            col += move
-            if col < ncols:
-                moved[col, q + a] = c
-            else:
-                moved[col - ncols, q + a + 1] = c
-        yield moved
-
-
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
@@ -511,9 +483,12 @@ class Submodule:
         """Is x^k * w in U?  Read on w's coordinates at ``level``."""
         return not self.form(level).residue(_vector_coordinates(w, level, k))
 
-    def contains_vector(self, w):
+    def _check_vector(self, w):
         if w.p != self.p or w.n != self.n:
             raise ContextError("vector from a different ambient module")
+
+    def contains_vector(self, w):
+        self._check_vector(w)
         return self._is_member(w, self.period)
 
     def window_residues(self, lo, hi, level=None):
@@ -546,6 +521,7 @@ class Submodule:
 
     def reduce_vector(self, w):
         """Canonical representative of w modulo this subgroup."""
+        self._check_vector(w)
         level = self.period
         residue = self.form(level).residue(_vector_coordinates(w, level))
         return _vector_at(residue, self.n, level, self.p)
@@ -589,17 +565,18 @@ class Submodule:
         If U has a period P and x^s U ⊆ U, then U = x^(sP) U ⊆ x^((P-1)s) U
         ⊆ ... ⊆ x^s U ⊆ U, so x^s U = U.  The periods of U are therefore the
         multiples of e(U), and the gcd of two periods is again a period.
-        The form's rows at the stored period L span U over y = x^L; x^s
-        rotates a row's coordinates, column j*n + i going to
-        ((j + s) mod L)*n + i times y^((j + s) div L) (see ``_rotated_rows``),
-        and each moved row's residue is tested.
+        The generators span U under x^(+-L), L the stored period, so
+        x^s U ⊆ U exactly when x^s g is in U for every generator g, as
+        :meth:`contains_submodule` reads another subgroup's: each g is read
+        by :func:`_vector_coordinates` with the shift s and reduced by the
+        form at L, whose budgets are checked first.
         """
         if s < 1:
             raise DomainError("periods are positive")
         if s % self.period == 0:
             return True
-        form = self.form(self.period)
-        return not any(form.residue(row) for row in _rotated_rows(form, s))
+        self.form(self.period)
+        return all(self._is_member(g, self.period, s) for g in self.gens)
 
     def with_period(self, new_period):
         """Re-present at another verified period.
@@ -817,7 +794,10 @@ def _exact_period_gens(n, p, b, coords):
 def construct_with_invariants(n, p, b, r):
     """Additive subgroup U of R^n with minimal period b and rescaled rank r.
 
-    ``0 < r <= n*b``.  For b = 1 it is spanned by r coordinate vectors.  For
+    ``0 < r <= n*b``, and r at most ``FORM_COLUMN_BUDGET``: about r
+    generators are built, and the form at b has n*b >= r columns, so no
+    form of a larger r could be built; it is refused before any generator
+    is.  For b = 1 it is spanned by r coordinate vectors.  For
     r = n*b it is U_b of :func:`_exact_period_gens`; for smaller r, with
     r = full*b + rem, it sums U_b on each coordinate below ``full`` and the
     monomials x^j e_full for j < rem, and rank is additive over coordinates.
@@ -829,6 +809,12 @@ def construct_with_invariants(n, p, b, r):
         raise DomainError(f"minimal period b must be >= 1, got {b}")
     if not 0 < r <= n * b:
         raise DomainError(f"rescaled rank {r} outside (0, {n * b}]")
+    if r > FORM_COLUMN_BUDGET:
+        raise ResourceBudgetError(
+            f"rescaled rank {r} exceeds the budget {FORM_COLUMN_BUDGET}: "
+            f"a form of the subgroup has at least {r} columns",
+            requested=r,
+        )
     if b == 1:
         gens = tuple(LaurentVector.unit(n, p, i) for i in range(r))
         return Submodule(n, p, 1, gens)
@@ -867,8 +853,11 @@ def approach_sequence(U, b, r_target, count):
     nonzero as x^d U ⊄ U.  Periods below E would include some E/q, q a
     prime, and q | b gives e | E/q; so g_d is found once, for d = E/q with
     q | e and q ∤ b, and a term is tested for the period d only when f
-    divides g_d.  Every term's form at E is built from the rows of U's form
-    there and those of f*Q, and kept with its minimal period.
+    divides g_d.  The residues are those of U's canonical generators, the
+    rows of its form at e, each read by :func:`_vector_coordinates` with
+    the shift d.  Every term's form at E is built from the rows of U's form
+    there and those of f*Q, each read at E from the generator of f*Q just
+    written, and kept with its minimal period.
     A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
     and a term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET``
     before Q or any term is: it has n*E columns and n*E - r_target rows,
@@ -905,8 +894,8 @@ def approach_sequence(U, b, r_target, count):
     gates = []  # (d, g_d) for each period d = E/q a term may have below E
     for d in [E // q for q in _divisors(e)[1:] if b % q and _divisors(q) == [1, q]]:
         g_d = Poly.zero(p)
-        for row in _rotated_rows(form, d):
-            residue = form.residue(row)
+        for g in canon.gens:
+            residue = form.residue(_vector_coordinates(g, e, d))
             if any(c in form.pivots for c, _ in residue):
                 break  # x^d U is not in M + R_y^F, so d is no term's period
             for terms in _by_column(residue.items()).values():
@@ -924,7 +913,7 @@ def approach_sequence(U, b, r_target, count):
                 for q, c in (entry * f).terms()
             }
             gens.append(_vector_at(coords, n, e, p))
-            rows.append(_releveled(coords, n, e, E))
+            rows.append(_vector_coordinates(gens[-1], E))
         term = Submodule(n, p, E, base_gens + tuple(gens))
         term._forms[E] = laurent_hermite_form(p, n, E, base_rows + tuple(rows))
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):

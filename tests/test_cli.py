@@ -403,6 +403,22 @@ class TestMalformedArguments:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.process
+    @pytest.mark.parametrize("command", ["irs", "mix"])
+    def test_negative_weight_one_line(self, tmp_path, command):
+        # the weights 1, 1, -1 on 1, 1+x and 0 sum to 1
+        atoms = [{"weight": w, "gens": g} for w, g in [("1", ["1"]), ("1", ["1+x"]), ("-1", [])]]
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"n": 1, "p": 2, "atoms": atoms}))
+        if command == "irs":
+            args = ("irs", "--mu", str(mu), "--m", "4", "--j", "0")
+        else:
+            args = ("mix", "--nai", "3", "--trials", "10", "--seed", "1", "--mu1", str(mu))
+        res = run_process(*args, timeout=20)
+        assert res.returncode == 2 and res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert "weight -1 is negative" in res.stderr
+
     def test_irs_empty_atom_list(self, tmp_path):
         mu = tmp_path / "mu.json"
         mu.write_text(json.dumps({**json.loads(MIX_JSON), "atoms": []}))
@@ -484,6 +500,17 @@ class TestFormColumnBudget:
         res = run_cli("construct", "1", "100000000", "1")
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("n=1 e=100000000 p=2\n")
+
+    @pytest.mark.process
+    @pytest.mark.parametrize("b", [16385, 200000])
+    def test_construct_rank_over_budget(self, b):
+        # rescaled rank r needs about r generators and a form of >= r columns
+        assert_refused_by_budget(run_process("construct", "1", str(b), str(b), timeout=20))
+
+    def test_construct_rank_at_the_budget(self):
+        res = run_cli("construct", "1", "16384", "16384")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("n=1 e=16384 p=2\n")
 
 
 def construct_triple(tmp_path, level):

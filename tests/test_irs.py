@@ -228,6 +228,12 @@ class TestBlockAverage:
         with pytest.raises(DomainError, match="sum to 1"):
             SubgroupMeasure.mixture([(HALF, Submodule.zero(1, P2))])
 
+    def test_negative_weight_rejected(self):
+        # the weights 1, 1, -1 sum to 1, but no measure has a negative mass
+        atoms = [(1, Submodule.full(1, P2)), (1, line_submodule()), (-1, Submodule.zero(1, P2))]
+        with pytest.raises(DomainError, match="weight -1 is negative"):
+            SubgroupMeasure.mixture(atoms)
+
     def test_invariant_tag_matches_marginal_shift(self):
         mu = even_mixture()
         assert mu.invariant

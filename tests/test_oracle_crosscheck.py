@@ -17,7 +17,11 @@ forms are built by insertion, are rebuilt by the divisor scan on each
 candidate term.  Membership and periods read on F_p coordinates are
 rebuilt through group products and shifted Laurent rows, and triple
 containment, read as membership of the contained triple's marker, by the
-geometric-factor criterion.  Any disagreement fails the test.
+geometric-factor criterion.  Periods and approach gates, read on
+generators moved by the coordinate reader, are rebuilt on the form's rows
+rotated in column space, and certificate witnesses, written from their
+digits at level 1, by summing scaled site deltas.  Any disagreement fails
+the test.
 """
 
 import functools
@@ -48,6 +52,7 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
+    _vector_coordinates,
     approach_sequence,
     construct_with_invariants,
     invariant_report,
@@ -1538,3 +1543,108 @@ class TestContainmentOracle:
             seen["off_stored"] += bool(inner.s % outer.lamps.period)
             seen["lamps_out"] += not outer.lamps.contains_submodule(inner.lamps)
         assert all(seen.values()), seen
+
+
+def rotated_rows(form, s):
+    """Coordinates of the rows of ``form`` moved by x^s, rotated in column space.
+
+    With a, b = divmod(s, L), x^s takes column j*n + i at y^q to column
+    (j + b)*n + i at y^(q + a), and the columns with j + b >= L wrap to
+    column (j + b - L)*n + i at y^(q + a + 1).
+    """
+    a, b = divmod(s, form.level)
+    move, ncols = b * form.n, form.ncols
+    for row in form.rows:
+        moved = {}
+        for (col, q), c in row:
+            col += move
+            if col < ncols:
+                moved[col, q + a] = c
+            else:
+                moved[col - ncols, q + a + 1] = c
+        yield moved
+
+
+def rotated_row_period(U, s):
+    """has_period as the residues of the rotated rows of U's form at its stored period."""
+    form = U.form(U.period)
+    return s % U.period == 0 or not any(form.residue(row) for row in rotated_rows(form, s))
+
+
+def redundant_presentation(U, rng):
+    """U with two more generators it already holds: a sum of generators
+    moved by powers of x^P and a multiple of one by c x^-P + x^P, P the
+    stored period."""
+    if not U.gens:
+        return U
+    g, h, P = U.gens[0], U.gens[-1], U.period
+    f = LaurentPoly.monomial(U.p, -P, 1 + rng.below(U.p - 1)) + LaurentPoly.monomial(U.p, P)
+    extra = [g.shifted(P) + h.shifted(-2 * P), g.scaled(f)]
+    return Submodule(U.n, U.p, U.period, U.gens + tuple(extra))
+
+
+class TestCoordinateMoverOracle:
+    """Periods, approach gates and witnesses against the rotated form rows
+    and the site-delta sums they were once computed with."""
+
+    CASES = pinned_grid(4141, 60)
+
+    def test_has_period_matches_rotated_rows(self):
+        rng = SplitMix64(4142)
+        seen = {"divisor": 0, "other": 0, "redundant": 0}
+        for U in self.CASES:
+            R = redundant_presentation(U, rng)
+            assert R.equals(U), U
+            for V in (U, R):
+                for s in range(1, 2 * V.period + 1):
+                    want = rotated_row_period(V, s)
+                    assert V.has_period(s) == want, (V, s)
+                    seen["divisor" if V.period % s == 0 else "other"] += want
+                seen["redundant"] += len(V.gens) > len(V.form(V.period).rows)
+        assert all(seen.values()), seen
+
+    def test_gate_residues_match_rotated_rows(self):
+        gated = 0
+        for U, b, _, _ in approach_cases(8080, 60):
+            canon = U.canonical()
+            e = canon.period
+            form = canon.form(e)
+            for d in range(1, 2 * e * b + 1):
+                got = [form.residue(_vector_coordinates(g, e, d)) for g in canon.gens]
+                assert got == [form.residue(row) for row in rotated_rows(form, d)], (U, d)
+                gated += any(got)
+        assert gated > 0
+
+    def test_witnesses_match_the_site_delta_sum(self, monkeypatch):
+        digits = []
+
+        def recorded(*args):
+            digits.append(_least_difference(*args))
+            return digits[-1]
+
+        monkeypatch.setattr(lamplighter, "_least_difference", recorded)
+        rng = SplitMix64(4143)
+        failures = 0
+        for _ in range(24):
+            p, radius = (2, 3)[rng.below(2)], 1 + rng.below(2)
+            s = rng.below(3)
+
+            def triple():
+                U = Submodule(2, p, max(s, 1), [rand_vec(rng, 2, p)])
+                return SubgroupTriple(s, U, rand_vec(rng, 2, p) if s else None)
+
+            limit, terms = triple(), [triple() for _ in range(2)]
+            got = certify_convergence(lambda m: terms[m - 1], limit, radius, 1, 2)
+            if got.stabilized:
+                continue
+            basis = (
+                delta_site(2, p, site, component=i)
+                for i in range(2)
+                for site in range(-radius, radius + 1)
+            )
+            want = sum(
+                (v.scaled(c) for v, c in zip(basis, digits[-1]) if c), LaurentVector.zero(2, p)
+            )
+            assert got.witness.lamps == want, (limit, terms)
+            failures += not want.is_zero()
+        assert failures > 0

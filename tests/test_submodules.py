@@ -6,7 +6,7 @@ import pytest
 
 from lampirs import submodules
 from lampirs.algebra import LaurentPoly, Poly, poly_gcd
-from lampirs.errors import DomainError, PreconditionError, ResourceBudgetError
+from lampirs.errors import ContextError, DomainError, PreconditionError, ResourceBudgetError
 from lampirs.formats import format_vector
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
@@ -188,6 +188,16 @@ class TestMembership:
     def test_odd_exponent_not_in_even_span(self):
         assert not span_even(2).contains_vector(unit(1, 2, exp=1))
         assert span_even(2).contains_vector(unit(1, 2, exp=-2))
+
+    def test_vector_of_another_module_is_refused(self):
+        # x e_0 of rank 1, e_0 of rank 3 and e_0 over F_3 are no vectors of
+        # R^2 over F_2: reduce_vector refuses them as contains_vector does
+        U = Submodule(2, 2, 1, [unit(2, 2)])
+        for w in (unit(1, 2, exp=1), unit(3, 2), unit(2, 3)):
+            with pytest.raises(ContextError, match="different ambient module"):
+                U.contains_vector(w)
+            with pytest.raises(ContextError, match="different ambient module"):
+                U.reduce_vector(w)
 
 
 class TestPeriodsAndRanks:
@@ -498,6 +508,21 @@ class TestConstructions:
             construct_with_invariants(1, 2, 0, 1)
         with pytest.raises(DomainError, match="lamp rank n"):
             construct_with_invariants(-1, 2, -1, 1)
+
+    def test_rank_past_the_column_budget_is_refused_before_any_generator(self, monkeypatch):
+        # A subgroup of rescaled rank r has forms of at least r columns, so
+        # with a budget of 12 columns a rank of 13 is refused unbuilt.
+        monkeypatch.setattr(submodules, "FORM_COLUMN_BUDGET", 12)
+        assert invariant_report(construct_with_invariants(2, 2, 6, 12)).rank == 12
+
+        def unstarted(*args, **kwargs):
+            raise AssertionError("a refused subgroup must not be started")
+
+        monkeypatch.setattr(LaurentVector, "unit", unstarted)
+        for n, b, r in [(1, 13, 13), (13, 1, 13), (2, 7, 13), (1, 10**8, 10**8)]:
+            with pytest.raises(ResourceBudgetError, match="budget") as err:
+                construct_with_invariants(n, 2, b, r)
+            assert err.value.requested == r
 
 
 class TestVanish:
