@@ -108,8 +108,19 @@ def power(g, k):
 
 
 def conjugate_element(g, h):
-    """g h g^{-1}, computed directly from the group law."""
-    return g * h * g.inverse()
+    """g h g^{-1}, by the closed form :meth:`SubgroupTriple.conjugated` uses.
+
+    For g = (a, s) and h = (b, t) it is ((1 - x^t) a + x^s b, t): the lamps
+    are summed as F_p coordinates at level 1, b's and the second copy of a's
+    moved as they are read; no product and no inverse is formed.
+    """
+    if g.n != h.n or g.p != h.p:
+        raise ContextError("elements of different lamplighter groups")
+    p, t = g.p, h.shift
+    coords = _vector_coordinates(g.lamps, 1)
+    _add_scaled(coords, _vector_coordinates(g.lamps, 1, t).items(), -1, p)
+    _add_scaled(coords, _vector_coordinates(h.lamps, 1, g.shift).items(), 1, p)
+    return GroupElement(_vector_at(coords, g.n, 1, p), t)
 
 
 class SubgroupTriple:

@@ -66,6 +66,16 @@ class LaurentVector:
         for c in coords:
             if c.p != p:
                 raise ContextError("vector coordinate with mismatched modulus")
+        self._fill(p, coords)
+
+    @classmethod
+    def _raw(cls, p, coords):
+        # Internal: p prime and ``coords`` a tuple of LaurentPolys over p; unchecked.
+        obj = cls.__new__(cls)
+        obj._fill(p, coords)
+        return obj
+
+    def _fill(self, p, coords):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", len(coords))
         object.__setattr__(self, "coords", coords)
@@ -427,6 +437,17 @@ class Submodule:
         for g in gens:
             if g.p != p or g.n != n:
                 raise ContextError("generator from a different ambient module")
+        self._fill(n, p, period, gens)
+
+    @classmethod
+    def _raw(cls, n, p, period, gens):
+        # Internal: p prime, n and period >= 1, and ``gens`` a tuple of nonzero
+        # LaurentVectors of R^n over p; unchecked.
+        obj = cls.__new__(cls)
+        obj._fill(n, p, period, gens)
+        return obj
+
+    def _fill(self, n, p, period, gens):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "period", period)
@@ -707,6 +728,12 @@ def _enumerate_submodules(p, k, codim):
     shape the entries are built once, into tables, and every subgroup is
     assembled from shared entries; the outermost diagonal entry is iterated,
     never listed, so for k = 1 no table is built.
+
+    Every part is valid by construction, so the generators and subgroups
+    are built by the unchecked constructors ``LaurentVector._raw`` and
+    ``Submodule._raw``: p is checked once, here; every row has k
+    coordinates, each a LaurentPoly built over p; and the row's diagonal
+    entry is monic, so no generator is zero.
     """
     check_prime(p)
     total = count_submodules(p, k, codim)
@@ -717,6 +744,7 @@ def _enumerate_submodules(p, k, codim):
         )
     zero = LaurentPoly.zero(p)
     blanks = [(zero,) * i for i in range(k)]
+    vector, submodule = LaurentVector._raw, Submodule._raw
     for degs in _compositions(codim, k):
         diags = [list(_monic_entries(p, d)) for d in degs[1:]]
         columns = []
@@ -732,11 +760,11 @@ def _enumerate_submodules(p, k, codim):
             for choice in itertools.product(*diags, *columns):
                 # above[c - 1] holds the entries of column c above its pivot
                 diag, above = (first, *choice[: k - 1]), choice[k - 1 :]
-                gens = [
-                    LaurentVector(p, blanks[i] + (diag[i], *(entries[i] for entries in above[i:])))
+                gens = tuple(
+                    vector(p, blanks[i] + (diag[i], *(entries[i] for entries in above[i:])))
                     for i in range(k)
-                ]
-                yield Submodule(k, p, 1, gens)
+                )
+                yield submodule(k, p, 1, gens)
 
 
 def submodules_of_codimension(p, k, codim):
@@ -794,10 +822,11 @@ def _exact_period_gens(n, p, b, coords):
 def construct_with_invariants(n, p, b, r):
     """Additive subgroup U of R^n with minimal period b and rescaled rank r.
 
-    ``0 < r <= n*b``, and r at most ``FORM_COLUMN_BUDGET``: about r
-    generators are built, and the form at b has n*b >= r columns, so no
-    form of a larger r could be built; it is refused before any generator
-    is.  For b = 1 it is spanned by r coordinate vectors.  For
+    ``0 < r <= n*b``, r at most ``FORM_COLUMN_BUDGET`` and r*n at most
+    ``FORM_ENTRY_BUDGET``: about r generators of n coordinates each are
+    built, and every form of U has at least r rows of n*b >= r columns, so
+    no form of a larger r or r*n could be built; either is refused before
+    any generator is.  For b = 1 it is spanned by r coordinate vectors.  For
     r = n*b it is U_b of :func:`_exact_period_gens`; for smaller r, with
     r = full*b + rem, it sums U_b on each coordinate below ``full`` and the
     monomials x^j e_full for j < rem, and rank is additive over coordinates.
@@ -814,6 +843,13 @@ def construct_with_invariants(n, p, b, r):
             f"rescaled rank {r} exceeds the budget {FORM_COLUMN_BUDGET}: "
             f"a form of the subgroup has at least {r} columns",
             requested=r,
+        )
+    if r * n > FORM_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            f"rescaled rank {r} on {n} coordinates needs {r * n} generator "
+            f"entries, past the budget of {FORM_ENTRY_BUDGET}: every form of "
+            f"the subgroup has at least as many",
+            requested=r * n,
         )
     if b == 1:
         gens = tuple(LaurentVector.unit(n, p, i) for i in range(r))

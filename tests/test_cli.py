@@ -537,6 +537,20 @@ class TestFormEntryBudget:
         assert json.loads(res.stdout)["e"] == 256
 
     @pytest.mark.process
+    @pytest.mark.parametrize("n, r", [(16384, 16384), (4000000, 1)])
+    def test_construct_generator_entries_over_budget(self, n, r):
+        # r generators of n coordinates: every form has r rows of n*b >= n columns
+        assert_refused_by_budget(run_process("construct", str(n), "1", str(r), timeout=20))
+
+    def test_construct_generator_entries_at_the_budget(self):
+        # 256 generators of 256 coordinates; `construct 1 16384 16384` and
+        # `construct 1 100000000 1` stay accepted too (TestFormColumnBudget)
+        res = run_cli("construct", "256", "1", "256")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("n=256 e=1 p=2\n")
+        assert len(res.stdout.splitlines()) == 257
+
+    @pytest.mark.process
     def test_approach_over_budget(self, tmp_path):
         # from U = 0 at s = 1600 toward t = 1, each term has 1,600 rows and columns
         path = tmp_path / "Z.triple"

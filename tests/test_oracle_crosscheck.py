@@ -20,8 +20,10 @@ containment, read as membership of the contained triple's marker, by the
 geometric-factor criterion.  Periods and approach gates, read on
 generators moved by the coordinate reader, are rebuilt on the form's rows
 rotated in column space, and certificate witnesses, written from their
-digits at level 1, by summing scaled site deltas.  Any disagreement fails
-the test.
+digits at level 1, by summing scaled site deltas.  Enumerated subgroups,
+built without the public constructors' checks, are rebuilt by the
+validating constructors, and conjugated elements, written by the closed
+form, by the group product.  Any disagreement fails the test.
 """
 
 import functools
@@ -45,6 +47,7 @@ from lampirs.lamplighter import (
     _offset_residues,
     ball_size,
     certify_convergence,
+    conjugate_element,
     delta_site,
     power,
 )
@@ -55,6 +58,7 @@ from lampirs.submodules import (
     _vector_coordinates,
     approach_sequence,
     construct_with_invariants,
+    count_submodules,
     invariant_report,
     laurent_hermite_form,
     submodules_of_codimension,
@@ -1648,3 +1652,63 @@ class TestCoordinateMoverOracle:
             assert got.witness.lamps == want, (limit, terms)
             failures += not want.is_zero()
         assert failures > 0
+
+
+# ---------------------------------------------------------------------------
+# Built without checking again: enumerated subgroups come from unchecked
+# constructors, and conjugated elements from the closed form of the group
+# law.  Each is rebuilt by the validating constructors and by the product
+# g * h * g^-1.
+# ---------------------------------------------------------------------------
+
+
+def enumeration_shapes(limit):
+    """(p, k, a) with p in {2, 3, 5}, k <= 3 and at most ``limit`` subgroups
+    of codimension a."""
+    for p in (2, 3, 5):
+        for k in (1, 2, 3):
+            a = 0
+            while count_submodules(p, k, a) <= limit:
+                yield p, k, a
+                a += 1
+
+
+class TestEnumerationOracle:
+    def test_enumerated_subgroups_pass_the_validating_constructors(self):
+        shapes = list(enumeration_shapes(2000))
+        assert len(shapes) == 47
+        for p, k, a in shapes:
+            subs = submodules_of_codimension(p, k, a)
+            assert len(subs) == count_submodules(p, k, a)
+            for U in subs:
+                V = Submodule(k, p, 1, U.gens)
+                assert (V.n, V.p, V.period, V.gens) == (U.n, U.p, U.period, U.gens), (p, k, a, U.gens)
+                assert (U.n, U.p, U.period, len(U.gens)) == (k, p, 1, k)
+                assert [LaurentVector(p, g.coords) for g in U.gens] == list(U.gens)
+
+
+def seeded_element(rng, n, p):
+    return GroupElement(rand_vec(rng, n, p, lo=-4, hi=4), rng.below(11) - 5)
+
+
+class TestConjugateElementOracle:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_group_product(self, n, p):
+        rng = SplitMix64(5150 + 10 * p + n)
+        U = Submodule(n, p, 2, [rand_vec(rng, n, p)])
+        ball = word_ball(SubgroupTriple(2, U, rand_vec(rng, n, p)), 2)
+        pairs = [(g, h) for g in ball[:: max(1, len(ball) // 12)] for h in ball]
+        pairs += [(seeded_element(rng, n, p), seeded_element(rng, n, p)) for _ in range(200)]
+        moved = 0
+        for g, h in pairs:
+            got = conjugate_element(g, h)
+            assert got == g * h * g.inverse(), (g, h)
+            moved += got != h
+        assert moved > 0
+
+    def test_refuses_elements_of_different_groups(self):
+        with pytest.raises(ContextError):
+            conjugate_element(GroupElement.identity(1, 2), GroupElement.identity(2, 2))
+        with pytest.raises(ContextError):
+            conjugate_element(GroupElement.identity(1, 2), GroupElement.identity(1, 3))
