@@ -360,6 +360,15 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
+    def _raw(cls, p, offset, body):
+        # Internal: p prime and ``body`` a Poly over p with nonzero constant term; unchecked.
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "offset", offset)
+        object.__setattr__(obj, "body", body)
+        return obj
+
+    @classmethod
     def zero(cls, p):
         return cls(p, 0, Poly.zero(p), normalize=False)
 

@@ -28,6 +28,7 @@ from .submodules import (
     SITE_EXPONENT_SIGN,
     LaurentVector,
     _add_scaled,
+    _by_column,
     _vector_at,
     _vector_coordinates,
     invariant_report,
@@ -309,11 +310,16 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
 
     Every term is read, and checked to be in the limit's group, first.
     The answer depends only on the last term m that disagrees with the
-    limit, so the terms are then keyed from the horizon down to m, with no
-    bisection (disagreement is not monotone in m): H - m + 2 key sets with
-    the limit's, 2 for a failure, named from the keys of term H.  The
-    witness's digits are written by ``_vector_at`` at level 1, the digit c
-    of component i at a site k as the term c x^(-k) of that component.
+    limit, so the terms are then keyed from a start term down to m, with no
+    bisection (disagreement is not monotone in m): start - m + 2 key sets
+    with the limit's, 2 for a failure, named from the keys of term H.  The
+    start is H unless every term is one of an approach or vanish sequence
+    toward this limit; then it is the last term m_B of degree at most the
+    ball's gap bound B, as every later term agrees with the limit on the
+    ball (see ``_gap_start``), so min(H, m_B) - m + 2 key sets are made.
+    The witness's digits are written by ``_vector_at`` at level 1, the
+    digit c of component i at a site k as the term c x^(-k) of that
+    component.
 
     A ball past the budgets of :func:`ball_size` is refused with
     ``ResourceBudgetError`` before anything is built.
@@ -326,7 +332,7 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     if any(triple.n != n or triple.p != p for triple in terms):
         raise ContextError("subgroups of different lamplighter groups")
     target = _member_keys(limit, support_radius, shifts)
-    for m in range(horizon, 0, -1):
+    for m in range(_gap_start(terms, limit, support_radius, shifts), 0, -1):
         keys = _member_keys(terms[m - 1], support_radius, shifts)
         if keys != target:
             break
@@ -342,6 +348,45 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     coords = {(i, SITE_EXPONENT_SIGN * site): c for (i, site), c in zip(sites, digits) if c}
     lamps = _vector_at(coords, n, 1, p)
     return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
+
+
+def _gap_start(terms, limit, radius, shifts):
+    """The last term that can disagree with the limit on the ball: H, or by
+    the degree gap the last term m_B with deg f <= B.
+
+    A term of ``approach_sequence`` or ``vanish_sequence`` records that it is
+    U + f*Q, with f*Q in the free (non-pivot) columns of U's form at level e
+    over y = x^e.  When every term records the limit's lamps as U and has the
+    limit's s and v, the marker lamps d_t are the same for both, and a
+    witness (w, t) tells them apart exactly when z = w + d_t is in U + f*Q
+    but not in U.  Then z's residue modulo U is a nonzero f*q in the free
+    columns, so one of its entries spans at least deg f in y.  That entry
+    lies in the union of the supports of the residues of the site monomials
+    and of d_t; with B the widest y-span of that union over a free column
+    and a member shift t (-1 when no free column has an entry), a term with
+    deg f > B agrees with the limit on the ball.  The residues are taken at
+    e, not at the level of ``_member_keys``, and d_t's in full.
+    """
+    U, s = limit.lamps, limit.s
+    records = [getattr(V.lamps, "_gap", None) for V in terms]
+    if not all(r and V.s == s and V.v == limit.v for r, V in zip(records, terms)):
+        return len(terms)
+    e = U.minimal_period()
+    base = (U.canonical_key(), e)
+    if any(r[:2] != base for r in records):
+        return len(terms)
+    form = U.form(e)
+    window = [item for r in U.window_residues(-radius, radius, e).values() for item in r.items()]
+    bound = -1
+    for t in [t for t in shifts if (t % s == 0 if s else t == 0)]:
+        items = window
+        if s:
+            marker = limit._marker_power(-(t // s)).lamps
+            items = window + list(form.residue(_vector_coordinates(marker, e, t)).items())
+        for j, qs in _by_column(items).items():
+            if j not in form.pivots:
+                bound = max(bound, max(qs) - min(qs))
+    return max((m for m, r in enumerate(records, 1) if r[2] <= bound), default=0)
 
 
 def ball_size(n, p, radius, shift_bound, horizon):

@@ -425,7 +425,10 @@ def _check_form_size(n, level, rows):
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
-    __slots__ = ("p", "n", "period", "gens", "_forms", "_e")
+    # ``_gap``, (canonical key of U, level e, deg f), is set only on a term
+    # U + f*Q of an approach or vanish sequence, for the certificate's
+    # degree gap; every other subgroup leaves it unset, at no cost to build.
+    __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap")
 
     def __init__(self, n, p, period, gens=()):
         check_prime(p)
@@ -711,14 +714,15 @@ def _compositions(total, parts):
 def _monic_entries(p, d):
     """The monic diagonal entries of degree d with nonzero constant term, as
     ``submodules_of_codimension`` orders them: constant term outermost, then
-    the middle coefficients as a base-p number, lowest digit first."""
+    the middle coefficients as a base-p number, lowest digit first.  Their
+    coefficients are reduced, the constant and the leading one nonzero, and
+    p was checked by the caller, so they are built unchecked."""
     if d == 0:
         yield LaurentPoly.one(p)
         return
     for c0 in range(1, p):
         for high in itertools.product(range(p), repeat=d - 1):
-            body = Poly(p, (c0, *high[::-1], 1), normalize=False)
-            yield LaurentPoly(p, 0, body, normalize=False)
+            yield LaurentPoly._raw(p, 0, Poly._raw(p, [c0, *high[::-1], 1]))
 
 
 def _enumerate_submodules(p, k, codim):
@@ -865,9 +869,18 @@ def construct_with_invariants(n, p, b, r):
 def vanish_sequence(U, count):
     """U_m = f_m * U along the non-unit irreducibles; tends to the zero subgroup.
 
-    A count past ``SEQUENCE_BUDGET`` is refused before any term is built.
+    Each term records that it is 0 + f_m * U at level 1, every column free,
+    with the key of the zero subgroup and deg f_m (see
+    :func:`approach_sequence`).  A count past ``SEQUENCE_BUDGET`` is refused
+    before any term is built.
     """
-    return [U.scaled(f) for f in enumerate_irreducibles(U.p, count)]
+    key = Submodule.zero(U.n, U.p).canonical_key()
+    out = []
+    for f in enumerate_irreducibles(U.p, count):
+        term = U.scaled(f)
+        object.__setattr__(term, "_gap", (key, 1, f.degree))
+        out.append(term)
+    return out
 
 
 def approach_sequence(U, b, r_target, count):
@@ -893,7 +906,9 @@ def approach_sequence(U, b, r_target, count):
     rows of its form at e, each read by :func:`_vector_coordinates` with
     the shift d.  Every term's form at E is built from the rows of U's form
     there and those of f*Q, each read at E from the generator of f*Q just
-    written, and kept with its minimal period.
+    written, and kept with its minimal period, and each term records the
+    canonical key of U, e and deg f: :func:`certify_convergence` reads them
+    to skip the terms that agree with U on its ball by the degree gap.
     A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
     and a term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET``
     before Q or any term is: it has n*E columns and n*E - r_target rows,
@@ -939,6 +954,7 @@ def approach_sequence(U, b, r_target, count):
         else:
             gates.append((d, g_d))
     base_gens, base_rows = canon._at_period(E).gens, canon.form(E).rows
+    key = canon.canonical_key()
     out = []
     for f in irreducibles(p):
         gens, rows = [], []
@@ -955,6 +971,7 @@ def approach_sequence(U, b, r_target, count):
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
         object.__setattr__(term, "_e", E)
+        object.__setattr__(term, "_gap", (key, e, f.degree))
         out.append(term)
         if len(out) == count:
             return out

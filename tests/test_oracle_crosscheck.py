@@ -23,7 +23,9 @@ rotated in column space, and certificate witnesses, written from their
 digits at level 1, by summing scaled site deltas.  Enumerated subgroups,
 built without the public constructors' checks, are rebuilt by the
 validating constructors, and conjugated elements, written by the closed
-form, by the group product.  Any disagreement fails the test.
+form, by the group product.  Certificates whose scan starts at the degree
+gap are rebuilt from the same subgroups without their gap record.  Any
+disagreement fails the test.
 """
 
 import functools
@@ -1305,6 +1307,172 @@ class TestWitnessSearchOracle:
             assert len(calls) == len(trials), (key_a, key_b)
             assert in_keyed_set(digits, key_a, p) != in_keyed_set(digits, key_b, p)
             compared += 1
+
+
+# ---------------------------------------------------------------------------
+# The degree gap: approach and vanish terms record that they are U + f*Q,
+# and certify_convergence keys them only from the last term with deg f at
+# most the ball's bound B.  The certificates are rebuilt from the same
+# subgroups without their record, keyed from the horizon, and by witness
+# enumeration on small balls; the start is checked against the last term
+# whose member keys differ from the limit's.
+# ---------------------------------------------------------------------------
+
+
+def gap_grid(seed, count):
+    """(limit, terms, radius, shift_bound, horizon): approach sequences to a
+    seeded limit of shape (e, rk, t), e, t <= 3, 2, and vanish sequences to
+    the zero subgroup, over p in {2, 3, 5} and n in {1, 2}; many horizons
+    are too short for the ball, so many certificates fail."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        p, n = (2, 3, 5)[rng.below(3)], 1 + rng.below(2)
+        radius, horizon = rng.below(3 if n * p > 5 else 4), 1 + rng.below(12)
+        if rng.below(3):
+            e, t = 1 + rng.below(3), 1 + rng.below(2)
+            rk = rng.below(n * e)
+            U = construct_with_invariants(n, p, e, rk) if rk else Submodule(n, p, e, ())
+            V = SubgroupTriple(t * e, U, U.reduce_vector(rand_vec(rng, n, p)))
+            t_v, r_v = V.poset_encoding()
+            terms = build_approach_sequence(V, (1, rng.below(t_v * r_v)), horizon)
+            yield V, terms, radius, rng.below(2 * t * e + 1), horizon
+        else:
+            W = Submodule(n, p, 1 + rng.below(2), [rand_vec(rng, n, p, 0, 1 + rng.below(3))])
+            terms = [SubgroupTriple(0, X) for X in vanish_sequence(W, horizon)]
+            yield SubgroupTriple(0, Submodule.zero(n, p)), terms, radius, rng.below(3), horizon
+
+
+def unrecorded(terms):
+    """The same subgroups, rebuilt by the public constructors: no gap record."""
+    return [
+        SubgroupTriple(V.s, Submodule(V.n, V.p, V.lamps.period, V.lamps.gens), V.v)
+        for V in terms
+    ]
+
+
+def last_keyed_disagreement(limit, terms, radius, shift_bound):
+    """The last term whose member keys differ from the limit's, or 0."""
+    shifts = range(-shift_bound, shift_bound + 1)
+    target = lamplighter._member_keys(limit, radius, shifts)
+    return max(
+        (m for m, V in enumerate(terms, 1) if lamplighter._member_keys(V, radius, shifts) != target),
+        default=0,
+    )
+
+
+def gap_start(limit, terms, radius, shift_bound):
+    return lamplighter._gap_start(terms, limit, radius, range(-shift_bound, shift_bound + 1))
+
+
+@pytest.fixture
+def keyed(monkeypatch):
+    """The triples ``_member_keys`` is called on, in order."""
+    calls = []
+    member_keys = lamplighter._member_keys
+    monkeypatch.setattr(
+        lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+    )
+    return calls
+
+
+class TestDegreeGapOracle:
+    def test_seeded_grid_matches_full_keying_and_enumeration(self):
+        engaged = failed = enumerated = 0
+        for limit, terms, radius, shift_bound, horizon in gap_grid(2929, 150):
+            got = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
+            bare = unrecorded(terms)
+            full = certify_convergence(lambda m: bare[m - 1], limit, radius, shift_bound, horizon)
+            assert got.to_json() == full.to_json()
+            if got.witnesses_checked <= 400:
+                want = enumerated_certificate(
+                    lambda m: terms[m - 1], limit, radius, shift_bound, horizon
+                )
+                assert got.to_json() == want.to_json()
+                enumerated += 1
+            start = gap_start(limit, terms, radius, shift_bound)
+            assert start >= last_keyed_disagreement(limit, terms, radius, shift_bound)
+            assert gap_start(limit, bare, radius, shift_bound) == horizon
+            engaged += start < horizon
+            failed += not got.stabilized
+        assert engaged > 40 and failed > 20 and enumerated > 40, (engaged, failed, enumerated)
+
+    @pytest.mark.parametrize(
+        "p, shape, seed, radius, shift_bound, last",
+        [
+            (2, (2, 1, 1), 1, 3, 4, 7),
+            (3, (2, 1, 1), 1, 2, 2, 5),
+            (5, (2, 1, 1), 1, 1, 0, 4),
+        ],
+    )
+    def test_tight_cases_start_at_the_last_disagreement(
+        self, p, shape, seed, radius, shift_bound, last
+    ):
+        # Term ``last`` disagrees with the limit on the ball and has
+        # deg f = B: the bound cannot be lowered by one.
+        limit, terms = approach_case(p, *shape, seed, 12)
+        assert last_keyed_disagreement(limit, terms, radius, shift_bound) == last
+        assert gap_start(limit, terms, radius, shift_bound) == last
+        cert = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, 12)
+        assert cert.index == last + 1
+
+
+    def test_pivot_columns_do_not_widen_the_bound(self, keyed):
+        # U is generated by (1 + x + x^3) e_0, so column 0 holds a pivot of
+        # degree 3 and the residues of the marker lamps d_t spread over
+        # y^0..y^2 there; column 1 is free and the one site of radius 0
+        # leaves it a span of 0.  So B = 0 and no term is keyed; with the
+        # pivot column read too, B would be 2.
+        p = 2
+        cubic = LaurentPoly.from_poly(Poly(p, [1, 1, 0, 1]))
+        U = Submodule(2, p, 1, [LaurentVector(p, [cubic, LaurentPoly.zero(p)])])
+        quadratic = LaurentPoly.from_poly(Poly(p, [0, 1, 1]))
+        v = U.reduce_vector(LaurentVector(p, [quadratic, LaurentPoly.zero(p)]))
+        limit = SubgroupTriple(1, U, v)
+        terms = build_approach_sequence(limit, (1, 0), 10)
+        assert gap_start(limit, terms, 0, 2) == 0
+        keyed.clear()
+        assert certify_convergence(lambda m: terms[m - 1], limit, 0, 2, 10).index == 1
+        assert keyed == [limit]
+        assert gap_start(limit, terms, 1, 2) == last_keyed_disagreement(limit, terms, 1, 2) == 2
+
+
+class TestDegreeGapFallback:
+    # The shape (e, rk, t) = (2, 1, 1) of the f2 workload, at its radius 3
+    # and shift bound 2te: every record matches the limit.
+    def f2_case(self):
+        return approach_case(2, 2, 1, 1, 3, 25)
+
+    def test_the_f2_shape_keys_only_below_the_gap(self, keyed):
+        limit, terms = self.f2_case()
+        start = gap_start(limit, terms, 3, 4)
+        last = last_keyed_disagreement(limit, terms, 3, 4)
+        keyed.clear()
+        cert = certify_convergence(lambda m: terms[m - 1], limit, 3, 4, 25)
+        assert cert.index == max(1, last + 1) and start < 25
+        assert keyed == [limit] + terms[max(last, 1) - 1 : start][::-1]
+        assert len(keyed) <= 5
+
+    @pytest.mark.parametrize("change", ["same-shape", "v", "s", "mixed"])
+    def test_records_that_do_not_match_are_ignored(self, change, keyed):
+        limit, terms = self.f2_case()
+        U, v = limit.lamps, limit.v
+        if change == "same-shape":
+            limit = SubgroupTriple(limit.s, U.shifted(1), v)
+        elif change == "v":
+            limit = SubgroupTriple(limit.s, U, v + delta_site(1, 2, -1))
+        elif change == "s":
+            limit = SubgroupTriple(2 * limit.s, U, v)
+        else:
+            terms = terms[:12] + unrecorded(terms[12:13]) + terms[13:]
+        bare = unrecorded(terms)
+        assert gap_start(limit, terms, 3, 4) == 25
+        keyed.clear()
+        got = certify_convergence(lambda m: terms[m - 1], limit, 3, 4, 25)
+        calls = len(keyed)
+        keyed.clear()
+        want = certify_convergence(lambda m: bare[m - 1], limit, 3, 4, 25)
+        assert got.to_json() == want.to_json()
+        assert calls == len(keyed)
 
 
 # ---------------------------------------------------------------------------
