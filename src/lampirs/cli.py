@@ -23,6 +23,7 @@ from .cbrank import (
 from .errors import ConsistencyError, FormatError, LampirsError
 from .formats import (
     canonical_json,
+    canonical_json_pieces,
     distribution_to_json,
     format_submodule,
     format_triple,
@@ -232,12 +233,12 @@ def cmd_irs(args):
         payload = {
             "schema": "lampirs.irs.v1",
             **_printed(report),
-            "trend": [
-                {k: row[k] for k in ("m", "tv", "pass", "literal_bound_held")} for row in rows
-            ],
             "marginal": distribution_to_json(report["marginal"]),
         }
-        _emit(args, payload)
+        trend = ({k: row[k] for k in ("m", "tv", "pass", "literal_bound_held")} for row in rows)
+        # the trend is written a row at a time, as the CSV table is
+        with _output(args) as fh:
+            fh.writelines(canonical_json_pieces(payload, "trend", trend))
     return EXIT_OK if report["pass"] else EXIT_VIOLATION
 
 

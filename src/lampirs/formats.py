@@ -258,4 +258,23 @@ def measure_from_json(data):
 
 def canonical_json(obj):
     """Deterministic JSON bytes: sorted keys, no whitespace variation."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _compact(obj) + "\n"
+
+
+def canonical_json_pieces(obj, key, items):
+    """The text of ``canonical_json({**obj, key: list(items)})`` in pieces:
+    the keys of ``obj`` sorted before ``key``, then one piece per item, then
+    the keys after it.  ``items`` is read only as the pieces are, so the
+    list is never held."""
+    head = _compact({k: v for k, v in obj.items() if k < key})[:-1]
+    tail = _compact({k: v for k, v in obj.items() if k > key})[1:]
+    yield head + ("," if len(head) > 1 else "") + _compact(key) + ":["
+    sep = ""
+    for item in items:
+        yield sep + _compact(item)
+        sep = ","
+    yield "]" + ("," if len(tail) > 1 else "") + tail + "\n"
+
+
+def _compact(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

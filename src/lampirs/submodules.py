@@ -904,11 +904,20 @@ def approach_sequence(U, b, r_target, count):
     q | e and q ∤ b, and a term is tested for the period d only when f
     divides g_d.  The residues are those of U's canonical generators, the
     rows of its form at e, each read by :func:`_vector_coordinates` with
-    the shift d.  Every term's form at E is built from the rows of U's form
-    there and those of f*Q, each read at E from the generator of f*Q just
-    written, and kept with its minimal period, and each term records the
-    canonical key of U, e and deg f: :func:`certify_convergence` reads them
-    to skip the terms that agree with U on its ball by the degree gap.
+    the shift d.  The generators of f*Q come from the ring action: each
+    generator t of Q is lifted once per sequence, its entry t_a written into
+    the free column j_a*n + i_a at level e, and for each f they are the
+    lifted generators times F = f(x^e).  Coordinate i of f*t is
+    sum_a x^(j_a)*(t_a*f)(x^e) = (sum_a x^(j_a)*t_a(x^e))*f(x^e), where the
+    free columns of coordinate i have distinct residues j_a < e and never
+    collide.  Every term's form at E is built from the rows of U's form
+    there and those of f*Q, read at E from its generators, and kept with
+    its minimal period, and each term records the canonical key of U, e
+    and deg f: :func:`certify_convergence` reads them to skip the terms
+    that agree with U on its ball by the degree gap.  The terms are built
+    by the unchecked ``Submodule._raw``, as every part is valid: U's
+    generators at E are its nonzero canonical rows, shifted, and the lifted
+    generators are nonzero, so their products with F != 0 are nonzero.
     A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
     and a term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET``
     before Q or any term is: it has n*E columns and n*E - r_target rows,
@@ -955,19 +964,22 @@ def approach_sequence(U, b, r_target, count):
             gates.append((d, g_d))
     base_gens, base_rows = canon._at_period(E).gens, canon.form(E).rows
     key = canon.canonical_key()
+    lifted = tuple(
+        _vector_at(
+            {(free_cols[a], q): c for a, entry in enumerate(t.coords) for q, c in entry.terms()},
+            n, e, p,
+        )
+        for t in quotient_piece.gens
+    )
     out = []
     for f in irreducibles(p):
-        gens, rows = [], []
-        for t in quotient_piece.gens:
-            coords = {
-                (free_cols[a], q): c
-                for a, entry in enumerate(t.coords)
-                for q, c in (entry * f).terms()
-            }
-            gens.append(_vector_at(coords, n, e, p))
-            rows.append(_vector_coordinates(gens[-1], E))
-        term = Submodule(n, p, E, base_gens + tuple(gens))
-        term._forms[E] = laurent_hermite_form(p, n, E, base_rows + tuple(rows))
+        spread = [0] * (e * f.degree + 1)
+        spread[::e] = f.coeffs
+        F = LaurentPoly._raw(p, 0, Poly._raw(p, spread))  # f(x^e); f(0) != 0
+        gens = tuple(g.scaled(F) for g in lifted)
+        term = Submodule._raw(n, p, E, base_gens + gens)
+        rows = tuple(_vector_coordinates(g, E) for g in gens)
+        term._forms[E] = laurent_hermite_form(p, n, E, base_rows + rows)
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
         object.__setattr__(term, "_e", E)

@@ -16,8 +16,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lampirs.cli import main
-from lampirs.formats import format_vector
+from lampirs.cli import _printed, main
+from lampirs.formats import canonical_json, distribution_to_json, format_vector
+from lampirs.irs import convergence_report, convergence_trend
 from lampirs.selftest import _measure_grid
 
 CMD = [sys.executable, "-m", "lampirs.cli"]
@@ -39,6 +40,25 @@ def run_process(*args, timeout=300):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, timeout=timeout
     )
+
+
+def run_measured(*args, timeout=60):
+    """(exit code, stdout, peak RSS in MB) of ``python -m lampirs.cli`` with
+    ``args``.  A wrapper interpreter runs the command as its only child and
+    reads that child's peak RSS, so no other process of the suite counts."""
+    pytest.importorskip("resource")
+    wrapper = (
+        "import json, resource, subprocess, sys\n"
+        "res = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "mb = peak / (2**20 if sys.platform == 'darwin' else 2**10)\n"
+        "print(json.dumps([res.returncode, res.stdout, mb]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", wrapper, *CMD, *args],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return json.loads(out.stdout)
 
 
 TRIPLE_TEXT = "s=2\nn=1 e=2 p=2\n1\nv=x^-1*(1+x)\n"
@@ -86,22 +106,8 @@ class TestCount:
     @pytest.mark.process
     def test_enumerate_memory_bounded(self):
         # 131,072 subgroups of F_2[x^±]: the count must not hold them all.
-        # A wrapper interpreter runs the command as its only child and reads
-        # that child's peak RSS, so no other process of the suite counts.
         # Holding the list took 97 MB; counting as they are made, 17 MB.
-        pytest.importorskip("resource")
-        wrapper = (
-            "import json, resource, subprocess, sys\n"
-            "res = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
-            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
-            "mb = peak / (2**20 if sys.platform == 'darwin' else 2**10)\n"
-            "print(json.dumps([res.returncode, res.stdout, mb]))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", wrapper, *CMD, "count", "2", "1", "18", "--enumerate"],
-            capture_output=True, text=True, timeout=60,
-        )
-        returncode, stdout, peak_mb = json.loads(out.stdout)
+        returncode, stdout, peak_mb = run_measured("count", "2", "1", "18", "--enumerate")
         assert returncode == 0
         data = json.loads(stdout)
         assert data["enumerated"] == 131072 and data["match"]
@@ -672,6 +678,43 @@ class TestIrsCommand:
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert "budget" in res.stderr
+
+    @pytest.mark.process
+    def test_json_trend_memory_bounded(self, tmp_path):
+        # m = 2^6000 - 1: 6,001 trend rows, 11 MB of JSON.  Held as one
+        # string the output took 57 MB; written a row at a time, 17.5 MB.
+        mu = tmp_path / "mix.json"
+        mu.write_text(MIX_JSON)
+        out = tmp_path / "irs.json"
+        m = 2**6000 - 1
+        returncode, _, peak_mb = run_measured(
+            "irs", "--mu", str(mu), "--m", str(m), "--j", "1", "-o", str(out)
+        )
+        assert returncode == 0
+        data = json.loads(out.read_text())
+        assert data["m"] == m and data["pass"] and len(data["trend"]) == 6001
+        assert peak_mb < 40, peak_mb
+
+    def test_json_is_canonical_json_of_the_whole_payload(self, tmp_path, capsys):
+        # the trend is written a row at a time; the bytes are those of the
+        # payload with the trend as one list, as it was built before
+        trend_keys = ("m", "tv", "pass", "literal_bound_held")
+        for name, mu in _measure_grid(11):
+            path = tmp_path / f"{name}.json"
+            path.write_text(measure_json(mu))
+            for m in (1, 2, 3, 6, 100, 2**200 - 3, 2**200 + 1):
+                for j in range(4):
+                    report = convergence_report(mu, m, j)
+                    trend = [_printed(row) for row in convergence_trend(mu, report)]
+                    payload = {
+                        "schema": "lampirs.irs.v1",
+                        **_printed(report),
+                        "trend": [{k: row[k] for k in trend_keys} for row in trend],
+                        "marginal": distribution_to_json(report["marginal"]),
+                    }
+                    args = ["irs", "--mu", str(path), "--m", str(m), "--j", str(j)]
+                    assert main(args) == (0 if report["pass"] else 1)
+                    assert capsys.readouterr().out == canonical_json(payload)
 
     def test_trend_csv(self, tmp_path):
         mu = tmp_path / "mix.json"

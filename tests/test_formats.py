@@ -6,6 +6,8 @@ from lampirs.algebra import LaurentPoly, Poly
 from lampirs.errors import FormatError, ResourceBudgetError
 from lampirs.formats import (
     POLY_SPAN_BUDGET,
+    canonical_json,
+    canonical_json_pieces,
     format_laurent,
     format_submodule,
     format_triple,
@@ -146,3 +148,31 @@ class TestBlocks:
             parse_triple("s=2\nbogus header\n1\nv=0\n")
         with pytest.raises(FormatError):
             parse_triple("s=2\nn=1 e=2 p=2\n1\n")  # missing v=
+
+
+class TestCanonicalJsonPieces:
+    def test_pieces_join_to_canonical_json(self):
+        # the list's key before, between and after the other keys, with
+        # none of them, and with no items
+        rng = SplitMix64(31)
+        names = ["a", "m", "marginal", "schema", "tv", "z"]
+        for _ in range(300):
+            obj = {k: rng.below(5) for k in names if rng.below(2)}
+            items = [
+                {"m": 2**200 - rng.below(3), "pass": bool(rng.below(2)), "tv": str(rng.below(9))}
+                for _ in range(rng.below(4))
+            ]
+            for key in ("0", "n", "trend", "zz"):
+                pieces = canonical_json_pieces(obj, key, iter(items))
+                assert "".join(pieces) == canonical_json({**obj, key: items})
+
+    def test_items_are_read_as_the_pieces_are(self):
+        read = []
+        items = (read.append(i) or i for i in range(3))
+        pieces = canonical_json_pieces({"a": 1, "z": 2}, "t", items)
+        assert next(pieces) == '{"a":1,"t":['
+        assert read == []
+        assert next(pieces) == "0"
+        assert next(pieces) == ",1"
+        assert read == [0, 1]
+        assert list(pieces) == [",2", '],"z":2}\n']
