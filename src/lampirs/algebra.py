@@ -8,6 +8,14 @@ polynomials are equal tuples.  A Laurent polynomial is a pair
 constant term; this normalizes away the unit group {c * x^k} of the
 Laurent ring and makes canonical forms unique.
 
+Every value has one representative, and the public constructors always
+return it: ``Poly`` reduces its coefficients mod p and strips trailing
+zeros, and ``LaurentPoly`` moves the low zeros of its body into the offset.
+A value the package derives from values it has already checked is built by
+the private ``_raw`` of its type, which checks nothing; its docstring states
+what the caller guarantees.  Input from outside the program always goes
+through a public constructor.
+
 The degree of the zero polynomial is the sentinel ``None``, never a number.
 """
 
@@ -41,22 +49,41 @@ def check_prime(p):
     return p
 
 
+def _trimmed(coeffs):
+    """The list ``coeffs`` without its trailing zeros, stripped in place."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def _same_p(a, b):
     if a.p != b.p:
         raise ContextError(f"mixed moduli: {a.p} and {b.p}")
 
 
 class Poly:
-    """Polynomial over F_p: ``coeffs[i]`` is the coefficient of x^i."""
+    """Polynomial over F_p: ``coeffs[i]`` is the coefficient of x^i.
+
+    The constructor checks p and always returns the canonical value: the
+    coefficients reduced mod p, with no trailing zero.  :meth:`_raw` is only
+    for coefficients valid by construction.
+    """
 
     __slots__ = ("p", "coeffs")
 
-    def __init__(self, p, coeffs=(), normalize=True):
+    def __init__(self, p, coeffs=()):
         check_prime(p)
-        if normalize:
-            coeffs = [c % p for c in coeffs]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
+        self._fill(p, _trimmed([c % p for c in coeffs]))
+
+    @classmethod
+    def _raw(cls, p, coeffs):
+        """Unchecked: p is prime and ``coeffs`` a sequence of coefficients
+        in [0, p) whose last one, if any, is nonzero."""
+        obj = cls.__new__(cls)
+        obj._fill(p, coeffs)
+        return obj
+
+    def _fill(self, p, coeffs):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -64,22 +91,12 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _raw(cls, p, coeffs):
-        # Internal: coefficients already reduced mod p; only strip trailing zeros.
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "coeffs", tuple(coeffs))
-        return obj
-
-    @classmethod
     def zero(cls, p):
-        return cls(p, (), normalize=False)
+        return cls(p, ())
 
     @classmethod
     def one(cls, p):
-        return cls(p, (1,), normalize=False)
+        return cls(p, (1,))
 
     @property
     def degree(self):
@@ -116,10 +133,10 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = (out[i] + c) % self.p
-        return Poly._raw(self.p, out)
+        return Poly._raw(self.p, _trimmed(out))
 
     def __neg__(self):
-        return Poly(self.p, tuple((-c) % self.p for c in self.coeffs), normalize=False)
+        return Poly._raw(self.p, [-c % self.p for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,9 +162,7 @@ class Poly:
             return Poly.zero(self.p)
         if c == 1:
             return self
-        return Poly(
-            self.p, tuple((c * a) % self.p for a in self.coeffs), normalize=False
-        )
+        return Poly._raw(self.p, [c * a % self.p for a in self.coeffs])
 
     def shift(self, k):
         """Multiply by x^k, k >= 0."""
@@ -155,7 +170,7 @@ class Poly:
             raise DomainError("negative shift on Poly; use LaurentPoly")
         if not self.coeffs or k == 0:
             return self
-        return Poly(self.p, (0,) * k + self.coeffs, normalize=False)
+        return Poly._raw(self.p, (0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         _same_p(self, other)
@@ -173,7 +188,7 @@ class Poly:
                 q[i - db] = factor
                 for j, bc in enumerate(other.coeffs):
                     rem[i - db + j] = (rem[i - db + j] - factor * bc) % p
-        return Poly._raw(p, q), Poly._raw(p, rem)
+        return Poly._raw(p, q), Poly._raw(p, _trimmed(rem))
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -242,7 +257,7 @@ def _mark_products(marked, g, d, c, powers):
     h = [1] * (d - k > 1) + [0] * (d - k - 2) + [(c - gc[k - 1]) % p, 1]
     if not h[0]:
         return
-    low = list((g * Poly(p, h, normalize=False)).coeffs[: d - 1])
+    low = list((g * Poly._raw(p, h)).coeffs[: d - 1])
     idx, digits = sum(a * w for a, w in zip(low, powers)), h[: d - k - 1]
     while True:
         marked[idx] = 1
@@ -282,7 +297,7 @@ def irreducibles(p):
     found, ends = _SIEVED.setdefault(p, ([], [p - 1]))
     for i in range(p - 1):
         if i == len(found):
-            found.append(Poly(p, (i + 1, 1), normalize=False))
+            found.append(Poly._raw(p, [i + 1, 1]))
         yield found[i]
     block = 0
     for d in itertools.count(2):
@@ -313,7 +328,7 @@ def _sieve_block(found, p, d, c):
     out = []
     i = marked.find(0)
     while i >= 0:
-        out.append(Poly(p, base_p_digits(i, p, d - 1) + [c, 1], normalize=False))
+        out.append(Poly._raw(p, base_p_digits(i, p, d - 1) + [c, 1]))
         i = marked.find(0, i + 1)
     return out
 
@@ -334,24 +349,39 @@ def enumerate_irreducibles(p, count):
 
 
 class LaurentPoly:
-    """Element x^offset * body of F_p[x, x^-1], body with nonzero constant term."""
+    """Element x^offset * body of F_p[x, x^-1], body with nonzero constant term.
+
+    The constructor checks p and always returns the canonical value: the
+    low zeros of the body move into the offset, and the zero element has
+    offset 0.  :meth:`_raw` is only for parts valid by construction.
+    """
 
     __slots__ = ("p", "offset", "body")
 
-    def __init__(self, p, offset=0, body=None, normalize=True):
+    def __init__(self, p, offset=0, body=None):
         check_prime(p)
-        if body is None:
-            body = Poly.zero(p)
-        if normalize:
-            if body.is_zero():
-                offset = 0
-            else:
-                val = 0
-                while body.coeffs[val] == 0:
-                    val += 1
-                if val:
-                    body = Poly(p, body.coeffs[val:], normalize=False)
-                    offset += val
+        if body is not None and body.p != p:
+            raise ContextError(f"a body over {body.p} for a Laurent polynomial over {p}")
+        if body is None or body.is_zero():
+            body, offset = Poly.zero(p), 0
+        else:
+            val = 0
+            while body.coeffs[val] == 0:
+                val += 1
+            if val:
+                body = Poly._raw(p, body.coeffs[val:])
+                offset += val
+        self._fill(p, offset, body)
+
+    @classmethod
+    def _raw(cls, p, offset, body):
+        """Unchecked: p is prime and ``body`` a Poly over p, zero with
+        offset 0 or else with a nonzero constant term."""
+        obj = cls.__new__(cls)
+        obj._fill(p, offset, body)
+        return obj
+
+    def _fill(self, p, offset, body):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "body", body)
@@ -360,21 +390,12 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _raw(cls, p, offset, body):
-        # Internal: p prime and ``body`` a Poly over p with nonzero constant term; unchecked.
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "offset", offset)
-        object.__setattr__(obj, "body", body)
-        return obj
-
-    @classmethod
     def zero(cls, p):
-        return cls(p, 0, Poly.zero(p), normalize=False)
+        return cls(p)
 
     @classmethod
     def one(cls, p):
-        return cls(p, 0, Poly.one(p), normalize=False)
+        return cls(p, 0, Poly.one(p))
 
     @classmethod
     def from_poly(cls, f):
@@ -385,7 +406,7 @@ class LaurentPoly:
         c %= p
         if c == 0:
             return cls.zero(p)
-        return cls(p, k, Poly(p, (c,), normalize=False), normalize=False)
+        return cls(p, k, Poly(p, (c,)))
 
     def is_zero(self):
         return self.body.is_zero()
@@ -422,7 +443,7 @@ class LaurentPoly:
         return LaurentPoly(self.p, off, a + b)
 
     def __neg__(self):
-        return LaurentPoly(self.p, self.offset, -self.body, normalize=False)
+        return LaurentPoly._raw(self.p, self.offset, -self.body)
 
     def __sub__(self, other):
         return self + (-other)
@@ -441,13 +462,13 @@ class LaurentPoly:
         b = self.body.scale(c)
         if b.is_zero():
             return LaurentPoly.zero(self.p)
-        return LaurentPoly(self.p, self.offset, b, normalize=False)
+        return LaurentPoly._raw(self.p, self.offset, b)
 
     def shifted(self, k):
         """Multiply by x^k (any sign): offset adjustment only."""
         if self.is_zero() or k == 0:
             return self
-        return LaurentPoly(self.p, self.offset + k, self.body, normalize=False)
+        return LaurentPoly._raw(self.p, self.offset + k, self.body)
 
     def __repr__(self):
         from .formats import format_laurent

@@ -50,6 +50,17 @@ def format_vector(v):
     return "[" + ", ".join(format_laurent(c) for c in v.coords) + "]"
 
 
+def _int(text, what, line=None):
+    """The integer written as ``text``, a ``what`` of the input; one past
+    what Python reads, a literal of more than 4,300 digits, is a FormatError
+    naming the line."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        shown = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+        raise FormatError(f"bad {what} {shown!r}", line) from exc
+
+
 def parse_poly(text, p, line=None):
     """Parse a (Laurent) polynomial; returns a LaurentPoly."""
     text = text.strip().replace(" ", "")
@@ -58,7 +69,7 @@ def parse_poly(text, p, line=None):
     offset = 0
     m = re.match(r"^x\^(-?\d+)\*\((.*)\)$", text)
     if m:
-        offset = int(m.group(1))
+        offset = _int(m.group(1), "offset", line)
         text = m.group(2)
     if text == "0":
         return LaurentPoly.zero(p)
@@ -67,11 +78,11 @@ def parse_poly(text, p, line=None):
         m = _TERM_RE.match(raw)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise FormatError(f"bad term {raw!r}", line)
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
+        coeff = _int(m.group(1), "coefficient", line) if m.group(1) is not None else 1
         if m.group(2) is None:
             exp = 0
         elif m.group(3) is not None:
-            exp = int(m.group(3))
+            exp = _int(m.group(3), "exponent", line)
         else:
             exp = 1
         if exp in terms:
@@ -86,8 +97,7 @@ def parse_poly(text, p, line=None):
             f"a polynomial of exponent span {hi - lo} exceeds the budget {POLY_SPAN_BUDGET}",
             requested=hi - lo,
         )
-    body = Poly(p, [terms.get(exp, 0) for exp in range(lo, hi + 1)], normalize=False)
-    return LaurentPoly(p, lo + offset, body, normalize=False)
+    return LaurentPoly(p, lo + offset, Poly(p, [terms.get(exp, 0) for exp in range(lo, hi + 1)]))
 
 
 def parse_vector(text, n, p, line=None):
@@ -137,7 +147,7 @@ def parse_submodule_lines(lines, start_line=1):
     m = re.match(r"^n=(\d+)\s+e=(\d+)\s+p=(\d+)$", header)
     if not m:
         raise FormatError(f"bad presentation header {header!r}", start_line)
-    n, e, p = (int(m.group(i)) for i in (1, 2, 3))
+    n, e, p = (_int(m.group(i), f"{name} value", start_line) for i, name in enumerate("nep", 1))
     gens = []
     consumed = 1
     for offset, raw in enumerate(lines[1:], start=1):
@@ -162,10 +172,7 @@ def parse_triple(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("s="):
         raise FormatError("triple file must start with an s= line", 1)
-    try:
-        s = int(lines[0].strip()[2:])
-    except ValueError as exc:
-        raise FormatError(f"bad s value {lines[0].strip()!r}", 1) from exc
+    s = _int(lines[0].strip()[2:], "s value", 1)
     U, consumed = parse_submodule_lines(lines[1:], start_line=2)
     v_index = 1 + consumed
     if v_index >= len(lines) or not lines[v_index].strip().startswith("v="):

@@ -64,21 +64,38 @@ def _leq_with_sqrt_tolerance(value, bound, tol_sq):
 
 
 class WindowSubgroup:
-    """Subgroup of the window coordinate space, reduced-echelon basis."""
+    """Subgroup of the window coordinate space, reduced-echelon basis.
+
+    The constructor checks its arguments and always row-reduces, so it
+    returns the one representative of the subgroup the rows span.
+    :meth:`_raw` is only for rows in that form by construction.
+    """
 
     __slots__ = ("p", "n", "lo", "hi", "rows")
 
-    def __init__(self, p, n, lo, hi, rows, reduce=True):
+    def __init__(self, p, n, lo, hi, rows):
         check_prime(p)
+        if n < 1:
+            raise DomainError(f"lamp rank n must be >= 1, got {n}")
         if hi < lo:
             raise DomainError("empty window")
+        rows = tuple(rows)
         dim = n * (hi - lo + 1)
-        if reduce:
-            rows, _ = rref(rows, p)
-        rows = tuple(tuple(r) for r in rows)
         for r in rows:
             if len(r) != dim:
                 raise DomainError("basis row of wrong width")
+        self._fill(p, n, lo, hi, rref(rows, p)[0])
+
+    @classmethod
+    def _raw(cls, p, n, lo, hi, rows):
+        """Unchecked: p is prime, n >= 1, lo <= hi, and ``rows`` is the
+        reduced row echelon form over F_p, a tuple of tuples of width
+        n*(hi - lo + 1), as ``fplinalg.rref`` returns it."""
+        obj = cls.__new__(cls)
+        obj._fill(p, n, lo, hi, rows)
+        return obj
+
+    def _fill(self, p, n, lo, hi, rows):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lo", lo)
@@ -102,7 +119,7 @@ class WindowSubgroup:
 
     @classmethod
     def zero(cls, p, n, lo, hi):
-        return cls(p, n, lo, hi, (), reduce=False)
+        return cls(p, n, lo, hi, ())
 
     def key(self):
         return (self.dim, self.rows)
@@ -119,23 +136,21 @@ class WindowSubgroup:
 
     def transported(self, new_lo):
         """Same subgroup pattern relabelled to start at ``new_lo``."""
-        return WindowSubgroup(
-            self.p, self.n, new_lo, new_lo + self.width - 1, self.rows, reduce=False
-        )
+        return WindowSubgroup._raw(self.p, self.n, new_lo, new_lo + self.width - 1, self.rows)
 
     def project(self, lo, hi):
         """Intersection with the coordinate subspace of the subwindow [lo, hi]."""
         if lo < self.lo or hi > self.hi or hi < lo:
             raise DomainError("subwindow not nested in window")
         start, stop = (lo - self.lo) * self.n, (hi + 1 - self.lo) * self.n
-        rows = (r[start:stop] for r in self.intersect_sites(range(lo, hi + 1)).rows)
-        return WindowSubgroup(self.p, self.n, lo, hi, rows, reduce=False)
+        rows = tuple(r[start:stop] for r in self.intersect_sites(range(lo, hi + 1)).rows)
+        return WindowSubgroup._raw(self.p, self.n, lo, hi, rows)
 
     def intersect_sites(self, sites):
         """Intersection with the span of an arbitrary subset of sites (full width)."""
         keep = [(site - self.lo) * self.n + c for site in sorted(sites) for c in range(self.n)]
         rows = span_intersect_coordinates(self.rows, keep, self.p, self.space_dim)
-        return WindowSubgroup(self.p, self.n, self.lo, self.hi, rows, reduce=False)
+        return WindowSubgroup._raw(self.p, self.n, self.lo, self.hi, rows)
 
     def embedded(self, lo, hi):
         """The same subgroup inside a larger window (zero outside)."""
@@ -144,7 +159,7 @@ class WindowSubgroup:
         left = (self.lo - lo) * self.n
         right = (hi - self.hi) * self.n
         rows = tuple((0,) * left + r + (0,) * right for r in self.rows)
-        return WindowSubgroup(self.p, self.n, lo, hi, rows, reduce=False)
+        return WindowSubgroup._raw(self.p, self.n, lo, hi, rows)
 
     def sum_with(self, other):
         """Subgroup generated jointly with another on the same window."""
@@ -271,7 +286,7 @@ def window_of_submodule(U, lo, hi):
     support = sorted(set().union(*columns))
     matrix = [[col.get(k, 0) for col in columns] for k in support]
     kernel = right_nullspace(matrix, p, len(columns))
-    return WindowSubgroup(p, n, lo, hi, kernel, reduce=False)
+    return WindowSubgroup._raw(p, n, lo, hi, kernel)
 
 
 class SubgroupMeasure:

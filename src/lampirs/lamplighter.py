@@ -47,6 +47,14 @@ def delta_site(n, p, site, component=0, value=1):
     return LaurentVector.unit(n, p, component, exponent=SITE_EXPONENT_SIGN * site, coeff=value)
 
 
+def _check_shift(s, name):
+    """A mover position or triple shift: an int, never truncated from another
+    number."""
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise DomainError(f"{name} must be an int, got {s!r}")
+    return s
+
+
 class GroupElement:
     """Element (lamps, shift) of the lamplighter group."""
 
@@ -56,7 +64,7 @@ class GroupElement:
         object.__setattr__(self, "n", lamps.n)
         object.__setattr__(self, "p", lamps.p)
         object.__setattr__(self, "lamps", lamps)
-        object.__setattr__(self, "shift", int(shift))
+        object.__setattr__(self, "shift", _check_shift(shift, "shift"))
 
     def __setattr__(self, *a):
         raise AttributeError("GroupElement is immutable")
@@ -130,8 +138,7 @@ class SubgroupTriple:
     __slots__ = ("n", "p", "s", "lamps", "v", "_powers")
 
     def __init__(self, s, lamps, v=None):
-        s = int(s)
-        if s < 0:
+        if _check_shift(s, "s") < 0:
             raise DomainError("s must be >= 0")
         n, p = lamps.n, lamps.p
         check_prime(p)

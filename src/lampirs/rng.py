@@ -171,13 +171,8 @@ def stream_words(keys, count):
     """
     total = len(keys) * count
     starts = array("Q", bytes(8 * total))
-    # spread the keys along the shorter side: one slice per word or per key
-    if count <= len(keys):
-        for j in range(count):
-            starts[j::count] = keys
-    else:
-        for i, key in enumerate(keys):
-            starts[i * count : (i + 1) * count] = array("Q", [key]) * count
+    for j in range(count):
+        starts[j::count] = keys
     steps = int.from_bytes(_run_lanes(count)[2] * len(keys), "little")
     mask = _lane_mask(total)
     states = (_to_lanes(starts) + steps) & mask

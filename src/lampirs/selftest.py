@@ -57,12 +57,7 @@ DEFAULT_SEED = 7
 
 
 def random_laurent_poly(rng, p, lo=-2, hi=2):
-    out = LaurentPoly.zero(p)
-    for exp in range(lo, hi + 1):
-        c = rng.below(p)
-        if c:
-            out = out + LaurentPoly.monomial(p, exp, c)
-    return out
+    return LaurentPoly(p, lo, Poly(p, [rng.below(p) for _ in range(lo, hi + 1)]))
 
 
 def random_vector(rng, n, p, lo=-2, hi=2):

@@ -70,7 +70,7 @@ class LaurentVector:
 
     @classmethod
     def _raw(cls, p, coords):
-        # Internal: p prime and ``coords`` a tuple of LaurentPolys over p; unchecked.
+        """Unchecked: p is prime and ``coords`` a tuple of LaurentPolys over p."""
         obj = cls.__new__(cls)
         obj._fill(p, coords)
         return obj
@@ -109,23 +109,22 @@ class LaurentVector:
 
     def __add__(self, other):
         self._check(other)
-        return LaurentVector(self.p, (a + b for a, b in zip(self.coords, other.coords)))
+        return LaurentVector._raw(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._check(other)
-        return LaurentVector(self.p, (a - b for a, b in zip(self.coords, other.coords)))
+        return LaurentVector._raw(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return LaurentVector(self.p, (-a for a in self.coords))
+        return LaurentVector._raw(self.p, tuple(-a for a in self.coords))
 
     def scaled(self, f):
-        """Multiply every coordinate by a Poly/LaurentPoly/int scalar."""
-        if isinstance(f, int):
-            return LaurentVector(self.p, (c.scale(f) for c in self.coords))
-        return LaurentVector(self.p, (c * f for c in self.coords))
+        """Multiply every coordinate by a Poly/LaurentPoly/int scalar; the
+        Laurent product checks the modulus of a polynomial f."""
+        return LaurentVector._raw(self.p, tuple(c * f for c in self.coords))
 
     def shifted(self, k):
-        return LaurentVector(self.p, (c.shifted(k) for c in self.coords))
+        return LaurentVector._raw(self.p, tuple(c.shifted(k) for c in self.coords))
 
     def _check(self, other):
         if self.p != other.p or self.n != other.n:
@@ -171,20 +170,23 @@ def _by_column(pairs):
 
 def _body(terms, p):
     """(low, body) of the column entry y^low * body with the nonzero terms
-    {y-exponent: c}, body a Poly with nonzero constant term."""
+    {y-exponent: c}, c in [1, p), body a Poly with nonzero constant term.
+    Its coefficient list runs from the least exponent to the greatest, so it
+    ends in a nonzero term and is built unchecked."""
     low = min(terms)
-    return low, Poly(p, [terms.get(q, 0) for q in range(low, max(terms) + 1)], normalize=False)
+    return low, Poly._raw(p, [terms.get(q, 0) for q in range(low, max(terms) + 1)])
 
 
 def _vector_at(coords, n, level, p):
-    """The LaurentVector with the coordinates ``coords`` at ``level``: the
-    entry c in column j*n + i at y^q is the term c x^(q*level + j) of
-    coordinate i."""
+    """The LaurentVector with the coordinates ``coords``, each c in [1, p),
+    at ``level``: the entry c in column j*n + i at y^q is the term
+    c x^(q*level + j) of coordinate i.  Its parts are valid by construction
+    and built unchecked."""
     cols = [LaurentPoly.zero(p)] * n
     pairs = (((col % n, q * level + col // n), c) for (col, q), c in coords.items())
     for i, terms in _by_column(pairs).items():
-        cols[i] = LaurentPoly(p, *_body(terms, p), normalize=False)
-    return LaurentVector(p, cols)
+        cols[i] = LaurentPoly._raw(p, *_body(terms, p))
+    return LaurentVector._raw(p, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +446,8 @@ class Submodule:
 
     @classmethod
     def _raw(cls, n, p, period, gens):
-        # Internal: p prime, n and period >= 1, and ``gens`` a tuple of nonzero
-        # LaurentVectors of R^n over p; unchecked.
+        """Unchecked: p is prime, n and period are >= 1, and ``gens`` is a
+        tuple of nonzero LaurentVectors of R^n over p."""
         obj = cls.__new__(cls)
         obj._fill(n, p, period, gens)
         return obj
@@ -577,7 +579,7 @@ class Submodule:
 
     def shifted(self, k):
         """x^k * U, presented at the same period."""
-        return Submodule(self.n, self.p, self.period, (g.shifted(k) for g in self.gens))
+        return Submodule._raw(self.n, self.p, self.period, tuple(g.shifted(k) for g in self.gens))
 
     def scaled(self, f):
         """f * U for a nonzero scalar polynomial f."""
@@ -617,8 +619,8 @@ class Submodule:
         if period == self.period:
             return self
         g = gcd(period, self.period)
-        gens = [v.shifted(k * g) for v in self.gens for k in range(period // g)]
-        return Submodule(self.n, self.p, period, gens)
+        gens = tuple(v.shifted(k * g) for v in self.gens for k in range(period // g))
+        return Submodule._raw(self.n, self.p, period, gens)
 
     def minimal_period(self, s=None):
         """Least e with x^e U = U, found once per object and kept.
@@ -655,7 +657,7 @@ class Submodule:
         e = self.minimal_period()
         form = self.form(e)
         gens = tuple(_vector_at(dict(row), self.n, e, self.p) for row in form.rows)
-        canon = Submodule(self.n, self.p, e, gens)
+        canon = Submodule._raw(self.n, self.p, e, gens)
         canon._forms[e] = form
         object.__setattr__(canon, "_e", e)
         return canon

@@ -25,7 +25,7 @@ def P(p, *coeffs):
 def monic_polys(p, degree):
     """All monic polynomials of exact degree, ascending in base-p encoding."""
     for idx in range(p**degree):
-        yield Poly(p, base_p_digits(idx, p, degree) + [1], normalize=False)
+        yield Poly(p, base_p_digits(idx, p, degree) + [1])
 
 
 def is_irreducible(f):
@@ -263,6 +263,62 @@ class TestLaurent:
         prod = f * g
         assert prod.offset == -1
         assert prod.body == P(3, 1, 2) * P(3, 2, 1)
+
+
+class TestCanonicalConstruction:
+    """The public constructors return the one canonical value on any input,
+    and take no switch that skips it."""
+
+    def test_poly_strips_trailing_zeros_and_reduces(self):
+        assert Poly(2, (1, 0)) == Poly(2, (1,))
+        assert Poly(3, (4, -1, 6, 0)).coeffs == (1, 2)
+        assert Poly(5, (-5, 10, 0)).coeffs == ()
+        assert Poly(7, [-1] * 3) == Poly(7, (6, 6, 6))
+
+    def test_laurent_moves_low_zeros_into_the_offset(self):
+        f = LaurentPoly(3, 2, Poly(3, (0, 0, 4, -1)))
+        assert (f.offset, f.body.coeffs) == (4, (1, 2))
+        assert f == LaurentPoly(3, 4, Poly(3, (1, 2)))
+        assert LaurentPoly(5, -3, Poly(5, (0, 5, 1))) == LaurentPoly(5, -1, Poly(5, (1,)))
+
+    def test_laurent_zero_body_has_offset_zero(self):
+        for body in (None, Poly.zero(5), Poly(5, (0, 5, 10))):
+            f = LaurentPoly(5, 7, body)
+            assert (f.offset, f.body.coeffs) == (0, ())
+            assert f == LaurentPoly.zero(5)
+
+    def test_laurent_body_of_another_modulus_refused(self):
+        with pytest.raises(ContextError):
+            LaurentPoly(3, 0, Poly(2, (1, 1)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poly(2, (1, 0), normalize=False),
+            lambda: Poly(2, (1,), normalize=True),
+            lambda: LaurentPoly(2, 0, Poly(2, (0, 1)), normalize=False),
+            lambda: LaurentPoly(2, 0, Poly(2, (1,)), normalize=True),
+        ],
+    )
+    def test_no_normalize_switch(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_derived_values_are_canonical(self, p):
+        rng = SplitMix64(8080 + p)
+        for _ in range(60):
+            f = Poly(p, [rng.below(p) for _ in range(rng.below(6))])
+            c = rng.below(3 * p) - p
+            k = rng.below(4)
+            for g in (-f, f.scale(c), f.shift(k), f * Poly(p, (c, 1)), f - f.shift(1)):
+                assert all(0 <= a < p for a in g.coeffs), (f, c, k)
+                assert g == Poly(p, g.coeffs), (f, c, k)
+            assert (-f).coeffs == Poly(p, [-a for a in f.coeffs]).coeffs
+            L = LaurentPoly(p, rng.below(7) - 3, f)
+            for h in (-L, L.scale(c), L.shifted(k - 2), L * L):
+                assert h == LaurentPoly(h.p, h.offset, Poly(p, h.body.coeffs)), (L, c, k)
+                assert h.is_zero() or h.body.constant() != 0
 
 
 class TestSympyOracle:

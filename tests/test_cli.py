@@ -468,6 +468,63 @@ def measure_with_period(tmp_path, period):
     return str(path)
 
 
+# An integer literal of 5,000 digits, past the 4,300 that Python's int() reads
+HUGE = "9" * 5000
+HUGE_TRIPLES = {
+    "coefficient": f"s=2\nn=1 e=2 p=2\n[{HUGE}x]\nv=[0]\n",
+    "exponent": f"s=2\nn=1 e=2 p=2\n[x^{HUGE}]\nv=[0]\n",
+    "offset": f"s=2\nn=1 e=2 p=2\n[x^{HUGE}*(1+x)]\nv=[0]\n",
+    "marker": f"s=2\nn=1 e=2 p=2\n1\nv=[x^-{HUGE}]\n",
+    "n": f"s=2\nn={HUGE} e=2 p=2\n1\nv=0\n",
+    "e": f"s=2\nn=1 e={HUGE} p=2\n1\nv=0\n",
+    "p": f"s=2\nn=1 e=2 p={HUGE}\n1\nv=0\n",
+    "s": f"s={HUGE}\nn=1 e=2 p=2\n1\nv=0\n",
+}
+HUGE_GENERATORS = {
+    "coefficient": f"{HUGE}x",
+    "exponent": f"x^{HUGE}",
+    "offset": f"x^-{HUGE}*(1+x)",
+}
+
+
+class TestOversizedIntegers:
+    """An integer of the input past what Python reads is refused as a
+    format error naming its line: exit 2, one stderr line, no traceback."""
+
+    @staticmethod
+    def assert_refused(res, line=None):
+        assert res.returncode == 2, res.stderr[-300:]
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1, res.stderr[-300:]
+        assert res.stderr.startswith("input error: ") and "Traceback" not in res.stderr
+        assert len(res.stderr) < 200
+        if line is not None:
+            assert f"line {line}:" in res.stderr
+
+    @pytest.mark.process
+    @pytest.mark.parametrize("command", ["invariants", "approach"])
+    @pytest.mark.parametrize("position", sorted(HUGE_TRIPLES))
+    def test_triple(self, tmp_path, command, position):
+        path = tmp_path / "V.triple"
+        path.write_text(HUGE_TRIPLES[position])
+        extra = ("--target", "1,0", "--count", "4") if command == "approach" else ()
+        res = run_process(command, "--triple", str(path), *extra)
+        line = {"s": 1, "n": 2, "e": 2, "p": 2, "marker": 4}.get(position, 3)
+        self.assert_refused(res, line)
+
+    @pytest.mark.process
+    @pytest.mark.parametrize("command", ["irs", "mix"])
+    @pytest.mark.parametrize("position", sorted(HUGE_GENERATORS))
+    def test_measure_generator(self, tmp_path, command, position):
+        mu = tmp_path / "mu.json"
+        mu.write_text(MIX_JSON.replace('"gens": ["1"]', f'"gens": ["{HUGE_GENERATORS[position]}"]', 1))
+        if command == "irs":
+            res = run_process("irs", "--mu", str(mu), "--m", "4", "--j", "1")
+        else:
+            res = run_process("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu))
+        self.assert_refused(res)
+
+
 class TestFormColumnBudget:
     # A form at level L has n*L columns; 16384 is the budget.
 

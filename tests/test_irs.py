@@ -121,6 +121,42 @@ class TestProjection:
                 assert outer.project(a, b) == mu.marginal(a, b)
 
 
+class TestCanonicalConstruction:
+    """The window constructor always row-reduces: any spanning rows give the
+    one RREF representative, and no switch skips it."""
+
+    def test_rows_out_of_rref(self):
+        plane = WindowSubgroup(P2, 1, 0, 1, ((1, 1), (0, 1)))
+        assert plane.rows == ((1, 0), (0, 1))
+        assert plane == WindowSubgroup(P2, 1, 0, 1, ((1, 0), (0, 1)))
+        assert WindowSubgroup(3, 1, 0, 1, ((0, 2), (2, 1))).rows == ((1, 0), (0, 1))
+
+    def test_zero_and_duplicate_rows(self):
+        ws = WindowSubgroup(3, 1, 0, 2, ((1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 2, 0)))
+        assert ws.rows == ((1, 2, 0),)
+        assert WindowSubgroup(3, 1, 0, 2, ((0, 0, 0), (3, 6, -9))) == WindowSubgroup.zero(3, 1, 0, 2)
+
+    def test_unreduced_and_negative_entries(self):
+        ws = WindowSubgroup(5, 2, 0, 0, ((-1, 7),))
+        assert ws.rows == ((1, 3),)
+        assert ws == WindowSubgroup(5, 2, 0, 0, ((2, 6),))
+
+    def test_row_width_checked_before_reduction(self):
+        for rows in (((1, 0, 0),), ((0, 0, 0),), ((1, 0), (0, 1, 0))):
+            with pytest.raises(DomainError):
+                WindowSubgroup(P2, 1, 0, 1, rows)
+
+    def test_domain_refused(self):
+        for args in ((P2, 0, 0, 1, ()), (P2, 1, 1, 0, ()), (4, 1, 0, 1, ())):
+            with pytest.raises(DomainError):
+                WindowSubgroup(*args)
+
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_no_reduce_switch(self, switch):
+        with pytest.raises(TypeError):
+            WindowSubgroup(P2, 1, 0, 1, ((1, 1),), reduce=switch)
+
+
 class TestBlockAverage:
     def test_point_masses_are_fixed_points(self):
         for U in (Submodule.full(1, P2), Submodule.zero(1, P2)):

@@ -103,6 +103,24 @@ class TestGroupLaw:
         assert power(g, -1) == g.inverse()
 
 
+class TestShiftsAreInts:
+    """A shift that is not an int is refused, never truncated."""
+
+    @pytest.mark.parametrize("shift", [2.7, 2.0, "2", None, True])
+    def test_group_element(self, shift):
+        with pytest.raises(DomainError):
+            GroupElement(delta_site(1, 2, 0), shift)
+
+    @pytest.mark.parametrize("s", [2.9, 2.0, "2", True])
+    def test_subgroup_triple(self, s):
+        with pytest.raises(DomainError):
+            SubgroupTriple(s, Submodule.full(1, 2))
+
+    def test_ints_kept(self):
+        assert GroupElement(delta_site(1, 2, 0), -3).shift == -3
+        assert SubgroupTriple(2, Submodule.full(1, 2)).s == 2
+
+
 def triple_even_span(s=2, v_exp=None):
     U = Submodule(1, 2, 2, [LaurentVector.unit(1, 2, 0)])
     v = LaurentVector.zero(1, 2) if v_exp is None else LaurentVector.unit(1, 2, 0, exponent=v_exp)

@@ -24,13 +24,16 @@ digits at level 1, by summing scaled site deltas.  Enumerated subgroups,
 built without the public constructors' checks, are rebuilt by the
 validating constructors, and conjugated elements, written by the closed
 form, by the group product.  Certificates whose scan starts at the degree
-gap are rebuilt from the same subgroups without their gap record.  Any
-disagreement fails the test.
+gap are rebuilt from the same subgroups without their gap record.  Values
+built unchecked by a ``_raw`` constructor, from column bodies to window
+subgroups and marginal atoms, are rebuilt by the checking constructors and
+must come back unchanged.  Any disagreement fails the test.
 """
 
 import functools
 import hashlib
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -41,6 +44,15 @@ from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import ContextError, PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
 from lampirs.formats import format_vector
+from lampirs.irs import (
+    SubgroupMeasure,
+    WindowSubgroup,
+    _block_pieces,
+    _spliced,
+    block_average_marginal,
+    splice_measures,
+    window_of_submodule,
+)
 from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
@@ -57,6 +69,8 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
+    _body,
+    _vector_at,
     _vector_coordinates,
     approach_sequence,
     construct_with_invariants,
@@ -1880,3 +1894,134 @@ class TestConjugateElementOracle:
             conjugate_element(GroupElement.identity(1, 2), GroupElement.identity(2, 2))
         with pytest.raises(ContextError):
             conjugate_element(GroupElement.identity(1, 2), GroupElement.identity(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Built unchecked from checked parts: every value a ``_raw`` constructor
+# makes is rebuilt by its checking constructor, which must return it
+# unchanged.
+# ---------------------------------------------------------------------------
+
+
+def assert_rechecked_laurent(f):
+    assert type(f.body.coeffs) is tuple
+    assert Poly(f.p, f.body.coeffs) == f.body, f
+    assert LaurentPoly(f.p, f.offset, Poly(f.p, f.body.coeffs)) == f, f
+
+
+def assert_rechecked_vector(v):
+    assert type(v.coords) is tuple and v.n == len(v.coords)
+    for c in v.coords:
+        assert_rechecked_laurent(c)
+    assert LaurentVector(v.p, v.coords) == v
+
+
+def assert_rechecked_submodule(U):
+    assert type(U.gens) is tuple
+    for g in U.gens:
+        assert_rechecked_vector(g)
+    assert Submodule(U.n, U.p, U.period, U.gens).gens == U.gens
+
+
+def assert_rechecked_window(ws):
+    assert type(ws.rows) is tuple and all(type(r) is tuple for r in ws.rows)
+    assert WindowSubgroup(ws.p, ws.n, ws.lo, ws.hi, ws.rows) == ws, ws.rows
+
+
+def orbit_measure(U):
+    """The even mixture of U's shifts x^k U, k below its minimal period: a
+    shift-invariant measure."""
+    e = U.minimal_period()
+    return SubgroupMeasure.mixture([(Fraction(1, e), U.shifted(k)) for k in range(e)])
+
+
+class TestUncheckedConstructionOracle:
+    def test_column_bodies_and_vectors(self):
+        rng = SplitMix64(6161)
+        for _ in range(300):
+            p, n, level = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(3), 1 + rng.below(4)
+            terms = {rng.below(9) - 4: 1 + rng.below(p - 1) for _ in range(1 + rng.below(4))}
+            f = LaurentPoly._raw(p, *_body(terms, p))
+            assert_rechecked_laurent(f)
+            assert dict(f.terms()) == terms
+            coords = {
+                (rng.below(n * level), rng.below(7) - 3): 1 + rng.below(p - 1)
+                for _ in range(rng.below(6))
+            }
+            v = _vector_at(coords, n, level, p)
+            assert_rechecked_vector(v)
+            assert _vector_coordinates(v, level) == coords
+
+    def test_vector_operations(self):
+        rng = SplitMix64(6262)
+        for _ in range(200):
+            p, n = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(3)
+            a, b = rand_vec(rng, n, p), rand_vec(rng, n, p)
+            f = Poly(p, [rng.below(p) for _ in range(rng.below(4))])
+            F = LaurentPoly(p, rng.below(5) - 2, f)
+            c, k = rng.below(3 * p) - p, rng.below(9) - 4
+            for v in (a + b, a - b, a - a, -a, a.scaled(c), a.scaled(f), a.scaled(F), a.shifted(k)):
+                assert_rechecked_vector(v)
+
+    def test_canonical_shifted_and_reperiodized_subgroups(self):
+        for U in pinned_grid(6363, 60):
+            canon = U.canonical()
+            assert_rechecked_submodule(canon)
+            assert canon.equals(U)
+            for k in (-3, 1, 4):
+                assert_rechecked_submodule(U.shifted(k))
+            assert_rechecked_submodule(U.with_period(2 * U.period))
+            assert_rechecked_submodule(canon.with_period(3 * canon.period))
+            assert_rechecked_vector(U.reduce_vector(U.gens[0].shifted(1) if U.gens else
+                                                    LaurentVector.zero(U.n, U.p)))
+
+    def test_window_operations(self):
+        rng = SplitMix64(6464)
+        for U in pinned_grid(6464, 60):
+            lo = rng.below(5) - 2
+            hi = lo + rng.below(4)
+            ws = window_of_submodule(U, lo, hi)
+            assert_rechecked_window(ws)
+            for a in range(lo, hi + 1):
+                for b in range(a, hi + 1):
+                    assert_rechecked_window(ws.project(a, b))
+            sites = [s for s in range(lo, hi + 1) if rng.below(2)]
+            assert_rechecked_window(ws.intersect_sites(sites))
+            assert_rechecked_window(ws.embedded(lo - rng.below(2), hi + rng.below(3)))
+            assert_rechecked_window(ws.transported(rng.below(9) - 4))
+
+    def test_block_pieces_and_marginal_atoms(self):
+        checked = 0
+        for U in pinned_grid(6565, 40):
+            if U.n > 2:
+                continue
+            mu = orbit_measure(U)
+            for m in (1, 2, 3):
+                block_law = mu.marginal(0, m - 1)
+                for k in range(m):
+                    for column in _block_pieces(block_law, m, -1, 2, k):
+                        for ws in column:
+                            assert_rechecked_window(ws)
+                for ws in block_average_marginal(mu, m, -1, 1).atoms:
+                    assert_rechecked_window(ws)
+                    checked += 1
+        assert checked > 100
+
+    def test_spliced_atoms(self):
+        groups = {}
+        for U in pinned_grid(6666, 60):
+            if U.n <= 2:
+                groups.setdefault((U.n, U.p), []).append(U)
+        checked = 0
+        for U, V in (pair for grid in groups.values() for pair in zip(grid, grid[1:])):
+            mu1, mu2 = orbit_measure(U), orbit_measure(V)
+            lo, hi = -1, 1
+            for ws1 in mu1.marginal(lo, hi).atoms:
+                for ws2 in mu2.marginal(lo, hi).atoms:
+                    for mask in range(8):
+                        assert_rechecked_window(_spliced(ws1, ws2, mask))
+                        checked += 1
+            empirical, _, _ = splice_measures(mu1, mu2, 5, lo, hi, 50, 17)
+            for ws in empirical.atoms:
+                assert_rechecked_window(ws)
+        assert checked > 100
