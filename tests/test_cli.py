@@ -517,11 +517,14 @@ class TestOversizedIntegers:
     @pytest.mark.parametrize("position", sorted(HUGE_GENERATORS))
     def test_measure_generator(self, tmp_path, command, position):
         mu = tmp_path / "mu.json"
-        mu.write_text(MIX_JSON.replace('"gens": ["1"]', f'"gens": ["{HUGE_GENERATORS[position]}"]', 1))
+        gens = f'"gens": ["{HUGE_GENERATORS[position]}"]'
+        mu.write_text(MIX_JSON.replace('"gens": ["1"]', gens, 1))
         if command == "irs":
             res = run_process("irs", "--mu", str(mu), "--m", "4", "--j", "1")
         else:
-            res = run_process("mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu))
+            res = run_process(
+                "mix", "--nai", "11", "--trials", "10", "--seed", "1", "--mu1", str(mu)
+            )
         self.assert_refused(res)
 
 

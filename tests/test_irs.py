@@ -134,7 +134,8 @@ class TestCanonicalConstruction:
     def test_zero_and_duplicate_rows(self):
         ws = WindowSubgroup(3, 1, 0, 2, ((1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 2, 0)))
         assert ws.rows == ((1, 2, 0),)
-        assert WindowSubgroup(3, 1, 0, 2, ((0, 0, 0), (3, 6, -9))) == WindowSubgroup.zero(3, 1, 0, 2)
+        zero = WindowSubgroup(3, 1, 0, 2, ((0, 0, 0), (3, 6, -9)))
+        assert zero == WindowSubgroup.zero(3, 1, 0, 2)
 
     def test_unreduced_and_negative_entries(self):
         ws = WindowSubgroup(5, 2, 0, 0, ((-1, 7),))
