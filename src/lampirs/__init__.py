@@ -1,17 +1,26 @@
 """Exact computation in the subgroup space of lamplighter groups.
 
-Layers, bottom up:
+Layers, bottom up; a module imports only modules listed above it, and
+only at its top:
 
-- ``algebra``: arithmetic over F_p[x] and the Laurent ring, irreducibles.
+- ``errors``: the exception classes.
+- ``fplinalg``: row reduction and null spaces over F_p.
+- ``rng``: the seeded SplitMix64 streams behind every random draw.
+- ``algebra``: arithmetic over F_p[x] and the Laurent ring, irreducibles,
+  and the text of a polynomial.
 - ``submodules``: periodic lamp subgroups and their one canonical form (the
-  Laurent-Hermite form), rank/period invariants, counting, enumeration, and
-  the prescribed-invariant / convergent constructions.
+  Laurent-Hermite form), rank/period invariants, counting, enumeration,
+  the prescribed-invariant / convergent constructions, and the text of a
+  vector.
 - ``lamplighter``: group elements, subgroup triples, membership, conjugation,
   cylinder tests, and finite-window convergence certification.
 - ``cbrank``: derivative levels of the divisor-product order, unboundedness
   certificates, and convergent-sequence construction/classification.
 - ``irs``: exact window marginals of shift-invariant measures, block-average
   approximants with their distance bounds, seeded samplers, and splicing.
+- ``formats``: the text and JSON formats of polynomials, vectors,
+  presentations, triples, measures and distributions.
+- ``selftest``: the seeded self-checks behind ``lampirs selftest``.
 - ``cli``: reproducible command-line front end over all of the above.
 """
 

@@ -205,7 +205,7 @@ class Poly:
         return f"Poly({self.p}, {format_poly_plain(self)!r})"
 
 
-def format_poly_plain(f, var="x"):
+def format_poly_plain(f):
     """Human-readable form, ascending exponents: ``1+x^2+2x^3``."""
     if f.is_zero():
         return "0"
@@ -217,7 +217,7 @@ def format_poly_plain(f, var="x"):
             terms.append(str(c))
         else:
             head = "" if c == 1 else str(c)
-            terms.append(f"{head}{var}" if k == 1 else f"{head}{var}^{k}")
+            terms.append(f"{head}x" if k == 1 else f"{head}x^{k}")
     return "+".join(terms)
 
 
@@ -403,9 +403,6 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, p, k, c=1):
-        c %= p
-        if c == 0:
-            return cls.zero(p)
         return cls(p, k, Poly(p, (c,)))
 
     def is_zero(self):
@@ -471,6 +468,14 @@ class LaurentPoly:
         return LaurentPoly._raw(self.p, self.offset + k, self.body)
 
     def __repr__(self):
-        from .formats import format_laurent
-
         return f"LaurentPoly({self.p}, {format_laurent(self)!r})"
+
+
+def format_laurent(f):
+    """Canonical text: plain body, with an ``x^k*(...)`` prefix if k != 0."""
+    if f.is_zero():
+        return "0"
+    body = format_poly_plain(f.body)
+    if f.offset == 0:
+        return body
+    return f"x^{f.offset}*({body})"

@@ -15,6 +15,7 @@ computed from the order rather than assumed.
 from __future__ import annotations
 
 from .errors import ConsistencyError, DomainError, ResourceBudgetError
+from .lamplighter import SubgroupTriple
 from .submodules import approach_sequence
 
 # Largest truncation, in elements: cb_levels compares each pair with the
@@ -135,8 +136,6 @@ def build_approach_sequence(triple, target, count):
     :func:`approach_sequence` and the shift data is kept fixed, so every
     output has the requested encoding and the sequence converges.
     """
-    from .lamplighter import SubgroupTriple
-
     t_target, r_target = target
     if t_target < 1:
         raise DomainError(f"target t must be >= 1, got {t_target}")

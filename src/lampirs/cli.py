@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import selftest
@@ -194,8 +195,6 @@ def cmd_approach(args):
         "terms": [triple_to_json(W) for W in seq],
     }
     if args.outdir:
-        import os
-
         os.makedirs(args.outdir, exist_ok=True)
         for idx, W in enumerate(seq, start=1):
             with open(os.path.join(args.outdir, f"term_{idx:03d}.triple"), "w") as fh:

@@ -15,6 +15,12 @@ Subgroup presentation block::
 
 Subgroup-triple file: an ``s=<s>`` line, a presentation block, then a
 ``v=<vector>`` line.
+
+The polynomial and vector text is written beside its types, so their
+``repr`` needs no import of this module: ``format_poly_plain`` and
+``format_laurent`` live in ``algebra``, ``format_vector`` in
+``submodules``.  This module imports ``format_laurent`` and
+``format_vector`` from there, and callers may import both from here.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import LaurentPoly, Poly, format_poly_plain
+from .algebra import LaurentPoly, Poly, format_laurent
 from .errors import FormatError, ResourceBudgetError
-from .submodules import LaurentVector, Submodule
+from .irs import SubgroupMeasure
+from .lamplighter import SubgroupTriple
+from .submodules import LaurentVector, Submodule, format_vector
 
 SCHEMA_TRIPLE = "lampirs.triple.v1"
 SCHEMA_DISTRIBUTION = "lampirs.window-distribution.v1"
@@ -34,20 +42,6 @@ SCHEMA_DISTRIBUTION = "lampirs.window-distribution.v1"
 POLY_SPAN_BUDGET = 2**16
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(-?\d+))?)?$")
-
-
-def format_laurent(f):
-    """Canonical text: plain body, with an ``x^k*(...)`` prefix if k != 0."""
-    if f.is_zero():
-        return "0"
-    body = format_poly_plain(f.body)
-    if f.offset == 0:
-        return body
-    return f"x^{f.offset}*({body})"
-
-
-def format_vector(v):
-    return "[" + ", ".join(format_laurent(c) for c in v.coords) + "]"
 
 
 def _int(text, what, line=None):
@@ -167,8 +161,6 @@ def format_triple(triple):
 
 
 def parse_triple(text):
-    from .lamplighter import SubgroupTriple
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].strip().startswith("s="):
         raise FormatError("triple file must start with an s= line", 1)
@@ -244,8 +236,6 @@ def _json_field(obj, key, kind, default=None):
 
 def measure_from_json(data):
     """Mixture-of-presentations measure description; FormatError if malformed."""
-    from .irs import SubgroupMeasure
-
     n, p = _json_field(data, "n", int), _json_field(data, "p", int)
     atoms = []
     for entry in _json_field(data, "atoms", list):

@@ -18,6 +18,7 @@ For subgroups of the lamp group, s = 0 and v = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import gcd
 
 from .algebra import LaurentPoly, check_prime, geometric_series
@@ -31,6 +32,7 @@ from .submodules import (
     _by_column,
     _vector_at,
     _vector_coordinates,
+    format_vector,
     invariant_report,
 )
 
@@ -94,8 +96,6 @@ class GroupElement:
         return GroupElement((-self.lamps).shifted(-self.shift), -self.shift)
 
     def __repr__(self):
-        from .formats import format_vector
-
         return f"GroupElement({format_vector(self.lamps)}, {self.shift})"
 
 
@@ -117,7 +117,7 @@ def power(g, k):
 
 
 def conjugate_element(g, h):
-    """g h g^{-1}, by the closed form :meth:`SubgroupTriple.conjugated` uses.
+    """g h g^{-1} by its closed form, which :meth:`SubgroupTriple.conjugated` uses.
 
     For g = (a, s) and h = (b, t) it is ((1 - x^t) a + x^s b, t): the lamps
     are summed as F_p coordinates at level 1, b's and the second copy of a's
@@ -222,13 +222,13 @@ class SubgroupTriple:
         """The conjugate subgroup g V g^{-1}, canonical.
 
         Closed form: for g = (w, u) the triple becomes
-        (s, x^u U, x^u v + (1 - x^s) w), also for s = 0, where v = 0 and
+        (s, x^u U, x^u v + (1 - x^s) w), the lamps of g (v, s) g^{-1} by
+        :func:`conjugate_element`, also for s = 0, where v = 0 and
         1 - x^0 = 0.
         """
         if g.n != self.n or g.p != self.p:
             raise ContextError("element of a different lamplighter group")
-        factor = LaurentPoly.one(self.p) - LaurentPoly.monomial(self.p, self.s)
-        new_v = self.v.shifted(g.shift) + g.lamps.scaled(factor)
+        new_v = conjugate_element(g, GroupElement(self.v, self.s)).lamps
         return SubgroupTriple(self.s, self.lamps.shifted(g.shift), new_v).canonical()
 
     def poset_encoding(self):
@@ -254,8 +254,6 @@ class SubgroupTriple:
         }
 
     def __repr__(self):
-        from .formats import format_vector
-
         return (
             f"SubgroupTriple(s={self.s}, gens={len(self.lamps.gens)},"
             f" v={format_vector(self.v)})"
@@ -280,8 +278,6 @@ class ConvergenceResult:
     horizon: int
 
     def to_json(self):
-        from .formats import format_vector
-
         data = {
             "stabilized": self.stabilized,
             "index": self.index,
@@ -372,7 +368,10 @@ def _gap_start(terms, limit, radius, shifts):
     and of d_t; with B the widest y-span of that union over a free column
     and a member shift t (-1 when no free column has an entry), a term with
     deg f > B agrees with the limit on the ball.  The residues are taken at
-    e, not at the level of ``_member_keys``, and d_t's in full.
+    e, which divides s, and d_t's in full, walked out from d_0 = 0 both ways
+    by the recurrence of ``_offset_residues`` over the shifts -S..S.  Once B
+    reaches the largest recorded degree every term is admitted, and no
+    further d_t is walked.
     """
     U, s = limit.lamps, limit.s
     records = [getattr(V.lamps, "_gap", None) for V in terms]
@@ -384,15 +383,19 @@ def _gap_start(terms, limit, radius, shifts):
         return len(terms)
     form = U.form(e)
     window = [item for r in U.window_residues(-radius, radius, e).values() for item in r.items()]
+    residues = [{}]
+    if s:
+        v = form.residue(_vector_coordinates(limit.v, e))
+        walks = (_marker_walk(form, v, s // e, limit.p, sign) for sign in (1, -1))
+        residues = chain(residues, *(islice(walk, shifts[-1] // s) for walk in walks))
+    top = max(r[2] for r in records)
     bound = -1
-    for t in [t for t in shifts if (t % s == 0 if s else t == 0)]:
-        items = window
-        if s:
-            marker = limit._marker_power(-(t // s)).lamps
-            items = window + list(form.residue(_vector_coordinates(marker, e, t)).items())
-        for j, qs in _by_column(items).items():
+    for residue in residues:
+        for j, qs in _by_column(window + list(residue.items())).items():
             if j not in form.pivots:
                 bound = max(bound, max(qs) - min(qs))
+        if bound >= top:
+            break
     return max((m for m, r in enumerate(records, 1) if r[2] <= bound), default=0)
 
 
@@ -466,10 +469,8 @@ def _offset_residues(triple, level, ks, support):
     """Residue coordinates at ``level`` of d_k, the lamps of (0, k*s)(v, s)^(-k),
     or None for those with a coordinate outside ``support``.
 
-    d_0 = 0, d_(k+1) = x^s d_k - v and d_(k-1) = x^(-s) (d_k + v).  The level
-    divides s, so x^(+-s) is y^(+-s/level) and each step is s/level y-steps
-    on residues plus one residue of v.  A y-step moves every coordinate one
-    exponent up (or down) and subtracts pivot rows only at their own
+    The d_k come from :func:`_marker_walk`.  A y-step moves every coordinate
+    one exponent up (or down) and subtracts pivot rows only at their own
     exponents (one lower going down), and v stays put.  So a coordinate
     above every exponent of the rows, of v and of ``support`` moves on and
     is never cleared going up, nor one below them all going down, and no
@@ -483,19 +484,32 @@ def _offset_residues(triple, level, ks, support):
     hi, lo = max(exponents, default=0), min(exponents, default=0)
     out = dict.fromkeys(ks)
     out[0] = {}
-    residue = {}
-    for k in range(1, max(ks) + 1):
-        residue = _add_scaled(form.y_power(residue, steps), v.items(), -1, p)
+    for k, residue in zip(range(1, max(ks) + 1), _marker_walk(form, v, steps, p, 1)):
         if any(exp > hi for _, exp in residue):
             break
         out[k] = residue if residue.keys() <= support else None
-    residue = {}
-    for k in range(-1, min(ks) - 1, -1):
-        residue = form.y_power(_add_scaled(dict(residue), v.items(), 1, p), -steps)
+    for k, residue in zip(range(-1, min(ks) - 1, -1), _marker_walk(form, v, steps, p, -1)):
         if any(exp < lo for _, exp in residue):
             break
         out[k] = residue if residue.keys() <= support else None
     return [out[k] for k in ks]
+
+
+def _marker_walk(form, v, steps, p, sign):
+    """The residues under ``form`` of d_sign, d_(2 sign), ..., without end.
+
+    d_k are the lamps of (0, k*s)(v, s)^(-k): d_0 = 0,
+    d_(k+1) = x^s d_k - v and d_(k-1) = x^(-s) (d_k + v).  The form's level
+    divides s, so x^(+-s) is y^(+-steps), and each step is ``steps`` y-steps
+    on residues plus one residue of v, given as ``v``.
+    """
+    residue = {}
+    while True:
+        if sign > 0:
+            residue = _add_scaled(form.y_power(residue, steps), v.items(), -1, p)
+        else:
+            residue = form.y_power(_add_scaled(dict(residue), v.items(), 1, p), -steps)
+        yield residue
 
 
 def _least_difference(key_a, key_b, dim, p):

@@ -28,11 +28,12 @@ in every lane, the steps gamma*(j+1) in lane j (as an int and as
 little-endian bytes) and the lane mask.  ``_run_lanes`` builds them once
 per run length and keeps the last 32 lengths; it holds only ints and
 bytes, never host-order arrays.  A refill from one key has the states
-(key*ones + steps) & mask; a batch of many keys spreads the keys along the
-shorter side and adds the step bytes repeated once per key.  Refills and
-batch rows repeat a few lengths.  ``extend_seeds`` folds a batch of trial
-labels whose count follows the trial count, so it builds its own ones and
-mask and keeps nothing.
+(key*ones + steps) & mask; a batch of many keys (``stream_words``) copies
+each key into its count lanes, one strided slice per word position, and
+adds the step bytes repeated once per key.  Refills and batch rows
+repeat a few lengths.  ``extend_seeds`` folds a batch of trial labels
+whose count follows the trial count, so it builds its own ones and mask
+and keeps nothing.
 
 ``SplitMix64`` computes its next words into a buffer whose size doubles on
 each refill, from 1 word up to ``BUFFER_CAP``, so a stream that reads k

@@ -26,6 +26,7 @@ from .algebra import (
     Poly,
     check_prime,
     enumerate_irreducibles,
+    format_laurent,
     geometric_series,
     irreducibles,
     poly_gcd,
@@ -131,9 +132,11 @@ class LaurentVector:
             raise ContextError("vectors from different ambient modules")
 
     def __repr__(self):
-        from .formats import format_vector
-
         return f"LaurentVector({self.p}, {format_vector(self)!r})"
+
+
+def format_vector(v):
+    return "[" + ", ".join(format_laurent(c) for c in v.coords) + "]"
 
 
 # ---------------------------------------------------------------------------

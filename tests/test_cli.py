@@ -354,6 +354,21 @@ class TestMalformedArguments:
             assert "budget" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.process
+    def test_approach_ball_at_the_shift_budget_edge_finishes(self, tmp_path):
+        # (2S+1)(H+1) = 38,001 * 26 = 988,026 keys, inside the budget; the
+        # degree gap walks the marker lamps of 19,001 member shifts, each
+        # from the one before
+        path = tmp_path / "V.triple"
+        path.write_text(TRIPLE_TEXT)
+        res = run_process(
+            "approach", "--triple", str(path), "--target", "1,0",
+            "--ball", "2,19000,25", timeout=60,
+        )
+        # the sequence does not stabilize on this ball: exit 1, with a report
+        assert res.returncode == 1, res.stderr
+        assert json.loads(res.stdout)["convergence"]["stabilized"] is False
+
+    @pytest.mark.process
     def test_cb_truncation_over_budget(self):
         res = run_process("cb", "--tmax", "100000", "--prodmax", "100000000", timeout=20)
         assert res.returncode == 2

@@ -43,7 +43,7 @@ from lampirs.algebra import LaurentPoly, Poly, geometric_series, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import ContextError, PreconditionError
 from lampirs.fplinalg import rref, span_intersect_coordinates
-from lampirs.formats import format_vector
+from lampirs.formats import format_vector, parse_triple
 from lampirs.irs import (
     SubgroupMeasure,
     WindowSubgroup,
@@ -70,6 +70,7 @@ from lampirs.submodules import (
     LaurentVector,
     Submodule,
     _body,
+    _by_column,
     _vector_at,
     _vector_coordinates,
     approach_sequence,
@@ -1378,6 +1379,39 @@ def gap_start(limit, terms, radius, shift_bound):
     return lamplighter._gap_start(terms, limit, radius, range(-shift_bound, shift_bound + 1))
 
 
+def closed_form_gap_start(terms, limit, radius, shifts):
+    """``_gap_start`` with each d_t built in closed form: the marker power
+    (v, s)^(-t/s) formed as a Laurent product, moved by x^t and reduced from
+    scratch at level e, member shift by member shift."""
+    U, s = limit.lamps, limit.s
+    records = [getattr(V.lamps, "_gap", None) for V in terms]
+    if not all(r and V.s == s and V.v == limit.v for r, V in zip(records, terms)):
+        return len(terms)
+    e = U.minimal_period()
+    base = (U.canonical_key(), e)
+    if any(r[:2] != base for r in records):
+        return len(terms)
+    form = U.form(e)
+    window = [item for r in U.window_residues(-radius, radius, e).values() for item in r.items()]
+    bound = -1
+    for t in [t for t in shifts if (t % s == 0 if s else t == 0)]:
+        items = window
+        if s:
+            marker = power(GroupElement(limit.v, s), -(t // s)).lamps
+            items = window + list(form.residue(_vector_coordinates(marker, e, t)).items())
+        for j, qs in _by_column(items).items():
+            if j not in form.pivots:
+                bound = max(bound, max(qs) - min(qs))
+    return max((m for m, r in enumerate(records, 1) if r[2] <= bound), default=0)
+
+
+def companion_case(v_text):
+    """The approach sequence toward s = 2, U = F_2[x^(+-2)] and the given v,
+    with target (1, 0) and 25 terms."""
+    limit = parse_triple(f"s=2\nn=1 e=2 p=2\n1\nv={v_text}\n")
+    return limit, build_approach_sequence(limit, (1, 0), 25)
+
+
 @pytest.fixture
 def keyed(monkeypatch):
     """The triples ``_member_keys`` is called on, in order."""
@@ -1448,6 +1482,27 @@ class TestDegreeGapOracle:
         assert certify_convergence(lambda m: terms[m - 1], limit, 0, 2, 10).index == 1
         assert keyed == [limit]
         assert gap_start(limit, terms, 1, 2) == last_keyed_disagreement(limit, terms, 1, 2) == 2
+
+
+class TestGapWalk:
+    # ``_gap_start`` walks the residues of d_t out from d_0 by the marker
+    # recurrence and stops once every term is admitted; the closed form
+    # powers the marker anew for every member shift.
+
+    def test_seeded_grid_matches_the_closed_form(self):
+        for limit, terms, radius, shift_bound, horizon in gap_grid(2929, 150):
+            shifts = range(-shift_bound, shift_bound + 1)
+            want = closed_form_gap_start(terms, limit, radius, shifts)
+            assert lamplighter._gap_start(terms, limit, radius, shifts) == want
+
+    @pytest.mark.parametrize("v_text", ["x", "x^-1*(1+x)", "1", "0"])
+    @pytest.mark.parametrize("radius", [0, 2])
+    def test_companions_match_the_closed_form(self, v_text, radius):
+        limit, terms = companion_case(v_text)
+        for shift_bound in (0, 1, 2, 3, 4, 5, 50, 200):
+            shifts = range(-shift_bound, shift_bound + 1)
+            want = closed_form_gap_start(terms, limit, radius, shifts)
+            assert lamplighter._gap_start(terms, limit, radius, shifts) == want, shift_bound
 
 
 class TestDegreeGapFallback:

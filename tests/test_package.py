@@ -1,8 +1,12 @@
-"""The names the package exports."""
+"""The names the package exports, and the order its modules import in."""
 
+import ast
+import pathlib
 import types
 
 import lampirs
+
+SOURCE = pathlib.Path(lampirs.__file__).parent
 
 EXPORTED = [
     "ConsistencyError",
@@ -65,3 +69,37 @@ def test_exported_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(lampirs, name), types.ModuleType)
     )
     assert names == EXPORTED
+
+
+def test_imports_are_at_module_top_and_acyclic():
+    # Every import sits at the top level of its module, none inside a
+    # function, class or branch, and the ``from .x import`` edges between
+    # the package's modules form an acyclic graph.
+    edges, nested = {}, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        edges[path.stem] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) not in top:
+                nested.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                edges[path.stem].update(targets)
+    assert nested == []
+    done, visiting = set(), []
+
+    def visit(module):
+        assert module not in visiting, " -> ".join(visiting + [module])
+        if module in done:
+            return
+        visiting.append(module)
+        for target in sorted(edges[module]):
+            visit(target)
+        visiting.pop()
+        done.add(module)
+
+    for module in sorted(edges):
+        visit(module)
