@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import ContextError, DomainError, ResourceBudgetError
+from .errors import ConsistencyError, ContextError, DomainError, ResourceBudgetError
 
 PRIME_BOUND = 1 << 16
 ENUMERATION_BUDGET = 10**6
@@ -176,10 +176,13 @@ class Poly:
         _same_p(self, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        lead = other.coeffs[-1]
+        if lead == 0:
+            raise ConsistencyError(f"divisor {other.coeffs} has a trailing zero coefficient")
         p = self.p
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = pow(other.leading(), p - 2, p)
+        inv_lead = pow(lead, p - 2, p)
         q = [0] * max(0, len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
@@ -304,8 +307,7 @@ def irreducibles(p):
         size = p ** (d - 1)
         if size > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
-                f"a degree-{d} sieve block of {size} entries exceeds budget {ENUMERATION_BUDGET}",
-                requested=size,
+                f"a degree-{d} sieve block of size", size, ENUMERATION_BUDGET
             )
         for c in range(p):
             block += 1
@@ -333,18 +335,21 @@ def _sieve_block(found, p, d, c):
     return out
 
 
+def check_term_count(count):
+    """Refuse a count of sequence terms below 1 or past ``SEQUENCE_BUDGET``."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    if count > SEQUENCE_BUDGET:
+        raise ResourceBudgetError("a term count", count, SEQUENCE_BUDGET)
+
+
 def enumerate_irreducibles(p, count):
     """First ``count`` monic irreducibles of :func:`irreducibles`.
 
     A count past ``SEQUENCE_BUDGET`` is refused before any is built.
     """
     check_prime(p)
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if count > SEQUENCE_BUDGET:
-        raise ResourceBudgetError(
-            f"{count} irreducibles exceed the budget of {SEQUENCE_BUDGET}", requested=count
-        )
+    check_term_count(count)
     return list(itertools.islice(irreducibles(p), count))
 
 

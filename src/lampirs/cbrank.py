@@ -50,9 +50,9 @@ def truncation(t_max, product_max):
         size += product_max // t + 1
         if size > TRUNCATION_BUDGET:
             raise ResourceBudgetError(
-                f"truncation ({t_max}, {product_max}) has more than "
-                f"{TRUNCATION_BUDGET} elements, the budget",
-                requested=size,
+                f"truncation ({t_max}, {product_max}) with element count at least",
+                size,
+                TRUNCATION_BUDGET,
             )
     return tuple(
         (t, r)

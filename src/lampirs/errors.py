@@ -18,11 +18,17 @@ class PreconditionError(LampirsError):
 
 
 class ResourceBudgetError(LampirsError):
-    """An exact enumeration would exceed the documented desk-scale budget."""
+    """Requested work (an enumeration, a form, a ball, a window, an input
+    span) would exceed its documented desk-scale budget.
 
-    def __init__(self, message, requested=None):
-        super().__init__(message)
+    ``what`` names the quantity in its context; the one message reads
+    "<what> <requested> exceeds the budget <budget>".
+    """
+
+    def __init__(self, what, requested, budget):
+        super().__init__(f"{what} {requested} exceeds the budget {budget}")
         self.requested = requested
+        self.budget = budget
 
 
 class ConsistencyError(LampirsError):

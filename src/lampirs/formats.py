@@ -87,10 +87,7 @@ def parse_poly(text, p, line=None):
         return LaurentPoly.zero(p)
     lo, hi = min(live), max(live)
     if hi - lo > POLY_SPAN_BUDGET:
-        raise ResourceBudgetError(
-            f"a polynomial of exponent span {hi - lo} exceeds the budget {POLY_SPAN_BUDGET}",
-            requested=hi - lo,
-        )
+        raise ResourceBudgetError("a polynomial of exponent span", hi - lo, POLY_SPAN_BUDGET)
     return LaurentPoly(p, lo + offset, Poly(p, [terms.get(exp, 0) for exp in range(lo, hi + 1)]))
 
 

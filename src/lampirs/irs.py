@@ -63,6 +63,12 @@ def _leq_with_sqrt_tolerance(value, bound, tol_sq):
     return excess <= 0 or excess * excess <= tol_sq
 
 
+def _check_window(lo, hi):
+    """Refuse a window [lo, hi] with no site."""
+    if hi < lo:
+        raise DomainError(f"empty window [{lo}, {hi}]")
+
+
 class WindowSubgroup:
     """Subgroup of the window coordinate space, reduced-echelon basis.
 
@@ -77,8 +83,7 @@ class WindowSubgroup:
         check_prime(p)
         if n < 1:
             raise DomainError(f"lamp rank n must be >= 1, got {n}")
-        if hi < lo:
-            raise DomainError("empty window")
+        _check_window(lo, hi)
         rows = tuple(rows)
         dim = n * (hi - lo + 1)
         for r in rows:
@@ -276,8 +281,9 @@ def window_of_submodule(U, lo, hi):
     intersection is the kernel of the residue map on the window space: one
     column per window coordinate, one row per residue coordinate.  The
     columns come from ``Submodule.window_residues``: one start per column
-    class, y-steps for the rest.
+    class, y-steps for the rest.  An empty window is refused.
     """
+    _check_window(lo, hi)
     n, p = U.n, U.p
     if U.is_zero():
         return WindowSubgroup.zero(p, n, lo, hi)
@@ -373,8 +379,7 @@ def _check_block_window(mu, m, lo, hi, sites):
     """(p, n) of mu, once mu_m is defined and ``sites`` sites fit the budget."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    if hi < lo:
-        raise DomainError(f"empty window [{lo}, {hi}]")
+    _check_window(lo, hi)
     if not mu.invariant:
         raise DomainError("the block construction requires a shift-invariant measure")
     return _check_window_dim(mu, sites)
@@ -386,10 +391,7 @@ def _check_window_dim(mu, sites):
     site_law = mu.marginal(0, 0)
     dim = site_law.n * sites
     if dim > WINDOW_DIM_BUDGET:
-        raise ResourceBudgetError(
-            f"window dimension {dim} exceeds the desk budget {WINDOW_DIM_BUDGET}",
-            requested=dim,
-        )
+        raise ResourceBudgetError("a window of dimension", dim, WINDOW_DIM_BUDGET)
     return site_law.p, site_law.n
 
 
@@ -445,9 +447,9 @@ def block_average_marginal(mu, m, lo, hi):
     bits = (m * lcm(*(q.denominator for _, law in terms for q in law.values()))).bit_length()
     if bits > PRINTABLE_BITS:
         raise ResourceBudgetError(
-            f"an m of {m.bit_length()} bits gives mu_m on [{lo}, {hi}] denominators of "
-            f"up to {bits} bits, past the budget of {PRINTABLE_BITS}",
-            requested=bits,
+            f"mu_m on [{lo}, {hi}] for an m of {m.bit_length()} bits with denominator bits",
+            bits,
+            PRINTABLE_BITS,
         )
     out = {}
     for weight, law in terms:
@@ -607,10 +609,7 @@ def _check_majority_length(n_ai):
             f"measure 1/2, got {n_ai}"
         )
     if n_ai > MAJORITY_LENGTH_BUDGET:
-        raise ResourceBudgetError(
-            f"n_ai {n_ai} exceeds the majority length budget {MAJORITY_LENGTH_BUDGET}",
-            requested=n_ai,
-        )
+        raise ResourceBudgetError("a majority length n_ai", n_ai, MAJORITY_LENGTH_BUDGET)
 
 
 def majority_symmetric_difference(n_ai):
@@ -648,11 +647,13 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     The trials run in batches of about ``BATCH_WORDS`` stream words:
     the batch's keys and the words each trial reads when neither index draw
     is rejected are computed and unpacked at once.  A trial whose first or
-    second word is rejected is replayed on its own stream.  A window of either
-    measure past ``WINDOW_DIM_BUDGET`` is refused before its marginal is read.
+    second word is rejected is replayed on its own stream.  An empty window,
+    or a window of either measure past ``WINDOW_DIM_BUDGET``, is refused
+    before any marginal is read.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
+    _check_window(lo, hi)
     for mu in (mu1, mu2):
         _check_window_dim(mu, hi - lo + 1)
     marg1 = mu1.marginal(lo, hi)

@@ -414,16 +414,14 @@ def ball_size(n, p, radius, shift_bound, horizon):
         raise DomainError("support_radius and shift_bound must be >= 0")
     dim = n * (2 * radius + 1)
     if dim > BALL_DIM_BUDGET:
-        raise ResourceBudgetError(
-            f"a ball of dimension {dim} exceeds the budget {BALL_DIM_BUDGET}",
-            requested=dim,
-        )
+        raise ResourceBudgetError("a ball of dimension", dim, BALL_DIM_BUDGET)
     n_shifts = 2 * shift_bound + 1
     if n_shifts * (horizon + 1) > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
-            f"{n_shifts} shifts keyed for {horizon} subgroups and the limit exceed "
-            f"the budget of {ENUMERATION_BUDGET} keys",
-            requested=n_shifts * (horizon + 1),
+            f"a ball of {n_shifts} shifts keyed for {horizon} subgroups and the limit "
+            "with key count",
+            n_shifts * (horizon + 1),
+            ENUMERATION_BUDGET,
         )
     return p**dim * n_shifts
 

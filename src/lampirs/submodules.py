@@ -25,6 +25,7 @@ from .algebra import (
     LaurentPoly,
     Poly,
     check_prime,
+    check_term_count,
     enumerate_irreducibles,
     format_laurent,
     geometric_series,
@@ -415,15 +416,13 @@ def _check_form_size(n, level, rows):
     cols = n * level
     if cols > FORM_COLUMN_BUDGET:
         raise ResourceBudgetError(
-            f"a form of {cols} columns (n={n} at level {level}) exceeds "
-            f"the budget {FORM_COLUMN_BUDGET}",
-            requested=cols,
+            f"a form at level {level} (n={n}) with column count", cols, FORM_COLUMN_BUDGET
         )
     if rows * cols > FORM_ENTRY_BUDGET:
         raise ResourceBudgetError(
-            f"a form of {rows} rows and {cols} columns (n={n} at level {level}) "
-            f"exceeds the budget of {FORM_ENTRY_BUDGET} entries",
-            requested=rows * cols,
+            f"a form at level {level} (n={n}) of {rows} rows with entry count",
+            rows * cols,
+            FORM_ENTRY_BUDGET,
         )
 
 
@@ -700,9 +699,9 @@ def count_submodules(p, k, codim):
     bits = codim * k * (p - 1).bit_length()
     if bits > PRINTABLE_BITS:
         raise ResourceBudgetError(
-            f"the count of codimension-{codim} submodules of R^{k} over F_{p} "
-            f"may need {bits} bits, past the budget of {PRINTABLE_BITS}",
-            requested=bits,
+            f"the count of codimension-{codim} submodules of R^{k} over F_{p} with bit bound",
+            bits,
+            PRINTABLE_BITS,
         )
     return p ** (codim * k) - p ** ((codim - 1) * k)
 
@@ -747,10 +746,7 @@ def _enumerate_submodules(p, k, codim):
     check_prime(p)
     total = count_submodules(p, k, codim)
     if total > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"enumeration of {total} submodules exceeds budget {ENUMERATION_BUDGET}",
-            requested=total,
-        )
+        raise ResourceBudgetError("an enumeration with submodule count", total, ENUMERATION_BUDGET)
     zero = LaurentPoly.zero(p)
     blanks = [(zero,) * i for i in range(k)]
     vector, submodule = LaurentVector._raw, Submodule._raw
@@ -849,16 +845,13 @@ def construct_with_invariants(n, p, b, r):
         raise DomainError(f"rescaled rank {r} outside (0, {n * b}]")
     if r > FORM_COLUMN_BUDGET:
         raise ResourceBudgetError(
-            f"rescaled rank {r} exceeds the budget {FORM_COLUMN_BUDGET}: "
-            f"a form of the subgroup has at least {r} columns",
-            requested=r,
+            f"a subgroup (n={n}, b={b}) of rescaled rank", r, FORM_COLUMN_BUDGET
         )
     if r * n > FORM_ENTRY_BUDGET:
         raise ResourceBudgetError(
-            f"rescaled rank {r} on {n} coordinates needs {r * n} generator "
-            f"entries, past the budget of {FORM_ENTRY_BUDGET}: every form of "
-            f"the subgroup has at least as many",
-            requested=r * n,
+            f"a subgroup (n={n}, b={b}) of rescaled rank {r} with generator entry count",
+            r * n,
+            FORM_ENTRY_BUDGET,
         )
     if b == 1:
         gens = tuple(LaurentVector.unit(n, p, i) for i in range(r))
@@ -928,12 +921,7 @@ def approach_sequence(U, b, r_target, count):
     before Q or any term is: it has n*E columns and n*E - r_target rows,
     rk*b from U and n_free*b - r_target from f*Q.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if count > SEQUENCE_BUDGET:
-        raise ResourceBudgetError(
-            f"{count} terms exceed the budget of {SEQUENCE_BUDGET}", requested=count
-        )
+    check_term_count(count)
     n, p = U.n, U.p
     canon = U.canonical()
     report = invariant_report(canon)

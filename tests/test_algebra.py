@@ -14,7 +14,7 @@ from lampirs.algebra import (
     irreducibles,
     poly_gcd,
 )
-from lampirs.errors import ContextError, DomainError, ResourceBudgetError
+from lampirs.errors import ConsistencyError, ContextError, DomainError, ResourceBudgetError
 from lampirs.rng import SplitMix64
 
 
@@ -76,6 +76,15 @@ class TestPoly:
         q, r = divmod(a * b + P(5, 1), b)
         assert q * b + r == a * b + P(5, 1)
         assert r.degree is None or r.degree < b.degree
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_divisor_with_a_trailing_zero_fails(self, p):
+        # A divisor breaking the no-trailing-zero rule has "leading" coefficient
+        # 0; dividing by it would leave a remainder as long as the divisor,
+        # and a Euclid built on the division would never end.  At p = 2 the
+        # inverse pow(0, 0, 2) is 1, so the coefficient itself is tested.
+        with pytest.raises(ConsistencyError, match="trailing zero"):
+            divmod(P(p, 1, 1, 1), Poly._raw(p, [1, 0]))
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):

@@ -830,6 +830,18 @@ class TestMixCommand:
         data = json.loads(res.stdout)
         assert data["runs"][0]["within_bound"]
 
+    def test_empty_window_refused(self, tmp_path):
+        for name, gen in (("full", "1"), ("line", "1+x")):
+            atoms = [{"weight": "1", "gens": [gen]}]
+            (tmp_path / f"{name}.json").write_text(json.dumps({"n": 1, "p": 2, "atoms": atoms}))
+        res = run_cli(
+            "mix", "--nai", "11", "--trials", "20", "--seed", "1", "--window", "5,0",
+            "--mu1", str(tmp_path / "full.json"), "--mu2", str(tmp_path / "line.json"),
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: empty window [5, 0]\n"
+
     @pytest.mark.process
     def test_negative_window_needs_equals(self):
         # argparse reads a separate "-5,-4" as an option, not as the value

@@ -50,6 +50,11 @@ class TestWindowOfSubmodule:
         zero = window_of_submodule(Submodule.zero(1, P2), -1, 1)
         assert zero.dim == 0
 
+    @pytest.mark.parametrize("U", [Submodule.full(1, P2), line_submodule(), Submodule.zero(1, P2)])
+    def test_empty_window_refused(self, U):
+        with pytest.raises(DomainError, match=r"empty window \[3, 1\]"):
+            window_of_submodule(U, 3, 1)
+
     def test_even_span_window(self):
         U = Submodule(1, P2, 2, [LaurentVector.unit(1, P2, 0)])
         ws = window_of_submodule(U, 0, 3)
@@ -373,6 +378,13 @@ class TestSplice:
         empirical, target, rep = splice_measures(mu, mu, 11, 0, 1, 20000, seed=5)
         assert target == mu.marginal(0, 1)
         assert rep["within_bound"]
+
+    def test_empty_window_refused_before_any_marginal(self):
+        mu1 = SubgroupMeasure.point(Submodule.full(1, P2))
+        mu2 = SubgroupMeasure.point(line_submodule())
+        with pytest.raises(DomainError, match=r"empty window \[5, 0\]"):
+            splice_measures(mu1, mu2, 11, 5, 0, 20, seed=1)
+        assert mu1._cache == {} and mu2._cache == {}
 
     def test_point_masses_single_cell(self):
         mu1 = SubgroupMeasure.point(Submodule.full(1, P2))

@@ -1,10 +1,33 @@
-"""The names the package exports, and the order its modules import in."""
+"""The names the package exports, the order its modules import in, and the
+rules every entry point checks in one place."""
 
 import ast
 import pathlib
+import re
 import types
 
+import pytest
+
 import lampirs
+from lampirs import algebra, cbrank, irs, submodules
+from lampirs.algebra import enumerate_irreducibles, irreducibles
+from lampirs.cbrank import truncation
+from lampirs.errors import ResourceBudgetError
+from lampirs.formats import parse_poly
+from lampirs.irs import (
+    SubgroupMeasure,
+    block_average_marginal,
+    majority_symmetric_difference,
+    splice_measures,
+)
+from lampirs.lamplighter import ball_size
+from lampirs.submodules import (
+    Submodule,
+    approach_sequence,
+    construct_with_invariants,
+    count_submodules,
+    submodules_of_codimension,
+)
 
 SOURCE = pathlib.Path(lampirs.__file__).parent
 
@@ -103,3 +126,83 @@ def test_imports_are_at_module_top_and_acyclic():
 
     for module in sorted(edges):
         visit(module)
+
+
+def _budget_refusals():
+    """(id, module patches, call, requested, budget): every budget refusal,
+    each one past its budget.  Budgets the other tests shrink are shrunk the
+    same way here."""
+    full_1 = Submodule.full(1, 2)
+    full, zero = SubgroupMeasure.point(full_1), SubgroupMeasure.point(Submodule.zero(1, 2))
+    return [
+        ("sieve-block", {algebra: {"ENUMERATION_BUDGET": 15}},
+         lambda: list(irreducibles(2)), 16, 15),
+        ("irreducible-count", {}, lambda: enumerate_irreducibles(2, 1001), 1001, 1000),
+        ("approach-count", {},
+         lambda: approach_sequence(Submodule.zero(1, 2), 1, 0, 1001), 1001, 1000),
+        ("truncation", {cbrank: {"TRUNCATION_BUDGET": 38}}, lambda: truncation(8, 12), 39, 38),
+        ("poly-span", {}, lambda: parse_poly("1+x^65537", 2), 65537, 65536),
+        ("window-dim", {}, lambda: splice_measures(full, zero, 1, 0, 24, 1, 0), 25, 24),
+        ("mu_m-bits", {}, lambda: block_average_marginal(full, 2**14283, 0, 0), 14284, 14283),
+        ("majority-length", {irs: {"MAJORITY_LENGTH_BUDGET": 4}},
+         lambda: majority_symmetric_difference(5), 5, 4),
+        ("ball-dim", {}, lambda: ball_size(1, 2, 64, 0, 1), 129, 128),
+        ("ball-keys", {}, lambda: ball_size(1, 2, 0, 50, 9900), 10**6 + 1, 10**6),
+        ("form-columns", {submodules: {"FORM_COLUMN_BUDGET": 12}},
+         lambda: full_1.form(13), 13, 12),
+        ("form-entries", {submodules: {"FORM_ENTRY_BUDGET": 48}},
+         lambda: full_1.form(7), 49, 48),
+        ("count-bits", {}, lambda: count_submodules(2, 1, 14284), 14284, 14283),
+        ("enumeration", {submodules: {"ENUMERATION_BUDGET": 3}},
+         lambda: list(submodules_of_codimension(2, 1, 3)), 4, 3),
+        ("rescaled-rank", {submodules: {"FORM_COLUMN_BUDGET": 12}},
+         lambda: construct_with_invariants(1, 2, 13, 13), 13, 12),
+        ("generator-entries", {submodules: {"FORM_ENTRY_BUDGET": 48}},
+         lambda: construct_with_invariants(7, 2, 1, 7), 49, 48),
+    ]
+
+
+@pytest.mark.parametrize(
+    "patches, call, requested, budget",
+    [pytest.param(*row[1:], id=row[0]) for row in _budget_refusals()],
+)
+def test_every_budget_refusal_has_one_shape(monkeypatch, patches, call, requested, budget):
+    # One past its budget, each refusal reads "<what> <requested> exceeds
+    # the budget <budget>" and carries both numbers.
+    for module, values in patches.items():
+        for name, value in values.items():
+            monkeypatch.setattr(module, name, value)
+    with pytest.raises(ResourceBudgetError) as err:
+        call()
+    shape = re.fullmatch(r"(.+) (\d+) exceeds the budget (\d+)", str(err.value))
+    assert shape, str(err.value)
+    assert (err.value.requested, err.value.budget) == (requested, budget)
+    assert (int(shape[2]), int(shape[3])) == (requested, budget)
+
+
+def test_each_entry_rule_is_written_once():
+    # Every ``ResourceBudgetError`` is raised with three positional arguments
+    # (what, requested, budget), so its message comes from the exception;
+    # only ``irs._check_window`` raises the empty-window ``DomainError``.
+    budget_calls, window_raises = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        owner = {id(node): f.name for f in functions for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if node.func.id == "ResourceBudgetError":
+                three = len(node.args) == 3 and not node.keywords
+                if not three or any(isinstance(a, ast.Starred) for a in node.args):
+                    budget_calls.append(where)
+            text = " ".join(
+                part.value
+                for part in ast.walk(node)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if node.func.id == "DomainError" and "empty window" in text:
+                window_raises.append((path.name, owner.get(id(node))))
+    assert budget_calls == []
+    assert window_raises == [("irs.py", "_check_window")]

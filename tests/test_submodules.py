@@ -371,7 +371,7 @@ class TestFormEntryBudget:
             (42, lambda: approach_sequence(zero, 7, 1, 1)),
         ]
         for requested, call in refusals:
-            with pytest.raises(ResourceBudgetError, match="36 entries") as err:
+            with pytest.raises(ResourceBudgetError, match="exceeds the budget 36$") as err:
                 call()
             assert err.value.requested == requested
 
