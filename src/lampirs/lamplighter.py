@@ -22,7 +22,7 @@ from itertools import chain, islice
 from math import gcd
 
 from .algebra import LaurentPoly, check_prime, geometric_series
-from .errors import ContextError, DomainError, PreconditionError, ResourceBudgetError
+from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref
 from .submodules import (
     ENUMERATION_BUDGET,
@@ -148,8 +148,8 @@ class SubgroupTriple:
             raise ContextError("v from a different ambient module")
         if s == 0 and not v.is_zero():
             raise DomainError("triples with s = 0 must have v = 0")
-        if s and not lamps.has_period(s):
-            raise PreconditionError(f"x^{s} U != U: invalid triple")
+        if s:
+            lamps._check_period(s)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
@@ -511,71 +511,49 @@ def _marker_walk(form, v, steps, p, sign):
 
 
 def _least_difference(key_a, key_b, dim, p):
-    """Digits of the least code in exactly one of two different keyed sets.
+    """Digits of the least code in exactly one of two different keyed sets:
+    the lesser of A's least code outside B and B's least code outside A,
+    the most significant digit compared first."""
+    found = (_least_outside(key_a, key_b, dim, p), _least_outside(key_b, key_a, dim, p))
+    return min((c for c in found if c is not None), key=lambda digits: digits[::-1])
 
-    The digits are fixed from the most significant one down, each to the
-    least value that leaves the symmetric difference nonempty.  With the
-    digits above fixed, a keyed set A forces a value on the digit or takes
-    every value on it; then its part inside the other set, all of A or a
-    proper affine subset, holds A's slice at every value or at one at most.
-    So A leaves the other set first at 0, 1 or the value A forces, and
-    only those are tried.
 
-    A, B and their intersection are row-reduced once, and a digit is fixed
-    by substituting its value into the three reduced systems (see
-    ``_substituted``), so no trial value is row-reduced again.
+def _least_outside(key, other, dim, p):
+    """Digits of the least code of a keyed set A outside the keyed set
+    ``other``, B, or None when A lies inside B.
+
+    A key's rows are in RREF with the least significant digit first, so
+    each row's pivot, its first nonzero digit, is fixed by the free digits
+    above it.  Two codes of A then first differ at a free digit, and A's
+    codes are ordered by their free digits alone.  The least code a has
+    every free digit 0 and pivot digits -x.  If a is in B, A's codes inside
+    B form a subspace W in free-digit coordinates.  Let v_f be the unit
+    step that sets free digit f to 1, and f the least free digit whose
+    step leaves W.  The steps below f span codes in W, so every code
+    outside W has a nonzero free digit at f or above, and a + v_f is the
+    least of them.  So at most 1 + dim codes are tested.
     """
-    a, b = _equations(key_a, dim, p), _equations(key_b, dim, p)
-    systems = [_reduced(rows, p) for rows in (a, b, a + b)]
-    digits = []
-    for _ in range(dim):
-        forced = {row[-1] for rows in systems[:2] if rows for row in rows if not any(row[:-2])}
-        for value in sorted({0, 1} | forced):
-            trial = [_substituted(rows, value, p) for rows in systems]
-            if _escapes(trial[0], trial[2]) or _escapes(trial[1], trial[2]):
-                systems = trial
-                digits.append(value)
-                break
-    return digits[::-1]
-
-
-def _equations(key, dim, p):
-    """Rows [a | b], one equation a.c = b each, whose solutions are the keyed set."""
     if key is None:
-        return [[0] * dim + [1]]
+        return None
     direction, solution = key
-    return [list(row) + [-x % p] for row, x in zip(direction, solution)]
+    pivots = [next(j for j, c in enumerate(row) if c) for row in direction]
+    least = [0] * dim
+    for c, x in zip(pivots, solution):
+        least[c] = -x % p
+    if not _in_keyed_set(least, other, p):
+        return least
+    for f in sorted(set(range(dim)) - set(pivots)):
+        code = list(least)
+        code[f] = 1
+        for c, row in zip(pivots, direction):
+            code[c] = (least[c] - row[f]) % p
+        if not _in_keyed_set(code, other, p):
+            return code
+    return None
 
 
-def _reduced(equations, p):
-    """RREF rows of a system [a | b], or None when it has no solution."""
-    rows, _ = rref(equations, p)
-    if rows and not any(rows[-1][:-1]):
-        return None
-    return rows
-
-
-def _substituted(rows, value, p):
-    """A reduced system with its last unknown set to ``value``, or None.
-
-    The last unknown can be the pivot only of a row with no other nonzero
-    unknown, which becomes constant: dropped at 0, inconsistent otherwise.
-    Every other row keeps its pivot, so the system stays reduced and its
-    rank is its row count.
-    """
-    if rows is None:
-        return None
-    out = []
-    for row in rows:
-        new = (*row[:-2], (row[-1] - row[-2] * value) % p)
-        if any(new[:-1]):
-            out.append(new)
-        elif new[-1]:
-            return None
-    return out
-
-
-def _escapes(inside, both):
-    """Does the solution set of the reduced system ``inside`` leave the set
-    of ``both``, the reduced system of it and the other set together?"""
-    return inside is not None and (both is None or len(both) > len(inside))
+def _in_keyed_set(digits, key, p):
+    """Is the code with these digits in the keyed set {c : row.c + x = 0}?"""
+    return key is not None and all(
+        (sum(a * c for a, c in zip(row, digits)) + x) % p == 0 for row, x in zip(*key)
+    )

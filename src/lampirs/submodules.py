@@ -606,14 +606,19 @@ class Submodule:
         self.form(self.period)
         return all(self._is_member(g, self.period, s) for g in self.gens)
 
+    def _check_period(self, s):
+        """Refuse an s with x^s U != U: every entry that takes a period of U
+        checks it here."""
+        if not self.has_period(s):
+            raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
+
     def with_period(self, new_period):
         """Re-present at another verified period.
 
         With g = gcd(new_period, period), a period of U, the generators
         shifted by k*g for 0 <= k < new_period/g span U under x^(+-new_period).
         """
-        if not self.has_period(new_period):
-            raise PreconditionError(f"x^{new_period} U != U")
+        self._check_period(new_period)
         return self._at_period(new_period)
 
     def _at_period(self, period):
@@ -634,8 +639,8 @@ class Submodule:
         given ``s`` is only checked to be a period; the answer does not
         depend on it.
         """
-        if s is not None and not self.has_period(s):
-            raise PreconditionError(f"x^{s} U != U: {s} is not a period of U")
+        if s is not None:
+            self._check_period(s)
         if self._e is None:
             _check_form_size(self.n, self.period, len(self.gens))
             proper = _divisors(self.period)[:-1]
@@ -647,8 +652,7 @@ class Submodule:
 
     def rescaled_rank(self, m):
         """Rank of U as a module where x acts as x^m; requires x^m U = U."""
-        if not self.has_period(m):
-            raise PreconditionError(f"x^{m} U != U: cannot rescale by {m}")
+        self._check_period(m)
         return self.form(m).rank
 
     def canonical(self):

@@ -520,14 +520,37 @@ class TestLeastDifference:
             assert sum(c * p**i for i, c in enumerate(digits)) == min(difference), (key_a, key_b)
             compared += 1
 
-    def test_tries_few_values_per_digit(self, monkeypatch):
+    def test_matches_brute_force_when_one_set_holds_the_other(self):
+        # inner is outer cut by one more equation through outer's least code
+        # a, so a is in both and outer's least code outside inner is a unit
+        # step from a
+        rng = SplitMix64(3434)
+        compared = 0
+        while compared < 1500:
+            p, dim = (2, 3, 5)[rng.below(3)], 1 + rng.below(4)
+            outer = random_key(rng, dim, p)
+            if outer is None:
+                continue
+            least = min(keyed_set(outer, dim, p))
+            a = [least // p**i % p for i in range(dim)]
+            direction, _ = rref([*outer[0], [rng.below(p) for _ in range(dim)]], p)
+            if direction == outer[0]:
+                continue
+            inner = direction, tuple(-sum(r * c for r, c in zip(row, a)) % p for row in direction)
+            key_a, key_b = (outer, inner) if rng.below(2) else (inner, outer)
+            difference = keyed_set(key_a, dim, p) ^ keyed_set(key_b, dim, p)
+            digits = _least_difference(key_a, key_b, dim, p)
+            assert sum(c * p**i for i, c in enumerate(digits)) == min(difference), (key_a, key_b)
+            compared += 1
+
+    def test_names_the_witness_in_few_membership_tests(self, monkeypatch):
         # U = F_p[x^(+-1)](1 - x - x^2), s = 0, against the zero subgroup at
-        # radius 3: the witness is named with at most 0, 1 and the values
-        # the two sets force tried per digit, each in both directions
+        # radius 3: the witness is named with at most the least code and one
+        # unit step per digit tested for membership, in both directions
         calls = []
-        escapes = lamplighter._escapes
+        in_keyed_set = lamplighter._in_keyed_set
         monkeypatch.setattr(
-            lamplighter, "_escapes", lambda *args: calls.append(args) or escapes(*args)
+            lamplighter, "_in_keyed_set", lambda *args: calls.append(args) or in_keyed_set(*args)
         )
         p = 65521
         gen = LaurentVector(p, [LaurentPoly.from_poly(Poly(p, [1, -1, -1]))])
@@ -535,4 +558,4 @@ class TestLeastDifference:
         res = certify_convergence(lambda m: term, SubgroupTriple(0, Submodule.zero(1, p)), 3, 0, 1)
         assert not res.stabilized and term.contains_element(res.witness)
         assert not res.witness.lamps.is_zero()
-        assert len(calls) <= 2 * 4 * 7
+        assert len(calls) <= 2 * (7 + 1)

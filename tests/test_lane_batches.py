@@ -52,9 +52,9 @@ from lampirs.submodules import Submodule
 from test_montecarlo_crosscheck import (
     GAMMA,
     MASK,
-    MEASURES,
     RefStream,
     assert_same_distribution,
+    measures,
     ref_majority,
     ref_mix,
     ref_sampler_report,
@@ -287,19 +287,19 @@ class TestBatchEdges:
     def test_splice_across_batches(self):
         # six words a trial: 682 trials a batch, so 2,500 trials make 4 batches
         assert BATCH_WORDS // 6 < 2500
-        splice_agrees(MEASURES["mix3"], MEASURES["period2"], 201, 0, 2, 2500, 99)
+        splice_agrees(measures()["mix3"], measures()["period2"], 201, 0, 2, 2500, 99)
 
     def test_splice_long_majority_word(self):
         # 67 words a trial leave 61 trials a batch
-        splice_agrees(MEASURES["line"], MEASURES["mix3"], 4097, 0, 0, 150, 4097)
+        splice_agrees(measures()["line"], measures()["mix3"], 4097, 0, 0, 150, 4097)
 
     def test_sampler_across_refills(self):
-        sampler_agrees(MEASURES["mix3"], 4, -1, 2, 2500, 8)
+        sampler_agrees(measures()["mix3"], 4, -1, 2, 2500, 8)
 
     def test_sampler_keys_with_unequal_block_counts(self):
         # phases tile [-1, 3] with 2 and 3 blocks of three atoms each, so the
         # trial keys have every digit
-        mu, m, lo, hi = MEASURES["mix3"], 3, -1, 3
+        mu, m, lo, hi = measures()["mix3"], 3, -1, 3
         block_law = mu.marginal(0, m - 1)
         assert len(block_law.ordered_atoms()) >= 3
         blocks = {len(_block_pieces(block_law, m, lo, hi, k)) for k in range(m)}
@@ -321,8 +321,8 @@ class TestRejectionHeavy:
         first_words = [ref.fork(11, t).u64() for t in range(400)]
         # the replay path runs: about half of the trials reject a first draw
         assert 100 < sum(u >= limit for u in first_words) < 300
-        splice_agrees(mu, MEASURES["mix3"], 11, 0, 1, 400, seed)
-        splice_agrees(MEASURES["line"], mu, 11, -1, 1, 400, seed + 1)
+        splice_agrees(mu, measures()["mix3"], 11, 0, 1, 400, seed)
+        splice_agrees(measures()["line"], mu, 11, -1, 1, 400, seed + 1)
 
     @pytest.mark.parametrize("trials", [600, 1000])
     def test_sampler_rejection_loop(self, trials):

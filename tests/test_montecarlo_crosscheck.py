@@ -13,6 +13,7 @@ against both majorities on every coin word up to n_ai = 11.
 
 from array import array
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -204,6 +205,7 @@ def lamp(p, *coeff_lists):
     )
 
 
+@cache
 def measures():
     line2 = Submodule(1, 2, 1, [lamp(2, (1, 1))])
     every_other = Submodule(1, 2, 2, [lamp(2, (1,))])
@@ -234,7 +236,6 @@ def measures():
     }
 
 
-MEASURES = measures()
 SPLICE_PAIRS = [
     ("full", "zero"),
     ("line", "mix3"),
@@ -257,7 +258,7 @@ def assert_same_distribution(new, ref):
 class TestTableWalk:
     @pytest.mark.parametrize("name", ["full", "mix3", "period2", "p3", "n2"])
     def test_sample_and_index_match_linear_walk(self, name):
-        dist = MEASURES[name].marginal(0, 1)
+        dist = measures()[name].marginal(0, 1)
         index_rng, ref_rng = SplitMix64(3), RefStream(3)
         for _ in range(200):
             expected = ref_sample(dist, ref_rng)
@@ -269,7 +270,7 @@ class TestSpliceOracle:
     @pytest.mark.parametrize("lo, hi", WINDOWS)
     @pytest.mark.parametrize("pair", SPLICE_PAIRS, ids="-".join)
     def test_matches_per_trial_loop(self, pair, lo, hi, n_ai):
-        mu1, mu2 = (MEASURES[name] for name in pair)
+        mu1, mu2 = (measures()[name] for name in pair)
         seed = 1000 * n_ai + 10 * hi + len(pair[0])
         got = splice_measures(mu1, mu2, n_ai, lo, hi, 300, seed)
         ref = ref_splice(mu1, mu2, n_ai, lo, hi, 300, seed)
@@ -288,7 +289,7 @@ class TestSpliceOracle:
         ],
     )
     def test_word_boundaries_and_raw_seeds(self, n_ai, lo, hi, seed):
-        mu1, mu2 = MEASURES["mix3"], MEASURES["line"]
+        mu1, mu2 = measures()["mix3"], measures()["line"]
         got = splice_measures(mu1, mu2, n_ai, lo, hi, 400, seed)
         ref = ref_splice(mu1, mu2, n_ai, lo, hi, 400, seed)
         assert_same_distribution(got[0], ref[0])
@@ -311,7 +312,7 @@ SAMPLER_CASES = [
 class TestSamplerOracle:
     @pytest.mark.parametrize("name, m, lo, hi", SAMPLER_CASES)
     def test_matches_per_trial_loop(self, name, m, lo, hi):
-        mu = MEASURES[name]
+        mu = measures()[name]
         seed = 31 * m + hi
         got = sampler_law_report(mu, m, lo, hi, 500, seed)
         ref = ref_sampler_report(mu, m, lo, hi, 500, seed)

@@ -183,8 +183,9 @@ def test_every_budget_refusal_has_one_shape(monkeypatch, patches, call, requeste
 def test_each_entry_rule_is_written_once():
     # Every ``ResourceBudgetError`` is raised with three positional arguments
     # (what, requested, budget), so its message comes from the exception;
-    # only ``irs._check_window`` raises the empty-window ``DomainError``.
-    budget_calls, window_raises = [], []
+    # only ``irs._check_window`` raises the empty-window ``DomainError``, and
+    # only ``Submodule._check_period`` the ``PreconditionError`` x^s U != U.
+    budget_calls, window_raises, period_raises = [], [], []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
@@ -204,5 +205,8 @@ def test_each_entry_rule_is_written_once():
             )
             if node.func.id == "DomainError" and "empty window" in text:
                 window_raises.append((path.name, owner.get(id(node))))
+            if node.func.id == "PreconditionError" and "U != U" in text:
+                period_raises.append((path.name, owner.get(id(node))))
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
+    assert period_raises == [("submodules.py", "_check_period")]
