@@ -431,8 +431,10 @@ class Submodule:
 
     # ``_gap``, (canonical key of U, level e, deg f), is set only on a term
     # U + f*Q of an approach or vanish sequence, for the certificate's
-    # degree gap; every other subgroup leaves it unset, at no cost to build.
-    __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap")
+    # degree gap, and ``_rank``, the rank at the recorded minimal period
+    # ``_e``, only on an approach term, for ``invariant_report``; every
+    # other subgroup leaves them unset, at no cost to build.
+    __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap", "_rank")
 
     def __init__(self, n, p, period, gens=()):
         check_prime(p)
@@ -679,9 +681,15 @@ class InvariantReport:
 
 
 def invariant_report(U, s=None):
-    """Compute (e, rk_e, n*e - rk_e); a given s is checked to be a period."""
+    """Compute (e, rk_e, n*e - rk_e); a given s is checked to be a period.
+
+    The rank an approach term records at its minimal period (see
+    :func:`approach_sequence`) is read in place of building the form.
+    """
     e = U.minimal_period(s)
-    rk = U.form(e).rank
+    rk = getattr(U, "_rank", None)
+    if rk is None:
+        rk = U.form(e).rank
     return InvariantReport(e=e, rank=rk, deficiency=U.n * e - rk)
 
 
@@ -912,18 +920,21 @@ def approach_sequence(U, b, r_target, count):
     lifted generators times F = f(x^e).  Coordinate i of f*t is
     sum_a x^(j_a)*(t_a*f)(x^e) = (sum_a x^(j_a)*t_a(x^e))*f(x^e), where the
     free columns of coordinate i have distinct residues j_a < e and never
-    collide.  Every term's form at E is built from the rows of U's form
-    there and those of f*Q, read at E from its generators, and kept with
-    its minimal period, and each term records the canonical key of U, e
-    and deg f: :func:`certify_convergence` reads them to skip the terms
-    that agree with U on its ball by the degree gap.  The terms are built
-    by the unchecked ``Submodule._raw``, as every part is valid: U's
-    generators at E are its nonzero canonical rows, shifted, and the lifted
-    generators are nonzero, so their products with F != 0 are nonzero.
-    A count past ``SEQUENCE_BUDGET`` is refused before anything is built,
-    and a term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET``
-    before Q or any term is: it has n*E columns and n*E - r_target rows,
-    rk*b from U and n_free*b - r_target from f*Q.
+    collide.  No term's form is built here: ``Submodule.form`` builds it
+    from the term's generators the first time something reads it, a
+    gate's period test, the keys of a certificate or a comparison with the
+    limit.  Each kept term records its minimal period E and its rank
+    n*E - r_target there, rk*b from U and n_free*b - r_target from f*Q as
+    ranks add, which :func:`invariant_report` reads in place of a form; and
+    the canonical key of U, e and deg f, which :func:`certify_convergence`
+    reads to skip the terms that agree with U on its ball by the degree
+    gap.  The terms are built by the unchecked ``Submodule._raw``, as every
+    part is valid: U's generators at E are its nonzero canonical rows,
+    shifted, and the lifted generators are nonzero, so their products with
+    F != 0 are nonzero.  A count past ``SEQUENCE_BUDGET`` is refused before
+    anything is built, and a term form past ``FORM_COLUMN_BUDGET`` or
+    ``FORM_ENTRY_BUDGET`` before Q or any term is: it has n*E columns and
+    n*E - r_target rows.
     """
     check_term_count(count)
     n, p = U.n, U.p
@@ -959,7 +970,7 @@ def approach_sequence(U, b, r_target, count):
                 g_d = poly_gcd(g_d, _body(terms, p)[1])
         else:
             gates.append((d, g_d))
-    base_gens, base_rows = canon._at_period(E).gens, canon.form(E).rows
+    base_gens = canon._at_period(E).gens
     key = canon.canonical_key()
     lifted = tuple(
         _vector_at(
@@ -975,11 +986,10 @@ def approach_sequence(U, b, r_target, count):
         F = LaurentPoly._raw(p, 0, Poly._raw(p, spread))  # f(x^e); f(0) != 0
         gens = tuple(g.scaled(F) for g in lifted)
         term = Submodule._raw(n, p, E, base_gens + gens)
-        rows = tuple(_vector_coordinates(g, E) for g in gens)
-        term._forms[E] = laurent_hermite_form(p, n, E, base_rows + rows)
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
         object.__setattr__(term, "_e", E)
+        object.__setattr__(term, "_rank", n * E - r_target)
         object.__setattr__(term, "_gap", (key, e, f.degree))
         out.append(term)
         if len(out) == count:

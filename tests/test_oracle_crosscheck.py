@@ -13,8 +13,9 @@ value.  Residues and Hermite forms, computed through
 the action of y on residues, are rebuilt by a Laurent division per pivot.  Sieved irreducibles are rebuilt by trial
 division, and periods found on moved form rows by form equalities and by
 generator containment.  Approach terms, whose periods are gated and whose
-forms are built by insertion, are rebuilt by the divisor scan on each
-candidate term.  Membership and periods read on F_p coordinates are
+forms are built when read, are rebuilt by the divisor scan on each
+candidate term, and the rank each term records, read in place of its
+form, by the invariants of a copy that records none.  Membership and periods read on F_p coordinates are
 rebuilt through group products and shifted Laurent rows, and triple
 containment, read as membership of the contained triple's marker, by the
 geometric-factor criterion.  Periods and approach gates, read on
@@ -893,6 +894,41 @@ class TestApproachTermOracle:
                 assert W.minimal_period() == fresh.minimal_period() == E, W
                 assert W.form(E).key() == fresh.form(E).key(), W
         assert skipped > 0
+
+
+def recorded_rank_cases(seed):
+    """Seeded (V, target): V = (t*e(U), U, v) for U in R^n, n <= 2, over
+    p in {2, 3, 5}, toward a target (t', r') below V's encoding with
+    b = t/t' in {1, 2, 3}, two per (p, n, b); then the gated (1+x^2) case,
+    whose term for 1+x is tested for the period 1 and skipped."""
+    rng = SplitMix64(seed)
+    out = []
+    for p, n, b, _ in itertools.product((2, 3, 5), (1, 2), (1, 2, 3), range(2)):
+        e = 1 + rng.below(3)
+        rk = rng.below(n * e)
+        U = construct_with_invariants(n, p, e, rk) if rk else Submodule.zero(n, p)
+        t_target = 1 + rng.below(2)
+        V = SubgroupTriple(t_target * b * U.minimal_period(), U, rand_vec(rng, n, p))
+        t, r = V.poset_encoding()
+        out.append((V, (t_target, rng.below(t * r // t_target))))
+    return out + [(skip_case(), (1, 0))]
+
+
+class TestRecordedRankOracle:
+    """The (e, rank) an approach term records against a copy without it."""
+
+    def test_recorded_rank_matches_a_copy_that_records_none(self):
+        terms = 0
+        for V, target in recorded_rank_cases(9090):
+            for W in build_approach_sequence(V, target, 6):
+                U = W.lamps
+                built = set(U._forms)
+                report = invariant_report(U)
+                assert set(U._forms) == built, W
+                assert report == invariant_report(Submodule._raw(U.n, U.p, U.period, U.gens)), W
+                assert W.poset_encoding() == target, W
+                terms += 1
+        assert terms == 37 * 6
 
 
 def gauss_count(p, d):

@@ -210,3 +210,21 @@ def test_each_entry_rule_is_written_once():
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
     assert period_raises == [("submodules.py", "_check_period")]
+
+
+def test_approach_sequence_builds_no_form():
+    # Each approach term's form is built by ``Submodule.form`` when
+    # something reads it; the sequence itself calls no Hermite engine.
+    tree = ast.parse((SOURCE / "submodules.py").read_text())
+    (func,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "approach_sequence"
+    ]
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert "irreducibles" in called
+    assert "laurent_hermite_form" not in called

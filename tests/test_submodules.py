@@ -4,10 +4,12 @@ import hashlib
 
 import pytest
 
-from lampirs import submodules
+from lampirs import lamplighter, submodules
 from lampirs.algebra import LaurentPoly, Poly, poly_gcd
+from lampirs.cbrank import build_approach_sequence, classify_limit
 from lampirs.errors import ContextError, DomainError, PreconditionError, ResourceBudgetError
 from lampirs.formats import format_vector
+from lampirs.lamplighter import SubgroupTriple, certify_convergence
 from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     SEQUENCE_BUDGET,
@@ -120,7 +122,8 @@ class TestLaurentHermiteForm:
     def test_builds_no_laurent_polynomial(self, monkeypatch):
         # Rows go from F_p coordinates to canonical rows in that one format:
         # no LaurentPoly is built inside the engine, for the forms of
-        # enumerated subgroups nor for those of an approach sequence.
+        # enumerated subgroups nor for those of approach terms, built as
+        # each term's form is read.
         inside, built = [], []
         real_form, real_init = submodules.laurent_hermite_form, LaurentPoly.__init__
 
@@ -142,15 +145,15 @@ class TestLaurentHermiteForm:
         monkeypatch.setattr(LaurentPoly, "__init__", constructing)
         forms = [submodules.laurent_hermite_form(3, 2, 2, r) for r in rows]
         seq = approach_sequence(U, 2, 1, 6)
+        for V in seq:
+            V.form(V.period)
         assert len(seq) == 6 and len(built) > len(forms) + len(seq)
         assert sum(form.rank for form in forms) > len(forms)
 
     def test_each_row_is_indexed_once(self, monkeypatch):
-        # The rows of every form built for an approach sequence and its
-        # certificate are indexed as they are pushed, and never again.
-        from lampirs.cbrank import build_approach_sequence
-        from lampirs.lamplighter import SubgroupTriple, certify_convergence
-
+        # The rows of every form built for an approach sequence, its
+        # certificate and a reading of every term's form are indexed as
+        # they are pushed, and never again.
         built, indexed = [], []
         real_form, real_index = submodules.laurent_hermite_form, CanonicalForm._index_row
 
@@ -168,6 +171,8 @@ class TestLaurentHermiteForm:
         V = SubgroupTriple(6, U, U.reduce_vector(unit(1, 2, exp=-1)))
         seq = build_approach_sequence(V, (1, 0), 6)
         result = certify_convergence(lambda m: seq[m - 1], V, 3, 12, 6)
+        for W in seq:
+            W.lamps.form(W.lamps.period)
         assert result.index is not None and len(built) > len(seq)
         assert len(indexed) == sum(form.rank for form in built)
 
@@ -629,30 +634,63 @@ class TestApproach:
     )
     def test_terms_take_no_period_test_and_one_form_each(self, monkeypatch, e, rk, t):
         # The p = 2 shapes of the certify-f2 benchmark: no term is tested for
-        # a period, and the sequence builds one form per term, the one a
-        # Submodule builds from the term's generators, and U's form at E
-        # unless E = e, where U has it already.
+        # a period and the sequence builds no form.  Read at E, each term
+        # builds one form, the one a Submodule builds from its generators.
         U = construct_with_invariants(1, 2, e, rk)
         U.canonical()
         counts = self.counted(monkeypatch)
         for r_target in range(t * (e - rk)):
             counts.update(period=0, form=0)
             seq = approach_sequence(U, t, r_target, 12)
-            assert counts == {"period": 0, "form": 12 + (t > 1)}, r_target
-            for V in seq:
+            assert counts == {"period": 0, "form": 0}, r_target
+            forms = [V.form(e * t) for V in seq]
+            assert counts == {"period": 0, "form": 12}, r_target
+            for V, form in zip(seq, forms):
                 assert V.minimal_period() == e * t
-                fresh = Submodule(V.n, V.p, e * t, V.gens).form(e * t)
-                assert V._forms[e * t] == fresh
+                assert form == Submodule(V.n, V.p, e * t, V.gens).form(e * t)
+
+    @pytest.mark.parametrize(
+        "e, rk, t", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
+    )
+    def test_only_keyed_terms_and_the_last_hold_a_form(self, monkeypatch, e, rk, t):
+        # The calls of a certify-f2 operation on each shape: build 25 terms,
+        # certify them at radius 4 with the shift bound 2s, classify them.
+        # A term's form is built only when the certificate keys the term,
+        # or for the last term, which classify_limit compares with the limit.
+        U = construct_with_invariants(1, 2, e, rk)
+        V = SubgroupTriple(t * e, U, U.reduce_vector(random_vector(SplitMix64(61 * e + t), 1, 2)))
+        keyed, member_keys = [], lamplighter._member_keys
+
+        def keying(triple, radius, shifts):
+            keyed.append(triple)
+            return member_keys(triple, radius, shifts)
+
+        monkeypatch.setattr(lamplighter, "_member_keys", keying)
+        unformed = 0
+        for r_target in range(t * (e - rk)):
+            keyed.clear()
+            seq = build_approach_sequence(V, (1, r_target), 25)
+            certify_convergence(lambda m: seq[m - 1], V, 4, 2 * t * e, 25)
+            classify_limit(seq, V)
+            for m, W in enumerate(seq, 1):
+                if not W.lamps._forms:
+                    unformed += 1
+                else:
+                    assert m == 25 or any(W is K for K in keyed), (r_target, m)
+        assert unformed > 0
 
     def test_a_skipped_term_takes_one_period_test(self, monkeypatch):
         # (1+x^2) F_2[x^(+-2)] with b = 1: the term for 1+x, which divides
-        # g_1 = 1+y, is built and tested and has period 1; no later f
-        # divides g_1.  E = 2 = e, so U's form at E is not built again.
+        # g_1 = 1+y, is built and tested and has period 1, and its form is
+        # the one the sequence builds; no later f divides g_1.
         U = Submodule(1, 2, 2, [LaurentVector(2, [LaurentPoly.from_poly(Poly(2, [1, 0, 1]))])])
         U.canonical()
         counts = self.counted(monkeypatch)
         seq = approach_sequence(U, 1, 0, 8)
-        assert counts == {"period": 1, "form": 8 + 1}
+        assert counts == {"period": 1, "form": 1}
+        forms = [V.form(2) for V in seq]
+        assert counts == {"period": 1, "form": 1 + 8}
+        assert all(form == Submodule(1, 2, 2, V.gens).form(2) for V, form in zip(seq, forms))
         # the first kept term is the one for 1+y+y^2, with y = x^2
         first = LaurentPoly.from_poly(Poly(2, [0, 1, 0, 1, 0, 1]))
         assert seq[0].contains_vector(LaurentVector(2, [first]))
@@ -667,8 +705,11 @@ class TestApproach:
         U.canonical()
         counts = self.counted(monkeypatch)
         seq = approach_sequence(U, 1, 0, 8)
+        assert counts == {"period": 0, "form": 0}
+        forms = [V.form(2) for V in seq]
         assert counts == {"period": 0, "form": 8}
         assert all(V.minimal_period() == 2 for V in seq)
+        assert all(form == Submodule(1, 2, 2, V.gens).form(2) for V, form in zip(seq, forms))
 
     def test_hypothesis_violations_named(self):
         full = Submodule.full(1, 2)
