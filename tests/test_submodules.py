@@ -37,6 +37,10 @@ from test_oracle_crosscheck import (
 )
 
 
+# The (e(U), rk, t) shapes of the p = 2 limits of the certify-f2 benchmark.
+CERTIFY_F2_SHAPES = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
+
+
 def unit(n, p, i=0, exp=0):
     return LaurentVector.unit(n, p, i, exponent=exp)
 
@@ -629,9 +633,7 @@ class TestApproach:
         monkeypatch.setattr(submodules, "laurent_hermite_form", counting_form)
         return counts
 
-    @pytest.mark.parametrize(
-        "e, rk, t", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
-    )
+    @pytest.mark.parametrize("e, rk, t", CERTIFY_F2_SHAPES)
     def test_terms_take_no_period_test_and_one_form_each(self, monkeypatch, e, rk, t):
         # The p = 2 shapes of the certify-f2 benchmark: no term is tested for
         # a period and the sequence builds no form.  Read at E, each term
@@ -649,9 +651,7 @@ class TestApproach:
                 assert V.minimal_period() == e * t
                 assert form == Submodule(V.n, V.p, e * t, V.gens).form(e * t)
 
-    @pytest.mark.parametrize(
-        "e, rk, t", [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
-    )
+    @pytest.mark.parametrize("e, rk, t", CERTIFY_F2_SHAPES)
     def test_only_keyed_terms_and_the_last_hold_a_form(self, monkeypatch, e, rk, t):
         # The calls of a certify-f2 operation on each shape: build 25 terms,
         # certify them at radius 4 with the shift bound 2s, classify them.
