@@ -183,9 +183,11 @@ def test_every_budget_refusal_has_one_shape(monkeypatch, patches, call, requeste
 def test_each_entry_rule_is_written_once():
     # Every ``ResourceBudgetError`` is raised with three positional arguments
     # (what, requested, budget), so its message comes from the exception;
-    # only ``irs._check_window`` raises the empty-window ``DomainError``, and
-    # only ``Submodule._check_period`` the ``PreconditionError`` x^s U != U.
-    budget_calls, window_raises, period_raises = [], [], []
+    # only ``irs._check_window`` raises the empty-window ``DomainError``,
+    # only ``Submodule._check_period`` the ``PreconditionError`` x^s U != U,
+    # and only ``Submodule.form`` calls the Hermite engine, so an approach
+    # term's form is built when it is read and never by the sequence.
+    budget_calls, window_raises, period_raises, hermite_calls = [], [], [], []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
@@ -194,6 +196,8 @@ def test_each_entry_rule_is_written_once():
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
                 continue
             where = f"{path.name}:{node.lineno}"
+            if node.func.id == "laurent_hermite_form":
+                hermite_calls.append((path.name, owner.get(id(node))))
             if node.func.id == "ResourceBudgetError":
                 three = len(node.args) == 3 and not node.keywords
                 if not three or any(isinstance(a, ast.Starred) for a in node.args):
@@ -210,21 +214,4 @@ def test_each_entry_rule_is_written_once():
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
     assert period_raises == [("submodules.py", "_check_period")]
-
-
-def test_approach_sequence_builds_no_form():
-    # Each approach term's form is built by ``Submodule.form`` when
-    # something reads it; the sequence itself calls no Hermite engine.
-    tree = ast.parse((SOURCE / "submodules.py").read_text())
-    (func,) = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "approach_sequence"
-    ]
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
-    }
-    assert "irreducibles" in called
-    assert "laurent_hermite_form" not in called
+    assert hermite_calls == [("submodules.py", "form")]

@@ -1,12 +1,15 @@
 """The summary step of ``tools/paired_bench.py`` on a synthetic run list.
 
 No checkout is made and no process is started: only the functions that
-turn runs into the ``summary`` and ``claim`` of a BENCH_*.json are called.
+turn runs into the ``summary`` and ``claim`` of a BENCH_*.json, and the one
+that extracts an archive, are called.
 """
 
 import importlib.util
+import io
 import pathlib
 import subprocess
+import tarfile
 
 import pytest
 
@@ -94,3 +97,18 @@ def test_claim_needs_nine_tenths_a_gap_past_the_quartiles_and_no_more_failures(p
     # equal medians are no gain, and 0 of 4 pairs is not nine tenths
     assert paired_bench.claim_result(summary, "steady", "wall_s")["met"] is False
     assert paired_bench.claim_result(summary, "fast", "peak_rss_mb")["met"] is False
+    # three pairs, all lower and far past the quartiles, are too few
+    short = [r for r in clean if r["workload"] == "fast" and r["seed"] < 103]
+    assert paired_bench.claim_result(paired_bench.summarize(short, bounds), "fast", "wall_s")["met"] is False
+
+
+def test_extract_runs_on_this_python(paired_bench, tmp_path):
+    # The data filter is passed only where tarfile has it.
+    body = b"print(1)\n"
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as archive:
+        member = tarfile.TarInfo("bench/run.py")
+        member.size = len(body)
+        archive.addfile(member, io.BytesIO(body))
+    paired_bench._extract(buffer.getvalue(), tmp_path)
+    assert (tmp_path / "bench" / "run.py").read_bytes() == body

@@ -4,15 +4,15 @@ Run from the root of the repository:
 
     python3 tools/paired_bench.py --parent REV --change REV --seed 1101 \\
         --out BENCH_name.json --what "what the change does" \\
-        [--pairs 10] [--workload NAME ...] [--claim WORKLOAD:METRIC] [--note TEXT ...]
+        [--workload NAME ...] [--claim WORKLOAD:METRIC] [--note TEXT ...]
 
 Each commit is extracted by ``git archive`` into a temporary directory, so
 neither side holds a bytecode cache or an uncommitted file.  For each
 workload (default: every workload of ``BENCHMARK.json``, in its order) the
-tool runs ``--pairs`` pairs of ``bench/run.py --trace 0``, one process at a
-time with ``PYTHONDONTWRITEBYTECODE=1``; both runs of a pair take the same
-seed, and the side that runs first alternates from pair to pair.  Workload
-i takes the seeds ``seed + i*pairs`` to ``seed + (i+1)*pairs - 1``.  The
+tool runs ``PAIRS`` (10) pairs of ``bench/run.py --trace 0``, one process
+at a time with ``PYTHONDONTWRITEBYTECODE=1``; both runs of a pair take the
+same seed, and the side that runs first alternates from pair to pair.
+Workload i takes the seeds ``seed + 10*i`` to ``seed + 10*i + 9``.  The
 run length is ``run_seconds`` of the change's ``BENCHMARK.json``, and so
 are the end-to-end metrics and their bounds.
 
@@ -20,10 +20,15 @@ The output holds ``what``, ``commits``, ``command``, ``host``, ``notes``
 (the seeds and run order, then each ``--note``), ``claim``, a ``summary``
 per workload (each metric's median and quartiles per side, the pairs the
 change read lower in, the ratio of the medians and whether the change is
-within the metric's bound) and every run's last JSON line under ``runs``.  Every end-to-end metric must be one where lower is
-better.  A claim is met when the change reads lower in at least nine
-tenths of its pairs, its median is lower by more than the distance between
-the parent's quartiles, and no more operations failed.
+within the metric's bound) and every run's last JSON line under
+``runs``.  Every end-to-end metric must be one where lower is better.  A
+claim is met when it rests on at least ``PAIRS`` pairs, the change
+reads lower in at least nine tenths of them, its median is lower by more
+than the distance between the parent's quartiles, and no more operations
+failed.
+
+Extraction uses tarfile's ``data`` filter where the running Python has it
+(3.10.12, 3.11.4, 3.12 and later); older versions extract without one.
 """
 
 import argparse
@@ -38,7 +43,15 @@ import sys
 import tarfile
 import tempfile
 
+PAIRS = 10
 COMMAND = "python3 bench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
+_DATA_FILTER = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+
+
+def _extract(tar, dest):
+    """Extract the tar archive held in the bytes ``tar`` into ``dest``."""
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, **_DATA_FILTER)
 
 
 def _checkout(repo, rev, dest):
@@ -48,8 +61,7 @@ def _checkout(repo, rev, dest):
         cwd=repo, check=True, capture_output=True, text=True,
     ).stdout.strip()
     tar = subprocess.run(["git", "archive", sha], cwd=repo, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+    _extract(tar, dest)
     return sha
 
 
@@ -116,14 +128,16 @@ def summarize(runs, bounds):
 
 
 def claim_result(summary, workload, metric):
-    """A claimed gain on one metric, judged on the summary: met when the
-    change read lower in at least nine tenths of the pairs, its median is
+    """A claimed gain on one metric, judged on the summary: met when there
+    are at least ``PAIRS`` pairs, the change read lower in at least nine
+    tenths of them, its median is
     lower than the parent's by more than the parent's interquartile
     distance, and no more operations failed."""
     m = summary[workload]["metrics"][metric]
     lo, hi = m["parent_quartiles"]
     met = (
-        10 * m["change_lower_in_pairs"] >= 9 * m["pairs"]
+        m["pairs"] >= PAIRS
+        and 10 * m["change_lower_in_pairs"] >= 9 * m["pairs"]
         and m["parent_median"] - m["change_median"] > hi - lo
         and summary[workload]["failed_change"] <= summary[workload]["failed_parent"]
     )
@@ -135,7 +149,6 @@ def main(argv=None):
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append")
     parser.add_argument("--out", required=True)
     parser.add_argument("--what", required=True)
@@ -156,8 +169,8 @@ def main(argv=None):
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
         runs = []
         for i, workload in enumerate(workloads):
-            for k in range(args.pairs):
-                seed = args.seed + i * args.pairs + k
+            for k in range(PAIRS):
+                seed = args.seed + i * PAIRS + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order, 1):
                     last = _run(checkouts[side], workload, seed, seconds)
