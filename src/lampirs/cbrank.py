@@ -155,6 +155,9 @@ def classify_limit(sequence, limit):
     Every group (t', r') must satisfy t' | t and t'r' <= t*r for the limit's
     encoding (t, r), with strict inequality unless the group's tail
     stabilizes to the limit subgroup.  A violation raises ConsistencyError.
+    Equal subgroups have equal encodings, so a group's tail is compared
+    with the limit only when the group has the limit's encoding; an
+    approach term, which records its encoding, then needs no form.
     """
     t, r = limit.poset_encoding()
     order = []
@@ -169,14 +172,8 @@ def classify_limit(sequence, limit):
     for enc in order:
         t_g, r_g = enc
         indices = groups[enc]
-        # The group stabilizes when its tail consists of copies of the limit.
-        trailing_equal = 0
-        for idx in reversed(indices):
-            if sequence[idx].same_subgroup(limit):
-                trailing_equal += 1
-            else:
-                break
-        stabilizes = trailing_equal > 0
+        # The group stabilizes when its last term is a copy of the limit.
+        stabilizes = enc == (t, r) and sequence[indices[-1]].same_subgroup(limit)
         divisibility_ok = t % t_g == 0
         product = t_g * r_g
         bound_ok = product <= t * r

@@ -18,7 +18,7 @@ For subgroups of the lamp group, s = 0 and v = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import gcd
 
 from .algebra import LaurentPoly, check_prime, geometric_series
@@ -176,6 +176,7 @@ class SubgroupTriple:
         (w, t)(v, s)^(-t/s), w plus x^t times those of the marker power,
         are in U.  They are summed as F_p coordinates at U's stored period,
         the marker power's moved by x^t as they are read; no product is formed.
+        :meth:`CanonicalForm.contains` reduces the sum, walking only its span.
         """
         if g.n != self.n or g.p != self.p:
             raise ContextError("element of a different lamplighter group")
@@ -188,7 +189,7 @@ class SubgroupTriple:
         marker = self._marker_power(-(g.shift // self.s)).lamps
         coords = _vector_coordinates(g.lamps, level)
         _add_scaled(coords, _vector_coordinates(marker, level, g.shift).items(), 1, self.p)
-        return not U.form(level).residue(coords)
+        return U.form(level).contains(coords)
 
     def canonical(self):
         """Canonical form: U at its minimal period, v reduced modulo U."""
@@ -309,7 +310,9 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     enumerated; ``witnesses_checked`` is the size of the certified ball.
     The residues behind the keys come from the y-action on residues
     (``Submodule.window_residues`` and ``_offset_residues``), with no
-    Laurent division per monomial.
+    Laurent division per monomial.  The limit's are built once, at e(U),
+    which divides s, and both its keys and the degree gap read them
+    (``_BallResidues``); keys do not depend on the level.
 
     Every term is read, and checked to be in the limit's group, first.
     The answer depends only on the last term m that disagrees with the
@@ -317,9 +320,9 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     bisection (disagreement is not monotone in m): start - m + 2 key sets
     with the limit's, 2 for a failure, named from the keys of term H.  The
     start is H unless every term is one of an approach or vanish sequence
-    toward this limit; then it is the last term m_B of degree at most the
-    ball's gap bound B, as every later term agrees with the limit on the
-    ball (see ``_gap_start``), so min(H, m_B) - m + 2 key sets are made.
+    toward this limit; then it is the last term m_B that the ball's degree
+    gap admits, as every later term agrees with the limit on the ball (see
+    ``_gap_start``), so min(H, m_B) - m + 2 key sets are made.
     The witness's digits are written by ``_vector_at`` at level 1, the
     digit c of component i at a site k as the term c x^(-k) of that
     component.
@@ -334,8 +337,9 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     terms = [provider(m) for m in range(1, horizon + 1)]
     if any(triple.n != n or triple.p != p for triple in terms):
         raise ContextError("subgroups of different lamplighter groups")
-    target = _member_keys(limit, support_radius, shifts)
-    for m in range(_gap_start(terms, limit, support_radius, shifts), 0, -1):
+    ball = _BallResidues(limit, support_radius, limit.lamps.minimal_period())
+    target = _member_keys(limit, support_radius, shifts, ball)
+    for m in range(_gap_start(terms, limit, ball, shifts), 0, -1):
         keys = _member_keys(terms[m - 1], support_radius, shifts)
         if keys != target:
             break
@@ -353,50 +357,59 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
 
 
-def _gap_start(terms, limit, radius, shifts):
+def _gap_start(terms, limit, ball, shifts):
     """The last term that can disagree with the limit on the ball: H, or by
-    the degree gap the last term m_B with deg f <= B.
+    the degree gap the last term with deg f <= max_j (B_j - sigma_j).
 
     A term of ``approach_sequence`` or ``vanish_sequence`` records that it is
     U + f*Q, with f*Q in the free (non-pivot) columns of U's form at level e
-    over y = x^e.  When every term records the limit's lamps as U and has the
-    limit's s and v, the marker lamps d_t are the same for both, and a
-    witness (w, t) tells them apart exactly when z = w + d_t is in U + f*Q
-    but not in U.  Then z's residue modulo U is a nonzero f*q in the free
-    columns, so one of its entries spans at least deg f in y.  That entry
-    lies in the union of the supports of the residues of the site monomials
-    and of d_t; with B the widest y-span of that union over a free column
-    and a member shift t (-1 when no free column has an entry), a term with
-    deg f > B agrees with the limit on the ball.  The residues are taken at
-    e, which divides s, and d_t's in full, walked out from d_0 = 0 both ways
-    by the recurrence of ``_offset_residues`` over the shifts -S..S.  Once B
-    reaches the largest recorded degree every term is admitted, and no
-    further d_t is walked.
+    over y = x^e, and for each column j that Q's generators fill the span
+    sigma_j of the gcd of their entries there.  When every term records the
+    limit's lamps as U and the level of ``ball``, the limit's residues, as
+    e, and has the limit's s and v, the marker lamps d_t are the same for
+    both, and a witness (w, t) tells them apart exactly when z = w + d_t is
+    in U + f*Q but not in U.  Then z's residue modulo U is a nonzero f*q in
+    the free columns, q in Q, for any period of Q.  Some entry q_j is
+    nonzero, so j is a column Q fills, and q_j lies in the ideal of the
+    entries of Q's generators there, so f*q_j spans at least deg f +
+    sigma_j in y.  That entry lies in the union of the supports of the
+    residues of the site monomials and of d_t in column j; with B_j the
+    widest y-span of that union over the member shifts t (-1 when the
+    column has no entry), a term agrees with the limit on the ball unless
+    deg f <= B_j - sigma_j for some column j it fills.  d_t's residues are
+    walked out from d_0 = 0 both ways by the recurrence of
+    ``_offset_residues`` over the shifts -S..S, and once every recorded
+    degree is admitted no further d_t is walked.
     """
-    U, s = limit.lamps, limit.s
+    s = limit.s
     records = [getattr(V.lamps, "_gap", None) for V in terms]
     if not all(r and V.s == s and V.v == limit.v for r, V in zip(records, terms)):
         return len(terms)
-    e = U.minimal_period()
-    base = (U.canonical_key(), e)
+    base = (limit.lamps.canonical_key(), ball.form.level)
     if any(r[:2] != base for r in records):
         return len(terms)
-    form = U.form(e)
-    window = [item for r in U.window_residues(-radius, radius, e).values() for item in r.items()]
+    tops = {}
+    for _, _, degree, spans in records:
+        tops[spans] = max(tops.get(spans, 0), degree)
+    items = [item for r in ball.window.values() for item in r.items()]
+    window = {j: (min(qs), max(qs)) for j, qs in _by_column(items).items()}
+    widest = {j: hi - lo for j, (lo, hi) in window.items()}
+
+    def reach(spans):
+        return max((widest[j] - sigma for j, sigma in spans if j in widest), default=-1)
+
     residues = [{}]
     if s:
-        v = form.residue(_vector_coordinates(limit.v, e))
-        walks = (_marker_walk(form, v, s // e, limit.p, sign) for sign in (1, -1))
+        walks = (ball.offsets(sign) for sign in (1, -1))
         residues = chain(residues, *(islice(walk, shifts[-1] // s) for walk in walks))
-    top = max(r[2] for r in records)
-    bound = -1
     for residue in residues:
-        for j, qs in _by_column(window + list(residue.items())).items():
-            if j not in form.pivots:
-                bound = max(bound, max(qs) - min(qs))
-        if bound >= top:
+        for j, qs in _by_column(residue.items()).items():
+            lo, hi = window.get(j, (min(qs), max(qs)))
+            widest[j] = max(widest.get(j, -1), max(hi, max(qs)) - min(lo, min(qs)))
+        if all(reach(spans) >= top for spans, top in tops.items()):
             break
-    return max((m for m, r in enumerate(records, 1) if r[2] <= bound), default=0)
+    reaches = {spans: reach(spans) for spans in tops}
+    return max((m for m, r in enumerate(records, 1) if r[2] <= reaches[r[3]]), default=0)
 
 
 def ball_size(n, p, radius, shift_bound, horizon):
@@ -426,7 +439,37 @@ def ball_size(n, p, radius, shift_bound, horizon):
     return p**dim * n_shifts
 
 
-def _member_keys(triple, radius, shifts):
+class _BallResidues:
+    """The residues at ``level`` of a triple's ball, built once and read by
+    its member keys and by the degree gap: ``window``, those of the site
+    monomials on [-radius, radius] by (site, component), from
+    ``Submodule.window_residues``; ``v``, that of the marker lamps; and,
+    through :meth:`offsets`, those of the d_k.  ``level`` is a period of U
+    at which x^s is a power of y."""
+
+    __slots__ = ("form", "window", "v", "_walks")
+
+    def __init__(self, triple, radius, level):
+        U = triple.lamps
+        self.form = U.form(level)
+        self.window = U.window_residues(-radius, radius, level)
+        self.v = self.form.residue(_vector_coordinates(triple.v, level))
+        steps = triple.s // level
+        self._walks = {
+            sign: ([], _marker_walk(self.form, self.v, steps, triple.p, sign)) for sign in (1, -1)
+        }
+
+    def offsets(self, sign):
+        """The residues of d_sign, d_(2 sign), ..., without end: those of
+        :func:`_marker_walk` walked before, then the walk, kept as it goes."""
+        walked, walk = self._walks[sign]
+        for k in count():
+            if k == len(walked):
+                walked.append(next(walk))
+            yield walked[k]
+
+
+def _member_keys(triple, radius, shifts, ball=None):
     """Per shift t, a canonical key of {w on sites [-radius, radius] : (w, t) in triple}.
 
     A configuration w is given by its digits c, component by component,
@@ -439,17 +482,19 @@ def _member_keys(triple, radius, shifts):
     row reduction of [M | r_t, ...] over the other t gives the set's
     direction, as the RREF of M's row space, and for each consistent t the
     solution whose free coordinates vanish; equal sets get equal keys,
-    whatever level the residues are taken at.  That level is gcd(period, s),
-    a period of U at which x^s is a power of y (see ``_offset_residues``).
+    whatever level the residues are taken at.  They are those of ``ball``
+    when given, else built at gcd(period, s), a period of U at which x^s is
+    a power of y (see ``_offset_residues``).
     """
     n, p, s, U = triple.n, triple.p, triple.s, triple.lamps
     members = [t for t in shifts if (t % s == 0 if s else t == 0)]
-    level = gcd(U.period, s)
-    window = U.window_residues(-radius, radius, level)
+    if ball is None:
+        ball = _BallResidues(triple, radius, gcd(U.period, s))
+    window = ball.window
     columns = [window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
     dim = len(columns)
     support = set().union(*columns)
-    offsets = _offset_residues(triple, level, [t // s if s else 0 for t in members], support)
+    offsets = _offset_residues(ball, [t // s if s else 0 for t in members], support)
     reachable = [(t, r) for t, r in zip(members, offsets) if r is not None]
     columns += [r for _, r in reachable]
     rows, pivots = rref([[col.get(k, 0) for col in columns] for k in sorted(support)], p)
@@ -463,30 +508,27 @@ def _member_keys(triple, radius, shifts):
     return [keys[t] for t in shifts]
 
 
-def _offset_residues(triple, level, ks, support):
-    """Residue coordinates at ``level`` of d_k, the lamps of (0, k*s)(v, s)^(-k),
-    or None for those with a coordinate outside ``support``.
+def _offset_residues(ball, ks, support):
+    """Residue coordinates of d_k, the lamps of (0, k*s)(v, s)^(-k), read
+    from ``ball``, or None for those with a coordinate outside ``support``.
 
     The d_k come from :func:`_marker_walk`.  A y-step moves every coordinate
     one exponent up (or down) and subtracts pivot rows only at their own
     exponents (one lower going down), and v stays put.  So a coordinate
     above every exponent of the rows, of v and of ``support`` moves on and
     is never cleared going up, nor one below them all going down, and no
-    later d_k is built.
+    later d_k is read.
     """
-    form = triple.lamps.form(level)
-    p, steps = triple.p, triple.s // level
-    v = form.residue(_vector_coordinates(triple.v, level))
-    exponents = [exp for row in form.rows for (_, exp), _ in row]
-    exponents += [exp for _, exp in [*v, *support]]
+    exponents = [exp for row in ball.form.rows for (_, exp), _ in row]
+    exponents += [exp for _, exp in [*ball.v, *support]]
     hi, lo = max(exponents, default=0), min(exponents, default=0)
     out = dict.fromkeys(ks)
     out[0] = {}
-    for k, residue in zip(range(1, max(ks) + 1), _marker_walk(form, v, steps, p, 1)):
+    for k, residue in zip(range(1, max(ks) + 1), ball.offsets(1)):
         if any(exp > hi for _, exp in residue):
             break
         out[k] = residue if residue.keys() <= support else None
-    for k, residue in zip(range(-1, min(ks) - 1, -1), _marker_walk(form, v, steps, p, -1)):
+    for k, residue in zip(range(-1, min(ks) - 1, -1), ball.offsets(-1)):
         if any(exp < lo for _, exp in residue):
             break
         out[k] = residue if residue.keys() <= support else None

@@ -55,6 +55,12 @@ FORM_COLUMN_BUDGET = 2**14
 # ``construct 1 240 240`` takes 0.13 to 0.19 s on a 2-core Xeon, 0.023 s of it
 # in ``invariant_report``.
 FORM_ENTRY_BUDGET = 2**16
+# Largest y-range, from the least exponent or 0 to the greatest or 0, that a
+# residue walks, one y-step per exponent, about 1.5 us each on a 2-core Xeon.
+# It admits every vector whose terms lie within a parsed polynomial's span
+# budget, 2^16, of x^0 at level 1.  A membership test moves its vector next
+# to y^0 first and walks only its span.
+RESIDUE_RANGE_BUDGET = 2**17
 
 
 class LaurentVector:
@@ -163,6 +169,15 @@ def _vector_coordinates(vec, level, k=0):
     return out
 
 
+def _by_exponent(coords):
+    """The F_p coordinates ``coords`` grouped by y-exponent:
+    {q: [(column, c), ...]}."""
+    by_q = {}
+    for (j, q), c in coords.items():
+        by_q.setdefault(q, []).append((j, c))
+    return by_q
+
+
 def _by_column(pairs):
     """The F_p coordinates ``pairs``, ((column, y-exponent), c) each, read in
     one pass into {column: {y-exponent: c}}."""
@@ -258,19 +273,42 @@ class CanonicalForm:
         It is read by Horner in y: the coefficients at y^q >= 0 from the top
         down, one up-step between them, and those at y^q < 0 from the bottom
         up, one down-step after each; every coefficient c at y^q in column j
-        enters as c times :meth:`unit_residue` of j.
+        enters as c times :meth:`unit_residue` of j.  A walk of more than
+        ``RESIDUE_RANGE_BUDGET`` y-steps is refused before the first.
         """
-        by_q = {}
-        for (j, q), c in coords.items():
-            by_q.setdefault(q, []).append((j, c))
+        return self._walk(_by_exponent(coords))
+
+    def contains(self, coords):
+        """Is the vector with the coordinates ``coords`` in the row span?
+
+        The span is closed under y^(+-1), so a vector wholly above y^0 is
+        first moved down until its least exponent is 0, and one wholly below
+        moved up until its greatest is 0: the walk of :meth:`residue` then
+        covers only the vector's span, however far from y^0 it lies.
+        """
+        by_q = _by_exponent(coords)
+        if by_q:
+            low, high = min(by_q), max(by_q)
+            shift = low if low > 0 else high if high < 0 else 0
+            if shift:
+                by_q = {q - shift: terms for q, terms in by_q.items()}
+        return not self._walk(by_q)
+
+    def _walk(self, by_q):
+        """The residue of the vector with the coordinates {y-exponent: [(column,
+        c), ...]} ``by_q``, by the walk :meth:`residue` describes."""
+        top, bottom = max(by_q, default=-1), min(by_q, default=0)
+        walked = max(top, 0) - min(bottom, 0)
+        if walked > RESIDUE_RANGE_BUDGET:
+            raise ResourceBudgetError("a residue walk of y-range", walked, RESIDUE_RANGE_BUDGET)
         p, units = self.p, self._units
         up, down = {}, {}
-        for q in range(max(by_q, default=-1), -1, -1):
+        for q in range(top, -1, -1):
             if up:
                 up = self._y_step(up, 1)
             for j, c in by_q.get(q, ()):
                 _add_scaled(up, units.get(j, (((j, 0), 1),)), c, p)
-        for q in range(min(by_q, default=0), 0):
+        for q in range(bottom, 0):
             for j, c in by_q.get(q, ()):
                 _add_scaled(down, units.get(j, (((j, 0), 1),)), c, p)
             down = self._y_step(down, -1)
@@ -429,11 +467,12 @@ def _check_form_size(n, level, rows):
 class Submodule:
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
-    # ``_gap``, (canonical key of U, level e, deg f), is set only on a term
-    # U + f*Q of an approach or vanish sequence, for the certificate's
-    # degree gap, and ``_rank``, the rank at the recorded minimal period
-    # ``_e``, only on an approach term, for ``invariant_report``; every
-    # other subgroup leaves them unset, at no cost to build.
+    # ``_gap``, (canonical key of U, level e, deg f, the spans of
+    # :func:`_gcd_spans` of Q), is set only on a term U + f*Q of an approach
+    # or vanish sequence, for the certificate's degree gap, and ``_rank``,
+    # the rank at the recorded minimal period ``_e``, only on an approach
+    # term, for ``invariant_report``; every other subgroup leaves them
+    # unset, at no cost to build.
     __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap", "_rank")
 
     def __init__(self, n, p, period, gens=()):
@@ -510,8 +549,9 @@ class Submodule:
     # -- membership, containment, equality ----------------------------------
 
     def _is_member(self, w, level, k=0):
-        """Is x^k * w in U?  Read on w's coordinates at ``level``."""
-        return not self.form(level).residue(_vector_coordinates(w, level, k))
+        """Is x^k * w in U?  Read on w's coordinates at ``level`` by
+        :meth:`CanonicalForm.contains`, which walks only w's span."""
+        return self.form(level).contains(_vector_coordinates(w, level, k))
 
     def _check_vector(self, w):
         if w.p != self.p or w.n != self.n:
@@ -599,11 +639,13 @@ class Submodule:
         x^s U ⊆ U exactly when x^s g is in U for every generator g, as
         :meth:`contains_submodule` reads another subgroup's: each g is read
         by :func:`_vector_coordinates` with the shift s and reduced by the
-        form at L, whose budgets are checked first.
+        form at L, whose budgets are checked first.  As x^L U = U, s is
+        first reduced modulo L, so a far s costs no more than a near one.
         """
         if s < 1:
             raise DomainError("periods are positive")
-        if s % self.period == 0:
+        s %= self.period
+        if not s:
             return True
         self.form(self.period)
         return all(self._is_member(g, self.period, s) for g in self.gens)
@@ -876,19 +918,37 @@ def construct_with_invariants(n, p, b, r):
     return Submodule(n, p, b, gens)
 
 
+def _gcd_spans(gens, level, p):
+    """((column, sigma), ...): for each column at ``level`` where some
+    generator has a nonzero entry, the y-span sigma of the gcd of the
+    generators' entries there.
+
+    Every element of the subgroup the generators span under a power of y
+    has each entry in the ideal those entries generate, so a nonzero one
+    spans at least sigma in y; a column where every entry is zero holds
+    none.
+    """
+    gcds = {}
+    for g in gens:
+        for j, terms in _by_column(_vector_coordinates(g, level).items()).items():
+            gcds[j] = poly_gcd(gcds.get(j, Poly.zero(p)), _body(terms, p)[1])
+    return tuple((j, gcds[j].degree) for j in sorted(gcds))
+
+
 def vanish_sequence(U, count):
     """U_m = f_m * U along the non-unit irreducibles; tends to the zero subgroup.
 
     Each term records that it is 0 + f_m * U at level 1, every column free,
-    with the key of the zero subgroup and deg f_m (see
-    :func:`approach_sequence`).  A count past ``SEQUENCE_BUDGET`` is refused
-    before any term is built.
+    with the key of the zero subgroup, deg f_m and the gcd spans of U's
+    generators, found once (see :func:`approach_sequence`).  A count past
+    ``SEQUENCE_BUDGET`` is refused before any term is built.
     """
     key = Submodule.zero(U.n, U.p).canonical_key()
+    spans = _gcd_spans(U.gens, 1, U.p)
     out = []
     for f in enumerate_irreducibles(U.p, count):
         term = U.scaled(f)
-        object.__setattr__(term, "_gap", (key, 1, f.degree))
+        object.__setattr__(term, "_gap", (key, 1, f.degree, spans))
         out.append(term)
     return out
 
@@ -926,9 +986,11 @@ def approach_sequence(U, b, r_target, count):
     limit.  Each kept term records its minimal period E and its rank
     n*E - r_target there, rk*b from U and n_free*b - r_target from f*Q as
     ranks add, which :func:`invariant_report` reads in place of a form; and
-    the canonical key of U, e and deg f, which :func:`certify_convergence`
-    reads to skip the terms that agree with U on its ball by the degree
-    gap.  The terms are built by the unchecked ``Submodule._raw``, as every
+    the canonical key of U, e, deg f and, found once per sequence, the span
+    of the gcd of the lifted generators' entries in each free column they
+    fill (:func:`_gcd_spans`), which :func:`certify_convergence` reads to
+    skip the terms that agree with U on its ball by the degree gap.  The
+    terms are built by the unchecked ``Submodule._raw``, as every
     part is valid: U's generators at E are its nonzero canonical rows,
     shifted, and the lifted generators are nonzero, so their products with
     F != 0 are nonzero.  A count past ``SEQUENCE_BUDGET`` is refused before
@@ -979,6 +1041,7 @@ def approach_sequence(U, b, r_target, count):
         )
         for t in quotient_piece.gens
     )
+    spans = _gcd_spans(lifted, e, p)
     out = []
     for f in irreducibles(p):
         spread = [0] * (e * f.degree + 1)
@@ -990,7 +1053,7 @@ def approach_sequence(U, b, r_target, count):
             continue
         object.__setattr__(term, "_e", E)
         object.__setattr__(term, "_rank", n * E - r_target)
-        object.__setattr__(term, "_gap", (key, e, f.degree))
+        object.__setattr__(term, "_gap", (key, e, f.degree, spans))
         out.append(term)
         if len(out) == count:
             return out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lampirs import cbrank
+from lampirs import cbrank, submodules
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.cbrank import (
     TRUNCATION_BUDGET,
@@ -252,6 +252,21 @@ class TestClassify:
         (group,) = rep["groups"]
         assert group["strict"] and not group["stabilizes"]
         assert (group["t"], group["r"]) == (1, 1)
+
+    def test_a_non_stabilizing_sequence_builds_no_form(self, monkeypatch):
+        # Every term records an encoding other than the limit's, so no tail
+        # is compared with the limit and no Hermite form is built.
+        V = make_triple(4, construct_with_invariants(1, 2, 2, 1), delta_site(1, 2, 0))
+        seq = build_approach_sequence(V, (1, 1), 8)
+        V.poset_encoding()
+        calls, hermite = [], submodules.laurent_hermite_form
+        monkeypatch.setattr(
+            submodules, "laurent_hermite_form", lambda *args: calls.append(args) or hermite(*args)
+        )
+        rep = classify_limit(seq, V)
+        assert calls == [] and not any(W.lamps._forms for W in seq)
+        (group,) = rep["groups"]
+        assert group["strict"] and not group["stabilizes"]
 
     def test_interleaved_sequences_grouped(self):
         V = make_triple(4, construct_with_invariants(1, 2, 2, 1), delta_site(1, 2, 0))

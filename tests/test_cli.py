@@ -12,6 +12,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -683,6 +684,53 @@ class TestPolySpanBudget:
         res = run_cli("invariants", "--triple", str(path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["s"] == 1
+
+
+class TestFarExponents:
+    # A shift or an exponent far from 0 costs no walk per exponent: a
+    # non-period s is reduced modulo the stored period, a membership test
+    # moves its vector next to y^0, and a residue walk of more than
+    # RESIDUE_RANGE_BUDGET = 2^17 y-steps is refused before its first step.
+    # Each input took 3.9 s or more before, linear in the exponent.
+
+    @staticmethod
+    def run_timed(tmp_path, text, command, *args):
+        path = tmp_path / "V.triple"
+        path.write_text(text)
+        started = time.perf_counter()
+        res = run_process(command, "--triple", str(path), *args, timeout=20)
+        return res, time.perf_counter() - started
+
+    @pytest.mark.process
+    def test_a_far_non_period_is_refused_at_once(self, tmp_path):
+        text = "s=10000000000000001\nn=1 e=2 p=2\n1\nv=x^-1*(1+x)\n"
+        res, seconds = self.run_timed(tmp_path, text, "invariants")
+        assert res.returncode == 2 and "is not a period of U" in res.stderr
+        assert len(res.stderr.splitlines()) == 1 and seconds < 3
+
+    @pytest.mark.process
+    def test_a_far_generator_is_moved_next_to_y0(self, tmp_path):
+        text = "s=0\nn=1 e=2 p=2\nx^9999999*(1)\nv=0\n"
+        res, seconds = self.run_timed(tmp_path, text, "invariants")
+        assert res.returncode == 0, res.stderr
+        assert (json.loads(res.stdout)["e"], json.loads(res.stdout)["rk"]) == (2, 1)
+        assert seconds < 3
+
+    @pytest.mark.process
+    @pytest.mark.parametrize(
+        "text, command, args",
+        [
+            ("s=0\nn=2 e=2 p=2\n[1, x^9999999]\nv=[0, 0]\n", "invariants", ()),
+            ("s=2\nn=1 e=2 p=2\n1+x^2\nv=x^9999999\n", "approach",
+             ("--target", "1,0", "--count", "3", "--ball", "2,2,3")),
+        ],
+        ids=["far-tail", "far-marker"],
+    )
+    def test_a_far_residue_is_refused_by_its_budget(self, tmp_path, text, command, args):
+        res, seconds = self.run_timed(tmp_path, text, command, *args)
+        assert_refused_by_budget(res)
+        assert "residue walk of y-range 4999999 exceeds the budget 131072" in res.stderr
+        assert seconds < 3
 
 
 class TestSpliceWindowBudget:

@@ -58,6 +58,7 @@ from lampirs.lamplighter import (
     ConvergenceResult,
     GroupElement,
     SubgroupTriple,
+    _BallResidues,
     _least_difference,
     _offset_residues,
     ball_size,
@@ -70,6 +71,7 @@ from lampirs.rng import SplitMix64
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
+    _add_scaled,
     _body,
     _by_column,
     _vector_at,
@@ -513,6 +515,25 @@ class TestResidueStepOracle:
                     want = residue_coordinates(U, w.shifted(k * level), level)
                     assert form.y_power(start, k) == want, (U, w, k)
 
+    def test_membership_does_not_depend_on_a_power_of_y(self):
+        # contains moves a vector wholly above or below y^0 next to it, so
+        # x^(k*level) w is tested as fast as w, even where the residue of
+        # x^(k*level) w would walk past the budget
+        rng = SplitMix64(5155)
+        members = 0
+        for U in self.cases():
+            level = U.period
+            form = U.form(level)
+            for _ in range(3):
+                w = rand_vec(rng, U.n, U.p)
+                if rng.below(2):
+                    w = w - U.reduce_vector(w)
+                want = not form.residue(_vector_coordinates(w, level))
+                members += want
+                for k in (-(10**9), -3, -1, 0, 1, 4, 10**9):
+                    assert form.contains(_vector_coordinates(w, level, k * level)) == want, (U, w, k)
+        assert members > 20, members
+
     def test_steps_hold_the_form_rows_themselves(self):
         # each pivot of positive degree is indexed by its row as ``rows``
         # holds it, the same object, beside plain integers: no second tuple
@@ -544,10 +565,11 @@ class TestResidueStepOracle:
                 want = [offset_oracle(triple, k, level) for k in ks]
                 # with every wanted coordinate in the support none is cut off
                 support = set().union(*want)
-                assert _offset_residues(triple, level, ks, support) == want, (U, s)
+                ball = _BallResidues(triple, 1, level)
+                assert _offset_residues(ball, ks, support) == want, (U, s)
                 # d_k outside a small window's support is None, and only then
                 support = set().union(*U.window_residues(-1, 1, level).values())
-                got = _offset_residues(triple, level, ks, support)
+                got = _offset_residues(ball, ks, support)
                 assert got == [w if w.keys() <= support else None for w in want], (U, s)
                 cut += got.count(None)
         assert off_stored > 0 and cut > 0
@@ -563,7 +585,7 @@ class TestResidueStepOracle:
         ks = list(range(-8, 9))
         want = [offset_oracle(triple, k, 1) for k in ks]
         support = set().union(*U.window_residues(0, 0).values())
-        got = _offset_residues(triple, 1, ks, support)
+        got = _offset_residues(_BallResidues(triple, 0, 1), ks, support)
         assert got == [w if w.keys() <= support else None for w in want]
         assert got[ks.index(2)] is None and got[ks.index(6)] == {}
 
@@ -1380,7 +1402,28 @@ def gap_grid(seed, count):
     """(limit, terms, radius, shift_bound, horizon): approach sequences to a
     seeded limit of shape (e, rk, t), e, t <= 3, 2, and vanish sequences to
     the zero subgroup, over p in {2, 3, 5} and n in {1, 2}; many horizons
-    are too short for the ball, so many certificates fail."""
+    are too short for the ball, so many certificates fail.  Then count // 3
+    vanish sequences from a second stream whose sources have one to three
+    generators, at stored period 1 or 2, half of those with n = 2 leaving
+    one coordinate zero, so that Q fills only the other column."""
+    yield from _approach_and_vanish_grid(seed, count)
+    rng = SplitMix64(seed + 1)
+    for _ in range(count // 3):
+        p, n = (2, 3, 5)[rng.below(3)], 1 + rng.below(2)
+        radius, horizon = rng.below(3 if n * p > 5 else 4), 1 + rng.below(12)
+        gens = [rand_vec(rng, n, p, 0, 1 + rng.below(3)) for _ in range(1 + rng.below(3))]
+        if n == 2 and rng.below(2):
+            gone = rng.below(2)
+            gens = [
+                LaurentVector(p, [LaurentPoly.zero(p) if i == gone else c for i, c in enumerate(g.coords)])
+                for g in gens
+            ]
+        W = Submodule(n, p, 1 + rng.below(2), gens)
+        terms = [SubgroupTriple(0, X) for X in vanish_sequence(W, horizon)]
+        yield SubgroupTriple(0, Submodule.zero(n, p)), terms, radius, rng.below(3), horizon
+
+
+def _approach_and_vanish_grid(seed, count):
     rng = SplitMix64(seed)
     for _ in range(count):
         p, n = (2, 3, 5)[rng.below(3)], 1 + rng.below(2)
@@ -1418,13 +1461,19 @@ def last_keyed_disagreement(limit, terms, radius, shift_bound):
 
 
 def gap_start(limit, terms, radius, shift_bound):
-    return lamplighter._gap_start(terms, limit, radius, range(-shift_bound, shift_bound + 1))
+    """``_gap_start`` on the limit's residues at e(U), as the certificate
+    builds them."""
+    ball = _BallResidues(limit, radius, limit.lamps.minimal_period())
+    return lamplighter._gap_start(terms, limit, ball, range(-shift_bound, shift_bound + 1))
 
 
 def closed_form_gap_start(terms, limit, radius, shifts):
     """``_gap_start`` with each d_t built in closed form: the marker power
     (v, s)^(-t/s) formed as a Laurent product, moved by x^t and reduced from
-    scratch at level e, member shift by member shift."""
+    scratch at level e, member shift by member shift.  B_j is the widest
+    span in column j over every member shift, and a term is admitted when
+    deg f <= B_j - sigma_j for a column j of its record; the columns its Q
+    does not fill are not read."""
     U, s = limit.lamps, limit.s
     records = [getattr(V.lamps, "_gap", None) for V in terms]
     if not all(r and V.s == s and V.v == limit.v for r, V in zip(records, terms)):
@@ -1435,16 +1484,20 @@ def closed_form_gap_start(terms, limit, radius, shifts):
         return len(terms)
     form = U.form(e)
     window = [item for r in U.window_residues(-radius, radius, e).values() for item in r.items()]
-    bound = -1
+    widest = {}
     for t in [t for t in shifts if (t % s == 0 if s else t == 0)]:
         items = window
         if s:
             marker = power(GroupElement(limit.v, s), -(t // s)).lamps
             items = window + list(form.residue(_vector_coordinates(marker, e, t)).items())
         for j, qs in _by_column(items).items():
-            if j not in form.pivots:
-                bound = max(bound, max(qs) - min(qs))
-    return max((m for m, r in enumerate(records, 1) if r[2] <= bound), default=0)
+            widest[j] = max(widest.get(j, -1), max(qs) - min(qs))
+
+    def admitted(record):
+        _, _, degree, spans = record
+        return any(degree <= widest[j] - sigma for j, sigma in spans if j in widest)
+
+    return max((m for m, r in enumerate(records, 1) if admitted(r)), default=0)
 
 
 def companion_case(v_text):
@@ -1467,8 +1520,9 @@ def keyed(monkeypatch):
 
 class TestDegreeGapOracle:
     def test_seeded_grid_matches_full_keying_and_enumeration(self):
-        engaged = failed = enumerated = 0
+        engaged = failed = enumerated = narrowed = 0
         for limit, terms, radius, shift_bound, horizon in gap_grid(2929, 150):
+            narrowed += any(sigma for _, sigma in terms[0].lamps._gap[3])
             got = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, horizon)
             bare = unrecorded(terms)
             full = certify_convergence(lambda m: bare[m - 1], limit, radius, shift_bound, horizon)
@@ -1485,6 +1539,7 @@ class TestDegreeGapOracle:
             engaged += start < horizon
             failed += not got.stabilized
         assert engaged > 40 and failed > 20 and enumerated > 40, (engaged, failed, enumerated)
+        assert narrowed > 20, narrowed
 
     @pytest.mark.parametrize(
         "p, shape, seed, radius, shift_bound, last",
@@ -1505,6 +1560,52 @@ class TestDegreeGapOracle:
         cert = certify_convergence(lambda m: terms[m - 1], limit, radius, shift_bound, 12)
         assert cert.index == last + 1
 
+
+    def test_term_residues_fill_only_the_recorded_spans(self):
+        # The record's claim, checked on elements: any element of a term,
+        # here a seeded F_p combination of its generators moved by its
+        # stored period, reduces modulo the limit's lamps at e to some
+        # f*q with entries only in the recorded columns, each nonzero one
+        # spanning at least deg f + sigma_j in y.
+        rng = SplitMix64(3131)
+        entries = 0
+        for limit, terms, *_ in gap_grid(2929, 150):
+            U = limit.lamps
+            e = U.minimal_period()
+            form = U.form(e)
+            for V in terms[:3]:
+                _, level, degree, spans = V.lamps._gap
+                assert level == e
+                sigma = dict(spans)
+                W = V.lamps
+                for _ in range(3):
+                    coords = {}
+                    for g in W.gens:
+                        for k in (-1, 0, 1):
+                            c = rng.below(W.p)
+                            if c:
+                                moved = _vector_coordinates(g, e, k * W.period)
+                                _add_scaled(coords, moved.items(), c, W.p)
+                    for j, qs in _by_column(form.residue(coords).items()).items():
+                        assert j in sigma, (j, spans)
+                        assert max(qs) - min(qs) >= degree + sigma[j], (j, spans, degree)
+                        entries += 1
+        assert entries > 500, entries
+
+    def test_the_vanish_fixture_starts_at_its_last_disagreement(self, keyed):
+        # The radius-3, width-3 vanish fixture of the generic workload: the
+        # generator spans 2, so sigma = 2 and the ball's one column spans
+        # B = 6, and the scan starts at the last term of degree 4, term 7,
+        # which disagrees with the limit; without sigma it started at 12.
+        for coeffs in ([1, 0, 1], [1, 1, 1]):
+            limit, terms = vanish_case(2, coeffs, 12)
+            assert {V.lamps._gap[3] for V in terms} == {((0, 2),)}
+            assert last_keyed_disagreement(limit, terms, 3, 1) == 7
+            assert gap_start(limit, terms, 3, 1) == 7
+            keyed.clear()
+            cert = certify_convergence(lambda m: terms[m - 1], limit, 3, 1, 12)
+            assert cert.index == 8
+            assert keyed == [limit, terms[6]]
 
     def test_pivot_columns_do_not_widen_the_bound(self, keyed):
         # U is generated by (1 + x + x^3) e_0, so column 0 holds a pivot of
@@ -1535,7 +1636,7 @@ class TestGapWalk:
         for limit, terms, radius, shift_bound, horizon in gap_grid(2929, 150):
             shifts = range(-shift_bound, shift_bound + 1)
             want = closed_form_gap_start(terms, limit, radius, shifts)
-            assert lamplighter._gap_start(terms, limit, radius, shifts) == want
+            assert gap_start(limit, terms, radius, shift_bound) == want
 
     @pytest.mark.parametrize("v_text", ["x", "x^-1*(1+x)", "1", "0"])
     @pytest.mark.parametrize("radius", [0, 2])
@@ -1544,7 +1645,7 @@ class TestGapWalk:
         for shift_bound in (0, 1, 2, 3, 4, 5, 50, 200):
             shifts = range(-shift_bound, shift_bound + 1)
             want = closed_form_gap_start(terms, limit, radius, shifts)
-            assert lamplighter._gap_start(terms, limit, radius, shifts) == want, shift_bound
+            assert gap_start(limit, terms, radius, shift_bound) == want, shift_bound
 
 
 class TestDegreeGapFallback:
@@ -1562,6 +1663,17 @@ class TestDegreeGapFallback:
         assert cert.index == max(1, last + 1) and start < 25
         assert keyed == [limit] + terms[max(last, 1) - 1 : start][::-1]
         assert len(keyed) <= 5
+
+    def test_the_limits_window_residues_are_built_once(self, monkeypatch, keyed):
+        # The limit's keys and the degree gap read one set of its residues.
+        limit, terms = self.f2_case()
+        built, window_residues = [], Submodule.window_residues
+        monkeypatch.setattr(
+            Submodule, "window_residues", lambda U, *args: built.append(U) or window_residues(U, *args)
+        )
+        keyed.clear()
+        certify_convergence(lambda m: terms[m - 1], limit, 3, 4, 25)
+        assert [U is limit.lamps for U in built] == [True] + [False] * (len(keyed) - 1)
 
     @pytest.mark.parametrize("change", ["same-shape", "v", "s", "mixed"])
     def test_records_that_do_not_match_are_ignored(self, change, keyed):

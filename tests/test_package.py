@@ -22,6 +22,7 @@ from lampirs.irs import (
 )
 from lampirs.lamplighter import ball_size
 from lampirs.submodules import (
+    LaurentVector,
     Submodule,
     approach_sequence,
     construct_with_invariants,
@@ -159,6 +160,8 @@ def _budget_refusals():
          lambda: construct_with_invariants(1, 2, 13, 13), 13, 12),
         ("generator-entries", {submodules: {"FORM_ENTRY_BUDGET": 48}},
          lambda: construct_with_invariants(7, 2, 1, 7), 49, 48),
+        ("residue-range", {submodules: {"RESIDUE_RANGE_BUDGET": 4}},
+         lambda: full_1.reduce_vector(LaurentVector.unit(1, 2, 0, exponent=-5)), 5, 4),
     ]
 
 

@@ -651,18 +651,19 @@ class TestApproach:
             assert all(V.minimal_period() == e * t for V in seq)
 
     @pytest.mark.parametrize("e, rk, t", CERTIFY_F2_SHAPES)
-    def test_only_keyed_terms_and_the_last_hold_a_form(self, monkeypatch, e, rk, t):
+    def test_only_keyed_terms_hold_a_form(self, monkeypatch, e, rk, t):
         # The calls of a certify-f2 operation on each shape: build 25 terms,
         # certify them at radius 4 with the shift bound 2s, classify them.
-        # A term's form is built only when the certificate keys the term,
-        # or for the last term, which classify_limit compares with the limit.
+        # A term's form is built only when the certificate keys the term:
+        # classify_limit compares no term with the limit, as every term's
+        # recorded encoding differs from the limit's.
         U = construct_with_invariants(1, 2, e, rk)
         V = SubgroupTriple(t * e, U, U.reduce_vector(random_vector(SplitMix64(61 * e + t), 1, 2)))
         keyed, member_keys = [], lamplighter._member_keys
 
-        def keying(triple, radius, shifts):
+        def keying(triple, *args):
             keyed.append(triple)
-            return member_keys(triple, radius, shifts)
+            return member_keys(triple, *args)
 
         monkeypatch.setattr(lamplighter, "_member_keys", keying)
         unformed = 0
@@ -675,7 +676,7 @@ class TestApproach:
                 if not W.lamps._forms:
                     unformed += 1
                 else:
-                    assert m == 25 or any(W is K for K in keyed), (r_target, m)
+                    assert any(W is K for K in keyed), (r_target, m)
         assert unformed > 0
 
     def test_a_skipped_term_takes_one_period_test(self, monkeypatch):
