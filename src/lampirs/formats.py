@@ -42,6 +42,14 @@ SCHEMA_DISTRIBUTION = "lampirs.window-distribution.v1"
 POLY_SPAN_BUDGET = 2**16
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x(?:\^(-?\d+))?)?$")
+# Largest |e| of a weight's exponent: 10^e has at most the 4,300 digits of a
+# literal ``_int`` reads.  Fraction would expand any e before a check ran.
+WEIGHT_EXPONENT_LIMIT = 4299
+_EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _shown(text):
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
 def _int(text, what, line=None):
@@ -51,8 +59,7 @@ def _int(text, what, line=None):
     try:
         return int(text)
     except ValueError as exc:
-        shown = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
-        raise FormatError(f"bad {what} {shown!r}", line) from exc
+        raise FormatError(f"bad {what} {_shown(text)!r}", line) from exc
 
 
 def parse_poly(text, p, line=None):
@@ -237,6 +244,10 @@ def measure_from_json(data):
     atoms = []
     for entry in _json_field(data, "atoms", list):
         raw = _json_field(entry, "weight", (str, int))
+        exp = _EXPONENT_RE.search(raw) if isinstance(raw, str) else None
+        digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+        if len(digits) > 4 or int(digits or 0) > WEIGHT_EXPONENT_LIMIT:
+            raise FormatError(f"weight {_shown(raw)!r} has an exponent past {WEIGHT_EXPONENT_LIMIT}")
         try:
             weight = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -10,11 +10,14 @@ The ergodic approximants mu_m lay independent blocks of length m side by
 side with a uniformly random phase.  A phase cuts a window into runs that
 carry mu's marginals, so mu_m's marginals, stationarity and distance to mu
 are computed exactly from marginals no wider than the window, whatever m
-is.  The distance report, with its bounds 2j/m and 2(j+1)/m on a window
-of j + 1 sites, and its trend in m, which is C_W/m from the window width
-on, are stated here and nowhere else.  Monte Carlo appears only in the
-seeded samplers, with explicit statistical tolerances; the mu_m sampler
-draws whole blocks of length m.
+is.  These laws are summed as integer numerators over one denominator,
+one Fraction per atom of the result, and a sum of subgroups on disjoint
+sets of sites merges their rows by pivot, with no row reduction.  The
+distance report, with its bounds 2j/m and 2(j+1)/m on a window of j + 1
+sites, and its trend in m, which is C_W/m from the window width on, are
+stated here and nowhere else.  Monte Carlo appears only in the seeded
+samplers, with explicit statistical tolerances; the mu_m sampler draws
+whole blocks of length m.
 """
 
 from __future__ import annotations
@@ -173,10 +176,17 @@ class WindowSubgroup:
         return WindowSubgroup(self.p, self.n, self.lo, self.hi, self.rows + other.rows)
 
 
+def _direct_sum(ws1, ws2):
+    """``ws1.sum_with(ws2)`` for ws2 on sites disjoint from ws1's: the rows
+    merged by pivot, descending as tuples, are already the RREF."""
+    rows = tuple(sorted(ws1.rows + ws2.rows, reverse=True))
+    return WindowSubgroup._raw(ws1.p, ws1.n, ws1.lo, ws1.hi, rows)
+
+
 class WindowDistribution:
     """Exact finitely supported distribution over window subgroups."""
 
-    __slots__ = ("p", "n", "lo", "hi", "atoms", "_cum")
+    __slots__ = ("p", "n", "lo", "hi", "atoms", "_cum", "_ints")
 
     def __init__(self, p, n, lo, hi, atoms):
         self.p = p
@@ -197,6 +207,18 @@ class WindowDistribution:
         self._cum = None
         if sum(merged.values(), Fraction(0)) != 1:
             raise DomainError("probabilities must sum to 1")
+        den = lcm(*(q.denominator for q in merged.values()))
+        self._ints = den, {ws: q.numerator * (den // q.denominator) for ws, q in merged.items()}
+
+    @classmethod
+    def _raw(cls, p, n, lo, hi, den, nums):
+        """Unchecked: ``nums`` {ws: int > 0} on the window sums to ``den``.
+        ``_ints`` is (den, nums), the atoms num/den in the same order."""
+        obj = cls.__new__(cls)
+        obj.p, obj.n, obj.lo, obj.hi, obj._cum = p, n, lo, hi, None
+        obj.atoms = {ws: Fraction(num, den) for ws, num in nums.items()}
+        obj._ints = den, nums
+        return obj
 
     @classmethod
     def point(cls, ws):
@@ -265,8 +287,11 @@ def tv_distance(d1, d2):
     """L1 distance between two distributions on the same window (exact)."""
     if (d1.p, d1.n, d1.lo, d1.hi) != (d2.p, d2.n, d2.lo, d2.hi):
         raise DomainError("distributions on different windows")
-    keys = set(d1.atoms) | set(d2.atoms)
-    return sum((abs(d1.prob(k) - d2.prob(k)) for k in keys), Fraction(0))
+    (den1, nums1), (den2, nums2) = d1._ints, d2._ints
+    den = lcm(den1, den2)
+    s1, s2 = den // den1, den // den2
+    keys = nums1.keys() | nums2.keys()
+    return Fraction(sum(abs(nums1.get(k, 0) * s1 - nums2.get(k, 0) * s2) for k in keys), den)
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +350,27 @@ class SubgroupMeasure:
         if sum((w for w, _ in atoms), Fraction(0)) != 1:
             raise DomainError("mixture weights must sum to 1")
         n, p = atoms[0][1].n, atoms[0][1].p
+        den = lcm(*(w.denominator for w, _ in atoms))
+        nums = [(w.numerator * (den // w.denominator), U) for w, U in atoms]
+        mixed = any(w and (U.n, U.p) != (n, p) for w, U in atoms)
 
         def marginal(lo, hi):
             out = {}
-            for w, U in atoms:
+            for num, U in nums:
                 ws = window_of_submodule(U, lo, hi)
-                out[ws] = out.get(ws, Fraction(0)) + w
-            return WindowDistribution(p, n, lo, hi, out)
+                out[ws] = out.get(ws, 0) + num
+            if mixed:
+                raise ContextError("atom on a different window")
+            return WindowDistribution._raw(p, n, lo, hi, den, {ws: c for ws, c in out.items() if c})
 
         # Invariant when the weighted multiset of atoms is shift-stable.
         weights = {}
         shifted_weights = {}
-        for w, U in atoms:
+        for num, U in nums:
             key = U.canonical_key()
-            weights[key] = weights.get(key, Fraction(0)) + w
+            weights[key] = weights.get(key, 0) + num
             key = U.shifted(1).canonical_key()
-            shifted_weights[key] = shifted_weights.get(key, Fraction(0)) + w
+            shifted_weights[key] = shifted_weights.get(key, 0) + num
         invariant = weights == shifted_weights
         return cls(marginal, invariant, atoms=atoms)
 
@@ -396,27 +426,23 @@ def _check_window_dim(mu, sites):
 
 
 def _phase_law(mu, m, k, lo, hi):
-    """Law on [lo, hi], as a dict, of the phase-k block tiling of mu_m.
+    """Law on [lo, hi], as (den, {ws: num}), of the phase-k block tiling of mu_m.
 
     Its blocks cut [lo, hi] into runs and are independent: the law is the
-    independent sum of mu's run marginals, each moved onto its run.
+    independent sum of mu's run marginals, each moved onto its run, over
+    the product of their denominators.  Distinct atoms of the runs have
+    distinct direct sums, so no two products fall on one atom.
     """
     bounds = [max(lo, start) for start in _block_starts(m, lo, hi, k)] + [hi + 1]
-    law, *runs = (
-        {
-            ws.transported(a).embedded(lo, hi): q
-            for ws, q in mu.marginal(0, b - a - 1).atoms.items()
-        }
+    (den, law), *runs = (
+        (run_den, {ws.transported(a).embedded(lo, hi): num for ws, num in nums.items()})
         for a, b in zip(bounds, bounds[1:])
+        for run_den, nums in [mu.marginal(0, b - a - 1)._ints]
     )
-    for run in runs:
-        sums = {}
-        for ws1, p1 in law.items():
-            for ws2, p2 in run.items():
-                combined = ws1.sum_with(ws2)
-                sums[combined] = sums.get(combined, 0) + p1 * p2
-        law = sums
-    return law
+    for run_den, run in runs:
+        den *= run_den
+        law = {_direct_sum(ws1, ws2): c1 * c2 for ws1, c1 in law.items() for ws2, c2 in run.items()}
+    return den, law
 
 
 def block_shift_term_marginal(mu, m, k, lo, hi):
@@ -424,7 +450,7 @@ def block_shift_term_marginal(mu, m, k, lo, hi):
     if not 0 <= k < m:
         raise DomainError("shift class k must satisfy 0 <= k < m")
     p, n = _check_block_window(mu, m, lo, hi, hi - lo + 1)
-    return WindowDistribution(p, n, lo, hi, _phase_law(mu, m, k, lo, hi))
+    return WindowDistribution._raw(p, n, lo, hi, *_phase_law(mu, m, k, lo, hi))
 
 
 def block_average_marginal(mu, m, lo, hi):
@@ -437,25 +463,28 @@ def block_average_marginal(mu, m, lo, hi):
 
     law_k being ``_phase_law``.  This takes O(w) phases whatever m is and
     reads no marginal wider than W.  An m for which m times the common
-    denominator of these laws passes ``PRINTABLE_BITS`` bits is refused.
+    reduced denominator of these laws, den / gcd(den, nums) for a law
+    num/den, passes ``PRINTABLE_BITS`` bits is refused.
     """
     p, n = _check_block_window(mu, m, lo, hi, hi - lo + 1)
     cut = {-c % m for c in range(lo + 1, hi + 1)}
-    terms = [(Fraction(1, m), _phase_law(mu, m, k, lo, hi)) for k in cut]
+    terms = [(1, *_phase_law(mu, m, k, lo, hi)) for k in cut]
     if len(cut) < m:  # so m >= w: the phase with a block starting at lo leaves W whole
-        terms.append((Fraction(m - len(cut), m), _phase_law(mu, m, -lo % m, lo, hi)))
-    bits = (m * lcm(*(q.denominator for _, law in terms for q in law.values()))).bit_length()
+        terms.append((m - len(cut), *_phase_law(mu, m, -lo % m, lo, hi)))
+    bits = (m * lcm(*(den // gcd(den, *law.values()) for _, den, law in terms))).bit_length()
     if bits > PRINTABLE_BITS:
         raise ResourceBudgetError(
             f"mu_m on [{lo}, {hi}] for an m of {m.bit_length()} bits with denominator bits",
             bits,
             PRINTABLE_BITS,
         )
+    common = lcm(*(den for _, den, _ in terms))
     out = {}
-    for weight, law in terms:
-        for ws, prob in law.items():
-            out[ws] = out.get(ws, Fraction(0)) + weight * prob
-    return WindowDistribution(p, n, lo, hi, out)
+    for weight, den, law in terms:
+        scale = weight * (common // den)
+        for ws, num in law.items():
+            out[ws] = out.get(ws, 0) + scale * num
+    return WindowDistribution._raw(p, n, lo, hi, m * common, out)
 
 
 def _bound_row(m, j, tv):
@@ -578,7 +607,7 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
         for column in tilings[k]:
             key, i = divmod(key, size)
             pieces.append(column[i])
-        return reduce(WindowSubgroup.sum_with, pieces)
+        return reduce(_direct_sum, pieces)
 
     counts = _counts_by_subgroup(key_counts, subgroup)
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
@@ -624,7 +653,7 @@ def _spliced(ws1, ws2, mask):
     cells = range(ws1.width)
     first_sites = [ws1.lo + c for c in cells if (mask >> c) & 1]
     second_sites = [ws1.lo + c for c in cells if not (mask >> c) & 1]
-    return ws1.intersect_sites(first_sites).sum_with(ws2.intersect_sites(second_sites))
+    return _direct_sum(ws1.intersect_sites(first_sites), ws2.intersect_sites(second_sites))
 
 
 def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):

@@ -732,6 +732,21 @@ class TestFarExponents:
         assert "residue walk of y-range 4999999 exceeds the budget 131072" in res.stderr
         assert seconds < 3
 
+    @pytest.mark.process
+    @pytest.mark.parametrize("weight", ["1e-2000000", "0e-3000000", "1e-10000000"])
+    def test_a_far_weight_exponent_is_refused_at_once(self, tmp_path, weight):
+        # Fraction expanded 10^e first: 0.57 s, 1.07 s and 9.1 s of parsing.
+        mu = json.loads(MIX_JSON)
+        mu["atoms"][0]["weight"] = weight
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps(mu))
+        started = time.perf_counter()
+        res = run_process("irs", "--mu", str(path), "--m", "4", "--j", "1", timeout=20)
+        seconds = time.perf_counter() - started
+        assert res.returncode == 2 and len(res.stderr.splitlines()) == 1, res.stderr
+        assert f"weight '{weight}' has an exponent past 4299" in res.stderr
+        assert seconds < 3
+
 
 class TestSpliceWindowBudget:
     # n*(hi - lo + 1) may reach WINDOW_DIM_BUDGET = 24.

@@ -1,5 +1,7 @@
 """Text and JSON round trips, with strict rejection of malformed input."""
 
+from fractions import Fraction
+
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
@@ -12,6 +14,7 @@ from lampirs.formats import (
     format_submodule,
     format_triple,
     format_vector,
+    measure_from_json,
     parse_poly,
     parse_submodule_lines,
     parse_triple,
@@ -176,3 +179,24 @@ class TestCanonicalJsonPieces:
         assert next(pieces) == ",1"
         assert read == [0, 1]
         assert list(pieces) == [",2", '],"z":2}\n']
+
+
+class TestWeightExponents:
+    # 10^e of a weight's exponent may have up to the 4,300 digits of a
+    # literal ``_int`` reads; one more is refused before Fraction expands it.
+
+    @staticmethod
+    def measure(first, second):
+        atoms = [{"weight": first, "gens": ["1"]}, {"weight": second, "gens": []}]
+        return {"n": 1, "p": 2, "atoms": atoms}
+
+    def test_a_weight_near_the_edge_is_parsed(self):
+        for e in (4000, 4299):
+            mu = measure_from_json(self.measure(f"1e-{e}", "0." + "9" * e))
+            assert [w for w, _ in mu.atoms] == [Fraction(1, 10**e), 1 - Fraction(1, 10**e)]
+
+    @pytest.mark.parametrize("weight", ["1e-4300", "1E+4_300", "2.5e-00012345", "1e-" + "9" * 5000])
+    def test_a_far_exponent_is_refused_naming_the_weight(self, weight):
+        with pytest.raises(FormatError, match="has an exponent past 4299") as raised:
+            measure_from_json(self.measure(weight, "1"))
+        assert f"weight {weight[:20]!r}"[:-1] in str(raised.value)

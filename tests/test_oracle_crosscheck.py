@@ -28,30 +28,41 @@ form, by the group product.  Certificates whose scan starts at the degree
 gap are rebuilt from the same subgroups without their gap record.  Values
 built unchecked by a ``_raw`` constructor, from column bodies to window
 subgroups and marginal atoms, are rebuilt by the checking constructors and
-must come back unchanged.  Any disagreement fails the test.
+must come back unchanged.  Exact window laws, summed on integer numerators
+over one denominator with disjoint-site sums merged by pivot, are rebuilt
+in Fraction arithmetic with row-reduced sums, atom order included.  Any
+disagreement fails the test.
 """
 
 import functools
 import hashlib
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from lampirs import lamplighter
 from lampirs.algebra import LaurentPoly, Poly, geometric_series, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
-from lampirs.errors import ContextError, PreconditionError
+from lampirs.errors import ContextError, PreconditionError, ResourceBudgetError
 from lampirs.fplinalg import rref, span_intersect_coordinates
 from lampirs.formats import format_vector, parse_triple
 from lampirs.irs import (
+    PRINTABLE_BITS,
     SubgroupMeasure,
+    WindowDistribution,
     WindowSubgroup,
     _block_pieces,
+    _block_starts,
+    _check_block_window,
+    _direct_sum,
+    _phase_law,
     _spliced,
     block_average_marginal,
+    block_shift_term_marginal,
     splice_measures,
+    tv_distance,
     window_of_submodule,
 )
 from lampirs.lamplighter import (
@@ -68,6 +79,7 @@ from lampirs.lamplighter import (
     power,
 )
 from lampirs.rng import SplitMix64
+from lampirs.selftest import _measure_grid
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
@@ -2143,11 +2155,182 @@ def assert_rechecked_window(ws):
     assert WindowSubgroup(ws.p, ws.n, ws.lo, ws.hi, ws.rows) == ws, ws.rows
 
 
+def assert_rechecked_distribution(d):
+    den, nums = d._ints
+    assert list(nums) == list(d.atoms)
+    assert all(type(c) is int and c > 0 for c in nums.values()) and sum(nums.values()) == den
+    assert all(d.atoms[ws] == Fraction(c, den) for ws, c in nums.items())
+    fresh = WindowDistribution(d.p, d.n, d.lo, d.hi, d.atoms)
+    assert fresh == d and list(fresh.atoms) == list(d.atoms)
+    for ws in d.atoms:
+        assert_rechecked_window(ws)
+
+
 def orbit_measure(U):
     """The even mixture of U's shifts x^k U, k below its minimal period: a
     shift-invariant measure."""
     e = U.minimal_period()
     return SubgroupMeasure.mixture([(Fraction(1, e), U.shifted(k)) for k in range(e)])
+
+
+# ---------------------------------------------------------------------------
+# Exact window laws in Fraction arithmetic: the mixture marginal, the phase
+# laws, their average mu_m and the distance, as computed before they were
+# summed on integer numerators.  Sums of window subgroups go through
+# ``sum_with``, which row-reduces.
+# ---------------------------------------------------------------------------
+
+
+def fraction_mixture_marginal(mu, lo, hi):
+    out = {}
+    for w, U in mu.atoms:
+        ws = window_of_submodule(U, lo, hi)
+        out[ws] = out.get(ws, Fraction(0)) + w
+    n, p = mu.atoms[0][1].n, mu.atoms[0][1].p
+    return WindowDistribution(p, n, lo, hi, out)
+
+
+def fraction_phase_law(mu, m, k, lo, hi):
+    bounds = [max(lo, start) for start in _block_starts(m, lo, hi, k)] + [hi + 1]
+    law, *runs = (
+        {ws.transported(a).embedded(lo, hi): q for ws, q in mu.marginal(0, b - a - 1).atoms.items()}
+        for a, b in zip(bounds, bounds[1:])
+    )
+    for run in runs:
+        sums = {}
+        for ws1, p1 in law.items():
+            for ws2, p2 in run.items():
+                combined = ws1.sum_with(ws2)
+                sums[combined] = sums.get(combined, 0) + p1 * p2
+        law = sums
+    return law
+
+
+def fraction_block_average_marginal(mu, m, lo, hi):
+    p, n = _check_block_window(mu, m, lo, hi, hi - lo + 1)
+    cut = {-c % m for c in range(lo + 1, hi + 1)}
+    terms = [(Fraction(1, m), fraction_phase_law(mu, m, k, lo, hi)) for k in cut]
+    if len(cut) < m:
+        terms.append((Fraction(m - len(cut), m), fraction_phase_law(mu, m, -lo % m, lo, hi)))
+    bits = (m * lcm(*(q.denominator for _, law in terms for q in law.values()))).bit_length()
+    if bits > PRINTABLE_BITS:
+        raise ResourceBudgetError(
+            f"mu_m on [{lo}, {hi}] for an m of {m.bit_length()} bits with denominator bits",
+            bits,
+            PRINTABLE_BITS,
+        )
+    out = {}
+    for weight, law in terms:
+        for ws, prob in law.items():
+            out[ws] = out.get(ws, Fraction(0)) + weight * prob
+    return WindowDistribution(p, n, lo, hi, out)
+
+
+def fraction_tv_distance(d1, d2):
+    keys = set(d1.atoms) | set(d2.atoms)
+    return sum((abs(d1.prob(k) - d2.prob(k)) for k in keys), Fraction(0))
+
+
+def checked_copy(mu):
+    """mu with every marginal rebuilt by the checking constructor, so the
+    laws read integer weights taken from Fractions, not from a mixture."""
+    def marginal(lo, hi):
+        d = mu.marginal(lo, hi)
+        return WindowDistribution(d.p, d.n, d.lo, d.hi, d.atoms)
+
+    return SubgroupMeasure(marginal, mu.invariant)
+
+
+def law_measures():
+    """The ``_measure_grid(7)`` measures, orbit measures of seeded subgroups
+    with n <= 2, and a checked copy of one of each."""
+    grid = [(f"grid-{name}", mu) for name, mu in _measure_grid(7)]
+    orbits = [
+        (f"orbit-{i}", orbit_measure(U)) for i, U in enumerate(pinned_grid(7171, 24)) if U.n <= 2
+    ]
+    checked = [("checked-grid", checked_copy(grid[3][1])), ("checked-orbit", checked_copy(orbits[0][1]))]
+    return grid + orbits + checked
+
+
+# windows of one to four sites; the m grid runs past each width
+LAW_WINDOWS = [(0, 0), (-1, 1), (2, 4), (-3, 0)]
+LAW_MS = [*range(1, 9), 1000]
+
+
+def items_of(law, den=1):
+    return [(ws, Fraction(c, den)) for ws, c in law.items()]
+
+
+class TestIntegerWeightOracle:
+    def test_mixture_marginals(self):
+        for name, mu in law_measures():
+            if mu.atoms is None:
+                continue
+            for lo, hi in LAW_WINDOWS:
+                got, ref = mu.marginal(lo, hi), fraction_mixture_marginal(mu, lo, hi)
+                assert list(got.atoms.items()) == list(ref.atoms.items()), (name, lo, hi)
+
+    def test_phase_laws_and_block_average_marginals(self):
+        cases = 0
+        for name, mu in law_measures():
+            for lo, hi in LAW_WINDOWS:
+                for m in LAW_MS:
+                    for k in sorted({0, 1 % m, (lo + 1) % m, m - 1}):
+                        den, law = _phase_law(mu, m, k, lo, hi)
+                        ref = fraction_phase_law(mu, m, k, lo, hi)
+                        assert items_of(law, den) == list(ref.items()), (name, m, k, lo, hi)
+                        got = block_shift_term_marginal(mu, m, k, lo, hi)
+                        assert list(got.atoms.items()) == list(ref.items())
+                    got = block_average_marginal(mu, m, lo, hi)
+                    ref = fraction_block_average_marginal(mu, m, lo, hi)
+                    assert list(got.atoms.items()) == list(ref.atoms.items()), (name, m, lo, hi)
+                    target = mu.marginal(lo, hi)
+                    assert tv_distance(got, target) == fraction_tv_distance(ref, target)
+                    cases += 1
+        assert cases > 300
+
+    def test_distances_between_measures(self):
+        rng = SplitMix64(7272)
+        by_window = {}
+        for _, mu in law_measures():
+            for lo, hi in LAW_WINDOWS:
+                d = mu.marginal(lo, hi)
+                by_window.setdefault((d.p, d.n, lo, hi), []).append(d)
+                # a checked distribution over a seeded denominator, on the same atoms
+                weights = [1 + rng.below(5) for _ in d.atoms]
+                atoms = {ws: Fraction(w, sum(weights)) for ws, w in zip(d.atoms, weights)}
+                by_window[d.p, d.n, lo, hi].append(WindowDistribution(d.p, d.n, lo, hi, atoms))
+        pairs = 0
+        for dists in by_window.values():
+            for d1 in dists:
+                for d2 in dists:
+                    got = tv_distance(d1, d2)
+                    assert type(got) is Fraction and got == fraction_tv_distance(d1, d2)
+                    pairs += got != 0
+        assert pairs > 100
+
+    def test_the_bit_budget_reads_reduced_denominators(self):
+        # The run marginals of the second measure have probabilities 1/2
+        # over its weights' denominator 4, so its laws' reduced denominators
+        # are those of the even mixture; the first m is at the budget on
+        # [0, 1] (probabilities over 4m), the second past it.
+        P2 = 2
+        full, zero = Submodule.full(1, P2), Submodule.zero(1, P2)
+        quarters = SubgroupMeasure.mixture(
+            [(Fraction(1, 4), full), (Fraction(1, 4), full.shifted(1)), (Fraction(1, 2), zero)]
+        )
+        even = SubgroupMeasure.mixture([(Fraction(1, 2), full), (Fraction(1, 2), zero)])
+        largest = 2**14281 - 1
+        for mu in (even, quarters):
+            got = block_average_marginal(mu, largest, 0, 1)
+            ref = fraction_block_average_marginal(mu, largest, 0, 1)
+            assert list(got.atoms.items()) == list(ref.atoms.items())
+            with pytest.raises(ResourceBudgetError) as raised:
+                block_average_marginal(mu, largest + 1, 0, 1)
+            with pytest.raises(ResourceBudgetError) as expected:
+                fraction_block_average_marginal(mu, largest + 1, 0, 1)
+            assert str(raised.value) == str(expected.value)
+            assert "denominator bits 14284 exceeds the budget 14283" in str(raised.value)
 
 
 class TestUncheckedConstructionOracle:
@@ -2221,6 +2404,45 @@ class TestUncheckedConstructionOracle:
                     assert_rechecked_window(ws)
                     checked += 1
         assert checked > 100
+
+    def test_window_distributions(self):
+        checked = 0
+        for _, mu in law_measures():
+            for lo, hi in LAW_WINDOWS:
+                assert_rechecked_distribution(mu.marginal(lo, hi))
+                for m in (1, 2, 3, 5, 1000):
+                    for k in {0, 1 % m, m - 1}:
+                        assert_rechecked_distribution(block_shift_term_marginal(mu, m, k, lo, hi))
+                    assert_rechecked_distribution(block_average_marginal(mu, m, lo, hi))
+                    checked += 1
+        assert checked > 100
+
+    def test_disjoint_site_sums(self):
+        # Contiguous runs, as the phase laws and block pieces sum them, and
+        # seeded masks, as ``_spliced`` interleaves two subgroups' sites.
+        rng = SplitMix64(6767)
+        groups = {}
+        for U in pinned_grid(6767, 80):
+            if U.n <= 2:
+                groups.setdefault((U.n, U.p), []).append(U)
+        reordered = 0
+        for U, V in (pair for grid in groups.values() for pair in zip(grid, grid[1:])):
+            lo = rng.below(5) - 2
+            hi = lo + 1 + rng.below(4)
+            ws1, ws2 = window_of_submodule(U, lo, hi), window_of_submodule(V, lo, hi)
+            sites = range(lo, hi + 1)
+            cut = lo + 1 + rng.below(hi - lo)
+            masks = [[s < cut for s in sites]]
+            masks += [[rng.below(2) == 1 for _ in sites] for _ in range(6)]
+            for mask in masks:
+                first = [s for s, bit in zip(sites, mask) if bit]
+                second = [s for s, bit in zip(sites, mask) if not bit]
+                a, b = ws1.intersect_sites(first), ws2.intersect_sites(second)
+                got = _direct_sum(a, b)
+                assert_rechecked_window(got)
+                assert got == a.sum_with(b) == _direct_sum(b, a), (mask, a.rows, b.rows)
+                reordered += got.rows != a.rows + b.rows
+        assert reordered > 20
 
     def test_spliced_atoms(self):
         groups = {}

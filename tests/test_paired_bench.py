@@ -28,7 +28,7 @@ def paired_bench(monkeypatch):
     return module
 
 
-def run(workload, seed, side, wall_s, rss, failed=0):
+def run(workload, seed, side, wall_s, rss, failed=0, walls=(1.0,)):
     metrics = {"wall_s": {"value": wall_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
     return {
         "workload": workload,
@@ -36,6 +36,7 @@ def run(workload, seed, side, wall_s, rss, failed=0):
         "side": side,
         "position_in_pair": 1 if (seed % 2 == 0) == (side == "parent") else 2,
         "last_line": {"correct": True, "attempted": 10, "failed": failed, "metrics": metrics},
+        "pass_walls_s": list(walls),
     }
 
 
@@ -100,6 +101,27 @@ def test_claim_needs_nine_tenths_a_gap_past_the_quartiles_and_no_more_failures(p
     # three pairs, all lower and far past the quartiles, are too few
     short = [r for r in clean if r["workload"] == "fast" and r["seed"] < 103]
     assert paired_bench.claim_result(paired_bench.summarize(short, bounds), "fast", "wall_s")["met"] is False
+
+
+def test_measured_pass_walls_are_kept_and_summarized(paired_bench):
+    stdout = (
+        "# fail_ratio = 0.0 (0 of 10 operations)\n"
+        "# measured pass walls (s): 0.201 0.190 0.250\n"
+        "# pass walls at the nominal host speed (s): 0.180 0.181 0.179\n"
+        '{"correct": true}\n'
+    )
+    assert paired_bench._pass_walls(stdout) == [0.201, 0.19, 0.25]
+    # The parent's walls pool to 0.20..0.29 (median 0.245); the change's,
+    # whose rescaled wall_s is unchanged, to 0.10..0.19 (median 0.145).
+    runs = []
+    for k in range(5):
+        runs += [run("w", k, "parent", 1.0, 20.0, walls=(0.2 + k / 100, 0.25 + k / 100)),
+                 run("w", k, "change", 1.0, 20.0, walls=(0.1 + k / 100, 0.15 + k / 100))]
+    summary = paired_bench.summarize(runs, {"wall_s": 0.25})["w"]
+    assert summary["measured_pass_walls_s"] == {
+        "parent_median": 0.245, "change_median": 0.145, "change_over_parent": 0.5918
+    }
+    assert summary["metrics"]["wall_s"]["change_over_parent"] == 1.0
 
 
 def test_extract_runs_on_this_python(paired_bench, tmp_path):

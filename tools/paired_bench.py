@@ -20,8 +20,9 @@ The output holds ``what``, ``commits``, ``command``, ``host``, ``notes``
 (the seeds and run order, then each ``--note``), ``claim``, a ``summary``
 per workload (each metric's median and quartiles per side, the pairs the
 change read lower in, the ratio of the medians and whether the change is
-within the metric's bound) and every run's last JSON line under
-``runs``.  Every end-to-end metric must be one where lower is better.  A
+within the metric's bound; and each side's median of the measured pass
+walls, which no host-speed reading rescales) and, under ``runs``, every
+run's last JSON line and its measured pass walls.  Every end-to-end metric must be one where lower is better.  A
 claim is met when it rests on at least ``PAIRS`` pairs, the change
 reads lower in at least nine tenths of them, its median is lower by more
 than the distance between the parent's quartiles, and no more operations
@@ -46,6 +47,7 @@ import tempfile
 PAIRS = 10
 COMMAND = "python3 bench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
 _DATA_FILTER = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+PASS_WALLS = "# measured pass walls (s): "
 
 
 def _extract(tar, dest):
@@ -65,8 +67,15 @@ def _checkout(repo, rev, dest):
     return sha
 
 
+def _pass_walls(stdout):
+    """The measured pass walls, in seconds, that a ``bench/run.py`` stdout reports."""
+    line = next(ln for ln in stdout.splitlines() if ln.startswith(PASS_WALLS))
+    return [float(wall) for wall in line[len(PASS_WALLS):].split()]
+
+
 def _run(checkout, workload, seed, seconds):
-    """One ``bench/run.py --trace 0`` process; its last line, parsed."""
+    """One ``bench/run.py --trace 0`` process; its last line, parsed, and
+    its measured pass walls."""
     caches = list(pathlib.Path(checkout).rglob("__pycache__"))
     if caches:
         raise RuntimeError(f"bytecode cache in a clean checkout: {caches[0]}")
@@ -78,7 +87,7 @@ def _run(checkout, workload, seed, seconds):
     if done.returncode or not lines:
         raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}: "
                            f"{done.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), _pass_walls(done.stdout)
 
 
 def _value(run, metric):
@@ -94,7 +103,8 @@ def summarize(runs, bounds):
     per side, and for each metric of ``bounds`` {name: bound}, lower being
     better, the two medians and quartiles, the pairs the change read lower
     in (ties count for neither), the ratio of the medians and whether the
-    change's median is within the bound of the parent's.  ``runs`` pairs
+    change's median is within the bound of the parent's; then the median of
+    each side's measured pass walls, pooled over its runs.  ``runs`` pairs
     runs by workload and seed."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -123,6 +133,15 @@ def summarize(runs, bounds):
                 "change_over_parent": round(c_med / p_med, 4),
                 "within_bound": c_med <= (1 + bound) * p_med,
             }
+        p_walls, c_walls = (
+            statistics.median(w for s in seeds for w in sides[side][s]["pass_walls_s"])
+            for side in ("parent", "change")
+        )
+        entry["measured_pass_walls_s"] = {
+            "parent_median": round(p_walls, 6),
+            "change_median": round(c_walls, 6),
+            "change_over_parent": round(c_walls / p_walls, 4),
+        }
         out[workload] = entry
     return out
 
@@ -173,9 +192,10 @@ def main(argv=None):
                 seed = args.seed + i * PAIRS + k
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for position, side in enumerate(order, 1):
-                    last = _run(checkouts[side], workload, seed, seconds)
+                    last, walls = _run(checkouts[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "position_in_pair": position, "last_line": last})
+                                 "position_in_pair": position, "last_line": last,
+                                 "pass_walls_s": walls})
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{last['metrics']['wall_s']['value']:.5f}", file=sys.stderr)
     summary = summarize(runs, bounds)
