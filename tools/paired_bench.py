@@ -22,11 +22,11 @@ per workload (each metric's median and quartiles per side, the pairs the
 change read lower in, the ratio of the medians and whether the change is
 within the metric's bound; and each side's median of the measured pass
 walls, which no host-speed reading rescales) and, under ``runs``, every
-run's last JSON line and its measured pass walls.  Every end-to-end metric must be one where lower is better.  A
-claim is met when it rests on at least ``PAIRS`` pairs, the change
-reads lower in at least nine tenths of them, its median is lower by more
-than the distance between the parent's quartiles, and no more operations
-failed.
+run's last JSON line and its measured pass walls.  Every end-to-end
+metric must be one where lower is better.  A claim is met when it rests
+on at least ``PAIRS`` pairs, the change reads lower in at least nine
+tenths of them, its median is lower by more than the distance between
+the parent's quartiles, and no more operations failed.
 
 Extraction uses tarfile's ``data`` filter where the running Python has it
 (3.10.12, 3.11.4, 3.12 and later); older versions extract without one.
