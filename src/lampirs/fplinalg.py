@@ -60,18 +60,18 @@ def span_intersect_coordinates(rref_rows, keep_cols, p, ncols):
 
     keep_cols must be sorted.  Row-reduce with the complement columns first;
     rows whose reduced form vanishes on the complement span the intersection.
+    Those rows are zero off ``keep_cols`` and their keep parts are in RREF in
+    keep_cols order, the original column order, so each row's keep part
+    written back into place gives the RREF of the intersection.
     """
     if not rref_rows:
         return ()
-    keep = set(keep_cols)
-    order = [j for j in range(ncols) if j not in keep] + list(keep_cols)
-    permuted = [[row[j] for j in order] for row in rref_rows]
-    red, _ = rref(permuted, p)
-    n_out = ncols - len(keep)
-    inside = [row for row in red if not any(row[:n_out])]
-    # Undo the permutation.
-    inv = [0] * ncols
-    for pos, j in enumerate(order):
-        inv[j] = pos
-    restored = [tuple(row[inv[j]] for j in range(ncols)) for row in inside]
-    return rref(restored, p)[0]
+    slot = {j: pos for pos, j in enumerate(keep_cols)}
+    n_out = ncols - len(slot)
+    order = [j for j in range(ncols) if j not in slot] + list(keep_cols)
+    red, _ = rref([[row[j] for j in order] for row in rref_rows], p)
+    return tuple(
+        tuple(row[n_out + slot[j]] if j in slot else 0 for j in range(ncols))
+        for row in red
+        if not any(row[:n_out])
+    )

@@ -10,14 +10,14 @@ The ergodic approximants mu_m lay independent blocks of length m side by
 side with a uniformly random phase.  A phase cuts a window into runs that
 carry mu's marginals, so mu_m's marginals, stationarity and distance to mu
 are computed exactly from marginals no wider than the window, whatever m
-is.  These laws are summed as integer numerators over one denominator,
-one Fraction per atom of the result, and a sum of subgroups on disjoint
-sets of sites merges their rows by pivot, with no row reduction.  The
-distance report, with its bounds 2j/m and 2(j+1)/m on a window of j + 1
-sites, and its trend in m, which is C_W/m from the window width on, are
-stated here and nowhere else.  Monte Carlo appears only in the seeded
-samplers, with explicit statistical tolerances; the mu_m sampler draws
-whole blocks of length m.
+is.  A law is stored once, as integer numerators over one denominator,
+and summed on them; a Fraction is made only where a probability is read.
+A sum of subgroups on disjoint sets of sites merges their rows by pivot,
+with no row reduction.  The distance report, with its bounds 2j/m and
+2(j+1)/m on a window of j + 1 sites, and its trend in m, which is C_W/m
+from the window width on, are stated here and nowhere else.  Monte Carlo
+appears only in the seeded samplers, with explicit statistical
+tolerances; the mu_m sampler draws whole blocks of length m.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, gcd, lcm
 
 from .algebra import check_prime
@@ -48,18 +48,6 @@ MAJORITY_LENGTH_BUDGET = PRINTABLE_BITS
 BATCH_WORDS = 4096  # stream words read per batch of Monte Carlo trials
 
 
-def _cumulative_table(items):
-    """Common denominator, integer cumulative thresholds and the atoms in order."""
-    den = 1
-    for _, prob in items:
-        den = den * prob.denominator // gcd(den, prob.denominator)
-    acc, thresholds = 0, []
-    for _, prob in items:
-        acc += int(prob * den)
-        thresholds.append(acc)
-    return den, thresholds, tuple(ws for ws, _ in items)
-
-
 def _leq_with_sqrt_tolerance(value, bound, tol_sq):
     """value <= bound + sqrt(tol_sq), compared exactly in rationals."""
     excess = value - bound
@@ -70,6 +58,15 @@ def _check_window(lo, hi):
     """Refuse a window [lo, hi] with no site."""
     if hi < lo:
         raise DomainError(f"empty window [{lo}, {hi}]")
+
+
+def _check_same_window(a, b):
+    """Refuse two window subgroups or laws on different windows or lamp groups."""
+    if (a.p, a.n, a.lo, a.hi) != (b.p, b.n, b.lo, b.hi):
+        raise ContextError(
+            f"window mismatch: n={a.n}, p={a.p} on [{a.lo}, {a.hi}] "
+            f"and n={b.n}, p={b.p} on [{b.lo}, {b.hi}]"
+        )
 
 
 class WindowSubgroup:
@@ -171,8 +168,7 @@ class WindowSubgroup:
 
     def sum_with(self, other):
         """Subgroup generated jointly with another on the same window."""
-        if (self.p, self.n, self.lo, self.hi) != (other.p, other.n, other.lo, other.hi):
-            raise ContextError("window mismatch")
+        _check_same_window(self, other)
         return WindowSubgroup(self.p, self.n, self.lo, self.hi, self.rows + other.rows)
 
 
@@ -184,15 +180,17 @@ def _direct_sum(ws1, ws2):
 
 
 class WindowDistribution:
-    """Exact finitely supported distribution over window subgroups."""
+    """Exact finitely supported distribution over window subgroups.
 
-    __slots__ = ("p", "n", "lo", "hi", "atoms", "_cum", "_ints")
+    Stored once, as ``_ints = (den, {ws: num})``: positive integer numerators
+    over one denominator, not always in lowest terms.  Fractions are made
+    only where a probability is read (``atoms``, ``prob``, ``sorted_items``).
+    """
+
+    __slots__ = ("p", "n", "lo", "hi", "_ints", "_cum")
 
     def __init__(self, p, n, lo, hi, atoms):
-        self.p = p
-        self.n = n
-        self.lo = lo
-        self.hi = hi
+        self.p, self.n, self.lo, self.hi, self._cum = p, n, lo, hi, None
         merged = {}
         for ws, prob in atoms.items():
             prob = Fraction(prob)
@@ -200,11 +198,8 @@ class WindowDistribution:
                 raise DomainError("negative probability")
             if prob == 0:
                 continue
-            if (ws.p, ws.n, ws.lo, ws.hi) != (p, n, lo, hi):
-                raise ContextError("atom on a different window")
+            _check_same_window(ws, self)
             merged[ws] = merged.get(ws, Fraction(0)) + prob
-        self.atoms = merged
-        self._cum = None
         if sum(merged.values(), Fraction(0)) != 1:
             raise DomainError("probabilities must sum to 1")
         den = lcm(*(q.denominator for q in merged.values()))
@@ -212,30 +207,38 @@ class WindowDistribution:
 
     @classmethod
     def _raw(cls, p, n, lo, hi, den, nums):
-        """Unchecked: ``nums`` {ws: int > 0} on the window sums to ``den``.
-        ``_ints`` is (den, nums), the atoms num/den in the same order."""
+        """Unchecked: ``nums`` {ws: int > 0} on the window sums to ``den``."""
         obj = cls.__new__(cls)
         obj.p, obj.n, obj.lo, obj.hi, obj._cum = p, n, lo, hi, None
-        obj.atoms = {ws: Fraction(num, den) for ws, num in nums.items()}
         obj._ints = den, nums
         return obj
 
     @classmethod
     def point(cls, ws):
-        return cls(ws.p, ws.n, ws.lo, ws.hi, {ws: Fraction(1)})
+        return cls._raw(ws.p, ws.n, ws.lo, ws.hi, 1, {ws: 1})
+
+    @property
+    def atoms(self):
+        """{ws: probability}, as Fractions in ``_ints`` order."""
+        den, nums = self._ints
+        return {ws: Fraction(num, den) for ws, num in nums.items()}
 
     def sorted_items(self):
         return sorted(self.atoms.items(), key=lambda kv: kv[0].key())
 
     def prob(self, ws):
-        return self.atoms.get(ws, Fraction(0))
+        den, nums = self._ints
+        return Fraction(nums.get(ws, 0), den)
 
     def map_support(self, fn, lo, hi):
+        den, nums = self._ints
+        target = WindowSubgroup._raw(self.p, self.n, lo, hi, ())
         out = {}
-        for ws, prob in self.atoms.items():
+        for ws, num in nums.items():
             img = fn(ws)
-            out[img] = out.get(img, Fraction(0)) + prob
-        return WindowDistribution(self.p, self.n, lo, hi, out)
+            _check_same_window(img, target)
+            out[img] = out.get(img, 0) + num
+        return WindowDistribution._raw(self.p, self.n, lo, hi, den, out)
 
     def project(self, lo, hi):
         """Exact pushforward under intersection with a nested subwindow."""
@@ -247,26 +250,27 @@ class WindowDistribution:
         )
 
     def mixed_with(self, other, weight_self, weight_other):
-        if (self.p, self.n, self.lo, self.hi) != (other.p, other.n, other.lo, other.hi):
-            raise ContextError("window mismatch in mixture")
-        out = dict(self.atoms)
-        for ws, prob in out.items():
-            out[ws] = prob * weight_self
+        _check_same_window(self, other)
+        out = {ws: prob * weight_self for ws, prob in self.atoms.items()}
         for ws, prob in other.atoms.items():
-            out[ws] = out.get(ws, Fraction(0)) + prob * weight_other
+            out[ws] = out.get(ws, 0) + prob * weight_other
         return WindowDistribution(self.p, self.n, self.lo, self.hi, out)
 
     def __eq__(self, other):
+        """Equal laws on one window have one table: lowest terms, sorted atoms."""
         return (
             isinstance(other, WindowDistribution)
-            and (self.p, self.n, self.lo, self.hi)
-            == (other.p, other.n, other.lo, other.hi)
-            and self.atoms == other.atoms
+            and (self.p, self.n, self.lo, self.hi) == (other.p, other.n, other.lo, other.hi)
+            and self._table() == other._table()
         )
 
     def _table(self):
+        """(den, cumulative numerators, atoms): lowest terms, atoms in ``sorted_items()`` order."""
         if self._cum is None:
-            self._cum = _cumulative_table(self.sorted_items())
+            den, nums = self._ints
+            g = gcd(den, *nums.values())
+            order = tuple(sorted(nums, key=WindowSubgroup.key))
+            self._cum = den // g, list(accumulate(nums[ws] // g for ws in order)), order
         return self._cum
 
     def ordered_atoms(self):
@@ -276,8 +280,8 @@ class WindowDistribution:
     def sample_index(self, rng):
         """Exact draw of an atom's position in ``ordered_atoms()``.
 
-        Takes one uniform integer below the common denominator of the
-        probabilities, also when there is a single atom.
+        Takes one uniform integer below the reduced common denominator of
+        the probabilities, also when there is a single atom.
         """
         den, thresholds, _ = self._table()
         return bisect_right(thresholds, rng.below(den))
@@ -285,8 +289,7 @@ class WindowDistribution:
 
 def tv_distance(d1, d2):
     """L1 distance between two distributions on the same window (exact)."""
-    if (d1.p, d1.n, d1.lo, d1.hi) != (d2.p, d2.n, d2.lo, d2.hi):
-        raise DomainError("distributions on different windows")
+    _check_same_window(d1, d2)
     (den1, nums1), (den2, nums2) = d1._ints, d2._ints
     den = lcm(den1, den2)
     s1, s2 = den // den1, den // den2
@@ -350,17 +353,17 @@ class SubgroupMeasure:
         if sum((w for w, _ in atoms), Fraction(0)) != 1:
             raise DomainError("mixture weights must sum to 1")
         n, p = atoms[0][1].n, atoms[0][1].p
+        odd = next(((U.n, U.p) for _, U in atoms if (U.n, U.p) != (n, p)), None)
+        if odd:
+            raise ContextError(f"mixture atoms on different lamp groups: (n, p) {(n, p)} and {odd}")
         den = lcm(*(w.denominator for w, _ in atoms))
         nums = [(w.numerator * (den // w.denominator), U) for w, U in atoms]
-        mixed = any(w and (U.n, U.p) != (n, p) for w, U in atoms)
 
         def marginal(lo, hi):
             out = {}
             for num, U in nums:
                 ws = window_of_submodule(U, lo, hi)
                 out[ws] = out.get(ws, 0) + num
-            if mixed:
-                raise ContextError("atom on a different window")
             return WindowDistribution._raw(p, n, lo, hi, den, {ws: c for ws, c in out.items() if c})
 
         # Invariant when the weighted multiset of atoms is shift-stable.
@@ -555,8 +558,7 @@ def _counts_by_subgroup(key_counts, subgroup_of):
 
 
 def empirical_distribution(p, n, lo, hi, counts, trials):
-    atoms = {ws: Fraction(c, trials) for ws, c in counts.items() if c}
-    return WindowDistribution(p, n, lo, hi, atoms)
+    return WindowDistribution._raw(p, n, lo, hi, trials, {ws: c for ws, c in counts.items() if c})
 
 
 def sampler_law_report(mu, m, lo, hi, trials, seed):
@@ -612,7 +614,7 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     counts = _counts_by_subgroup(key_counts, subgroup)
     empirical = empirical_distribution(exact.p, exact.n, lo, hi, counts, trials)
     tv = tv_distance(empirical, exact)
-    support = len(exact.atoms)
+    support = len(exact._ints[1])
     # sqrt bound kept exact: compare squares instead of taking roots.
     tolerance_sq = Fraction(9 * support, trials)
     return {
@@ -687,11 +689,7 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
         _check_window_dim(mu, hi - lo + 1)
     marg1 = mu1.marginal(lo, hi)
     marg2 = mu2.marginal(lo, hi)
-    if (marg1.n, marg1.p) != (marg2.n, marg2.p):
-        raise ContextError(
-            f"cannot splice measures on different lamp groups: "
-            f"n={marg1.n}, p={marg1.p} and n={marg2.n}, p={marg2.p}"
-        )
+    _check_same_window(marg1, marg2)
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
     coin_len = width - 1 + n_ai
@@ -737,7 +735,7 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     lambda_first = Fraction(all_first, trials)
     lambda_second = Fraction(all_second, trials)
     defect = 2 * (1 - lambda_first - lambda_second)
-    support = len(set(target.atoms) | set(empirical.atoms))
+    support = len(target._ints[1].keys() | empirical._ints[1].keys())
     tolerance_sq = Fraction(9 * support, trials)
     report = {
         "n_ai": n_ai,

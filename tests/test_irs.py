@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from lampirs.algebra import LaurentPoly, Poly
-from lampirs.errors import DomainError, ResourceBudgetError
-from lampirs.formats import canonical_json, distribution_to_json, parse_vector
+from lampirs.errors import ContextError, DomainError, ResourceBudgetError
+from lampirs.formats import canonical_json, distribution_to_json, measure_from_json, parse_vector
 from lampirs.irs import (
     MAJORITY_LENGTH_BUDGET,
     SubgroupMeasure,
@@ -276,6 +276,33 @@ class TestBlockAverage:
         with pytest.raises(DomainError, match="weight -1 is negative"):
             SubgroupMeasure.mixture(atoms)
 
+    @pytest.mark.parametrize("weight", [HALF, 0])
+    def test_atoms_of_another_lamp_group_refused_at_construction(self, weight):
+        # refused whatever the odd atom weighs, before any marginal is read
+        atoms = [(1 - weight, Submodule.full(1, P2)), (weight, Submodule.zero(1, 3))]
+        with pytest.raises(ContextError) as raised:
+            SubgroupMeasure.mixture(atoms)
+        message = "mixture atoms on different lamp groups: (n, p) (1, 2) and (1, 3)"
+        assert str(raised.value) == message
+        with pytest.raises(ContextError, match=r"\(1, 2\) and \(2, 2\)"):
+            SubgroupMeasure.mixture([(1, Submodule.full(1, P2)), (0, Submodule.full(2, P2))])
+
+    def test_measure_files_hold_one_lamp_group(self):
+        # a file names (n, p) once, so its atoms, a zero weight among them, all build
+        data = {
+            "schema": "lampirs.measure.v1",
+            "n": 1,
+            "p": P2,
+            "atoms": [
+                {"weight": "1/2", "period": 1, "gens": ["1"]},
+                {"weight": "0", "period": 2, "gens": ["1"]},
+                {"weight": "1/2", "period": 1, "gens": []},
+            ],
+        }
+        mu = measure_from_json(data)
+        assert [w for w, _ in mu.atoms] == [HALF, 0, HALF]
+        assert mu.marginal(0, 2) == even_mixture().marginal(0, 2)
+
     def test_invariant_tag_matches_marginal_shift(self):
         mu = even_mixture()
         assert mu.invariant
@@ -285,6 +312,33 @@ class TestBlockAverage:
         )
         assert not lonely.invariant
         assert lonely.marginal(1, 3).transported(0) != lonely.marginal(0, 2)
+
+
+class TestWindowMatch:
+    """Operands on different windows or lamp groups are refused by one rule."""
+
+    def laws(self):
+        mu = even_mixture()
+        return mu.marginal(0, 1), mu.marginal(1, 2), mu.marginal(0, 2)
+
+    def test_sum_with(self):
+        a, b = window_of_submodule(line_submodule(), 0, 1), WindowSubgroup.zero(3, 1, 0, 1)
+        with pytest.raises(ContextError, match=r"n=1, p=2 on \[0, 1\] and n=1, p=3 on \[0, 1\]"):
+            a.sum_with(b)
+        with pytest.raises(ContextError, match="window mismatch"):
+            a.sum_with(WindowSubgroup.zero(P2, 1, 0, 2))
+
+    def test_mixed_with(self):
+        here, moved, wider = self.laws()
+        for other in (moved, wider):
+            with pytest.raises(ContextError, match="window mismatch"):
+                here.mixed_with(other, HALF, HALF)
+
+    def test_tv_distance(self):
+        here, moved, wider = self.laws()
+        for other in (moved, wider):
+            with pytest.raises(ContextError, match="window mismatch"):
+                tv_distance(here, other)
 
 
 class TestDistanceReports:

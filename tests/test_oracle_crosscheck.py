@@ -42,7 +42,7 @@ from math import gcd, lcm
 
 import pytest
 
-from lampirs import lamplighter
+from lampirs import irs, lamplighter
 from lampirs.algebra import LaurentPoly, Poly, geometric_series, irreducibles
 from lampirs.cbrank import build_approach_sequence, poset_less
 from lampirs.errors import ContextError, PreconditionError, ResourceBudgetError
@@ -61,6 +61,8 @@ from lampirs.irs import (
     _spliced,
     block_average_marginal,
     block_shift_term_marginal,
+    empirical_distribution,
+    sampler_law_report,
     splice_measures,
     tv_distance,
     window_of_submodule,
@@ -2417,6 +2419,26 @@ class TestUncheckedConstructionOracle:
                     checked += 1
         assert checked > 100
 
+    def test_points_pushforwards_and_empirical_laws(self):
+        checked = 0
+        for _, mu in law_measures():
+            d = mu.marginal(-1, 1)
+            for ws in d.atoms:
+                assert_rechecked_distribution(WindowDistribution.point(ws))
+            for lo, hi in ((-1, 1), (-1, 0), (0, 1), (1, 1)):
+                assert_rechecked_distribution(d.project(lo, hi))
+            assert_rechecked_distribution(d.transported(4))
+            centre = d.map_support(lambda ws: ws.project(0, 0).embedded(-1, 1), -1, 1)
+            assert_rechecked_distribution(centre)
+            counts = {ws: i for i, ws in enumerate(d.atoms)}  # the first count is 0
+            if len(counts) > 1:
+                law = empirical_distribution(d.p, d.n, -1, 1, counts, sum(counts.values()))
+                assert_rechecked_distribution(law)
+            if mu.invariant:
+                assert_rechecked_distribution(sampler_law_report(mu, 2, -1, 1, 40, 5)["empirical"])
+                checked += 1
+        assert checked > 20
+
     def test_disjoint_site_sums(self):
         # Contiguous runs, as the phase laws and block pieces sum them, and
         # seeded masks, as ``_spliced`` interleaves two subgroups' sites.
@@ -2462,3 +2484,122 @@ class TestUncheckedConstructionOracle:
             for ws in empirical.atoms:
                 assert_rechecked_window(ws)
         assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# One stored form of a window law: integer numerators over one denominator.
+# ---------------------------------------------------------------------------
+
+
+class TestStoredWindowLaw:
+    def unreduced(self):
+        """The mu_m marginal at m = 4 of the even mixture of F_2[x^±] and 0,
+        its first atom written twice with weight 1/4: its run marginals are
+        over 4, so the law is 28, 4, 4, 28 over 64, not in lowest terms."""
+        full, zero = Submodule.full(1, 2), Submodule.zero(1, 2)
+        quarters = SubgroupMeasure.mixture(
+            [(Fraction(1, 4), full), (Fraction(1, 4), full.shifted(1)), (Fraction(1, 2), zero)]
+        )
+        return block_average_marginal(quarters, 4, 0, 1)
+
+    def test_the_table_is_in_lowest_terms(self):
+        d = self.unreduced()
+        den, nums = d._ints
+        assert gcd(den, *nums.values()) > 1
+        fresh = WindowDistribution(d.p, d.n, d.lo, d.hi, d.atoms)
+        assert fresh._ints[0] < den and gcd(*fresh._ints[1].values(), fresh._ints[0]) == 1
+        assert d._table() == fresh._table()
+        assert d._table()[0] == fresh._ints[0]
+        assert d.ordered_atoms() == tuple(ws for ws, _ in d.sorted_items())
+
+    def test_equal_laws_over_different_denominators(self):
+        d = self.unreduced()
+        den, nums = d._ints
+        fresh = WindowDistribution(d.p, d.n, d.lo, d.hi, d.atoms)
+        tripled = {ws: 3 * c for ws, c in nums.items()}
+        tripled = WindowDistribution._raw(d.p, d.n, d.lo, d.hi, 3 * den, tripled)
+        assert fresh._ints[0] != den != tripled._ints[0]
+        assert d == fresh == tripled and tripled == d
+        first, second, *_ = nums
+        moved = dict(nums)
+        moved[first] += 1
+        moved[second] -= 1
+        assert d != WindowDistribution._raw(d.p, d.n, d.lo, d.hi, den, moved)
+        assert d != d.transported(1)
+
+    def test_the_atoms_view_keeps_the_numerators_order(self):
+        d = self.unreduced()
+        den, nums = d._ints
+        first, *rest = d.ordered_atoms()
+        rotated = {ws: nums[ws] for ws in [*rest, first]}
+        law = WindowDistribution._raw(d.p, d.n, d.lo, d.hi, den, rotated)
+        assert list(law.atoms) == list(rotated) != list(law.ordered_atoms())
+        assert list(law.atoms.values()) == [Fraction(c, den) for c in rotated.values()]
+        assert law == d
+
+    def test_no_fraction_is_made_until_a_probability_is_read(self, monkeypatch):
+        made = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        mu = orbit_measure(pinned_grid(7474, 1)[0])
+        even = SubgroupMeasure.mixture(
+            [(Fraction(1, 2), Submodule.full(1, 2)), (Fraction(1, 2), Submodule.zero(1, 2))]
+        )
+        monkeypatch.setattr(irs, "Fraction", CountingFraction)
+        laws = [mu.marginal(-1, 1), even.marginal(0, 2)]
+        for measure in (mu, even):
+            _phase_law(measure, 3, 1, 0, 2)
+            laws.append(block_average_marginal(measure, 5, 0, 1))
+        laws += [law.project(0, 0) for law in laws] + [law.transported(3) for law in laws]
+        for law in laws:
+            law._table()
+        assert made == []
+        target = even.marginal(0, 1)
+        assert tv_distance(laws[-1].transported(0), target) == Fraction(1, 5)
+        assert len(made) == 1
+        atoms = laws[2].atoms
+        assert len(made) == 1 + len(atoms)
+        laws[2].prob(next(iter(atoms)))
+        assert len(made) == 2 + len(atoms)
+
+
+# ---------------------------------------------------------------------------
+# The intersection of a row span with a coordinate subspace, as computed
+# when the restored rows were row-reduced once more.
+# ---------------------------------------------------------------------------
+
+
+def rereduced_span_intersect_coordinates(rref_rows, keep_cols, p, ncols):
+    if not rref_rows:
+        return ()
+    keep = set(keep_cols)
+    order = [j for j in range(ncols) if j not in keep] + list(keep_cols)
+    permuted = [[row[j] for j in order] for row in rref_rows]
+    red, _ = rref(permuted, p)
+    n_out = ncols - len(keep)
+    inside = [row for row in red if not any(row[:n_out])]
+    inv = [0] * ncols
+    for pos, j in enumerate(order):
+        inv[j] = pos
+    restored = [tuple(row[inv[j]] for j in range(ncols)) for row in inside]
+    return rref(restored, p)[0]
+
+
+class TestSpanIntersectOracle:
+    def test_matches_the_rereducing_version(self):
+        rng = SplitMix64(7575)
+        proper = 0
+        for _ in range(20000):
+            p, ncols = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(9)
+            rows = [[rng.below(p) for _ in range(ncols)] for _ in range(rng.below(ncols + 1))]
+            rows = rref(rows, p)[0]
+            keep = [j for j in range(ncols) if rng.below(3)]
+            got = span_intersect_coordinates(rows, keep, p, ncols)
+            ref = rereduced_span_intersect_coordinates(rows, keep, p, ncols)
+            assert got == ref, (p, rows, keep)
+            proper += 0 < len(got) < len(rows)
+        assert proper > 2000

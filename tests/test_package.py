@@ -187,10 +187,13 @@ def test_each_entry_rule_is_written_once():
     # Every ``ResourceBudgetError`` is raised with three positional arguments
     # (what, requested, budget), so its message comes from the exception;
     # only ``irs._check_window`` raises the empty-window ``DomainError``,
+    # only ``irs._check_same_window`` refuses operands on different windows
+    # or lamp groups, and every operation on two of them calls it,
     # only ``Submodule._check_period`` the ``PreconditionError`` x^s U != U,
     # and only ``Submodule.form`` calls the Hermite engine, so an approach
     # term's form is built when it is read and never by the sequence.
     budget_calls, window_raises, period_raises, hermite_calls = [], [], [], []
+    mismatch_raises, mismatch_checks = [], set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
@@ -201,6 +204,8 @@ def test_each_entry_rule_is_written_once():
             where = f"{path.name}:{node.lineno}"
             if node.func.id == "laurent_hermite_form":
                 hermite_calls.append((path.name, owner.get(id(node))))
+            if node.func.id == "_check_same_window":
+                mismatch_checks.add((path.name, owner.get(id(node))))
             if node.func.id == "ResourceBudgetError":
                 three = len(node.args) == 3 and not node.keywords
                 if not three or any(isinstance(a, ast.Starred) for a in node.args):
@@ -212,9 +217,15 @@ def test_each_entry_rule_is_written_once():
             )
             if node.func.id == "DomainError" and "empty window" in text:
                 window_raises.append((path.name, owner.get(id(node))))
+            mismatch = "window" in text and ("mismatch" in text or "different" in text)
+            if node.func.id.endswith("Error") and mismatch:
+                mismatch_raises.append((path.name, owner.get(id(node))))
             if node.func.id == "PreconditionError" and "U != U" in text:
                 period_raises.append((path.name, owner.get(id(node))))
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
+    assert mismatch_raises == [("irs.py", "_check_same_window")]
+    binary = {"sum_with", "mixed_with", "tv_distance", "map_support", "__init__", "splice_measures"}
+    assert mismatch_checks == {("irs.py", name) for name in binary}
     assert period_raises == [("submodules.py", "_check_period")]
     assert hermite_calls == [("submodules.py", "form")]
