@@ -22,22 +22,28 @@ tolerances; the mu_m sampler draws whole blocks of length m.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import comb, gcd, lcm
+from operator import ge, mod, or_
 
 from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .rng import (
     SplitMix64,
-    _unpack_rows,
     below_limit,
     derive_seed,
     extend_seeds,
+    int_to_words,
+    popcount_lanes,
     stream_words,
+    word_lanes,
+    words_to_int,
 )
 from .submodules import PRINTABLE_BITS
 
@@ -46,6 +52,7 @@ WINDOW_DIM_BUDGET = 24  # exact marginals stay finitely supported well past this
 # measure must print in Python's default 4,300-digit int-to-str limit.
 MAJORITY_LENGTH_BUDGET = PRINTABLE_BITS
 BATCH_WORDS = 4096  # stream words read per batch of Monte Carlo trials
+KEY_BITS = 64  # a splice trial's key fills one 64-bit lane
 
 
 def _leq_with_sqrt_tolerance(value, bound, tol_sq):
@@ -366,10 +373,12 @@ class SubgroupMeasure:
                 out[ws] = out.get(ws, 0) + num
             return WindowDistribution._raw(p, n, lo, hi, den, {ws: c for ws, c in out.items() if c})
 
-        # Invariant when the weighted multiset of atoms is shift-stable.
+        # Invariant when the weighted multiset of atoms of positive weight is shift-stable.
         weights = {}
         shifted_weights = {}
         for num, U in nums:
+            if not num:
+                continue
             key = U.canonical_key()
             weights[key] = weights.get(key, 0) + num
             key = U.shifted(1).canonical_key()
@@ -650,6 +659,31 @@ def majority_symmetric_difference(n_ai):
     return Fraction(comb(n_ai - 1, half), 2**n_ai)
 
 
+def _majority_masks(columns, n_ai, width, ones, masks):
+    """Each trial's majority mask, in its lane: bit c is set when coins
+    c..c+n_ai-1 hold more ones than zeros.
+
+    ``columns[j]`` holds coin word j of every trial, a 64-bit lane each, and
+    ``ones`` and ``masks`` are :func:`word_lanes` constants.  Cell 0 counts
+    the ones of its whole coin words and of the next word's low bits; cell
+    c then gains coin c - 1 + n_ai and loses coin c - 1, which is in word 0
+    (``KEY_BITS`` keeps the width below 64).  A count is at most n_ai <=
+    ``PRINTABLE_BITS`` < 2^15, so adding 2^15 - 1 - n_ai//2 sets bit 15
+    exactly when it passes half.  A lane of ``ones`` with no trial stays 0.
+    """
+    whole, rest = divmod(n_ai, 64)
+    count = sum(popcount_lanes(column, masks) for column in columns[:whole])
+    if rest:
+        count += popcount_lanes(columns[whole] & ((1 << rest) - 1) * ones, masks)
+    bias = ((1 << 15) - 1 - n_ai // 2) * ones
+    out = (count + bias) >> 15 & ones
+    for cell in range(1, width):
+        k = cell - 1 + n_ai
+        count += (columns[k >> 6] >> (k & 63) & ones) - (columns[0] >> cell - 1 & ones)
+        out |= ((count + bias) >> 15 & ones) << cell
+    return out
+
+
 def _spliced(ws1, ws2, mask):
     """ws1's lamps on the cells whose mask bit is set, ws2's on the others."""
     cells = range(ws1.width)
@@ -675,12 +709,13 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     atoms of the second marginal and w the window width; each distinct key
     is built into its window subgroup once, after the loop.
 
-    The trials run in batches of about ``BATCH_WORDS`` stream words:
-    the batch's keys and the words each trial reads when neither index draw
-    is rejected are computed and unpacked at once.  A trial whose first or
-    second word is rejected is replayed on its own stream.  An empty window,
-    or a window of either measure past ``WINDOW_DIM_BUDGET``, is refused
-    before any marginal is read.
+    The trials run in batches of about ``BATCH_WORDS`` stream words, one
+    64-bit lane per trial: coin word j of the batch's trials makes one int,
+    and their keys are made on those lanes at once (``_majority_masks``).
+    A trial whose first or second word is rejected is replayed on its own
+    stream, its key made on one lane.  An empty window, or a window of
+    either measure past ``WINDOW_DIM_BUDGET``, is refused before any
+    marginal is read, and keys past ``KEY_BITS`` bits before any trial.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
@@ -692,34 +727,36 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     _check_same_window(marg1, marg2)
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
-    coin_len = width - 1 + n_ai
-    half = n_ai // 2
-    cells = [(((1 << n_ai) - 1) << cell, 1 << cell) for cell in range(width)]
     (den1, thresholds1, atoms1), (den2, thresholds2, atoms2) = marg1._table(), marg2._table()
     size2 = len(atoms2)
+    key_bits = (len(atoms1) * size2 << width).bit_length()
+    if key_bits > KEY_BITS:
+        raise ResourceBudgetError(f"splice keys on {width} cells with bits", key_bits, KEY_BITS)
     limit1, limit2 = below_limit(den1), below_limit(den2)
-    row = 2 + -(-coin_len // 64)  # words per trial: two indices, then the coins
+    coin_words = -(-(width - 1 + n_ai) // 64)
+    row = 2 + coin_words  # words per trial: two indices, then the coins
     batch = max(1, BATCH_WORDS // row)
+    ones, masks = word_lanes(min(batch, trials))
     prefix = derive_seed(seed, n_ai)
-    key_counts = {}
+    key_counts = Counter()
     for first in range(0, trials, batch):
-        keys = extend_seeds(prefix, range(first, min(first + batch, trials)))
-        rows = _unpack_rows(stream_words(keys, row), 2, row)
-        for (u1, u2, tail), stream_key in zip(rows, keys):
-            if u1 < limit1 and u2 < limit2:
-                i1 = bisect_right(thresholds1, u1 % den1)
-                key = i1 * size2 + bisect_right(thresholds2, u2 % den2)
-                coins = int.from_bytes(tail, "little")
-            else:
-                stream = SplitMix64(stream_key)
+        stream_keys = extend_seeds(prefix, range(first, min(first + batch, trials)))
+        words = stream_words(stream_keys, row)
+        u1s, u2s = words[0::row].tolist(), words[1::row].tolist()
+        i1s = array("Q", map(bisect_right, repeat(thresholds1), map(mod, u1s, repeat(den1))))
+        i2s = array("Q", map(bisect_right, repeat(thresholds2), map(mod, u2s, repeat(den2))))
+        columns = [words_to_int(words[j::row]) for j in range(2, row)]
+        keys = (words_to_int(i1s) * size2 + words_to_int(i2s)) << width
+        keys = int_to_words(keys | _majority_masks(columns, n_ai, width, ones, masks), len(u1s))
+        if max(u1s) >= limit1 or max(u2s) >= limit2:  # a draw was rejected
+            rejected = map(or_, map(ge, u1s, repeat(limit1)), map(ge, u2s, repeat(limit2)))
+            for t in compress(range(len(keys)), rejected):
+                stream = SplitMix64(stream_keys[t])
                 i1 = marg1.sample_index(stream)
-                key = i1 * size2 + marg2.sample_index(stream)
-                coins = stream.bits(coin_len)
-            key <<= width
-            for window, bit in cells:
-                if (coins & window).bit_count() > half:
-                    key |= bit
-            key_counts[key] = key_counts.get(key, 0) + 1
+                index = i1 * size2 + marg2.sample_index(stream)
+                coins = list(stream.take(coin_words))
+                keys[t] = index << width | _majority_masks(coins, n_ai, width, *word_lanes(1))
+        key_counts.update(keys)
     full = (1 << width) - 1
 
     def spliced(key):
@@ -758,20 +795,21 @@ def majority_invariance_estimate(n_ai, trials, seed):
     of n_ai + 1 coins c_0..c_n_ai, whose first and last n_ai bits are the
     two words.  Their majorities differ exactly when c_0 != c_n_ai and the
     shared coins c_1..c_(n_ai-1) hold (n_ai - 1)/2 ones.
+
+    The trials run in batches, one 64-bit lane per trial as in
+    ``splice_measures``: a hit is a lane whose majority flags of cells 0
+    and 1 (``_majority_masks`` on two cells) differ.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
     stream = SplitMix64(seed)
     row = -(-(n_ai + 1) // 64)  # words per trial
     batch = max(1, BATCH_WORDS // row)
+    ones, masks = word_lanes(min(batch, trials))
     hits = 0
-    half = n_ai // 2
-    shared = (1 << n_ai) - 2
     for first in range(0, trials, batch):
-        rows = stream.take(min(batch, trials - first) * row)
-        if row > 1:
-            rows = [int.from_bytes(coins, "little") for (coins,) in _unpack_rows(rows, 0, row)]
-        for coins in rows:
-            if (coins ^ coins >> n_ai) & 1 and (coins & shared).bit_count() == half:
-                hits += 1
+        words = stream.take(min(batch, trials - first) * row)
+        columns = [words_to_int(words[j::row]) for j in range(row)]
+        flags = _majority_masks(columns, n_ai, 2, ones, masks)
+        hits += ((flags ^ flags >> 1) & ones).bit_count()
     return Fraction(hits, trials)

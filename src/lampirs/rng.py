@@ -35,6 +35,12 @@ repeat a few lengths.  ``extend_seeds`` folds a batch of trial labels
 whose count follows the trial count, so it builds its own ones and mask
 and keeps nothing.
 
+Drawn words are counted on 64-bit lanes: ``words_to_int`` packs an
+``array('Q')`` into one int, word i at bit 64*i, and ``int_to_words``
+reads it back, little-endian as above.  ``popcount_lanes`` counts the ones
+of every lane at once, with masks ``word_lanes`` builds for a lane count;
+the caller keeps them.
+
 ``SplitMix64`` computes its next words into a buffer whose size doubles on
 each refill, from 1 word up to ``BUFFER_CAP``, so a stream that reads k
 words computes fewer than 2k.  ``extend_seeds`` and ``stream_words`` give
@@ -43,7 +49,6 @@ is unchanged: every word, and every draw made from the words, is the one
 that mixing one word at a time gives.
 """
 
-import struct
 import sys
 from array import array
 from functools import lru_cache
@@ -56,6 +61,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 BUFFER_CAP = 1024  # words computed per SplitMix64 refill, at most
 _LANE_MASK = b"\xff" * 8 + b"\x00" * 8  # one lane, little-endian: the low 64 bits
 _ONE_LANE = b"\x01" + b"\x00" * 15  # one lane, little-endian: 1
+# popcount_lanes' masks, per 64-bit lane: every other bit, pair and nibble, then the count
+_POPCOUNT_PATTERNS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x7F)
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -116,10 +123,33 @@ def words_to_int(words):
     return int.from_bytes(_little_endian(words), "little")
 
 
-def _unpack_rows(words, head, row):
-    """Each ``row`` words in turn: the first ``head`` as ints, then the rest
-    as bytes whose ``int.from_bytes(..., "little")`` is their ``words_to_int``."""
-    return struct.iter_unpack("<%dQ%ds" % (head, 8 * (row - head)), _little_endian(words))
+def int_to_words(x, count):
+    """The count 64-bit digits of x, low first, as an ``array('Q')``: the
+    inverse of :func:`words_to_int` for x below 2^(64*count)."""
+    return _little_endian(array("Q", x.to_bytes(8 * count, "little")))
+
+
+def word_lanes(count):
+    """(ones, masks) for ints of at most count 64-bit lanes: ones holds 1 in
+    every lane, and masks are the lane masks :func:`popcount_lanes` takes."""
+    ones = int.from_bytes((b"\x01" + bytes(7)) * count, "little")
+    return ones, tuple(pattern * ones for pattern in _POPCOUNT_PATTERNS)
+
+
+def popcount_lanes(x, masks):
+    """The number of ones of each 64-bit lane of x, in that lane: the SWAR
+    popcount (Warren, *Hacker's Delight*, 5-1) with the masks of
+    :func:`word_lanes` for at least x's lanes.  No field's sum overflows it,
+    and what a right shift pulls in from the lane above is masked off or
+    left in bytes 1-7, which the last mask clears."""
+    m1, m2, m4, low = masks
+    x -= (x >> 1) & m1
+    x = (x & m2) + ((x >> 2) & m2)
+    x = (x + (x >> 4)) & m4
+    x += x >> 8
+    x += x >> 16
+    x += x >> 32
+    return x & low
 
 
 def below_limit(n):

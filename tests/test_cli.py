@@ -776,6 +776,19 @@ class TestIrsCommand:
         trend = {row["m"]: row["tv"] for row in data["trend"]}
         assert trend[2] == "1/2" and trend[4] == "1/4" and trend[8] == "1/8"
 
+    def test_zero_weight_atom_keeps_the_measure_invariant(self, tmp_path):
+        # a weight-0 atom whose shift is no atom is left out of the
+        # invariance test, as it is out of every marginal
+        data = json.loads(MIX_JSON)
+        plain = tmp_path / "mix.json"
+        plain.write_text(MIX_JSON)
+        data["atoms"].insert(1, {"weight": "0", "period": 2, "gens": ["1"]})
+        padded = tmp_path / "padded.json"
+        padded.write_text(json.dumps(data))
+        runs = [run_cli("irs", "--mu", str(mu), "--m", "2", "--j", "1") for mu in (plain, padded)]
+        assert [res.returncode for res in runs] == [0, 0], runs[1].stderr
+        assert runs[1].stdout == runs[0].stdout
+
     def test_m_far_past_the_width(self, tmp_path):
         mu = tmp_path / "mix.json"
         mu.write_text(MIX_JSON)

@@ -1,4 +1,4 @@
-"""Cross-checks of the lane-batched SplitMix64 paths against one word at a time.
+"""Cross-checks of the lane-batched paths against one word or one trial at a time.
 
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
 ``SplitMix64`` computes its words ahead into a doubling buffer.  The lane
@@ -8,14 +8,17 @@ digest, recorded before that cache existed, pins the words of every batched
 path, and the streams are checked again after the cache has evicted and
 refilled, and on byteswapped words against a warm cache.
 ``splice_measures`` derives a batch of trial keys and their words at once,
-unpacks the batch into rows in one pass, and replays a trial on its own
-stream when an index draw is rejected.  The references are the test-local
-``RefStream`` and per-trial loops of ``test_montecarlo_crosscheck``, which
-mix one word at a time.  The trial counts cross batch and buffer edges, a
-measure with probability denominator 2^63 + 1 rejects about half of all
-index draws, and the sampler's integer trial keys are checked on phases
-with different block counts.  The big-endian branch of the row and lane
-conversions runs on byteswapped words.
+counts each trial's majority mask with lane popcounts, one 64-bit lane per
+trial, and replays a trial on its own stream when an index draw is
+rejected; ``majority_invariance_estimate`` counts its hits on the same
+lanes.  The references are the test-local ``RefStream`` and per-trial loops
+of ``test_montecarlo_crosscheck``, which mix one word at a time, and for
+the popcount and the mask kernel ``int.bit_count`` per lane and per trial.
+The trial counts cross batch and buffer edges, a measure with probability
+denominator 2^63 + 1 rejects about half of all index draws, and the
+sampler's integer trial keys are checked on phases with different block
+counts.  The big-endian branch of the lane conversions and of the lane
+read-back runs on byteswapped words.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ from lampirs.irs import (
     BATCH_WORDS,
     SubgroupMeasure,
     _block_pieces,
+    _majority_masks,
     majority_invariance_estimate,
     sampler_law_report,
     splice_measures,
@@ -42,13 +46,15 @@ from lampirs.rng import (
     _mix_lanes,
     _run_lanes,
     _to_lanes,
-    _unpack_rows,
     derive_seed,
     extend_seeds,
+    int_to_words,
+    popcount_lanes,
     stream_words,
+    word_lanes,
     words_to_int,
 )
-from lampirs.submodules import Submodule
+from lampirs.submodules import PRINTABLE_BITS, Submodule
 from test_montecarlo_crosscheck import (
     GAMMA,
     MASK,
@@ -204,27 +210,103 @@ class TestRunLaneCache:
         assert _run_lanes.cache_info().misses == misses
 
 
-class TestRowUnpacking:
-    @pytest.mark.parametrize("head, row", [(0, 1), (0, 4), (2, 3), (2, 6), (3, 3)])
-    def test_big_endian_branch(self, monkeypatch, head, row):
+class TestLaneReadBack:
+    @pytest.mark.parametrize("row", [1, 3, 6])
+    def test_big_endian_branch(self, monkeypatch, row):
+        # coin word j of every trial becomes one int, and the keys come back
+        # from an int of one lane per trial
         words = stream_words(array("Q", [5, MASK, GAMMA]), 4 * row)
-        native = list(_unpack_rows(words, head, row))
+        columns = [words_to_int(words[j::row]) for j in range(row)]
         native_lanes = _to_lanes(words)
-        assert len(native) == 12
-        for r, fields in enumerate(native):
-            chunk = words[r * row : (r + 1) * row]
-            assert list(fields[:head]) == list(chunk[:head])
-            assert int.from_bytes(fields[head], "little") == words_to_int(chunk[head:])
+        for j, column in enumerate(columns):
+            assert list(int_to_words(column, 12)) == list(words[j::row])
+            assert column == sum(w << 64 * t for t, w in enumerate(words[j::row]))
         # a big-endian host holds each word's bytes the other way round
         swapped = array("Q", words)
         swapped.byteswap()
         monkeypatch.setattr(lampirs.rng, "_BIG_ENDIAN", True)
-        assert list(_unpack_rows(swapped, head, row)) == native
-        for r, fields in enumerate(native):
-            chunk = swapped[r * row + head : (r + 1) * row]
-            assert words_to_int(chunk) == int.from_bytes(fields[head], "little")
+        assert [words_to_int(swapped[j::row]) for j in range(row)] == columns
+        for j, column in enumerate(columns):
+            assert int_to_words(column, 12) == swapped[j::row]
         assert _to_lanes(swapped) == native_lanes
         assert _from_lanes(native_lanes, len(words)) == swapped
+
+    def test_read_back_keeps_every_lane(self):
+        # the top lane is read back even when it is 0, and no lane spills
+        assert list(int_to_words(MASK | 7 << 128, 4)) == [MASK, 0, 7, 0]
+        with pytest.raises(OverflowError):
+            int_to_words(1 << 128, 2)
+
+
+def lanes_of(x, count):
+    return [(x >> 64 * t) & MASK for t in range(count)]
+
+
+def coin_trials(n_ai, width, seed):
+    """Coin words of trials whose windows sit at and around half ones."""
+    words = -(-(width - 1 + n_ai) // 64)
+    half = n_ai // 2
+    ref = RefStream(seed)
+    coins = [
+        0,
+        (1 << 64 * words) - 1,
+        int.from_bytes(b"\x55" * 8 * words, "little"),  # odd n_ai: half + 1, half, ... ones
+        int.from_bytes(b"\xaa" * 8 * words, "little"),
+        (1 << half) - 1,  # cell 0 holds exactly half
+        (1 << half + 1) - 1,  # cell 0 holds half + 1, cell 1 half
+        ((1 << half) - 1) << width,
+        ((1 << half + 1) - 1) << width - 1,
+    ]
+    coins += [ref.bits(64 * words) for _ in range(5)]
+    return [[(c >> 64 * j) & MASK for j in range(words)] for c in coins]
+
+
+def ref_masks(trials, n_ai, width):
+    """Each trial's majority mask, one ``bit_count`` per cell."""
+    masks = []
+    for trial in trials:
+        coins = sum(w << 64 * j for j, w in enumerate(trial))
+        window = (1 << n_ai) - 1
+        masks.append(
+            sum(1 << c for c in range(width) if (coins >> c & window).bit_count() > n_ai // 2)
+        )
+    return masks
+
+
+class TestLanePopcount:
+    EDGES = [0, MASK, 2**63, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 1, GAMMA]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_matches_bit_count_per_lane(self, count):
+        _, masks = word_lanes(count)
+        for t in range(len(self.EDGES) ** count):
+            lanes = [self.EDGES[t // len(self.EDGES) ** i % len(self.EDGES)] for i in range(count)]
+            x = words_to_int(array("Q", lanes))
+            assert lanes_of(popcount_lanes(x, masks), count) == [w.bit_count() for w in lanes]
+
+    def test_masks_for_more_lanes(self):
+        # masks built for more lanes than x count x exactly
+        _, masks = word_lanes(5)
+        x = words_to_int(array("Q", [MASK, 2**63, 0]))
+        assert popcount_lanes(x, masks) == 64 | 1 << 64
+
+
+class TestMajorityMaskKernel:
+    @pytest.mark.parametrize("n_ai", [1, 63, 64, 65, 4097, PRINTABLE_BITS])
+    def test_matches_per_trial_bit_counts(self, n_ai):
+        for width in range(1, 25):
+            trials = coin_trials(n_ai, width, n_ai * 100 + width)
+            expected = ref_masks(trials, n_ai, width)
+            # one lane per trial; ones of more lanes than the batch leave the
+            # lanes past it at 0
+            columns = [words_to_int(array("Q", column)) for column in zip(*trials)]
+            for count in (len(trials), len(trials) + 3):
+                ones, masks = word_lanes(count)
+                got = _majority_masks(columns, n_ai, width, ones, masks)
+                assert lanes_of(got, count) == expected + [0] * (count - len(trials))
+            # the replay path: one trial on one lane
+            for trial, mask in zip(trials, expected):
+                assert _majority_masks(trial, n_ai, width, *word_lanes(1)) == mask
 
 
 class TestBufferedStream:

@@ -144,6 +144,8 @@ def _budget_refusals():
         ("truncation", {cbrank: {"TRUNCATION_BUDGET": 38}}, lambda: truncation(8, 12), 39, 38),
         ("poly-span", {}, lambda: parse_poly("1+x^65537", 2), 65537, 65536),
         ("window-dim", {}, lambda: splice_measures(full, zero, 1, 0, 24, 1, 0), 25, 24),
+        ("splice-key-bits", {irs: {"KEY_BITS": 2}},
+         lambda: splice_measures(full, zero, 1, 0, 1, 1, 0), 3, 2),
         ("mu_m-bits", {}, lambda: block_average_marginal(full, 2**14283, 0, 0), 14284, 14283),
         ("majority-length", {irs: {"MAJORITY_LENGTH_BUDGET": 4}},
          lambda: majority_symmetric_difference(5), 5, 4),
