@@ -29,19 +29,18 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from math import comb, gcd, lcm
-from operator import ge, mod, or_
+from operator import ge, mod
 
 from .algebra import check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .rng import (
     SplitMix64,
+    StreamBatches,
     below_limit,
     derive_seed,
-    extend_seeds,
     int_to_words,
     popcount_lanes,
-    stream_words,
     word_lanes,
     words_to_int,
 )
@@ -364,21 +363,20 @@ class SubgroupMeasure:
         if odd:
             raise ContextError(f"mixture atoms on different lamp groups: (n, p) {(n, p)} and {odd}")
         den = lcm(*(w.denominator for w, _ in atoms))
-        nums = [(w.numerator * (den // w.denominator), U) for w, U in atoms]
+        # atoms of weight 0 take no part in any marginal, nor in invariance
+        nums = [(w.numerator * (den // w.denominator), U) for w, U in atoms if w]
 
         def marginal(lo, hi):
             out = {}
             for num, U in nums:
                 ws = window_of_submodule(U, lo, hi)
                 out[ws] = out.get(ws, 0) + num
-            return WindowDistribution._raw(p, n, lo, hi, den, {ws: c for ws, c in out.items() if c})
+            return WindowDistribution._raw(p, n, lo, hi, den, out)
 
-        # Invariant when the weighted multiset of atoms of positive weight is shift-stable.
+        # Invariant when the weighted multiset of atoms is shift-stable.
         weights = {}
         shifted_weights = {}
         for num, U in nums:
-            if not num:
-                continue
             key = U.canonical_key()
             weights[key] = weights.get(key, 0) + num
             key = U.shifted(1).canonical_key()
@@ -659,23 +657,32 @@ def majority_symmetric_difference(n_ai):
     return Fraction(comb(n_ai - 1, half), 2**n_ai)
 
 
-def _majority_masks(columns, n_ai, width, ones, masks):
+def _majority_lanes(n_ai, count):
+    """The lane constants of :func:`_majority_masks` for n_ai coins on at
+    most count lanes: the :func:`word_lanes` ones and masks, the bias
+    2^15 - 1 - n_ai//2 in every lane, and the low n_ai % 64 bits of every
+    lane."""
+    ones, masks = word_lanes(count)
+    return ones, masks, ((1 << 15) - 1 - n_ai // 2) * ones, ((1 << n_ai % 64) - 1) * ones
+
+
+def _majority_masks(columns, n_ai, width, lanes):
     """Each trial's majority mask, in its lane: bit c is set when coins
     c..c+n_ai-1 hold more ones than zeros.
 
     ``columns[j]`` holds coin word j of every trial, a 64-bit lane each, and
-    ``ones`` and ``masks`` are :func:`word_lanes` constants.  Cell 0 counts
-    the ones of its whole coin words and of the next word's low bits; cell
-    c then gains coin c - 1 + n_ai and loses coin c - 1, which is in word 0
-    (``KEY_BITS`` keeps the width below 64).  A count is at most n_ai <=
-    ``PRINTABLE_BITS`` < 2^15, so adding 2^15 - 1 - n_ai//2 sets bit 15
+    ``lanes`` are the :func:`_majority_lanes` constants of n_ai.  Cell 0
+    counts the ones of its whole coin words and of the next word's low
+    bits; cell c then gains coin c - 1 + n_ai and loses coin c - 1, which is
+    in word 0 (``KEY_BITS`` keeps the width below 64).  A count is at most
+    n_ai <= ``PRINTABLE_BITS`` < 2^15, so adding the bias sets bit 15
     exactly when it passes half.  A lane of ``ones`` with no trial stays 0.
     """
+    ones, masks, bias, partial = lanes
     whole, rest = divmod(n_ai, 64)
     count = sum(popcount_lanes(column, masks) for column in columns[:whole])
     if rest:
-        count += popcount_lanes(columns[whole] & ((1 << rest) - 1) * ones, masks)
-    bias = ((1 << 15) - 1 - n_ai // 2) * ones
+        count += popcount_lanes(columns[whole] & partial, masks)
     out = (count + bias) >> 15 & ones
     for cell in range(1, width):
         k = cell - 1 + n_ai
@@ -702,20 +709,28 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     where target is the even mixture of the two window marginals.
 
     Trial t reads its own stream, ``SplitMix64(derive_seed(seed, n_ai, t))``.
-    It draws, in this order, the ``sample_index`` of the first window
-    marginal, that of the second, and the ``bits`` of hi - lo + n_ai coins,
-    bit i being the coin of site lo + i.  Trials are counted under the
-    integer (i1 * a2 + i2) * 2^w + majority mask, a2 being the number of
-    atoms of the second marginal and w the window width; each distinct key
-    is built into its window subgroup once, after the loop.
+    It reads, in this order, the words of the ``sample_index`` of the first
+    window marginal, then those of the second (one word each, unless a word
+    is rejected), then hi - lo + n_ai coins on ceil((hi - lo + n_ai)/64)
+    words: coin i, of site lo + i, is bit i % 64 of coin word i // 64.  A
+    marginal of one atom draws index 0 from a word it never rejects.
+    Trials are counted under the integer (i1 * a2 + i2) * 2^w + majority
+    mask, a2 being the number of atoms of the second marginal and w the
+    window width; each distinct key is built into its window subgroup once,
+    after the loop.
 
     The trials run in batches of about ``BATCH_WORDS`` stream words, one
     64-bit lane per trial: coin word j of the batch's trials makes one int,
     and their keys are made on those lanes at once (``_majority_masks``).
-    A trial whose first or second word is rejected is replayed on its own
-    stream, its key made on one lane.  An empty window, or a window of
-    either measure past ``WINDOW_DIM_BUDGET``, is refused before any
-    marginal is read, and keys past ``KEY_BITS`` bits before any trial.
+    A marginal of one atom adds nothing to the keys, so its index words are
+    read past, with no index arithmetic.  A trial whose first or second
+    word is rejected is replayed on its own stream, its key made on one
+    lane.  The lane constants of every batch of a call are built once
+    (``StreamBatches``), and the first mix of a batch's trial labels, which
+    depends on the labels alone, is kept from call to call.  An empty
+    window, or a window of either measure past ``WINDOW_DIM_BUDGET``, is
+    refused before any marginal is read, and keys past ``KEY_BITS`` bits
+    before any trial.
     """
     _check_majority_length(n_ai)
     _check_trials(trials)
@@ -727,35 +742,46 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     _check_same_window(marg1, marg2)
     p, n = marg1.p, marg1.n
     width = hi - lo + 1
-    (den1, thresholds1, atoms1), (den2, thresholds2, atoms2) = marg1._table(), marg2._table()
+    tables = marg1._table(), marg2._table()
+    (_, _, atoms1), (_, _, atoms2) = tables
     size2 = len(atoms2)
     key_bits = (len(atoms1) * size2 << width).bit_length()
     if key_bits > KEY_BITS:
         raise ResourceBudgetError(f"splice keys on {width} cells with bits", key_bits, KEY_BITS)
-    limit1, limit2 = below_limit(den1), below_limit(den2)
+    # (word position, den, thresholds, rejection limit, key scale) of each
+    # marginal of more than one atom
+    draws = [
+        (j, den, thresholds, below_limit(den), scale)
+        for j, ((den, thresholds, _), scale) in enumerate(zip(tables, (size2, 1)))
+        if den > 1
+    ]
     coin_words = -(-(width - 1 + n_ai) // 64)
     row = 2 + coin_words  # words per trial: two indices, then the coins
     batch = max(1, BATCH_WORDS // row)
-    ones, masks = word_lanes(min(batch, trials))
+    batches = StreamBatches(row, min(batch, trials))
+    lanes, one_lane = _majority_lanes(n_ai, min(batch, trials)), _majority_lanes(n_ai, 1)
     prefix = derive_seed(seed, n_ai)
     key_counts = Counter()
     for first in range(0, trials, batch):
-        stream_keys = extend_seeds(prefix, range(first, min(first + batch, trials)))
-        words = stream_words(stream_keys, row)
-        u1s, u2s = words[0::row].tolist(), words[1::row].tolist()
-        i1s = array("Q", map(bisect_right, repeat(thresholds1), map(mod, u1s, repeat(den1))))
-        i2s = array("Q", map(bisect_right, repeat(thresholds2), map(mod, u2s, repeat(den2))))
+        stream_keys = batches.keys(prefix, range(first, min(first + batch, trials)))
+        words = batches.words(stream_keys)
         columns = [words_to_int(words[j::row]) for j in range(2, row)]
-        keys = (words_to_int(i1s) * size2 + words_to_int(i2s)) << width
-        keys = int_to_words(keys | _majority_masks(columns, n_ai, width, ones, masks), len(u1s))
-        if max(u1s) >= limit1 or max(u2s) >= limit2:  # a draw was rejected
-            rejected = map(or_, map(ge, u1s, repeat(limit1)), map(ge, u2s, repeat(limit2)))
+        keys = _majority_masks(columns, n_ai, width, lanes)
+        drawn = []  # (index words, rejection limit) of each marginal in draws
+        for j, den, thresholds, limit, scale in draws:
+            us = words[j::row].tolist()
+            indices = array("Q", map(bisect_right, repeat(thresholds), map(mod, us, repeat(den))))
+            keys += words_to_int(indices) * scale << width
+            drawn.append((us, limit))
+        keys = int_to_words(keys, len(stream_keys))
+        if any(max(us) >= limit for us, limit in drawn):  # a draw was rejected
+            rejected = map(any, zip(*(map(ge, us, repeat(limit)) for us, limit in drawn)))
             for t in compress(range(len(keys)), rejected):
                 stream = SplitMix64(stream_keys[t])
                 i1 = marg1.sample_index(stream)
                 index = i1 * size2 + marg2.sample_index(stream)
                 coins = list(stream.take(coin_words))
-                keys[t] = index << width | _majority_masks(coins, n_ai, width, *word_lanes(1))
+                keys[t] = index << width | _majority_masks(coins, n_ai, width, one_lane)
         key_counts.update(keys)
     full = (1 << width) - 1
 
@@ -791,9 +817,10 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
 def majority_invariance_estimate(n_ai, trials, seed):
     """Empirical measure of (majority set) XOR (shifted majority set).
 
-    Every trial reads on from one stream, ``SplitMix64(seed)``: the ``bits``
-    of n_ai + 1 coins c_0..c_n_ai, whose first and last n_ai bits are the
-    two words.  Their majorities differ exactly when c_0 != c_n_ai and the
+    Every trial reads on from one stream, ``SplitMix64(seed)``: the next
+    ceil((n_ai + 1)/64) words, coin c_i being bit i % 64 of word i // 64.
+    Of the coins c_0..c_n_ai, the first and last n_ai are the two majority
+    words, and the bits past c_n_ai go unused.  Their majorities differ exactly when c_0 != c_n_ai and the
     shared coins c_1..c_(n_ai-1) hold (n_ai - 1)/2 ones.
 
     The trials run in batches, one 64-bit lane per trial as in
@@ -805,11 +832,12 @@ def majority_invariance_estimate(n_ai, trials, seed):
     stream = SplitMix64(seed)
     row = -(-(n_ai + 1) // 64)  # words per trial
     batch = max(1, BATCH_WORDS // row)
-    ones, masks = word_lanes(min(batch, trials))
+    lanes = _majority_lanes(n_ai, min(batch, trials))
+    ones = lanes[0]
     hits = 0
     for first in range(0, trials, batch):
         words = stream.take(min(batch, trials - first) * row)
         columns = [words_to_int(words[j::row]) for j in range(row)]
-        flags = _majority_masks(columns, n_ai, 2, ones, masks)
+        flags = _majority_masks(columns, n_ai, 2, lanes)
         hits += ((flags ^ flags >> 1) & ones).bit_count()
     return Fraction(hits, trials)

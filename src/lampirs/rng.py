@@ -26,14 +26,20 @@ array, so the lanes are the same on every platform.
 A run of count words needs lane constants that depend on count alone: a 1
 in every lane, the steps gamma*(j+1) in lane j (as an int and as
 little-endian bytes) and the lane mask.  ``_run_lanes`` builds them once
-per run length and keeps the last 32 lengths; it holds only ints and
-bytes, never host-order arrays.  A refill from one key has the states
-(key*ones + steps) & mask; a batch of many keys (``stream_words``) copies
-each key into its count lanes, one strided slice per word position, and
-adds the step bytes repeated once per key.  Refills and batch rows
-repeat a few lengths.  ``extend_seeds`` folds a batch of trial labels
-whose count follows the trial count, so it builds its own ones and mask
-and keeps nothing.
+per run length and keeps the last 32 lengths.  A refill from one key has
+the states (key*ones + steps) & mask.  A batch of many keys places each
+key in its count lanes, one strided slice per word position, and adds the
+steps repeated once per key; a fold of trial labels XORs the key into
+every lane.  ``StreamBatches`` builds the ones, repeated steps and mask of
+its largest batch once, and every batch of a run of batches, the last and
+smaller one too, reads them; ``extend_seeds`` and ``stream_words`` are
+one-batch runs.  The first mix of a fold, mix(label), depends on the
+labels alone, so ``_mixed_labels`` keeps it, as one lane int, for the
+last ``_MIXED_RANGES`` ranges of at most ``_MIXED_RANGE_LABELS`` labels:
+at most 32 ints of 2,048 lanes, about 1.1 MB.  A batch of trials whose
+labels were folded before, under any key, folds them with one mix
+instead of two.  The caches hold only ints and bytes, never host-order
+arrays.
 
 Drawn words are counted on 64-bit lanes: ``words_to_int`` packs an
 ``array('Q')`` into one int, word i at bit 64*i, and ``int_to_words``
@@ -43,8 +49,8 @@ the caller keeps them.
 
 ``SplitMix64`` computes its next words into a buffer whose size doubles on
 each refill, from 1 word up to ``BUFFER_CAP``, so a stream that reads k
-words computes fewer than 2k.  ``extend_seeds`` and ``stream_words`` give
-the keys and the first words of many substreams in one batch.  The stream
+words computes fewer than 2k.  ``StreamBatches`` gives the keys and the
+first words of many substreams in one batch.  The stream
 is unchanged: every word, and every draw made from the words, is the one
 that mixing one word at a time gives.
 """
@@ -59,6 +65,8 @@ MASK64 = (1 << 64) - 1
 _SPAN = MASK64 + 1
 _GAMMA = 0x9E3779B97F4A7C15
 BUFFER_CAP = 1024  # words computed per SplitMix64 refill, at most
+_MIXED_RANGES = 32  # label ranges whose first mix _mixed_labels keeps
+_MIXED_RANGE_LABELS = 2048  # labels of the longest range it keeps
 _LANE_MASK = b"\xff" * 8 + b"\x00" * 8  # one lane, little-endian: the low 64 bits
 _ONE_LANE = b"\x01" + b"\x00" * 15  # one lane, little-endian: 1
 # popcount_lanes' masks, per 64-bit lane: every other bit, pair and nibble, then the count
@@ -106,6 +114,12 @@ def _run_lanes(count):
     steps = _GAMMA * _to_lanes(array("Q", range(1, count + 1)))
     ones = int.from_bytes(_ONE_LANE * count, "little")
     return ones, steps, steps.to_bytes(16 * count, "little"), _lane_mask(count)
+
+
+@lru_cache(maxsize=_MIXED_RANGES)
+def _mixed_labels(labels):
+    """mix(label) in lane i for label i of the range ``labels``, each in [0, 2^64)."""
+    return _mix_lanes(_to_lanes(array("Q", labels)), _lane_mask(len(labels)))
 
 
 def _mix_lanes(z, mask):
@@ -186,12 +200,8 @@ def extend_seeds(key, labels):
     Returns an ``array('Q')``; the two mixes of the fold each run once over
     all labels, in lanes.
     """
-    labels = array("Q", labels)
-    count = len(labels)
-    ones = int.from_bytes(_ONE_LANE * count, "little")
-    mask = _lane_mask(count)
-    folded = _mix_lanes(_to_lanes(labels), mask) ^ ((key ^ _GAMMA) & MASK64) * ones
-    return _from_lanes(_mix_lanes(folded, mask), count)
+    labels = labels if isinstance(labels, range) else array("Q", labels)
+    return StreamBatches(0, len(labels)).keys(key, labels)
 
 
 def stream_words(keys, count):
@@ -200,14 +210,57 @@ def stream_words(keys, count):
     keys is an ``array('Q')``.  Returns an ``array('Q')`` that holds the
     words of the first key, then those of the second, and so on.
     """
-    total = len(keys) * count
-    starts = array("Q", bytes(8 * total))
-    for j in range(count):
-        starts[j::count] = keys
-    steps = int.from_bytes(_run_lanes(count)[2] * len(keys), "little")
-    mask = _lane_mask(total)
-    states = (_to_lanes(starts) + steps) & mask
-    return _from_lanes(_mix_lanes(states, mask), total)
+    return StreamBatches(count, len(keys)).words(keys)
+
+
+class StreamBatches:
+    """Batches of at most nkeys substreams, read count words from each.
+
+    The lane constants of the largest batch are built once: ones in nkeys
+    lanes, the steps of count words repeated nkeys times, and the lane mask
+    of count*nkeys lanes (nkeys lanes when count is 0).  Every key's lanes
+    hold the same constants, so a batch of n keys takes the top n lanes of
+    ones and the top n*count lanes of the steps, and the whole mask: ``&``
+    keeps the lanes of the shorter operand.
+    """
+
+    __slots__ = ("count", "_nkeys", "_ones", "_steps", "_mask")
+
+    def __init__(self, count, nkeys):
+        self.count = count
+        self._nkeys = nkeys
+        self._ones = int.from_bytes(_ONE_LANE * nkeys, "little")
+        # a fold alone, with no words to read, needs no steps
+        self._steps = int.from_bytes(_run_lanes(count)[2] * nkeys, "little") if count else 0
+        self._mask = _lane_mask(max(count, 1) * nkeys)
+
+    def keys(self, key, labels):
+        """``extend_seed(key, label)`` for each of at most nkeys labels in
+        [0, 2^64), as an ``array('Q')``.
+
+        labels is a ``range`` or an ``array('Q')``.  The first mix of the
+        fold, on the labels alone, is kept for a range of at most
+        ``_MIXED_RANGE_LABELS`` labels.
+        """
+        if isinstance(labels, range) and len(labels) <= _MIXED_RANGE_LABELS:
+            mixed = _mixed_labels(labels)
+        else:
+            mixed = _mix_lanes(_to_lanes(array("Q", labels)), self._mask)
+        count = len(labels)
+        ones = self._ones >> 128 * (self._nkeys - count)
+        return _from_lanes(_mix_lanes(mixed ^ ((key ^ _GAMMA) & MASK64) * ones, self._mask), count)
+
+    def words(self, keys):
+        """The first count words of ``SplitMix64(key)`` for each of at most
+        nkeys keys (an ``array('Q')``): those of the first key, then those of
+        the second, and so on, as an ``array('Q')``."""
+        total = len(keys) * self.count
+        lanes = array("Q", bytes(16 * total))
+        for j in range(self.count):
+            lanes[2 * j :: 2 * self.count] = keys
+        steps = self._steps >> 128 * (self._nkeys * self.count - total)
+        states = (int.from_bytes(_little_endian(lanes), "little") + steps) & self._mask
+        return _from_lanes(_mix_lanes(states, self._mask), total)
 
 
 class SplitMix64:
@@ -253,7 +306,3 @@ class SplitMix64:
             u = self.u64()
             if u < limit:
                 return u % n
-
-    def bits(self, k):
-        """k fair bits packed into an int (bit i of the result = i-th draw)."""
-        return words_to_int(self.take(-(-k // 64))) & ((1 << k) - 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lampirs.irs
 from lampirs.algebra import LaurentPoly, Poly
 from lampirs.errors import ContextError, DomainError, ResourceBudgetError
 from lampirs.formats import canonical_json, distribution_to_json, measure_from_json, parse_vector
@@ -302,6 +303,33 @@ class TestBlockAverage:
         mu = measure_from_json(data)
         assert [w for w, _ in mu.atoms] == [HALF, 0, HALF]
         assert mu.marginal(0, 2) == even_mixture().marginal(0, 2)
+
+    def test_weight_zero_atoms_build_no_window(self, monkeypatch):
+        calls = []
+
+        def counted(U, lo, hi):
+            calls.append(U)
+            return window_of_submodule(U, lo, hi)
+
+        monkeypatch.setattr(lampirs.irs, "window_of_submodule", counted)
+        zero, full = Submodule.zero(1, P2), Submodule.full(1, P2)
+        mu = SubgroupMeasure.mixture([(HALF, full), (0, line_submodule()), (HALF, zero)])
+        law = mu.marginal(0, 3)
+        assert calls == [full, zero]
+        # the weight-0 atom's window comes first, and a later atom shares it:
+        # only the order of the atoms view differs from the mixture without it
+        shared = SubgroupMeasure.mixture([(0, zero), (HALF, full), (HALF, zero)]).marginal(0, 3)
+        assert list(shared.atoms) == [window_of_submodule(full, 0, 3), WindowSubgroup.zero(P2, 1, 0, 3)]
+        expected = even_mixture().marginal(0, 3)
+        for dist in (law, shared):
+            assert dist._table() == expected._table()
+            assert canonical_json(distribution_to_json(dist)) == canonical_json(
+                distribution_to_json(expected)
+            )
+            draws, expected_draws = SplitMix64(5), SplitMix64(5)
+            assert [dist.sample_index(draws) for _ in range(50)] == [
+                expected.sample_index(expected_draws) for _ in range(50)
+            ]
 
     def test_invariant_tag_matches_marginal_shift(self):
         mu = even_mixture()

@@ -3,15 +3,16 @@
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
 ``SplitMix64`` computes its words ahead into a doubling buffer.  The lane
 constants of a run of count words (ones, the gamma*(j+1) steps and the lane
-mask) are built once per run length and kept in a bounded cache; a golden
-digest, recorded before that cache existed, pins the words of every batched
-path, and the streams are checked again after the cache has evicted and
-refilled, and on byteswapped words against a warm cache.
-``splice_measures`` derives a batch of trial keys and their words at once,
-counts each trial's majority mask with lane popcounts, one 64-bit lane per
-trial, and replays a trial on its own stream when an index draw is
-rejected; ``majority_invariance_estimate`` counts its hits on the same
-lanes.  The references are the test-local ``RefStream`` and per-trial loops
+mask), of a batch shape and of a fold count, and the first mix of a range
+of trial labels, are built once and kept in bounded caches; a golden
+digest, recorded before any cache existed, pins the words of every batched
+path, and the streams are checked again after the caches have evicted and
+refilled, on warm shapes and ranges, and on byteswapped words against warm
+caches.  ``splice_measures`` derives a batch of trial keys and their words
+at once, counts each trial's majority mask with lane popcounts, one 64-bit
+lane per trial, draws no index for a marginal of one atom, and replays a
+trial on its own stream when an index draw is rejected;
+``majority_invariance_estimate`` counts its hits on the same lanes.  The references are the test-local ``RefStream`` and per-trial loops
 of ``test_montecarlo_crosscheck``, which mix one word at a time, and for
 the popcount and the mask kernel ``int.bit_count`` per lane and per trial.
 The trial counts cross batch and buffer edges, a measure with probability
@@ -23,6 +24,7 @@ read-back runs on byteswapped words.
 
 import hashlib
 import struct
+import sys
 from array import array
 from fractions import Fraction
 
@@ -33,20 +35,26 @@ from lampirs.irs import (
     BATCH_WORDS,
     SubgroupMeasure,
     _block_pieces,
+    _majority_lanes,
     _majority_masks,
     majority_invariance_estimate,
     sampler_law_report,
     splice_measures,
 )
 from lampirs.rng import (
+    _MIXED_RANGE_LABELS,
+    _MIXED_RANGES,
     BUFFER_CAP,
     SplitMix64,
+    StreamBatches,
     _from_lanes,
     _lane_mask,
     _mix_lanes,
+    _mixed_labels,
     _run_lanes,
     _to_lanes,
     derive_seed,
+    extend_seed,
     extend_seeds,
     int_to_words,
     popcount_lanes,
@@ -87,7 +95,7 @@ def golden_words():
             yield SplitMix64(seed).take(n)
             rng = SplitMix64(seed)
             yield [rng.u64() for _ in range(n)]
-            bits = SplitMix64(seed).bits(64 * n - 1)
+            bits = RefStream(seed).bits(64 * n - 1)
             yield struct.unpack("<%dQ" % n, bits.to_bytes(8 * n, "little"))
         for count, nkeys in GOLDEN_SHAPES:
             yield stream_words(extend_seeds(seed, range(nkeys)), count)
@@ -162,21 +170,42 @@ class TestGoldenWords:
         assert golden_digest() == GOLDEN_WORDS_SHA256
 
 
+def clear_lane_caches():
+    _run_lanes.cache_clear()
+    _mixed_labels.cache_clear()
+
+
+def ref_stream_words(keys, count):
+    words = []
+    for key in keys:
+        ref = RefStream(key)
+        words.extend(ref.u64() for _ in range(count))
+    return words
+
+
 class TestRunLaneCache:
     def test_bounded_and_keyed_by_run_length(self):
-        _run_lanes.cache_clear()
+        # which label ranges are kept decides what a fold reads
+        clear_lane_caches()
         maxsize = _run_lanes.cache_info().maxsize
         # a refill and a batch of many keys of the same length share one
-        # entry; a fold keeps nothing
+        # entry; a fold reads none, and keeps its range's label mixes
         SplitMix64(5).u64()
         stream_words(array("Q", [1, 2, 3]), 1)
         stream_words(array("Q", [4]), 1)
         extend_seeds(5, range(40))
         info = _run_lanes.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        info = _mixed_labels.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+        extend_seeds(6, range(40))
+        assert _mixed_labels.cache_info().hits == 1
         for count in range(2, 2 * maxsize + 2):
             stream_words(array("Q", [count]), count)
-        assert _run_lanes.cache_info().currsize <= maxsize
+            extend_seeds(count, range(count, 3 * count))
+        for cache in (_run_lanes, _mixed_labels):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
         for count in (1, 5, 40, BUFFER_CAP):
             ones, steps, step_bytes, mask = _run_lanes(count)
             assert all(type(v) is int for v in (ones, steps, mask))
@@ -186,6 +215,51 @@ class TestRunLaneCache:
                 lane = slice(16 * j, 16 * (j + 1))
                 assert int.from_bytes(step_bytes[lane], "little") == GAMMA * (j + 1)
             assert ones * MASK == mask
+            mixed = _mixed_labels(range(7, 7 + count))
+            assert type(mixed) is int
+            assert [(mixed >> 128 * i) & MASK for i in range(count)] == [
+                ref_mix(label) for label in range(7, 7 + count)
+            ]
+
+    def test_label_mixes_bounded_in_bytes(self):
+        # the cache keeps ranges of up to _MIXED_RANGE_LABELS labels, and
+        # at most _MIXED_RANGES of them fill about 1.1 MB
+        clear_lane_caches()
+        longest = _mixed_labels(range(_MIXED_RANGE_LABELS))
+        assert _MIXED_RANGES * sys.getsizeof(longest) < 1.5e6
+        misses = _mixed_labels.cache_info().misses
+        keys = extend_seeds(3, range(5, 6 + _MIXED_RANGE_LABELS))
+        assert _mixed_labels.cache_info().misses == misses
+        assert list(keys[:3]) == [extend_seed(3, label) for label in range(5, 8)]
+        assert keys[-1] == extend_seed(3, 5 + _MIXED_RANGE_LABELS)
+
+    def test_folds_on_warm_ranges_match_scalar_folds(self):
+        # ranges from 0 and not, the same range again under other keys, and
+        # ranges that overlap: every fold is the scalar one
+        clear_lane_caches()
+        ranges = [range(0, 50), range(50, 90), range(0, 50), range(25, 75), range(3, 4), range(49, 51)]
+        for key in (0, 7, MASK, GAMMA):
+            for labels in ranges:
+                assert list(extend_seeds(key, labels)) == [extend_seed(key, t) for t in labels]
+        info = _mixed_labels.cache_info()
+        assert (info.misses, info.hits) == (5, 4 * len(ranges) - 5)
+        # ranges past the cache's size, and their eviction, change no fold
+        for first in range(0, 40 * _MIXED_RANGES, 40):
+            extend_seeds(1, range(first, first + 40))
+        assert _mixed_labels.cache_info().currsize == _MIXED_RANGES
+        for labels in ranges:
+            assert list(extend_seeds(GAMMA, labels)) == [extend_seed(GAMMA, t) for t in labels]
+
+    @pytest.mark.parametrize("count, nkeys", [(1, 1), (3, 5), (6, 9), (70, 2)])
+    def test_smaller_batches_on_one_set_of_constants(self, count, nkeys):
+        # the constants of nkeys keys serve every batch of fewer keys
+        batches = StreamBatches(count, nkeys)
+        for first, n in [(0, nkeys), (nkeys, nkeys), (3, nkeys - 1), (9, 1), (2, 0)]:
+            labels = range(first, first + n)
+            keys = batches.keys(GAMMA, labels)
+            assert list(keys) == [extend_seed(GAMMA, t) for t in labels]
+            assert list(batches.words(keys)) == ref_stream_words(keys, count)
+            assert batches.keys(GAMMA, array("Q", labels)) == keys
 
     def test_big_endian_words_on_warm_cache(self, monkeypatch):
         keys = array("Q", [5, MASK, GAMMA])
@@ -193,7 +267,7 @@ class TestRunLaneCache:
         native = [stream_words(keys, n) for n in lengths]
         folds = [extend_seeds(9, range(n)) for n in lengths]
         taken = SplitMix64(9).take(3 * BUFFER_CAP)
-        misses = _run_lanes.cache_info().misses
+        misses = [cache.cache_info().misses for cache in (_run_lanes, _mixed_labels)]
 
         def swapped(words):
             words = array("Q", words)
@@ -205,9 +279,11 @@ class TestRunLaneCache:
         for n, words, folded in zip(lengths, native, folds):
             assert stream_words(swapped(keys), n) == swapped(words)
             assert extend_seeds(9, swapped(range(n))) == swapped(folded)
+            # the kept label mixes are ints, so they serve either byte order
+            assert extend_seeds(9, range(n)) == swapped(folded)
         assert SplitMix64(9).take(3 * BUFFER_CAP) == swapped(taken)
-        # every run length was served from the cache
-        assert _run_lanes.cache_info().misses == misses
+        # every run length and label range was served from the caches
+        assert [cache.cache_info().misses for cache in (_run_lanes, _mixed_labels)] == misses
 
 
 class TestLaneReadBack:
@@ -301,12 +377,11 @@ class TestMajorityMaskKernel:
             # lanes past it at 0
             columns = [words_to_int(array("Q", column)) for column in zip(*trials)]
             for count in (len(trials), len(trials) + 3):
-                ones, masks = word_lanes(count)
-                got = _majority_masks(columns, n_ai, width, ones, masks)
+                got = _majority_masks(columns, n_ai, width, _majority_lanes(n_ai, count))
                 assert lanes_of(got, count) == expected + [0] * (count - len(trials))
             # the replay path: one trial on one lane
             for trial, mask in zip(trials, expected):
-                assert _majority_masks(trial, n_ai, width, *word_lanes(1)) == mask
+                assert _majority_masks(trial, n_ai, width, _majority_lanes(n_ai, 1)) == mask
 
 
 class TestBufferedStream:
@@ -326,7 +401,7 @@ class TestBufferedStream:
                 read += 1
             elif kind == 2:
                 k = (step * 37) % 300
-                assert rng.bits(k) == ref.bits(k)
+                assert words_to_int(rng.take(-(-k // 64))) & ((1 << k) - 1) == ref.bits(k)
                 read += -(-k // 64)
             else:
                 count = step % 90
@@ -410,3 +485,24 @@ class TestRejectionHeavy:
     def test_sampler_rejection_loop(self, trials):
         # about 5 words a trial: 1,000 trials read past the first BATCH_WORDS
         sampler_agrees(rare_full_mixture(), 2, 0, 2, trials, 17)
+
+
+class TestOneAtomMarginal:
+    # a marginal of one atom draws no index from its word; the word is read
+    # past all the same, on the first side, the second or both
+    @pytest.mark.parametrize("first, second", [("line", "mix3"), ("mix3", "full"), ("full", "line")])
+    @pytest.mark.parametrize("n_ai", [11, 201])
+    def test_splice_matches_reference(self, first, second, n_ai):
+        mu1, mu2 = measures()[first], measures()[second]
+        dens = [mu.marginal(0, 1)._table()[0] for mu in (mu1, mu2)]
+        assert 1 in dens
+        splice_agrees(mu1, mu2, n_ai, 0, 1, 1500, n_ai + len(first))
+
+    def test_replay_after_rejection_on_the_other_side(self):
+        # about half of the trials reject their first draw and are replayed,
+        # reading the one-atom marginal's word after the rejected ones
+        ref = RefStream(37)
+        limit = 2**64 - 2**64 % (2**63 + 1)
+        assert 100 < sum(ref.fork(11, t).u64() >= limit for t in range(400)) < 300
+        assert measures()["line"].marginal(-1, 1)._table()[0] == 1
+        splice_agrees(rare_full_mixture(), measures()["line"], 11, -1, 1, 400, 37)

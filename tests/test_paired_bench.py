@@ -1,12 +1,14 @@
 """The summary step of ``tools/paired_bench.py`` on a synthetic run list.
 
-No checkout is made and no process is started: only the functions that
-turn runs into the ``summary`` and ``claim`` of a BENCH_*.json, and the one
-that extracts an archive, are called.
+No checkout is made and no process is started: the functions that turn
+runs into the ``summary``, ``claim`` and ``traced`` parts of a
+BENCH_*.json and the one that extracts an archive are called, and ``main``
+runs on stand-ins for the checkouts and the runs.
 """
 
 import importlib.util
 import io
+import json
 import pathlib
 import subprocess
 import tarfile
@@ -134,3 +136,50 @@ def test_extract_runs_on_this_python(paired_bench, tmp_path):
         archive.addfile(member, io.BytesIO(body))
     paired_bench._extract(buffer.getvalue(), tmp_path)
     assert (tmp_path / "bench" / "run.py").read_bytes() == body
+
+
+def test_claim_adds_one_traced_pair_on_its_workload(paired_bench, monkeypatch, tmp_path):
+    # The checkouts and the bench/run.py processes are stand-ins: each run
+    # is recorded, and a traced run reads busier on the parent.
+    spec = {"run_seconds": 3, "workloads": [{"name": "a"}, {"name": "b"}],
+            "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    calls = []
+
+    def checkout(repo, rev, dest):
+        pathlib.Path(dest).mkdir()
+        (pathlib.Path(dest) / "BENCHMARK.json").write_text(json.dumps(spec))
+        return rev * 40
+
+    def bench_run(checkout, workload, seed, seconds, trace=0):
+        side = pathlib.Path(checkout).name
+        calls.append((workload, seed, side, seconds, trace))
+        if trace:
+            busy = 0.4 if side == "parent" else 0.3
+            metrics = {"irs.splice_measures.busy_s": {"value": busy, "unit": "s"},
+                       "irs.splice_measures.calls": {"value": 9, "unit": "count"}}
+        else:
+            metrics = {"wall_s": {"value": 1.0 if side == "parent" else 0.8, "unit": "s"}}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}, [1.0]
+
+    monkeypatch.setattr(paired_bench, "_checkout", checkout)
+    monkeypatch.setattr(paired_bench, "_run", bench_run)
+    out = tmp_path / "BENCH_test.json"
+    argv = ["--parent", "p", "--change", "c", "--seed", "100", "--out", str(out), "--what", "w"]
+    paired_bench.main(argv + ["--claim", "b:wall_s"])
+    record = json.loads(out.read_text())
+    # ten untraced pairs per workload, then one traced pair on b's first seed
+    assert len(calls) == 2 * 2 * paired_bench.PAIRS + 2
+    assert calls[-2:] == [("b", 110, "parent", 3, 1), ("b", 110, "change", 3, 1)]
+    assert all(trace == 0 for *_, trace in calls[:-2])
+    assert record["traced"] == {
+        "workload": "b", "seed": 110,
+        "busy_s": {"parent": {"irs.splice_measures.busy_s": 0.4},
+                   "change": {"irs.splice_measures.busy_s": 0.3}},
+    }
+    assert record["claim"] == {"workload": "b", "metric": "wall_s", "met": True}
+    # without a claim no traced run is made
+    calls.clear()
+    paired_bench.main(argv + ["--workload", "a"])
+    assert len(calls) == 2 * paired_bench.PAIRS and json.loads(out.read_text())["traced"] is None
+    with pytest.raises(SystemExit):
+        paired_bench.main(argv + ["--workload", "a", "--claim", "b:wall_s"])

@@ -15,19 +15,6 @@ class TestKnownAnswers:
             0x06C45D188009454F,
         ]
 
-    def test_bits_pack_whole_words_low_first(self):
-        for k in (0, 1, 63, 64, 65, 128, 203):
-            words = SplitMix64(17)
-            expected, filled = 0, 0
-            while filled < k:
-                take = min(64, k - filled)
-                expected |= (words.u64() & ((1 << take) - 1)) << filled
-                filled += take
-            rng = SplitMix64(17)
-            assert rng.bits(k) == expected
-            # the next draw follows the words consumed, and only those
-            assert rng.u64() == words.u64()
-
 
 class TestBelow:
     def test_bound_two_to_the_64_takes_the_word(self):

@@ -16,8 +16,14 @@ Workload i takes the seeds ``seed + 10*i`` to ``seed + 10*i + 9``.  The
 run length is ``run_seconds`` of the change's ``BENCHMARK.json``, and so
 are the end-to-end metrics and their bounds.
 
+With ``--claim``, one more pair runs on the claimed workload, parent
+first, with ``--trace 1`` and the workload's first seed; each side's
+per-layer ``*.busy_s`` metrics go under ``traced``, so a claim can cite
+where the time went.
+
 The output holds ``what``, ``commits``, ``command``, ``host``, ``notes``
-(the seeds and run order, then each ``--note``), ``claim``, a ``summary``
+(the seeds and run order, then each ``--note``), ``claim``, ``traced``
+(null without a claim), a ``summary``
 per workload (each metric's median and quartiles per side, the pairs the
 change read lower in, the ratio of the medians and whether the change is
 within the metric's bound; and each side's median of the measured pass
@@ -73,15 +79,15 @@ def _pass_walls(stdout):
     return [float(wall) for wall in line[len(PASS_WALLS):].split()]
 
 
-def _run(checkout, workload, seed, seconds):
-    """One ``bench/run.py --trace 0`` process; its last line, parsed, and
-    its measured pass walls."""
+def _run(checkout, workload, seed, seconds, trace=0):
+    """One ``bench/run.py`` process; its last line, parsed, and its
+    measured pass walls."""
     caches = list(pathlib.Path(checkout).rglob("__pycache__"))
     if caches:
         raise RuntimeError(f"bytecode cache in a clean checkout: {caches[0]}")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
@@ -146,6 +152,11 @@ def summarize(runs, bounds):
     return out
 
 
+def busy_seconds(last_line):
+    """The per-layer ``*.busy_s`` metrics of a ``--trace 1`` run's last line."""
+    return {name: m["value"] for name, m in last_line["metrics"].items() if name.endswith(".busy_s")}
+
+
 def claim_result(summary, workload, metric):
     """A claimed gain on one metric, judged on the summary: met when there
     are at least ``PAIRS`` pairs, the change read lower in at least nine
@@ -186,6 +197,9 @@ def main(argv=None):
             raise SystemExit("only metrics where lower is better are summarized")
         bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        claimed = args.claim and args.claim.split(":")
+        if claimed and claimed[0] not in workloads:
+            parser.error(f"--claim names {claimed[0]}, which is not among the workloads run")
         runs = []
         for i, workload in enumerate(workloads):
             for k in range(PAIRS):
@@ -198,11 +212,15 @@ def main(argv=None):
                                  "pass_walls_s": walls})
                     print(f"{workload} seed {seed} {side}: wall_s "
                           f"{last['metrics']['wall_s']['value']:.5f}", file=sys.stderr)
+        traced = None
+        if claimed:
+            seed = args.seed + workloads.index(claimed[0]) * PAIRS
+            traced = {"workload": claimed[0], "seed": seed, "busy_s": {}}
+            for side in ("parent", "change"):
+                last, _ = _run(checkouts[side], claimed[0], seed, seconds, trace=1)
+                traced["busy_s"][side] = busy_seconds(last)
     summary = summarize(runs, bounds)
-    claim = None
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        claim = claim_result(summary, workload, metric)
+    claim = claim_result(summary, *claimed) if claimed else None
     notes = [
         ", ".join(f"{w} ran on seeds {s['seeds'][0]}-{s['seeds'][-1]}" for w, s in summary.items()) + ".",
         "Within each workload the side that ran first alternated from pair to pair; "
@@ -217,6 +235,7 @@ def main(argv=None):
                 "pairs alternate which side runs first",
         "notes": notes + args.note,
         "claim": claim,
+        "traced": traced,
         "summary": summary,
         "runs": runs,
     }
