@@ -198,7 +198,8 @@ def extend_seeds(key, labels):
     """``extend_seed(key, label)`` for each label in [0, 2^64), in one batch.
 
     Returns an ``array('Q')``; the two mixes of the fold each run once over
-    all labels, in lanes.
+    all labels, in lanes, and the first is kept for a range of labels
+    (``StreamBatches.keys``).
     """
     labels = labels if isinstance(labels, range) else array("Q", labels)
     return StreamBatches(0, len(labels)).keys(key, labels)

@@ -3,18 +3,20 @@
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
 ``SplitMix64`` computes its words ahead into a doubling buffer.  The lane
 constants of a run of count words (ones, the gamma*(j+1) steps and the lane
-mask), of a batch shape and of a fold count, and the first mix of a range
-of trial labels, are built once and kept in bounded caches; a golden
-digest, recorded before any cache existed, pins the words of every batched
-path, and the streams are checked again after the caches have evicted and
-refilled, on warm shapes and ranges, and on byteswapped words against warm
-caches.  ``splice_measures`` derives a batch of trial keys and their words
-at once, counts each trial's majority mask with lane popcounts, one 64-bit
-lane per trial, draws no index for a marginal of one atom, and replays a
-trial on its own stream when an index draw is rejected;
-``majority_invariance_estimate`` counts its hits on the same lanes.  The references are the test-local ``RefStream`` and per-trial loops
-of ``test_montecarlo_crosscheck``, which mix one word at a time, and for
-the popcount and the mask kernel ``int.bit_count`` per lane and per trial.
+mask), and the first mix of a range of trial labels, are kept in bounded
+caches, and ``StreamBatches`` builds the constants of a run of batches
+once; a golden digest, recorded before any of these existed, pins the
+words of every batched path, and the streams are checked again after the
+caches have evicted and refilled, on warm label ranges, on smaller batches
+of one set of constants, and on byteswapped words against warm caches.
+``splice_measures`` derives a batch of trial keys and their words at once,
+counts each trial's majority mask with lane popcounts, one 64-bit lane per
+trial, draws no index for a marginal of one atom, and replays a trial on
+its own stream when an index draw is rejected;
+``majority_invariance_estimate`` counts its hits on the same lanes.  The
+references are the test-local ``RefStream`` and per-trial loops of
+``test_montecarlo_crosscheck``, which mix one word at a time, and for the
+popcount and the mask kernel ``int.bit_count`` per lane and per trial.
 The trial counts cross batch and buffer edges, a measure with probability
 denominator 2^63 + 1 rejects about half of all index draws, and the
 sampler's integer trial keys are checked on phases with different block
