@@ -726,8 +726,7 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     read past, with no index arithmetic.  A trial whose first or second
     word is rejected is replayed on its own stream, its key made on one
     lane.  The lane constants of every batch of a call are built once
-    (``StreamBatches``), and the first mix of a batch's trial labels, which
-    depends on the labels alone, is kept from call to call.  An empty
+    (``StreamBatches``), and nothing is kept from call to call.  An empty
     window, or a window of either measure past ``WINDOW_DIM_BUDGET``, is
     refused before any marginal is read, and keys past ``KEY_BITS`` bits
     before any trial.

@@ -29,17 +29,12 @@ little-endian bytes) and the lane mask.  ``_run_lanes`` builds them once
 per run length and keeps the last 32 lengths.  A refill from one key has
 the states (key*ones + steps) & mask.  A batch of many keys places each
 key in its count lanes, one strided slice per word position, and adds the
-steps repeated once per key; a fold of trial labels XORs the key into
-every lane.  ``StreamBatches`` builds the ones, repeated steps and mask of
-its largest batch once, and every batch of a run of batches, the last and
-smaller one too, reads them; ``extend_seeds`` and ``stream_words`` are
-one-batch runs.  The first mix of a fold, mix(label), depends on the
-labels alone, so ``_mixed_labels`` keeps it, as one lane int, for the
-last ``_MIXED_RANGES`` ranges of at most ``_MIXED_RANGE_LABELS`` labels:
-at most 32 ints of 2,048 lanes, about 1.1 MB.  A batch of trials whose
-labels were folded before, under any key, folds them with one mix
-instead of two.  The caches hold only ints and bytes, never host-order
-arrays.
+steps repeated once per key; a fold of trial labels mixes the labels on
+their lanes, XORs the key into every lane and mixes again.
+``StreamBatches`` builds the ones, repeated steps and mask of its largest
+batch once, and every batch of a run of batches, the last and smaller one
+too, reads them; it keeps nothing from one run to the next.  The
+``_run_lanes`` cache holds only ints and bytes, never host-order arrays.
 
 Drawn words are counted on 64-bit lanes: ``words_to_int`` packs an
 ``array('Q')`` into one int, word i at bit 64*i, and ``int_to_words``
@@ -65,8 +60,6 @@ MASK64 = (1 << 64) - 1
 _SPAN = MASK64 + 1
 _GAMMA = 0x9E3779B97F4A7C15
 BUFFER_CAP = 1024  # words computed per SplitMix64 refill, at most
-_MIXED_RANGES = 32  # label ranges whose first mix _mixed_labels keeps
-_MIXED_RANGE_LABELS = 2048  # labels of the longest range it keeps
 _LANE_MASK = b"\xff" * 8 + b"\x00" * 8  # one lane, little-endian: the low 64 bits
 _ONE_LANE = b"\x01" + b"\x00" * 15  # one lane, little-endian: 1
 # popcount_lanes' masks, per 64-bit lane: every other bit, pair and nibble, then the count
@@ -114,12 +107,6 @@ def _run_lanes(count):
     steps = _GAMMA * _to_lanes(array("Q", range(1, count + 1)))
     ones = int.from_bytes(_ONE_LANE * count, "little")
     return ones, steps, steps.to_bytes(16 * count, "little"), _lane_mask(count)
-
-
-@lru_cache(maxsize=_MIXED_RANGES)
-def _mixed_labels(labels):
-    """mix(label) in lane i for label i of the range ``labels``, each in [0, 2^64)."""
-    return _mix_lanes(_to_lanes(array("Q", labels)), _lane_mask(len(labels)))
 
 
 def _mix_lanes(z, mask):
@@ -194,35 +181,15 @@ def extend_seed(key, *labels):
     return key
 
 
-def extend_seeds(key, labels):
-    """``extend_seed(key, label)`` for each label in [0, 2^64), in one batch.
-
-    Returns an ``array('Q')``; the two mixes of the fold each run once over
-    all labels, in lanes, and the first is kept for a range of labels
-    (``StreamBatches.keys``).
-    """
-    labels = labels if isinstance(labels, range) else array("Q", labels)
-    return StreamBatches(0, len(labels)).keys(key, labels)
-
-
-def stream_words(keys, count):
-    """The first count words of ``SplitMix64(key)`` for each key, in one batch.
-
-    keys is an ``array('Q')``.  Returns an ``array('Q')`` that holds the
-    words of the first key, then those of the second, and so on.
-    """
-    return StreamBatches(count, len(keys)).words(keys)
-
-
 class StreamBatches:
-    """Batches of at most nkeys substreams, read count words from each.
+    """Batches of at most nkeys substreams, read count >= 1 words from each.
 
     The lane constants of the largest batch are built once: ones in nkeys
     lanes, the steps of count words repeated nkeys times, and the lane mask
-    of count*nkeys lanes (nkeys lanes when count is 0).  Every key's lanes
-    hold the same constants, so a batch of n keys takes the top n lanes of
-    ones and the top n*count lanes of the steps, and the whole mask: ``&``
-    keeps the lanes of the shorter operand.
+    of count*nkeys lanes, which also serves a fold of at most nkeys labels.
+    Every key's lanes hold the same constants, so a batch of n keys takes
+    the top n lanes of ones and the top n*count lanes of the steps, and the
+    whole mask: ``&`` keeps the lanes of the shorter operand.
     """
 
     __slots__ = ("count", "_nkeys", "_ones", "_steps", "_mask")
@@ -231,22 +198,16 @@ class StreamBatches:
         self.count = count
         self._nkeys = nkeys
         self._ones = int.from_bytes(_ONE_LANE * nkeys, "little")
-        # a fold alone, with no words to read, needs no steps
-        self._steps = int.from_bytes(_run_lanes(count)[2] * nkeys, "little") if count else 0
-        self._mask = _lane_mask(max(count, 1) * nkeys)
+        self._steps = int.from_bytes(_run_lanes(count)[2] * nkeys, "little")
+        self._mask = _lane_mask(count * nkeys)
 
     def keys(self, key, labels):
         """``extend_seed(key, label)`` for each of at most nkeys labels in
         [0, 2^64), as an ``array('Q')``.
 
-        labels is a ``range`` or an ``array('Q')``.  The first mix of the
-        fold, on the labels alone, is kept for a range of at most
-        ``_MIXED_RANGE_LABELS`` labels.
+        labels is a ``range`` or an ``array('Q')``.
         """
-        if isinstance(labels, range) and len(labels) <= _MIXED_RANGE_LABELS:
-            mixed = _mixed_labels(labels)
-        else:
-            mixed = _mix_lanes(_to_lanes(array("Q", labels)), self._mask)
+        mixed = _mix_lanes(_to_lanes(array("Q", labels)), self._mask)
         count = len(labels)
         ones = self._ones >> 128 * (self._nkeys - count)
         return _from_lanes(_mix_lanes(mixed ^ ((key ^ _GAMMA) & MASK64) * ones, self._mask), count)

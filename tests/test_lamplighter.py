@@ -364,6 +364,18 @@ class TestConjugation:
                 V.conjugated(g2 * g1)
             )
 
+    def test_far_shift_keeps_v_in_its_coset(self):
+        # U holds the even exponents and v = x: x^(1000) v = x^1001 lies in
+        # another coset of U than x, so the conjugate's v stays x^1001 and is
+        # never moved next to y^0; a shift of 10^6 is refused, not answered x
+        U = construct_with_invariants(1, 2, 2, 1)
+        x = LaurentVector.unit(1, 2, 0, exponent=1)
+        V = SubgroupTriple(2, U, x)
+        shift = GroupElement(LaurentVector.zero(1, 2), 1000)
+        assert V.conjugated(shift).v == LaurentVector.unit(1, 2, 0, exponent=1001)
+        with pytest.raises(ResourceBudgetError):
+            V.conjugated(GroupElement(LaurentVector.zero(1, 2), 10**6))
+
 
 class TestProjections:
     def test_shift_projection_and_lamp_intersection(self):

@@ -3,12 +3,12 @@
 ``lampirs.rng`` mixes many words at once in 128-bit lanes of one int, and
 ``SplitMix64`` computes its words ahead into a doubling buffer.  The lane
 constants of a run of count words (ones, the gamma*(j+1) steps and the lane
-mask), and the first mix of a range of trial labels, are kept in bounded
-caches, and ``StreamBatches`` builds the constants of a run of batches
-once; a golden digest, recorded before any of these existed, pins the
-words of every batched path, and the streams are checked again after the
-caches have evicted and refilled, on warm label ranges, on smaller batches
-of one set of constants, and on byteswapped words against warm caches.
+mask) are kept in a bounded cache, and ``StreamBatches`` builds the
+constants of a run of batches once; a golden digest, recorded before any
+of these existed, pins the words of every batched path, and the streams
+are checked again after the cache has evicted and refilled, on runs of
+many batches and on one batch of many labels, on smaller batches of one
+set of constants, and on byteswapped words against a warm cache.
 ``splice_measures`` derives a batch of trial keys and their words at once,
 counts each trial's majority mask with lane popcounts, one 64-bit lane per
 trial, draws no index for a marginal of one atom, and replays a trial on
@@ -26,7 +26,6 @@ read-back runs on byteswapped words.
 
 import hashlib
 import struct
-import sys
 from array import array
 from fractions import Fraction
 
@@ -44,23 +43,18 @@ from lampirs.irs import (
     splice_measures,
 )
 from lampirs.rng import (
-    _MIXED_RANGE_LABELS,
-    _MIXED_RANGES,
     BUFFER_CAP,
     SplitMix64,
     StreamBatches,
     _from_lanes,
     _lane_mask,
     _mix_lanes,
-    _mixed_labels,
     _run_lanes,
     _to_lanes,
     derive_seed,
     extend_seed,
-    extend_seeds,
     int_to_words,
     popcount_lanes,
-    stream_words,
     word_lanes,
     words_to_int,
 )
@@ -92,15 +86,16 @@ def golden_words():
     """The word arrays of every batched path on the golden seeds and shapes."""
     for seed in GOLDEN_SEEDS:
         for n in GOLDEN_LENGTHS:
-            yield stream_words(array("Q", [seed & MASK]), n)
-            yield extend_seeds(seed, range(n))
+            yield StreamBatches(n, 1).words(array("Q", [seed & MASK]))
+            yield StreamBatches(1, n).keys(seed, range(n))
             yield SplitMix64(seed).take(n)
             rng = SplitMix64(seed)
             yield [rng.u64() for _ in range(n)]
             bits = RefStream(seed).bits(64 * n - 1)
             yield struct.unpack("<%dQ" % n, bits.to_bytes(8 * n, "little"))
         for count, nkeys in GOLDEN_SHAPES:
-            yield stream_words(extend_seeds(seed, range(nkeys)), count)
+            batches = StreamBatches(count, nkeys)
+            yield batches.words(batches.keys(seed, range(nkeys)))
 
 
 def golden_digest():
@@ -137,14 +132,14 @@ class TestLaneMix:
     def test_seed_folds_match_scalar_fold(self):
         for seed in (0, 7, MASK, 2**64 + 9, -7):
             prefix = derive_seed(seed, 201)
-            keys = extend_seeds(prefix, range(3000))
+            keys = StreamBatches(1, 3000).keys(prefix, range(3000))
             ref = RefStream(seed)
             assert list(keys) == [ref.fork(201, t).state for t in range(3000)]
 
     @pytest.mark.parametrize("count, nkeys", [(1, 1), (3, 7), (7, 3), (70, 2), (1, 300)])
-    def test_stream_words_are_each_streams_start(self, count, nkeys):
+    def test_batch_words_are_each_streams_start(self, count, nkeys):
         keys = array("Q", [(GAMMA * (i + 3) ** 5) & MASK for i in range(nkeys - 1)] + [MASK])
-        words = stream_words(keys, count)
+        words = StreamBatches(count, nkeys).words(keys)
         expected = []
         for key in keys:
             ref = RefStream(key)
@@ -163,7 +158,7 @@ class TestGoldenWords:
         # refill length
         maxsize = _run_lanes.cache_info().maxsize
         for count in range(3, 3 + 2 * maxsize, 2):
-            stream_words(array("Q", [7, 9]), count)
+            StreamBatches(count, 2).words(array("Q", [7, 9]))
         misses = _run_lanes.cache_info().misses
         for seed in GOLDEN_SEEDS:
             assert_refills_match_reference(seed)
@@ -172,12 +167,7 @@ class TestGoldenWords:
         assert golden_digest() == GOLDEN_WORDS_SHA256
 
 
-def clear_lane_caches():
-    _run_lanes.cache_clear()
-    _mixed_labels.cache_clear()
-
-
-def ref_stream_words(keys, count):
+def ref_words(keys, count):
     words = []
     for key in keys:
         ref = RefStream(key)
@@ -187,27 +177,21 @@ def ref_stream_words(keys, count):
 
 class TestRunLaneCache:
     def test_bounded_and_keyed_by_run_length(self):
-        # which label ranges are kept decides what a fold reads
-        clear_lane_caches()
+        _run_lanes.cache_clear()
         maxsize = _run_lanes.cache_info().maxsize
         # a refill and a batch of many keys of the same length share one
-        # entry; a fold reads none, and keeps its range's label mixes
+        # entry, and a fold reads none
         SplitMix64(5).u64()
-        stream_words(array("Q", [1, 2, 3]), 1)
-        stream_words(array("Q", [4]), 1)
-        extend_seeds(5, range(40))
+        StreamBatches(1, 3).words(array("Q", [1, 2, 3]))
+        batches = StreamBatches(1, 1)
+        batches.words(array("Q", [4]))
+        batches.keys(5, range(1))
         info = _run_lanes.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-        info = _mixed_labels.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
-        extend_seeds(6, range(40))
-        assert _mixed_labels.cache_info().hits == 1
         for count in range(2, 2 * maxsize + 2):
-            stream_words(array("Q", [count]), count)
-            extend_seeds(count, range(count, 3 * count))
-        for cache in (_run_lanes, _mixed_labels):
-            info = cache.cache_info()
-            assert info.currsize <= info.maxsize
+            StreamBatches(count, 1).words(array("Q", [count]))
+        info = _run_lanes.cache_info()
+        assert info.currsize <= info.maxsize
         for count in (1, 5, 40, BUFFER_CAP):
             ones, steps, step_bytes, mask = _run_lanes(count)
             assert all(type(v) is int for v in (ones, steps, mask))
@@ -217,40 +201,27 @@ class TestRunLaneCache:
                 lane = slice(16 * j, 16 * (j + 1))
                 assert int.from_bytes(step_bytes[lane], "little") == GAMMA * (j + 1)
             assert ones * MASK == mask
-            mixed = _mixed_labels(range(7, 7 + count))
-            assert type(mixed) is int
-            assert [(mixed >> 128 * i) & MASK for i in range(count)] == [
-                ref_mix(label) for label in range(7, 7 + count)
-            ]
 
-    def test_label_mixes_bounded_in_bytes(self):
-        # the cache keeps ranges of up to _MIXED_RANGE_LABELS labels, and
-        # at most _MIXED_RANGES of them fill about 1.1 MB
-        clear_lane_caches()
-        longest = _mixed_labels(range(_MIXED_RANGE_LABELS))
-        assert _MIXED_RANGES * sys.getsizeof(longest) < 1.5e6
-        misses = _mixed_labels.cache_info().misses
-        keys = extend_seeds(3, range(5, 6 + _MIXED_RANGE_LABELS))
-        assert _mixed_labels.cache_info().misses == misses
-        assert list(keys[:3]) == [extend_seed(3, label) for label in range(5, 8)]
-        assert keys[-1] == extend_seed(3, 5 + _MIXED_RANGE_LABELS)
-
-    def test_folds_on_warm_ranges_match_scalar_folds(self):
+    def test_folds_of_ranges_match_scalar_folds(self):
         # ranges from 0 and not, the same range again under other keys, and
         # ranges that overlap: every fold is the scalar one
-        clear_lane_caches()
         ranges = [range(0, 50), range(50, 90), range(0, 50), range(25, 75), range(3, 4), range(49, 51)]
+        batches = StreamBatches(1, 50)
         for key in (0, 7, MASK, GAMMA):
             for labels in ranges:
-                assert list(extend_seeds(key, labels)) == [extend_seed(key, t) for t in labels]
-        info = _mixed_labels.cache_info()
-        assert (info.misses, info.hits) == (5, 4 * len(ranges) - 5)
-        # ranges past the cache's size, and their eviction, change no fold
-        for first in range(0, 40 * _MIXED_RANGES, 40):
-            extend_seeds(1, range(first, first + 40))
-        assert _mixed_labels.cache_info().currsize == _MIXED_RANGES
-        for labels in ranges:
-            assert list(extend_seeds(GAMMA, labels)) == [extend_seed(GAMMA, t) for t in labels]
+                assert list(batches.keys(key, labels)) == [extend_seed(key, t) for t in labels]
+
+    def test_folds_past_many_batches_and_labels(self):
+        # more than 32 batches in one run, the last one smaller, and one
+        # batch of more than 2,048 labels
+        key = derive_seed(41, 11)
+        batches = StreamBatches(3, 40)
+        for first in range(0, 40 * 33 + 17, 40):
+            labels = range(first, min(first + 40, 40 * 33 + 17))
+            assert list(batches.keys(key, labels)) == [extend_seed(key, t) for t in labels]
+        labels = range(5, 5 + 2100)
+        keys = StreamBatches(1, len(labels)).keys(key, labels)
+        assert list(keys) == [extend_seed(key, t) for t in labels]
 
     @pytest.mark.parametrize("count, nkeys", [(1, 1), (3, 5), (6, 9), (70, 2)])
     def test_smaller_batches_on_one_set_of_constants(self, count, nkeys):
@@ -260,16 +231,16 @@ class TestRunLaneCache:
             labels = range(first, first + n)
             keys = batches.keys(GAMMA, labels)
             assert list(keys) == [extend_seed(GAMMA, t) for t in labels]
-            assert list(batches.words(keys)) == ref_stream_words(keys, count)
+            assert list(batches.words(keys)) == ref_words(keys, count)
             assert batches.keys(GAMMA, array("Q", labels)) == keys
 
     def test_big_endian_words_on_warm_cache(self, monkeypatch):
         keys = array("Q", [5, MASK, GAMMA])
         lengths = [1, 3, 70, BUFFER_CAP]
-        native = [stream_words(keys, n) for n in lengths]
-        folds = [extend_seeds(9, range(n)) for n in lengths]
+        native = [StreamBatches(n, 3).words(keys) for n in lengths]
+        folds = [StreamBatches(1, n).keys(9, range(n)) for n in lengths]
         taken = SplitMix64(9).take(3 * BUFFER_CAP)
-        misses = [cache.cache_info().misses for cache in (_run_lanes, _mixed_labels)]
+        misses = _run_lanes.cache_info().misses
 
         def swapped(words):
             words = array("Q", words)
@@ -279,13 +250,11 @@ class TestRunLaneCache:
         # a big-endian host holds each word's bytes the other way round
         monkeypatch.setattr(lampirs.rng, "_BIG_ENDIAN", True)
         for n, words, folded in zip(lengths, native, folds):
-            assert stream_words(swapped(keys), n) == swapped(words)
-            assert extend_seeds(9, swapped(range(n))) == swapped(folded)
-            # the kept label mixes are ints, so they serve either byte order
-            assert extend_seeds(9, range(n)) == swapped(folded)
+            assert StreamBatches(n, 3).words(swapped(keys)) == swapped(words)
+            assert StreamBatches(1, n).keys(9, swapped(range(n))) == swapped(folded)
         assert SplitMix64(9).take(3 * BUFFER_CAP) == swapped(taken)
-        # every run length and label range was served from the caches
-        assert [cache.cache_info().misses for cache in (_run_lanes, _mixed_labels)] == misses
+        # every run length was served from the cache
+        assert _run_lanes.cache_info().misses == misses
 
 
 class TestLaneReadBack:
@@ -293,7 +262,7 @@ class TestLaneReadBack:
     def test_big_endian_branch(self, monkeypatch, row):
         # coin word j of every trial becomes one int, and the keys come back
         # from an int of one lane per trial
-        words = stream_words(array("Q", [5, MASK, GAMMA]), 4 * row)
+        words = StreamBatches(4 * row, 3).words(array("Q", [5, MASK, GAMMA]))
         columns = [words_to_int(words[j::row]) for j in range(row)]
         native_lanes = _to_lanes(words)
         for j, column in enumerate(columns):

@@ -1,10 +1,12 @@
-"""The names the package exports, the order its modules import in, and the
-rules every entry point checks in one place."""
+"""The names the package exports, the order its modules import in, the
+rules every entry point checks in one place, and the rule that every
+definition is named somewhere else."""
 
 import ast
 import pathlib
 import re
 import types
+from collections import Counter
 
 import pytest
 
@@ -231,3 +233,50 @@ def test_each_entry_rule_is_written_once():
     assert mismatch_checks == {("irs.py", name) for name in binary}
     assert period_raises == [("submodules.py", "_check_period")]
     assert hermite_calls == [("submodules.py", "form")]
+
+
+# Definitions that nothing else in the package names, each with its reason.
+UNREFERENCED = {
+    "submodules.Submodule.with_period": "bench/workloads.py calls it; it goes with the "
+    "benchmark change that rewrites that line",
+    "irs.WindowSubgroup.sum_with": "the row-reducing reference that _direct_sum is tested against",
+    "algebra.Poly.constant": "bench/workloads.py calls it",
+    "lamplighter.SubgroupTriple.contains_subgroup": "public API that demos/04 calls",
+    "cli._Parser.error": "argparse calls it",
+}
+
+
+def _names(node):
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            yield part.id
+        elif isinstance(part, ast.Attribute):
+            yield part.attr
+
+
+def test_every_definition_is_named_elsewhere():
+    # Every function, class and non-dunder method of the package is named,
+    # as an AST Name or Attribute outside its own body, somewhere in the
+    # package, or is a module-level name the package exports; docstrings and
+    # comments do not count.  The exceptions are UNREFERENCED, and each of
+    # them is still unreferenced.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unreferenced = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, owner)
+                continue
+            qualified = f"{owner}.{child.name}" if owner else child.name
+            dunder = child.name.startswith("__") and child.name.endswith("__")
+            exported = not owner and qualified in EXPORTED
+            inside = sum(name == child.name for name in _names(child))
+            if not dunder and not exported and named[child.name] == inside:
+                unreferenced.append(f"{module}.{qualified}")
+            visit(child, module, qualified)
+
+    for module, tree in trees.items():
+        visit(tree, module, "")
+    assert sorted(unreferenced) == sorted(UNREFERENCED)
