@@ -215,9 +215,9 @@ class TestRunLaneCache:
         # more than 32 batches in one run, the last one smaller, and one
         # batch of more than 2,048 labels
         key = derive_seed(41, 11)
-        batches = StreamBatches(3, 40)
-        for first in range(0, 40 * 33 + 17, 40):
-            labels = range(first, min(first + 40, 40 * 33 + 17))
+        batches, trials = StreamBatches(3, 40), 40 * 33 + 17
+        for first in range(0, trials, 40):
+            labels = range(first, min(first + 40, trials))
             assert list(batches.keys(key, labels)) == [extend_seed(key, t) for t in labels]
         labels = range(5, 5 + 2100)
         keys = StreamBatches(1, len(labels)).keys(key, labels)
