@@ -10,17 +10,27 @@ finite downward-closed truncations certify that the levels are unbounded
 along the chain (2, 1), (4, 1), (8, 1), ...; each element's level matches
 the closed form t*r (0 when r = 0), which is verified against levels
 computed from the order rather than assumed.
+
+Levels are computed by divisor columns: the pairs (t', r') of one t' form
+a chain, so the pairs of a column below (t, r) have their largest level at
+the largest such r', found by bisection.  A pair reads one level from each
+column of a divisor of t.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .errors import ConsistencyError, DomainError, ResourceBudgetError
 from .lamplighter import SubgroupTriple
 from .submodules import approach_sequence
 
-# Largest truncation, in elements: cb_levels compares each pair with the
-# pairs visited before it, about 0.1 s on the 999-element chain
-# truncation(1, 998) on a 2-core host.
+# Largest truncation, in elements.  A truncation and its levels are held
+# whole, and ``cb`` prints a row per element.  cb_levels bisects one column
+# per divisor of t for each pair, about 1 ms on the 999-element chain
+# truncation(1, 998) on a 2-core host; its slowest input under the budget is
+# the 999 columns of truncation(999, 0), about 40 ms, where each column is
+# tested against every other for divisibility.
 TRUNCATION_BUDGET = 1000
 
 
@@ -67,12 +77,29 @@ def cb_levels(elements):
     In a finite strict order the step that removes x is 1 + the largest
     level of a pair below x, or 0 if there is none.  Every pair below x has
     a smaller product t*r, so in one sweep in order of t*r each level is
-    read from levels already known.
+    read from levels already known.  The pairs below (t, r) lie in the
+    columns t' dividing t, those of column t' being the (t', r') with
+    t'*r' < t*r.  A column is a chain, so its levels rise with r': the
+    largest of them is the level of the largest r' <= (t*r - 1) // t'
+    present, one bisection of the column's sorted r'.  Any finite set of
+    pairs with t >= 1 is taken, downward closed or not; a t < 1 is refused.
     """
+    columns = {}  # t: the sorted r of the pairs (t, r)
+    for t, r in sorted(set(elements)):
+        columns.setdefault(t, []).append(r)
+    if any(t < 1 for t in columns):
+        raise DomainError("encoding pairs need t >= 1")
+    divisors = {t: [u for u in columns if t % u == 0] for t in columns}
     levels = {}
     for x in sorted(elements, key=lambda pair: pair[0] * pair[1]):
-        below = [level for y, level in levels.items() if poset_less(y, x)]
-        levels[x] = 1 + max(below) if below else 0
+        t, r = x
+        level = 0
+        for u in divisors[t]:
+            rs = columns[u]
+            i = bisect_right(rs, (t * r - 1) // u)
+            if i:
+                level = max(level, levels[u, rs[i - 1]] + 1)
+        levels[x] = level
     return levels
 
 

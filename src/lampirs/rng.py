@@ -182,7 +182,8 @@ def extend_seed(key, *labels):
 
 
 class StreamBatches:
-    """Batches of at most nkeys substreams, read count >= 1 words from each.
+    """Batches of at most nkeys >= 1 substreams, read count >= 1 words from
+    each; a count or nkeys below 1 is refused.
 
     The lane constants of the largest batch are built once: ones in nkeys
     lanes, the steps of count words repeated nkeys times, and the lane mask
@@ -195,6 +196,8 @@ class StreamBatches:
     __slots__ = ("count", "_nkeys", "_ones", "_steps", "_mask")
 
     def __init__(self, count, nkeys):
+        if count < 1 or nkeys < 1:
+            raise DomainError(f"a batch reads count >= 1 words from nkeys >= 1 keys, got {count} and {nkeys}")
         self.count = count
         self._nkeys = nkeys
         self._ones = int.from_bytes(_ONE_LANE * nkeys, "little")

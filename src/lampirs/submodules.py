@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import getitem
 
 from .algebra import (
     ENUMERATION_BUDGET,
@@ -786,10 +787,21 @@ def _monic_entries(p, d):
 def _enumerate_submodules(p, k, codim):
     """Yield the subgroups of :func:`submodules_of_codimension`, in its order.
 
-    The budget is checked before the first subgroup is built.  Per degree
-    shape the entries are built once, into tables, and every subgroup is
-    assembled from shared entries; the outermost diagonal entry is iterated,
-    never listed, so for k = 1 no table is built.
+    The budget is checked before the first subgroup is built.  Row i of a
+    canonical matrix is its diagonal entry followed by one entry above the
+    pivot in each later column, a choice made apart from every other row.
+    So per degree shape each row's generators are built once, into a row
+    table, and a subgroup is a tuple of rows picked from the tables: rows
+    1..k-1 get one table each per shape, and row 0 one per outermost
+    diagonal entry, which is iterated and never listed.  A table holds at
+    most p^codim rows: row i has at most p^(d_i) diagonal entries and
+    p^(d_c) entries in each later column c, and row 0 one diagonal entry.
+    The tables live for one shape of one call.
+
+    A table lists its row's choices with column k-1 fastest, so a row's
+    index weighs its digits as the order does.  Every digit but the fastest,
+    row 0's entry in column k-1, is walked; each of its values picks rows
+    1..k-1 and a run of consecutive rows of row 0's table.
 
     Every part is valid by construction, so the generators and subgroups
     are built by the unchecked constructors ``LaurentVector._raw`` and
@@ -802,28 +814,43 @@ def _enumerate_submodules(p, k, codim):
     if total > ENUMERATION_BUDGET:
         raise ResourceBudgetError("an enumeration with submodule count", total, ENUMERATION_BUDGET)
     zero = LaurentPoly.zero(p)
-    blanks = [(zero,) * i for i in range(k)]
     vector, submodule = LaurentVector._raw, Submodule._raw
+    product = itertools.product
     for degs in _compositions(codim, k):
-        diags = [list(_monic_entries(p, d)) for d in degs[1:]]
-        columns = []
-        for col, d in enumerate(degs[1:], 1):
-            # the p^d entries of degree < d, the i-th of them with the base-p
-            # digits of i, lowest first, as coefficients
-            digits = itertools.product(range(p), repeat=d)
-            low = [LaurentPoly.from_poly(Poly(p, t[::-1])) for t in digits]
-            # the i-th tuple holds the entries of rows 0..col-1 whose digits,
-            # d per row and row 0 lowest, make up i
-            columns.append([t[::-1] for t in itertools.product(low, repeat=col)])
+        # lows[c] for c >= 1: the p^d entries of degree < d = degs[c], the
+        # i-th of them with the base-p digits of i, lowest first, as
+        # coefficients
+        lows = [None] + [
+            [LaurentPoly.from_poly(Poly(p, t[::-1])) for t in product(range(p), repeat=d)]
+            for d in degs[1:]
+        ]
+        # weight[c]: the weight of a row's entry in column c in its index
+        weight = [1] * k
+        for c in range(k - 2, -1, -1):
+            weight[c] = weight[c + 1] * len(lows[c + 1])
+        # later[i - 1]: the table of row i
+        later = [
+            [vector(p, (zero,) * i + t) for t in product(_monic_entries(p, degs[i]), *lows[i + 1 :])]
+            for i in range(1, k)
+        ]
+        # (row, weight, count) of each digit but the fastest, outermost
+        # first: the diagonal entries, then each column's entries above its
+        # pivot, row 0 last
+        digits = [(i, weight[i], len(later[i - 1]) // weight[i]) for i in range(1, k)]
+        digits += [(i, weight[c], len(lows[c])) for c in range(1, k) for i in range(c - 1, -1, -1)][:-1]
+        rows = [i for i, _, _ in digits]
+        steps = [range(0, count * w, w) for _, w, count in digits]
+        span = len(lows[-1]) if k > 1 else 1
         for first in _monic_entries(p, degs[0]):
-            for choice in itertools.product(*diags, *columns):
-                # above[c - 1] holds the entries of column c above its pivot
-                diag, above = (first, *choice[: k - 1]), choice[k - 1 :]
-                gens = tuple(
-                    vector(p, blanks[i] + (diag[i], *(entries[i] for entries in above[i:])))
-                    for i in range(k)
-                )
-                yield submodule(k, p, 1, gens)
+            table0 = [vector(p, (first, *t)) for t in product(*lows[1:])]
+            for offsets in product(*steps):
+                index = [0] * k
+                for i, offset in zip(rows, offsets):
+                    index[i] += offset
+                start = index[0]
+                rest = tuple(map(getitem, later, index[1:]))
+                for row0 in table0[start : start + span]:
+                    yield submodule(k, p, 1, (row0, *rest))
 
 
 def submodules_of_codimension(p, k, codim):
@@ -833,15 +860,16 @@ def submodules_of_codimension(p, k, codim):
     row i is the i-th generator and column c its coordinate c.  The diagonal
     entries are monic with nonzero constant term and their degrees, a
     composition ``degs`` of ``codim`` into k parts, sum to ``codim``; the
-    entries above the pivot of degree d are free of degree below d.  For
-    each composition, in order, three tables are built once: the monic
-    diagonal entries of each degree (constant term outermost, then the
-    middle coefficients as a base-p number, lowest digit first); the p^d
-    entries of degree < d, the i-th with the base-p digits of i as
-    coefficients; and for each column the tuples of its above-diagonal
-    entries, the i-th with the digits of i, d per row, row 0 lowest.  The
-    matrices are their product, the diagonal entries outermost in column
-    order, then the columns' tuples, column k-1 fastest.
+    entries above the pivot of degree d are free of degree below d.  The
+    compositions come in order, and within one the matrices are numbered by
+    these digits, outermost first: the diagonal entry of each column in
+    column order (constant term outermost, then the middle coefficients as
+    a base-p number, lowest digit first); then for each column in order its
+    entries above the pivot, row 0 fastest, the p^d entries of degree < d
+    numbered by the base-p digits of their coefficients, lowest first.
+    The subgroups share their generators: each row is built once per
+    composition into a row table of at most p^codim rows, row 0's once per
+    outermost diagonal entry (see :func:`_enumerate_submodules`).
     More than ``ENUMERATION_BUDGET`` submodules are refused before any is.
     """
     return list(_enumerate_submodules(p, k, codim))

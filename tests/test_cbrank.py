@@ -79,6 +79,25 @@ class TestLevels:
         elements = truncation(*bounds)
         assert cb_levels(elements) == levels_by_iterated_removal(elements)
 
+    @pytest.mark.parametrize("bounds", [(12, 20), (30, 60), (1, 300), (100, 180)])
+    def test_sweep_equals_iterated_removal_off_downward_closed_sets(self, bounds):
+        # seeded subsets that miss pairs below the pairs they keep, so a
+        # column's largest r' below a pair is often not the one just under it
+        elements = truncation(*bounds)
+        rng = SplitMix64(bounds[0] * 1000 + bounds[1])
+        for keep in (2, 3, 5):
+            subset = [x for x in elements if rng.below(keep) == 0]
+            kept = set(subset)
+            assert any(
+                poset_less(y, x) and y not in kept for x in subset for y in elements
+            ), "the subset is downward closed"
+            assert cb_levels(subset) == levels_by_iterated_removal(subset)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (-2, 1)])
+    def test_t_below_one_refused(self, pair):
+        with pytest.raises(DomainError, match="t >= 1"):
+            cb_levels([(1, 1), pair])
+
     def test_elements_in_order(self):
         assert truncation(3, 3) == (
             (1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1),

@@ -114,6 +114,16 @@ class TestCount:
         assert data["enumerated"] == 131072 and data["match"]
         assert peak_mb < 40, peak_mb
 
+    @pytest.mark.process
+    def test_enumerate_memory_bounded_rank_two(self):
+        # 196,608 subgroups of F_2[x^±]^2 from row tables of at most 2^9
+        # rows: only one shape's tables are held, and no subgroup.
+        returncode, stdout, peak_mb = run_measured("count", "2", "2", "9", "--enumerate")
+        assert returncode == 0
+        data = json.loads(stdout)
+        assert data["enumerated"] == 196608 and data["match"]
+        assert peak_mb < 40, peak_mb
+
 
 class TestInvariants:
     def test_example_triple(self, tmp_path):

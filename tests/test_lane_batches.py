@@ -42,6 +42,7 @@ from lampirs.irs import (
     sampler_law_report,
     splice_measures,
 )
+from lampirs.errors import DomainError
 from lampirs.rng import (
     BUFFER_CAP,
     SplitMix64,
@@ -222,6 +223,13 @@ class TestRunLaneCache:
         labels = range(5, 5 + 2100)
         keys = StreamBatches(1, len(labels)).keys(key, labels)
         assert list(keys) == [extend_seed(key, t) for t in labels]
+
+    @pytest.mark.parametrize("count, nkeys", [(0, 3), (-1, 3), (1, 0), (3, -2), (0, 0)])
+    def test_empty_batches_refused(self, count, nkeys):
+        # with no words per key, or no key, the lane constants are 0 and the
+        # folds would all read 0
+        with pytest.raises(DomainError, match="count >= 1 words from nkeys >= 1 keys"):
+            StreamBatches(count, nkeys)
 
     @pytest.mark.parametrize("count, nkeys", [(1, 1), (3, 5), (6, 9), (70, 2)])
     def test_smaller_batches_on_one_set_of_constants(self, count, nkeys):

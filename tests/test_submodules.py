@@ -454,6 +454,22 @@ class TestCounting:
             assert form.rows == tuple(tuple(sorted(row.items())) for row in rows), U
             assert form.pivots == tuple(range(k))
 
+    @pytest.mark.parametrize(
+        "p, k, a, built", [(2, 2, 5, 144), (3, 2, 2, 30), (2, 3, 2, 37), (2, 2, 3, 28)]
+    )
+    def test_rows_are_shared_within_a_degree_shape(self, p, k, a, built):
+        # every row is built once per degree shape, row 0 once per outermost
+        # diagonal entry: for (2, 2, 5), 32 rows 1 and 112 rows 0, where one
+        # generator per row of each subgroup would be 1,536
+        subs = submodules_of_codimension(p, k, a)
+        assert len({id(g) for U in subs for g in U.gens}) == built
+        assert len(subs) * k > built
+
+    @pytest.mark.parametrize("p, a", [(2, 6), (3, 3), (5, 2)])
+    def test_one_row_per_subgroup_for_rank_one(self, p, a):
+        subs = submodules_of_codimension(p, 1, a)
+        assert len({id(g) for U in subs for g in U.gens}) == len(subs)
+
     def test_exact_small_sets(self):
         # codim 1 of the rank-1 module over F_2: only (x+1)R.
         (only,) = submodules_of_codimension(2, 1, 1)
