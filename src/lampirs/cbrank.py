@@ -29,7 +29,7 @@ from .submodules import approach_sequence
 # whole, and ``cb`` prints a row per element.  cb_levels bisects one column
 # per divisor of t for each pair, about 1 ms on the 999-element chain
 # truncation(1, 998) on a 2-core host; its slowest input under the budget is
-# the 999 columns of truncation(999, 0), about 40 ms, where each column is
+# the 999 columns of truncation(999, 0), 30 to 60 ms, where each column is
 # tested against every other for divisibility.
 TRUNCATION_BUDGET = 1000
 

@@ -197,7 +197,9 @@ class StreamBatches:
 
     def __init__(self, count, nkeys):
         if count < 1 or nkeys < 1:
-            raise DomainError(f"a batch reads count >= 1 words from nkeys >= 1 keys, got {count} and {nkeys}")
+            raise DomainError(
+                f"a batch reads count >= 1 words from nkeys >= 1 keys, got {count} and {nkeys}"
+            )
         self.count = count
         self._nkeys = nkeys
         self._ones = int.from_bytes(_ONE_LANE * nkeys, "little")

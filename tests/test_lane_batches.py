@@ -32,6 +32,7 @@ from fractions import Fraction
 import pytest
 
 import lampirs.rng
+from lampirs.errors import DomainError
 from lampirs.irs import (
     BATCH_WORDS,
     SubgroupMeasure,
@@ -42,7 +43,6 @@ from lampirs.irs import (
     sampler_law_report,
     splice_measures,
 )
-from lampirs.errors import DomainError
 from lampirs.rng import (
     BUFFER_CAP,
     SplitMix64,
