@@ -11,10 +11,11 @@ Laurent ring and makes canonical forms unique.
 Every value has one representative, and the public constructors always
 return it: ``Poly`` reduces its coefficients mod p and strips trailing
 zeros, and ``LaurentPoly`` moves the low zeros of its body into the offset.
-A value the package derives from values it has already checked is built by
-the private ``_raw`` of its type, which checks nothing; its docstring states
-what the caller guarantees.  Input from outside the program always goes
-through a public constructor.
+Every value type subclasses ``Frozen``, which refuses assignment, and its
+public constructor is a checking ``__new__`` that returns ``cls._raw(...)``.
+``_raw`` starts from ``object.__new__(cls)``, is the one place the slots are
+written (by ``_set``), checks nothing and states in its docstring what its
+caller guarantees; input from outside the program never goes through it.
 
 The degree of the zero polynomial is the sentinel ``None``, never a number.
 """
@@ -49,6 +50,19 @@ def check_prime(p):
     return p
 
 
+_set = object.__setattr__  # the one slot write of a value; see ``Frozen``
+
+
+class Frozen:
+    """Base of the immutable value types; a lazily kept field is written by
+    ``_set`` where it is found."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _trimmed(coeffs):
     """The list ``coeffs`` without its trailing zeros, stripped in place."""
     while coeffs and coeffs[-1] == 0:
@@ -61,7 +75,7 @@ def _same_p(a, b):
         raise ContextError(f"mixed moduli: {a.p} and {b.p}")
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial over F_p: ``coeffs[i]`` is the coefficient of x^i.
 
     The constructor checks p and always returns the canonical value: the
@@ -71,24 +85,18 @@ class Poly:
 
     __slots__ = ("p", "coeffs")
 
-    def __init__(self, p, coeffs=()):
+    def __new__(cls, p, coeffs=()):
         check_prime(p)
-        self._fill(p, _trimmed([c % p for c in coeffs]))
+        return cls._raw(p, _trimmed([c % p for c in coeffs]))
 
     @classmethod
     def _raw(cls, p, coeffs):
         """Unchecked: p is prime and ``coeffs`` a sequence of coefficients
         in [0, p) whose last one, if any, is nonzero."""
-        obj = cls.__new__(cls)
-        obj._fill(p, coeffs)
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "coeffs", tuple(coeffs))
         return obj
-
-    def _fill(self, p, coeffs):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, p):
@@ -353,7 +361,7 @@ def enumerate_irreducibles(p, count):
     return list(itertools.islice(irreducibles(p), count))
 
 
-class LaurentPoly:
+class LaurentPoly(Frozen):
     """Element x^offset * body of F_p[x, x^-1], body with nonzero constant term.
 
     The constructor checks p and always returns the canonical value: the
@@ -363,36 +371,28 @@ class LaurentPoly:
 
     __slots__ = ("p", "offset", "body")
 
-    def __init__(self, p, offset=0, body=None):
+    def __new__(cls, p, offset=0, body=None):
         check_prime(p)
         if body is not None and body.p != p:
             raise ContextError(f"a body over {body.p} for a Laurent polynomial over {p}")
         if body is None or body.is_zero():
-            body, offset = Poly.zero(p), 0
-        else:
-            val = 0
-            while body.coeffs[val] == 0:
-                val += 1
-            if val:
-                body = Poly._raw(p, body.coeffs[val:])
-                offset += val
-        self._fill(p, offset, body)
+            return cls._raw(p, 0, Poly.zero(p))
+        val = 0
+        while body.coeffs[val] == 0:
+            val += 1
+        if val:
+            body = Poly._raw(p, body.coeffs[val:])
+        return cls._raw(p, offset + val, body)
 
     @classmethod
     def _raw(cls, p, offset, body):
         """Unchecked: p is prime and ``body`` a Poly over p, zero with
         offset 0 or else with a nonzero constant term."""
-        obj = cls.__new__(cls)
-        obj._fill(p, offset, body)
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "offset", offset)
+        _set(obj, "body", body)
         return obj
-
-    def _fill(self, p, offset, body):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "body", body)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls, p):

@@ -31,7 +31,7 @@ from itertools import accumulate, chain, compress, repeat
 from math import comb, gcd, lcm
 from operator import ge, mod
 
-from .algebra import check_prime
+from .algebra import Frozen, _set, check_prime
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref, right_nullspace, span_intersect_coordinates
 from .rng import (
@@ -75,7 +75,7 @@ def _check_same_window(a, b):
         )
 
 
-class WindowSubgroup:
+class WindowSubgroup(Frozen):
     """Subgroup of the window coordinate space, reduced-echelon basis.
 
     The constructor checks its arguments and always row-reduces, so it
@@ -85,7 +85,7 @@ class WindowSubgroup:
 
     __slots__ = ("p", "n", "lo", "hi", "rows")
 
-    def __init__(self, p, n, lo, hi, rows):
+    def __new__(cls, p, n, lo, hi, rows):
         check_prime(p)
         if n < 1:
             raise DomainError(f"lamp rank n must be >= 1, got {n}")
@@ -95,26 +95,20 @@ class WindowSubgroup:
         for r in rows:
             if len(r) != dim:
                 raise DomainError("basis row of wrong width")
-        self._fill(p, n, lo, hi, rref(rows, p)[0])
+        return cls._raw(p, n, lo, hi, rref(rows, p)[0])
 
     @classmethod
     def _raw(cls, p, n, lo, hi, rows):
         """Unchecked: p is prime, n >= 1, lo <= hi, and ``rows`` is the
         reduced row echelon form over F_p, a tuple of tuples of width
         n*(hi - lo + 1), as ``fplinalg.rref`` returns it."""
-        obj = cls.__new__(cls)
-        obj._fill(p, n, lo, hi, rows)
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "n", n)
+        _set(obj, "lo", lo)
+        _set(obj, "hi", hi)
+        _set(obj, "rows", rows)
         return obj
-
-    def _fill(self, p, n, lo, hi, rows):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WindowSubgroup is immutable")
 
     @property
     def width(self):
@@ -185,18 +179,18 @@ def _direct_sum(ws1, ws2):
     return WindowSubgroup._raw(ws1.p, ws1.n, ws1.lo, ws1.hi, rows)
 
 
-class WindowDistribution:
+class WindowDistribution(Frozen):
     """Exact finitely supported distribution over window subgroups.
 
     Stored once, as ``_ints = (den, {ws: num})``: positive integer numerators
     over one denominator, not always in lowest terms.  Fractions are made
-    only where a probability is read (``atoms``, ``prob``, ``sorted_items``).
+    only where a probability is read (``atoms``, ``sorted_items``).
     """
 
     __slots__ = ("p", "n", "lo", "hi", "_ints", "_cum")
 
-    def __init__(self, p, n, lo, hi, atoms):
-        self.p, self.n, self.lo, self.hi, self._cum = p, n, lo, hi, None
+    def __new__(cls, p, n, lo, hi, atoms):
+        target = WindowSubgroup._raw(p, n, lo, hi, ())
         merged = {}
         for ws, prob in atoms.items():
             prob = Fraction(prob)
@@ -204,19 +198,24 @@ class WindowDistribution:
                 raise DomainError("negative probability")
             if prob == 0:
                 continue
-            _check_same_window(ws, self)
+            _check_same_window(ws, target)
             merged[ws] = merged.get(ws, Fraction(0)) + prob
         if sum(merged.values(), Fraction(0)) != 1:
             raise DomainError("probabilities must sum to 1")
         den = lcm(*(q.denominator for q in merged.values()))
-        self._ints = den, {ws: q.numerator * (den // q.denominator) for ws, q in merged.items()}
+        nums = {ws: q.numerator * (den // q.denominator) for ws, q in merged.items()}
+        return cls._raw(p, n, lo, hi, den, nums)
 
     @classmethod
     def _raw(cls, p, n, lo, hi, den, nums):
         """Unchecked: ``nums`` {ws: int > 0} on the window sums to ``den``."""
-        obj = cls.__new__(cls)
-        obj.p, obj.n, obj.lo, obj.hi, obj._cum = p, n, lo, hi, None
-        obj._ints = den, nums
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "n", n)
+        _set(obj, "lo", lo)
+        _set(obj, "hi", hi)
+        _set(obj, "_ints", (den, nums))
+        _set(obj, "_cum", None)
         return obj
 
     @classmethod
@@ -231,10 +230,6 @@ class WindowDistribution:
 
     def sorted_items(self):
         return sorted(self.atoms.items(), key=lambda kv: kv[0].key())
-
-    def prob(self, ws):
-        den, nums = self._ints
-        return Fraction(nums.get(ws, 0), den)
 
     def map_support(self, fn, lo, hi):
         den, nums = self._ints
@@ -276,7 +271,7 @@ class WindowDistribution:
             den, nums = self._ints
             g = gcd(den, *nums.values())
             order = tuple(sorted(nums, key=WindowSubgroup.key))
-            self._cum = den // g, list(accumulate(nums[ws] // g for ws in order)), order
+            _set(self, "_cum", (den // g, list(accumulate(nums[ws] // g for ws in order)), order))
         return self._cum
 
     def ordered_atoms(self):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import gcd
 
-from .algebra import LaurentPoly, check_prime, geometric_series
+from .algebra import Frozen, LaurentPoly, _set, check_prime, geometric_series
 from .errors import ContextError, DomainError, ResourceBudgetError
 from .fplinalg import rref
 from .submodules import (
@@ -57,19 +57,23 @@ def _check_shift(s, name):
     return s
 
 
-class GroupElement:
+class GroupElement(Frozen):
     """Element (lamps, shift) of the lamplighter group."""
 
     __slots__ = ("n", "p", "lamps", "shift")
 
-    def __init__(self, lamps, shift):
-        object.__setattr__(self, "n", lamps.n)
-        object.__setattr__(self, "p", lamps.p)
-        object.__setattr__(self, "lamps", lamps)
-        object.__setattr__(self, "shift", _check_shift(shift, "shift"))
+    def __new__(cls, lamps, shift):
+        return cls._raw(lamps, _check_shift(shift, "shift"))
 
-    def __setattr__(self, *a):
-        raise AttributeError("GroupElement is immutable")
+    @classmethod
+    def _raw(cls, lamps, shift):
+        """Unchecked: ``lamps`` is a LaurentVector and ``shift`` an int."""
+        obj = object.__new__(cls)
+        _set(obj, "n", lamps.n)
+        _set(obj, "p", lamps.p)
+        _set(obj, "lamps", lamps)
+        _set(obj, "shift", shift)
+        return obj
 
     @classmethod
     def identity(cls, n, p):
@@ -88,12 +92,11 @@ class GroupElement:
     def __mul__(self, other):
         if self.n != other.n or self.p != other.p:
             raise ContextError("elements of different lamplighter groups")
-        return GroupElement(
-            self.lamps + other.lamps.shifted(self.shift), self.shift + other.shift
-        )
+        lamps = self.lamps + other.lamps.shifted(self.shift)
+        return GroupElement._raw(lamps, self.shift + other.shift)
 
     def inverse(self):
-        return GroupElement((-self.lamps).shifted(-self.shift), -self.shift)
+        return GroupElement._raw((-self.lamps).shifted(-self.shift), -self.shift)
 
     def __repr__(self):
         return f"GroupElement({format_vector(self.lamps)}, {self.shift})"
@@ -112,8 +115,8 @@ def power(g, k):
     if k < 0:
         return power(g.inverse(), -k)
     if g.shift == 0:
-        return GroupElement(g.lamps.scaled(k % g.p), 0)
-    return GroupElement(g.lamps.scaled(_geometric_factor(g.shift, k, g.p)), k * g.shift)
+        return GroupElement._raw(g.lamps.scaled(k % g.p), 0)
+    return GroupElement._raw(g.lamps.scaled(_geometric_factor(g.shift, k, g.p)), k * g.shift)
 
 
 def conjugate_element(g, h):
@@ -129,15 +132,15 @@ def conjugate_element(g, h):
     coords = _vector_coordinates(g.lamps, 1)
     _add_scaled(coords, _vector_coordinates(g.lamps, 1, t).items(), -1, p)
     _add_scaled(coords, _vector_coordinates(h.lamps, 1, g.shift).items(), 1, p)
-    return GroupElement(_vector_at(coords, g.n, 1, p), t)
+    return GroupElement._raw(_vector_at(coords, g.n, 1, p), t)
 
 
-class SubgroupTriple:
+class SubgroupTriple(Frozen):
     """Subgroup encoded as (s, U, v); validated on construction."""
 
     __slots__ = ("n", "p", "s", "lamps", "v", "_powers")
 
-    def __init__(self, s, lamps, v=None):
+    def __new__(cls, s, lamps, v=None):
         if _check_shift(s, "s") < 0:
             raise DomainError("s must be >= 0")
         n, p = lamps.n, lamps.p
@@ -150,20 +153,25 @@ class SubgroupTriple:
             raise DomainError("triples with s = 0 must have v = 0")
         if s:
             lamps._check_period(s)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "lamps", lamps)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_powers", {})
+        return cls._raw(s, lamps, v)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SubgroupTriple is immutable")
+    @classmethod
+    def _raw(cls, s, lamps, v):
+        """Unchecked: s >= 0 is an int, a period of the Submodule ``lamps`` if
+        s != 0, and ``v`` a LaurentVector of the same R^n, zero if s = 0."""
+        obj = object.__new__(cls)
+        _set(obj, "n", lamps.n)
+        _set(obj, "p", lamps.p)
+        _set(obj, "s", s)
+        _set(obj, "lamps", lamps)
+        _set(obj, "v", v)
+        _set(obj, "_powers", {})
+        return obj
 
     def _marker_power(self, k):
         cached = self._powers.get(k)
         if cached is None:
-            cached = power(GroupElement(self.v, self.s), k)
+            cached = power(GroupElement._raw(self.v, self.s), k)
             self._powers[k] = cached
         return cached
 
@@ -195,7 +203,7 @@ class SubgroupTriple:
         """Canonical form: U at its minimal period, v reduced modulo U."""
         U = self.lamps.canonical()
         v = U.reduce_vector(self.v) if self.s else LaurentVector.zero(self.n, self.p)
-        return SubgroupTriple(self.s, U, v)
+        return SubgroupTriple._raw(self.s, U, v)
 
     def same_subgroup(self, other):
         if (self.n, self.p, self.s) != (other.n, other.p, other.s):
@@ -216,7 +224,7 @@ class SubgroupTriple:
         if other.n != self.n or other.p != self.p:
             raise ContextError("subgroups of different lamplighter groups")
         return self.lamps.contains_submodule(other.lamps) and (
-            other.s == 0 or self.contains_element(GroupElement(other.v, other.s))
+            other.s == 0 or self.contains_element(GroupElement._raw(other.v, other.s))
         )
 
     def conjugated(self, g):
@@ -229,8 +237,8 @@ class SubgroupTriple:
         """
         if g.n != self.n or g.p != self.p:
             raise ContextError("element of a different lamplighter group")
-        new_v = conjugate_element(g, GroupElement(self.v, self.s)).lamps
-        return SubgroupTriple(self.s, self.lamps.shifted(g.shift), new_v).canonical()
+        new_v = conjugate_element(g, GroupElement._raw(self.v, self.s)).lamps
+        return SubgroupTriple._raw(self.s, self.lamps.shifted(g.shift), new_v).canonical()
 
     def poset_encoding(self):
         """Pair (t, r): shift generator over lamp period, and lamp deficiency."""
@@ -354,7 +362,7 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     sites = [(i, site) for i in range(n) for site in range(-support_radius, support_radius + 1)]
     coords = {(i, SITE_EXPONENT_SIGN * site): c for (i, site), c in zip(sites, digits) if c}
     lamps = _vector_at(coords, n, 1, p)
-    return ConvergenceResult(False, None, GroupElement(lamps, t), checked, horizon)
+    return ConvergenceResult(False, None, GroupElement._raw(lamps, t), checked, horizon)
 
 
 def _gap_start(terms, limit, ball, shifts):

@@ -23,8 +23,10 @@ from operator import getitem
 from .algebra import (
     ENUMERATION_BUDGET,
     SEQUENCE_BUDGET,
+    Frozen,
     LaurentPoly,
     Poly,
+    _set,
     check_prime,
     check_term_count,
     enumerate_irreducibles,
@@ -56,41 +58,35 @@ FORM_COLUMN_BUDGET = 2**14
 # ``construct 1 240 240`` takes 0.13 to 0.19 s on a 2-core Xeon, 0.023 s of it
 # in ``invariant_report``.
 FORM_ENTRY_BUDGET = 2**16
-# Largest y-range, from the least exponent or 0 to the greatest or 0, that a
-# residue walks, one y-step per exponent, about 1.5 us each on a 2-core Xeon.
-# It admits every vector whose terms lie within a parsed polynomial's span
-# budget, 2^16, of x^0 at level 1.  A membership test moves its vector next
-# to y^0 first and walks only its span.
+# Largest y-range, from the least exponent or 0 to the greatest or 0, of the
+# entries in pivot columns that a residue walks, one y-step per exponent,
+# about 1.5 us each on a 2-core Xeon.  It admits every vector whose terms
+# lie within a parsed polynomial's span budget, 2^16, of x^0 at level 1.  A
+# membership test moves its vector next to y^0 first and walks only its span.
 RESIDUE_RANGE_BUDGET = 2**17
 
 
-class LaurentVector:
+class LaurentVector(Frozen):
     """Fixed-length vector of Laurent polynomials (an element of R^n)."""
 
     __slots__ = ("p", "n", "coords")
 
-    def __init__(self, p, coords):
+    def __new__(cls, p, coords):
         check_prime(p)
         coords = tuple(coords)
         for c in coords:
             if c.p != p:
                 raise ContextError("vector coordinate with mismatched modulus")
-        self._fill(p, coords)
+        return cls._raw(p, coords)
 
     @classmethod
     def _raw(cls, p, coords):
         """Unchecked: p is prime and ``coords`` a tuple of LaurentPolys over p."""
-        obj = cls.__new__(cls)
-        obj._fill(p, coords)
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "n", len(coords))
+        _set(obj, "coords", coords)
         return obj
-
-    def _fill(self, p, coords):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", len(coords))
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentVector is immutable")
 
     @classmethod
     def zero(cls, n, p):
@@ -170,13 +166,16 @@ def _vector_coordinates(vec, level, k=0):
     return out
 
 
-def _by_exponent(coords):
-    """The F_p coordinates ``coords`` grouped by y-exponent:
-    {q: [(column, c), ...]}."""
-    by_q = {}
+def _by_exponent(coords, pivots):
+    """The F_p coordinates ``coords`` in a column of the set ``pivots``, by
+    y-exponent, {q: [(column, c), ...]}, and the others, {(column, q): c}."""
+    by_q, free = {}, {}
     for (j, q), c in coords.items():
-        by_q.setdefault(q, []).append((j, c))
-    return by_q
+        if j in pivots:
+            by_q.setdefault(q, []).append((j, c))
+        else:
+            free[j, q] = c
+    return by_q, free
 
 
 def _by_column(pairs):
@@ -239,7 +238,7 @@ class CanonicalForm:
     ``rows`` themselves, up and down alike, and keep no shifted copy.
     """
 
-    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_units", "_steps")
+    __slots__ = ("p", "n", "level", "ncols", "rows", "pivots", "_pivot_cols", "_units", "_steps")
 
     def __init__(self, p, n, level):
         """The form of no rows; :func:`laurent_hermite_form` pushes them."""
@@ -248,7 +247,7 @@ class CanonicalForm:
         self.level = level
         self.ncols = n * level
         self.rows = self.pivots = ()
-        self._units, self._steps = {}, []
+        self._pivot_cols, self._units, self._steps = set(), {}, []
 
     @property
     def rank(self):
@@ -271,33 +270,35 @@ class CanonicalForm:
         any power of x, and are reduced by the form's rows, kept in the same
         coordinates; no column polynomial is built.  The map is F_p-linear,
         and the vector is in the row span exactly when the result is empty.
-        It is read by Horner in y: the coefficients at y^q >= 0 from the top
-        down, one up-step between them, and those at y^q < 0 from the bottom
-        up, one down-step after each; every coefficient c at y^q in column j
-        enters as c times :meth:`unit_residue` of j.  A walk of more than
+        An entry in a free (non-pivot) column is its own residue, added where
+        it lies.  Those in pivot columns are read by Horner in y: from y^q >= 0
+        down, one up-step between them, and from y^q < 0 up, one down-step
+        after each; every c at y^q in column j enters as c times
+        :meth:`unit_residue` of j.  A walk of more than
         ``RESIDUE_RANGE_BUDGET`` y-steps is refused before the first.
         """
-        return self._walk(_by_exponent(coords))
+        return self._walk(*_by_exponent(coords, self._pivot_cols))
 
     def contains(self, coords):
         """Is the vector with the coordinates ``coords`` in the row span?
 
-        The span is closed under y^(+-1), so a vector wholly above y^0 is
-        first moved down until its least exponent is 0, and one wholly below
-        moved up until its greatest is 0: the walk of :meth:`residue` then
-        covers only the vector's span, however far from y^0 it lies.
+        The span is closed under y^(+-1), so a vector whose pivot-column
+        entries lie wholly above y^0 is first moved down until their least
+        exponent is 0, and one with them wholly below up until their greatest
+        is 0: the walk of :meth:`residue` then covers only their span.
         """
-        by_q = _by_exponent(coords)
+        by_q, free = _by_exponent(coords, self._pivot_cols)
         if by_q:
             low, high = min(by_q), max(by_q)
             shift = low if low > 0 else high if high < 0 else 0
             if shift:
                 by_q = {q - shift: terms for q, terms in by_q.items()}
-        return not self._walk(by_q)
+                free = {(j, q - shift): c for (j, q), c in free.items()}
+        return not self._walk(by_q, free)
 
-    def _walk(self, by_q):
-        """The residue of the vector with the coordinates {y-exponent: [(column,
-        c), ...]} ``by_q``, by the walk :meth:`residue` describes."""
+    def _walk(self, by_q, free):
+        """The residue of the vector with the coordinates ``by_q`` and
+        ``free`` of :func:`_by_exponent`, as :meth:`residue` describes."""
         top, bottom = max(by_q, default=-1), min(by_q, default=0)
         walked = max(top, 0) - min(bottom, 0)
         if walked > RESIDUE_RANGE_BUDGET:
@@ -313,7 +314,7 @@ class CanonicalForm:
             for j, c in by_q.get(q, ()):
                 _add_scaled(down, units.get(j, (((j, 0), 1),)), c, p)
             down = self._y_step(down, -1)
-        return _add_scaled(up, down.items(), 1, p)
+        return _add_scaled(_add_scaled(up, down.items(), 1, p), free.items(), 1, p)
 
     def unit_residue(self, col):
         """Coordinates of the residual of the unit vector y^0 in column ``col``.
@@ -346,6 +347,7 @@ class CanonicalForm:
         index it."""
         self.rows = (row,) + self.rows
         self.pivots = (c,) + self.pivots
+        self._pivot_cols.add(c)
         self._index_row(row, c)
 
     def _index_row(self, row, c):
@@ -465,7 +467,7 @@ def _check_form_size(n, level, rows):
         )
 
 
-class Submodule:
+class Submodule(Frozen):
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
     # ``_gap``, (canonical key of U, level e, deg f, the spans of
@@ -476,7 +478,7 @@ class Submodule:
     # unset, at no cost to build.
     __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap", "_rank")
 
-    def __init__(self, n, p, period, gens=()):
+    def __new__(cls, n, p, period, gens=()):
         check_prime(p)
         if n < 1:
             raise DomainError("ambient rank must be >= 1")
@@ -486,26 +488,20 @@ class Submodule:
         for g in gens:
             if g.p != p or g.n != n:
                 raise ContextError("generator from a different ambient module")
-        self._fill(n, p, period, gens)
+        return cls._raw(n, p, period, gens)
 
     @classmethod
     def _raw(cls, n, p, period, gens):
         """Unchecked: p is prime, n and period are >= 1, and ``gens`` is a
         tuple of nonzero LaurentVectors of R^n over p."""
-        obj = cls.__new__(cls)
-        obj._fill(n, p, period, gens)
+        obj = object.__new__(cls)
+        _set(obj, "p", p)
+        _set(obj, "n", n)
+        _set(obj, "period", period)
+        _set(obj, "gens", gens)
+        _set(obj, "_forms", {})
+        _set(obj, "_e", None)
         return obj
-
-    def _fill(self, n, p, period, gens):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "_forms", {})
-        object.__setattr__(self, "_e", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Submodule is immutable")
 
     @classmethod
     def zero(cls, n, p):
@@ -690,7 +686,7 @@ class Submodule:
             _check_form_size(self.n, self.period, len(self.gens))
             proper = _divisors(self.period)[:-1]
             e = next((d for d in proper if self.has_period(d)), self.period)
-            object.__setattr__(self, "_e", e)
+            _set(self, "_e", e)
         return self._e
 
     # -- rank invariants ------------------------------------------------------
@@ -710,7 +706,7 @@ class Submodule:
         gens = tuple(_vector_at(dict(row), self.n, e, self.p) for row in form.rows)
         canon = Submodule._raw(self.n, self.p, e, gens)
         canon._forms[e] = form
-        object.__setattr__(canon, "_e", e)
+        _set(canon, "_e", e)
         return canon
 
 
@@ -976,7 +972,7 @@ def vanish_sequence(U, count):
     out = []
     for f in enumerate_irreducibles(U.p, count):
         term = U.scaled(f)
-        object.__setattr__(term, "_gap", (key, 1, f.degree, spans))
+        _set(term, "_gap", (key, 1, f.degree, spans))
         out.append(term)
     return out
 
@@ -1079,9 +1075,9 @@ def approach_sequence(U, b, r_target, count):
         term = Submodule._raw(n, p, E, base_gens + gens)
         if any((g_d % f).is_zero() and term.has_period(d) for d, g_d in gates):
             continue
-        object.__setattr__(term, "_e", E)
-        object.__setattr__(term, "_rank", n * E - r_target)
-        object.__setattr__(term, "_gap", (key, e, f.degree, spans))
+        _set(term, "_e", E)
+        _set(term, "_rank", n * E - r_target)
+        _set(term, "_gap", (key, e, f.degree, spans))
         out.append(term)
         if len(out) == count:
             return out

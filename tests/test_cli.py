@@ -699,9 +699,11 @@ class TestPolySpanBudget:
 class TestFarExponents:
     # A shift or an exponent far from 0 costs no walk per exponent: a
     # non-period s is reduced modulo the stored period, a membership test
-    # moves its vector next to y^0, and a residue walk of more than
-    # RESIDUE_RANGE_BUDGET = 2^17 y-steps is refused before its first step.
-    # Each input took 3.9 s or more before, linear in the exponent.
+    # moves its vector next to y^0, an entry in a free column of a form is
+    # its own residue and is not walked, and a walk of more than
+    # RESIDUE_RANGE_BUDGET = 2^17 y-steps over the entries in pivot columns
+    # is refused before its first step.  Each input took 3.9 s or more
+    # before, linear in the exponent.
 
     @staticmethod
     def run_timed(tmp_path, text, command, *args):
@@ -727,14 +729,24 @@ class TestFarExponents:
         assert seconds < 3
 
     @pytest.mark.process
+    def test_a_far_free_column_entry_is_not_walked(self, tmp_path):
+        # The form at level 2 has the one row [1, x^9999999], pivot in
+        # column 0; its far entry, in column 3, and those of x times the
+        # generator lie in free columns.
+        text = "s=0\nn=2 e=2 p=2\n[1, x^9999999]\nv=[0, 0]\n"
+        res, seconds = self.run_timed(tmp_path, text, "invariants")
+        assert res.returncode == 0, res.stderr
+        assert (json.loads(res.stdout)["e"], json.loads(res.stdout)["rk"]) == (2, 1)
+        assert seconds < 3
+
+    @pytest.mark.process
     @pytest.mark.parametrize(
         "text, command, args",
         [
-            ("s=0\nn=2 e=2 p=2\n[1, x^9999999]\nv=[0, 0]\n", "invariants", ()),
             ("s=2\nn=1 e=2 p=2\n1+x^2\nv=x^9999999\n", "approach",
              ("--target", "1,0", "--count", "3", "--ball", "2,2,3")),
         ],
-        ids=["far-tail", "far-marker"],
+        ids=["far-marker"],
     )
     def test_a_far_residue_is_refused_by_its_budget(self, tmp_path, text, command, args):
         res, seconds = self.run_timed(tmp_path, text, command, *args)

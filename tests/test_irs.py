@@ -472,7 +472,7 @@ class TestSplice:
         mu1 = SubgroupMeasure.point(Submodule.full(1, P2))
         mu2 = SubgroupMeasure.point(Submodule.zero(1, P2))
         empirical, target, rep = splice_measures(mu1, mu2, 51, 0, 0, 20000, seed=5)
-        assert target.prob(window_of_submodule(Submodule.full(1, P2), 0, 0)) == HALF
+        assert target.atoms[window_of_submodule(Submodule.full(1, P2), 0, 0)] == HALF
         # single-cell window: every trial is all-first or all-second
         assert rep["lambda_all_first"] + rep["lambda_all_second"] == 1
         assert rep["boundary_defect_bound"] == 0

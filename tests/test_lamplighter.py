@@ -1,5 +1,7 @@
 """Group law, subgroup triples, conjugation, cylinders, convergence windows."""
 
+import time
+
 import pytest
 
 from lampirs import lamplighter
@@ -367,14 +369,18 @@ class TestConjugation:
     def test_far_shift_keeps_v_in_its_coset(self):
         # U holds the even exponents and v = x: x^(1000) v = x^1001 lies in
         # another coset of U than x, so the conjugate's v stays x^1001 and is
-        # never moved next to y^0; a shift of 10^6 is refused, not answered x
+        # never moved next to y^0.  Its term sits in the free column of U's
+        # form, so it is its own residue and no y-step is walked: the shift
+        # 10^6 is answered x^1000001 at once.
         U = construct_with_invariants(1, 2, 2, 1)
         x = LaurentVector.unit(1, 2, 0, exponent=1)
         V = SubgroupTriple(2, U, x)
         shift = GroupElement(LaurentVector.zero(1, 2), 1000)
         assert V.conjugated(shift).v == LaurentVector.unit(1, 2, 0, exponent=1001)
-        with pytest.raises(ResourceBudgetError):
-            V.conjugated(GroupElement(LaurentVector.zero(1, 2), 10**6))
+        started = time.perf_counter()
+        far = V.conjugated(GroupElement(LaurentVector.zero(1, 2), 10**6))
+        assert time.perf_counter() - started < 0.1
+        assert far.v == LaurentVector.unit(1, 2, 0, exponent=10**6 + 1)
 
 
 class TestProjections:

@@ -548,6 +548,29 @@ class TestResidueStepOracle:
                     assert form.contains(_vector_coordinates(w, level, k * level)) == want, (U, w, k)
         assert members > 20, members
 
+    def test_residue_walks_only_the_pivot_columns(self):
+        # An entry in a free column is added where it lies and only those in
+        # pivot columns are walked: on near vectors that equals the walk of
+        # every entry, and a far free-column entry is its own residue.
+        rng = SplitMix64(5157)
+        free_entries = far = 0
+        for U in self.cases():
+            for level in self.levels(U):
+                form = U.form(level)
+                free = [c for c in range(form.ncols) if c not in form.pivots]
+                for _ in range(3):
+                    coords = _vector_coordinates(rand_vec(rng, U.n, U.p, lo=-9, hi=9), level)
+                    got = form.residue(coords)
+                    assert got == walked_residue(form, coords), (U, level, coords)
+                    free_entries += any(j in free for j, _ in coords)
+                    if free:
+                        q = (10**9 + rng.below(9)) * (1 if rng.below(2) else -1)
+                        term = {(free[rng.below(len(free))], q): 1 + rng.below(U.p - 1)}
+                        want = _add_scaled(dict(got), term.items(), 1, U.p)
+                        assert form.residue({**coords, **term}) == want, (U, level, term)
+                        far += 1
+        assert free_entries > 100 and far > 100, (free_entries, far)
+
     def test_steps_hold_the_form_rows_themselves(self):
         # each pivot of positive degree is indexed by its row as ``rows``
         # holds it, the same object, beside plain integers: no second tuple
@@ -708,6 +731,27 @@ class TestReferenceReduction:
                     assert got == residue_coordinates(U, w, level), (U, level, w)
                     members += not got
         assert members > 0
+
+
+def walked_residue(form, coords):
+    """The residue of the coordinates ``coords`` by the walk of every entry,
+    free columns too: by Horner in y from the top exponent down to y^0 and
+    from the bottom up to y^-1, each entry c at y^q in column j entering as
+    c times the unit residue of j."""
+    p, up, down = form.p, {}, {}
+    exponents = [q for _, q in coords]
+    for q in range(max(exponents, default=-1), -1, -1):
+        if up:
+            up = form.y_power(up, 1)
+        for (j, r), c in coords.items():
+            if r == q:
+                _add_scaled(up, form.unit_residue(j).items(), c, p)
+    for q in range(min(exponents, default=0), 0):
+        for (j, r), c in coords.items():
+            if r == q:
+                _add_scaled(down, form.unit_residue(j).items(), c, p)
+        down = form.y_power(down, -1)
+    return _add_scaled(up, down.items(), 1, p)
 
 
 def periodic_cases(seed, count):
@@ -1885,7 +1929,7 @@ class TestCoordinateMembershipOracle:
                 for k in range(-3, 4):
                     T._marker_power(k)
                 triples.append((T, probes))
-        monkeypatch.setattr(LaurentPoly, "__init__", counted("LaurentPoly", LaurentPoly.__init__))
+        monkeypatch.setattr(LaurentPoly, "__new__", counted("LaurentPoly", LaurentPoly.__new__))
         monkeypatch.setattr(GroupElement, "__mul__", counted("__mul__", GroupElement.__mul__))
         tested = 0
         for T, probes in triples:
@@ -2157,6 +2201,20 @@ def assert_rechecked_window(ws):
     assert WindowSubgroup(ws.p, ws.n, ws.lo, ws.hi, ws.rows) == ws, ws.rows
 
 
+def assert_rechecked_element(g):
+    assert type(g.shift) is int and (g.n, g.p) == (g.lamps.n, g.lamps.p)
+    assert_rechecked_vector(g.lamps)
+    assert GroupElement(g.lamps, g.shift) == g
+
+
+def assert_rechecked_triple(T):
+    assert_rechecked_submodule(T.lamps)
+    assert_rechecked_vector(T.v)
+    fresh = SubgroupTriple(T.s, T.lamps, T.v)
+    assert (fresh.n, fresh.p, fresh.s, fresh.v) == (T.n, T.p, T.s, T.v)
+    assert fresh.same_subgroup(T)
+
+
 def assert_rechecked_distribution(d):
     den, nums = d._ints
     assert list(nums) == list(d.atoms)
@@ -2229,8 +2287,9 @@ def fraction_block_average_marginal(mu, m, lo, hi):
 
 
 def fraction_tv_distance(d1, d2):
-    keys = set(d1.atoms) | set(d2.atoms)
-    return sum((abs(d1.prob(k) - d2.prob(k)) for k in keys), Fraction(0))
+    atoms1, atoms2 = d1.atoms, d2.atoms
+    keys = set(atoms1) | set(atoms2)
+    return sum((abs(atoms1.get(k, 0) - atoms2.get(k, 0)) for k in keys), Fraction(0))
 
 
 def checked_copy(mu):
@@ -2439,6 +2498,40 @@ class TestUncheckedConstructionOracle:
                 checked += 1
         assert checked > 20
 
+    def test_group_elements(self):
+        # products, inverses, powers and conjugates are built unchecked
+        rng = SplitMix64(6868)
+        for _ in range(150):
+            p, n = (2, 3, 5, 7)[rng.below(4)], 1 + rng.below(3)
+            g, h = (GroupElement(rand_vec(rng, n, p), rng.below(9) - 4) for _ in range(2))
+            for x in (g * h, g.inverse(), conjugate_element(g, h)):
+                assert_rechecked_element(x)
+            for k in (-3, -1, 0, 1, 2, 5):
+                assert_rechecked_element(power(g, k))
+
+    def test_canonical_and_conjugated_triples(self):
+        rng = SplitMix64(6969)
+        checked = 0
+        for U in pinned_grid(6969, 40):
+            e = U.minimal_period()
+            for s in (0, e, 2 * e):
+                T = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p) if s else None)
+                g = GroupElement(rand_vec(rng, U.n, U.p), rng.below(9) - 4)
+                for V in (T.canonical(), T.conjugated(g)):
+                    assert_rechecked_triple(V)
+                    checked += V.s > 0
+        assert checked > 50
+
+    def test_mixtures_of_laws(self):
+        # the checking constructor returns what ``_raw`` builds from its sums
+        checked = 0
+        laws = [mu.marginal(-1, 1) for _, mu in law_measures()]
+        for a, b in itertools.combinations(laws, 2):
+            if (a.p, a.n) == (b.p, b.n):
+                assert_rechecked_distribution(a.mixed_with(b, Fraction(1, 3), Fraction(2, 3)))
+                checked += 1
+        assert checked > 10
+
     def test_disjoint_site_sums(self):
         # Contiguous runs, as the phase laws and block pieces sum them, and
         # seeded masks, as ``_spliced`` interleaves two subgroups' sites.
@@ -2563,8 +2656,8 @@ class TestStoredWindowLaw:
         assert len(made) == 1
         atoms = laws[2].atoms
         assert len(made) == 1 + len(atoms)
-        laws[2].prob(next(iter(atoms)))
-        assert len(made) == 2 + len(atoms)
+        assert laws[2].atoms[next(iter(atoms))] > 0
+        assert len(made) == 1 + 2 * len(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The names the package exports, the order its modules import in, the
-rules every entry point checks in one place, and the rule that every
-definition is named somewhere else."""
+rules every entry point checks in one place, the one way every value type
+is built, and the rule that every definition is named somewhere else."""
 
 import ast
 import pathlib
@@ -12,17 +12,19 @@ import pytest
 
 import lampirs
 from lampirs import algebra, cbrank, irs, submodules
-from lampirs.algebra import enumerate_irreducibles, irreducibles
+from lampirs.algebra import Frozen, LaurentPoly, Poly, enumerate_irreducibles, irreducibles
 from lampirs.cbrank import truncation
 from lampirs.errors import ResourceBudgetError
 from lampirs.formats import parse_poly
 from lampirs.irs import (
     SubgroupMeasure,
+    WindowDistribution,
+    WindowSubgroup,
     block_average_marginal,
     majority_symmetric_difference,
     splice_measures,
 )
-from lampirs.lamplighter import ball_size
+from lampirs.lamplighter import GroupElement, SubgroupTriple, ball_size
 from lampirs.submodules import (
     LaurentVector,
     Submodule,
@@ -229,10 +231,89 @@ def test_each_entry_rule_is_written_once():
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
     assert mismatch_raises == [("irs.py", "_check_same_window")]
-    binary = {"sum_with", "mixed_with", "tv_distance", "map_support", "__init__", "splice_measures"}
+    binary = {"sum_with", "mixed_with", "tv_distance", "map_support", "__new__", "splice_measures"}
     assert mismatch_checks == {("irs.py", name) for name in binary}
     assert period_raises == [("submodules.py", "_check_period")]
     assert hermite_calls == [("submodules.py", "form")]
+
+
+VALUE_TYPES = {
+    "Poly", "LaurentPoly", "LaurentVector", "Submodule",
+    "WindowSubgroup", "WindowDistribution", "GroupElement", "SubgroupTriple",
+}
+
+
+def _values():
+    """One value of each value type."""
+    f = Poly(2, (1, 1))
+    v = LaurentVector(2, (LaurentPoly(2, 1, f),))
+    full = Submodule.full(1, 2)
+    ws = WindowSubgroup(2, 1, 0, 1, [(1, 1)])
+    return [
+        f, v.coords[0], v, full, ws, WindowDistribution.point(ws),
+        GroupElement(v, 1), SubgroupTriple(1, full, v),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda value: type(value).__name__)
+def test_every_value_type_is_immutable(value):
+    # Assigning to any slot, or to any other name, is refused with the
+    # type's name, and the value is left as it was.
+    kind = type(value)
+    slots = [name for cls in kind.__mro__ for name in getattr(cls, "__slots__", ())]
+    assert slots
+    for name in [*slots, "other"]:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=rf"^{kind.__name__} is immutable$"):
+            setattr(value, name, None)
+        assert getattr(value, name, None) is before
+
+
+def test_every_value_type_is_built_one_way():
+    # ``object.__setattr__`` is read only to bind ``algebra._set``; no
+    # ``_fill`` exists; only ``Frozen`` defines ``__setattr__``.  Every
+    # value type subclasses ``Frozen`` and has a checking ``__new__`` that
+    # returns ``cls._raw(...)``, and its ``_raw`` starts from
+    # ``object.__new__(cls)``, never ``cls.__new__``.  A public slot is
+    # written only in ``_raw``; elsewhere ``_set`` writes only a private
+    # field kept lazily.
+    setattr_reads, names, guards, public_writes = [], set(), [], []
+    raws, news = {}, {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names.update(_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                setattr_reads.append((path.name, node.lineno))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+            names.update(methods)
+            if "__setattr__" in methods:
+                guards.append(node.name)
+            if "_raw" in methods:
+                raws[node.name] = ast.unparse(methods["_raw"])
+                news[node.name] = ast.unparse(methods["__new__"]) if "__new__" in methods else ""
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or f.name == "_raw":
+                continue
+            for call in ast.walk(f):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_set":
+                    field = getattr(call.args[1], "value", None)
+                    if not isinstance(field, str) or not field.startswith("_"):
+                        public_writes.append((path.name, f.name, ast.unparse(call)))
+    (assign,) = [n for n in ast.parse((SOURCE / "algebra.py").read_text()).body
+                 if isinstance(n, ast.Assign) and n.targets[0].id == "_set"]
+    assert setattr_reads == [("algebra.py", assign.lineno)]
+    assert ast.unparse(assign) == "_set = object.__setattr__"
+    assert "_fill" not in names
+    assert guards == ["Frozen"]
+    assert set(raws) == VALUE_TYPES == {type(value).__name__ for value in _values()}
+    for name, source in raws.items():
+        assert "object.__new__(cls)" in source and "cls.__new__" not in source, name
+        assert "return cls._raw(" in news[name], name
+        assert issubclass(getattr(lampirs, name), Frozen), name
+    assert public_writes == []
 
 
 # Definitions that nothing else in the package names, each with its reason.
@@ -254,14 +335,23 @@ def _names(node):
             yield part.attr
 
 
+def _attributes(node):
+    for part in ast.walk(node):
+        if isinstance(part, ast.Attribute):
+            yield part.attr
+
+
 def test_every_definition_is_named_elsewhere():
-    # Every function, class and non-dunder method of the package is named,
-    # as an AST Name or Attribute outside its own body, somewhere in the
-    # package, or is a module-level name the package exports; docstrings and
-    # comments do not count.  The exceptions are UNREFERENCED, and each of
+    # Every function, class and non-dunder method of the package is named
+    # outside its own body somewhere in the package, or is a module-level
+    # name the package exports; docstrings and comments do not count.  A
+    # method, a direct child of a class, is named only by an attribute
+    # access ``.name``, as a method is reached; any other definition by an
+    # AST Name or Attribute.  The exceptions are UNREFERENCED, and each of
     # them is still unreferenced.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
     named = Counter(name for tree in trees.values() for name in _names(tree))
+    attributes = Counter(name for tree in trees.values() for name in _attributes(tree))
     unreferenced = []
 
     def visit(node, module, owner):
@@ -272,8 +362,10 @@ def test_every_definition_is_named_elsewhere():
             qualified = f"{owner}.{child.name}" if owner else child.name
             dunder = child.name.startswith("__") and child.name.endswith("__")
             exported = not owner and qualified in EXPORTED
-            inside = sum(name == child.name for name in _names(child))
-            if not dunder and not exported and named[child.name] == inside:
+            method = isinstance(node, ast.ClassDef)
+            counted, names = (attributes, _attributes) if method else (named, _names)
+            inside = sum(name == child.name for name in names(child))
+            if not dunder and not exported and counted[child.name] == inside:
                 unreferenced.append(f"{module}.{qualified}")
             visit(child, module, qualified)
 

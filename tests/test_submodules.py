@@ -129,7 +129,7 @@ class TestLaurentHermiteForm:
         # enumerated subgroups nor for those of approach terms, built as
         # each term's form is read.
         inside, built = [], []
-        real_form, real_init = submodules.laurent_hermite_form, LaurentPoly.__init__
+        real_form, real_new = submodules.laurent_hermite_form, LaurentPoly.__new__
 
         def building(*args):
             inside.append(args)
@@ -138,15 +138,15 @@ class TestLaurentHermiteForm:
             finally:
                 built.append(inside.pop())
 
-        def constructing(self, *args, **kwargs):
+        def constructing(cls, *args, **kwargs):
             assert not inside, "laurent_hermite_form built a LaurentPoly"
-            real_init(self, *args, **kwargs)
+            return real_new(cls, *args, **kwargs)
 
         enumerated = submodules_of_codimension(3, 2, 2)
         rows = [[_vector_coordinates(g, 2) for g in U._at_period(2).gens] for U in enumerated]
         U = construct_with_invariants(1, 2, 3, 2)
         monkeypatch.setattr(submodules, "laurent_hermite_form", building)
-        monkeypatch.setattr(LaurentPoly, "__init__", constructing)
+        monkeypatch.setattr(LaurentPoly, "__new__", constructing)
         forms = [submodules.laurent_hermite_form(3, 2, 2, r) for r in rows]
         seq = approach_sequence(U, 2, 1, 6)
         for V in seq:
