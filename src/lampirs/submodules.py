@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from operator import getitem
 
 from .algebra import (
@@ -314,7 +314,10 @@ class CanonicalForm:
             for j, c in by_q.get(q, ()):
                 _add_scaled(down, units.get(j, (((j, 0), 1),)), c, p)
             down = self._y_step(down, -1)
-        return _add_scaled(_add_scaled(up, down.items(), 1, p), free.items(), 1, p)
+        for part in (down, free):
+            if part:
+                _add_scaled(up, part.items(), 1, p)
+        return up
 
     def unit_residue(self, col):
         """Coordinates of the residual of the unit vector y^0 in column ``col``.
@@ -448,7 +451,8 @@ def laurent_hermite_form(p, n, level, generator_rows):
 
 
 def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
 def _check_form_size(n, level, rows):

@@ -74,8 +74,9 @@ class TestLevels:
         elements = truncation(6, 6)
         assert cb_levels(elements[::-1]) == cb_levels(elements)
 
-    @pytest.mark.parametrize("bounds", [(12, 20), (30, 60), (100, 180), (1, 300)])
+    @pytest.mark.parametrize("bounds", [(12, 20), (30, 60), (100, 180), (1, 300), (999, 0)])
     def test_sweep_equals_iterated_removal(self, bounds):
+        # (999, 0) is the antichain of 999 divisor columns, every level 0
         elements = truncation(*bounds)
         assert cb_levels(elements) == levels_by_iterated_removal(elements)
 

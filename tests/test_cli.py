@@ -755,6 +755,30 @@ class TestFarExponents:
         assert seconds < 3
 
     @pytest.mark.process
+    @pytest.mark.parametrize("gen", ["1+x^2", "1+x^-1"])
+    def test_a_far_window_is_read_by_the_period(self, tmp_path, gen):
+        # x^P U = U for the stored period P, so U on [lo, hi] has the rows
+        # of U on [lo mod P, lo mod P + hi - lo], read instead.  The window
+        # was walked |lo|/P y-steps from y^0 before: 1.7 s at lo = 10^6 and
+        # 16 s at 10^7.  At [0, 1], <1+x^2> holds nothing and <1+x^-1> a line.
+        paths = []
+        for name, gens in (("F", ["1+x^2"]), ("G", [gen])):
+            atoms = [{"weight": "1", "period": 2, "gens": gens}]
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"n": 1, "p": 2, "atoms": atoms}))
+        args = ("mix", "--nai", "11", "--trials", "100", "--seed", "1")
+        args += ("--mu1", str(paths[0]), "--mu2", str(paths[1]))
+        near = run_process(*args, "--window", "0,1", timeout=20)
+        far = f"{10**12},{10**12 + 1}"
+        started = time.perf_counter()
+        res = run_process(*args, "--window", far, timeout=20)
+        seconds = time.perf_counter() - started
+        assert (near.returncode, res.returncode) == (0, 0), res.stderr
+        assert seconds < 2
+        assert res.stdout.count(f'"window":[{far}]') == near.stdout.count('"window":[0,1]') == 3
+        assert res.stdout.replace(f'"window":[{far}]', '"window":[0,1]') == near.stdout
+
+    @pytest.mark.process
     @pytest.mark.parametrize("weight", ["1e-2000000", "0e-3000000", "1e-10000000"])
     def test_a_far_weight_exponent_is_refused_at_once(self, tmp_path, weight):
         # Fraction expanded 10^e first: 0.57 s, 1.07 s and 9.1 s of parsing.

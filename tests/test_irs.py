@@ -1,5 +1,6 @@
 """Window distributions: exact marginals, approximants, samplers, splicing."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,71 @@ class TestWindowOfSubmodule:
                         acc = tuple((a + b) % 2 for a, b in zip(acc, ws.rows[i]))
                 spanned.add(acc)
             assert spanned == member_vectors
+
+
+FAR_STARTS = [0, 5, -7, 10**3, 10**6]
+
+
+def far_window_cases():
+    """Subgroups of stored period 2 and 3, over p = 2 and 3, n = 1 and 2."""
+    return [
+        Submodule(1, P2, 2, [parse_vector("1+x^2", 1, P2)]),
+        Submodule(1, P2, 2, [parse_vector("1+x^-1", 1, P2)]),
+        Submodule(1, 3, 3, [parse_vector("1+2*x+x^2", 1, 3)]),
+        Submodule(2, P2, 2, [parse_vector("[1+x, x^-1]", 2, P2)]),
+    ]
+
+
+def window_members(U, lo, hi):
+    """Every window vector of [lo, hi] that U contains, tested one by one."""
+    n, p = U.n, U.p
+    members = set()
+    for vec in itertools.product(range(p), repeat=n * (hi - lo + 1)):
+        coords = [LaurentPoly.zero(p)] * n
+        for i, c in enumerate(vec):
+            site, comp = divmod(i, n)
+            coords[comp] = coords[comp] + LaurentPoly.monomial(p, -(lo + site), c)
+        if U.contains_vector(LaurentVector(p, tuple(coords))):
+            members.add(vec)
+    return members
+
+
+def window_span(ws):
+    """Every vector of the span of a window subgroup's rows."""
+    width = ws.space_dim
+    return {
+        tuple(sum(c * row[k] for c, row in zip(cs, ws.rows)) % ws.p for k in range(width))
+        for cs in itertools.product(range(ws.p), repeat=ws.dim)
+    }
+
+
+class TestFarWindow:
+    # As x^P U = U for the stored period P, U on [lo, hi] is read on
+    # [lo mod P, lo mod P + hi - lo] and labelled [lo, hi].
+
+    @pytest.mark.parametrize("lo", FAR_STARTS)
+    def test_far_window_is_the_near_window_transported(self, lo):
+        for U in far_window_cases():
+            ws = window_of_submodule(U, lo, lo + 2)
+            near = lo % U.period
+            assert (ws.lo, ws.hi) == (lo, lo + 2)
+            assert ws == window_of_submodule(U, near, near + 2).transported(lo)
+            assert window_span(ws) == window_members(U, lo, lo + 2), (U, lo)
+
+    @pytest.mark.parametrize("lo", FAR_STARTS)
+    def test_far_laws_are_the_near_laws_transported(self, lo):
+        # the even mixture of a subgroup's shifts by 0, ..., P - 1 sites is
+        # invariant, so its law on [lo, lo + 2] is the one on [0, 2] moved
+        seen = 0
+        for U in far_window_cases():
+            orbit = [(Fraction(1, U.period), U.shifted(k)) for k in range(U.period)]
+            mu = SubgroupMeasure.mixture(orbit)
+            assert mu.invariant
+            law = mu.marginal(lo, lo + 2)
+            assert law == mu.marginal(0, 2).transported(lo)
+            assert law.sorted_items() == mu.marginal(0, 2).transported(lo).sorted_items()
+            seen += len(law.atoms) > 1
+        assert seen > 0
 
 
 class TestProjection:

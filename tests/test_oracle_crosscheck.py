@@ -470,7 +470,8 @@ def pinned_grid(seed, count):
 def offset_oracle(triple, k, level):
     """Residue coordinates of d_k, the lamps of (0, k*s)(v, s)^(-k), from scratch."""
     shift = GroupElement(LaurentVector.zero(triple.n, triple.p), k * triple.s)
-    return residue_coordinates(triple.lamps, (shift * triple._marker_power(-k)).lamps, level)
+    marker = power(GroupElement(triple.v, triple.s), -k)
+    return residue_coordinates(triple.lamps, (shift * marker).lamps, level)
 
 
 class TestResidueStepOracle:
@@ -1817,7 +1818,8 @@ def product_membership(triple, g):
         return g.shift == 0 and triple.lamps.contains_vector(g.lamps)
     if g.shift % triple.s:
         return False
-    return triple.lamps.contains_vector((g * triple._marker_power(-(g.shift // triple.s))).lamps)
+    marker = power(GroupElement(triple.v, triple.s), -(g.shift // triple.s))
+    return triple.lamps.contains_vector((g * marker).lamps)
 
 
 def shifted_row_period(U, s):
@@ -1863,7 +1865,12 @@ class TestCoordinateMembershipOracle:
                 v = rand_vec(rng, U.n, U.p, lo=-3, hi=3) if s else None
                 T = SubgroupTriple(s, U, v)
                 off_stored += s % U.period != 0
-                for g in word_ball(T, 2):
+                probes = word_ball(T, 2)
+                if s:  # far marker powers, whose lamps sum up to five terms x^u v
+                    marker = GroupElement(T.v, s)
+                    far = [power(marker, k) for k in (-5, -3, 3, 5)]
+                    probes += [g * h for g in probes for h in far]
+                for g in probes:
                     got = T.contains_element(g)
                     assert got == product_membership(T, g), (T, g)
                     members += got
@@ -1925,9 +1932,7 @@ class TestCoordinateMembershipOracle:
             for s in (0, e):
                 T = SubgroupTriple(s, U, rand_vec(rng, U.n, U.p) if s else None)
                 probes = word_ball(T, 2)
-                U.form(U.period)  # forms and marker powers are built once, before counting
-                for k in range(-3, 4):
-                    T._marker_power(k)
+                U.form(U.period)  # forms are built once, before counting
                 triples.append((T, probes))
         monkeypatch.setattr(LaurentPoly, "__new__", counted("LaurentPoly", LaurentPoly.__new__))
         monkeypatch.setattr(GroupElement, "__mul__", counted("__mul__", GroupElement.__mul__))

@@ -276,9 +276,12 @@ def test_every_value_type_is_built_one_way():
     # returns ``cls._raw(...)``, and its ``_raw`` starts from
     # ``object.__new__(cls)``, never ``cls.__new__``.  A public slot is
     # written only in ``_raw``; elsewhere ``_set`` writes only a private
-    # field kept lazily.
+    # field kept lazily, and only in submodules.py, whose ``Submodule`` is
+    # the one value that keeps what it finds later.  Every other value
+    # type's ``_raw`` writes exactly its slots, none of them an empty
+    # container or None to be filled later.
     setattr_reads, names, guards, public_writes = [], set(), [], []
-    raws, news = {}, {}
+    raws, news, slots, raw_writes, lazy_modules = {}, {}, {}, {}, set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         names.update(_names(tree))
@@ -294,11 +297,22 @@ def test_every_value_type_is_built_one_way():
             if "_raw" in methods:
                 raws[node.name] = ast.unparse(methods["_raw"])
                 news[node.name] = ast.unparse(methods["__new__"]) if "__new__" in methods else ""
+                raw_writes[node.name] = {
+                    call.args[1].value: ast.unparse(call.args[2])
+                    for call in ast.walk(methods["_raw"])
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_set"
+                }
+                (declared,) = [
+                    n.value for n in node.body
+                    if isinstance(n, ast.Assign) and n.targets[0].id == "__slots__"
+                ]
+                slots[node.name] = set(ast.literal_eval(declared))
         for f in ast.walk(tree):
             if not isinstance(f, ast.FunctionDef) or f.name == "_raw":
                 continue
             for call in ast.walk(f):
                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_set":
+                    lazy_modules.add(path.name)
                     field = getattr(call.args[1], "value", None)
                     if not isinstance(field, str) or not field.startswith("_"):
                         public_writes.append((path.name, f.name, ast.unparse(call)))
@@ -314,6 +328,11 @@ def test_every_value_type_is_built_one_way():
         assert "return cls._raw(" in news[name], name
         assert issubclass(getattr(lampirs, name), Frozen), name
     assert public_writes == []
+    assert lazy_modules == {"submodules.py"}
+    for name in VALUE_TYPES - {"Submodule"}:
+        assert slots[name] == raw_writes[name].keys(), name
+        assert not {"{}", "[]", "set()", "None"} & {*raw_writes[name].values()}, name
+    assert slots["Submodule"] > raw_writes["Submodule"].keys()
 
 
 # Definitions that nothing else in the package names, each with its reason.
