@@ -273,17 +273,19 @@ class WindowDistribution(Frozen):
         return den // g, list(accumulate(nums[ws] // g for ws in order)), order
 
     def ordered_atoms(self):
-        """The atoms in ``sorted_items()`` order, as ``sample_index`` numbers them."""
+        """The atoms in ``sorted_items()`` order, as :func:`_draw_index` numbers them."""
         return self._table()[2]
 
-    def sample_index(self, rng):
-        """Exact draw of an atom's position in ``ordered_atoms()``.
 
-        Takes one uniform integer below the reduced common denominator of
-        the probabilities, also when there is a single atom.
-        """
-        den, thresholds, _ = self._table()
-        return bisect_right(thresholds, rng.below(den))
+def _draw_index(table, rng):
+    """Exact draw of an atom's position in the order of a law's ``_table()``,
+    read from that table.
+
+    Takes one uniform integer below the reduced common denominator of the
+    probabilities, also when there is a single atom.
+    """
+    den, thresholds, _ = table
+    return bisect_right(thresholds, rng.below(den))
 
 
 def tv_distance(d1, d2):
@@ -568,7 +570,7 @@ def sampler_law_report(mu, m, lo, hi, trials, seed):
     """Empirical law of the seeded sampler against the exact marginal.
 
     Every trial reads on from one stream, ``SplitMix64(seed)``: first the
-    phase k below m, then, left to right, the ``sample_index`` in the
+    phase k below m, then, left to right, the :func:`_draw_index` in the
     window-[0, m-1] marginal of each block meeting [lo, hi].  Each draw
     reads words until one is below its bound's rejection limit, as
     ``SplitMix64.below`` does.  A trial is counted under the integer
@@ -705,7 +707,7 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
     where target is the even mixture of the two window marginals.
 
     Trial t reads its own stream, ``SplitMix64(derive_seed(seed, n_ai, t))``.
-    It reads, in this order, the words of the ``sample_index`` of the first
+    It reads, in this order, the words of the :func:`_draw_index` of the first
     window marginal, then those of the second (one word each, unless a word
     is rejected), then hi - lo + n_ai coins on ceil((hi - lo + n_ai)/64)
     words: coin i, of site lo + i, is bit i % 64 of coin word i // 64.  A
@@ -773,8 +775,8 @@ def splice_measures(mu1, mu2, n_ai, lo, hi, trials, seed):
             rejected = map(any, zip(*(map(ge, us, repeat(limit)) for us, limit in drawn)))
             for t in compress(range(len(keys)), rejected):
                 stream = SplitMix64(stream_keys[t])
-                i1 = marg1.sample_index(stream)
-                index = i1 * size2 + marg2.sample_index(stream)
+                i1 = _draw_index(tables[0], stream)
+                index = i1 * size2 + _draw_index(tables[1], stream)
                 coins = list(stream.take(coin_words))
                 keys[t] = index << width | _majority_masks(coins, n_ai, width, one_lane)
         key_counts.update(keys)

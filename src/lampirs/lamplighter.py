@@ -313,18 +313,23 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     The residues behind the keys come from the y-action on residues
     (``Submodule.window_residues`` and ``_offset_residues``), with no
     Laurent division per monomial.  The limit's are built once, at e(U),
-    which divides s, and both its keys and the degree gap read them
-    (``_BallResidues``); keys do not depend on the level.
+    which divides s, and its keys, the degree gap and the quotient test
+    read them (``_BallResidues``); keys do not depend on the level.
 
     Every term is read, and checked to be in the limit's group, first.
     The answer depends only on the last term m that disagrees with the
-    limit, so the terms are then keyed from a start term down to m, with no
-    bisection (disagreement is not monotone in m): start - m + 2 key sets
-    with the limit's, 2 for a failure, named from the keys of term H.  The
-    start is H unless every term is one of an approach or vanish sequence
-    toward this limit; then it is the last term m_B that the ball's degree
-    gap admits, as every later term agrees with the limit on the ball (see
-    ``_gap_start``), so min(H, m_B) - m + 2 key sets are made.
+    limit, so the terms are then decided from a start term down to m, with
+    no bisection (disagreement is not monotone in m); a failure is named
+    from the keys of term H.  The start is H unless every term is one of an
+    approach or vanish sequence toward this limit; then it is the last term
+    m_B that the ball's degree gap admits, as every later term agrees with
+    the limit on the ball (see ``_gap_start``).  Without such records every
+    term from the start down to m is keyed: start - m + 2 key sets with the
+    limit's.  With them only the start term is keyed, and if it agrees each
+    lower term is decided by ``_QuotientTest`` on the limit's residues, with
+    no form of the term built; the first that fails is m.  A term whose
+    system the test refuses as too large is keyed instead.  So such a
+    certificate makes 2 key sets, 1 when the gap admits no term.
     The witness's digits are written by ``_vector_at`` at level 1, the
     digit c of component i at a site k as the term c x^(-k) of that
     component.
@@ -341,9 +346,20 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
         raise ContextError("subgroups of different lamplighter groups")
     ball = _BallResidues(limit, support_radius, limit.lamps.minimal_period())
     target = _member_keys(limit, support_radius, shifts, ball)
+    records = _matching_records(terms, limit, ball)
+    quotient = None
     for m in range(_gap_start(terms, limit, ball, shifts), 0, -1):
-        keys = _member_keys(terms[m - 1], support_radius, shifts)
-        if keys != target:
+        differs = quotient.differs(records[m - 1]) if quotient else None
+        if differs is None:
+            V = terms[m - 1]
+            own = _BallResidues(V, support_radius, gcd(V.lamps.period, V.s))
+            keys = _member_keys(V, support_radius, shifts, own)
+            differs = keys != target
+            if records and not (differs or quotient):
+                quotient = _QuotientTest(
+                    limit, ball, target, own, support_radius, shifts, records[: m - 1]
+                )
+        if differs:
             break
     else:
         m = 0
@@ -365,34 +381,33 @@ def _gap_start(terms, limit, ball, shifts):
 
     A term of ``approach_sequence`` or ``vanish_sequence`` records that it is
     U + f*Q, with f*Q in the free (non-pivot) columns of U's form at level e
-    over y = x^e, and for each column j that Q's generators fill the span
-    sigma_j of the gcd of their entries there.  When every term records the
-    limit's lamps as U and the level of ``ball``, the limit's residues, as
-    e, and has the limit's s and v, the marker lamps d_t are the same for
-    both, and a witness (w, t) tells them apart exactly when z = w + d_t is
-    in U + f*Q but not in U.  Then z's residue modulo U is a nonzero f*q in
-    the free columns, q in Q, for any period of Q.  Some entry q_j is
-    nonzero, so j is a column Q fills, and q_j lies in the ideal of the
-    entries of Q's generators there, so f*q_j spans at least deg f +
-    sigma_j in y.  That entry lies in the union of the supports of the
+    over y = x^e: f, Q, and for each column j that Q's generators fill the
+    span sigma_j of the gcd of their entries there.  When every term
+    records the limit's lamps as U and the level of ``ball``, the limit's
+    residues, as e, and has the limit's s and v, the marker lamps d_t are
+    the same for both, and a witness (w, t) tells them apart exactly when
+    z = w + d_t is in U + f*Q but not in U.  Then z's residue modulo U is a
+    nonzero f*q in the free columns, q in Q, for any period of Q.  Some
+    entry q_j is nonzero, so j is a column Q fills, and q_j lies in the
+    ideal of the entries of Q's generators there, so f*q_j spans at least
+    deg f + sigma_j in y.  That entry lies in the union of the supports of the
     residues of the site monomials and of d_t in column j; with B_j the
     widest y-span of that union over the member shifts t (-1 when the
     column has no entry), a term agrees with the limit on the ball unless
     deg f <= B_j - sigma_j for some column j it fills.  d_t's residues are
     walked out from d_0 = 0 both ways by the recurrence of
     ``_offset_residues`` over the shifts -S..S, and once every recorded
-    degree is admitted no further d_t is walked.
+    degree is admitted no further d_t is walked.  The gap is only a bound:
+    below its start the terms are decided by ``_QuotientTest``, which reads
+    f and Q themselves.
     """
     s = limit.s
-    records = [getattr(V.lamps, "_gap", None) for V in terms]
-    if not all(r and V.s == s and V.v == limit.v for r, V in zip(records, terms)):
-        return len(terms)
-    base = (limit.lamps.canonical_key(), ball.form.level)
-    if any(r[:2] != base for r in records):
+    records = _matching_records(terms, limit, ball)
+    if records is None:
         return len(terms)
     tops = {}
-    for _, _, degree, spans in records:
-        tops[spans] = max(tops.get(spans, 0), degree)
+    for _, _, f, spans, _ in records:
+        tops[spans] = max(tops.get(spans, 0), f.degree)
     items = [item for r in ball.window.values() for item in r.items()]
     window = {j: (min(qs), max(qs)) for j, qs in _by_column(items).items()}
     widest = {j: hi - lo for j, (lo, hi) in window.items()}
@@ -411,7 +426,20 @@ def _gap_start(terms, limit, ball, shifts):
         if all(reach(spans) >= top for spans, top in tops.items()):
             break
     reaches = {spans: reach(spans) for spans in tops}
-    return max((m for m, r in enumerate(records, 1) if r[2] <= reaches[r[3]]), default=0)
+    return max((m for m, r in enumerate(records, 1) if r[2].degree <= reaches[r[3]]), default=0)
+
+
+def _matching_records(terms, limit, ball):
+    """The ``_gap`` records of the terms, when every term has one naming the
+    limit's lamps as U and the level of ``ball`` as e, and has the limit's s
+    and v; else None."""
+    records = [getattr(V.lamps, "_gap", None) for V in terms]
+    if not all(r and V.s == limit.s and V.v == limit.v for r, V in zip(records, terms)):
+        return None
+    base = (limit.lamps.canonical_key(), ball.form.level)
+    if any(r[:2] != base for r in records):
+        return None
+    return records
 
 
 def ball_size(n, p, radius, shift_bound, horizon):
@@ -469,6 +497,138 @@ class _BallResidues:
             if k == len(walked):
                 walked.append(next(walk))
             yield walked[k]
+
+
+class _QuotientTest:
+    """Does a recorded term U + f*Q disagree with the limit on the ball?
+    Decided by one linear system over F_p on the limit's ball residues.
+
+    With M the residues of the site monomials and r_t that of the marker
+    lamps d_t, both modulo U at level e (``ball``), the term holds (w, t)
+    exactly when M c + r_t = f*q for some q in Q, c the digits of w (see
+    ``_gap_start``), and the limit exactly when M c + r_t = 0.  At a member
+    shift where the limit has members, M c0 = -r_t, so the term has more
+    exactly when f*q is in span(M) for some nonzero q in Q; t = 0 is one
+    such shift.  At a member shift where the limit has none, the term has
+    some exactly when f*q - r_t is in span(M) for some q in Q.  The entry
+    f*q_j lies in the y-hull [a_j, b_j] of column j of supp(M) and of the
+    supports of those r_t, and f(0) != 0, so q_j lies in [a_j, b_j - deg f].
+    Its coefficients there, in the columns Q fills, are the unknowns.
+
+    An unknown's column is f*y^k in column j reduced modulo span(M), by the
+    RREF of M, beside the residue of y^k in column j modulo Q's form at Q's
+    stored period; each r_t's column is its reduction beside zeros.  The
+    term disagrees exactly when the unknowns' columns are dependent or
+    some r_t's column lies in their span.  The system is sized, unknowns
+    times coordinates, before its matrix is built, and one past ``bound``,
+    the rows of the start term's key reduction times its widest column
+    count, the ball's digits and member shifts, is not built: ``differs``
+    returns None and the term is keyed.  The r_t are walked out from d_0
+    both ways, and once the hull is too wide for any recorded term's
+    system none is built.  The residues modulo Q are kept for the call; no
+    form of a term is built.
+    """
+
+    __slots__ = ("p", "n", "level", "bound", "_pivots", "_hull", "_targets", "_residues")
+
+    def __init__(self, limit, ball, target, keyed, radius, shifts, records):
+        """``keyed``: the start term's residues; ``records``: those of the
+        terms below it."""
+        n, p, s = limit.n, limit.p, limit.s
+        self.p, self.n, self.level = p, n, ball.form.level
+        self._residues = {}
+        columns = [ball.window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
+        support = sorted(set().union(*columns))
+        rows, pivots = rref([[col.get(k, 0) for k in support] for col in columns], p)
+        # span(M)'s RREF by pivot coordinate: the row's other entries, negated
+        self._pivots = {
+            support[c]: tuple((support[j], -a % p) for j, a in enumerate(row) if a and j != c)
+            for row, c in zip(rows, pivots)
+        }
+        members = [t for t in shifts if (t % s == 0 if s else t == 0)]
+        self.bound = len(set().union(*keyed.window.values())) * (len(columns) + len(members))
+        pairs = (item for r in columns for item in r.items())
+        self._hull = {j: (min(qs), max(qs)) for j, qs in _by_column(pairs).items()}
+        tops = {}
+        for _, _, f, spans, _ in records:
+            tops[spans] = max(tops.get(spans, 0), f.degree)
+        barren = {t // s for t, key in zip(shifts, target) if key is None and s and t % s == 0}
+        self._targets = []
+        for sign in (1, -1):
+            far = max([k * sign for k in barren] + [0])
+            for k, residue in zip(range(sign, sign * (far + 1), sign), ball.offsets(sign)):
+                if k not in barren:
+                    continue
+                for j, qs in _by_column(residue.items()).items():
+                    lo, hi = self._hull.get(j, (min(qs), max(qs)))
+                    self._hull[j] = (min(lo, *qs), max(hi, *qs))
+                self._targets.append(self._reduced(residue))
+                if all(len(self._unknowns(sp, top)) ** 2 > self.bound for sp, top in tops.items()):
+                    self._targets = None
+                    return
+
+    def differs(self, record):
+        """True or False, or None for a system past ``bound``."""
+        _, _, f, spans, Q = record
+        if self._targets is None:
+            return None
+        unknowns = self._unknowns(spans, f.degree)
+        count = len(unknowns)
+        if not count:
+            return False
+        if count * count > self.bound:
+            return None
+        terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
+        columns = []
+        for j, k in unknowns:
+            reduced = self._reduced({(j, k + i): c for i, c in terms})
+            column = {(0, key): c for key, c in reduced.items()}
+            column.update(((1, key), c) for key, c in self._q_residue(Q, j, k).items())
+            columns.append(column)
+        columns += [{(0, key): c for key, c in r.items()} for r in self._targets]
+        coords = set().union(*columns)
+        if len(coords) < count:
+            return True
+        if count * len(coords) > self.bound:
+            return None
+        rows, pivots = rref([[col.get(key, 0) for col in columns] for key in coords], self.p)
+        if sum(c < count for c in pivots) < count:
+            return True
+        blocked = [row for row, c in zip(rows, pivots) if c >= count]
+        return any(not any(row[j] for row in blocked) for j in range(count, len(columns)))
+
+    def _unknowns(self, spans, degree):
+        """(column, y-exponent) of each coefficient of q, in the columns of
+        ``spans``, that f*q can hold within the hull for f of ``degree``."""
+        hull = self._hull
+        return [
+            (j, k)
+            for j, _ in spans
+            if j in hull
+            for k in range(hull[j][0], hull[j][1] - degree + 1)
+        ]
+
+    def _reduced(self, coords):
+        """The coordinates ``coords`` reduced modulo span(M)."""
+        out = dict(coords)
+        for key, c in coords.items():
+            row = self._pivots.get(key)
+            if row is not None:
+                del out[key]
+                _add_scaled(out, row, c, self.p)
+        return out
+
+    def _q_residue(self, Q, col, k):
+        """The residue modulo Q's form at its stored period L of y^k in
+        column ``col`` at level e: x^(k*e + col // n) in component col % n."""
+        key = (Q, col, k)
+        residue = self._residues.get(key)
+        if residue is None:
+            level, n = Q.period, self.n
+            form = Q.form(level)
+            q, j = divmod(k * self.level + col // n, level)
+            residue = self._residues[key] = form.y_power(form.unit_residue(j * n + col % n), q)
+        return residue
 
 
 def _member_keys(triple, radius, shifts, ball=None):

@@ -474,12 +474,12 @@ def _check_form_size(n, level, rows):
 class Submodule(Frozen):
     """Additive subgroup of R^n closed under x^{±period}, given by generators."""
 
-    # ``_gap``, (canonical key of U, level e, deg f, the spans of
-    # :func:`_gcd_spans` of Q), is set only on a term U + f*Q of an approach
-    # or vanish sequence, for the certificate's degree gap, and ``_rank``,
-    # the rank at the recorded minimal period ``_e``, only on an approach
-    # term, for ``invariant_report``; every other subgroup leaves them
-    # unset, at no cost to build.
+    # ``_gap``, (canonical key of U, level e, f, the spans of
+    # :func:`_gcd_spans` of Q, Q), is set only on a term U + f*Q of an
+    # approach or vanish sequence, for the certificate's degree gap and
+    # quotient test, and ``_rank``, the rank at the recorded minimal period
+    # ``_e``, only on an approach term, for ``invariant_report``; every
+    # other subgroup leaves them unset, at no cost to build.
     __slots__ = ("p", "n", "period", "gens", "_forms", "_e", "_gap", "_rank")
 
     def __new__(cls, n, p, period, gens=()):
@@ -967,8 +967,8 @@ def vanish_sequence(U, count):
     """U_m = f_m * U along the non-unit irreducibles; tends to the zero subgroup.
 
     Each term records that it is 0 + f_m * U at level 1, every column free,
-    with the key of the zero subgroup, deg f_m and the gcd spans of U's
-    generators, found once (see :func:`approach_sequence`).  A count past
+    with the key of the zero subgroup, f_m, the gcd spans of U's generators,
+    found once, and U as Q (see :func:`approach_sequence`).  A count past
     ``SEQUENCE_BUDGET`` is refused before any term is built.
     """
     key = Submodule.zero(U.n, U.p).canonical_key()
@@ -976,7 +976,7 @@ def vanish_sequence(U, count):
     out = []
     for f in enumerate_irreducibles(U.p, count):
         term = U.scaled(f)
-        _set(term, "_gap", (key, 1, f.degree, spans))
+        _set(term, "_gap", (key, 1, f, spans, U))
         out.append(term)
     return out
 
@@ -1014,17 +1014,19 @@ def approach_sequence(U, b, r_target, count):
     limit.  Each kept term records its minimal period E and its rank
     n*E - r_target there, rk*b from U and n_free*b - r_target from f*Q as
     ranks add, which :func:`invariant_report` reads in place of a form; and
-    the canonical key of U, e, deg f and, found once per sequence, the span
-    of the gcd of the lifted generators' entries in each free column they
-    fill (:func:`_gcd_spans`), which :func:`certify_convergence` reads to
-    skip the terms that agree with U on its ball by the degree gap.  The
-    terms are built by the unchecked ``Submodule._raw``, as every
-    part is valid: U's generators at E are its nonzero canonical rows,
-    shifted, and the lifted generators are nonzero, so their products with
-    F != 0 are nonzero.  A count past ``SEQUENCE_BUDGET`` is refused before
-    anything is built, and a term form past ``FORM_COLUMN_BUDGET`` or
-    ``FORM_ENTRY_BUDGET`` before Q or any term is: it has n*E columns and
-    n*E - r_target rows.
+    the canonical key of U, e, f, the span of the gcd of the lifted
+    generators' entries in each free column they fill (:func:`_gcd_spans`),
+    found once per sequence, and Q, the lifted generators at the stored
+    period E; :func:`certify_convergence` reads them to skip the terms that
+    agree with U on its ball by the degree gap and to decide the others
+    by its quotient test.  The terms are built by the unchecked
+    ``Submodule._raw``, as every part is valid: U's generators at E are
+    its nonzero canonical rows, shifted, and the lifted generators are
+    nonzero, so their products with F != 0 are nonzero.  Q is built the
+    same way, and its form only when the quotient test reads it.  A count
+    past ``SEQUENCE_BUDGET`` is refused before anything is built, and a
+    term form past ``FORM_COLUMN_BUDGET`` or ``FORM_ENTRY_BUDGET`` before
+    Q or any term is: it has n*E columns and n*E - r_target rows.
     """
     check_term_count(count)
     n, p = U.n, U.p
@@ -1070,6 +1072,7 @@ def approach_sequence(U, b, r_target, count):
         for t in quotient_piece.gens
     )
     spans = _gcd_spans(lifted, e, p)
+    Q = Submodule._raw(n, p, E, lifted)
     out = []
     for f in irreducibles(p):
         spread = [0] * (e * f.degree + 1)
@@ -1081,7 +1084,7 @@ def approach_sequence(U, b, r_target, count):
             continue
         _set(term, "_e", E)
         _set(term, "_rank", n * E - r_target)
-        _set(term, "_gap", (key, e, f.degree, spans))
+        _set(term, "_gap", (key, e, f, spans, Q))
         out.append(term)
         if len(out) == count:
             return out

@@ -72,6 +72,7 @@ from lampirs.lamplighter import (
     GroupElement,
     SubgroupTriple,
     _BallResidues,
+    _QuotientTest,
     _least_difference,
     _offset_residues,
     ball_size,
@@ -1457,6 +1458,10 @@ class TestWitnessSearchOracle:
 # ---------------------------------------------------------------------------
 
 
+# The (e(U), rk, t) shapes of the p = 2 limits of the certify-f2 benchmark.
+CERTIFY_F2_SHAPES = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
+
+
 def gap_grid(seed, count):
     """(limit, terms, radius, shift_bound, horizon): approach sequences to a
     seeded limit of shape (e, rk, t), e, t <= 3, 2, and vanish sequences to
@@ -1553,8 +1558,8 @@ def closed_form_gap_start(terms, limit, radius, shifts):
             widest[j] = max(widest.get(j, -1), max(qs) - min(qs))
 
     def admitted(record):
-        _, _, degree, spans = record
-        return any(degree <= widest[j] - sigma for j, sigma in spans if j in widest)
+        _, _, f, spans, _ = record
+        return any(f.degree <= widest[j] - sigma for j, sigma in spans if j in widest)
 
     return max((m for m, r in enumerate(records, 1) if admitted(r)), default=0)
 
@@ -1633,8 +1638,9 @@ class TestDegreeGapOracle:
             e = U.minimal_period()
             form = U.form(e)
             for V in terms[:3]:
-                _, level, degree, spans = V.lamps._gap
+                _, level, f, spans, _ = V.lamps._gap
                 assert level == e
+                degree = f.degree
                 sigma = dict(spans)
                 W = V.lamps
                 for _ in range(3):
@@ -1705,6 +1711,122 @@ class TestGapWalk:
             shifts = range(-shift_bound, shift_bound + 1)
             want = closed_form_gap_start(terms, limit, radius, shifts)
             assert gap_start(limit, terms, radius, shift_bound) == want, shift_bound
+
+
+# ---------------------------------------------------------------------------
+# The quotient test: below a start term that agrees with the limit, each
+# recorded term U + f*Q is decided by one linear system on the limit's ball
+# residues.  Its verdict is checked against the terms' member keys on every
+# recorded term of the gap grid and of the certify workloads' shapes.
+# ---------------------------------------------------------------------------
+
+
+def quotient_cases():
+    """(limit, terms, radius, shift_bound): the gap grid, then the shapes of
+    the certify workloads: the p = 2 shapes at radius 3 to 5 and shift bound
+    2s, 25 terms; p = 3 and p = 5 shapes with t in {1, 2} at radius 1 and 2
+    and shift bound s, 12 terms; and s = 0 vanish sequences of generators of
+    width 2 to 4 at radius 3 and 4 and shift bound 1, 12 terms."""
+    for limit, terms, radius, shift_bound, _ in gap_grid(2929, 150):
+        yield limit, terms, radius, shift_bound
+    for seed in range(1, 11):
+        for shape in CERTIFY_F2_SHAPES:
+            limit, terms = approach_case(2, *shape, seed, 25)
+            for radius in (3, 4, 5):
+                yield limit, terms, radius, 2 * limit.s
+        for p, shape in [(3, (2, 1, 1)), (3, (3, 2, 1)), (3, (2, 1, 2)), (5, (2, 1, 1)), (5, (2, 1, 2))]:
+            limit, terms = approach_case(p, *shape, seed, 12)
+            for radius in (1, 2):
+                yield limit, terms, radius, limit.s
+    for coeffs in ([1, 1], [1, 0, 1], [1, 1, 1], [1, 0, 1, 1]):
+        limit, terms = vanish_case(2, coeffs, 12)
+        for radius in (3, 4):
+            yield limit, terms, radius, 1
+
+
+def quotient_verdicts(limit, terms, radius, shift_bound):
+    """(verdict, differs) for every term: the quotient test's verdict on its
+    record, None for a system past the bound, and whether its member keys
+    differ from the limit's.  The bound is read from the last term's
+    residues, as if it were the start term."""
+    shifts = range(-shift_bound, shift_bound + 1)
+    ball = _BallResidues(limit, radius, limit.lamps.minimal_period())
+    target = lamplighter._member_keys(limit, radius, shifts, ball)
+    last = terms[-1]
+    keyed = _BallResidues(last, radius, gcd(last.lamps.period, last.s))
+    records = [V.lamps._gap for V in terms]
+    test = _QuotientTest(limit, ball, target, keyed, radius, shifts, records)
+    return [
+        (test.differs(V.lamps._gap), lamplighter._member_keys(V, radius, shifts) != target)
+        for V in terms
+    ]
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    """Each ``_QuotientTest.differs`` call, in order, as (bound, unknowns
+    times coordinates of every matrix it row-reduces, verdict)."""
+    calls, inside = [], []
+    differs, reduce = _QuotientTest.differs, lamplighter.rref
+
+    def sized_differs(test, record):
+        inside.append((test.bound, len(test._targets or ()), []))
+        verdict = differs(test, record)
+        bound, _, sizes = inside.pop()
+        calls.append((bound, sizes, verdict))
+        return verdict
+
+    def sized_rref(rows, p):
+        if inside:
+            _, targets, sizes = inside[-1]
+            sizes.append(len(rows) * (len(rows[0]) - targets))
+        return reduce(rows, p)
+
+    monkeypatch.setattr(_QuotientTest, "differs", sized_differs)
+    monkeypatch.setattr(lamplighter, "rref", sized_rref)
+    return calls
+
+
+class TestQuotientTestOracle:
+    def test_verdicts_match_the_member_keys(self, systems):
+        checked = differing = refused = 0
+        for limit, terms, radius, shift_bound in quotient_cases():
+            for m, (verdict, differs) in enumerate(quotient_verdicts(limit, terms, radius, shift_bound), 1):
+                if verdict is None:
+                    refused += 1
+                    continue
+                assert verdict == differs, (limit, radius, shift_bound, m)
+                checked += 1
+                differing += differs
+        assert checked > 6000 and differing > 1800, (checked, differing)
+        assert refused * 10 < checked, (refused, checked)
+        # every system is sized before its matrix is built
+        assert all(size <= bound for bound, sizes, _ in systems for size in sizes)
+        assert sum(bool(sizes) for _, sizes, _ in systems) > 2000
+
+    def test_far_shifts_refuse_systems_past_the_bound(self, systems, keyed):
+        # On the companion sequences at the far shift bound of the gap walk,
+        # the marker residues of the shifts without limit members drift far
+        # out and widen the hull until every system passes the bound.  No
+        # system past it is built, each refused term is keyed, and the
+        # certificates equal those keyed in full.
+        refused = 0
+        for v_text in ["x", "x^-1*(1+x)", "1", "0"]:
+            limit, terms = companion_case(v_text)
+            bare = unrecorded(terms)
+            for radius in (0, 2):
+                systems.clear()
+                keyed.clear()
+                got = certify_convergence(lambda m: terms[m - 1], limit, radius, 200, 25)
+                verdicts = [verdict for _, _, verdict in systems]
+                if verdicts:
+                    # the limit, the start term and each refused term
+                    assert len(keyed) == 2 + verdicts.count(None)
+                refused += verdicts.count(None)
+                assert all(size <= bound for bound, sizes, _ in systems for size in sizes)
+                want = certify_convergence(lambda m: bare[m - 1], limit, radius, 200, 25)
+                assert got.to_json() == want.to_json(), (v_text, radius)
+        assert refused >= 4, refused
 
 
 class TestDegreeGapFallback:

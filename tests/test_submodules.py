@@ -28,6 +28,7 @@ from lampirs.submodules import (
 )
 
 from test_oracle_crosscheck import (
+    CERTIFY_F2_SHAPES,
     _coordinates,
     laurent_rows,
     pinned_grid,
@@ -36,9 +37,6 @@ from test_oracle_crosscheck import (
     vectorize,
 )
 
-
-# The (e(U), rk, t) shapes of the p = 2 limits of the certify-f2 benchmark.
-CERTIFY_F2_SHAPES = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2)]
 
 
 def unit(n, p, i=0, exp=0):
@@ -672,7 +670,9 @@ class TestApproach:
         # certify them at radius 4 with the shift bound 2s, classify them.
         # A term's form is built only when the certificate keys the term:
         # classify_limit compares no term with the limit, as every term's
-        # recorded encoding differs from the limit's.
+        # recorded encoding differs from the limit's.  On the t = 2 shapes,
+        # whose degree gap is loose, only the limit and the gap's start term
+        # are keyed: the quotient test decides every term below the start.
         U = construct_with_invariants(1, 2, e, rk)
         V = SubgroupTriple(t * e, U, U.reduce_vector(random_vector(SplitMix64(61 * e + t), 1, 2)))
         keyed, member_keys = [], lamplighter._member_keys
@@ -682,12 +682,18 @@ class TestApproach:
             return member_keys(triple, *args)
 
         monkeypatch.setattr(lamplighter, "_member_keys", keying)
+        shifts = range(-2 * t * e, 2 * t * e + 1)
         unformed = 0
         for r_target in range(t * (e - rk)):
             keyed.clear()
             seq = build_approach_sequence(V, (1, r_target), 25)
             certify_convergence(lambda m: seq[m - 1], V, 4, 2 * t * e, 25)
             classify_limit(seq, V)
+            if t == 2:
+                ball = lamplighter._BallResidues(V, 4, e)
+                start = lamplighter._gap_start(seq, V, ball, shifts)
+                assert keyed == [V, seq[start - 1]], (r_target, start)
+                assert not any(W.lamps._forms for W in seq[: start - 1]), r_target
             for m, W in enumerate(seq, 1):
                 if not W.lamps._forms:
                     unformed += 1
