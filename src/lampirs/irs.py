@@ -166,15 +166,10 @@ class WindowSubgroup(Frozen):
         rows = tuple((0,) * left + r + (0,) * right for r in self.rows)
         return WindowSubgroup._raw(self.p, self.n, lo, hi, rows)
 
-    def sum_with(self, other):
-        """Subgroup generated jointly with another on the same window."""
-        _check_same_window(self, other)
-        return WindowSubgroup(self.p, self.n, self.lo, self.hi, self.rows + other.rows)
-
 
 def _direct_sum(ws1, ws2):
-    """``ws1.sum_with(ws2)`` for ws2 on sites disjoint from ws1's: the rows
-    merged by pivot, descending as tuples, are already the RREF."""
+    """The subgroup ws1 and ws2 generate, ws2 on sites disjoint from ws1's:
+    the rows merged by pivot, descending as tuples, are already the RREF."""
     rows = tuple(sorted(ws1.rows + ws2.rows, reverse=True))
     return WindowSubgroup._raw(ws1.p, ws1.n, ws1.lo, ws1.hi, rows)
 

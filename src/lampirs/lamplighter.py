@@ -18,7 +18,6 @@ For subgroups of the lamp group, s = 0 and v = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice
 from math import gcd
 
 from .algebra import Frozen, LaurentPoly, _set, check_prime, geometric_series
@@ -29,7 +28,6 @@ from .submodules import (
     SITE_EXPONENT_SIGN,
     LaurentVector,
     _add_scaled,
-    _by_column,
     _vector_at,
     _vector_coordinates,
     format_vector,
@@ -310,11 +308,10 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     configurations, so each subgroup is compared with the limit through one
     canonical key per shift (see ``_member_keys``) and no witness is
     enumerated; ``witnesses_checked`` is the size of the certified ball.
-    The residues behind the keys come from the y-action on residues
-    (``Submodule.window_residues`` and ``_offset_residues``), with no
-    Laurent division per monomial.  The limit's are built once, at e(U),
-    which divides s, and its keys, the degree gap and the quotient test
-    read them (``_BallResidues``); keys do not depend on the level.
+    A key set reads one ``_BallResidues``, the ball's residues under the
+    y-action, with no Laurent division per monomial.  The limit's is built
+    once, at e(U), which divides s, and its keys, the degree gap and the
+    quotient test all read it; keys do not depend on the level.
 
     Every term is read, and checked to be in the limit's group, first.
     The answer depends only on the last term m that disagrees with the
@@ -326,8 +323,8 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     the limit on the ball (see ``_gap_start``).  Without such records every
     term from the start down to m is keyed: start - m + 2 key sets with the
     limit's.  With them only the start term is keyed, and if it agrees each
-    lower term is decided by ``_QuotientTest`` on the limit's residues, with
-    no form of the term built; the first that fails is m.  A term whose
+    lower term is decided by ``_QuotientTest`` on the limit's ball, with no
+    form of the term built; the first that fails is m.  A term whose
     system the test refuses as too large is keyed instead.  So such a
     certificate makes 2 key sets, 1 when the gap admits no term.
     The witness's digits are written by ``_vector_at`` at level 1, the
@@ -339,26 +336,24 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     """
     n, p = limit.n, limit.p
     checked = ball_size(n, p, support_radius, shift_bound, horizon)
-    dim = n * (2 * support_radius + 1)
     shifts = range(-shift_bound, shift_bound + 1)
     terms = [provider(m) for m in range(1, horizon + 1)]
     if any(triple.n != n or triple.p != p for triple in terms):
         raise ContextError("subgroups of different lamplighter groups")
-    ball = _BallResidues(limit, support_radius, limit.lamps.minimal_period())
-    target = _member_keys(limit, support_radius, shifts, ball)
+    ball = _BallResidues(limit, support_radius, limit.lamps.minimal_period(), shifts)
+    target = _member_keys(ball)
     records = _matching_records(terms, limit, ball)
+    start = _gap_start(records, ball, target) if records else horizon
     quotient = None
-    for m in range(_gap_start(terms, limit, ball, shifts), 0, -1):
+    for m in range(start, 0, -1):
         differs = quotient.differs(records[m - 1]) if quotient else None
         if differs is None:
             V = terms[m - 1]
-            own = _BallResidues(V, support_radius, gcd(V.lamps.period, V.s))
-            keys = _member_keys(V, support_radius, shifts, own)
+            own = _BallResidues(V, support_radius, gcd(V.lamps.period, V.s), shifts)
+            keys = _member_keys(own)
             differs = keys != target
             if records and not (differs or quotient):
-                quotient = _QuotientTest(
-                    limit, ball, target, own, support_radius, shifts, records[: m - 1]
-                )
+                quotient = _QuotientTest(ball, target, own, records[: m - 1])
         if differs:
             break
     else:
@@ -368,65 +363,59 @@ def certify_convergence(provider, limit, support_radius, shift_bound, horizon):
     t, key, limit_key = next(
         (t, a, b) for t, a, b in zip(shifts, keys, target) if a != b
     )
-    digits = _least_difference(key, limit_key, dim, p)
+    digits = _least_difference(key, limit_key, len(ball.columns), p)
     sites = [(i, site) for i in range(n) for site in range(-support_radius, support_radius + 1)]
     coords = {(i, SITE_EXPONENT_SIGN * site): c for (i, site), c in zip(sites, digits) if c}
     lamps = _vector_at(coords, n, 1, p)
     return ConvergenceResult(False, None, GroupElement._raw(lamps, t), checked, horizon)
 
 
-def _gap_start(terms, limit, ball, shifts):
-    """The last term that can disagree with the limit on the ball: H, or by
-    the degree gap the last term with deg f <= max_j (B_j - sigma_j).
+def _gap_start(records, ball, target):
+    """The last term that can disagree with the limit on the ball by the
+    degree gap: the last with deg f <= max_j (B_j - sigma_j), or 0.
 
-    A term of ``approach_sequence`` or ``vanish_sequence`` records that it is
-    U + f*Q, with f*Q in the free (non-pivot) columns of U's form at level e
-    over y = x^e: f, Q, and for each column j that Q's generators fill the
-    span sigma_j of the gcd of their entries there.  When every term
-    records the limit's lamps as U and the level of ``ball``, the limit's
-    residues, as e, and has the limit's s and v, the marker lamps d_t are
-    the same for both, and a witness (w, t) tells them apart exactly when
-    z = w + d_t is in U + f*Q but not in U.  Then z's residue modulo U is a
-    nonzero f*q in the free columns, q in Q, for any period of Q.  Some
-    entry q_j is nonzero, so j is a column Q fills, and q_j lies in the
-    ideal of the entries of Q's generators there, so f*q_j spans at least
-    deg f + sigma_j in y.  That entry lies in the union of the supports of the
-    residues of the site monomials and of d_t in column j; with B_j the
-    widest y-span of that union over the member shifts t (-1 when the
-    column has no entry), a term agrees with the limit on the ball unless
-    deg f <= B_j - sigma_j for some column j it fills.  d_t's residues are
-    walked out from d_0 = 0 both ways by the recurrence of
-    ``_offset_residues`` over the shifts -S..S, and once every recorded
-    degree is admitted no further d_t is walked.  The gap is only a bound:
-    below its start the terms are decided by ``_QuotientTest``, which reads
-    f and Q themselves.
+    ``records`` are the terms' ``_gap`` records as ``_matching_records``
+    accepts them: each term is U + f*Q, with f*Q in the free (non-pivot)
+    columns of U's form at level e over y = x^e, and sigma_j, for each
+    column j that Q's generators fill, is the span of the gcd of their
+    entries there.  Such a term has the limit's s and v, so its marker
+    lamps d_t are the limit's, and a witness (w, t) tells them apart
+    exactly when z = w + d_t is in U + f*Q but not in U.  Then z's residue
+    modulo U at e (``ball``) is a nonzero f*q in the free columns, q in Q,
+    for any period of Q.  Some entry q_j is nonzero, so j is a column Q
+    fills, and q_j lies in the ideal of Q's entries there, so f*q_j spans
+    at least deg f + sigma_j in y.  That entry lies in the union of the
+    supports of M, the ball's columns, and of r_t, the residue of d_t, in
+    column j; with B_j the widest y-span of that union over the member
+    shifts t (-1 when the column has no entry), a term agrees with the
+    limit on the ball unless deg f <= B_j - sigma_j for some column j it
+    fills.  Where the limit has members at t (its key in ``target`` is
+    not None), r_t is in the span of M, so inside M's support, and widens
+    no B_j: only the other member shifts are walked, and once every
+    recorded degree is admitted no further r_t is.  The gap is only a
+    bound: below its start the terms are decided by ``_QuotientTest``.
     """
-    s = limit.s
-    records = _matching_records(terms, limit, ball)
-    if records is None:
-        return len(terms)
-    tops = {}
-    for _, _, f, spans, _ in records:
-        tops[spans] = max(tops.get(spans, 0), f.degree)
-    items = [item for r in ball.window.values() for item in r.items()]
-    window = {j: (min(qs), max(qs)) for j, qs in _by_column(items).items()}
-    widest = {j: hi - lo for j, (lo, hi) in window.items()}
+    tops = _tops(records)
+    widest = {j: hi - lo for j, (lo, hi) in ball.hull.items()}
 
     def reach(spans):
         return max((widest[j] - sigma for j, sigma in spans if j in widest), default=-1)
 
-    residues = [{}]
-    if s:
-        walks = (ball.offsets(sign) for sign in (1, -1))
-        residues = chain(residues, *(islice(walk, shifts[-1] // s) for walk in walks))
-    for residue in residues:
-        for j, qs in _by_column(residue.items()).items():
-            lo, hi = window.get(j, (min(qs), max(qs)))
-            widest[j] = max(widest.get(j, -1), max(hi, max(qs)) - min(lo, min(qs)))
+    for k in ball.barren(target):
         if all(reach(spans) >= top for spans, top in tops.items()):
             break
+        for j, (lo, hi) in _widened(ball.hull, ball.marker(k)).items():
+            widest[j] = max(widest.get(j, -1), hi - lo)
     reaches = {spans: reach(spans) for spans in tops}
     return max((m for m, r in enumerate(records, 1) if r[2].degree <= reaches[r[3]]), default=0)
+
+
+def _tops(records):
+    """The greatest deg f of the ``_gap`` records per spans."""
+    tops = {}
+    for _, _, f, spans, _ in records:
+        tops[spans] = max(tops.get(spans, 0), f.degree)
+    return tops
 
 
 def _matching_records(terms, limit, ball):
@@ -470,42 +459,93 @@ def ball_size(n, p, radius, shift_bound, horizon):
 
 
 class _BallResidues:
-    """The residues at ``level`` of a triple's ball, built once and read by
-    its member keys and by the degree gap: ``window``, those of the site
-    monomials on [-radius, radius] by (site, component), from
-    ``Submodule.window_residues``; ``v``, that of the marker lamps; and,
-    through :meth:`offsets`, those of the d_k.  ``level`` is a period of U
-    at which x^s is a power of y."""
+    """A triple's ball, its residues modulo U's form at ``level``, a period
+    of U at which x^s is a power of y: ``columns``, those of the site
+    monomials on [-radius, radius] in digit order (see ``_member_keys``),
+    from ``Submodule.window_residues``; their ``support`` and its y-hull
+    per column, ``hull``; the ``shifts`` and the ``members`` among them,
+    s | t (t = 0 when s = 0); and, through :meth:`marker`, those of the
+    marker lamps d_k, walked once for the call."""
 
-    __slots__ = ("form", "window", "v", "_walks")
+    __slots__ = ("s", "form", "columns", "support", "hull", "shifts", "members", "_v", "_walked")
 
-    def __init__(self, triple, radius, level):
-        U = triple.lamps
-        self.form = U.form(level)
-        self.window = U.window_residues(-radius, radius, level)
-        self.v = self.form.residue(_vector_coordinates(triple.v, level))
-        steps = triple.s // level
-        self._walks = {
-            sign: ([], _marker_walk(self.form, self.v, steps, triple.p, sign)) for sign in (1, -1)
-        }
+    def __init__(self, triple, radius, level, shifts):
+        n, s, U = triple.n, triple.s, triple.lamps
+        self.s, self.form = s, U.form(level)
+        window = U.window_residues(-radius, radius, level)
+        self.columns = [window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
+        self.support = set().union(*self.columns)
+        self.hull = _widened({}, self.support)
+        self.shifts = shifts
+        self.members = [t for t in shifts if (t % s == 0 if s else t == 0)]
+        self._v = tuple(self.form.residue(_vector_coordinates(triple.v, level)).items())
+        self._walked = {True: [{}], False: [{}]}
 
-    def offsets(self, sign):
-        """The residues of d_sign, d_(2 sign), ..., without end: those of
-        :func:`_marker_walk` walked before, then the walk, kept as it goes."""
-        walked, walk = self._walks[sign]
-        for k in count():
-            if k == len(walked):
-                walked.append(next(walk))
-            yield walked[k]
+    def marker(self, k):
+        """The residue of d_k, the lamps of (0, k*s)(v, s)^(-k), walked out
+        from d_0 = 0 by d_(k+1) = x^s d_k - v and d_(k-1) = x^(-s) (d_k + v),
+        x^(+-s) being y^(+-s/level) on residues."""
+        i, walked, form = abs(k), self._walked[k > 0], self.form
+        steps = self.s // form.level
+        while len(walked) <= i:
+            residue = walked[-1]
+            if k > 0:
+                residue = _add_scaled(form.y_power(residue, steps), self._v, -1, form.p)
+            else:
+                residue = form.y_power(_add_scaled(dict(residue), self._v, 1, form.p), -steps)
+            walked.append(residue)
+        return walked[i]
+
+    def reachable(self):
+        """{t: r_t} for the member shifts t, in order, whose residue r_t of
+        d_t lies inside ``support``.
+
+        A y-step moves every coordinate one exponent up (or down) and
+        subtracts pivot rows only at their own exponents (one lower going
+        down), and v stays put.  So a coordinate above every exponent of
+        the rows, of v and of ``support`` moves on and is never cleared
+        going up, nor one below them all going down, and no further d_k is
+        walked.
+        """
+        ks = {t: t // self.s if self.s else 0 for t in self.members}
+        exponents = [exp for row in self.form.rows for (_, exp), _ in row]
+        exponents += [exp for (_, exp), _ in self._v] + [exp for _, exp in self.support]
+        found, far = {0: {}}, {1: max(ks.values()), -1: min(ks.values())}
+        for sign in (1, -1):
+            edge = max((sign * exp for exp in exponents), default=0)
+            for k in range(sign, far[sign] + sign, sign):
+                residue = self.marker(k)
+                if any(sign * exp > edge for _, exp in residue):
+                    break
+                if residue.keys() <= self.support:
+                    found[k] = residue
+        return {t: found[k] for t, k in ks.items() if k in found}
+
+    def barren(self, target):
+        """The k = t/s of the member shifts t where ``target``, the keys of
+        the ball's shifts, has none, outward from 0: k > 0 first."""
+        s = self.s
+        ks = [t // s for t, key in zip(self.shifts, target) if key is None and s and t % s == 0]
+        return sorted(ks, key=lambda k: (k < 0, abs(k)))
+
+
+def _widened(hull, keys):
+    """A copy of ``hull``, {column: (least, greatest y-exponent)}, widened
+    to the coordinates ``keys``, (column, y-exponent) each."""
+    out = dict(hull)
+    for j, q in keys:
+        lo, hi = out.get(j, (q, q))
+        out[j] = (min(lo, q), max(hi, q))
+    return out
 
 
 class _QuotientTest:
     """Does a recorded term U + f*Q disagree with the limit on the ball?
     Decided by one linear system over F_p on the limit's ball residues.
 
-    With M the residues of the site monomials and r_t that of the marker
-    lamps d_t, both modulo U at level e (``ball``), the term holds (w, t)
-    exactly when M c + r_t = f*q for some q in Q, c the digits of w (see
+    With M the ball's columns and r_t the residue of the marker lamps d_t,
+    both modulo U at level e, the term holds (w, t) exactly when
+    M c + r_t = f*q for some q in Q, c the digits of w (see
     ``_gap_start``), and the limit exactly when M c + r_t = 0.  At a member
     shift where the limit has members, M c0 = -r_t, so the term has more
     exactly when f*q is in span(M) for some nonzero q in Q; t = 0 is one
@@ -521,51 +561,39 @@ class _QuotientTest:
     term disagrees exactly when the unknowns' columns are dependent or
     some r_t's column lies in their span.  The system is sized, unknowns
     times coordinates, before its matrix is built, and one past ``bound``,
-    the rows of the start term's key reduction times its widest column
-    count, the ball's digits and member shifts, is not built: ``differs``
-    returns None and the term is keyed.  The r_t are walked out from d_0
-    both ways, and once the hull is too wide for any recorded term's
-    system none is built.  The residues modulo Q are kept for the call; no
-    form of a term is built.
+    the rows of the start term's key reduction (``keyed``, its ball) times
+    its widest column count, the ball's digits and member shifts, is not
+    built: ``differs`` returns None and the term is keyed.  The r_t are
+    read from the ball as the degree gap reads them, and once the hull is
+    too wide for any recorded term's system none is built.  The residues
+    modulo Q are kept for the call; no form of a term is built.
     """
 
     __slots__ = ("p", "n", "level", "bound", "_pivots", "_hull", "_targets", "_residues")
 
-    def __init__(self, limit, ball, target, keyed, radius, shifts, records):
-        """``keyed``: the start term's residues; ``records``: those of the
-        terms below it."""
-        n, p, s = limit.n, limit.p, limit.s
-        self.p, self.n, self.level = p, n, ball.form.level
+    def __init__(self, ball, target, keyed, records):
+        """``records``: those of the terms below the start term."""
+        p = self.p = ball.form.p
+        self.n, self.level = ball.form.n, ball.form.level
         self._residues = {}
-        columns = [ball.window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
-        support = sorted(set().union(*columns))
-        rows, pivots = rref([[col.get(k, 0) for k in support] for col in columns], p)
+        support = sorted(ball.support)
+        rows, pivots = rref([[col.get(k, 0) for k in support] for col in ball.columns], p)
         # span(M)'s RREF by pivot coordinate: the row's other entries, negated
         self._pivots = {
             support[c]: tuple((support[j], -a % p) for j, a in enumerate(row) if a and j != c)
             for row, c in zip(rows, pivots)
         }
-        members = [t for t in shifts if (t % s == 0 if s else t == 0)]
-        self.bound = len(set().union(*keyed.window.values())) * (len(columns) + len(members))
-        pairs = (item for r in columns for item in r.items())
-        self._hull = {j: (min(qs), max(qs)) for j, qs in _by_column(pairs).items()}
-        tops = {}
-        for _, _, f, spans, _ in records:
-            tops[spans] = max(tops.get(spans, 0), f.degree)
-        barren = {t // s for t, key in zip(shifts, target) if key is None and s and t % s == 0}
+        self.bound = len(keyed.support) * (len(ball.columns) + len(ball.members))
+        self._hull = ball.hull
+        tops = _tops(records)
         self._targets = []
-        for sign in (1, -1):
-            far = max([k * sign for k in barren] + [0])
-            for k, residue in zip(range(sign, sign * (far + 1), sign), ball.offsets(sign)):
-                if k not in barren:
-                    continue
-                for j, qs in _by_column(residue.items()).items():
-                    lo, hi = self._hull.get(j, (min(qs), max(qs)))
-                    self._hull[j] = (min(lo, *qs), max(hi, *qs))
-                self._targets.append(self._reduced(residue))
-                if all(len(self._unknowns(sp, top)) ** 2 > self.bound for sp, top in tops.items()):
-                    self._targets = None
-                    return
+        for k in ball.barren(target):
+            residue = ball.marker(k)
+            self._hull = _widened(self._hull, residue)
+            self._targets.append(self._reduced(residue))
+            if all(len(self._unknowns(sp, top)) ** 2 > self.bound for sp, top in tops.items()):
+                self._targets = None
+                return
 
     def differs(self, record):
         """True or False, or None for a system past ``bound``."""
@@ -631,87 +659,35 @@ class _QuotientTest:
         return residue
 
 
-def _member_keys(triple, radius, shifts, ball=None):
-    """Per shift t, a canonical key of {w on sites [-radius, radius] : (w, t) in triple}.
+def _member_keys(ball):
+    """Per shift t of ``ball``, a canonical key of {w on its sites : (w, t) in
+    its triple}.
 
     A configuration w is given by its digits c, component by component,
-    site -radius first.  (w, t) is a member exactly when s | t (t = 0 when
-    s = 0) and w + d_t is in U, with d_t the lamps of (0, t)(v, s)^(-t/s).
-    Reduction modulo U's canonical form is F_p-linear, so with M the
-    residues of the site monomials and r_t that of d_t the set is
-    {c : M c = -r_t}, empty (key None) unless r_t lies in the column span
-    of M, which it cannot when it has a coordinate outside M's rows.  One
-    row reduction of [M | r_t, ...] over the other t gives the set's
+    site -radius first.  (w, t) is a member exactly when t is a member
+    shift and w + d_t is in U, with d_t the lamps of (0, t)(v, s)^(-t/s).
+    Reduction modulo U's form is F_p-linear, so with M the ball's columns
+    and r_t the residue of d_t the set is {c : M c = -r_t}, empty (key
+    None) unless r_t lies in the column span of M, which it cannot when it
+    has a coordinate outside M's support (``_BallResidues.reachable``).
+    One row reduction of [M | r_t, ...] over the other t gives the set's
     direction, as the RREF of M's row space, and for each consistent t the
     solution whose free coordinates vanish; equal sets get equal keys,
-    whatever level the residues are taken at.  They are those of ``ball``
-    when given, else built at gcd(period, s), a period of U at which x^s is
-    a power of y (see ``_offset_residues``).
+    whatever level the residues are taken at.
     """
-    n, p, s, U = triple.n, triple.p, triple.s, triple.lamps
-    members = [t for t in shifts if (t % s == 0 if s else t == 0)]
-    if ball is None:
-        ball = _BallResidues(triple, radius, gcd(U.period, s))
-    window = ball.window
-    columns = [window[site, i] for i in range(n) for site in range(-radius, radius + 1)]
-    dim = len(columns)
-    support = set().union(*columns)
-    offsets = _offset_residues(ball, [t // s if s else 0 for t in members], support)
-    reachable = [(t, r) for t, r in zip(members, offsets) if r is not None]
-    columns += [r for _, r in reachable]
-    rows, pivots = rref([[col.get(k, 0) for col in columns] for k in sorted(support)], p)
+    dim = len(ball.columns)
+    reachable = ball.reachable()
+    columns = ball.columns + list(reachable.values())
+    coords = sorted(ball.support)
+    rows, pivots = rref([[col.get(k, 0) for col in columns] for k in coords], ball.form.p)
     solved = [row for row, c in zip(rows, pivots) if c < dim]
     blocked = [row for row, c in zip(rows, pivots) if c >= dim]
     direction = tuple(row[:dim] for row in solved)
-    keys = dict.fromkeys(shifts)
-    for j, (t, _) in enumerate(reachable, start=dim):
+    keys = dict.fromkeys(ball.shifts)
+    for j, t in enumerate(reachable, start=dim):
         if not any(row[j] for row in blocked):
             keys[t] = (direction, tuple(row[j] for row in solved))
-    return [keys[t] for t in shifts]
-
-
-def _offset_residues(ball, ks, support):
-    """Residue coordinates of d_k, the lamps of (0, k*s)(v, s)^(-k), read
-    from ``ball``, or None for those with a coordinate outside ``support``.
-
-    The d_k come from :func:`_marker_walk`.  A y-step moves every coordinate
-    one exponent up (or down) and subtracts pivot rows only at their own
-    exponents (one lower going down), and v stays put.  So a coordinate
-    above every exponent of the rows, of v and of ``support`` moves on and
-    is never cleared going up, nor one below them all going down, and no
-    later d_k is read.
-    """
-    exponents = [exp for row in ball.form.rows for (_, exp), _ in row]
-    exponents += [exp for _, exp in [*ball.v, *support]]
-    hi, lo = max(exponents, default=0), min(exponents, default=0)
-    out = dict.fromkeys(ks)
-    out[0] = {}
-    for k, residue in zip(range(1, max(ks) + 1), ball.offsets(1)):
-        if any(exp > hi for _, exp in residue):
-            break
-        out[k] = residue if residue.keys() <= support else None
-    for k, residue in zip(range(-1, min(ks) - 1, -1), ball.offsets(-1)):
-        if any(exp < lo for _, exp in residue):
-            break
-        out[k] = residue if residue.keys() <= support else None
-    return [out[k] for k in ks]
-
-
-def _marker_walk(form, v, steps, p, sign):
-    """The residues under ``form`` of d_sign, d_(2 sign), ..., without end.
-
-    d_k are the lamps of (0, k*s)(v, s)^(-k): d_0 = 0,
-    d_(k+1) = x^s d_k - v and d_(k-1) = x^(-s) (d_k + v).  The form's level
-    divides s, so x^(+-s) is y^(+-steps), and each step is ``steps`` y-steps
-    on residues plus one residue of v, given as ``v``.
-    """
-    residue = {}
-    while True:
-        if sign > 0:
-            residue = _add_scaled(form.y_power(residue, steps), v.items(), -1, p)
-        else:
-            residue = form.y_power(_add_scaled(dict(residue), v.items(), 1, p), -steps)
-        yield residue
+    return list(keys.values())
 
 
 def _least_difference(key_a, key_b, dim, p):

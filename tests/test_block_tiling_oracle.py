@@ -26,6 +26,8 @@ from lampirs.rng import SplitMix64
 from lampirs.selftest import _measure_grid, random_vector
 from lampirs.submodules import Submodule
 
+from window_oracles import sum_with
+
 
 def convolve_disjoint(d1, d2, lo, hi):
     """Law of the direct sum of independent draws, both embedded in [lo, hi]."""
@@ -33,7 +35,7 @@ def convolve_disjoint(d1, d2, lo, hi):
     for ws1, p1 in d1.atoms.items():
         e1 = ws1.embedded(lo, hi)
         for ws2, p2 in d2.atoms.items():
-            combined = e1.sum_with(ws2.embedded(lo, hi))
+            combined = sum_with(e1, ws2.embedded(lo, hi))
             out[combined] = out.get(combined, Fraction(0)) + p1 * p2
     return WindowDistribution(d1.p, d1.n, lo, hi, out)
 

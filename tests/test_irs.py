@@ -416,12 +416,13 @@ class TestWindowMatch:
         mu = even_mixture()
         return mu.marginal(0, 1), mu.marginal(1, 2), mu.marginal(0, 2)
 
-    def test_sum_with(self):
+    def test_tv_distance_names_both_windows(self):
+        point = WindowDistribution.point
         a, b = window_of_submodule(line_submodule(), 0, 1), WindowSubgroup.zero(3, 1, 0, 1)
         with pytest.raises(ContextError, match=r"n=1, p=2 on \[0, 1\] and n=1, p=3 on \[0, 1\]"):
-            a.sum_with(b)
+            tv_distance(point(a), point(b))
         with pytest.raises(ContextError, match="window mismatch"):
-            a.sum_with(WindowSubgroup.zero(P2, 1, 0, 2))
+            tv_distance(point(a), point(WindowSubgroup.zero(P2, 1, 0, 2)))
 
     def test_mixed_with(self):
         here, moved, wider = self.laws()

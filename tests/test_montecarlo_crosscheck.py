@@ -35,6 +35,8 @@ from lampirs.irs import (
 from lampirs.rng import SplitMix64
 from lampirs.submodules import LaurentVector, Submodule
 
+from window_oracles import sum_with
+
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -128,7 +130,7 @@ def ref_splice(mu1, mu2, n_ai, lo, hi, trials, seed):
         elif not second:
             spliced = ws1.intersect_sites(first)
         else:
-            spliced = ws1.intersect_sites(first).sum_with(ws2.intersect_sites(second))
+            spliced = sum_with(ws1.intersect_sites(first), ws2.intersect_sites(second))
         counts[spliced] = counts.get(spliced, 0) + 1
     emp = empirical(marg1.p, marg1.n, lo, hi, counts, trials)
     target = marg1.mixed_with(marg2, Fraction(1, 2), Fraction(1, 2))
@@ -161,7 +163,7 @@ def ref_block_draw(mu, m, lo, hi, rng):
         block = ref_sample(block_law, rng)
         piece = block.project(run_lo - start, run_hi - start).transported(run_lo)
         piece = piece.embedded(lo, hi)
-        result = piece if result is None else result.sum_with(piece)
+        result = piece if result is None else sum_with(result, piece)
         start += m
     return result
 

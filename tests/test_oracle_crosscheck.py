@@ -74,7 +74,6 @@ from lampirs.lamplighter import (
     _BallResidues,
     _QuotientTest,
     _least_difference,
-    _offset_residues,
     ball_size,
     certify_convergence,
     conjugate_element,
@@ -102,6 +101,7 @@ from lampirs.submodules import (
 
 from test_algebra import trial_division_irreducibles
 from test_cbrank import seeded_encoding_grid, skip_case
+from window_oracles import sum_with
 
 MARGIN = 12
 
@@ -602,13 +602,14 @@ class TestResidueStepOracle:
                 off_stored += s % U.period != 0
                 ks = list(range(-4, 5))
                 want = [offset_oracle(triple, k, level) for k in ks]
-                # with every wanted coordinate in the support none is cut off
-                support = set().union(*want)
-                ball = _BallResidues(triple, 1, level)
-                assert _offset_residues(ball, ks, support) == want, (U, s)
-                # d_k outside a small window's support is None, and only then
+                # every d_k the ball walks, read far side first
+                ball = _BallResidues(triple, 1, level, range(-4 * s, 4 * s + 1))
+                assert [ball.marker(k) for k in ks[::-1]] == want[::-1], (U, s)
+                # d_k outside the window's support is not reachable, and only then
                 support = set().union(*U.window_residues(-1, 1, level).values())
-                got = _offset_residues(ball, ks, support)
+                assert ball.support == support
+                reachable = ball.reachable()
+                got = [reachable.get(k * s) for k in ks]
                 assert got == [w if w.keys() <= support else None for w in want], (U, s)
                 cut += got.count(None)
         assert off_stored > 0 and cut > 0
@@ -624,7 +625,8 @@ class TestResidueStepOracle:
         ks = list(range(-8, 9))
         want = [offset_oracle(triple, k, 1) for k in ks]
         support = set().union(*U.window_residues(0, 0).values())
-        got = _offset_residues(_BallResidues(triple, 0, 1), ks, support)
+        reachable = _BallResidues(triple, 0, 1, range(-8, 9)).reachable()
+        got = [reachable.get(k) for k in ks]
         assert got == [w if w.keys() <= support else None for w in want]
         assert got[ks.index(2)] is None and got[ks.index(6)] == {}
 
@@ -1275,17 +1277,24 @@ def rref_per_trial_least_difference(key_a, key_b, dim, p):
     return [row[dim] for row in reversed(fixed)]
 
 
+def member_keys(triple, radius, shifts):
+    """``_member_keys`` of the triple's ball at gcd(period, s), as the
+    certificate keys a term."""
+    level = gcd(triple.lamps.period, triple.s)
+    return lamplighter._member_keys(_BallResidues(triple, radius, level, shifts))
+
+
 def bottom_up_certificate(provider, limit, radius, shift_bound, horizon):
     """The certificate with every term keyed, from term 1 up to the horizon."""
     n, p = limit.n, limit.p
     shifts = range(-shift_bound, shift_bound + 1)
-    target = lamplighter._member_keys(limit, radius, shifts)
+    target = member_keys(limit, radius, shifts)
     last = 0
     for m in range(1, horizon + 1):
         triple = provider(m)
         if triple.n != n or triple.p != p:
             raise ContextError("subgroups of different lamplighter groups")
-        keys = lamplighter._member_keys(triple, radius, shifts)
+        keys = member_keys(triple, radius, shifts)
         if keys != target:
             last = m
     checked = ball_size(n, p, radius, shift_bound, horizon)
@@ -1376,9 +1385,9 @@ class TestScanOrderOracle:
         # The limit, then terms H, H - 1, ... down to the last disagreement
         # m: 1 + (H - m + 1) key sets, 2 on a failure, H + 1 with none.
         calls = []
-        member_keys = lamplighter._member_keys
+        ball = lamplighter._BallResidues
         monkeypatch.setattr(
-            lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+            lamplighter, "_BallResidues", lambda *args: calls.append(args[0]) or ball(*args)
         )
         limit, terms = pattern_case(pattern, 2)
         horizon, m = len(terms), last_disagreement(pattern)
@@ -1388,9 +1397,9 @@ class TestScanOrderOracle:
 
     def test_a_foreign_term_below_the_last_disagreement_still_raises(self, monkeypatch):
         calls = []
-        member_keys = lamplighter._member_keys
+        ball = lamplighter._BallResidues
         monkeypatch.setattr(
-            lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+            lamplighter, "_BallResidues", lambda *args: calls.append(args[0]) or ball(*args)
         )
         limit, terms = pattern_case("adaa", 2)
         foreign = pattern_case("d", 3)[1][0]
@@ -1517,18 +1526,22 @@ def unrecorded(terms):
 def last_keyed_disagreement(limit, terms, radius, shift_bound):
     """The last term whose member keys differ from the limit's, or 0."""
     shifts = range(-shift_bound, shift_bound + 1)
-    target = lamplighter._member_keys(limit, radius, shifts)
+    target = member_keys(limit, radius, shifts)
     return max(
-        (m for m, V in enumerate(terms, 1) if lamplighter._member_keys(V, radius, shifts) != target),
+        (m for m, V in enumerate(terms, 1) if member_keys(V, radius, shifts) != target),
         default=0,
     )
 
 
 def gap_start(limit, terms, radius, shift_bound):
-    """``_gap_start`` on the limit's residues at e(U), as the certificate
-    builds them."""
-    ball = _BallResidues(limit, radius, limit.lamps.minimal_period())
-    return lamplighter._gap_start(terms, limit, ball, range(-shift_bound, shift_bound + 1))
+    """``_gap_start`` on the limit's ball at e(U), as the certificate builds
+    it, or H when the terms' records do not match the limit."""
+    shifts = range(-shift_bound, shift_bound + 1)
+    ball = _BallResidues(limit, radius, limit.lamps.minimal_period(), shifts)
+    records = lamplighter._matching_records(terms, limit, ball)
+    if records is None:
+        return len(terms)
+    return lamplighter._gap_start(records, ball, lamplighter._member_keys(ball))
 
 
 def closed_form_gap_start(terms, limit, radius, shifts):
@@ -1573,11 +1586,12 @@ def companion_case(v_text):
 
 @pytest.fixture
 def keyed(monkeypatch):
-    """The triples ``_member_keys`` is called on, in order."""
+    """The triples keyed, in order: those a ``_BallResidues`` is built for,
+    one ball per key set."""
     calls = []
-    member_keys = lamplighter._member_keys
+    ball = lamplighter._BallResidues
     monkeypatch.setattr(
-        lamplighter, "_member_keys", lambda *args: calls.append(args[0]) or member_keys(*args)
+        lamplighter, "_BallResidues", lambda *args: calls.append(args[0]) or ball(*args)
     )
     return calls
 
@@ -1750,16 +1764,13 @@ def quotient_verdicts(limit, terms, radius, shift_bound):
     differ from the limit's.  The bound is read from the last term's
     residues, as if it were the start term."""
     shifts = range(-shift_bound, shift_bound + 1)
-    ball = _BallResidues(limit, radius, limit.lamps.minimal_period())
-    target = lamplighter._member_keys(limit, radius, shifts, ball)
+    ball = _BallResidues(limit, radius, limit.lamps.minimal_period(), shifts)
+    target = lamplighter._member_keys(ball)
     last = terms[-1]
-    keyed = _BallResidues(last, radius, gcd(last.lamps.period, last.s))
+    keyed = _BallResidues(last, radius, gcd(last.lamps.period, last.s), shifts)
     records = [V.lamps._gap for V in terms]
-    test = _QuotientTest(limit, ball, target, keyed, radius, shifts, records)
-    return [
-        (test.differs(V.lamps._gap), lamplighter._member_keys(V, radius, shifts) != target)
-        for V in terms
-    ]
+    test = _QuotientTest(ball, target, keyed, records)
+    return [(test.differs(V.lamps._gap), member_keys(V, radius, shifts) != target) for V in terms]
 
 
 @pytest.fixture
@@ -2387,7 +2398,7 @@ def fraction_phase_law(mu, m, k, lo, hi):
         sums = {}
         for ws1, p1 in law.items():
             for ws2, p2 in run.items():
-                combined = ws1.sum_with(ws2)
+                combined = sum_with(ws1, ws2)
                 sums[combined] = sums.get(combined, 0) + p1 * p2
         law = sums
     return law
@@ -2682,7 +2693,7 @@ class TestUncheckedConstructionOracle:
                 a, b = ws1.intersect_sites(first), ws2.intersect_sites(second)
                 got = _direct_sum(a, b)
                 assert_rechecked_window(got)
-                assert got == a.sum_with(b) == _direct_sum(b, a), (mask, a.rows, b.rows)
+                assert got == sum_with(a, b) == _direct_sum(b, a), (mask, a.rows, b.rows)
                 reordered += got.rows != a.rows + b.rows
         assert reordered > 20
 

@@ -231,7 +231,7 @@ def test_each_entry_rule_is_written_once():
     assert budget_calls == []
     assert window_raises == [("irs.py", "_check_window")]
     assert mismatch_raises == [("irs.py", "_check_same_window")]
-    binary = {"sum_with", "mixed_with", "tv_distance", "map_support", "__new__", "splice_measures"}
+    binary = {"mixed_with", "tv_distance", "map_support", "__new__", "splice_measures"}
     assert mismatch_checks == {("irs.py", name) for name in binary}
     assert period_raises == [("submodules.py", "_check_period")]
     assert hermite_calls == [("submodules.py", "form")]
@@ -339,7 +339,6 @@ def test_every_value_type_is_built_one_way():
 UNREFERENCED = {
     "submodules.Submodule.with_period": "bench/workloads.py calls it; it goes with the "
     "benchmark change that rewrites that line",
-    "irs.WindowSubgroup.sum_with": "the row-reducing reference that _direct_sum is tested against",
     "algebra.Poly.constant": "bench/workloads.py calls it",
     "lamplighter.SubgroupTriple.contains_subgroup": "public API that demos/04 calls",
     "cli._Parser.error": "argparse calls it",

@@ -675,13 +675,13 @@ class TestApproach:
         # are keyed: the quotient test decides every term below the start.
         U = construct_with_invariants(1, 2, e, rk)
         V = SubgroupTriple(t * e, U, U.reduce_vector(random_vector(SplitMix64(61 * e + t), 1, 2)))
-        keyed, member_keys = [], lamplighter._member_keys
+        keyed, ball = [], lamplighter._BallResidues
 
         def keying(triple, *args):
             keyed.append(triple)
-            return member_keys(triple, *args)
+            return ball(triple, *args)
 
-        monkeypatch.setattr(lamplighter, "_member_keys", keying)
+        monkeypatch.setattr(lamplighter, "_BallResidues", keying)
         shifts = range(-2 * t * e, 2 * t * e + 1)
         unformed = 0
         for r_target in range(t * (e - rk)):
@@ -690,8 +690,9 @@ class TestApproach:
             certify_convergence(lambda m: seq[m - 1], V, 4, 2 * t * e, 25)
             classify_limit(seq, V)
             if t == 2:
-                ball = lamplighter._BallResidues(V, 4, e)
-                start = lamplighter._gap_start(seq, V, ball, shifts)
+                own = ball(V, 4, e, shifts)
+                records = lamplighter._matching_records(seq, V, own)
+                start = lamplighter._gap_start(records, own, lamplighter._member_keys(own))
                 assert keyed == [V, seq[start - 1]], (r_target, start)
                 assert not any(W.lamps._forms for W in seq[: start - 1]), r_target
             for m, W in enumerate(seq, 1):
